@@ -730,20 +730,29 @@ class MatrixOverRing:
         return MatrixOverRing(ring, tuple(tuple(r) for r in rows))
 
 
+def mul_entries(ring: Ring, a, b) -> tuple:
+    """Rows of A.B for matrices given as sequences of rows; the one block
+    kernel.  Each row of A visits only its nonzero entries t, and each of
+    those only the nonzero entries of row t of B."""
+    zero, add, mul = ring.zero, ring.add, ring.mul
+    width = len(b[0]) if b else 0
+    b_support = [[(j, x) for j, x in enumerate(row) if x != zero] for row in b]
+    out = []
+    for row in a:
+        acc = [zero] * width
+        for x, b_row in zip(row, b_support):
+            if x == zero:
+                continue
+            for j, y in b_row:
+                acc[j] = add(acc[j], mul(x, y))
+        out.append(tuple(acc))
+    return tuple(out)
+
+
 def mat_mul(a: MatrixOverRing, b: MatrixOverRing) -> MatrixOverRing:
-    ring = a.ring
     if a.cols != b.rows:
         raise ValueError("matrix shape mismatch")
-    out = []
-    for i in range(a.rows):
-        row = []
-        for j in range(b.cols):
-            acc = ring.zero
-            for k in range(a.cols):
-                acc = ring.add(acc, ring.mul(a.entries[i][k], b.entries[k][j]))
-            row.append(acc)
-        out.append(tuple(row))
-    return MatrixOverRing(ring, tuple(out))
+    return MatrixOverRing(a.ring, mul_entries(a.ring, a.entries, b.entries))
 
 
 def matrix_vnr_witness(a: MatrixOverRing) -> Optional[MatrixOverRing]:
@@ -870,16 +879,7 @@ def _field_generalized_inverse(a: MatrixOverRing):
         rank += 1
     # Y = F . J^T . E where J^T is n x m with identity block of size rank
     jt_e = [[e[i][j] if i < rank else ring.zero for j in range(m)] for i in range(n)]
-    out = []
-    for i in range(n):
-        row = []
-        for j in range(m):
-            acc = ring.zero
-            for k in range(n):
-                acc = ring.add(acc, ring.mul(f[i][k], jt_e[k][j]))
-            row.append(acc)
-        out.append(tuple(row))
-    return MatrixOverRing(ring, tuple(out))
+    return MatrixOverRing(ring, mul_entries(ring, f, jt_e))
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Optional
 
-from .coeffring import Ring
+from .coeffring import Ring, mul_entries
 from .errors import (GralError, NotDegreeZero, NotInDn, SpecMismatch,
                      UnknownGenerator, XNotRegular)
 from .graphs import CohnPair, Graph, Path
@@ -543,31 +543,13 @@ class MatricialImage:
     def __sub__(self, other):
         return self._zip(other, self.structure.spec.ring.sub)
 
-    def __neg__(self):
-        ring = self.structure.spec.ring
-        return MatricialImage(self.structure, {
-            k: tuple(tuple(ring.neg(x) for x in row) for row in m)
-            for k, m in self.mats.items()})
-
     def __mul__(self, other):
         if self.structure != other.structure:
             raise SpecMismatch("block elements from different structures")
         ring = self.structure.spec.ring
-        mats = {}
-        for k in self.structure.keys:
-            a, b = self.mats[k], other.mats[k]
-            s = len(a)
-            out = []
-            for i in range(s):
-                row = []
-                for j in range(s):
-                    acc = ring.zero
-                    for t in range(s):
-                        acc = ring.add(acc, ring.mul(a[i][t], b[t][j]))
-                    row.append(acc)
-                out.append(tuple(row))
-            mats[k] = tuple(out)
-        return MatricialImage(self.structure, mats)
+        return MatricialImage(self.structure, {
+            k: mul_entries(ring, self.mats[k], other.mats[k])
+            for k in self.structure.keys})
 
     def __eq__(self, other):
         return (isinstance(other, MatricialImage)

@@ -14,13 +14,14 @@ import random
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .coeffring import MatrixOverRing, is_vnr, matrix_vnr_witness, solve_linear_system
+from .coeffring import (MatrixOverRing, is_vnr, matrix_vnr_witness,
+                        mul_entries, solve_linear_system)
 from .errors import (CoefficientRingNotVNR, GralError,
                      InternalVerificationFailure, ZeroElement)
 from .pathalg import (INT_OPS, AlgebraElement, AlgebraSpec, BlockStructure,
-                      MatricialImage, Monomial, _append, _mono_mul, _reduce,
-                      filtration_level, matricial_decompose, matricial_lift,
-                      monomial_element, reduced_monomials)
+                      MatricialImage, Monomial, _expand_to_level, _mono_mul,
+                      _reduce, filtration_level, matricial_decompose,
+                      matricial_lift, monomial_element, reduced_monomials)
 
 # ---------------------------------------------------------------------------
 # Local units
@@ -42,33 +43,6 @@ class LocalUnitPair:
     right: UnitFactorization   # x . right.epsilon = x
 
 
-def _prefix_free_support(x: AlgebraElement):
-    """Expand support monomials at regular range vertices until the real
-    parts are pairwise prefix-free (uniform maximal length or sink-ended)."""
-    g = x.spec.graph
-    ring = x.spec.ring
-    top = max(len(m.alpha.edges) for m in x.terms)
-    terms = dict(x.terms)
-    changed = True
-    while changed:
-        changed = False
-        for m in list(terms):
-            if m not in terms:
-                continue
-            if len(m.alpha.edges) >= top or not g.out_edges(m.alpha.dst):
-                continue
-            c = terms.pop(m)
-            for e in g.out_edges(m.alpha.dst):
-                m2 = Monomial(_append(m.alpha, e), _append(m.beta, e))
-                c2 = ring.add(terms.get(m2, ring.zero), c)
-                if c2 == ring.zero:
-                    terms.pop(m2, None)
-                else:
-                    terms[m2] = c2
-            changed = True
-    return terms
-
-
 def local_unit_left(x: AlgebraElement) -> UnitFactorization:
     """Left local unit for a nonzero homogeneous element of a Leavitt spec,
     with its factorization across the degree pair."""
@@ -78,8 +52,8 @@ def local_unit_left(x: AlgebraElement) -> UnitFactorization:
         raise GralError("local_unit_left needs a Leavitt spec")
     d = x.degree()
     spec = x.spec
-    ring = spec.ring
-    expanded = _prefix_free_support(x)
+    top = max(len(m.alpha.edges) for m in x.terms)
+    expanded = _expand_to_level(spec, x.terms, top)
     companion = {}
     for m in sorted(expanded, key=Monomial.sort_key):
         companion.setdefault(m.alpha, m.beta)
@@ -117,51 +91,48 @@ def local_units(x: AlgebraElement) -> LocalUnitPair:
 # Idempotent generators inside a matricial level
 
 
-def _block_vnr_witness(c: MatricialImage) -> MatricialImage:
-    structure = c.structure
-    ring = structure.spec.ring
-    mats = {}
-    for k in structure.keys:
-        block = c.mats[k]
-        if not block:
-            mats[k] = ()
-            continue
-        w = matrix_vnr_witness(MatrixOverRing(ring, block))
-        if w is None:
-            raise InternalVerificationFailure(
-                "matrix witness absent over a vnr coefficient ring")
-        mats[k] = w.entries
-    return MatricialImage(structure, mats)
-
-
 def idempotent_generator(structure: BlockStructure, generators):
     """Idempotent y with sum(D.c_i) = D.y inside the block realization,
     plus coefficients u_i with y = sum(u_i . c_i).
 
-    Refuses non-vnr coefficient rings; the pairwise combination needs
-    matrix witnesses at every step.
+    Over a vnr ring a finitely generated left ideal is generated by an
+    idempotent, so one generalized inverse per block suffices: stack the
+    generators' s x s blocks into C (k.s x s), take a matrix witness W of C
+    (C.W.C = C) and set y = W.C; u_i is the i-th s-column slice of W.  The
+    witness is computed on the nonzero rows and columns of C only.  Refuses
+    non-vnr coefficient rings.
     """
     ring = structure.spec.ring
     if not is_vnr(ring).regular:
         raise CoefficientRingNotVNR(
             f"{ring.describe()} is not von Neumann regular")
-    y = MatricialImage.zeros(structure)
-    one = MatricialImage.one(structure)
-    us = []
     for c in generators:
         if c.structure != structure:
             raise GralError("generator from a different block structure")
-        g = c - c * y
-        w = _block_vnr_witness(g)
-        e_new = w * g
-        # coefficient bookkeeping: g = c - sum (c.u_j) c_j
-        g_coeffs = [-(c * u) for u in us] + [one]
-        lift_factor = one - y
-        new_us = []
-        for u, gc in zip(us + [MatricialImage.zeros(structure)], g_coeffs):
-            new_us.append(u + lift_factor * (w * gc))
-        us = new_us
-        y = y + e_new - y * e_new
+    zero = ring.zero
+    y_mats = {}
+    u_mats = [{} for _ in generators]
+    for key in structure.keys:
+        s = len(structure.labels[key])
+        stacked = [row for c in generators for row in c.mats[key]]
+        rows = [r for r, row in enumerate(stacked) if any(x != zero for x in row)]
+        cols = [j for j in range(s) if any(stacked[r][j] != zero for r in rows)]
+        w = [[zero] * len(stacked) for _ in range(s)]
+        if rows:
+            support = MatrixOverRing(ring, tuple(tuple(stacked[r][j] for j in cols)
+                                                 for r in rows))
+            w_support = matrix_vnr_witness(support)
+            if w_support is None:
+                raise InternalVerificationFailure(
+                    "matrix witness absent over a vnr coefficient ring")
+            for j, w_row in zip(cols, w_support.entries):
+                for r, x in zip(rows, w_row):
+                    w[j][r] = x
+        y_mats[key] = mul_entries(ring, w, stacked)
+        for i, u in enumerate(u_mats):
+            u[key] = tuple(tuple(row[i * s:(i + 1) * s]) for row in w)
+    y = MatricialImage(structure, y_mats)
+    us = [MatricialImage(structure, u) for u in u_mats]
     acc = MatricialImage.zeros(structure)
     for u, c in zip(us, generators):
         acc = acc + u * c

@@ -1,5 +1,6 @@
 """Finite ring arithmetic, regularity search and linear solving."""
 
+import functools
 import itertools
 import random
 
@@ -8,7 +9,7 @@ import pytest
 from gral.coeffring import (MatrixOverRing, ModularRing, ProductRing, Ring,
                             TableRing, is_semiprime_ring, is_vnr,
                             jacobson_radical, kernel_generators, mat_mul,
-                            matrix_vnr_witness, ring_make, ring_spec,
+                            matrix_vnr_witness, mul_entries, ring_make, ring_spec,
                             solve_linear_system, vnr_witness)
 from gral.errors import AxiomViolation, SearchCapExceeded
 
@@ -260,6 +261,35 @@ def test_matrix_witness_scalar_z6(z6):
 def test_matrix_witness_absent_z4(z4):
     a = MatrixOverRing.from_lists(z4, [[2]])
     assert matrix_vnr_witness(a) is None
+
+
+def dense_product(ring, a, b):
+    """Reference triple loop over every entry, zeros included."""
+    return tuple(
+        tuple(functools.reduce(ring.add, (ring.mul(a[i][t], b[t][j])
+                                          for t in range(len(b))), ring.zero)
+              for j in range(len(b[0])))
+        for i in range(len(a)))
+
+
+def sparse_rows(ring, rng, rows, cols, density):
+    nonzero = [c for c in ring.elements() if c != ring.zero]
+    return tuple(tuple(rng.choice(nonzero) if rng.random() < density else ring.zero
+                       for _ in range(cols)) for _ in range(rows))
+
+
+@pytest.mark.parametrize("ring", [ModularRing(6),
+                                  ProductRing([ModularRing(2), ModularRing(3)])])
+def test_mul_entries_matches_dense_reference(ring):
+    rng = random.Random(61)
+    for _ in range(40):
+        m, k, n = (rng.randint(1, 30) for _ in range(3))
+        density = rng.choice([0.0, 0.02, 0.05, 0.1])  # about 90% zeros or more
+        a = sparse_rows(ring, rng, m, k, density)
+        b = sparse_rows(ring, rng, k, n, density)
+        assert mul_entries(ring, a, b) == dense_product(ring, a, b)
+        assert mat_mul(MatrixOverRing(ring, a), MatrixOverRing(ring, b)) == \
+            MatrixOverRing(ring, dense_product(ring, a, b))
 
 
 def test_matrix_witness_random_verified(z6):

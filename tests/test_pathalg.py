@@ -231,6 +231,28 @@ def test_decompose_is_homomorphism(z6):
             matricial_decompose(x, 2) * matricial_decompose(y, 2)
 
 
+def test_block_product_matches_dense_reference(z6):
+    # rose2 at level 4: one 16 x 16 block, about 90% of entries zero
+    structure = BlockStructure(AlgebraSpec.leavitt(graph_rose2(), z6), 4)
+    rng = random.Random(23)
+
+    def image():
+        return MatricialImage(structure, {k: tuple(
+            tuple(rng.randrange(1, 6) if rng.random() < 0.1 else 0
+                  for _ in range(len(structure.labels[k])))
+            for _ in range(len(structure.labels[k])))
+            for k in structure.keys})
+
+    for _ in range(30):
+        x, y = image(), image()
+        for k in structure.keys:
+            a, b = x.block(k), y.block(k)
+            s = len(a)
+            dense = tuple(tuple(sum(a[i][t] * b[t][j] for t in range(s)) % 6
+                                for j in range(s)) for i in range(s))
+            assert (x * y).block(k) == dense
+
+
 def test_dn_ranks_match_block_formula():
     for name, make in SIX_GRAPHS.items():
         spec = leavitt(make(), 2)

@@ -6,12 +6,14 @@ import pytest
 
 from conftest import (graph_a1, graph_loop, graph_null, graph_rose2,
                       graph_toeplitz, graph_vw, graph_vwu, random_element)
-from gral.coeffring import ModularRing
+import gral.regularity as regularity
+from gral.coeffring import ModularRing, ProductRing
+from gral.graphs import Graph
 from gral.errors import (CoefficientRingNotVNR, GralError, ZeroElement)
 from gral.pathalg import (AlgebraElement, AlgebraSpec, BlockStructure,
-                          MatricialImage, format_element, matricial_decompose,
-                          monomial_element, reduced_monomials, vertex_element,
-                          word_element)
+                          MatricialImage, Monomial, format_element,
+                          matricial_decompose, monomial_element,
+                          reduced_monomials, vertex_element, word_element)
 from gral.regularity import (graded_vnr_verdict, graded_witness_constructive,
                              graded_witness_oracle, idempotent_generator,
                              local_unit_left, local_units, sample_homogeneous)
@@ -148,6 +150,79 @@ def test_idempotent_generator_random_invariants(z6):
         for u, c in zip(us, cs):
             acc = acc + u * c
         assert acc == y
+
+
+def random_image(structure, rng, density, zero_keys=()):
+    """Block element with entries nonzero at about the given density."""
+    ring = structure.spec.ring
+    nonzero = [c for c in ring.elements() if c != ring.zero]
+    mats = {}
+    for k in structure.keys:
+        s = len(structure.labels[k])
+        mats[k] = tuple(
+            tuple(rng.choice(nonzero)
+                  if k not in zero_keys and rng.random() < density else ring.zero
+                  for _ in range(s))
+            for _ in range(s))
+    return MatricialImage(structure, mats)
+
+
+@pytest.mark.parametrize("ring", [ModularRing(6), ModularRing(30),
+                                  ProductRing([ModularRing(2), ModularRing(3)])],
+                         ids=["Z6", "Z30", "Z2xZ3"])
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_idempotent_generator_properties(ring, k):
+    # two loops at v plus an exit to a sink: blocks of sizes 1, 1, 4 and 2
+    g = Graph(["v", "w"], [("a", "v", "v"), ("b", "v", "v"), ("f", "v", "w")])
+    structure = BlockStructure(AlgebraSpec.leavitt(g, ring), 2)
+    zero_key = (2, "w")
+    rng = random.Random(97 * k + len(ring.describe()))
+    for trial in range(8):
+        density = rng.choice([0.1, 0.3, 0.7])
+        cs = [random_image(structure, rng, density, zero_keys=(zero_key,))
+              for _ in range(k)]
+        if trial % 2 == 0:
+            cs[rng.randrange(k)] = MatricialImage.zeros(structure)
+        y, us = idempotent_generator(structure, cs)
+        assert y * y == y
+        for c in cs:
+            assert c * y == c
+        acc = MatricialImage.zeros(structure)
+        for u, c in zip(us, cs):
+            acc = acc + u * c
+        assert acc == y
+        zero_block = MatricialImage.zeros(structure).block(zero_key)
+        assert y.block(zero_key) == zero_block
+        assert all(u.block(zero_key) == zero_block for u in us)
+
+
+def test_idempotent_generator_all_zero_gives_zero(z6):
+    structure = BlockStructure(AlgebraSpec.leavitt(graph_rose2(), z6), 2)
+    zero = MatricialImage.zeros(structure)
+    y, us = idempotent_generator(structure, [zero, zero])
+    assert y == zero and us == [zero, zero]
+
+
+def test_rose3_level4_witness_on_support(monkeypatch):
+    # 81 x 81 blocks; the generalized inverse only sees the nonzero support
+    g = Graph(["v"], [("a", "v", "v"), ("b", "v", "v"), ("c", "v", "v")])
+    spec = AlgebraSpec.leavitt(g, ModularRing(6))
+    x = (monomial_element(spec, Monomial(g.make_path(["a", "b", "c", "b"]),
+                                         g.make_path(["c", "a", "b", "c"])), 2)
+         + monomial_element(spec, Monomial(g.make_path(["b", "b", "c", "a"]),
+                                           g.make_path(["a", "c", "b", "c"])), 5))
+    dims = []
+    witness = regularity.matrix_vnr_witness
+
+    def recording(a):
+        dims.append((a.rows, a.cols))
+        return witness(a)
+
+    monkeypatch.setattr(regularity, "matrix_vnr_witness", recording)
+    cert = graded_witness_constructive(x)
+    assert max(len(l) for l in BlockStructure(spec, 4).labels.values()) == 81
+    assert cert.verified and x * cert.witness * x == x
+    assert dims and max(max(d) for d in dims) <= 4
 
 
 # -- constructive witnesses --------------------------------------------------------
