@@ -15,20 +15,27 @@ import os
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .errors import AxiomViolation, SearchCapExceeded
+from .errors import (AxiomViolation, InternalVerificationFailure,
+                     SearchCapExceeded)
 
 DEFAULT_SEARCH_CAP = 10**6
 
 
 def search_cap() -> int:
-    """Exhaustive-search state cap; GRAL_SEARCH_CAP overrides the default."""
+    """Exhaustive-search state cap; GRAL_SEARCH_CAP overrides the default.
+
+    Raises ValueError when the variable is set to anything but a positive
+    integer."""
     raw = os.environ.get("GRAL_SEARCH_CAP")
-    if raw:
-        try:
-            return int(raw)
-        except ValueError:
-            pass
-    return DEFAULT_SEARCH_CAP
+    if not raw:
+        return DEFAULT_SEARCH_CAP
+    try:
+        cap = int(raw)
+    except ValueError:
+        cap = 0
+    if cap < 1:
+        raise ValueError(f"GRAL_SEARCH_CAP must be a positive integer, got {raw!r}")
+    return cap
 
 
 class Ring:
@@ -110,10 +117,6 @@ class Ring:
             ) and self.one is not None
             self._field_cache = cached
         return cached
-
-    def has_left_inverse(self, a) -> bool:
-        one = self.one
-        return any(self.mul(b, a) == one for b in self.elements())
 
 
 class ModularRing(Ring):
@@ -398,6 +401,31 @@ def is_vnr(ring: Ring) -> VnrVerdict:
 # (treated as "no factor", which also covers non-unital table rings).
 
 
+def span_constraints(ring: Ring, columns, target=None):
+    """Constraints for sum_i r_i . columns[i] = target over the variables
+    0..len(columns)-1, where columns and target are coordinate dicts
+    {key: coefficient}.  One row per key of the columns and the target, in
+    repr order, with its terms in column order; no target gives the
+    homogeneous system."""
+    target = target or {}
+    rows = {k: [] for k in target}
+    for i, column in enumerate(columns):
+        for k, c in column.items():
+            terms = rows.get(k)
+            if terms is None:
+                rows[k] = terms = []
+            terms.append((None, i, c))
+    zero = ring.zero
+    return [(rows[k], target.get(k, zero)) for k in sorted(rows, key=repr)]
+
+
+def _factor_system(constraints, i):
+    """The constraints projected to the i-th factor of a product ring."""
+    return [([(None if l is None else l[i], v, None if r is None else r[i])
+              for (l, v, r) in terms], rhs[i])
+            for terms, rhs in constraints]
+
+
 def solve_linear_system(ring: Ring, constraints, variables=None):
     """One solution as {var: element}, or None if certifiably absent.
 
@@ -407,25 +435,16 @@ def solve_linear_system(ring: Ring, constraints, variables=None):
     """
     varlist = _collect_vars(constraints, variables)
     if isinstance(ring, ProductRing):
-        assignment = {}
         per_factor = []
         for i, factor in enumerate(ring.factors):
-            proj = [
-                ([(None if l is None else l[i], v, None if r is None else r[i])
-                  for (l, v, r) in terms], rhs[i])
-                for terms, rhs in constraints
-            ]
-            sol = solve_linear_system(factor, proj, varlist)
+            sol = solve_linear_system(factor, _factor_system(constraints, i), varlist)
             if sol is None:
                 return None
             per_factor.append(sol)
-        for v in varlist:
-            assignment[v] = tuple(sol[v] for sol in per_factor)
-        return assignment
+        return {v: tuple(sol[v] for sol in per_factor) for v in varlist}
     if isinstance(ring, ModularRing):
-        n = ring.n
         rows, rhs = _fold_modular(ring, constraints, varlist)
-        sol = _solve_mod(rows, rhs, len(varlist), n)
+        sol = _solve_mod(rows, rhs, len(varlist), ring.n)
         if sol is None:
             return None
         return dict(zip(varlist, sol))
@@ -480,28 +499,23 @@ def _solve_mod(rows, rhs, nvars, n):
         if any(b % n != 0 for b in rhs):
             return None
         return [0] * nvars
-    parts = _prime_powers(n)
     residues = []
-    for p, e in parts:
-        q = p**e
+    for p, e in _prime_powers(n):
         sol = _solve_prime_power([r[:] for r in rows], list(rhs), p, e)
         if sol is None:
             return None
-        residues.append((q, sol))
-    out = []
-    for i in range(nvars):
-        x, mod = 0, 1
-        for q, sol in residues:
-            x = _crt_pair(x, mod, sol[i] % q, q)
-            mod *= q
-        out.append(x % n)
-    return out
+        residues.append((sol, p**e))
+    return [_crt([(sol[i], q) for sol, q in residues]) for i in range(nvars)]
 
 
-def _crt_pair(a, m, b, q):
-    # m, q coprime
-    inv = pow(m, -1, q)
-    return a + m * ((b - a) * inv % q)
+def _crt(residues):
+    """The x in [0, prod q) with x = r mod q for each (r, q); the q are
+    pairwise coprime."""
+    x, mod = 0, 1
+    for r, q in residues:
+        x += mod * ((r - x) * pow(mod, -1, q) % q)
+        mod *= q
+    return x
 
 
 def _solve_prime_power(rows, rhs, p, e):
@@ -608,12 +622,7 @@ def kernel_generators(ring: Ring, constraints, variables):
     if isinstance(ring, ProductRing):
         gens = []
         for i, factor in enumerate(ring.factors):
-            proj = [
-                ([(None if l is None else l[i], v, None if r is None else r[i])
-                  for (l, v, r) in terms], rhs[i])
-                for terms, rhs in constraints
-            ]
-            for g in kernel_generators(factor, proj, varlist):
+            for g in kernel_generators(factor, _factor_system(constraints, i), varlist):
                 gens.append({
                     v: tuple(g[v] if k == i else f.zero
                              for k, f in enumerate(ring.factors))
@@ -762,7 +771,6 @@ def matrix_vnr_witness(a: MatrixOverRing) -> Optional[MatrixOverRing]:
     by CRT; everything else goes through solve_linear_system.  The result is
     re-verified before returning.
     """
-    ring = a.ring
     y = _matrix_witness_dispatch(a)
     if y is not None and mat_mul(mat_mul(a, y), a) != a:
         raise ArithmeticError("matrix witness failed re-verification")
@@ -789,7 +797,7 @@ def _matrix_witness_dispatch(a: MatrixOverRing):
         parts = _prime_powers(ring.n)
         if len(parts) == 1 and parts[0][1] > 1:
             return _matrix_witness_solve(a)
-        comps, mods = [], []
+        comps = []
         for p, e in parts:
             q = p**e
             sub = MatrixOverRing(ModularRing(q),
@@ -798,19 +806,10 @@ def _matrix_witness_dispatch(a: MatrixOverRing):
                  else _matrix_witness_solve(sub))
             if y is None:
                 return None
-            comps.append(y)
-            mods.append(q)
-        out = []
-        for i in range(a.cols):
-            row = []
-            for j in range(a.rows):
-                x, mod = 0, 1
-                for y, q in zip(comps, mods):
-                    x = _crt_pair(x, mod, y.entries[i][j], q)
-                    mod *= q
-                row.append(x % ring.n)
-            out.append(tuple(row))
-        return MatrixOverRing(ring, tuple(out))
+            comps.append((y.entries, q))
+        return MatrixOverRing(ring, tuple(
+            tuple(_crt([(y[i][j], q) for y, q in comps]) for j in range(a.rows))
+            for i in range(a.cols)))
     if ring.is_field():
         return _field_generalized_inverse(a)
     return _matrix_witness_solve(a)
@@ -903,9 +902,13 @@ def jacobson_radical(ring: Ring):
     rad_set = set(radical)
     for x in radical:
         for y in radical:
-            assert ring.add(x, y) in rad_set
+            if ring.add(x, y) not in rad_set:
+                raise InternalVerificationFailure(
+                    f"radical of {ring.describe()} not closed under addition")
         for y in elems:
-            assert ring.mul(y, x) in rad_set and ring.mul(x, y) in rad_set
+            if ring.mul(y, x) not in rad_set or ring.mul(x, y) not in rad_set:
+                raise InternalVerificationFailure(
+                    f"radical of {ring.describe()} is not a two-sided ideal")
     return radical
 
 

@@ -259,10 +259,6 @@ def csl_make(data: CornerData) -> CslAlgebra:
     return CslAlgebra(data)
 
 
-def csl_multiply(x: CSLElement, y: CSLElement) -> CSLElement:
-    return x * y
-
-
 def csl_table_epsilon(alg: CslAlgebra, n: int) -> CSLElement:
     """Table entry: e_n for n > 0, the identity for n <= 0."""
     return alg.scalar(alg.corner_unit(n)) if n > 0 else alg.one()

@@ -12,10 +12,11 @@ import itertools
 from dataclasses import dataclass
 from typing import Optional
 
-from .coeffring import Ring, TableRing, search_cap, solve_linear_system
+from .coeffring import (Ring, TableRing, search_cap, solve_linear_system,
+                        span_constraints)
 from .cornerlaurent import CslAlgebra, csl_table_epsilon, format_csl
-from .errors import (AssertionFailure, GralError, NotDegreeOneGenerated,
-                     SearchCapExceeded)
+from .errors import (AssertionFailure, GralError, InternalVerificationFailure,
+                     NotDegreeOneGenerated, SearchCapExceeded)
 from .pathalg import (AlgebraElement, AlgebraSpec, Monomial, format_element,
                       identity_element, monomial_element, reduced_monomials,
                       vertex_element)
@@ -38,9 +39,6 @@ class GradedRingOracle:
 
     def spanning(self, degree: int, size_bound: int):
         raise NotImplementedError
-
-    def component_spanning_set(self, degree: int, size_bound: int):
-        return self.spanning(degree, size_bound)
 
     def exact_at(self, degree: int, size_bound: int) -> bool:
         """Whether the bounded spanning set spans the whole component, i.e.
@@ -76,21 +74,9 @@ class GradedRingOracle:
 
     def span_solve(self, target, elements) -> Optional[list]:
         """Coefficients r_i with sum r_i.elements_i = target, or None."""
-        keys = set(self.coords(target))
-        mats = []
-        for el in elements:
-            c = self.coords(el)
-            keys |= set(c)
-            mats.append(c)
-        keys = sorted(keys, key=repr)
-        ring = self.ring
-        constraints = []
-        tcoords = self.coords(target)
-        for k in keys:
-            terms = [(None, i, mats[i][k]) for i in range(len(elements))
-                     if k in mats[i]]
-            constraints.append((terms, tcoords.get(k, ring.zero)))
-        sol = solve_linear_system(ring, constraints, list(range(len(elements))))
+        constraints = span_constraints(
+            self.ring, [self.coords(el) for el in elements], self.coords(target))
+        sol = solve_linear_system(self.ring, constraints, list(range(len(elements))))
         if sol is None:
             return None
         return [sol[i] for i in range(len(elements))]
@@ -640,29 +626,17 @@ def check_epsilon_strong(oracle: GradedRingOracle, degree_bound: int = 3,
 
 def _solve_epsilon(oracle, products, span_d, span_md):
     """Least combination of the products that left-units span_d and
-    right-units span_md, or None."""
+    right-units span_md, or None (also when there are no products)."""
     if not products:
-        if not span_d and not span_md:
-            return None  # caller reports vacuous zero
         return None
-    ring = oracle.ring
+    ring, coords, mul = oracle.ring, oracle.coords, oracle.mul
     constraints = []
     for s in span_d:
-        target = oracle.coords(s)
-        per_key = {}
-        for i, p in enumerate(products):
-            for k, c in oracle.coords(oracle.mul(p, s)).items():
-                per_key.setdefault(k, []).append((None, i, c))
-        for k in sorted(set(per_key) | set(target), key=repr):
-            constraints.append((per_key.get(k, []), target.get(k, ring.zero)))
+        constraints += span_constraints(
+            ring, [coords(mul(p, s)) for p in products], coords(s))
     for t in span_md:
-        target = oracle.coords(t)
-        per_key = {}
-        for i, p in enumerate(products):
-            for k, c in oracle.coords(oracle.mul(t, p)).items():
-                per_key.setdefault(k, []).append((None, i, c))
-        for k in sorted(set(per_key) | set(target), key=repr):
-            constraints.append((per_key.get(k, []), target.get(k, ring.zero)))
+        constraints += span_constraints(
+            ring, [coords(mul(t, p)) for p in products], coords(t))
     sol = solve_linear_system(ring, constraints, list(range(len(products))))
     if sol is None:
         return None
@@ -757,33 +731,18 @@ def check_nearly_epsilon(target, degree_bound: int = 3, size_bound: int = 3):
 
 
 def _solve_unit(oracle, products, s, side):
-    ring = oracle.ring
-    if not products:
-        return None
-    constraints = []
-    target = oracle.coords(s)
-    per_key = {}
-    for i, p in enumerate(products):
-        prod = oracle.mul(p, s) if side == "left" else oracle.mul(s, p)
-        for k, c in oracle.coords(prod).items():
-            per_key.setdefault(k, []).append((None, i, c))
-    for k in sorted(set(per_key) | set(target), key=repr):
-        constraints.append((per_key.get(k, []), target.get(k, ring.zero)))
-    sol = solve_linear_system(ring, constraints, list(range(len(products))))
-    if sol is None:
+    """A combination of the products acting on s as a left (or right) unit,
+    or None."""
+    if side == "left":
+        eps = _solve_epsilon(oracle, products, [s], [])
+    else:
+        eps = _solve_epsilon(oracle, products, [], [s])
+    if eps is None and isinstance(oracle, CslOracle):
         # twisted corner rings: coordinates are not left-linear, so fall
         # back to searching the (finite) additive closure directly
-        if isinstance(oracle, CslOracle):
-            for cand in _additive_closure(oracle, products):
-                ok = (oracle.mul(cand, s) == s if side == "left"
-                      else oracle.mul(s, cand) == s)
-                if ok:
-                    return cand
-        return None
-    eps = None
-    for i, p in enumerate(products):
-        term = oracle.scale(sol[i], p)
-        eps = term if eps is None else oracle.add(eps, term)
+        for cand in _additive_closure(oracle, products):
+            if (oracle.mul(cand, s) if side == "left" else oracle.mul(s, cand)) == s:
+                return cand
     return eps
 
 
@@ -866,15 +825,22 @@ def homogeneous_local_units(spec: AlgebraSpec, size_bound: int = 3) -> LocalUnit
     vs = [vertex_element(spec, v) for v in sorted(spec.graph.vertices)]
     total = identity_element(spec)
     for i, u in enumerate(vs):
-        assert u * u == u
+        if u * u != u:
+            raise InternalVerificationFailure(f"vertex {format_element(u)} is not idempotent")
         for w in vs[i + 1:]:
-            assert (u * w).is_zero and (w * u).is_zero
+            if not (u * w).is_zero or not (w * u).is_zero:
+                raise InternalVerificationFailure(
+                    f"vertices {format_element(u)} and {format_element(w)} are not orthogonal")
     for m in reduced_monomials(spec, max_len=size_bound):
         x = monomial_element(spec, m)
-        assert total * x == x and x * total == x
+        if total * x != x or x * total != x:
+            raise InternalVerificationFailure(
+                f"the vertex sum is not a unit for {format_element(x)}")
         sa = vertex_element(spec, m.alpha.src)
         sb = vertex_element(spec, m.beta.src)
-        assert sa * x == x and x * sb == x
+        if sa * x != x or x * sb != x:
+            raise InternalVerificationFailure(
+                f"the source vertices are not local units for {format_element(x)}")
     return LocalUnitsReport(tuple(vs), total, True)
 
 
@@ -919,7 +885,8 @@ def jacobson_radical_algebra(spec: AlgebraSpec, size_bound: Optional[int] = None
     gens = []
     for x in radical:
         for _, comp in x.homogeneous_components().items():
-            assert comp in rad_set, "radical is not graded"
+            if comp not in rad_set:
+                raise InternalVerificationFailure("radical is not graded")
             if comp not in gens and not comp.is_zero:
                 gens.append(comp)
     span = {AlgebraElement.zero(spec)}
@@ -933,7 +900,8 @@ def jacobson_radical_algebra(spec: AlgebraSpec, size_bound: Optional[int] = None
                 if c not in span:
                     span.add(c)
                     changed = True
-    assert span == rad_set, "homogeneous set does not generate the radical"
+    if span != rad_set:
+        raise InternalVerificationFailure("homogeneous set does not generate the radical")
     return RadicalReport(len(radical), tuple(sorted(gens, key=format_element)),
                          len(basis))
 

@@ -104,12 +104,6 @@ class Graph:
             level = [p for p in level if p.dst == target]
         return sorted(level, key=Path.sort_key)
 
-    def paths_up_to(self, n: int):
-        out = []
-        for k in range(n + 1):
-            out.extend(self.paths(k))
-        return out
-
     def longest_path_length(self) -> Optional[int]:
         """Max path length for acyclic graphs, None if the graph has a cycle."""
         if not is_acyclic(self):

@@ -6,7 +6,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .coeffring import Ring, kernel_generators, solve_linear_system
+from .coeffring import (Ring, kernel_generators, solve_linear_system,
+                        span_constraints)
 from .errors import GralError, RelationViolation
 from .graphs import (CohnPair, GraphMorphism, cohn_cover, compose_morphisms,
                      morphism_validate)
@@ -223,35 +224,18 @@ def verify_graded_iso(h: AlgebraHom, degree_bound: int = 3,
                for m in reduced_monomials(h.source, degree=d, max_len=src_bound)]
         tgt = [monomial_element(h.target, m)
                for m in reduced_monomials(h.target, degree=d, max_len=size_bound)]
-        images = [hom_apply(h, s) for s in src]
+        coords = [hom_apply(h, s).terms for s in src]
+        variables = list(range(len(src)))
         status = "holds-exactly" if exact else "holds-at-bound"
         row_witness = ""
-        keys = set()
-        coords = []
-        for img in images:
-            c = dict(img.terms)
-            coords.append(c)
-            keys |= set(c)
         for t in tgt:
-            keys |= set(t.terms)
-        keys = sorted(keys, key=lambda m: m.sort_key())
-        for t in tgt:
-            constraints = []
-            for k in keys:
-                terms = [(None, i, coords[i][k]) for i in range(len(images))
-                         if k in coords[i]]
-                constraints.append((terms, t.terms.get(k, ring.zero)))
-            if solve_linear_system(ring, constraints, list(range(len(images)))) is None:
+            if solve_linear_system(ring, span_constraints(ring, coords, t.terms),
+                                   variables) is None:
                 status = "fails"
                 row_witness = f"unhit target element {format_element(t)}"
                 break
-        if status != "fails" and images:
-            hom_constraints = []
-            for k in keys:
-                terms = [(None, i, coords[i][k]) for i in range(len(images))
-                         if k in coords[i]]
-                hom_constraints.append((terms, ring.zero))
-            for gen in kernel_generators(ring, hom_constraints, list(range(len(images)))):
+        if status != "fails" and src:
+            for gen in kernel_generators(ring, span_constraints(ring, coords), variables):
                 combo = AlgebraElement.zero(h.source)
                 for i, s in enumerate(src):
                     combo = combo + s.scale(gen[i])
@@ -276,18 +260,9 @@ def hom_preimage(h: AlgebraHom, target_elt: AlgebraElement,
     ring = h.source.ring
     src = [monomial_element(h.source, m)
            for m in reduced_monomials(h.source, degree=d, max_len=size_bound)]
-    images = [hom_apply(h, s) for s in src]
-    keys = set(target_elt.terms)
-    coords = []
-    for img in images:
-        coords.append(dict(img.terms))
-        keys |= set(img.terms)
-    constraints = []
-    for k in sorted(keys, key=lambda m: m.sort_key()):
-        terms = [(None, i, coords[i][k]) for i in range(len(images))
-                 if k in coords[i]]
-        constraints.append((terms, target_elt.terms.get(k, ring.zero)))
-    sol = solve_linear_system(ring, constraints, list(range(len(images))))
+    constraints = span_constraints(ring, [hom_apply(h, s).terms for s in src],
+                                   target_elt.terms)
+    sol = solve_linear_system(ring, constraints, list(range(len(src))))
     if sol is None:
         return None
     out = AlgebraElement.zero(h.source)

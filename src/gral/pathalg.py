@@ -249,7 +249,9 @@ class AlgebraElement:
     def __sub__(self, other):
         return self + (-other)
 
-    def __mul__(self, other):
+    def __mul__(self, other, chooser=None):
+        """Product in normal form; chooser picks the rewrite order (see
+        _reduce), and the result does not depend on it."""
         self._check(other)
         ring = self.spec.ring
         raw = {}
@@ -265,7 +267,7 @@ class AlgebraElement:
                     raw.pop(m, None)
                 else:
                     raw[m] = c
-        return AlgebraElement(self.spec, _reduce(self.spec, raw, _ring_ops(ring)))
+        return AlgebraElement(self.spec, _reduce(self.spec, raw, _ring_ops(ring), chooser))
 
     def scale(self, r) -> "AlgebraElement":
         ring = self.spec.ring
@@ -360,27 +362,10 @@ def word_element(spec: AlgebraSpec, word, coeff=None, chooser=None) -> AlgebraEl
         raise UnknownGenerator("empty word")
     acc = generator(spec, word[0])
     for symbol in word[1:]:
-        acc = _mul_with_chooser(acc, generator(spec, symbol), chooser)
+        acc = acc.__mul__(generator(spec, symbol), chooser)
     if coeff is not None:
         acc = acc.scale(coeff)
     return acc
-
-
-def _mul_with_chooser(x: AlgebraElement, y: AlgebraElement, chooser) -> AlgebraElement:
-    if chooser is None:
-        return x * y
-    ring = x.spec.ring
-    raw = {}
-    for m1, c1 in x.terms.items():
-        for m2, c2 in y.terms.items():
-            m = _mono_mul(x.spec, m1, m2)
-            if m is None:
-                continue
-            c = ring.mul(c1, c2)
-            if m in raw:
-                c = ring.add(raw[m], c)
-            raw[m] = c
-    return AlgebraElement.make(x.spec, _reduce(x.spec, raw, _ring_ops(ring), chooser))
 
 
 def normal_form(spec: AlgebraSpec, raw_terms, chooser=None) -> AlgebraElement:
@@ -393,22 +378,6 @@ def normal_form(spec: AlgebraSpec, raw_terms, chooser=None) -> AlgebraElement:
             coeff, word = None, item
         acc = acc + word_element(spec, word, coeff, chooser)
     return acc
-
-
-def multiply(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
-    return x * y
-
-
-def add(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
-    return x + y
-
-
-def scale(r, x: AlgebraElement) -> AlgebraElement:
-    return x.scale(r)
-
-
-def involution(x: AlgebraElement) -> AlgebraElement:
-    return x.involution()
 
 
 def identity_element(spec: AlgebraSpec) -> AlgebraElement:

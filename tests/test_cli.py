@@ -26,6 +26,11 @@ def files(tmp_path):
             "vertices": ["v", "w"],
             "edges": [{"name": "f", "src": "v", "dst": "w"}],
             "x": []}),
+        "efvw_cohn": write(tmp_path / "efvw_cohn.json", {
+            "vertices": ["v", "w"],
+            "edges": [{"name": "e", "src": "v", "dst": "w"},
+                      {"name": "f", "src": "v", "dst": "w"}],
+            "x": []}),
         "elt_2v": write(tmp_path / "elt_2v.json", [
             {"coeff": 2, "alpha": {"vertex": "v"}, "beta": {"vertex": "v"}}]),
         "elt_f": write(tmp_path / "elt_f.json", [
@@ -91,6 +96,43 @@ def test_lpa_classify_lines(files, capsys):
     assert code == 0
     assert "property=strong" in out
     assert "summary property=symmetric" in out
+
+
+COHN_EFVW_Z4_CLASSIFY = """\
+oracle=C^[]_Z/4(Graph(['v', 'w'], [('e', 'v', 'w'), ('f', 'v', 'w')]))
+property=strong degree=* verdict=fails witness=1 not reached in S_1 S_-1 no-sinks=no
+property=epsilon-strong degree=-2 verdict=holds-exactly
+property=epsilon-strong degree=-1 verdict=holds-exactly
+property=epsilon-strong degree=0 verdict=holds-exactly
+property=epsilon-strong degree=1 verdict=holds-exactly
+property=epsilon-strong degree=2 verdict=holds-exactly
+property=nearly-epsilon degree=-1 verdict=holds-exactly
+property=nearly-epsilon degree=0 verdict=holds-exactly
+property=nearly-epsilon degree=1 verdict=holds-exactly
+property=symmetric degree=-2 verdict=holds-exactly
+property=symmetric degree=-1 verdict=holds-exactly
+property=symmetric degree=0 verdict=holds-exactly
+property=symmetric degree=1 verdict=holds-exactly
+property=symmetric degree=2 verdict=holds-exactly
+summary property=strong verdict=fails witness=1 not reached in S_1 S_-1
+summary property=epsilon-strong verdict=holds-exactly
+summary property=nearly-epsilon verdict=holds-exactly
+summary property=symmetric verdict=holds-exactly
+epsilon degree=-2 element=0
+epsilon degree=-1 element=w
+epsilon degree=0 element=v + w
+epsilon degree=1 element=ee* + ff*
+epsilon degree=2 element=0
+"""
+
+
+def test_lpa_classify_cohn_epsilon_table_pinned(files, capsys):
+    # the relative Cohn spec goes through the generic span solver, so this
+    # pins the solver-dependent epsilon table byte for byte
+    code = main(["lpa", "classify", "--graph", files["efvw_cohn"], "--ring", files["z4"],
+                 "--degree-bound", "2", "--size-bound", "3"])
+    assert code == 0
+    assert capsys.readouterr().out == COHN_EFVW_Z4_CLASSIFY
 
 
 def test_lpa_decompose(files, capsys):

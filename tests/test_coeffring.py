@@ -6,11 +6,13 @@ import random
 
 import pytest
 
+from gral.cli import main
 from gral.coeffring import (MatrixOverRing, ModularRing, ProductRing, Ring,
-                            TableRing, is_semiprime_ring, is_vnr,
-                            jacobson_radical, kernel_generators, mat_mul,
-                            matrix_vnr_witness, mul_entries, ring_make, ring_spec,
-                            solve_linear_system, vnr_witness)
+                            TableRing, _solve_exhaustive, is_semiprime_ring,
+                            is_vnr, jacobson_radical, kernel_generators,
+                            mat_mul, matrix_vnr_witness, mul_entries,
+                            ring_make, ring_spec, search_cap,
+                            solve_linear_system, span_constraints, vnr_witness)
 from gral.errors import AxiomViolation, SearchCapExceeded
 
 
@@ -233,6 +235,59 @@ def test_solve_table_ring_exhaustive_and_cap(monkeypatch):
     monkeypatch.setenv("GRAL_SEARCH_CAP", "2")
     with pytest.raises(SearchCapExceeded):
         solve_linear_system(ring, [([(2, "x", None), (1, "y", None)], 1)])
+
+
+@pytest.mark.parametrize("raw", ["abc", "0", "-3"])
+def test_search_cap_rejects_bad_values(monkeypatch, tmp_path, capsys, raw):
+    monkeypatch.setenv("GRAL_SEARCH_CAP", raw)
+    with pytest.raises(ValueError, match="GRAL_SEARCH_CAP"):
+        search_cap()
+    # the CLI reports it as a usage error, not as a counterexample
+    ring = tmp_path / "z4.json"
+    ring.write_text('{"kind": "mod", "n": 4}')
+    assert main(["check-ring", str(ring)]) == 2
+    assert "GRAL_SEARCH_CAP" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("columns, target, rows", [
+    # rows in repr order of the keys, terms in column order; a key absent
+    # from a column gives no term, a key only the target has an empty row
+    ([{"b": 2, "a": 1}, {"c": 5}, {"a": 3, "c": 4}], {"a": 1, "d": 2},
+     [([(None, 0, 1), (None, 2, 3)], 1), ([(None, 0, 2)], 0),
+      ([(None, 1, 5), (None, 2, 4)], 0), ([], 2)]),
+    # no target: the homogeneous system
+    ([{(1, 0): 2}, {(0, 1): 1, (1, 0): 1}], None,
+     [([(None, 1, 1)], 0), ([(None, 0, 2), (None, 1, 1)], 0)]),
+    ([], None, []),
+], ids=["target-only-key", "homogeneous", "empty"])
+def test_span_constraints_layout(z6, columns, target, rows):
+    assert span_constraints(z6, columns, target) == rows
+
+
+@pytest.mark.parametrize("ring", [ModularRing(4), ModularRing(6),
+                                  ProductRing([ModularRing(2), ModularRing(3)])],
+                         ids=["Z4", "Z6", "Z2xZ3"])
+def test_span_constraints_solve_agrees_with_exhaustive(ring):
+    # a solution exists iff exhaustive search finds one, and it really
+    # combines the columns into the target
+    rng = random.Random(400 + ring.order)
+    elems = list(ring.elements())
+    keys = ["a", "b", "c", (0, 1)]
+    for _ in range(60):
+        ncols = rng.randint(0, 3)
+        columns = [{k: rng.choice(elems) for k in rng.sample(keys, rng.randint(0, 3))}
+                   for _ in range(ncols)]
+        target = {k: rng.choice(elems) for k in rng.sample(keys, rng.randint(0, 2))}
+        variables = list(range(ncols))
+        constraints = span_constraints(ring, columns, target)
+        got = solve_linear_system(ring, constraints, variables)
+        assert (got is None) == (_solve_exhaustive(ring, constraints, variables) is None)
+        if got is not None:
+            for k in set(keys):
+                acc = ring.zero
+                for i, col in enumerate(columns):
+                    acc = ring.add(acc, ring.mul(got[i], col.get(k, ring.zero)))
+                assert acc == target.get(k, ring.zero)
 
 
 def test_kernel_generators_mod4(z4):

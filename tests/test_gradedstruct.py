@@ -119,6 +119,38 @@ def test_epsilon_strong_matrix_table_z2(z2):
         assert got[d] == "0"
 
 
+MATRIX_Z6_CLASSIFY = """\
+oracle=M2(Z/6)-graded
+property=strong degree=* verdict=fails witness=1 not reached in S_1 S_-1
+property=epsilon-strong degree=-2 verdict=holds-exactly
+property=epsilon-strong degree=-1 verdict=holds-exactly
+property=epsilon-strong degree=0 verdict=holds-exactly
+property=epsilon-strong degree=1 verdict=holds-exactly
+property=epsilon-strong degree=2 verdict=holds-exactly
+property=nearly-epsilon degree=-1 verdict=holds-exactly
+property=nearly-epsilon degree=0 verdict=holds-exactly
+property=nearly-epsilon degree=1 verdict=holds-exactly
+property=symmetric degree=-2 verdict=holds-exactly
+property=symmetric degree=-1 verdict=holds-exactly
+property=symmetric degree=0 verdict=holds-exactly
+property=symmetric degree=1 verdict=holds-exactly
+property=symmetric degree=2 verdict=holds-exactly
+summary property=strong verdict=fails witness=1 not reached in S_1 S_-1
+summary property=epsilon-strong verdict=holds-exactly
+summary property=nearly-epsilon verdict=holds-exactly
+summary property=symmetric verdict=holds-exactly
+epsilon degree=-2 element=0
+epsilon degree=-1 element=[0,0;0,1]
+epsilon degree=0 element=[1,0;0,1]
+epsilon degree=1 element=[1,0;0,0]
+epsilon degree=2 element=0"""
+
+
+def test_classify_matrix_oracle_z6_pinned():
+    # the generic per-degree solver's epsilon table, pinned byte for byte
+    assert classify(MatrixGradingOracle(ModularRing(6)), 2, 2).to_text() == MATRIX_Z6_CLASSIFY
+
+
 def test_matrix_oracle_component_products(z2):
     # S_1 S_-1 spans the upper-left corner, S_-1 S_1 the lower-right
     mo = MatrixGradingOracle(z2)
