@@ -399,6 +399,33 @@ def is_vnr(ring: Ring) -> VnrVerdict:
 # A constraint is (terms, rhs) where terms is a sequence of (left, var, right)
 # triples meaning sum(left . x_var . right) = rhs; left/right may be None
 # (treated as "no factor", which also covers non-unital table rings).
+#
+# A system's left-hand sides are factored once (_factor) and then solved
+# for any number of right-hand sides.  Over Z/n, factoring folds the
+# constraints into sparse rows, splits n into prime powers q = p**e and, for
+# each, eliminates with unit pivots (first row, then first column, holding a
+# unit), records the row operations and factors the leftover rows, whose
+# entries are all divisible by p, divided by p mod p**(e-1).  Solving
+# replays the row operations on the right-hand side, checks the leftover
+# rows, back-substitutes, joins the prime powers by CRT and re-checks the
+# solution exactly against the folded rows.  Pivots depend on the left-hand
+# sides alone, so SpanSolver factors the columns of a span question once for
+# any number of targets, and solve_linear_system is the one-target use of
+# the same factorization.  Product rings split into their factors; table
+# rings search exhaustively (capped) for each right-hand side.
+
+
+def _span_rows(columns, keys=()):
+    """(key, terms) for sum_i r_i . columns[i], one per key of the columns
+    and of keys, in repr order, with the terms in column order."""
+    rows = {k: [] for k in keys}
+    for i, column in enumerate(columns):
+        for k, c in column.items():
+            terms = rows.get(k)
+            if terms is None:
+                rows[k] = terms = []
+            terms.append((None, i, c))
+    return [(k, rows[k]) for k in sorted(rows, key=repr)]
 
 
 def span_constraints(ring: Ring, columns, target=None):
@@ -408,15 +435,37 @@ def span_constraints(ring: Ring, columns, target=None):
     repr order, with its terms in column order; no target gives the
     homogeneous system."""
     target = target or {}
-    rows = {k: [] for k in target}
-    for i, column in enumerate(columns):
-        for k, c in column.items():
-            terms = rows.get(k)
-            if terms is None:
-                rows[k] = terms = []
-            terms.append((None, i, c))
     zero = ring.zero
-    return [(rows[k], target.get(k, zero)) for k in sorted(rows, key=repr)]
+    return [(terms, target.get(k, zero)) for k, terms in _span_rows(columns, target)]
+
+
+class SpanSolver:
+    """Solutions of sum_i r_i . columns[i] = target for many targets, the
+    columns factored once.  Columns and targets are coordinate dicts
+    {key: coefficient}; solve(target) gives {i: r_i} or None, the same
+    answer as solve_linear_system(ring, span_constraints(ring, columns,
+    target), range(len(columns)))."""
+
+    def __init__(self, ring: Ring, columns):
+        self.zero = ring.zero
+        rows = _span_rows(columns)
+        self._row_of = {k: r for r, (k, _) in enumerate(rows)}
+        # the last row, without terms, stands for the target keys that no
+        # column has: span_constraints gives each of them such a row, and a
+        # nonzero coefficient there leaves the system without a solution
+        constraints = [(terms, ring.zero) for _, terms in rows] + [([], ring.zero)]
+        self._system = _factor(ring, constraints, list(range(len(columns))))
+
+    def solve(self, target) -> Optional[dict]:
+        zero = self.zero
+        rhs = [zero] * (len(self._row_of) + 1)
+        for k, b in target.items():
+            r = self._row_of.get(k)
+            if r is not None:
+                rhs[r] = b
+            elif b != zero:
+                rhs[-1] = b
+        return self._system.solve(rhs)
 
 
 def _factor_system(constraints, i):
@@ -435,20 +484,15 @@ def solve_linear_system(ring: Ring, constraints, variables=None):
     """
     varlist = _collect_vars(constraints, variables)
     if isinstance(ring, ProductRing):
+        # each factor is a solve_linear_system call of its own
         per_factor = []
         for i, factor in enumerate(ring.factors):
             sol = solve_linear_system(factor, _factor_system(constraints, i), varlist)
             if sol is None:
                 return None
             per_factor.append(sol)
-        return {v: tuple(sol[v] for sol in per_factor) for v in varlist}
-    if isinstance(ring, ModularRing):
-        rows, rhs = _fold_modular(ring, constraints, varlist)
-        sol = _solve_mod(rows, rhs, len(varlist), ring.n)
-        if sol is None:
-            return None
-        return dict(zip(varlist, sol))
-    return _solve_exhaustive(ring, constraints, varlist)
+        return _join_factors(per_factor, varlist)
+    return _factor(ring, constraints, varlist).solve([b for _, b in constraints])
 
 
 def _collect_vars(constraints, variables):
@@ -464,15 +508,61 @@ def _collect_vars(constraints, variables):
     return seen
 
 
+def _join_factors(per_factor, varlist):
+    """A product-ring solution from one solution per factor."""
+    return {v: tuple(sol[v] for sol in per_factor) for v in varlist}
+
+
+def _factor(ring: Ring, constraints, varlist):
+    """The left-hand sides of the constraints (their right-hand sides are
+    ignored) prepared once; solve(rhs), with one right-hand side per
+    constraint, gives {var: element} or None."""
+    if isinstance(ring, ProductRing):
+        return _ProductSystem(ring, constraints, varlist)
+    if isinstance(ring, ModularRing):
+        return _ModularSystem(ring, constraints, varlist)
+    return _ExhaustiveSystem(ring, constraints, varlist)
+
+
+class _ProductSystem:
+    def __init__(self, ring, constraints, varlist):
+        self.varlist = varlist
+        self.parts = [_factor(factor, _factor_system(constraints, i), varlist)
+                      for i, factor in enumerate(ring.factors)]
+
+    def solve(self, rhs):
+        per_factor = []
+        for i, part in enumerate(self.parts):
+            sol = part.solve([b[i] for b in rhs])
+            if sol is None:
+                return None
+            per_factor.append(sol)
+        return _join_factors(per_factor, self.varlist)
+
+
+class _ExhaustiveSystem:
+    def __init__(self, ring, constraints, varlist):
+        self.ring, self.varlist = ring, varlist
+        self.lhs = [terms for terms, _ in constraints]
+
+    def solve(self, rhs):
+        return _solve_exhaustive(self.ring, list(zip(self.lhs, rhs)), self.varlist)
+
+
 def _fold_modular(ring, constraints, varlist):
+    """Sparse rows {column: entry} and right-hand sides, reduced mod n."""
     n = ring.n
     pos = {v: i for i, v in enumerate(varlist)}
     rows, rhs = [], []
     for terms, b in constraints:
-        row = [0] * len(varlist)
+        row = {}
         for l, v, r in terms:
-            c = (1 if l is None else l) * (1 if r is None else r)
-            row[pos[v]] = (row[pos[v]] + c) % n
+            j = pos[v]
+            c = (row.get(j, 0) + (1 if l is None else l) * (1 if r is None else r)) % n
+            if c:
+                row[j] = c
+            else:
+                row.pop(j, None)
         rows.append(row)
         rhs.append(b % n)
     return rows, rhs
@@ -494,20 +584,6 @@ def _prime_powers(n: int):
     return out
 
 
-def _solve_mod(rows, rhs, nvars, n):
-    if not rows or nvars == 0:
-        if any(b % n != 0 for b in rhs):
-            return None
-        return [0] * nvars
-    residues = []
-    for p, e in _prime_powers(n):
-        sol = _solve_prime_power([r[:] for r in rows], list(rhs), p, e)
-        if sol is None:
-            return None
-        residues.append((sol, p**e))
-    return [_crt([(sol[i], q) for sol, q in residues]) for i in range(nvars)]
-
-
 def _crt(residues):
     """The x in [0, prod q) with x = r mod q for each (r, q); the q are
     pairwise coprime."""
@@ -518,70 +594,110 @@ def _crt(residues):
     return x
 
 
-def _solve_prime_power(rows, rhs, p, e):
-    q = p**e
-    nvars = len(rows[0]) if rows else 0
-    rows = [[x % q for x in row] for row in rows]
-    rhs = [b % q for b in rhs]
-    # eliminate with unit pivots first
-    pivots = []  # (row index, var index)
-    used_rows, used_cols = set(), set()
-    while True:
-        found = None
-        for i in range(len(rows)):
-            if i in used_rows:
+class _ModularSystem:
+    """The left-hand sides over Z/n as sparse rows, factored once per prime
+    power."""
+
+    def __init__(self, ring, constraints, varlist):
+        self.n, self.varlist = ring.n, varlist
+        self.rows, _ = _fold_modular(ring, constraints, varlist)
+        self.parts = []
+        for p, e in _prime_powers(self.n):
+            q = p**e
+            self.parts.append(_PrimePowerFactor(
+                [{j: c % q for j, c in row.items() if c % q} for row in self.rows],
+                len(varlist), p, e))
+
+    def solve(self, rhs):
+        n = self.n
+        rhs = [b % n for b in rhs]
+        residues = []
+        for part in self.parts:
+            sol = part.solve([b % part.q for b in rhs])
+            if sol is None:
+                return None
+            residues.append((sol, part.q))
+        x = [_crt([(sol[j], q) for sol, q in residues]) for j in range(len(self.varlist))]
+        for row, b in zip(self.rows, rhs):
+            if (sum(c * x[j] for j, c in row.items()) - b) % n:
+                raise InternalVerificationFailure("linear solution failed re-verification")
+        return dict(zip(self.varlist, x))
+
+
+class _PrimePowerFactor:
+    """Elimination of sparse rows mod q = p**e with unit pivots, recorded
+    so that any right-hand side can be replayed.  The rows left without a
+    unit pivot have every entry divisible by p; divided by p they are
+    factored mod p**(e-1) in sub."""
+
+    def __init__(self, rows, ncols, p, e):
+        q = p**e
+        self.p, self.q, self.ncols = p, q, ncols
+        self.ops = []  # (pivot row, inverse, ((row, factor), ...))
+        pivots = []    # (pivot row, pivot column)
+        used = set()
+        for i, row in enumerate(rows):
+            # a row passed over here keeps all its entries divisible by p:
+            # every later pivot subtracts a multiple of p from it
+            j = min((j for j, c in row.items() if c % p and j not in used), default=None)
+            if j is None:
                 continue
-            for j in range(nvars):
-                if j in used_cols:
+            inv = pow(row[j], -1, q)
+            row = rows[i] = {jj: c * inv % q for jj, c in row.items()}
+            elim = []
+            for k, other in enumerate(rows):
+                f = other.get(j)
+                if k == i or not f:
                     continue
-                if rows[i][j] % p != 0:
-                    found = (i, j)
-                    break
-            if found:
-                break
-        if not found:
-            break
-        i, j = found
-        inv = pow(rows[i][j], -1, q)
-        rows[i] = [(x * inv) % q for x in rows[i]]
-        rhs[i] = (rhs[i] * inv) % q
-        for k in range(len(rows)):
-            if k != i and rows[k][j] % q != 0:
-                f = rows[k][j]
-                rows[k] = [(x - f * y) % q for x, y in zip(rows[k], rows[i])]
-                rhs[k] = (rhs[k] - f * rhs[i]) % q
-        used_rows.add(i)
-        used_cols.add(j)
-        pivots.append((i, j))
-    # remaining rows have all entries divisible by p
-    rem = [i for i in range(len(rows)) if i not in used_rows]
-    sol = [0] * nvars
-    if rem:
-        live = [j for j in range(nvars) if j not in used_cols]
-        if any(rhs[i] % p != 0 for i in rem):
+                elim.append((k, f))
+                for jj, c in row.items():
+                    x = (other.get(jj, 0) - f * c) % q
+                    if x:
+                        other[jj] = x
+                    else:
+                        other.pop(jj, None)
+            self.ops.append((i, inv, tuple(elim)))
+            pivots.append((i, j))
+            used.add(j)
+        pivot_rows = {i for i, _ in pivots}
+        self.rem = [i for i in range(len(rows)) if i not in pivot_rows]
+        self.sub, self.live = None, []
+        if e > 1 and self.rem:
+            self.live = [j for j in range(ncols) if j not in used]
+            pos = {j: t for t, j in enumerate(self.live)}
+            self.sub = _PrimePowerFactor(
+                [{pos[j]: c // p for j, c in rows[i].items()} for i in self.rem],
+                len(self.live), p, e - 1)
+        # the reduced pivot rows hold their pivot and non-pivot columns only;
+        # the non-pivot unknowns are nonzero only when sub solves for them
+        self.pivots = [(i, j, tuple((jj, c) for jj, c in rows[i].items() if jj != j)
+                        if self.sub is not None else ())
+                       for i, j in pivots]
+
+    def solve(self, rhs):
+        """Solution mod q of the factored rows against rhs (entries in
+        [0, q), overwritten), or None."""
+        p, q = self.p, self.q
+        for i, inv, elim in self.ops:
+            b = rhs[i] = rhs[i] * inv % q
+            if b:
+                for k, f in elim:
+                    rhs[k] = (rhs[k] - f * b) % q
+        if any(rhs[i] % p for i in self.rem):
             return None
-        if e == 1:
-            pass  # 0 = 0 rows; free vars stay 0
-        else:
-            sub_rows = [[rows[i][j] // p for j in live] for i in rem]
-            sub_rhs = [rhs[i] // p for i in rem]
-            sub = _solve_prime_power(sub_rows, sub_rhs, p, e - 1)
+        sol = [0] * self.ncols
+        if self.sub is not None:
+            sub = self.sub.solve([rhs[i] // p for i in self.rem])
             if sub is None:
                 return None
-            for j, val in zip(live, sub):
-                sol[j] = val % q
-    # back-substitute pivots (rows are fully reduced, so direct read-off)
-    for i, j in pivots:
-        acc = rhs[i]
-        for jj in range(nvars):
-            if jj != j and rows[i][jj]:
-                acc = (acc - rows[i][jj] * sol[jj]) % q
-        sol[j] = acc % q
-    # re-check (cheap, guards the p-divisible lift)
-    for row, b in zip(rows, rhs):
-        if sum(c * x for c, x in zip(row, sol)) % q != b % q:
-            return None
-    return sol
+            for j, x in zip(self.live, sub):
+                sol[j] = x
+        for i, j, entries in self.pivots:
+            acc = rhs[i]
+            for jj, c in entries:
+                acc -= c * sol[jj]
+            sol[j] = acc % q
+        return sol
 
 
 def _solve_exhaustive(ring: Ring, constraints, varlist):
@@ -653,8 +769,9 @@ def kernel_generators(ring: Ring, constraints, variables):
 
 
 def _kernel_mod(rows, nvars, n):
-    """Generators of {x : A x = 0 mod n} via integer diagonalization."""
-    mat = [row[:] for row in rows] or [[0] * nvars]
+    """Generators of {x : A x = 0 mod n} via integer diagonalization; the
+    rows of A are sparse {column: entry}."""
+    mat = [[row.get(j, 0) for j in range(nvars)] for row in rows] or [[0] * nvars]
     v = [[int(i == j) for j in range(nvars)] for i in range(nvars)]  # column ops
     m = len(mat)
     rank_pos = 0

@@ -12,8 +12,8 @@ import itertools
 from dataclasses import dataclass
 from typing import Optional
 
-from .coeffring import (Ring, TableRing, search_cap, solve_linear_system,
-                        span_constraints)
+from .coeffring import (Ring, SpanSolver, TableRing, search_cap,
+                        solve_linear_system, span_constraints)
 from .cornerlaurent import CslAlgebra, csl_table_epsilon, format_csl
 from .errors import (AssertionFailure, GralError, InternalVerificationFailure,
                      NotDegreeOneGenerated, SearchCapExceeded)
@@ -74,15 +74,21 @@ class GradedRingOracle:
 
     def span_solve(self, target, elements) -> Optional[list]:
         """Coefficients r_i with sum r_i.elements_i = target, or None."""
-        constraints = span_constraints(
-            self.ring, [self.coords(el) for el in elements], self.coords(target))
-        sol = solve_linear_system(self.ring, constraints, list(range(len(elements))))
-        if sol is None:
-            return None
-        return [sol[i] for i in range(len(elements))]
+        return self.span_solver(elements)(target)
 
     def span_contains(self, target, elements) -> bool:
         return self.span_solve(target, elements) is not None
+
+    def span_solver(self, elements):
+        """span_solve against one spanning set for many targets: the
+        elements are prepared once, and the returned function maps a target
+        to its coefficients or None."""
+        solver = SpanSolver(self.ring, [self.coords(el) for el in elements])
+
+        def solve(target):
+            sol = solver.solve(self.coords(target))
+            return None if sol is None else [sol[i] for i in range(len(elements))]
+        return solve
 
 
 class PathAlgebraOracle(GradedRingOracle):
@@ -377,14 +383,10 @@ class CslOracle(GradedRingOracle):
     def format(self, x):
         return format_csl(x)
 
-    def span_solve(self, target, elements):
+    def span_solver(self, elements):
         closure = _additive_closure(self, elements)
-        if target in closure:
-            return []  # membership only; coefficients not reported
-        return None
-
-    def span_contains(self, target, elements):
-        return target in _additive_closure(self, elements)
+        # membership only; coefficients not reported
+        return lambda target: [] if target in closure else None
 
 
 def _additive_closure(oracle, elements):
@@ -508,11 +510,8 @@ def check_symmetric(oracle: GradedRingOracle, degree_bound: int = 3,
             continue
         span_md = oracle.spanning(-d, size_bound)
         triple = _products(oracle, _products(oracle, span_d, span_md), span_d)
-        bad = None
-        for s in span_d:
-            if not oracle.span_contains(s, triple):
-                bad = s
-                break
+        solve = oracle.span_solver(triple)
+        bad = next((s for s in span_d if solve(s) is None), None)
         if bad is not None:
             note = "" if exact else " at-bound"
             rows.append(ReportRow("symmetric", str(d),
@@ -749,10 +748,11 @@ def _solve_unit(oracle, products, s, side):
 def _nearly_cohn(oracle: PathAlgebraOracle, degree_bound, size_bound):
     """Relative Cohn specs: units transported through the Cohn-to-Leavitt
     isomorphism, falling back to the bounded span solver per element."""
-    from .morphisms import cohn_local_units
+    from . import morphisms
 
     spec = oracle.spec
     exact = oracle.exact_at(0, size_bound)
+    transport = None  # preimages under phi, shared by all elements
     rows = []
     for d in range(-degree_bound, degree_bound + 1):
         monos = reduced_monomials(spec, degree=d, max_len=size_bound)
@@ -762,8 +762,11 @@ def _nearly_cohn(oracle: PathAlgebraOracle, degree_bound, size_bound):
         for m in monos:
             x = monomial_element(spec, m)
             try:
-                units = cohn_local_units(x, size_bound + 2)
+                transport = transport or morphisms.cohn_transport(spec)
+                units = transport.local_units(x, size_bound + 2)
                 ok = units.left.epsilon * x == x and x * units.right.epsilon == x
+            except InternalVerificationFailure:
+                raise
             except GralError:
                 left_products = _products(oracle, oracle.spanning(d, size_bound),
                                           oracle.spanning(-d, size_bound))
@@ -955,6 +958,8 @@ def classify(target, degree_bound: int = 3, size_bound: int = 3) -> Classificati
                                                      strong.verdict.bound)
         rows.append(ReportRow("strong", "*", v))
         summary.append(("strong", strong.verdict))
+    except InternalVerificationFailure:
+        raise
     except (NotDegreeOneGenerated, GralError) as exc:
         v = Verdict(FAILS, f"refused: {exc}")
         rows.append(ReportRow("strong", "*", v))

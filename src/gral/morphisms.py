@@ -6,8 +6,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .coeffring import (Ring, kernel_generators, solve_linear_system,
-                        span_constraints)
+from .coeffring import Ring, SpanSolver, kernel_generators, span_constraints
+# not called here, but perfbench/tracer.py rebinds solve_linear_system in
+# every gral module that holds it
+from .coeffring import solve_linear_system  # noqa: F401
 from .errors import GralError, RelationViolation
 from .graphs import (CohnPair, GraphMorphism, cohn_cover, compose_morphisms,
                      morphism_validate)
@@ -228,9 +230,9 @@ def verify_graded_iso(h: AlgebraHom, degree_bound: int = 3,
         variables = list(range(len(src)))
         status = "holds-exactly" if exact else "holds-at-bound"
         row_witness = ""
+        image = SpanSolver(ring, coords)
         for t in tgt:
-            if solve_linear_system(ring, span_constraints(ring, coords, t.terms),
-                                   variables) is None:
+            if image.solve(t.terms) is None:
                 status = "fails"
                 row_witness = f"unhit target element {format_element(t)}"
                 break
@@ -250,58 +252,84 @@ def verify_graded_iso(h: AlgebraHom, degree_bound: int = 3,
     return IsoVerdict(tuple(rows), overall, witness)
 
 
+class HomPreimages:
+    """Preimages under one hom for many targets, found on bounded source
+    spanning sets: the source monomials of each (degree, bound) are mapped
+    and their images factored once, on first use."""
+
+    def __init__(self, h: AlgebraHom):
+        self.hom = h
+        self._solvers = {}
+
+    def preimage(self, target_elt: AlgebraElement,
+                 size_bound: int = 3) -> Optional[AlgebraElement]:
+        """One source element mapping to the target element, or None."""
+        source = self.hom.source
+        if target_elt.is_zero:
+            return AlgebraElement.zero(source)
+        key = (target_elt.degree(), size_bound)
+        if key not in self._solvers:
+            src = [monomial_element(source, m)
+                   for m in reduced_monomials(source, degree=key[0], max_len=size_bound)]
+            coords = [hom_apply(self.hom, s).terms for s in src]
+            self._solvers[key] = src, SpanSolver(source.ring, coords)
+        src, solver = self._solvers[key]
+        sol = solver.solve(target_elt.terms)
+        if sol is None:
+            return None
+        out = AlgebraElement.zero(source)
+        for i, s in enumerate(src):
+            out = out + s.scale(sol[i])
+        return out
+
+    def local_units(self, x: AlgebraElement, size_bound: int = 4) -> LocalUnitPair:
+        """Local units of x pulled back from local units of its image, and
+        checked on x."""
+        upstairs = local_units(hom_apply(self.hom, x))
+        bound = max(size_bound, *(len(m.alpha.edges)
+                                  for side in (upstairs.left, upstairs.right)
+                                  for a, b in side.pairs
+                                  for m in list(a.terms) + list(b.terms))) \
+            if upstairs.left.pairs or upstairs.right.pairs else size_bound
+
+        def pull(factor: UnitFactorization) -> UnitFactorization:
+            pairs = []
+            eps = AlgebraElement.zero(x.spec)
+            for a, b in factor.pairs:
+                pa = self.preimage(a, bound)
+                pb = self.preimage(b, bound)
+                if pa is None or pb is None:
+                    raise GralError("transport failed: preimage outside the bound")
+                pairs.append((pa, pb))
+                eps = eps + pa * pb
+            return UnitFactorization(eps, tuple(pairs))
+
+        left = pull(upstairs.left)
+        right = pull(upstairs.right)
+        if left.epsilon * x != x or x * right.epsilon != x:
+            raise GralError("transported local units failed verification")
+        return LocalUnitPair(x, x.degree(), left, right)
+
+
 def hom_preimage(h: AlgebraHom, target_elt: AlgebraElement,
                  size_bound: int = 3) -> Optional[AlgebraElement]:
     """One source element mapping to the target element, found on the
     bounded source spanning set, or None."""
-    if target_elt.is_zero:
-        return AlgebraElement.zero(h.source)
-    d = target_elt.degree()
-    ring = h.source.ring
-    src = [monomial_element(h.source, m)
-           for m in reduced_monomials(h.source, degree=d, max_len=size_bound)]
-    constraints = span_constraints(ring, [hom_apply(h, s).terms for s in src],
-                                   target_elt.terms)
-    sol = solve_linear_system(ring, constraints, list(range(len(src))))
-    if sol is None:
-        return None
-    out = AlgebraElement.zero(h.source)
-    for i, s in enumerate(src):
-        out = out + s.scale(sol[i])
-    return out
+    return HomPreimages(h).preimage(target_elt, size_bound)
+
+
+def cohn_transport(spec: AlgebraSpec) -> HomPreimages:
+    """Preimages under the Cohn-to-Leavitt isomorphism of a relative Cohn
+    spec."""
+    return HomPreimages(cohn_to_leavitt(CohnPair(spec.graph, spec.x), spec.ring))
 
 
 def cohn_local_units(x: AlgebraElement, size_bound: int = 4) -> LocalUnitPair:
     """Local units for relative Cohn specs, transported through the
     Cohn-to-Leavitt isomorphism (the construction itself lives upstream)."""
-    spec = x.spec
-    if spec.is_leavitt:
+    if x.spec.is_leavitt:
         return local_units(x)
-    phi = cohn_to_leavitt(CohnPair(spec.graph, spec.x), spec.ring)
-    upstairs = local_units(hom_apply(phi, x))
-    bound = max(size_bound, *(len(m.alpha.edges)
-                              for side in (upstairs.left, upstairs.right)
-                              for a, b in side.pairs
-                              for m in list(a.terms) + list(b.terms))) \
-        if upstairs.left.pairs or upstairs.right.pairs else size_bound
-
-    def pull(factor: UnitFactorization) -> UnitFactorization:
-        pairs = []
-        eps = AlgebraElement.zero(spec)
-        for a, b in factor.pairs:
-            pa = hom_preimage(phi, a, bound)
-            pb = hom_preimage(phi, b, bound)
-            if pa is None or pb is None:
-                raise GralError("transport failed: preimage outside the bound")
-            pairs.append((pa, pb))
-            eps = eps + pa * pb
-        return UnitFactorization(eps, tuple(pairs))
-
-    left = pull(upstairs.left)
-    right = pull(upstairs.right)
-    if left.epsilon * x != x or x * right.epsilon != x:
-        raise GralError("transported local units failed verification")
-    return LocalUnitPair(x, x.degree(), left, right)
+    return cohn_transport(x.spec).local_units(x, size_bound)
 
 
 # ---------------------------------------------------------------------------

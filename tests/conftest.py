@@ -1,8 +1,16 @@
 import pytest
+from hypothesis import settings
 
 from gral.coeffring import ModularRing, ProductRing
 from gral.graphs import Graph
 from gral.pathalg import AlgebraElement, reduced_monomials
+
+
+# Property tests replay the same examples on every run and stay within the
+# suite's few-second budget; nothing is written to an example database.
+settings.register_profile("gral", derandomize=True, max_examples=40,
+                          deadline=None, database=None)
+settings.load_profile("gral")
 
 
 def graph_a1():
@@ -32,6 +40,11 @@ def graph_rose2():
 def graph_toeplitz():
     # loop with an exit edge into a sink
     return Graph(["u", "w"], [("e", "u", "u"), ("f", "u", "w")])
+
+
+def graph_span():
+    # the benchmark's span graph: a 2-cycle with a loop at v
+    return Graph(["v", "w"], [("e", "v", "w"), ("f", "w", "v"), ("g", "v", "v")])
 
 
 def graph_null():

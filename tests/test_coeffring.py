@@ -5,10 +5,13 @@ import itertools
 import random
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from gral.cli import main
 from gral.coeffring import (MatrixOverRing, ModularRing, ProductRing, Ring,
-                            TableRing, _solve_exhaustive, is_semiprime_ring,
+                            SpanSolver, TableRing, _solve_exhaustive,
+                            is_semiprime_ring,
                             is_vnr, jacobson_radical, kernel_generators,
                             mat_mul, matrix_vnr_witness, mul_entries,
                             ring_make, ring_spec, search_cap,
@@ -288,6 +291,112 @@ def test_span_constraints_solve_agrees_with_exhaustive(ring):
                 for i, col in enumerate(columns):
                     acc = ring.add(acc, ring.mul(got[i], col.get(k, ring.zero)))
                 assert acc == target.get(k, ring.zero)
+
+
+def _z3_table():
+    add = [[(i + j) % 3 for j in range(3)] for i in range(3)]
+    mul = [[(i * j) % 3 for j in range(3)] for i in range(3)]
+    return TableRing(add, mul, zero=0, one=1)
+
+
+SPAN_RINGS = {"Z4": ModularRing(4), "Z8": ModularRing(8), "Z6": ModularRing(6),
+              "Z2xZ3": ProductRing([ModularRing(2), ModularRing(3)]),
+              "Z3table": _z3_table()}
+COLUMN_KEYS = ("a", "b", "c")
+
+
+@st.composite
+def span_systems(draw):
+    """(ring, columns, targets): up to 4 columns over three keys, entries
+    possibly zero (so all-zero and empty columns and the empty column list
+    occur), and targets that may use a key "z" no column has; the last
+    target is a combination of the columns."""
+    ring = SPAN_RINGS[draw(st.sampled_from(sorted(SPAN_RINGS)))]
+    elems = st.sampled_from(ring.elements())
+    columns = draw(st.lists(st.dictionaries(st.sampled_from(COLUMN_KEYS), elems,
+                                            max_size=3), max_size=4))
+    targets = draw(st.lists(st.dictionaries(st.sampled_from(COLUMN_KEYS + ("z",)),
+                                            elems, max_size=4), max_size=3))
+    coeffs = draw(st.lists(elems, min_size=len(columns), max_size=len(columns)))
+    return ring, columns, targets + [_combine_columns(ring, columns, coeffs)]
+
+
+def _combine_columns(ring, columns, coeffs):
+    out = {}
+    for r, col in zip(coeffs, columns):
+        for k, c in col.items():
+            out[k] = ring.add(out.get(k, ring.zero), ring.mul(r, c))
+    return out
+
+
+def _nonzero_part(ring, vec):
+    return frozenset((k, c) for k, c in vec.items() if c != ring.zero)
+
+
+# the edge cases every run covers: no columns, all-zero and empty columns,
+# and target keys that no column has
+span_edge_cases = [
+    example((SPAN_RINGS["Z4"], [], [{}, {"z": 2}, {"a": 0}])),
+    example((SPAN_RINGS["Z6"], [{"a": 0, "b": 0}, {}, {"a": 2}], [{"a": 4}, {"a": 3}, {"z": 1}])),
+    example((SPAN_RINGS["Z2xZ3"], [{"a": (1, 0)}, {"b": (0, 0)}],
+             [{"a": (1, 0), "z": (0, 0)}, {"z": (0, 1)}, {"a": (0, 2)}])),
+]
+
+
+def with_span_edge_cases(test):
+    for ex in span_edge_cases:
+        test = ex(test)
+    return test
+
+
+@with_span_edge_cases
+@given(span_systems())
+def test_span_solver_membership_agrees_with_exhaustive(system):
+    ring, columns, targets = system
+    reachable = {_nonzero_part(ring, _combine_columns(ring, columns, coeffs))
+                 for coeffs in itertools.product(ring.elements(), repeat=len(columns))}
+    solver = SpanSolver(ring, columns)
+    for target in targets:
+        assert (solver.solve(target) is not None) == \
+            (_nonzero_part(ring, target) in reachable)
+
+
+@with_span_edge_cases
+@given(span_systems())
+def test_span_solver_solutions_combine_to_target(system):
+    ring, columns, targets = system
+    solver = SpanSolver(ring, columns)
+    for target in targets:
+        sol = solver.solve(target)
+        if sol is not None:
+            assert sorted(sol) == list(range(len(columns)))
+            coeffs = [sol[i] for i in range(len(columns))]
+            assert _nonzero_part(ring, _combine_columns(ring, columns, coeffs)) == \
+                _nonzero_part(ring, target)
+
+
+@with_span_edge_cases
+@given(span_systems())
+def test_span_solver_agrees_with_solve_linear_system(system):
+    ring, columns, targets = system
+    solver = SpanSolver(ring, columns)
+    for target in targets:
+        assert solver.solve(target) == solve_linear_system(
+            ring, span_constraints(ring, columns, target), range(len(columns)))
+
+
+def test_span_solver_table_ring_keeps_the_cap(monkeypatch):
+    # as in solve_linear_system, the table-ring search refuses past the cap,
+    # also for a target key that no column has
+    ring = _z3_table()
+    columns = [{"a": 1}, {"a": 2, "b": 1}]
+    solver = SpanSolver(ring, columns)
+    for target in ({"a": 1}, {"b": 2}, {"z": 1}):
+        assert solver.solve(target) == solve_linear_system(
+            ring, span_constraints(ring, columns, target), range(2))
+    monkeypatch.setenv("GRAL_SEARCH_CAP", "2")
+    with pytest.raises(SearchCapExceeded):
+        solver.solve({"z": 1})
 
 
 def test_kernel_generators_mod4(z4):

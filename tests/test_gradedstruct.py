@@ -4,9 +4,11 @@ import pytest
 
 from conftest import (SIX_GRAPHS, graph_a1, graph_loop, graph_null,
                       graph_toeplitz, graph_vw)
+from gral import gradedstruct, morphisms
 from gral.coeffring import ModularRing, is_vnr
 from gral.cornerlaurent import CornerData, csl_make
-from gral.errors import GralError, NotDegreeOneGenerated
+from gral.errors import (GralError, InternalVerificationFailure,
+                         NotDegreeOneGenerated)
 from gral.gradedstruct import (CslOracle, MatrixGradingOracle,
                                PathAlgebraOracle, PolynomialOracle,
                                TrivialGradingOracle, check_epsilon_strong,
@@ -43,6 +45,19 @@ def test_symmetric_polynomial_fails(z2):
 def test_symmetric_loop_at_bound(z2):
     verdict, _ = check_symmetric(PathAlgebraOracle(leavitt(graph_loop(), 2)), 3, 3)
     assert verdict.status == "holds-at-bound"
+
+
+def test_symmetric_csl_closure_once_per_degree(z4, monkeypatch):
+    # the additive closure of S_d S_-d S_d is built once per degree, not
+    # once per spanning element (three per degree over Z/4)
+    lau = csl_make(CornerData.make(z4, 1, {i: i for i in range(4)}))
+    closures = []
+    real = gradedstruct._additive_closure
+    monkeypatch.setattr(gradedstruct, "_additive_closure",
+                        lambda oracle, els: closures.append(len(els)) or real(oracle, els))
+    verdict, rows = check_symmetric(CslOracle(lau), 2, 2)
+    assert verdict.status == "holds-exactly"
+    assert len(closures) == len(rows) == 5
 
 
 # -- epsilon elements --------------------------------------------------------------
@@ -230,6 +245,43 @@ def test_nearly_cohn_cyclic(z4):
     verdict, _ = check_nearly_epsilon(
         PathAlgebraOracle(AlgebraSpec.cohn(graph_loop(), z4, [])), 2, 2)
     assert verdict.holds
+
+
+def test_nearly_cohn_builds_phi_once(z2, monkeypatch):
+    built = []
+    real = morphisms.cohn_to_leavitt
+    monkeypatch.setattr(morphisms, "cohn_to_leavitt",
+                        lambda *args: built.append(args) or real(*args))
+    verdict, _ = check_nearly_epsilon(
+        PathAlgebraOracle(AlgebraSpec.cohn(graph_vw(), z2, [])), 2, 2)
+    assert verdict.holds
+    assert len(built) == 1
+
+
+def _raise_internal(*args, **kwargs):
+    raise InternalVerificationFailure("planted")
+
+
+@pytest.mark.parametrize("owner, name, spec", [
+    (morphisms.HomPreimages, "local_units",
+     AlgebraSpec.cohn(graph_vw(), ModularRing(2), [])),
+    (gradedstruct, "check_strong_Z", AlgebraSpec.leavitt(graph_vw(), ModularRing(2))),
+], ids=["transported_local_units", "check_strong_Z"])
+def test_classify_reraises_internal_failures(monkeypatch, owner, name, spec):
+    # a failed self-check is a bug, not a refusal or a fallback
+    monkeypatch.setattr(owner, name, _raise_internal)
+    with pytest.raises(InternalVerificationFailure, match="planted"):
+        classify(spec, 1, 1)
+
+
+def test_nearly_cohn_falls_back_on_transport_errors(monkeypatch):
+    spec = AlgebraSpec.cohn(graph_vw(), ModularRing(2), [])
+    expected = classify(spec, 1, 1).to_text()
+
+    def refuse(*args, **kwargs):
+        raise GralError("transport refused")
+    monkeypatch.setattr(morphisms.HomPreimages, "local_units", refuse)
+    assert classify(spec, 1, 1).to_text() == expected
 
 
 # -- homogeneous local units -------------------------------------------------------------

@@ -4,15 +4,16 @@ import random
 
 import pytest
 
-from conftest import (graph_a1, graph_loop, graph_vw, graph_vwu,
-                      random_element)
+from conftest import (graph_a1, graph_loop, graph_span, graph_toeplitz, graph_vw,
+                      graph_vwu, random_element)
+from gral import coeffring, morphisms
 from gral.coeffring import ModularRing
 from gral.errors import GralError, RelationViolation
 from gral.graphs import CohnPair, GraphMorphism
-from gral.morphisms import (AlgebraHom, chain_colimit_check, cohn_local_units,
-                            cohn_to_leavitt, compose_homs, hom_apply,
-                            hom_preimage, identity_hom, induced_hom,
-                            verify_graded_iso)
+from gral.morphisms import (AlgebraHom, HomPreimages, chain_colimit_check,
+                            cohn_local_units, cohn_to_leavitt, cohn_transport,
+                            compose_homs, hom_apply, hom_preimage, identity_hom,
+                            induced_hom, verify_graded_iso)
 from gral.pathalg import (AlgebraElement, AlgebraSpec, edge_element,
                           format_element, vertex_element, word_element)
 
@@ -151,6 +152,27 @@ def test_iso_cyclic_at_bound(z2):
     assert verdict.status == "holds-at-bound"
 
 
+def test_verify_graded_iso_factors_once_per_degree(monkeypatch):
+    # one elimination per degree answers every target basis element of it
+    phi = cohn_to_leavitt(CohnPair(graph_span(), frozenset()), ModularRing(4))
+    factored, solved = [], []
+    real = coeffring._factor
+
+    def counting_factor(ring, constraints, varlist):
+        system = real(ring, constraints, varlist)
+        factored.append(len(varlist))
+        solve = system.solve
+        system.solve = lambda rhs: solved.append(len(rhs)) or solve(rhs)
+        return system
+
+    monkeypatch.setattr(coeffring, "_factor", counting_factor)
+    verdict = verify_graded_iso(phi, 1, 1)
+    assert verdict.status == "holds-at-bound"
+    assert [row.degree for row in verdict.rows] == [-1, 0, 1]
+    assert factored == [row.source_rank for row in verdict.rows]
+    assert len(solved) == verdict.total_target_rank() > len(factored)
+
+
 def test_hom_preimage_roundtrip(z2):
     phi = cohn_to_leavitt(CohnPair(graph_vw(), frozenset()), z2)
     rng = random.Random(71)
@@ -177,6 +199,39 @@ def test_cohn_local_units_transport(z2):
         for a, b in pair.left.pairs:
             acc = acc + a * b
         assert acc == pair.left.epsilon
+
+
+def test_shared_preimages_match_hom_preimage(z4):
+    # the per-(degree, bound) solvers kept between targets give the answers
+    # of a fresh hom_preimage; on the Toeplitz graph most targets have a
+    # preimage at some of the bounds only
+    phi = cohn_to_leavitt(CohnPair(graph_toeplitz(), frozenset()), z4)
+    shared = HomPreimages(phi)
+    rng = random.Random(83)
+    for _ in range(30):
+        y = random_element(phi.target, rng, max_len=2)
+        if not y.is_homogeneous():
+            continue
+        for bound in (1, 2, 3):
+            assert shared.preimage(y, bound) == hom_preimage(phi, y, bound)
+
+
+def test_cohn_local_units_share_one_transport(z2, monkeypatch):
+    # one phi, and one preimage solver per (degree, bound) for all elements
+    spec = AlgebraSpec.cohn(graph_vw(), z2, [])
+    xs = [word_element(spec, w) for w in (["f"], ["f*"], ["f", "f*"], ["v"], ["w"])]
+    expected = [cohn_local_units(x) for x in xs]
+    built, solvers = [], []
+    real_phi, real_solver = morphisms.cohn_to_leavitt, morphisms.SpanSolver
+    monkeypatch.setattr(morphisms, "cohn_to_leavitt",
+                        lambda *args: built.append(args) or real_phi(*args))
+    monkeypatch.setattr(morphisms, "SpanSolver",
+                        lambda *args: solvers.append(args) or real_solver(*args))
+    transport = cohn_transport(spec)
+    assert [transport.local_units(x, 4) for x in xs] == expected
+    preimages = sum(2 * len(side.pairs) for u in expected for side in (u.left, u.right))
+    assert len(built) == 1
+    assert 0 < len(solvers) < preimages
 
 
 # -- chains ---------------------------------------------------------------------------------
