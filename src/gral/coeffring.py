@@ -329,6 +329,8 @@ def ring_make(spec) -> Ring:
     Schema: {"kind":"mod","n":4} | {"kind":"product","factors":[...]} |
     {"kind":"table","size":k,"zero":i,"one":j,"add":[[...]],"mul":[[...]]}.
     """
+    if not isinstance(spec, dict):
+        raise ValueError(f"a ring spec must be an object, got {spec!r}")
     kind = spec.get("kind")
     if kind == "mod":
         return ModularRing(int(spec["n"]))
@@ -400,19 +402,25 @@ def is_vnr(ring: Ring) -> VnrVerdict:
 # triples meaning sum(left . x_var . right) = rhs; left/right may be None
 # (treated as "no factor", which also covers non-unital table rings).
 #
-# A system's left-hand sides are factored once (_factor) and then solved
-# for any number of right-hand sides.  Over Z/n, factoring folds the
-# constraints into sparse rows, splits n into prime powers q = p**e and, for
-# each, eliminates with unit pivots (first row, then first column, holding a
+# A system's left-hand sides are factored once (_factor) and then asked for
+# solutions against any number of right-hand sides, and for the generators
+# of its homogeneous solutions.  Over Z/n, factoring folds the constraints
+# into sparse rows, splits n into prime powers q = p**e and, for each,
+# eliminates with unit pivots (first row, then first column, holding a
 # unit), records the row operations and factors the leftover rows, whose
 # entries are all divisible by p, divided by p mod p**(e-1).  Solving
 # replays the row operations on the right-hand side, checks the leftover
 # rows, back-substitutes, joins the prime powers by CRT and re-checks the
-# solution exactly against the folded rows.  Pivots depend on the left-hand
-# sides alone, so SpanSolver factors the columns of a span question once for
-# any number of targets, and solve_linear_system is the one-target use of
-# the same factorization.  Product rings split into their factors; table
-# rings search exhaustively (capped) for each right-hand side.
+# solution exactly against the folded rows.  The kernel comes from the same
+# factorization: the non-pivot unknowns are free, or, when leftover rows
+# remain, range over the lifted kernel of the sub-factorization plus
+# p**(e-1) times anything; the reduced pivot rows then fix the pivot
+# unknowns, and each generator is moved to its prime power by CRT and
+# re-checked exactly.  Pivots depend on the left-hand sides alone, so
+# SpanSolver factors the columns of a span question once for any number
+# of targets and its kernel, and solve_linear_system and kernel_generators
+# are the one-question uses of the same factorization.  Product rings
+# split into their factors; table rings search exhaustively (capped).
 
 
 def _span_rows(columns, keys=()):
@@ -444,7 +452,8 @@ class SpanSolver:
     columns factored once.  Columns and targets are coordinate dicts
     {key: coefficient}; solve(target) gives {i: r_i} or None, the same
     answer as solve_linear_system(ring, span_constraints(ring, columns,
-    target), range(len(columns)))."""
+    target), range(len(columns))), and kernel() the generators of the
+    {i: r_i} with sum_i r_i . columns[i] = 0."""
 
     def __init__(self, ring: Ring, columns):
         self.zero = ring.zero
@@ -466,6 +475,9 @@ class SpanSolver:
             elif b != zero:
                 rhs[-1] = b
         return self._system.solve(rhs)
+
+    def kernel(self) -> list:
+        return self._system.kernel()
 
 
 def _factor_system(constraints, i):
@@ -516,7 +528,8 @@ def _join_factors(per_factor, varlist):
 def _factor(ring: Ring, constraints, varlist):
     """The left-hand sides of the constraints (their right-hand sides are
     ignored) prepared once; solve(rhs), with one right-hand side per
-    constraint, gives {var: element} or None."""
+    constraint, gives {var: element} or None, and kernel() the nonzero
+    generators {var: element} of the homogeneous solutions."""
     if isinstance(ring, ProductRing):
         return _ProductSystem(ring, constraints, varlist)
     if isinstance(ring, ModularRing):
@@ -527,6 +540,7 @@ def _factor(ring: Ring, constraints, varlist):
 class _ProductSystem:
     def __init__(self, ring, constraints, varlist):
         self.varlist = varlist
+        self.zeros = [factor.zero for factor in ring.factors]
         self.parts = [_factor(factor, _factor_system(constraints, i), varlist)
                       for i, factor in enumerate(ring.factors)]
 
@@ -539,6 +553,16 @@ class _ProductSystem:
             per_factor.append(sol)
         return _join_factors(per_factor, self.varlist)
 
+    def kernel(self):
+        """Each factor's generators, zero in the other factors."""
+        gens = []
+        for i, part in enumerate(self.parts):
+            for g in part.kernel():
+                gens.append({v: tuple(g[v] if k == i else zero
+                                      for k, zero in enumerate(self.zeros))
+                             for v in self.varlist})
+        return gens
+
 
 class _ExhaustiveSystem:
     def __init__(self, ring, constraints, varlist):
@@ -547,6 +571,14 @@ class _ExhaustiveSystem:
 
     def solve(self, rhs):
         return _solve_exhaustive(self.ring, list(zip(self.lhs, rhs)), self.varlist)
+
+    def kernel(self):
+        """Every nonzero solution of the homogeneous system."""
+        zero = self.ring.zero
+        constraints = [(terms, zero) for terms in self.lhs]
+        search = _assignments(self.ring, self.varlist, "kernel search over table ring")
+        return [a for a in search if any(x != zero for x in a.values())
+                and _check_assignment(self.ring, constraints, a)]
 
 
 def _fold_modular(ring, constraints, varlist):
@@ -618,9 +650,23 @@ class _ModularSystem:
                 return None
             residues.append((sol, part.q))
         x = [_crt([(sol[j], q) for sol, q in residues]) for j in range(len(self.varlist))]
+        return self._checked(x, rhs, "linear solution")
+
+    def kernel(self):
+        """Each prime power's generators, moved by CRT to be 0 mod the
+        other prime powers."""
+        gens = []
+        for part in self.parts:
+            unit = _crt([(int(other is part), other.q) for other in self.parts])
+            for g in part.kernel():
+                gens.append(self._checked([c * unit % self.n for c in g],
+                                          itertools.repeat(0), "kernel generator"))
+        return gens
+
+    def _checked(self, x, rhs, what):
         for row, b in zip(self.rows, rhs):
-            if (sum(c * x[j] for j, c in row.items()) - b) % n:
-                raise InternalVerificationFailure("linear solution failed re-verification")
+            if (sum(c * x[j] for j, c in row.items()) - b) % self.n:
+                raise InternalVerificationFailure(f"{what} failed re-verification")
         return dict(zip(self.varlist, x))
 
 
@@ -661,17 +707,15 @@ class _PrimePowerFactor:
             used.add(j)
         pivot_rows = {i for i, _ in pivots}
         self.rem = [i for i in range(len(rows)) if i not in pivot_rows]
-        self.sub, self.live = None, []
+        self.live = [j for j in range(ncols) if j not in used]
+        self.sub = None
         if e > 1 and self.rem:
-            self.live = [j for j in range(ncols) if j not in used]
             pos = {j: t for t, j in enumerate(self.live)}
             self.sub = _PrimePowerFactor(
                 [{pos[j]: c // p for j, c in rows[i].items()} for i in self.rem],
                 len(self.live), p, e - 1)
-        # the reduced pivot rows hold their pivot and non-pivot columns only;
-        # the non-pivot unknowns are nonzero only when sub solves for them
-        self.pivots = [(i, j, tuple((jj, c) for jj, c in rows[i].items() if jj != j)
-                        if self.sub is not None else ())
+        # the reduced pivot rows hold their pivot and non-pivot columns only
+        self.pivots = [(i, j, tuple((jj, c) for jj, c in rows[i].items() if jj != j))
                        for i, j in pivots]
 
     def solve(self, rhs):
@@ -686,12 +730,16 @@ class _PrimePowerFactor:
         if any(rhs[i] % p for i in self.rem):
             return None
         sol = [0] * self.ncols
-        if self.sub is not None:
-            sub = self.sub.solve([rhs[i] // p for i in self.rem])
-            if sub is None:
-                return None
-            for j, x in zip(self.live, sub):
-                sol[j] = x
+        if self.sub is None:
+            # the non-pivot unknowns stay 0
+            for i, j, _ in self.pivots:
+                sol[j] = rhs[i]
+            return sol
+        sub = self.sub.solve([rhs[i] // p for i in self.rem])
+        if sub is None:
+            return None
+        for j, x in zip(self.live, sub):
+            sol[j] = x
         for i, j, entries in self.pivots:
             acc = rhs[i]
             for jj, c in entries:
@@ -699,18 +747,42 @@ class _PrimePowerFactor:
             sol[j] = acc % q
         return sol
 
+    def kernel(self):
+        """Generators mod q of the solutions of the factored rows against
+        0, as lists over the columns."""
+        q = self.q
+        if self.sub is None:
+            free = [{j: 1} for j in self.live]
+        else:
+            # the leftover rows are p times sub's: their solutions mod q are
+            # sub's kernel lifted plus p**(e-1) times anything
+            free = [dict(zip(self.live, g)) for g in self.sub.kernel()]
+            free += [{j: q // self.p} for j in self.live]
+        gens = []
+        for values in free:
+            x = [0] * self.ncols
+            for j, c in values.items():
+                x[j] = c
+            for _, j, entries in self.pivots:
+                x[j] = -sum(c * x[jj] for jj, c in entries) % q
+            gens.append(x)
+        return gens
 
-def _solve_exhaustive(ring: Ring, constraints, varlist):
+
+def _assignments(ring: Ring, varlist, what):
+    """Every assignment of ring elements to the variables, in enumeration
+    order; refuses past the search cap."""
     cap = search_cap()
     states = ring.order ** len(varlist) if varlist else 1
     if states > cap:
-        raise SearchCapExceeded(states, cap, "linear solve over table ring")
-    elems = ring.elements()
-    for combo in itertools.product(elems, repeat=len(varlist)):
-        assignment = dict(zip(varlist, combo))
-        if _check_assignment(ring, constraints, assignment):
-            return assignment
-    return None
+        raise SearchCapExceeded(states, cap, what)
+    for combo in itertools.product(ring.elements(), repeat=len(varlist)):
+        yield dict(zip(varlist, combo))
+
+
+def _solve_exhaustive(ring: Ring, constraints, varlist):
+    return next((a for a in _assignments(ring, varlist, "linear solve over table ring")
+                 if _check_assignment(ring, constraints, a)), None)
 
 
 def _check_assignment(ring, constraints, assignment):
@@ -729,105 +801,18 @@ def _check_assignment(ring, constraints, assignment):
 
 
 def kernel_generators(ring: Ring, constraints, variables):
-    """Generators of the solution module of a homogeneous system.
+    """Nonzero generators {var: element} of the solution module of a
+    homogeneous system (every right-hand side zero, a modular one read mod
+    n; ValueError otherwise), from the same factorization that
+    solve_linear_system uses.
 
     Used for injectivity testing over rings with zero divisors, where rank
     arguments are unavailable.
     """
-    varlist = list(variables)
-    if isinstance(ring, ProductRing):
-        gens = []
-        for i, factor in enumerate(ring.factors):
-            for g in kernel_generators(factor, _factor_system(constraints, i), varlist):
-                gens.append({
-                    v: tuple(g[v] if k == i else f.zero
-                             for k, f in enumerate(ring.factors))
-                    for v in varlist
-                })
-        return gens
-    if isinstance(ring, ModularRing):
-        n = ring.n
-        rows, rhs = _fold_modular(ring, constraints, varlist)
-        if any(b % n for b in rhs):
-            raise ValueError("kernel_generators needs a homogeneous system")
-        gens = []
-        for vec in _kernel_mod(rows, len(varlist), n):
-            if any(vec):
-                gens.append(dict(zip(varlist, vec)))
-        return gens
-    # table rings: enumerate all solutions (capped)
-    cap = search_cap()
-    states = ring.order ** len(varlist) if varlist else 1
-    if states > cap:
-        raise SearchCapExceeded(states, cap, "kernel search over table ring")
-    gens = []
-    for combo in itertools.product(ring.elements(), repeat=len(varlist)):
-        assignment = dict(zip(varlist, combo))
-        if any(x != ring.zero for x in combo) and _check_assignment(ring, constraints, assignment):
-            gens.append(assignment)
-    return gens
-
-
-def _kernel_mod(rows, nvars, n):
-    """Generators of {x : A x = 0 mod n} via integer diagonalization; the
-    rows of A are sparse {column: entry}."""
-    mat = [[row.get(j, 0) for j in range(nvars)] for row in rows] or [[0] * nvars]
-    v = [[int(i == j) for j in range(nvars)] for i in range(nvars)]  # column ops
-    m = len(mat)
-    rank_pos = 0
-    diag = []
-    r, c = 0, 0
-    while r < m and c < nvars:
-        # find the minimal nonzero entry in the remaining submatrix
-        best = None
-        for i in range(r, m):
-            for j in range(c, nvars):
-                if mat[i][j] and (best is None or abs(mat[i][j]) < abs(mat[best[0]][best[1]])):
-                    best = (i, j)
-        if best is None:
-            break
-        bi, bj = best
-        mat[r], mat[bi] = mat[bi], mat[r]
-        for row in mat:
-            row[c], row[bj] = row[bj], row[c]
-        v[c], v[bj] = v[bj], v[c]
-        # clear row and column by repeated reduction
-        dirty = True
-        while dirty:
-            dirty = False
-            for i in range(r + 1, m):
-                if mat[i][c]:
-                    f = mat[i][c] // mat[r][c]
-                    for j in range(c, nvars):
-                        mat[i][j] -= f * mat[r][j]
-                    if mat[i][c]:
-                        mat[r], mat[i] = mat[i], mat[r]
-                        dirty = True
-            for j in range(c + 1, nvars):
-                if mat[r][j]:
-                    f = mat[r][j] // mat[r][c]
-                    for i in range(m):
-                        mat[i][j] -= f * mat[i][c]
-                    for k in range(nvars):
-                        v[j][k] -= f * v[c][k]
-                    if mat[r][j]:
-                        for i in range(m):
-                            mat[i][c], mat[i][j] = mat[i][j], mat[i][c]
-                        v[c], v[j] = v[j], v[c]
-                        dirty = True
-        diag.append(mat[r][c])
-        r += 1
-        c += 1
-        rank_pos += 1
-    gens = []
-    for j in range(nvars):
-        d = diag[j] if j < len(diag) else 0
-        t = n // math.gcd(d, n)
-        if t % n == 0:
-            continue
-        vec = tuple((t * v[j][k]) % n for k in range(nvars))
-        gens.append(vec)
-    return gens
+    # ring.add reduces a modular right-hand side mod n
+    if any(ring.add(b, ring.zero) != ring.zero for _, b in constraints):
+        raise ValueError("kernel_generators needs a homogeneous system")
+    return _factor(ring, constraints, list(variables)).kernel()
 
 
 # ---------------------------------------------------------------------------
@@ -911,11 +896,8 @@ def _matrix_witness_dispatch(a: MatrixOverRing):
                   for j in range(cols))
             for i in range(rows)))
     if isinstance(ring, ModularRing):
-        parts = _prime_powers(ring.n)
-        if len(parts) == 1 and parts[0][1] > 1:
-            return _matrix_witness_solve(a)
         comps = []
-        for p, e in parts:
+        for p, e in _prime_powers(ring.n):
             q = p**e
             sub = MatrixOverRing(ModularRing(q),
                                  tuple(tuple(x % q for x in row) for row in a.entries))
@@ -937,7 +919,7 @@ def _matrix_witness_solve(a: MatrixOverRing):
     m, n = a.rows, a.cols
     constraints = []
     for i in range(m):
-        for j in range(m):
+        for j in range(n):
             terms = []
             for k in range(n):
                 for l in range(m):

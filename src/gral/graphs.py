@@ -292,8 +292,14 @@ def graph_from_dict(obj) -> CohnPair:
 
     Omitted "x" means X = Reg(E), i.e. the Leavitt case.
     """
-    g = Graph(obj.get("vertices", []),
-              [(e["name"], e["src"], e["dst"]) for e in obj.get("edges", [])])
+    if not isinstance(obj, dict):
+        raise ValueError(f"a graph must be an object, got {obj!r}")
+    vertices, edges = obj.get("vertices", []), obj.get("edges", [])
+    if not isinstance(vertices, list) or not isinstance(edges, list) \
+            or not all(isinstance(e, dict) for e in edges):
+        raise ValueError("a graph's vertices must be a list of names and its "
+                         "edges a list of objects")
+    g = Graph(vertices, [(e["name"], e["src"], e["dst"]) for e in edges])
     x = obj.get("x")
     return CohnPair(g, None if x is None else frozenset(x))
 

@@ -6,7 +6,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .coeffring import Ring, SpanSolver, kernel_generators, span_constraints
+from .coeffring import Ring, SpanSolver
 # not called here, but perfbench/tracer.py rebinds solve_linear_system in
 # every gral module that holds it
 from .coeffring import solve_linear_system  # noqa: F401
@@ -210,8 +210,9 @@ def verify_graded_iso(h: AlgebraHom, degree_bound: int = 3,
     """Injectivity and surjectivity per degree on bounded spanning sets.
 
     Surjectivity solves for preimages of the target basis; injectivity
-    checks that every kernel generator of the image coordinate matrix is
-    already zero in the source (rank arguments fail over zero divisors).
+    checks that every kernel generator of the image coordinate matrix, read
+    from the same factorization, is already zero in the source (rank
+    arguments fail over zero divisors).
     """
     ring = h.source.ring
     exact = _span_exact(h.source, size_bound) and _span_exact(h.target, size_bound)
@@ -227,7 +228,6 @@ def verify_graded_iso(h: AlgebraHom, degree_bound: int = 3,
         tgt = [monomial_element(h.target, m)
                for m in reduced_monomials(h.target, degree=d, max_len=size_bound)]
         coords = [hom_apply(h, s).terms for s in src]
-        variables = list(range(len(src)))
         status = "holds-exactly" if exact else "holds-at-bound"
         row_witness = ""
         image = SpanSolver(ring, coords)
@@ -236,8 +236,8 @@ def verify_graded_iso(h: AlgebraHom, degree_bound: int = 3,
                 status = "fails"
                 row_witness = f"unhit target element {format_element(t)}"
                 break
-        if status != "fails" and src:
-            for gen in kernel_generators(ring, span_constraints(ring, coords), variables):
+        if status != "fails":
+            for gen in image.kernel():
                 combo = AlgebraElement.zero(h.source)
                 for i, s in enumerate(src):
                     combo = combo + s.scale(gen[i])

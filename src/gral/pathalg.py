@@ -639,6 +639,8 @@ def _path_from_json(g: Graph, obj) -> Path:
 
 
 def element_from_terms(spec: AlgebraSpec, terms) -> AlgebraElement:
+    if not isinstance(terms, list) or not all(isinstance(t, dict) for t in terms):
+        raise ValueError(f"an element must be a list of term objects, got {terms!r}")
     ring = spec.ring
     raw = {}
     for t in terms:

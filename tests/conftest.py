@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import settings
 
-from gral.coeffring import ModularRing, ProductRing
+from gral.coeffring import ModularRing, ProductRing, TableRing
 from gral.graphs import Graph
 from gral.pathalg import AlgebraElement, reduced_monomials
 
@@ -11,6 +11,12 @@ from gral.pathalg import AlgebraElement, reduced_monomials
 settings.register_profile("gral", derandomize=True, max_examples=40,
                           deadline=None, database=None)
 settings.load_profile("gral")
+
+
+def table_z2xz2():
+    """Z/2 x Z/2 given by tables: the element 2a + b stands for (a, b)."""
+    return TableRing([[i ^ j for j in range(4)] for i in range(4)],
+                     [[i & j for j in range(4)] for i in range(4)], zero=0, one=3)
 
 
 def graph_a1():

@@ -4,7 +4,11 @@ import json
 
 import pytest
 
+from conftest import table_z2xz2
 from gral.cli import main
+from gral.coeffring import ModularRing, ring_make, ring_spec
+from gral.graphs import Graph, graph_from_dict
+from gral.pathalg import AlgebraSpec, element_from_terms
 
 
 def write(path, obj):
@@ -84,6 +88,25 @@ def test_lpa_witness_absence(files, capsys):
 def test_lpa_witness_found(files, capsys):
     code = main(["lpa", "witness", "--graph", files["vw"], "--ring", files["z6"],
                  "--element", files["elt_f"]])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert "witness=f*" in out and "verified=true" in out
+
+
+def test_lpa_witness_constructive_non_square_blocks(tmp_path, capsys):
+    # e + f on the two-loop rose decomposes into 1x2 blocks, which a table
+    # ring solves as a linear system
+    ring = table_z2xz2()
+    graph = write(tmp_path / "rose2.json", {
+        "vertices": ["v"],
+        "edges": [{"name": "e", "src": "v", "dst": "v"},
+                  {"name": "f", "src": "v", "dst": "v"}]})
+    element = write(tmp_path / "e_plus_f.json", [
+        {"coeff": ring.one, "alpha": [name], "beta": {"vertex": "v"}}
+        for name in ("e", "f")])
+    code = main(["lpa", "witness", "--graph", graph,
+                 "--ring", write(tmp_path / "table.json", ring_spec(ring)),
+                 "--element", element, "--method", "constructive"])
     out = capsys.readouterr().out
     assert code == 0
     assert "witness=f*" in out and "verified=true" in out
@@ -205,6 +228,33 @@ def test_parse_error_exit2(files, tmp_path, capsys):
     bad.write_text("{not json")
     assert main(["check-ring", str(bad)]) == 2
     assert main(["check-ring", str(tmp_path / "missing.json")]) == 2
+
+
+def _load_element(obj):
+    return element_from_terms(AlgebraSpec.leavitt(Graph(["v", "w"], [("f", "v", "w")]),
+                                                  ModularRing(2)), obj)
+
+
+@pytest.mark.parametrize("kind, content, load", [
+    ("ring", [1, 2], ring_make),
+    ("element", {"alpha": 5}, _load_element),
+    ("graph", {"vertices": "uv", "edges": []}, graph_from_dict),
+    ("graph", [1, 2], graph_from_dict),
+    ("graph", {"vertices": ["v"], "edges": ["e"]}, graph_from_dict),
+], ids=["ring-not-an-object", "element-not-a-term-list", "vertices-a-string",
+        "graph-not-an-object", "edge-not-an-object"])
+def test_malformed_input_exit2(files, tmp_path, capsys, kind, content, load):
+    # the loader refuses the input, and the CLI says so on one error line
+    with pytest.raises(ValueError):
+        load(content)
+    paths = {"graph": files["vw"], "ring": files["z2"], "element": files["elt_f"],
+             kind: write(tmp_path / "bad.json", content)}
+    code = main(["lpa", "witness", "--graph", paths["graph"], "--ring", paths["ring"],
+                 "--element", paths["element"]])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
 def test_usage_error_exit2(capsys):

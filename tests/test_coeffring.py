@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from conftest import table_z2xz2
 from gral.cli import main
 from gral.coeffring import (MatrixOverRing, ModularRing, ProductRing, Ring,
                             SpanSolver, TableRing, _solve_exhaustive,
@@ -195,32 +196,52 @@ def test_solve_agrees_with_brute_force_on_product(z2xz2):
             assert got in brute
 
 
+def module_span(ring, gens, nvars):
+    """Every combination sum r_g . g of the generator vectors."""
+    vecs = [tuple(g[i] for i in range(nvars)) for g in gens]
+    span = frontier = {tuple(ring.zero for _ in range(nvars))}
+    while frontier:
+        frontier = {tuple(ring.add(a, ring.mul(r, b)) for a, b in zip(vec, g))
+                    for vec in frontier for g in vecs for r in ring.elements()} - span
+        span |= frontier
+    return span
+
+
 def test_kernel_generators_span_full_solution_set():
-    # every brute-force kernel vector must be a sum of generator multiples
+    # every brute-force kernel vector must be a combination of generators,
+    # for kernel_generators and SpanSolver.kernel alike; half the systems get
+    # a multiple of their first row, so their rank falls short
     rng = random.Random(300)
-    for n in (4, 6, 9, 12):
-        ring = ModularRing(n)
+    rings = [ModularRing(n) for n in (4, 6, 8, 9, 12, 27, 30)] + [
+        ProductRing([ModularRing(2), ModularRing(3)]),
+        ProductRing([ModularRing(4), ModularRing(2)]), _z3_table()]
+    for ring in rings:
+        elems = ring.elements()
         for _ in range(10):
-            nvars = rng.randint(1, 3)
-            variables = [f"x{i}" for i in range(nvars)]
-            constraints = [([(rng.randrange(n), v, None) for v in variables], 0)
-                           for _ in range(rng.randint(1, 2))]
-            gens = kernel_generators(ring, constraints, variables)
-            span = {tuple(0 for _ in variables)}
-            frontier = [tuple(g[v] for v in variables) for g in gens]
-            changed = True
-            while changed:
-                changed = False
-                for vec in list(span):
-                    for g in frontier:
-                        for k in range(1, n):
-                            new = tuple((a + k * b) % n for a, b in zip(vec, g))
-                            if new not in span:
-                                span.add(new)
-                                changed = True
-            brute = {tuple(sol[v] for v in variables)
-                     for sol in brute_solutions(ring, constraints, variables)}
-            assert span == brute
+            nvars = rng.randint(1, 3 if ring.order <= 12 else 2)
+            rows = [[rng.choice(elems) for _ in range(nvars)]
+                    for _ in range(rng.randint(1, 2))]
+            if rng.random() < 0.5:
+                c = rng.choice(elems)
+                rows.append([ring.mul(c, x) for x in rows[0]])
+            columns = [{k: row[i] for k, row in enumerate(rows)} for i in range(nvars)]
+            constraints = span_constraints(ring, columns)
+            brute = {tuple(sol[i] for i in range(nvars))
+                     for sol in brute_solutions(ring, constraints, range(nvars))}
+            for gens in (kernel_generators(ring, constraints, range(nvars)),
+                         SpanSolver(ring, columns).kernel()):
+                assert all(any(x != ring.zero for x in g.values()) for g in gens)
+                assert module_span(ring, gens, nvars) == brute
+
+
+def test_kernel_generators_needs_a_homogeneous_system(z4):
+    # a nonzero right-hand side is refused for every ring kind; a modular
+    # one is read mod n
+    for ring, rhs in ((_z3_table(), 1), (z4, 1),
+                      (ProductRing([ModularRing(2), ModularRing(3)]), (0, 1))):
+        with pytest.raises(ValueError, match="homogeneous"):
+            kernel_generators(ring, [([(None, "x", None)], rhs)], ["x"])
+    assert kernel_generators(z4, [([(2, "x", None)], 4)], ["x"]) == [{"x": 2}]
 
 
 def test_solve_product_ring(z2xz2):
@@ -425,6 +446,25 @@ def test_matrix_witness_scalar_z6(z6):
 def test_matrix_witness_absent_z4(z4):
     a = MatrixOverRing.from_lists(z4, [[2]])
     assert matrix_vnr_witness(a) is None
+
+
+@pytest.mark.parametrize("ring", [ModularRing(4), table_z2xz2()], ids=["Z4", "Z2xZ2table"])
+def test_matrix_witness_non_square(ring):
+    # A is m x n and Y is n x m; every 2x1 and 1x2 matrix either gets a
+    # verified witness or has none among all candidates
+    for shape in ((2, 1), (1, 2)):
+        for flat in itertools.product(ring.elements(), repeat=2):
+            a = MatrixOverRing.from_lists(ring, [flat] if shape == (1, 2)
+                                          else [[x] for x in flat])
+            y = matrix_vnr_witness(a)
+            if y is not None:
+                assert (y.rows, y.cols) == (a.cols, a.rows)
+                assert mat_mul(mat_mul(a, y), a) == a
+                continue
+            for cand in itertools.product(ring.elements(), repeat=2):
+                y = MatrixOverRing.from_lists(ring, [cand] if shape == (2, 1)
+                                              else [[x] for x in cand])
+                assert mat_mul(mat_mul(a, y), a) != a
 
 
 def dense_product(ring, a, b):

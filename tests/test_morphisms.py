@@ -9,7 +9,7 @@ from conftest import (graph_a1, graph_loop, graph_span, graph_toeplitz, graph_vw
 from gral import coeffring, morphisms
 from gral.coeffring import ModularRing
 from gral.errors import GralError, RelationViolation
-from gral.graphs import CohnPair, GraphMorphism
+from gral.graphs import CohnPair, Graph, GraphMorphism
 from gral.morphisms import (AlgebraHom, HomPreimages, chain_colimit_check,
                             cohn_local_units, cohn_to_leavitt, cohn_transport,
                             compose_homs, hom_apply, hom_preimage, identity_hom,
@@ -154,15 +154,18 @@ def test_iso_cyclic_at_bound(z2):
 
 def test_verify_graded_iso_factors_once_per_degree(monkeypatch):
     # one elimination per degree answers every target basis element of it
+    # and gives that degree's kernel
     phi = cohn_to_leavitt(CohnPair(graph_span(), frozenset()), ModularRing(4))
-    factored, solved = [], []
+    factored, systems, solved, kernels = [], [], [], []
     real = coeffring._factor
 
     def counting_factor(ring, constraints, varlist):
         system = real(ring, constraints, varlist)
         factored.append(len(varlist))
-        solve = system.solve
+        systems.append(system)
+        solve, kernel = system.solve, system.kernel
         system.solve = lambda rhs: solved.append(len(rhs)) or solve(rhs)
+        system.kernel = lambda: kernels.append(system) or kernel()
         return system
 
     monkeypatch.setattr(coeffring, "_factor", counting_factor)
@@ -171,6 +174,25 @@ def test_verify_graded_iso_factors_once_per_degree(monkeypatch):
     assert [row.degree for row in verdict.rows] == [-1, 0, 1]
     assert factored == [row.source_rank for row in verdict.rows]
     assert len(solved) == verdict.total_target_rank() > len(factored)
+    assert kernels == systems
+
+
+@pytest.mark.parametrize("n", [2, 4, 6])
+def test_iso_non_injective_hom_names_a_kernel_element(n):
+    # {v, w} -> {v} with w |-> 0 is onto but kills w
+    ring = ModularRing(n)
+    source = AlgebraSpec.leavitt(Graph(["v", "w"], []), ring)
+    target = AlgebraSpec.leavitt(Graph(["v"], []), ring)
+    h = AlgebraHom.make(source, target, {"v": vertex_element(target, "v"),
+                                         "w": AlgebraElement.zero(target)}, {})
+    verdict = verify_graded_iso(h, 1, 1)
+    assert verdict.status == "fails"
+    w = vertex_element(source, "w")
+    assert verdict.witness in {f"degree 0: kernel element {format_element(w.scale(c))}"
+                               for c in range(1, n)}
+    if n in (2, 4):
+        # over a prime power the kernel generator is w itself
+        assert verdict.witness == "degree 0: kernel element w"
 
 
 def test_hom_preimage_roundtrip(z2):
