@@ -12,6 +12,7 @@ from __future__ import annotations
 import itertools
 import math
 import os
+from collections.abc import Hashable
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -87,7 +88,7 @@ class Ring:
 
     def decode(self, obj):
         a = self._decode(obj)
-        if a not in self._element_set():
+        if not isinstance(a, Hashable) or a not in self._element_set():
             raise ValueError(f"not an element of {self.describe()}: {obj!r}")
         return a
 
@@ -333,16 +334,43 @@ def ring_make(spec) -> Ring:
         raise ValueError(f"a ring spec must be an object, got {spec!r}")
     kind = spec.get("kind")
     if kind == "mod":
-        return ModularRing(int(spec["n"]))
+        return ModularRing(_ring_field(spec, "n", _is_int, "an integer"))
     if kind == "product":
-        return ProductRing([ring_make(f) for f in spec["factors"]])
+        return ProductRing([ring_make(f) for f in
+                            _ring_field(spec, "factors", _is_list, "a list")])
     if kind == "table":
-        size = int(spec["size"])
-        add, mul = spec["add"], spec["mul"]
+        size = _ring_field(spec, "size", _is_int, "an integer")
+        add, mul = (_ring_field(spec, name, _is_table, "a list of integer lists")
+                    for name in ("add", "mul"))
         if len(add) != size or len(mul) != size:
             raise AxiomViolation("table-size", size)
-        return TableRing(add, mul, int(spec["zero"]), int(spec["one"]))
+        return TableRing(add, mul, _ring_field(spec, "zero", _is_int, "an integer"),
+                         _ring_field(spec, "one", _is_int, "an integer"))
     raise ValueError(f"unknown ring kind: {kind!r}")
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_list(value) -> bool:
+    return isinstance(value, list)
+
+
+def _is_table(value) -> bool:
+    return _is_list(value) and all(_is_list(row) and all(map(_is_int, row))
+                                   for row in value)
+
+
+def _ring_field(spec: dict, name: str, check, what: str):
+    """spec[name], which must pass check; ValueError naming the field
+    otherwise."""
+    if name not in spec:
+        raise ValueError(f"a {spec['kind']} ring spec needs the field {name!r}")
+    value = spec[name]
+    if not check(value):
+        raise ValueError(f"ring field {name!r} must be {what}, got {value!r}")
+    return value
 
 
 def ring_spec(ring: Ring):

@@ -4,10 +4,17 @@ Verdicts distinguish exact checks (finite-dimensional components fully
 spanned at the bound) from bounded ones.  Built-in oracles cover path
 algebras, the epsilon-but-not-strong matrix grading, trivial gradings,
 truncated polynomial rings and corner skew Laurent rings.
+
+Nearly epsilon-strong gradings are decided by one loop for every oracle:
+each spanning element takes the oracle's own local units where it has a
+construction (Leavitt specs, and relative Cohn specs through the
+Cohn-to-Leavitt isomorphism), and otherwise a bounded search whose every
+answer is checked on the elements it must act on.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Optional
@@ -17,6 +24,7 @@ from .coeffring import (Ring, SpanSolver, TableRing, search_cap,
 from .cornerlaurent import CslAlgebra, csl_table_epsilon, format_csl
 from .errors import (AssertionFailure, GralError, InternalVerificationFailure,
                      NotDegreeOneGenerated, SearchCapExceeded)
+from .morphisms import cohn_transport
 from .pathalg import (AlgebraElement, AlgebraSpec, Monomial, format_element,
                       identity_element, monomial_element, reduced_monomials,
                       vertex_element)
@@ -28,7 +36,11 @@ from .regularity import local_units
 
 class GradedRingOracle:
     """Bounded view of a Z-graded ring: spanning sets per degree, arithmetic,
-    coordinates over the coefficient ring, and finiteness flags."""
+    coordinates over the coefficient ring, and finiteness flags.
+
+    Arithmetic defaults to the elements' own operators, scale and is_zero;
+    oracles whose elements are plain tuples or ring values override it.
+    """
 
     name = "oracle"
     degree_one_generated = True
@@ -46,19 +58,16 @@ class GradedRingOracle:
         raise NotImplementedError
 
     def add(self, x, y):
-        raise NotImplementedError
-
-    def neg(self, x):
-        raise NotImplementedError
+        return x + y
 
     def mul(self, x, y):
-        raise NotImplementedError
+        return x * y
 
     def scale(self, r, x):
-        raise NotImplementedError
+        return x.scale(r)
 
     def is_zero(self, x) -> bool:
-        raise NotImplementedError
+        return x.is_zero
 
     def identity(self):
         """Multiplicative identity, or None for non-unital oracles."""
@@ -75,6 +84,12 @@ class GradedRingOracle:
     def span_solve(self, target, elements) -> Optional[list]:
         """Coefficients r_i with sum r_i.elements_i = target, or None."""
         return self.span_solver(elements)(target)
+
+    def local_units(self, x, size_bound: int):
+        """Left and right units of the homogeneous element x from the ring's
+        own construction, as a verified LocalUnitPair, or None when there is
+        none and the bounded search must decide."""
+        return None
 
     def span_contains(self, target, elements) -> bool:
         return self.span_solve(target, elements) is not None
@@ -97,6 +112,7 @@ class PathAlgebraOracle(GradedRingOracle):
     def __init__(self, spec: AlgebraSpec):
         self.spec = spec
         self.name = repr(spec)
+        self._transport = None  # Cohn-to-Leavitt preimages, built on first use
 
     @property
     def ring(self):
@@ -108,26 +124,20 @@ class PathAlgebraOracle(GradedRingOracle):
                                            max_len=size_bound)]
 
     def exact_at(self, degree, size_bound):
-        longest = self.spec.graph.longest_path_length()
-        return longest is not None and size_bound >= longest
-
-    def add(self, x, y):
-        return x + y
-
-    def neg(self, x):
-        return -x
-
-    def mul(self, x, y):
-        return x * y
-
-    def scale(self, r, x):
-        return x.scale(r)
-
-    def is_zero(self, x):
-        return x.is_zero
+        return self.spec.graph.all_paths_within(size_bound)
 
     def identity(self):
         return identity_element(self.spec)
+
+    def local_units(self, x, size_bound):
+        """Leavitt specs: the constructive local units.  Relative Cohn specs:
+        those of x's image in the Leavitt algebra of the cover, pulled back;
+        preimages may need source monomials a little longer than the bound."""
+        if self.spec.is_leavitt:
+            return local_units(x)
+        if self._transport is None:
+            self._transport = cohn_transport(self.spec)
+        return self._transport.local_units(x, size_bound + 2)
 
     def coords(self, x):
         return dict(x.terms)
@@ -172,10 +182,6 @@ class MatrixGradingOracle(GradedRingOracle):
         ring = self._ring
         return tuple(tuple(ring.add(a, b) for a, b in zip(r1, r2))
                      for r1, r2 in zip(x, y))
-
-    def neg(self, x):
-        ring = self._ring
-        return tuple(tuple(ring.neg(a) for a in row) for row in x)
 
     def mul(self, x, y):
         ring = self._ring
@@ -230,9 +236,6 @@ class TrivialGradingOracle(GradedRingOracle):
 
     def add(self, x, y):
         return self._ring.add(x, y)
-
-    def neg(self, x):
-        return self._ring.neg(x)
 
     def mul(self, x, y):
         return self._ring.mul(x, y)
@@ -293,10 +296,6 @@ class PolynomialOracle(GradedRingOracle):
             else:
                 out[d] = c2
         return tuple(sorted(out.items()))
-
-    def neg(self, x):
-        ring = self._ring
-        return tuple((d, ring.neg(c)) for d, c in x)
 
     def mul(self, x, y):
         ring = self._ring
@@ -359,21 +358,6 @@ class CslOracle(GradedRingOracle):
     def exact_at(self, degree, size_bound):
         return True
 
-    def add(self, x, y):
-        return x + y
-
-    def neg(self, x):
-        return -x
-
-    def mul(self, x, y):
-        return x * y
-
-    def scale(self, r, x):
-        return x.scale(r)
-
-    def is_zero(self, x):
-        return x.is_zero
-
     def identity(self):
         return self.algebra.one()
 
@@ -389,12 +373,20 @@ class CslOracle(GradedRingOracle):
         return lambda target: [] if target in closure else None
 
 
+def _as_oracle(target) -> GradedRingOracle:
+    """Path algebra specs are read through PathAlgebraOracle."""
+    return PathAlgebraOracle(target) if isinstance(target, AlgebraSpec) else target
+
+
 def _additive_closure(oracle, elements):
-    """Closure of the R-scalings of the elements under addition."""
+    """Closure of the R-scalings of the elements under addition, as a dict
+    whose keys keep the order in which they were found, so a search over it
+    returns the same element on every run."""
     if not elements:
-        return set()
-    seeds = {oracle.scale(r, el) for el in elements for r in oracle.ring.elements()}
-    closure = set(seeds)
+        return {}
+    seeds = dict.fromkeys(oracle.scale(r, el) for el in elements
+                          for r in oracle.ring.elements())
+    closure = dict(seeds)
     changed = True
     cap = search_cap()
     while changed:
@@ -403,7 +395,7 @@ def _additive_closure(oracle, elements):
             for b in seeds:
                 c = oracle.add(a, b)
                 if c not in closure:
-                    closure.add(c)
+                    closure[c] = None
                     changed = True
                     if len(closure) > cap:
                         raise SearchCapExceeded(len(closure), cap, "additive closure")
@@ -624,11 +616,26 @@ def check_epsilon_strong(oracle: GradedRingOracle, degree_bound: int = 3,
 
 
 def _solve_epsilon(oracle, products, span_d, span_md):
-    """Least combination of the products that left-units span_d and
-    right-units span_md, or None (also when there are no products)."""
+    """A combination eps of the products with eps.s = s for every s in
+    span_d and t.eps = t for every t in span_md, or None (also when there
+    are no products).
+
+    The linear system reads these equations through the coordinates, which
+    describe the products only where scaling a product scales its
+    coordinates on the side the equation needs; a non-commutative
+    coefficient ring or a twisted corner breaks that.  So every candidate is
+    checked on the elements themselves, and when the linear answer fails,
+    or over a corner ring finds nothing, the finite additive closure of the
+    products is searched instead.
+    """
     if not products:
         return None
     ring, coords, mul = oracle.ring, oracle.coords, oracle.mul
+
+    def is_unit(eps):
+        return all(mul(eps, s) == s for s in span_d) and \
+            all(mul(t, eps) == t for t in span_md)
+
     constraints = []
     for s in span_d:
         constraints += span_constraints(
@@ -637,13 +644,14 @@ def _solve_epsilon(oracle, products, span_d, span_md):
         constraints += span_constraints(
             ring, [coords(mul(t, p)) for p in products], coords(t))
     sol = solve_linear_system(ring, constraints, list(range(len(products))))
-    if sol is None:
+    if sol is not None:
+        eps = functools.reduce(oracle.add, (oracle.scale(sol[i], p)
+                                            for i, p in enumerate(products)))
+        if is_unit(eps):
+            return eps
+    elif not isinstance(oracle, CslOracle):
         return None
-    eps = None
-    for i, p in enumerate(products):
-        term = oracle.scale(sol[i], p)
-        eps = term if eps is None else oracle.add(eps, term)
-    return eps
+    return next((c for c in _additive_closure(oracle, products) if is_unit(c)), None)
 
 
 def _epsilon_leavitt(oracle: PathAlgebraOracle, degree_bound, size_bound):
@@ -691,31 +699,26 @@ def _epsilon_csl(oracle: CslOracle, degree_bound):
 
 
 def check_nearly_epsilon(target, degree_bound: int = 3, size_bound: int = 3):
-    """Per-element one-sided units for every bounded spanning element.
+    """Per degree d, a left unit in S_d S_-d and a right unit in S_-d S_d
+    for every bounded spanning element of S_d.
 
-    Leavitt specs use the constructive local units; everything else gets a
-    bounded linear search in the product spans.
+    Each element first gets the oracle's own units (local_units); when the
+    oracle has none or refuses, the bounded search _solve_epsilon decides,
+    over product lists formed once per degree, when first needed.
     """
-    if isinstance(target, AlgebraSpec):
-        target = PathAlgebraOracle(target)
-    oracle = target
-    if isinstance(oracle, PathAlgebraOracle):
-        if oracle.spec.is_leavitt:
-            return _nearly_leavitt(oracle, degree_bound, size_bound)
-        return _nearly_cohn(oracle, degree_bound, size_bound)
+    oracle = _as_oracle(target)
     rows = []
     for d in range(-degree_bound, degree_bound + 1):
         span_d = oracle.spanning(d, size_bound)
         if not span_d:
             continue
         exact = oracle.exact_at(d, size_bound) and oracle.exact_at(-d, size_bound)
-        left_products = _products(oracle, span_d, oracle.spanning(-d, size_bound))
-        right_products = _products(oracle, oracle.spanning(-d, size_bound), span_d)
+        products = {}  # side -> S_d S_-d ("left") or S_-d S_d ("right")
         for s in span_d:
-            left = _solve_unit(oracle, left_products, s, side="left")
-            right = _solve_unit(oracle, right_products, s, side="right")
-            if left is None or right is None:
-                side = "left" if left is None else "right"
+            if _oracle_units(oracle, s, size_bound) is not None:
+                continue
+            side = _missing_unit(oracle, s, d, size_bound, products)
+            if side is not None:
                 note = "" if exact else " at-bound"
                 rows.append(ReportRow("nearly-epsilon", str(d),
                                       Verdict(FAILS, f"no {side} unit for {oracle.format(s)}{note}",
@@ -729,86 +732,34 @@ def check_nearly_epsilon(target, degree_bound: int = 3, size_bound: int = 3):
     return _combine(rows), rows
 
 
-def _solve_unit(oracle, products, s, side):
-    """A combination of the products acting on s as a left (or right) unit,
-    or None."""
-    if side == "left":
-        eps = _solve_epsilon(oracle, products, [s], [])
-    else:
-        eps = _solve_epsilon(oracle, products, [], [s])
-    if eps is None and isinstance(oracle, CslOracle):
-        # twisted corner rings: coordinates are not left-linear, so fall
-        # back to searching the (finite) additive closure directly
-        for cand in _additive_closure(oracle, products):
-            if (oracle.mul(cand, s) if side == "left" else oracle.mul(s, cand)) == s:
-                return cand
-    return eps
+def _oracle_units(oracle, x, size_bound):
+    """The oracle's units for x, or None when it has none or refuses; a
+    failed self-check is a bug and propagates."""
+    try:
+        return oracle.local_units(x, size_bound)
+    except InternalVerificationFailure:
+        raise
+    except GralError:
+        return None
 
 
-def _nearly_cohn(oracle: PathAlgebraOracle, degree_bound, size_bound):
-    """Relative Cohn specs: units transported through the Cohn-to-Leavitt
-    isomorphism, falling back to the bounded span solver per element."""
-    from . import morphisms
-
-    spec = oracle.spec
-    exact = oracle.exact_at(0, size_bound)
-    transport = None  # preimages under phi, shared by all elements
-    rows = []
-    for d in range(-degree_bound, degree_bound + 1):
-        monos = reduced_monomials(spec, degree=d, max_len=size_bound)
-        if not monos:
-            continue
-        bad = None
-        for m in monos:
-            x = monomial_element(spec, m)
-            try:
-                transport = transport or morphisms.cohn_transport(spec)
-                units = transport.local_units(x, size_bound + 2)
-                ok = units.left.epsilon * x == x and x * units.right.epsilon == x
-            except InternalVerificationFailure:
-                raise
-            except GralError:
-                left_products = _products(oracle, oracle.spanning(d, size_bound),
-                                          oracle.spanning(-d, size_bound))
-                right_products = _products(oracle, oracle.spanning(-d, size_bound),
-                                           oracle.spanning(d, size_bound))
-                ok = (_solve_unit(oracle, left_products, x, "left") is not None
-                      and _solve_unit(oracle, right_products, x, "right") is not None)
-            if not ok:
-                bad = x
-                break
-        if bad is not None:
-            rows.append(ReportRow("nearly-epsilon", str(d),
-                                  Verdict(FAILS, format_element(bad), size_bound)))
+def _missing_unit(oracle, s, d, size_bound, products):
+    """The first side ("left", then "right") on which the bounded search
+    finds no unit for s in S_d, or None; products caches the two product
+    lists of degree d."""
+    for side in ("left", "right"):
+        if side not in products:
+            span_d = oracle.spanning(d, size_bound)
+            span_md = oracle.spanning(-d, size_bound)
+            products[side] = (_products(oracle, span_d, span_md) if side == "left"
+                              else _products(oracle, span_md, span_d))
+        if side == "left":
+            unit = _solve_epsilon(oracle, products[side], [s], [])
         else:
-            rows.append(ReportRow("nearly-epsilon", str(d),
-                                  Verdict(HOLDS_EXACT if exact else HOLDS_AT_BOUND)))
-    if not rows:
-        rows.append(ReportRow("nearly-epsilon", "*", Verdict(HOLDS_EXACT)))
-    return _combine(rows), rows
-
-
-def _nearly_leavitt(oracle: PathAlgebraOracle, degree_bound, size_bound):
-    spec = oracle.spec
-    exact = oracle.exact_at(0, size_bound)
-    rows = []
-    for d in range(-degree_bound, degree_bound + 1):
-        monos = reduced_monomials(spec, degree=d, max_len=size_bound)
-        if not monos:
-            continue
-        for m in monos:
-            x = monomial_element(spec, m)
-            units = local_units(x)  # raises on failure; theorem-backed
-            if units.left.epsilon * x != x or x * units.right.epsilon != x:
-                rows.append(ReportRow("nearly-epsilon", str(d),
-                                      Verdict(FAILS, format_element(x))))
-                break
-        else:
-            rows.append(ReportRow("nearly-epsilon", str(d),
-                                  Verdict(HOLDS_EXACT if exact else HOLDS_AT_BOUND)))
-    if not rows:
-        rows.append(ReportRow("nearly-epsilon", "*", Verdict(HOLDS_EXACT)))
-    return _combine(rows), rows
+            unit = _solve_epsilon(oracle, products[side], [], [s])
+        if unit is None:
+            return side
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -892,17 +843,8 @@ def jacobson_radical_algebra(spec: AlgebraSpec, size_bound: Optional[int] = None
                 raise InternalVerificationFailure("radical is not graded")
             if comp not in gens and not comp.is_zero:
                 gens.append(comp)
-    span = {AlgebraElement.zero(spec)}
-    frontier = {g.scale(r) for g in gens for r in spec.ring.elements()}
-    changed = True
-    while changed:
-        changed = False
-        for a in list(span):
-            for b in frontier:
-                c = a + b
-                if c not in span:
-                    span.add(c)
-                    changed = True
+    span = set(_additive_closure(PathAlgebraOracle(spec), gens))
+    span.add(AlgebraElement.zero(spec))
     if span != rad_set:
         raise InternalVerificationFailure("homogeneous set does not generate the radical")
     return RadicalReport(len(radical), tuple(sorted(gens, key=format_element)),
@@ -911,9 +853,7 @@ def jacobson_radical_algebra(spec: AlgebraSpec, size_bound: Optional[int] = None
 
 def is_semiprime_graded(target, degree_bound: int = 3, size_bound: int = 3):
     """Search for homogeneous x != 0 with x . (bounded span) . x = 0."""
-    if isinstance(target, AlgebraSpec):
-        target = PathAlgebraOracle(target)
-    oracle = target
+    oracle = _as_oracle(target)
     ring = oracle.ring
     nonzero = [r for r in ring.elements() if r != ring.zero]
     span_all = []
@@ -942,10 +882,7 @@ def is_semiprime_graded(target, degree_bound: int = 3, size_bound: int = 3):
 def classify(target, degree_bound: int = 3, size_bound: int = 3) -> ClassificationReport:
     """Strong / epsilon-strong / nearly epsilon-strong / symmetric, with the
     epsilon table; one row per (property, degree)."""
-    if isinstance(target, AlgebraSpec):
-        oracle = PathAlgebraOracle(target)
-    else:
-        oracle = target
+    oracle = _as_oracle(target)
     rows = []
     summary = []
     try:

@@ -113,6 +113,12 @@ class Graph:
             n += 1
         return n
 
+    def all_paths_within(self, length_bound: int) -> bool:
+        """Whether every path has length <= length_bound, i.e. spanning sets
+        cut at that length span their whole components."""
+        longest = self.longest_path_length()
+        return longest is not None and length_bound >= longest
+
     def __eq__(self, other):
         return (isinstance(other, Graph) and other.vertices == self.vertices
                 and other.edges == self.edges)
@@ -295,12 +301,19 @@ def graph_from_dict(obj) -> CohnPair:
     if not isinstance(obj, dict):
         raise ValueError(f"a graph must be an object, got {obj!r}")
     vertices, edges = obj.get("vertices", []), obj.get("edges", [])
-    if not isinstance(vertices, list) or not isinstance(edges, list) \
-            or not all(isinstance(e, dict) for e in edges):
+    if not isinstance(vertices, list) or not all(isinstance(v, str) for v in vertices) \
+            or not isinstance(edges, list) or not all(isinstance(e, dict) for e in edges):
         raise ValueError("a graph's vertices must be a list of names and its "
                          "edges a list of objects")
-    g = Graph(vertices, [(e["name"], e["src"], e["dst"]) for e in edges])
+    for e in edges:
+        for field in ("name", "src", "dst"):
+            if not isinstance(e.get(field), str):
+                raise ValueError(f"graph edge {e!r} needs a string field {field!r}")
     x = obj.get("x")
+    if x is not None and (not isinstance(x, list)
+                          or not all(isinstance(v, str) for v in x)):
+        raise ValueError(f"a graph's x must be a list of vertex names, got {x!r}")
+    g = Graph(vertices, [(e["name"], e["src"], e["dst"]) for e in edges])
     return CohnPair(g, None if x is None else frozenset(x))
 
 

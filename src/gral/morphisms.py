@@ -200,11 +200,6 @@ class IsoVerdict:
         return sum(r.target_rank for r in self.rows)
 
 
-def _span_exact(spec: AlgebraSpec, bound: int) -> bool:
-    longest = spec.graph.longest_path_length()
-    return longest is not None and bound >= longest
-
-
 def verify_graded_iso(h: AlgebraHom, degree_bound: int = 3,
                       size_bound: int = 3) -> IsoVerdict:
     """Injectivity and surjectivity per degree on bounded spanning sets.
@@ -215,7 +210,8 @@ def verify_graded_iso(h: AlgebraHom, degree_bound: int = 3,
     arguments fail over zero divisors).
     """
     ring = h.source.ring
-    exact = _span_exact(h.source, size_bound) and _span_exact(h.target, size_bound)
+    exact = h.source.graph.all_paths_within(size_bound) and \
+        h.target.graph.all_paths_within(size_bound)
     # cyclic specs: bounded target elements may only be hit from source
     # elements of slightly larger length, so give the source side slack
     src_bound = size_bound if exact else size_bound + 2
@@ -223,11 +219,10 @@ def verify_graded_iso(h: AlgebraHom, degree_bound: int = 3,
     overall = "holds-exactly" if exact else "holds-at-bound"
     witness = ""
     for d in range(-degree_bound, degree_bound + 1):
-        src = [monomial_element(h.source, m)
-               for m in reduced_monomials(h.source, degree=d, max_len=src_bound)]
+        src = reduced_monomials(h.source, degree=d, max_len=src_bound)
         tgt = [monomial_element(h.target, m)
                for m in reduced_monomials(h.target, degree=d, max_len=size_bound)]
-        coords = [hom_apply(h, s).terms for s in src]
+        coords = [hom_apply(h, monomial_element(h.source, m)).terms for m in src]
         status = "holds-exactly" if exact else "holds-at-bound"
         row_witness = ""
         image = SpanSolver(ring, coords)
@@ -238,9 +233,8 @@ def verify_graded_iso(h: AlgebraHom, degree_bound: int = 3,
                 break
         if status != "fails":
             for gen in image.kernel():
-                combo = AlgebraElement.zero(h.source)
-                for i, s in enumerate(src):
-                    combo = combo + s.scale(gen[i])
+                combo = AlgebraElement.make(
+                    h.source, {m: gen[i] for i, m in enumerate(src)})
                 if not combo.is_zero:
                     status = "fails"
                     row_witness = f"kernel element {format_element(combo)}"
@@ -269,18 +263,15 @@ class HomPreimages:
             return AlgebraElement.zero(source)
         key = (target_elt.degree(), size_bound)
         if key not in self._solvers:
-            src = [monomial_element(source, m)
-                   for m in reduced_monomials(source, degree=key[0], max_len=size_bound)]
-            coords = [hom_apply(self.hom, s).terms for s in src]
+            src = reduced_monomials(source, degree=key[0], max_len=size_bound)
+            coords = [hom_apply(self.hom, monomial_element(source, m)).terms
+                      for m in src]
             self._solvers[key] = src, SpanSolver(source.ring, coords)
         src, solver = self._solvers[key]
         sol = solver.solve(target_elt.terms)
         if sol is None:
             return None
-        out = AlgebraElement.zero(source)
-        for i, s in enumerate(src):
-            out = out + s.scale(sol[i])
-        return out
+        return AlgebraElement.make(source, {m: sol[i] for i, m in enumerate(src)})
 
     def local_units(self, x: AlgebraElement, size_bound: int = 4) -> LocalUnitPair:
         """Local units of x pulled back from local units of its image, and

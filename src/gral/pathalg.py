@@ -633,9 +633,13 @@ def _path_to_json(p: Path):
 
 
 def _path_from_json(g: Graph, obj) -> Path:
-    if isinstance(obj, dict):
+    """{"vertex": name} or a list of edge names."""
+    if isinstance(obj, dict) and isinstance(obj.get("vertex"), str):
         return g.vertex_path(obj["vertex"])
-    return g.make_path(obj)
+    if isinstance(obj, list) and all(isinstance(n, str) for n in obj):
+        return g.make_path(obj)
+    raise ValueError('a path must be {"vertex": name} or a list of edge names, '
+                     f"got {obj!r}")
 
 
 def element_from_terms(spec: AlgebraSpec, terms) -> AlgebraElement:
@@ -644,11 +648,11 @@ def element_from_terms(spec: AlgebraSpec, terms) -> AlgebraElement:
     ring = spec.ring
     raw = {}
     for t in terms:
-        a = _path_from_json(spec.graph, t["alpha"])
-        b = _path_from_json(spec.graph, t["beta"])
+        a = _path_from_json(spec.graph, t.get("alpha"))
+        b = _path_from_json(spec.graph, t.get("beta"))
         if a.dst != b.dst:
             raise GralError(f"monomial ranges differ: {a} vs {b}")
-        c = ring.decode(t["coeff"])
+        c = ring.decode(t.get("coeff"))
         m = Monomial(a, b)
         raw[m] = ring.add(raw.get(m, ring.zero), c)
     return AlgebraElement.make(spec, _reduce(spec, raw, _ring_ops(ring)))

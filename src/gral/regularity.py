@@ -249,10 +249,9 @@ def graded_witness_oracle(x: AlgebraElement, bound: int) -> WitnessCertificate:
     solution = solve_linear_system(ring, constraints, candidates)
     bounds = (("size", bound),)
     if solution is None:
-        longest = spec.graph.longest_path_length()
-        exact = longest is not None and bound >= longest
         return WitnessCertificate(x, d, "oracle", absent=True,
-                                  absence_exact=exact, searched=searched,
+                                  absence_exact=spec.graph.all_paths_within(bound),
+                                  searched=searched,
                                   bounds=bounds, verified=True)
     b = AlgebraElement.make(spec, {m: c for m, c in solution.items()})
     if not _verify_witness(x, b):

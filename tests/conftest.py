@@ -2,6 +2,7 @@ import pytest
 from hypothesis import settings
 
 from gral.coeffring import ModularRing, ProductRing, TableRing
+from gral.cornerlaurent import CornerData, csl_make
 from gral.graphs import Graph
 from gral.pathalg import AlgebraElement, reduced_monomials
 
@@ -17,6 +18,27 @@ def table_z2xz2():
     """Z/2 x Z/2 given by tables: the element 2a + b stands for (a, b)."""
     return TableRing([[i ^ j for j in range(4)] for i in range(4)],
                      [[i & j for j in range(4)] for i in range(4)], zero=0, one=3)
+
+
+def table_upper_z2():
+    """Upper-triangular 2x2 matrices over Z/2 given by tables, a
+    non-commutative ring of order 8: 4a + 2b + c stands for [[a, b], [0, c]]."""
+    def entries(i):
+        return i >> 2, (i >> 1) & 1, i & 1
+
+    def mul(i, j):
+        (a, b, c), (x, y, z) = entries(i), entries(j)
+        return 4 * (a & x) + 2 * ((a & y) ^ (b & z)) + (c & z)
+    return TableRing([[i ^ j for j in range(8)] for i in range(8)],
+                     [[mul(i, j) for j in range(8)] for i in range(8)], zero=0, one=5)
+
+
+def swap_algebra():
+    """The corner skew Laurent ring over Z/2 x Z/2 with e = (1, 1) and alpha
+    swapping the two factors."""
+    ring = ProductRing([ModularRing(2), ModularRing(2)])
+    swap = {(a, b): (b, a) for a in range(2) for b in range(2)}
+    return csl_make(CornerData.make(ring, (1, 1), swap))
 
 
 def graph_a1():

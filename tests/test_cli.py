@@ -241,8 +241,17 @@ def _load_element(obj):
     ("graph", {"vertices": "uv", "edges": []}, graph_from_dict),
     ("graph", [1, 2], graph_from_dict),
     ("graph", {"vertices": ["v"], "edges": ["e"]}, graph_from_dict),
+    ("ring", {"kind": "product", "factors": 5}, ring_make),
+    ("ring", {"kind": "mod", "n": [4]}, ring_make),
+    ("ring", {"kind": "table", "size": 1, "add": 5, "mul": [[0]], "zero": 0, "one": 0},
+     ring_make),
+    ("element", [{"alpha": 5, "beta": {"vertex": "v"}, "coeff": 1}], _load_element),
+    ("graph", {"vertices": ["v", "w"], "edges": [{"name": "f", "src": "v"}]},
+     graph_from_dict),
 ], ids=["ring-not-an-object", "element-not-a-term-list", "vertices-a-string",
-        "graph-not-an-object", "edge-not-an-object"])
+        "graph-not-an-object", "edge-not-an-object", "factors-not-a-list",
+        "modulus-not-an-integer", "table-not-a-list", "path-not-a-list",
+        "edge-without-dst"])
 def test_malformed_input_exit2(files, tmp_path, capsys, kind, content, load):
     # the loader refuses the input, and the CLI says so on one error line
     with pytest.raises(ValueError):

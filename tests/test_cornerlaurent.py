@@ -5,7 +5,8 @@ import random
 
 import pytest
 
-from gral.coeffring import ModularRing, ProductRing, is_vnr
+from conftest import swap_algebra
+from gral.coeffring import ModularRing, is_vnr
 from gral.cornerlaurent import (CornerData, corner_from_dict,
                                 corner_to_dict, csl_element_from_dict,
                                 csl_element_to_dict, csl_epsilon,
@@ -17,12 +18,6 @@ from gral.errors import GralError, NotCornerIso, NotIdempotent
 def laurent(n):
     ring = ModularRing(n)
     return csl_make(CornerData.make(ring, 1, {i: i for i in range(n)}))
-
-
-def swap_algebra():
-    ring = ProductRing([ModularRing(2), ModularRing(2)])
-    swap = {(a, b): (b, a) for a in range(2) for b in range(2)}
-    return csl_make(CornerData.make(ring, (1, 1), swap))
 
 
 # -- construction ----------------------------------------------------------------

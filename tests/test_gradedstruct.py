@@ -1,12 +1,14 @@
 """Grading classification, epsilon structure, radical and semiprimeness."""
 
+import itertools
+
 import pytest
 
 from conftest import (SIX_GRAPHS, graph_a1, graph_loop, graph_null,
-                      graph_toeplitz, graph_vw)
+                      graph_toeplitz, graph_vw, swap_algebra, table_upper_z2)
 from gral import gradedstruct, morphisms
 from gral.coeffring import ModularRing, is_vnr
-from gral.cornerlaurent import CornerData, csl_make
+from gral.cornerlaurent import CornerData, csl_make, format_csl
 from gral.errors import (GralError, InternalVerificationFailure,
                          NotDegreeOneGenerated)
 from gral.gradedstruct import (CslOracle, MatrixGradingOracle,
@@ -232,7 +234,77 @@ def test_nearly_from_witness_units(z2):
 def test_nearly_polynomial_fails(z2):
     verdict, rows = check_nearly_epsilon(PolynomialOracle(z2), 2, 2)
     assert verdict.status == "fails"
-    assert any("x" in r.verdict.witness for r in rows if r.verdict.status == "fails")
+    assert [r.to_text() for r in rows] == [
+        "property=nearly-epsilon degree=0 verdict=holds-exactly",
+        "property=nearly-epsilon degree=1 verdict=fails witness=no left unit for x",
+        "property=nearly-epsilon degree=2 verdict=fails witness=no left unit for x^2"]
+
+
+SWAP_CORNER_CLASSIFY = """\
+oracle=Z/2 x Z/2[t+,t-;twisted]
+property=strong degree=* verdict=holds-exactly
+property=epsilon-strong degree=-2 verdict=holds-exactly
+property=epsilon-strong degree=-1 verdict=holds-exactly
+property=epsilon-strong degree=0 verdict=holds-exactly
+property=epsilon-strong degree=1 verdict=holds-exactly
+property=epsilon-strong degree=2 verdict=holds-exactly
+property=nearly-epsilon degree=-2 verdict=holds-exactly
+property=nearly-epsilon degree=-1 verdict=holds-exactly
+property=nearly-epsilon degree=0 verdict=holds-exactly
+property=nearly-epsilon degree=1 verdict=holds-exactly
+property=nearly-epsilon degree=2 verdict=holds-exactly
+property=symmetric degree=-2 verdict=holds-exactly
+property=symmetric degree=-1 verdict=holds-exactly
+property=symmetric degree=0 verdict=holds-exactly
+property=symmetric degree=1 verdict=holds-exactly
+property=symmetric degree=2 verdict=holds-exactly
+summary property=strong verdict=holds-exactly
+summary property=epsilon-strong verdict=holds-exactly
+summary property=nearly-epsilon verdict=holds-exactly
+summary property=symmetric verdict=holds-exactly
+epsilon degree=-2 element=(1,1)
+epsilon degree=-1 element=(1,1)
+epsilon degree=0 element=(1,1)
+epsilon degree=1 element=(1,1)
+epsilon degree=2 element=(1,1)"""
+
+
+def test_classify_swap_corner_pinned():
+    assert classify(CslOracle(swap_algebra()), 2, 2).to_text() == SWAP_CORNER_CLASSIFY
+
+
+def test_solve_epsilon_units_checked_on_swap_algebra():
+    # the twist keeps coordinates from being left-linear: the linear answer
+    # for t- on the left (and t+ on the right) is 0, which is no unit, so
+    # the search must go on to the additive closure and find a real one
+    oracle = CslOracle(swap_algebra())
+    for d in range(-2, 3):
+        span_d, span_md = oracle.spanning(d, 2), oracle.spanning(-d, 2)
+        left = gradedstruct._products(oracle, span_d, span_md)
+        right = gradedstruct._products(oracle, span_md, span_d)
+        for s in span_d:
+            eps = gradedstruct._solve_epsilon(oracle, left, [s], [])
+            assert eps is not None and eps * s == s, (d, format_csl(s))
+            eps = gradedstruct._solve_epsilon(oracle, right, [], [s])
+            assert eps is not None and s * eps == s, (d, format_csl(s))
+
+
+def test_solve_epsilon_units_checked_over_noncommutative_ring():
+    # over upper-triangular matrices the coordinates of t.(c.p) are not
+    # c times those of t.p, so the linear answer can miss t.eps = t
+    ring = table_upper_z2()
+    oracle = TrivialGradingOracle(ring)
+    nonzero = [x for x in ring.elements() if x != ring.zero]
+    found = 0
+    for products in itertools.permutations(nonzero, 2):
+        for t in nonzero:
+            eps = gradedstruct._solve_epsilon(oracle, list(products), [], [t])
+            if eps is not None:
+                found += 1
+                assert ring.mul(t, eps) == t, (products, t)
+            eps = gradedstruct._solve_epsilon(oracle, list(products), [t], [])
+            assert eps is None or ring.mul(eps, t) == t, (products, t)
+    assert found == 228
 
 
 def test_nearly_cohn_by_transport(z2):
@@ -256,6 +328,37 @@ def test_nearly_cohn_builds_phi_once(z2, monkeypatch):
         PathAlgebraOracle(AlgebraSpec.cohn(graph_vw(), z2, [])), 2, 2)
     assert verdict.holds
     assert len(built) == 1
+
+
+def test_path_oracle_local_units(z2):
+    # Leavitt specs: the constructive units; Cohn specs: units of the image
+    # under the Cohn-to-Leavitt isomorphism, pulled back
+    def units(spec, word):
+        pair = PathAlgebraOracle(spec).local_units(word_element(spec, word), 2)
+        return (format_element(pair.left.epsilon), format_element(pair.right.epsilon),
+                [(format_element(a), format_element(b)) for a, b in pair.left.pairs])
+    assert units(AlgebraSpec.leavitt(graph_vw(), z2), ["f"]) == ("v", "w", [("f", "f*")])
+    assert units(AlgebraSpec.cohn(graph_vw(), z2, []), ["f"]) == ("ff*", "w", [("f", "f*")])
+    assert units(AlgebraSpec.cohn(graph_vw(), z2, []), ["v"]) == \
+        ("v", "v", [("ff*", "ff*"), ("v + ff*", "v + ff*")])
+    assert MatrixGradingOracle(z2).local_units(MatrixGradingOracle(z2).unit(0, 1), 2) is None
+
+
+def test_nearly_products_formed_once_per_degree(monkeypatch):
+    # with every transport refused, each element falls back to the bounded
+    # search, which shares one S_d S_-d and one S_-d S_d list per degree
+    spec = AlgebraSpec.cohn(graph_vw(), ModularRing(2), [])
+
+    def refuse(*args, **kwargs):
+        raise GralError("transport refused")
+    monkeypatch.setattr(morphisms.HomPreimages, "local_units", refuse)
+    calls = []
+    real = gradedstruct._products
+    monkeypatch.setattr(gradedstruct, "_products",
+                        lambda oracle, xs, ys: calls.append(1) or real(oracle, xs, ys))
+    verdict, rows = check_nearly_epsilon(spec, 2, 2)
+    assert verdict.holds
+    assert len(rows) == 3 and len(calls) == 2 * len(rows)
 
 
 def _raise_internal(*args, **kwargs):
