@@ -2,7 +2,9 @@
 
 Reports are line-oriented structured text (stable field order, deterministic
 given a fixed seed); --json switches to a machine format.  Exit codes:
-0 verified/holds, 1 counterexample found, 2 usage or parse error.
+0 verified/holds, 1 counterexample found, 2 usage or parse error (one
+"error:" line on stderr), 3 internal failure such as a certificate that
+failed its own re-verification (a bug; one "internal error:" line).
 """
 
 from __future__ import annotations
@@ -36,7 +38,10 @@ DEFAULT_SAMPLES = 100
 
 def _load(path: str):
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except RecursionError:
+            raise ValueError(f"{path}: JSON nested too deeply") from None
 
 
 def _emit(args, lines, payload):
@@ -408,9 +413,12 @@ def main(argv=None) -> int:
             return 2
     try:
         return args.func(args)
-    except (GralError, OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
+    except (GralError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:  # a bug, never a verdict: the one exit-3 boundary
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -12,12 +12,11 @@ from __future__ import annotations
 import itertools
 import math
 import os
-from collections.abc import Hashable
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .errors import (AxiomViolation, InternalVerificationFailure,
-                     SearchCapExceeded)
+                     SearchCapExceeded, json_field, json_value)
 
 DEFAULT_SEARCH_CAP = 10**6
 
@@ -69,16 +68,6 @@ class Ring:
         """Multiplicative identity, or None for a relaxed (non-unital) table."""
         raise NotImplementedError
 
-    def scale_int(self, k: int, a):
-        """k.a for an integer k (repeated addition, sign via neg)."""
-        if k < 0:
-            return self.neg(self.scale_int(-k, a))
-        acc = self.zero
-        add = self.add
-        for _ in range(k):
-            acc = add(acc, a)
-        return acc
-
     def index(self, a) -> int:
         return self.elements().index(a)
 
@@ -88,12 +77,12 @@ class Ring:
 
     def decode(self, obj):
         a = self._decode(obj)
-        if not isinstance(a, Hashable) or a not in self._element_set():
+        if a not in self._element_set():
             raise ValueError(f"not an element of {self.describe()}: {obj!r}")
         return a
 
     def _decode(self, obj):
-        return obj
+        return json_value(obj, int, f"an element of {self.describe()}")
 
     def _element_set(self):
         cached = getattr(self, "_elt_set", None)
@@ -117,6 +106,14 @@ class Ring:
                 for a in self.elements() if a != self.zero
             ) and self.one is not None
             self._field_cache = cached
+        return cached
+
+    def is_commutative(self) -> bool:
+        cached = getattr(self, "_commutative_cache", None)
+        if cached is None:
+            cached = all(self.mul(a, b) == self.mul(b, a)
+                         for a, b in itertools.combinations(self.elements(), 2))
+            self._commutative_cache = cached
         return cached
 
 
@@ -149,9 +146,6 @@ class ModularRing(Ring):
     @property
     def one(self):
         return 1
-
-    def scale_int(self, k, a):
-        return (k * a) % self.n
 
     def index(self, a):
         return a
@@ -198,14 +192,11 @@ class ProductRing(Ring):
     def one(self):
         return tuple(f.one for f in self.factors)
 
-    def scale_int(self, k, a):
-        return tuple(f.scale_int(k, x) for f, x in zip(self.factors, a))
-
     def encode(self, a):
         return [f.encode(x) for f, x in zip(self.factors, a)]
 
     def _decode(self, obj):
-        if not isinstance(obj, (list, tuple)) or len(obj) != len(self.factors):
+        if len(json_value(obj, list, f"an element of {self.describe()}")) != len(self.factors):
             raise ValueError(f"bad product element: {obj!r}")
         return tuple(f.decode(x) for f, x in zip(self.factors, obj))
 
@@ -329,48 +320,32 @@ def ring_make(spec) -> Ring:
 
     Schema: {"kind":"mod","n":4} | {"kind":"product","factors":[...]} |
     {"kind":"table","size":k,"zero":i,"one":j,"add":[[...]],"mul":[[...]]}.
+    Every element of a ring is enumerated, so a ring with more elements than
+    the search cap is refused.
     """
-    if not isinstance(spec, dict):
-        raise ValueError(f"a ring spec must be an object, got {spec!r}")
-    kind = spec.get("kind")
+    kind = json_field(spec, "kind", str, "a ring spec")
+    what = f"a {kind} ring spec"
     if kind == "mod":
-        return ModularRing(_ring_field(spec, "n", _is_int, "an integer"))
+        return ModularRing(_within_cap(json_field(spec, "n", int, what)))
     if kind == "product":
-        return ProductRing([ring_make(f) for f in
-                            _ring_field(spec, "factors", _is_list, "a list")])
+        ring = ProductRing([ring_make(f) for f in json_field(spec, "factors", list, what)])
+        _within_cap(ring.order)
+        return ring
     if kind == "table":
-        size = _ring_field(spec, "size", _is_int, "an integer")
-        add, mul = (_ring_field(spec, name, _is_table, "a list of integer lists")
-                    for name in ("add", "mul"))
+        size = json_field(spec, "size", int, what)
+        add, mul = (json_field(spec, name, [[int]], what) for name in ("add", "mul"))
         if len(add) != size or len(mul) != size:
             raise AxiomViolation("table-size", size)
-        return TableRing(add, mul, _ring_field(spec, "zero", _is_int, "an integer"),
-                         _ring_field(spec, "one", _is_int, "an integer"))
+        return TableRing(add, mul, json_field(spec, "zero", int, what),
+                         json_field(spec, "one", int, what))
     raise ValueError(f"unknown ring kind: {kind!r}")
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _is_list(value) -> bool:
-    return isinstance(value, list)
-
-
-def _is_table(value) -> bool:
-    return _is_list(value) and all(_is_list(row) and all(map(_is_int, row))
-                                   for row in value)
-
-
-def _ring_field(spec: dict, name: str, check, what: str):
-    """spec[name], which must pass check; ValueError naming the field
-    otherwise."""
-    if name not in spec:
-        raise ValueError(f"a {spec['kind']} ring spec needs the field {name!r}")
-    value = spec[name]
-    if not check(value):
-        raise ValueError(f"ring field {name!r} must be {what}, got {value!r}")
-    return value
+def _within_cap(order: int) -> int:
+    cap = search_cap()
+    if order > cap:
+        raise SearchCapExceeded(order, cap, "ring enumeration")
+    return order
 
 
 def ring_spec(ring: Ring):
@@ -903,7 +878,7 @@ def matrix_vnr_witness(a: MatrixOverRing) -> Optional[MatrixOverRing]:
     """
     y = _matrix_witness_dispatch(a)
     if y is not None and mat_mul(mat_mul(a, y), a) != a:
-        raise ArithmeticError("matrix witness failed re-verification")
+        raise InternalVerificationFailure("matrix witness failed re-verification")
     return y
 
 

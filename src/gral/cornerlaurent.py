@@ -13,7 +13,7 @@ from typing import Optional
 
 from .coeffring import Ring, search_cap
 from .errors import (AssertionFailure, GralError, NotCornerIso, NotIdempotent,
-                     SearchCapExceeded)
+                     SearchCapExceeded, json_field)
 from .regularity import WitnessCertificate
 
 
@@ -59,27 +59,18 @@ class CslAlgebra:
         self.e = e
         self._alpha = alpha
         self._alpha_inv = {v: k for k, v in alpha.items()}
-        self._corner_units = [ring.one]  # e_0, e_1, ...
 
     def corner_unit(self, i: int):
         """e_i = t+^i t-^i, via e_0 = 1 and e_{i+1} = alpha(e_i).e."""
-        ring = self.ring
-        while len(self._corner_units) <= i:
-            prev = self._corner_units[-1]
-            self._corner_units.append(ring.mul(self._alpha[prev], self.e))
-        return self._corner_units[i]
+        return _iterate(lambda c: self.ring.mul(self._alpha[c], self.e), self.ring.one, i)
 
     def alpha_pow(self, k: int, a):
-        for _ in range(k):
-            a = self._alpha[a]
-        return a
+        return _iterate(self._alpha.__getitem__, a, k)
 
     def _reduce_middle(self, c, k: int):
         """t-^k c t+^k as a coefficient: k-fold alpha^{-1}(e c e)."""
         ring = self.ring
-        for _ in range(k):
-            c = self._alpha_inv[ring.mul(ring.mul(self.e, c), self.e)]
-        return c
+        return _iterate(lambda c: self._alpha_inv[ring.mul(ring.mul(self.e, c), self.e)], c, k)
 
     # -- elements -----------------------------------------------------------
 
@@ -213,6 +204,19 @@ class CSLElement:
         return format_csl(self)
 
 
+def _iterate(step, x, k: int):
+    """step applied k times to x.  The ring is finite, so the orbit of x
+    repeats within |R| steps, and any k costs no more steps than that."""
+    orbit = [x]
+    for _ in range(k):
+        x = step(x)
+        if x in orbit:
+            start = orbit.index(x)
+            return orbit[start + (k - start) % (len(orbit) - start)]
+        orbit.append(x)
+    return x
+
+
 def _term_product(alg: CslAlgebra, i: int, a, j: int, b):
     """Product of canonical terms at degrees i and j -> (degree, coefficient)."""
     ring = alg.ring
@@ -313,12 +317,11 @@ def corner_from_dict(obj) -> CslAlgebra:
 
     from .coeffring import ring_make
 
-    ring = ring_make(obj["ring"])
-    e = ring.decode(obj["e"])
-    alpha = {}
-    for key, img in obj["alpha"].items():
-        elt = ring.decode(json.loads(key))
-        alpha[elt] = ring.decode(img)
+    what = "a corner"
+    ring = ring_make(json_field(obj, "ring", dict, what))
+    e = ring.decode(json_field(obj, "e", object, what))
+    alpha = {ring.decode(json.loads(key)): ring.decode(img)
+             for key, img in json_field(obj, "alpha", dict, what).items()}
     return csl_make(CornerData.make(ring, e, alpha))
 
 
@@ -340,9 +343,9 @@ def csl_element_from_dict(alg: CslAlgebra, obj) -> CSLElement:
     """{"terms": [{"degree": d, "coeff": <element>}]}"""
     ring = alg.ring
     coeffs = {}
-    for t in obj["terms"]:
-        d = int(t["degree"])
-        c = ring.decode(t["coeff"])
+    for t in json_field(obj, "terms", [dict], "a corner element"):
+        d = json_field(t, "degree", int, "a corner element term")
+        c = ring.decode(json_field(t, "coeff", object, "a corner element term"))
         coeffs[d] = ring.add(coeffs.get(d, ring.zero), c)
     return alg.element(coeffs)
 

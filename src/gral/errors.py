@@ -1,6 +1,42 @@
-"""Exception types shared across the library."""
+"""Exception types shared across the library, and the one reader through
+which every JSON loader takes its fields."""
 
 from __future__ import annotations
+
+_REQUIRED = object()
+_KIND_NAMES = {int: "an integer", str: "a string", dict: "an object",
+               list: "a list", object: "a value"}
+
+
+def json_value(value, kind, what: str):
+    """value when it has the JSON shape kind, else ValueError naming what
+    and, inside a list or object, the offending item.
+
+    kind is int (bools rejected), str, dict, list, object (any value),
+    [kind] for a list of that kind (e.g. [[int]]) or {str: kind} for an
+    object whose values have that kind."""
+    outer = type(kind) if isinstance(kind, (list, dict)) else kind
+    if not isinstance(value, outer) or (outer is int and isinstance(value, bool)):
+        raise ValueError(f"{what} must be {_KIND_NAMES[outer]}, got {value!r}")
+    if isinstance(kind, list):
+        for i, item in enumerate(value):
+            json_value(item, kind[0], f"item {i} of {what}")
+    elif isinstance(kind, dict):
+        for name, item in value.items():
+            json_value(item, kind[str], f"field {name!r} of {what}")
+    return value
+
+
+def json_field(obj, name: str, kind, what: str, default=_REQUIRED):
+    """Field name of the JSON object obj, described as what, checked against
+    kind (see json_value).  An absent or null field gives default, or
+    ValueError when no default is given."""
+    value = json_value(obj, dict, what).get(name)
+    if value is None:
+        if default is _REQUIRED:
+            raise ValueError(f"{what} needs the field {name!r}")
+        return default
+    return json_value(value, kind, f"field {name!r} of {what}")
 
 
 class GralError(Exception):
@@ -54,8 +90,11 @@ class CoefficientRingNotVNR(GralError):
     coefficient ring."""
 
 
-class InternalVerificationFailure(GralError):
-    """A certificate failed its own re-verification; signals a bug."""
+class InternalVerificationFailure(Exception):
+    """A certificate failed its own re-verification; signals a bug.
+
+    Deliberately not a GralError: handlers of refusals never catch it, and
+    the CLI reports it as an internal failure (exit 3)."""
 
 
 class RelationViolation(GralError):

@@ -623,10 +623,11 @@ def _solve_epsilon(oracle, products, span_d, span_md):
     The linear system reads these equations through the coordinates, which
     describe the products only where scaling a product scales its
     coordinates on the side the equation needs; a non-commutative
-    coefficient ring or a twisted corner breaks that.  So every candidate is
-    checked on the elements themselves, and when the linear answer fails,
-    or over a corner ring finds nothing, the finite additive closure of the
-    products is searched instead.
+    coefficient ring or a twisted corner breaks that, and there an empty
+    linear answer proves nothing.  So every candidate is checked on the
+    elements themselves, and when the linear answer fails, or finds nothing
+    over a corner ring or a non-commutative ring, the finite additive
+    closure of the products is searched instead.
     """
     if not products:
         return None
@@ -649,7 +650,7 @@ def _solve_epsilon(oracle, products, span_d, span_md):
                                             for i, p in enumerate(products)))
         if is_unit(eps):
             return eps
-    elif not isinstance(oracle, CslOracle):
+    elif ring.is_commutative() and not isinstance(oracle, CslOracle):
         return None
     return next((c for c in _additive_closure(oracle, products) if is_unit(c)), None)
 
@@ -737,8 +738,6 @@ def _oracle_units(oracle, x, size_bound):
     failed self-check is a bug and propagates."""
     try:
         return oracle.local_units(x, size_bound)
-    except InternalVerificationFailure:
-        raise
     except GralError:
         return None
 
@@ -895,9 +894,7 @@ def classify(target, degree_bound: int = 3, size_bound: int = 3) -> Classificati
                                                      strong.verdict.bound)
         rows.append(ReportRow("strong", "*", v))
         summary.append(("strong", strong.verdict))
-    except InternalVerificationFailure:
-        raise
-    except (NotDegreeOneGenerated, GralError) as exc:
+    except GralError as exc:
         v = Verdict(FAILS, f"refused: {exc}")
         rows.append(ReportRow("strong", "*", v))
         summary.append(("strong", v))

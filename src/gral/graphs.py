@@ -6,7 +6,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .errors import GralError, XNotRegular
+from .errors import GralError, XNotRegular, json_field
 
 PRIME_SUFFIX = "'"
 
@@ -50,7 +50,10 @@ class Graph:
                      for v in self.vertices}
 
     def edge(self, name: str) -> Edge:
-        return self._edge_by_name[name]
+        e = self._edge_by_name.get(name)
+        if e is None:
+            raise GralError(f"unknown edge {name!r}")
+        return e
 
     def out_edges(self, v: str):
         return self._out[v]
@@ -298,23 +301,10 @@ def graph_from_dict(obj) -> CohnPair:
 
     Omitted "x" means X = Reg(E), i.e. the Leavitt case.
     """
-    if not isinstance(obj, dict):
-        raise ValueError(f"a graph must be an object, got {obj!r}")
-    vertices, edges = obj.get("vertices", []), obj.get("edges", [])
-    if not isinstance(vertices, list) or not all(isinstance(v, str) for v in vertices) \
-            or not isinstance(edges, list) or not all(isinstance(e, dict) for e in edges):
-        raise ValueError("a graph's vertices must be a list of names and its "
-                         "edges a list of objects")
-    for e in edges:
-        for field in ("name", "src", "dst"):
-            if not isinstance(e.get(field), str):
-                raise ValueError(f"graph edge {e!r} needs a string field {field!r}")
-    x = obj.get("x")
-    if x is not None and (not isinstance(x, list)
-                          or not all(isinstance(v, str) for v in x)):
-        raise ValueError(f"a graph's x must be a list of vertex names, got {x!r}")
-    g = Graph(vertices, [(e["name"], e["src"], e["dst"]) for e in edges])
-    return CohnPair(g, None if x is None else frozenset(x))
+    edges = [tuple(json_field(e, name, str, f"graph edge {e!r}") for name in ("name", "src", "dst"))
+             for e in json_field(obj, "edges", [dict], "a graph", [])]
+    g = Graph(json_field(obj, "vertices", [str], "a graph", []), edges)
+    return CohnPair(g, json_field(obj, "x", [str], "a graph", None))
 
 
 def graph_to_dict(pair: CohnPair):
@@ -333,8 +323,8 @@ def morphism_from_dict(obj, source: CohnPair, target: CohnPair) -> GraphMorphism
 
     Explicit X fields override the pairs' own subsets.
     """
-    if "sourceX" in obj:
-        source = CohnPair(source.graph, frozenset(obj["sourceX"]))
-    if "targetX" in obj:
-        target = CohnPair(target.graph, frozenset(obj["targetX"]))
-    return GraphMorphism.make(source, target, dict(obj["vmap"]), dict(obj["emap"]))
+    what = "a graph morphism"
+    source = CohnPair(source.graph, json_field(obj, "sourceX", [str], what, source.x))
+    target = CohnPair(target.graph, json_field(obj, "targetX", [str], what, target.x))
+    return GraphMorphism.make(source, target, json_field(obj, "vmap", {str: str}, what),
+                              json_field(obj, "emap", {str: str}, what))

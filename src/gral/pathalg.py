@@ -2,9 +2,7 @@
 
 Elements are kept in normal form on the reduced-monomial basis: a monomial
 alpha.beta* is reduced unless alpha and beta both end in the special
-(least-named) edge of a vertex in X.  The rewriting engine is generic over
-the coefficient arithmetic so the same rules can run with integer
-coefficients when products have to be tracked symbolically.
+(least-named) edge of a vertex in X.
 """
 
 from __future__ import annotations
@@ -15,8 +13,8 @@ from typing import Optional
 
 from .coeffring import Ring, mul_entries
 from .errors import (GralError, NotDegreeZero, NotInDn, SpecMismatch,
-                     UnknownGenerator, XNotRegular)
-from .graphs import CohnPair, Graph, Path
+                     UnknownGenerator, XNotRegular, json_field, json_value)
+from .graphs import Graph, Path
 
 
 @dataclass(frozen=True)
@@ -57,10 +55,6 @@ class AlgebraSpec:
     def cohn(cls, graph: Graph, ring: Ring, x=()) -> "AlgebraSpec":
         return cls(graph, ring, x)
 
-    @classmethod
-    def from_pair(cls, pair: CohnPair, ring: Ring) -> "AlgebraSpec":
-        return cls(pair.graph, ring, pair.x)
-
     @property
     def is_leavitt(self) -> bool:
         return self.x == frozenset(self.graph.regular)
@@ -94,23 +88,6 @@ class AlgebraSpec:
 
 # ---------------------------------------------------------------------------
 # Rewriting engine
-
-
-class _Ops:
-    __slots__ = ("add", "neg", "is_zero")
-
-    def __init__(self, add, neg, is_zero):
-        self.add = add
-        self.neg = neg
-        self.is_zero = is_zero
-
-
-def _ring_ops(ring: Ring) -> _Ops:
-    zero = ring.zero
-    return _Ops(ring.add, ring.neg, lambda c: c == zero)
-
-
-INT_OPS = _Ops(lambda a, b: a + b, lambda a: -a, lambda c: c == 0)
 
 
 def _mono_mul(spec: AlgebraSpec, m1: Monomial, m2: Monomial) -> Optional[Monomial]:
@@ -163,13 +140,15 @@ def _rewrite(spec: AlgebraSpec, m: Monomial):
     return out
 
 
-def _reduce(spec: AlgebraSpec, terms: dict, ops: _Ops, chooser=None) -> dict:
-    """Apply relation-(v) rewrites to a fixed point.
+def _reduce(spec: AlgebraSpec, terms: dict, ring: Ring, chooser=None) -> dict:
+    """Apply relation-(v) rewrites to a fixed point, with coefficients in
+    ring; the result has no zero coefficients.
 
     chooser picks the next reducible monomial from a sorted list; the default
     is leftmost (minimal sort key), used everywhere outside confluence tests.
     """
-    terms = {m: c for m, c in terms.items() if not ops.is_zero(c)}
+    zero = ring.zero
+    terms = {m: c for m, c in terms.items() if c != zero}
     pending = {m for m in terms if _reducible(spec, m)}
     while pending:
         if chooser is None:
@@ -181,10 +160,10 @@ def _reduce(spec: AlgebraSpec, terms: dict, ops: _Ops, chooser=None) -> dict:
         if c is None:
             continue
         for m2, sign in _rewrite(spec, m):
-            c2 = c if sign > 0 else ops.neg(c)
+            c2 = c if sign > 0 else ring.neg(c)
             if m2 in terms:
-                c2 = ops.add(terms[m2], c2)
-            if ops.is_zero(c2):
+                c2 = ring.add(terms[m2], c2)
+            if c2 == zero:
                 terms.pop(m2, None)
                 pending.discard(m2)
             else:
@@ -267,7 +246,7 @@ class AlgebraElement:
                     raw.pop(m, None)
                 else:
                     raw[m] = c
-        return AlgebraElement(self.spec, _reduce(self.spec, raw, _ring_ops(ring), chooser))
+        return AlgebraElement(self.spec, _reduce(self.spec, raw, ring, chooser))
 
     def scale(self, r) -> "AlgebraElement":
         ring = self.spec.ring
@@ -414,11 +393,8 @@ def reduced_monomials(spec: AlgebraSpec, degree: Optional[int] = None,
 
 
 def monomial_element(spec: AlgebraSpec, m: Monomial, coeff=None) -> AlgebraElement:
-    if _reducible(spec, m):
-        return AlgebraElement.make(
-            spec, _reduce(spec, {m: coeff if coeff is not None else spec.ring.one},
-                          _ring_ops(spec.ring)))
-    return AlgebraElement(spec, {m: coeff if coeff is not None else spec.ring.one})
+    terms = {m: spec.ring.one if coeff is None else coeff}
+    return AlgebraElement(spec, _reduce(spec, terms, spec.ring) if _reducible(spec, m) else terms)
 
 
 # ---------------------------------------------------------------------------
@@ -597,7 +573,7 @@ def matricial_lift(image: MatricialImage) -> AlgebraElement:
                     continue
                 mono = Monomial(a, b)
                 raw[mono] = ring.add(raw.get(mono, ring.zero), c)
-    return AlgebraElement.make(spec, _reduce(spec, raw, _ring_ops(ring)))
+    return AlgebraElement(spec, _reduce(spec, raw, ring))
 
 
 def dn_rank(spec: AlgebraSpec, n: int) -> int:
@@ -632,27 +608,24 @@ def _path_to_json(p: Path):
     return list(p.edges)
 
 
-def _path_from_json(g: Graph, obj) -> Path:
-    """{"vertex": name} or a list of edge names."""
-    if isinstance(obj, dict) and isinstance(obj.get("vertex"), str):
-        return g.vertex_path(obj["vertex"])
-    if isinstance(obj, list) and all(isinstance(n, str) for n in obj):
-        return g.make_path(obj)
-    raise ValueError('a path must be {"vertex": name} or a list of edge names, '
-                     f"got {obj!r}")
+def _path_from_json(g: Graph, term: dict, name: str) -> Path:
+    """Field name of a term: {"vertex": name} or a list of edge names."""
+    obj = json_field(term, name, object, "a term")
+    if isinstance(obj, dict):
+        return g.vertex_path(json_field(obj, "vertex", str, f"the {name} vertex"))
+    return g.make_path(json_value(obj, [str], f"field {name!r} of a term"))
 
 
 def element_from_terms(spec: AlgebraSpec, terms) -> AlgebraElement:
-    if not isinstance(terms, list) or not all(isinstance(t, dict) for t in terms):
-        raise ValueError(f"an element must be a list of term objects, got {terms!r}")
+    """[{"coeff": <element>, "alpha": <path>, "beta": <path>}, ...]"""
     ring = spec.ring
     raw = {}
-    for t in terms:
-        a = _path_from_json(spec.graph, t.get("alpha"))
-        b = _path_from_json(spec.graph, t.get("beta"))
+    for t in json_value(terms, [dict], "an element"):
+        a = _path_from_json(spec.graph, t, "alpha")
+        b = _path_from_json(spec.graph, t, "beta")
         if a.dst != b.dst:
             raise GralError(f"monomial ranges differ: {a} vs {b}")
-        c = ring.decode(t.get("coeff"))
+        c = ring.decode(json_field(t, "coeff", object, "a term"))
         m = Monomial(a, b)
         raw[m] = ring.add(raw.get(m, ring.zero), c)
-    return AlgebraElement.make(spec, _reduce(spec, raw, _ring_ops(ring)))
+    return AlgebraElement(spec, _reduce(spec, raw, ring))

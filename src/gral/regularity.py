@@ -18,7 +18,7 @@ from .coeffring import (MatrixOverRing, is_vnr, matrix_vnr_witness,
                         mul_entries, solve_linear_system)
 from .errors import (CoefficientRingNotVNR, GralError,
                      InternalVerificationFailure, ZeroElement)
-from .pathalg import (INT_OPS, AlgebraElement, AlgebraSpec, BlockStructure,
+from .pathalg import (AlgebraElement, AlgebraSpec, BlockStructure,
                       MatricialImage, Monomial, _expand_to_level, _mono_mul,
                       _reduce, filtration_level, matricial_decompose,
                       matricial_lift, monomial_element, reduced_monomials)
@@ -238,9 +238,8 @@ def graded_witness_oracle(x: AlgebraElement, bound: int) -> WitnessCertificate:
                 t2 = _mono_mul(spec, t1, m2)
                 if t2 is None:
                     continue
-                for mono, s in _reduce(spec, {t2: 1}, INT_OPS).items():
-                    constraints_map.setdefault(mono, []).append(
-                        (ring.scale_int(s, r1), cand, r2))
+                for mono, c in _reduce(spec, {t2: r1}, ring).items():
+                    constraints_map.setdefault(mono, []).append((c, cand, r2))
     constraints = [(terms, x.coeff(mono))
                    for mono, terms in sorted(constraints_map.items(),
                                              key=lambda kv: kv[0].sort_key())]

@@ -1,13 +1,20 @@
 """CLI behavior: exit codes, determinism, file formats."""
 
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from conftest import table_z2xz2
+from gral import cli, coeffring
 from gral.cli import main
-from gral.coeffring import ModularRing, ring_make, ring_spec
-from gral.graphs import Graph, graph_from_dict
+from gral.coeffring import MatrixOverRing, ModularRing, ring_make, ring_spec
+from gral.cornerlaurent import corner_from_dict, csl_element_from_dict
+from gral.errors import GralError, InternalVerificationFailure
+from gral.graphs import CohnPair, Graph, graph_from_dict, morphism_from_dict
 from gral.pathalg import AlgebraSpec, element_from_terms
 
 
@@ -230,40 +237,175 @@ def test_parse_error_exit2(files, tmp_path, capsys):
     assert main(["check-ring", str(tmp_path / "missing.json")]) == 2
 
 
+VW = Graph(["v", "w"], [("f", "v", "w")])
+CORNER_Z4 = {"ring": {"kind": "mod", "n": 4}, "e": 1, "alpha": {str(i): i for i in range(4)}}
+MAP = {"vmap": {"v": "v"}, "emap": {}, "sourceX": [], "targetX": ["v"]}
+
+
 def _load_element(obj):
-    return element_from_terms(AlgebraSpec.leavitt(Graph(["v", "w"], [("f", "v", "w")]),
-                                                  ModularRing(2)), obj)
+    return element_from_terms(AlgebraSpec.leavitt(VW, ModularRing(2)), obj)
 
 
-@pytest.mark.parametrize("kind, content, load", [
-    ("ring", [1, 2], ring_make),
-    ("element", {"alpha": 5}, _load_element),
-    ("graph", {"vertices": "uv", "edges": []}, graph_from_dict),
-    ("graph", [1, 2], graph_from_dict),
-    ("graph", {"vertices": ["v"], "edges": ["e"]}, graph_from_dict),
-    ("ring", {"kind": "product", "factors": 5}, ring_make),
-    ("ring", {"kind": "mod", "n": [4]}, ring_make),
-    ("ring", {"kind": "table", "size": 1, "add": 5, "mul": [[0]], "zero": 0, "one": 0},
-     ring_make),
-    ("element", [{"alpha": 5, "beta": {"vertex": "v"}, "coeff": 1}], _load_element),
-    ("graph", {"vertices": ["v", "w"], "edges": [{"name": "f", "src": "v"}]},
-     graph_from_dict),
-], ids=["ring-not-an-object", "element-not-a-term-list", "vertices-a-string",
-        "graph-not-an-object", "edge-not-an-object", "factors-not-a-list",
-        "modulus-not-an-integer", "table-not-a-list", "path-not-a-list",
-        "edge-without-dst"])
-def test_malformed_input_exit2(files, tmp_path, capsys, kind, content, load):
+def _load_csl_element(obj):
+    return csl_element_from_dict(corner_from_dict(CORNER_Z4), obj)
+
+
+def _load_map(obj):
+    return morphism_from_dict(obj, CohnPair(Graph(["v"], [])), CohnPair(VW))
+
+
+def _argv(files, kind, path):
+    """The command that reads an input of this kind from path, the other
+    inputs being valid.  The oracle method keeps a fuzzed modulus from
+    reaching is_vnr, whose search is quadratic in the ring's order."""
+    if kind in ("corner", "csl"):
+        paths = {"corner": files["corner_z4"], "csl": files["csl_2t"], kind: path}
+        return ["corner", "witness", "--corner", paths["corner"], "--element", paths["csl"]]
+    if kind == "map":
+        return ["morphism", "check", "--source", files["a1"], "--target", files["vw"],
+                "--map", path, "--ring", files["z2"]]
+    paths = {"graph": files["vw"], "ring": files["z2"], "element": files["elt_f"], kind: path}
+    return ["lpa", "witness", "--graph", paths["graph"], "--ring", paths["ring"],
+            "--element", paths["element"], "--method", "oracle"]
+
+
+@pytest.mark.parametrize("kind, content, load, error", [
+    pytest.param("ring", [1, 2], ring_make, ValueError, id="ring-not-an-object"),
+    pytest.param("element", {"alpha": 5}, _load_element, ValueError,
+                 id="element-not-a-term-list"),
+    pytest.param("graph", {"vertices": "uv", "edges": []}, graph_from_dict, ValueError,
+                 id="vertices-a-string"),
+    pytest.param("graph", [1, 2], graph_from_dict, ValueError, id="graph-not-an-object"),
+    pytest.param("graph", {"vertices": ["v"], "edges": ["e"]}, graph_from_dict, ValueError,
+                 id="edge-not-an-object"),
+    pytest.param("ring", {"kind": "product", "factors": 5}, ring_make, ValueError,
+                 id="factors-not-a-list"),
+    pytest.param("ring", {"kind": "mod", "n": [4]}, ring_make, ValueError,
+                 id="modulus-not-an-integer"),
+    pytest.param("ring", {"kind": "table", "size": 1, "add": 5, "mul": [[0]], "zero": 0,
+                          "one": 0}, ring_make, ValueError, id="table-not-a-list"),
+    pytest.param("element", [{"alpha": 5, "beta": {"vertex": "v"}, "coeff": 1}],
+                 _load_element, ValueError, id="path-not-a-list"),
+    pytest.param("graph", {"vertices": ["v", "w"], "edges": [{"name": "f", "src": "v"}]},
+                 graph_from_dict, ValueError, id="edge-without-dst"),
+    pytest.param("corner", dict(CORNER_Z4, alpha=5), corner_from_dict, ValueError,
+                 id="corner-alpha-not-an-object"),
+    pytest.param("csl", {"terms": 5}, _load_csl_element, ValueError,
+                 id="corner-terms-not-a-list"),
+    pytest.param("csl", {"terms": [{"degree": "x", "coeff": 1}]}, _load_csl_element,
+                 ValueError, id="corner-degree-not-an-integer"),
+    pytest.param("csl", {"terms": [{"degree": True, "coeff": 1}]}, _load_csl_element,
+                 ValueError, id="corner-degree-a-bool"),
+    pytest.param("map", dict(MAP, vmap=5), _load_map, ValueError, id="vmap-not-an-object"),
+    pytest.param("map", [1, 2], _load_map, ValueError, id="map-not-an-object"),
+    pytest.param("element", [{"coeff": 1, "alpha": ["g"], "beta": {"vertex": "w"}}],
+                 _load_element, GralError, id="unknown-edge"),
+])
+def test_malformed_input_exit2(files, tmp_path, capsys, kind, content, load, error):
     # the loader refuses the input, and the CLI says so on one error line
-    with pytest.raises(ValueError):
+    with pytest.raises(error):
         load(content)
-    paths = {"graph": files["vw"], "ring": files["z2"], "element": files["elt_f"],
-             kind: write(tmp_path / "bad.json", content)}
-    code = main(["lpa", "witness", "--graph", paths["graph"], "--ring", paths["ring"],
-                 "--element", paths["element"]])
+    code = main(_argv(files, kind, write(tmp_path / "bad.json", content)))
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text(max_size=3)
+    | st.floats(allow_nan=False, allow_infinity=False),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner,
+                                                                 max_size=3),
+    max_leaves=5)
+
+VALID_INPUTS = {
+    "ring": {"kind": "mod", "n": 2},
+    "table ring": ring_spec(table_z2xz2()),
+    "graph": {"vertices": ["v", "w"], "edges": [{"name": "f", "src": "v", "dst": "w"}]},
+    "element": [{"coeff": 1, "alpha": ["f"], "beta": {"vertex": "w"}}],
+    "corner": CORNER_Z4,
+    "csl": {"terms": [{"degree": 1, "coeff": 2}]},
+    "map": MAP,
+}
+
+
+def _places(obj, path=()):
+    """Paths to the document itself and to every field and list item in it."""
+    yield path
+    items = obj.items() if isinstance(obj, dict) else enumerate(obj) \
+        if isinstance(obj, list) else ()
+    for key, value in items:
+        yield from _places(value, path + (key,))
+
+
+def _replace(obj, path, value):
+    if not path:
+        return value
+    out = dict(obj) if isinstance(obj, dict) else list(obj)
+    out[path[0]] = _replace(obj[path[0]], path[1:], value)
+    return out
+
+
+@pytest.fixture(scope="module")
+def fuzz_files(tmp_path_factory):
+    workdir = tmp_path_factory.mktemp("fuzz")
+    return workdir, {key: write(workdir / f"{key}.json", obj) for key, obj in {
+        "z2": {"kind": "mod", "n": 2}, "a1": {"vertices": ["v"], "edges": []},
+        "vw": VALID_INPUTS["graph"], "elt_f": VALID_INPUTS["element"],
+        "corner_z4": CORNER_Z4, "csl_2t": VALID_INPUTS["csl"]}.items()}
+
+
+@pytest.mark.parametrize("name", sorted(VALID_INPUTS))
+@given(data=st.data(), value=JSON_VALUES)
+def test_any_single_field_exits_0_1_or_2(fuzz_files, name, data, value):
+    workdir, files = fuzz_files
+    doc = VALID_INPUTS[name]
+    place = data.draw(st.sampled_from(list(_places(doc))))
+    path = write(workdir / "fuzzed.json", _replace(doc, place, value))
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(_argv(files, name.split()[-1], path))
+    assert code in (0, 1, 2), err.getvalue()
+    assert code != 2 or (err.getvalue().startswith("error: ")
+                         and err.getvalue().count("\n") == 1)
+
+
+def test_internal_failure_exits_3(files, capsys, monkeypatch):
+    # a failed self-check is a bug: exit 3 with one line, never a verdict
+    def planted(*args, **kwargs):
+        raise InternalVerificationFailure("planted")
+    monkeypatch.setattr(cli, "graded_witness_oracle", planted)
+    code = main(["lpa", "witness", "--graph", files["vw"], "--ring", files["z6"],
+                 "--element", files["elt_f"], "--method", "oracle"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err == "internal error: InternalVerificationFailure: planted\n"
+
+
+def test_wrong_matrix_witness_exits_3(files, capsys, monkeypatch):
+    # matrix_vnr_witness re-checks A.Y.A = A on what the dispatch returns
+    real = coeffring._matrix_witness_dispatch
+
+    def wrong(a):
+        y = real(a)
+        return MatrixOverRing(y.ring, tuple(tuple(y.ring.zero for _ in row)
+                                            for row in y.entries))
+    monkeypatch.setattr(coeffring, "_matrix_witness_dispatch", wrong)
+    code = main(["lpa", "witness", "--graph", files["vw"], "--ring", files["z6"],
+                 "--element", files["elt_f"], "--method", "constructive"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.err.startswith("internal error: InternalVerificationFailure: ")
+    assert captured.err.count("\n") == 1
+
+
+def test_deeply_nested_file_exit2(files, tmp_path, capsys):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100000 + "]" * 100000)
+    assert main(["check-ring", str(deep)]) == 2
+    assert capsys.readouterr().err == f"error: {deep}: JSON nested too deeply\n"
 
 
 def test_usage_error_exit2(capsys):

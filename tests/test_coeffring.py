@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from conftest import table_z2xz2
+from conftest import table_upper_z2, table_z2xz2
 from gral.cli import main
 from gral.coeffring import (MatrixOverRing, ModularRing, ProductRing, Ring,
                             SpanSolver, TableRing, _solve_exhaustive,
@@ -64,6 +64,22 @@ def test_ring_make_product_order():
                       "factors": [{"kind": "mod", "n": 2}, {"kind": "mod", "n": 3}]})
     assert ring.order == 6
     assert ring.one == (1, 1)
+
+
+def test_ring_make_refuses_rings_beyond_the_cap(monkeypatch):
+    # every element of a loaded ring gets enumerated, so its order is capped
+    # before anything is built
+    monkeypatch.setenv("GRAL_SEARCH_CAP", "100")
+    assert ring_make({"kind": "mod", "n": 100}).order == 100
+    with pytest.raises(SearchCapExceeded):
+        ring_make({"kind": "mod", "n": 2**70})
+    with pytest.raises(SearchCapExceeded):
+        ring_make({"kind": "product", "factors": [{"kind": "mod", "n": 11}] * 2})
+
+
+def test_is_commutative():
+    assert ModularRing(6).is_commutative() and table_z2xz2().is_commutative()
+    assert not table_upper_z2().is_commutative()
 
 
 def test_table_ring_valid_roundtrip():

@@ -100,6 +100,20 @@ def test_corner_unit_chain():
 # -- epsilon structure -----------------------------------------------------------------
 
 
+def test_large_degrees_follow_the_orbits():
+    # alpha permutes the finite ring, so alpha^k and the products of terms
+    # of huge degree are read off the orbits; the swap has period 2
+    alg = swap_algebra()
+    huge = 10**18
+    for a in alg.ring.elements():
+        assert [alg.alpha_pow(k, a) for k in range(5)] == [a, a[::-1]] * 2 + [a]
+        assert alg.alpha_pow(huge, a) == a and alg.alpha_pow(huge + 1, a) == a[::-1]
+    assert alg.corner_unit(huge) == alg.corner_unit(2)
+    x = alg.element({huge: (1, 0)}) * alg.element({-huge - 1: (1, 1)})
+    assert x == alg.element({2: (1, 0)}) * alg.element({-3: (1, 1)})
+    assert not x.is_zero and not csl_graded_witness(x).absent
+
+
 def test_epsilon_table_degenerate():
     alg = laurent(2)
     for n in range(-3, 4):

@@ -291,20 +291,26 @@ def test_solve_epsilon_units_checked_on_swap_algebra():
 
 def test_solve_epsilon_units_checked_over_noncommutative_ring():
     # over upper-triangular matrices the coordinates of t.(c.p) are not
-    # c times those of t.p, so the linear answer can miss t.eps = t
+    # c times those of t.p, so the linear answer can miss t.eps = t, and
+    # its absence proves nothing: None must mean that no element of the
+    # products' additive closure is a unit
     ring = table_upper_z2()
     oracle = TrivialGradingOracle(ring)
     nonzero = [x for x in ring.elements() if x != ring.zero]
-    found = 0
+    outcomes = set()
     for products in itertools.permutations(nonzero, 2):
+        closure = gradedstruct._additive_closure(oracle, list(products))
         for t in nonzero:
-            eps = gradedstruct._solve_epsilon(oracle, list(products), [], [t])
-            if eps is not None:
-                found += 1
-                assert ring.mul(t, eps) == t, (products, t)
-            eps = gradedstruct._solve_epsilon(oracle, list(products), [t], [])
-            assert eps is None or ring.mul(eps, t) == t, (products, t)
-    assert found == 228
+            for left, right, is_unit in (
+                    ([t], [], lambda eps: ring.mul(eps, t) == t),
+                    ([], [t], lambda eps: ring.mul(t, eps) == t)):
+                eps = gradedstruct._solve_epsilon(oracle, list(products), left, right)
+                if eps is None:
+                    assert not any(map(is_unit, closure)), (products, t, left)
+                else:
+                    assert is_unit(eps), (products, t, left)
+                outcomes.add(eps is None)
+    assert outcomes == {True, False}
 
 
 def test_nearly_cohn_by_transport(z2):

@@ -41,3 +41,46 @@ def test_graded_oracles_implement_the_abstract_methods():
     missing = [(cls.__name__, name) for cls in oracles for name in sorted(abstract)
                if getattr(cls, name) is getattr(base, name)]
     assert missing == []
+
+
+def _parse(path):
+    return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+
+
+def test_internal_failures_are_not_refusals():
+    # every `except GralError` treats its catch as a refusal or a usage
+    # error; a failed self-check must pass through all of them
+    classes = {node.name: [ast.unparse(b) for b in node.bases]
+               for node in _parse(SRC / "errors.py").body if isinstance(node, ast.ClassDef)}
+
+    def ancestors(name):
+        for base in classes.get(name, ()):
+            yield base
+            yield from ancestors(base)
+    assert "GralError" in set(ancestors("SearchCapExceeded"))
+    assert "GralError" not in set(ancestors("InternalVerificationFailure"))
+
+
+BROAD_CATCHES = {"KeyError", "TypeError", "AttributeError", "Exception", "BaseException"}
+
+
+def _caught(handler) -> set:
+    if handler.type is None:
+        return {"bare"}
+    nodes = handler.type.elts if isinstance(handler.type, ast.Tuple) else [handler.type]
+    return {ast.unparse(node) for node in nodes}
+
+
+def test_broad_excepts_only_at_the_cli_boundary():
+    # a broad catch hides bugs as refusals; the one exception is the last
+    # clause of cli.main, which reports any other failure as exit 3
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(_parse(path))
+                  if isinstance(node, ast.ExceptHandler)
+                  and _caught(node) & (BROAD_CATCHES | {"bare"})]
+    main = next(node for node in _parse(SRC / "cli.py").body
+                if isinstance(node, ast.FunctionDef) and node.name == "main")
+    boundary = [node for node in main.body if isinstance(node, ast.Try)][-1].handlers[-1]
+    assert _caught(boundary) == {"Exception"}
+    assert found == [f"cli.py:{boundary.lineno}"]
