@@ -381,18 +381,27 @@ def vnr_witness(ring: Ring, a):
 
 
 def is_vnr(ring: Ring) -> VnrVerdict:
+    """Each a with its first witness y, or the first a without one.  Every
+    product a.y.a tried is one step, and more steps than the search cap
+    raise SearchCapExceeded."""
     cached = getattr(ring, "_vnr_cache", None)
     if cached is not None:
         return cached
+    cap = search_cap()
+    steps = 0
     table = []
-    verdict = None
     for a in ring.elements():
-        y = vnr_witness(ring, a)
-        if y is None:
+        for y in ring.elements():
+            steps += 1
+            if steps > cap:
+                raise SearchCapExceeded(steps, cap, "vnr search")
+            if ring.mul(ring.mul(a, y), a) == a:
+                table.append((a, y))
+                break
+        else:
             verdict = VnrVerdict(False, None, a)
             break
-        table.append((a, y))
-    if verdict is None:
+    else:
         verdict = VnrVerdict(True, tuple(table), None)
     ring._vnr_cache = verdict
     return verdict

@@ -25,9 +25,9 @@ from .cornerlaurent import CslAlgebra, csl_table_epsilon, format_csl
 from .errors import (AssertionFailure, GralError, InternalVerificationFailure,
                      NotDegreeOneGenerated, SearchCapExceeded)
 from .morphisms import cohn_transport
-from .pathalg import (AlgebraElement, AlgebraSpec, Monomial, format_element,
-                      identity_element, monomial_element, reduced_monomials,
-                      vertex_element)
+from .pathalg import (AlgebraElement, AlgebraSpec, Monomial, _reduce,
+                      format_element, identity_element, monomial_element,
+                      reduced_monomials, vertex_element)
 from .regularity import local_units
 
 # ---------------------------------------------------------------------------
@@ -80,6 +80,21 @@ class GradedRingOracle:
 
     def format(self, x) -> str:
         return str(x)
+
+    def products(self, xs, ys) -> list:
+        """The distinct nonzero products x.y, x in xs and y in ys, in the
+        order in which they first occur (xs outer, ys inner)."""
+        out = []
+        seen = set()
+        for a in xs:
+            for b in ys:
+                p = self.mul(a, b)
+                if self.is_zero(p):
+                    continue
+                if p not in seen:
+                    seen.add(p)
+                    out.append(p)
+        return out
 
     def span_solve(self, target, elements) -> Optional[list]:
         """Coefficients r_i with sum r_i.elements_i = target, or None."""
@@ -144,6 +159,33 @@ class PathAlgebraOracle(GradedRingOracle):
 
     def format(self, x):
         return format_element(x)
+
+    def products(self, xs, ys):
+        """The default's list, with each distinct product brought to normal
+        form once.
+
+        The products are first formed unreduced (raw_product) and
+        deduplicated, since equal raw sums have equal normal forms; then
+        each distinct raw sum is reduced once, and the first nonzero
+        occurrence of each normal form is kept.  A normal form first occurs
+        in the default at the first pair whose raw sum reduces to it, and
+        that raw sum is first seen at the same pair, so the elements and
+        their order are the default's; _solve_epsilon picks its epsilon,
+        and so the printed epsilon table, from that order.
+        """
+        spec = self.spec
+        raws = {}
+        for a in xs:
+            for b in ys:
+                raw = a.raw_product(b)
+                if raw:
+                    raws.setdefault(frozenset(raw.items()), raw)
+        out = {}
+        for raw in raws.values():
+            terms = _reduce(spec, raw, spec.ring)
+            if terms:
+                out.setdefault(frozenset(terms.items()), terms)
+        return [AlgebraElement(spec, terms) for terms in out.values()]
 
 
 class MatrixGradingOracle(GradedRingOracle):
@@ -471,20 +513,6 @@ def _combine(rows) -> Verdict:
     return Verdict(HOLDS_AT_BOUND)
 
 
-def _products(oracle, xs, ys):
-    out = []
-    seen = set()
-    for a in xs:
-        for b in ys:
-            p = oracle.mul(a, b)
-            if oracle.is_zero(p):
-                continue
-            if p not in seen:
-                seen.add(p)
-                out.append(p)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Symmetric gradings
 
@@ -501,7 +529,7 @@ def check_symmetric(oracle: GradedRingOracle, degree_bound: int = 3,
                                   Verdict(HOLDS_EXACT if exact else HOLDS_AT_BOUND)))
             continue
         span_md = oracle.spanning(-d, size_bound)
-        triple = _products(oracle, _products(oracle, span_d, span_md), span_d)
+        triple = oracle.products(oracle.products(span_d, span_md), span_d)
         solve = oracle.span_solver(triple)
         bad = next((s for s in span_d if solve(s) is None), None)
         if bad is not None:
@@ -543,8 +571,8 @@ def check_strong_Z(oracle: GradedRingOracle, size_bound: int = 3) -> StrongVerdi
     s1 = oracle.spanning(1, size_bound)
     sm1 = oracle.spanning(-1, size_bound)
     exact = oracle.exact_at(1, size_bound) and oracle.exact_at(-1, size_bound)
-    ok_pos = oracle.span_contains(one, _products(oracle, s1, sm1))
-    ok_neg = oracle.span_contains(one, _products(oracle, sm1, s1))
+    ok_pos = oracle.span_contains(one, oracle.products(s1, sm1))
+    ok_neg = oracle.span_contains(one, oracle.products(sm1, s1))
     if ok_pos and ok_neg:
         verdict = Verdict(HOLDS_EXACT)  # positive findings are witnessed
     else:
@@ -595,7 +623,7 @@ def check_epsilon_strong(oracle: GradedRingOracle, degree_bound: int = 3,
         span_d = oracle.spanning(d, size_bound)
         span_md = oracle.spanning(-d, size_bound)
         exact = oracle.exact_at(d, size_bound) and oracle.exact_at(-d, size_bound)
-        products = _products(oracle, span_d, span_md)
+        products = oracle.products(span_d, span_md)
         eps = _solve_epsilon(oracle, products, span_d, span_md)
         if eps is None:
             if not span_d and not span_md:
@@ -750,8 +778,8 @@ def _missing_unit(oracle, s, d, size_bound, products):
         if side not in products:
             span_d = oracle.spanning(d, size_bound)
             span_md = oracle.spanning(-d, size_bound)
-            products[side] = (_products(oracle, span_d, span_md) if side == "left"
-                              else _products(oracle, span_md, span_d))
+            products[side] = (oracle.products(span_d, span_md) if side == "left"
+                              else oracle.products(span_md, span_d))
         if side == "left":
             unit = _solve_epsilon(oracle, products[side], [s], [])
         else:

@@ -60,8 +60,9 @@ class AlgebraSpec:
         return self.x == frozenset(self.graph.regular)
 
     def __eq__(self, other):
-        return (isinstance(other, AlgebraSpec) and other.graph == self.graph
-                and other.ring == self.ring and other.x == self.x)
+        return other is self or (
+            isinstance(other, AlgebraSpec) and other.graph == self.graph
+            and other.ring == self.ring and other.x == self.x)
 
     def __hash__(self):
         return hash((self.graph, self.ring, self.x))
@@ -228,9 +229,11 @@ class AlgebraElement:
     def __sub__(self, other):
         return self + (-other)
 
-    def __mul__(self, other, chooser=None):
-        """Product in normal form; chooser picks the rewrite order (see
-        _reduce), and the result does not depend on it."""
+    def raw_product(self, other) -> dict:
+        """The product's terms before relation-(v) reduction: monomial ->
+        nonzero coefficient, summed over the term pairs.  Equal raw products
+        have equal normal forms, so callers that form many products can
+        reduce each distinct one once."""
         self._check(other)
         ring = self.spec.ring
         raw = {}
@@ -246,7 +249,13 @@ class AlgebraElement:
                     raw.pop(m, None)
                 else:
                     raw[m] = c
-        return AlgebraElement(self.spec, _reduce(self.spec, raw, ring, chooser))
+        return raw
+
+    def __mul__(self, other, chooser=None):
+        """Product in normal form; chooser picks the rewrite order (see
+        _reduce), and the result does not depend on it."""
+        return AlgebraElement(self.spec, _reduce(self.spec, self.raw_product(other),
+                                                 self.spec.ring, chooser))
 
     def scale(self, r) -> "AlgebraElement":
         ring = self.spec.ring

@@ -68,6 +68,21 @@ def test_check_ring_z4_exit1(files, capsys):
     assert "radical={0,2}" in out
 
 
+@pytest.mark.parametrize("command", [
+    ["check-ring", "{ring}"],
+    ["lpa", "witness", "--graph", "{a1}", "--ring", "{ring}", "--element", "{elt_2v}"],
+], ids=["check-ring", "lpa-witness"])
+def test_vnr_search_beyond_the_cap_exit2(files, capsys, monkeypatch, command):
+    # Z/7 loads under a cap of 20 but its vnr search needs 28 steps; lpa
+    # witness without --method runs that search to pick its method
+    ring = write(files["tmp"] / "z7.json", {"kind": "mod", "n": 7})
+    monkeypatch.setenv("GRAL_SEARCH_CAP", "20")
+    assert main([arg.format(ring=ring, **files) for arg in command]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: vnr search needs 21 states, cap is 20\n"
+
+
 def test_check_ring_z6_exit0(files, capsys):
     code = main(["check-ring", files["z6"]])
     assert code == 0

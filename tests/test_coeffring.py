@@ -140,6 +140,16 @@ def test_is_vnr_verdicts(z4, z6):
     assert not verdict.regular and verdict.counterexample == 2
 
 
+def test_is_vnr_search_is_capped(monkeypatch):
+    # each product a.y.a tried is one step: over the field Z/7, a = 0 takes
+    # one and a = k takes k^-1 + 1, 28 in all
+    monkeypatch.setenv("GRAL_SEARCH_CAP", "28")
+    assert is_vnr(ModularRing(7)).regular
+    monkeypatch.setenv("GRAL_SEARCH_CAP", "27")
+    with pytest.raises(SearchCapExceeded, match="vnr search needs 28 states, cap is 27"):
+        is_vnr(ModularRing(7))
+
+
 def test_is_vnr_product_is_and_of_factors(z2, z4):
     prod = ProductRing([z2, z4])
     assert not is_vnr(prod).regular

@@ -3,24 +3,30 @@
 import itertools
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from conftest import (SIX_GRAPHS, graph_a1, graph_loop, graph_null,
-                      graph_toeplitz, graph_vw, swap_algebra, table_upper_z2)
+                      graph_rose2, graph_toeplitz, graph_vw, swap_algebra,
+                      table_upper_z2)
 from gral import gradedstruct, morphisms
 from gral.coeffring import ModularRing, is_vnr
 from gral.cornerlaurent import CornerData, csl_make, format_csl
 from gral.errors import (GralError, InternalVerificationFailure,
                          NotDegreeOneGenerated)
-from gral.gradedstruct import (CslOracle, MatrixGradingOracle,
-                               PathAlgebraOracle, PolynomialOracle,
-                               TrivialGradingOracle, check_epsilon_strong,
+from gral.graphs import Graph
+from gral.gradedstruct import (CslOracle, GradedRingOracle,
+                               MatrixGradingOracle, PathAlgebraOracle,
+                               PolynomialOracle, TrivialGradingOracle,
+                               check_epsilon_strong,
                                check_nearly_epsilon, check_strong_Z,
                                check_symmetric, classify, epsilon_element,
                                homogeneous_local_units, is_semiprime_graded,
                                jacobson_radical_algebra,
                                zero_multiplication_ring)
-from gral.pathalg import (AlgebraSpec, format_element, monomial_element,
-                          reduced_monomials, word_element)
+from gral.pathalg import (AlgebraElement, AlgebraSpec, format_element,
+                          monomial_element, normal_form, reduced_monomials,
+                          word_element)
 from gral.regularity import graded_vnr_verdict
 
 
@@ -60,6 +66,68 @@ def test_symmetric_csl_closure_once_per_degree(z4, monkeypatch):
     verdict, rows = check_symmetric(CslOracle(lau), 2, 2)
     assert verdict.status == "holds-exactly"
     assert len(closures) == len(rows) == 5
+
+
+@st.composite
+def path_product_inputs(draw):
+    """(oracle, xs, ys) over a random graph on at most three vertices and
+    four edges, Z/2..Z/6, Leavitt or Cohn with X empty: xs and ys are lists
+    (with repeats) of monomials of S_d and S_-d, or of combinations of up to
+    three of them, with coefficients that may be zero."""
+    vertices = ["u", "v", "w"][:draw(st.integers(1, 3))]
+    ends = draw(st.lists(st.tuples(st.sampled_from(vertices), st.sampled_from(vertices)),
+                         min_size=1, max_size=4))
+    graph = Graph(vertices, [(name, a, b) for name, (a, b) in zip("abcd", ends)])
+    ring = ModularRing(draw(st.integers(2, 6)))
+    spec = (AlgebraSpec.leavitt(graph, ring) if draw(st.booleans())
+            else AlgebraSpec.cohn(graph, ring, []))
+    d, bound = draw(st.integers(-2, 2)), draw(st.integers(1, 2))
+    monomials = draw(st.booleans())
+
+    def elements(degree):
+        pool = reduced_monomials(spec, degree=degree, max_len=bound)
+        if not pool:
+            return []
+        terms = st.dictionaries(st.sampled_from(pool), st.sampled_from(ring.elements()),
+                                min_size=1, max_size=1 if monomials else 3)
+        return [AlgebraElement.make(spec, t) for t in draw(st.lists(terms, max_size=8))]
+    return PathAlgebraOracle(spec), elements(d), elements(-d)
+
+
+@given(path_product_inputs())
+def test_path_products_match_the_default(inputs):
+    # the path-algebra override reduces each distinct raw product once; its
+    # list must be the default's, element for element and in order, since
+    # the epsilon search picks its answer from that order; the inner
+    # products S_d.S_-d are multi-term inputs for the triple
+    oracle, xs, ys = inputs
+    inner = GradedRingOracle.products(oracle, xs, ys)
+    for left, right in ((xs, ys), (ys, xs), (inner, xs), (xs, inner)):
+        assert oracle.products(left, right) == GradedRingOracle.products(oracle, left, right)
+
+
+def test_path_products_drop_zeros_and_repeated_normal_forms(z2):
+    # on the Leavitt rose2 over Z/2, x = v + ef* + fe* has x.x = 0 although
+    # its raw sum is not empty, and e.e* and (v + ff*).v are different raw
+    # sums with one normal form; both also occur in the symmetric triples
+    spec = AlgebraSpec.leavitt(graph_rose2(), z2)
+    oracle = PathAlgebraOracle(spec)
+    x = normal_form(spec, [["v"], ["e", "f*"], ["f", "e*"]])
+    e, es, v = (word_element(spec, [w]) for w in ("e", "e*", "v"))
+    u = normal_form(spec, [["v"], ["f", "f*"]])
+    assert x.raw_product(x) and (x * x).is_zero
+    assert e.raw_product(es) != u.raw_product(v) and e * es == u * v == u
+    got = oracle.products([x, e, u], [x, es, v])
+    assert got == GradedRingOracle.products(oracle, [x, e, u], [x, es, v])
+    assert [format_element(p) for p in got] == [
+        "e* + e(ef)* + f(ee)*", "v + ef* + fe*", "e + eef* + efe*", "v + ff*", "e",
+        "v + ef* + ff*", "e* + f(ef)*"]
+    for d in range(-2, 3):
+        span_d, span_md = oracle.spanning(d, 2), oracle.spanning(-d, 2)
+        inner = oracle.products(span_d, span_md)
+        assert inner == GradedRingOracle.products(oracle, span_d, span_md)
+        assert oracle.products(inner, span_d) == \
+            GradedRingOracle.products(oracle, inner, span_d)
 
 
 # -- epsilon elements --------------------------------------------------------------
@@ -280,8 +348,8 @@ def test_solve_epsilon_units_checked_on_swap_algebra():
     oracle = CslOracle(swap_algebra())
     for d in range(-2, 3):
         span_d, span_md = oracle.spanning(d, 2), oracle.spanning(-d, 2)
-        left = gradedstruct._products(oracle, span_d, span_md)
-        right = gradedstruct._products(oracle, span_md, span_d)
+        left = oracle.products(span_d, span_md)
+        right = oracle.products(span_md, span_d)
         for s in span_d:
             eps = gradedstruct._solve_epsilon(oracle, left, [s], [])
             assert eps is not None and eps * s == s, (d, format_csl(s))
@@ -359,8 +427,8 @@ def test_nearly_products_formed_once_per_degree(monkeypatch):
         raise GralError("transport refused")
     monkeypatch.setattr(morphisms.HomPreimages, "local_units", refuse)
     calls = []
-    real = gradedstruct._products
-    monkeypatch.setattr(gradedstruct, "_products",
+    real = PathAlgebraOracle.products
+    monkeypatch.setattr(PathAlgebraOracle, "products",
                         lambda oracle, xs, ys: calls.append(1) or real(oracle, xs, ys))
     verdict, rows = check_nearly_epsilon(spec, 2, 2)
     assert verdict.holds

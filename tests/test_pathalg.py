@@ -69,6 +69,22 @@ def test_spec_mismatch(z2, z6):
         a * b
 
 
+def test_equal_specs_multiply_and_different_specs_do_not(z2):
+    # equal specs built apart share one algebra; another graph or another
+    # X is another algebra (another ring: test_spec_mismatch)
+    a = word_element(AlgebraSpec.leavitt(graph_vw(), z2), ["f"])
+    b = word_element(AlgebraSpec.leavitt(graph_vw(), ModularRing(2)), ["f*"])
+    assert a.spec is not b.spec and a.spec == b.spec
+    assert a * b == vertex_element(a.spec, "v")
+    assert b * a == vertex_element(b.spec, "w")
+    for other in (AlgebraSpec.cohn(graph_vw(), z2, []), AlgebraSpec.leavitt(graph_loop(), z2)):
+        c = identity_element(other)
+        with pytest.raises(SpecMismatch):
+            a * c
+        with pytest.raises(SpecMismatch):
+            c * a
+
+
 def test_involution_examples(z2):
     spec = AlgebraSpec.leavitt(graph_loop(), z2)
     e = word_element(spec, ["e"])
