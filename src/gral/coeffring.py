@@ -661,7 +661,11 @@ class _ModularSystem:
             if sol is None:
                 return None
             residues.append((sol, part.q))
-        x = [_crt([(sol[j], q) for sol, q in residues]) for j in range(len(self.varlist))]
+        if len(residues) == 1:
+            x = residues[0][0]  # n is one prime power: entries already in [0, n)
+        else:
+            x = [_crt([(sol[j], q) for sol, q in residues])
+                 for j in range(len(self.varlist))]
         return self._checked(x, rhs, "linear solution")
 
     def kernel(self):

@@ -172,12 +172,35 @@ class PathAlgebraOracle(GradedRingOracle):
         that raw sum is first seen at the same pair, so the elements and
         their order are the default's; _solve_epsilon picks its epsilon,
         and so the printed epsilon table, from that order.
+
+        (a b*)(c d*) is nonzero only if b and c start at one vertex and one
+        is a prefix of the other, so each x meets only the ys with a term
+        whose real path starts at the source of a ghost path of x, along
+        the same first edge or at the vertex itself; the others give empty
+        raw products and are skipped, the rest taken in the default order.
         """
         spec = self.spec
+        by_start = {}   # (source, first edge or None) of a real path -> ys
+        by_source = {}  # source of a real path -> ys
+        for j, y in enumerate(ys):
+            for m in y.terms:
+                c = m.alpha
+                by_start.setdefault((c.src, c.edges[0] if c.edges else None),
+                                    set()).add(j)
+                by_source.setdefault(c.src, set()).add(j)
+        empty = frozenset()
         raws = {}
         for a in xs:
-            for b in ys:
-                raw = a.raw_product(b)
+            meets = set()
+            for m in a.terms:
+                b = m.beta
+                if b.edges:
+                    meets |= by_start.get((b.src, b.edges[0]), empty)
+                    meets |= by_start.get((b.src, None), empty)
+                else:
+                    meets |= by_source.get(b.src, empty)
+            for j in sorted(meets):
+                raw = a.raw_product(ys[j])
                 if raw:
                     raws.setdefault(frozenset(raw.items()), raw)
         out = {}

@@ -18,13 +18,45 @@ class Edge:
     dst: str
 
 
-@dataclass(frozen=True)
 class Path:
-    """A length-0 path is a vertex (src == dst, no edges)."""
+    """A path from src to dst along the named edges; a length-0 path is a
+    vertex (src == dst, no edges).
 
-    src: str
-    dst: str
-    edges: tuple = ()
+    Immutable by contract: the fields are never assigned after __init__,
+    which hashes them once; __hash__ returns that hash, the same value as
+    hash((src, dst, edges)).  Paths are dictionary keys throughout the
+    rewriting engine, so the hash must not be recomputed per lookup.  The
+    repr is pinned to the field-by-field form
+    Path(src='v', dst='w', edges=('e',)): linear systems order their rows
+    by the repr of their keys (coeffring._span_rows), and that order
+    decides which solution a solver returns.
+    """
+
+    __slots__ = ("src", "dst", "edges", "_hash")
+
+    def __init__(self, src: str, dst: str, edges: tuple = ()):
+        self.src = src
+        self.dst = dst
+        self.edges = edges
+        self._hash = hash((src, dst, edges))
+
+    def __hash__(self):
+        return self._hash
+
+    def __eq__(self, other):
+        if other is self:
+            return True
+        if other.__class__ is not Path:
+            return NotImplemented
+        return (self._hash == other._hash and self.edges == other.edges
+                and self.src == other.src and self.dst == other.dst)
+
+    def __repr__(self):
+        return f"Path(src={self.src!r}, dst={self.dst!r}, edges={self.edges!r})"
+
+    def __reduce__(self):
+        # rebuild from the fields: string hashes differ between processes
+        return Path, (self.src, self.dst, self.edges)
 
     def __len__(self):
         return len(self.edges)

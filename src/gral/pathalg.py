@@ -8,7 +8,6 @@ alpha.beta* is reduced unless alpha and beta both end in the special
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Optional
 
 from .coeffring import Ring, mul_entries
@@ -17,10 +16,41 @@ from .errors import (GralError, NotDegreeZero, NotInDn, SpecMismatch,
 from .graphs import Graph, Path
 
 
-@dataclass(frozen=True)
 class Monomial:
-    alpha: Path
-    beta: Path
+    """The monomial alpha.beta* (alpha and beta end at one vertex).
+
+    Immutable by contract, like Path: __init__ hashes the two paths once
+    (the value of hash((alpha, beta))) and __hash__ returns it, since
+    monomials key every element's terms.  The repr is pinned to
+    Monomial(alpha=Path(...), beta=Path(...)) because linear systems order
+    their rows by the repr of their keys (coeffring._span_rows), and that
+    order decides which solution a solver returns.
+    """
+
+    __slots__ = ("alpha", "beta", "_hash")
+
+    def __init__(self, alpha: Path, beta: Path):
+        self.alpha = alpha
+        self.beta = beta
+        self._hash = hash((alpha, beta))
+
+    def __hash__(self):
+        return self._hash
+
+    def __eq__(self, other):
+        if other is self:
+            return True
+        if other.__class__ is not Monomial:
+            return NotImplemented
+        return (self._hash == other._hash and self.alpha == other.alpha
+                and self.beta == other.beta)
+
+    def __repr__(self):
+        return f"Monomial(alpha={self.alpha!r}, beta={self.beta!r})"
+
+    def __reduce__(self):
+        # rebuild from the fields: string hashes differ between processes
+        return Monomial, (self.alpha, self.beta)
 
     @property
     def degree(self) -> int:
@@ -46,6 +76,7 @@ class AlgebraSpec:
             raise XNotRegular(f"X contains non-regular vertices: {sorted(self.x - reg)}")
         self.special = {v: graph.out_edges(v)[0].name for v in self.x}
         self._joiner = "" if all(len(e.name) == 1 for e in graph.edges) else "."
+        self._blocks = {}  # level -> BlockStructure, see blocks()
 
     @classmethod
     def leavitt(cls, graph: Graph, ring: Ring) -> "AlgebraSpec":
@@ -58,6 +89,15 @@ class AlgebraSpec:
     @property
     def is_leavitt(self) -> bool:
         return self.x == frozenset(self.graph.regular)
+
+    def blocks(self, n: int) -> "BlockStructure":
+        """The block structure of D_n, built on the first request for level
+        n and shared by every later one.  The cache lives on the spec, so it
+        holds only the levels asked for and goes with the spec."""
+        structure = self._blocks.get(n)
+        if structure is None:
+            structure = self._blocks[n] = BlockStructure(self, n)
+        return structure
 
     def __eq__(self, other):
         return other is self or (
@@ -293,8 +333,7 @@ class AlgebraElement:
                 and other.terms == self.terms)
 
     def __hash__(self):
-        return hash((self.spec, tuple(sorted(self.terms.items(),
-                                             key=lambda kv: kv[0].sort_key()))))
+        return hash(frozenset(self.terms.items()))
 
     def __repr__(self):
         return format_element(self)
@@ -422,7 +461,8 @@ def filtration_level(x: AlgebraElement) -> int:
 
 class BlockStructure:
     """Labels of the D_n standard basis: one block per (i, sink) with i < n
-    and one block per vertex at level n, indexed by the paths P(i, v)."""
+    and one block per vertex at level n, indexed by the paths P(i, v).
+    spec.blocks(n) gives the shared one of a spec."""
 
     def __init__(self, spec: AlgebraSpec, n: int):
         if not spec.is_leavitt:
@@ -438,13 +478,15 @@ class BlockStructure:
         self.labels = {(i, v): tuple(g.paths(i, v)) for (i, v) in keys}
         self.index = {k: {p: j for j, p in enumerate(lbls)}
                       for k, lbls in self.labels.items()}
+        self._zero = None  # see MatricialImage.zeros
 
     def rank(self) -> int:
         return sum(len(l) ** 2 for l in self.labels.values())
 
     def __eq__(self, other):
-        return (isinstance(other, BlockStructure) and other.spec == self.spec
-                and other.level == self.level)
+        return other is self or (isinstance(other, BlockStructure)
+                                 and other.spec == self.spec
+                                 and other.level == self.level)
 
     def __hash__(self):
         return hash((self.spec, self.level))
@@ -461,12 +503,14 @@ class MatricialImage:
 
     @staticmethod
     def zeros(structure: BlockStructure) -> "MatricialImage":
-        ring = structure.spec.ring
-        mats = {}
-        for k in structure.keys:
-            s = len(structure.labels[k])
-            mats[k] = tuple(tuple(ring.zero for _ in range(s)) for _ in range(s))
-        return MatricialImage(structure, mats)
+        """The zero image, one shared per structure: images are never
+        written into, their rows are tuples."""
+        if structure._zero is None:
+            zero = structure.spec.ring.zero
+            structure._zero = MatricialImage(structure, {
+                k: tuple((zero,) * len(l) for _ in l)
+                for k, l in structure.labels.items()})
+        return structure._zero
 
     @staticmethod
     def one(structure: BlockStructure) -> "MatricialImage":
@@ -549,7 +593,7 @@ def _expand_to_level(spec: AlgebraSpec, terms: dict, n: int) -> dict:
 def matricial_decompose(x: AlgebraElement, n: int) -> MatricialImage:
     """Image of x in the D_n block realization (Leavitt specs only)."""
     spec = x.spec
-    structure = BlockStructure(spec, n)
+    structure = spec.blocks(n)
     level = filtration_level(x)
     if level > n:
         raise NotInDn(f"element has filtration level {level} > {n}")
@@ -587,7 +631,7 @@ def matricial_lift(image: MatricialImage) -> AlgebraElement:
 
 def dn_rank(spec: AlgebraSpec, n: int) -> int:
     """Rank of D_n from the block formula."""
-    return BlockStructure(spec, n).rank()
+    return spec.blocks(n).rank()
 
 
 def dn_reduced_basis(spec: AlgebraSpec, n: int):

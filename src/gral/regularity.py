@@ -205,7 +205,7 @@ def graded_witness_constructive(x: AlgebraElement) -> WitnessCertificate:
     unit = local_unit_left(x)
     cs = [b * x for _, b in unit.pairs]
     level = max(filtration_level(c) for c in cs)
-    structure = BlockStructure(spec, level)
+    structure = spec.blocks(level)
     images = [matricial_decompose(c, level) for c in cs]
     _, us = idempotent_generator(structure, images)
     r = AlgebraElement.zero(spec)

@@ -432,6 +432,28 @@ def test_span_solver_agrees_with_solve_linear_system(system):
             ring, span_constraints(ring, columns, target), range(len(columns)))
 
 
+@pytest.mark.parametrize("n", [4, 8, 9, 12])
+def test_span_solver_answers_every_target_like_brute_force(n):
+    # 4, 8 and 9 are one prime power, answered without CRT; 12 needs it.
+    # One factorization answers every target over two keys, each answer a
+    # solution in [0, n) and None exactly when brute force finds none
+    ring = ModularRing(n)
+    rng = random.Random(600 + n)
+    for _ in range(3):
+        columns = [{k: rng.randrange(n) for k in "ab"} for _ in range(rng.randint(1, 3))]
+        solutions = {}
+        for coeffs in itertools.product(range(n), repeat=len(columns)):
+            combo = _combine_columns(ring, columns, coeffs)
+            solutions.setdefault((combo.get("a", 0), combo.get("b", 0)), set()).add(coeffs)
+        solver = SpanSolver(ring, columns)
+        for a, b in itertools.product(range(n), repeat=2):
+            got = solver.solve({"a": a, "b": b})
+            if got is None:
+                assert (a, b) not in solutions
+            else:
+                assert tuple(got[i] for i in range(len(columns))) in solutions[(a, b)]
+
+
 def test_span_solver_table_ring_keeps_the_cap(monkeypatch):
     # as in solve_linear_system, the table-ring search refuses past the cap,
     # also for a target key that no column has

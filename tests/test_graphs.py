@@ -1,11 +1,13 @@
 """Graphs, paths, covers and morphisms."""
 
+import pickle
+
 import pytest
 
 from conftest import (SIX_GRAPHS, graph_a1, graph_loop, graph_null,
                       graph_rose2, graph_toeplitz, graph_vw, graph_vwu)
 from gral.errors import GralError, XNotRegular
-from gral.graphs import (CohnPair, Graph, GraphMorphism, cohn_cover,
+from gral.graphs import (CohnPair, Graph, GraphMorphism, Path, cohn_cover,
                          compose_morphisms, graph_from_dict, graph_to_dict,
                          is_acyclic, morphism_from_dict, morphism_validate,
                          vertex_classify)
@@ -27,6 +29,35 @@ def test_paths_examples():
     assert [p.edges for p in rose.paths(2, "v")] == [
         ("e", "e"), ("e", "f"), ("f", "e"), ("f", "f")]
     assert graph_vw().paths(1, "v") == []
+
+
+def test_path_repr_is_pinned():
+    # linear systems order their rows by the repr of their keys, so a
+    # changed repr changes which solution a solver returns
+    g = graph_vw()
+    assert repr(g.vertex_path("v")) == "Path(src='v', dst='v', edges=())"
+    assert repr(g.make_path(["f"])) == "Path(src='v', dst='w', edges=('f',))"
+
+
+def test_path_is_hashed_once_and_equals_only_paths():
+    class Name(str):
+        hashes = 0
+
+        def __hash__(self):
+            Name.hashes += 1
+            return str.__hash__(self)
+
+    p = Path(Name("v"), "w", ("f",))
+    assert Name.hashes == 1
+    q = Path("v", "w", ("f",))
+    assert p == q and q == p and hash(p) == hash(q)
+    assert {p: 1}[q] == 1 and hash(p) == hash(p)
+    assert Name.hashes == 1
+    assert p != ("v", "w", ("f",)) and ("v", "w", ("f",)) != p
+    assert p != Path("v", "v", ("f",)) and p != Path("v", "w", ("g",))
+    # a pickle carries the fields, never the hash of this process
+    assert p.__reduce__() == (Path, ("v", "w", ("f",)))
+    assert pickle.loads(pickle.dumps(q)) == q
 
 
 def test_path_count_invariants():

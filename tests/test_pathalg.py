@@ -8,10 +8,11 @@ import pytest
 from conftest import (SIX_GRAPHS, graph_loop, graph_null, graph_rose2,
                       graph_toeplitz, graph_vw, random_element, random_word)
 from gral.coeffring import ModularRing
-from gral.errors import (NotDegreeZero, NotInDn, SpecMismatch,
+from gral.errors import (GralError, NotDegreeZero, NotInDn, SpecMismatch,
                          UnknownGenerator)
+from gral.graphs import Path
 from gral.pathalg import (AlgebraElement, AlgebraSpec, BlockStructure,
-                          MatricialImage, dn_rank, dn_reduced_basis,
+                          MatricialImage, Monomial, dn_rank, dn_reduced_basis,
                           element_from_terms, element_to_terms,
                           filtration_level, format_element, identity_element,
                           matricial_decompose, matricial_lift, normal_form,
@@ -267,6 +268,47 @@ def test_block_product_matches_dense_reference(z6):
             dense = tuple(tuple(sum(a[i][t] * b[t][j] for t in range(s)) % 6
                                 for j in range(s)) for i in range(s))
             assert (x * y).block(k) == dense
+
+
+def test_monomial_repr_is_pinned():
+    # linear systems order their rows by the repr of their keys, so a
+    # changed repr changes which solution a solver returns
+    g = graph_vw()
+    m = Monomial(g.make_path(["f"]), g.vertex_path("w"))
+    assert repr(m) == ("Monomial(alpha=Path(src='v', dst='w', edges=('f',)), "
+                       "beta=Path(src='w', dst='w', edges=()))")
+
+
+def test_monomial_is_hashed_once_and_equals_only_monomials(monkeypatch):
+    hashes = []
+    path_hash = Path.__hash__
+    monkeypatch.setattr(Path, "__hash__", lambda p: hashes.append(p) or path_hash(p))
+    g = graph_vw()
+    a, b = g.make_path(["f"]), g.vertex_path("w")
+    m = Monomial(a, b)
+    assert len(hashes) == 2
+    n = Monomial(Path("v", "w", ("f",)), Path("w", "w"))
+    del hashes[:]
+    assert m == n and n == m and hash(m) == hash(n)
+    assert {m: 1}[n] == 1 and hash(m) == hash(m)
+    assert hashes == []
+    assert m != (a, b) and (a, b) != m and m != Monomial(b, b)
+    assert m.involute() == Monomial(b, a) and m.involute() != m
+    assert m.__reduce__() == (Monomial, (a, b))
+
+
+def test_spec_builds_one_block_structure_per_level(z2):
+    spec = AlgebraSpec.leavitt(graph_toeplitz(), z2)
+    st = spec.blocks(2)
+    assert spec.blocks(2) is st and spec.blocks(1) is not st
+    fresh = BlockStructure(spec, 2)
+    assert st == fresh and st.labels == fresh.labels and st.index == fresh.index
+    assert matricial_decompose(identity_element(spec), 2).structure is st
+    assert MatricialImage.zeros(st) is MatricialImage.zeros(st)
+    with pytest.raises(GralError):
+        AlgebraSpec.cohn(graph_toeplitz(), z2, []).blocks(1)
+    with pytest.raises(ValueError):
+        spec.blocks(-1)
 
 
 def test_dn_ranks_match_block_formula():

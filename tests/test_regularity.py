@@ -196,6 +196,25 @@ def test_idempotent_generator_properties(ring, k):
         assert all(u.block(zero_key) == zero_block for u in us)
 
 
+def test_shared_zero_image_stays_zero(z6):
+    # MatricialImage.zeros hands out one image per structure, so no caller
+    # may write into an image
+    spec = AlgebraSpec.leavitt(graph_toeplitz(), z6)
+    structure = spec.blocks(2)
+    zero = MatricialImage.zeros(structure)
+    rng = random.Random(43)
+    basis = reduced_monomials(spec, degree=0, max_len=2)
+    xs = [AlgebraElement.make(spec, {m: rng.randrange(1, 6)
+                                     for m in rng.sample(basis, rng.randint(1, 3))})
+          for _ in range(6)]
+    idempotent_generator(structure, [matricial_decompose(x, 2) for x in xs])
+    for x in xs + [word_element(spec, ["e", "f"]), word_element(spec, ["f*", "e*"])]:
+        assert graded_witness_constructive(x).verified
+    assert MatricialImage.zeros(structure) is zero
+    assert zero.mats == {k: tuple((0,) * len(l) for _ in l)
+                         for k, l in structure.labels.items()}
+
+
 def test_idempotent_generator_all_zero_gives_zero(z6):
     structure = BlockStructure(AlgebraSpec.leavitt(graph_rose2(), z6), 2)
     zero = MatricialImage.zeros(structure)

@@ -84,3 +84,21 @@ def test_broad_excepts_only_at_the_cli_boundary():
     boundary = [node for node in main.body if isinstance(node, ast.Try)][-1].handlers[-1]
     assert _caught(boundary) == {"Exception"}
     assert found == [f"cli.py:{boundary.lineno}"]
+
+
+def _calls(node, name, scope=()):
+    """The dotted enclosing class/function names of each call of name."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.Call) and ast.unparse(child.func) == name:
+            yield ".".join(scope)
+        inner = scope + (child.name,) if isinstance(
+            child, (ast.ClassDef, ast.FunctionDef)) else scope
+        yield from _calls(child, name, inner)
+
+
+def test_block_structures_are_built_only_by_the_spec():
+    # AlgebraSpec.blocks keeps one structure per level; building one
+    # anywhere else rebuilds its labels and index on every call
+    found = [f"{path.name}:{scope}" for path in sorted(SRC.glob("*.py"))
+             for scope in _calls(_parse(path), "BlockStructure")]
+    assert found == ["pathalg.py:AlgebraSpec.blocks"]
