@@ -16,9 +16,9 @@ import sys
 from . import gradedstruct
 from .coeffring import (is_semiprime_ring, is_vnr, jacobson_radical,
                         ring_make)
-from .cornerlaurent import (CornerData, corner_from_dict,
+from .cornerlaurent import (CslAlgebra, corner_from_dict,
                             csl_element_from_dict, csl_graded_witness,
-                            csl_make, format_csl)
+                            format_csl)
 from .errors import GralError
 from .gradedstruct import (MatrixGradingOracle, PathAlgebraOracle, classify,
                            check_strong_Z, check_epsilon_strong,
@@ -268,7 +268,7 @@ def run_examples(report=print) -> int:
         strong_ok = strong_ok and sv.strong == expect and sv.no_sinks == expect
     check("strong grading iff no sinks on the six test graphs", strong_ok)
 
-    lau = csl_make(CornerData.make(z2, 1, {0: 0, 1: 1}))
+    lau = CslAlgebra(z2, 1, {0: 0, 1: 1})
     check("laurent ring is strongly graded",
           check_strong_Z(CslOracle(lau), 2).strong)
 
@@ -298,8 +298,8 @@ def run_examples(report=print) -> int:
     check("null graph is vacuously graded regular",
           null_rep.overall == "verified-at-bounds" and not null_rep.certificates)
 
-    lau6 = csl_make(CornerData.make(z6, 1, {i: i for i in range(6)}))
-    lau4 = csl_make(CornerData.make(z4, 1, {i: i for i in range(4)}))
+    lau6 = CslAlgebra(z6, 1, {i: i for i in range(6)})
+    lau4 = CslAlgebra(z4, 1, {i: i for i in range(4)})
     ok6 = all(not csl_graded_witness(x).absent
               for d in range(-2, 3) for x in lau6.component_elements(d)
               if not x.is_zero)

@@ -326,10 +326,11 @@ def ring_make(spec) -> Ring:
     kind = json_field(spec, "kind", str, "a ring spec")
     what = f"a {kind} ring spec"
     if kind == "mod":
-        return ModularRing(_within_cap(json_field(spec, "n", int, what)))
+        n = json_field(spec, "n", int, what)
+        return ModularRing(within_cap(n, "ring enumeration"))
     if kind == "product":
         ring = ProductRing([ring_make(f) for f in json_field(spec, "factors", list, what)])
-        _within_cap(ring.order)
+        within_cap(ring.order, "ring enumeration")
         return ring
     if kind == "table":
         size = json_field(spec, "size", int, what)
@@ -341,11 +342,14 @@ def ring_make(spec) -> Ring:
     raise ValueError(f"unknown ring kind: {kind!r}")
 
 
-def _within_cap(order: int) -> int:
+def within_cap(states: int, what: str) -> int:
+    """states, checked before a search over that many states: past the
+    search cap, SearchCapExceeded naming what.  The one up-front cap check;
+    only is_vnr and the additive closure count their states as they go."""
     cap = search_cap()
-    if order > cap:
-        raise SearchCapExceeded(order, cap, "ring enumeration")
-    return order
+    if states > cap:
+        raise SearchCapExceeded(states, cap, what)
+    return states
 
 
 def ring_spec(ring: Ring):
@@ -437,7 +441,9 @@ def is_vnr(ring: Ring) -> VnrVerdict:
 
 def _span_rows(columns, keys=()):
     """(key, terms) for sum_i r_i . columns[i], one per key of the columns
-    and of keys, in repr order, with the terms in column order."""
+    and of keys, in repr order, with the terms in column order.  Row order
+    changes no solution or kernel, but it sets the cost of elimination:
+    first-seen order makes path-algebra systems slower to eliminate."""
     rows = {k: [] for k in keys}
     for i, column in enumerate(columns):
         for k, c in column.items():
@@ -788,10 +794,7 @@ class _PrimePowerFactor:
 def _assignments(ring: Ring, varlist, what):
     """Every assignment of ring elements to the variables, in enumeration
     order; refuses past the search cap."""
-    cap = search_cap()
-    states = ring.order ** len(varlist) if varlist else 1
-    if states > cap:
-        raise SearchCapExceeded(states, cap, what)
+    within_cap(ring.order ** len(varlist) if varlist else 1, what)
     for combo in itertools.product(ring.elements(), repeat=len(varlist)):
         yield dict(zip(varlist, combo))
 
@@ -1002,10 +1005,7 @@ def _field_generalized_inverse(a: MatrixOverRing):
 
 def jacobson_radical(ring: Ring):
     """{x : 1 - yx has a left inverse for all y}, in enumeration order."""
-    cap = search_cap()
-    states = ring.order**2
-    if states > cap:
-        raise SearchCapExceeded(states, cap, "radical enumeration")
+    within_cap(ring.order**2, "radical enumeration")
     one = ring.one
     elems = ring.elements()
     invertible = set()
@@ -1034,9 +1034,7 @@ class SemiprimeVerdict:
 
 
 def is_semiprime_ring(ring: Ring) -> SemiprimeVerdict:
-    cap = search_cap()
-    if ring.order**2 > cap:
-        raise SearchCapExceeded(ring.order**2, cap, "semiprime enumeration")
+    within_cap(ring.order**2, "semiprime enumeration")
     for a in ring.elements():
         if a == ring.zero:
             continue

@@ -1,44 +1,32 @@
 """Corner skew Laurent polynomial rings R[t+, t-; alpha] over finite rings.
 
 Defining relations (pinned here since the construction is cited, not
-reproduced): t- t+ = 1, t+ t- = e, t+ r = alpha(r) t+, r t- = t- alpha(r).
-Canonical form: sum of t-^i a_{-i} (i > 0), a_0, and a_i t+^i (i > 0) with
-a_i = a_i e_i and a_{-i} = e_i a_{-i}, where e_i = t+^i t-^i.
+reproduced): t- t+ = 1, t+ t- = e, t+ r = alpha(r) t+, r t- = t- alpha(r),
+for an idempotent e and an isomorphism alpha of R onto the corner eRe.
+
+Over a finite ring the corner is all of R: alpha is a bijection of R onto
+eRe, so |eRe| = |R|, hence eRe = R, 1 = e.x.e for some x, and e = 1.  So
+alpha is an automorphism, t+ t- = 1 as well, and with t^k = t+^k for k >= 0
+and t^k = t-^-k for k < 0 every product follows from t^i r = alpha^i(r) t^i.
+Canonical form: sum of t-^k a_{-k} (k > 0), a_0, and a_k t+^k (k > 0), each
+a_k a free coefficient.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
-from .coeffring import Ring, search_cap
-from .errors import (AssertionFailure, GralError, NotCornerIso, NotIdempotent,
-                     SearchCapExceeded, json_field)
+from .coeffring import Ring, within_cap
+from .errors import (GralError, InternalVerificationFailure, NotCornerIso,
+                     NotIdempotent, json_field)
 from .regularity import WitnessCertificate
 
 
-@dataclass(frozen=True)
-class CornerData:
-    ring: Ring
-    e: object
-    alpha: tuple  # ((element, image), ...) sorted by enumeration index
-
-    @staticmethod
-    def make(ring: Ring, e, alpha: dict) -> "CornerData":
-        return CornerData(ring, e, tuple(sorted(alpha.items(),
-                                                key=lambda kv: ring.index(kv[0]))))
-
-    def alpha_map(self) -> dict:
-        return dict(self.alpha)
-
-
 class CslAlgebra:
-    """Handle for one corner skew Laurent ring; validates the corner data."""
+    """Handle for one corner skew Laurent ring; validates the corner data
+    (alpha as a dict {element: image})."""
 
-    def __init__(self, data: CornerData):
-        ring = data.ring
-        e = data.e
-        alpha = data.alpha_map()
+    def __init__(self, ring: Ring, e, alpha: dict):
         if ring.mul(e, e) != e:
             raise NotIdempotent(f"{ring.format_element(e)} is not idempotent")
         corner = {ring.mul(ring.mul(e, x), e) for x in ring.elements()}
@@ -55,22 +43,18 @@ class CslAlgebra:
                     raise NotCornerIso(f"alpha not additive at ({a!r},{b!r})")
                 if alpha[ring.mul(a, b)] != ring.mul(alpha[a], alpha[b]):
                     raise NotCornerIso(f"alpha not multiplicative at ({a!r},{b!r})")
+        if e != ring.one:
+            # a bijection onto eRe over a finite ring forces eRe = R, so e = 1
+            raise InternalVerificationFailure("a finite corner other than R passed validation")
         self.ring = ring
         self.e = e
-        self._alpha = alpha
+        self._alpha = dict(alpha)
         self._alpha_inv = {v: k for k, v in alpha.items()}
 
-    def corner_unit(self, i: int):
-        """e_i = t+^i t-^i, via e_0 = 1 and e_{i+1} = alpha(e_i).e."""
-        return _iterate(lambda c: self.ring.mul(self._alpha[c], self.e), self.ring.one, i)
-
     def alpha_pow(self, k: int, a):
-        return _iterate(self._alpha.__getitem__, a, k)
-
-    def _reduce_middle(self, c, k: int):
-        """t-^k c t+^k as a coefficient: k-fold alpha^{-1}(e c e)."""
-        ring = self.ring
-        return _iterate(lambda c: self._alpha_inv[ring.mul(ring.mul(self.e, c), self.e)], c, k)
+        """alpha^k(a) for any integer k; negative k applies alpha^-1."""
+        step = (self._alpha if k >= 0 else self._alpha_inv).__getitem__
+        return _iterate(step, a, abs(k))
 
     # -- elements -----------------------------------------------------------
 
@@ -78,18 +62,8 @@ class CslAlgebra:
         return CSLElement(self, self._canonical(coeffs))
 
     def _canonical(self, coeffs: dict) -> tuple:
-        ring = self.ring
-        out = {}
-        for d, c in coeffs.items():
-            if d > 0:
-                c = ring.mul(c, self.corner_unit(d))
-            elif d < 0:
-                c = ring.mul(self.corner_unit(-d), c)
-            if c != ring.zero:
-                out[d] = ring.add(out[d], c) if d in out else c
-                if out[d] == ring.zero:
-                    del out[d]
-        return tuple(sorted(out.items()))
+        zero = self.ring.zero
+        return tuple(sorted((d, c) for d, c in coeffs.items() if c != zero))
 
     def zero(self) -> "CSLElement":
         return self.element({})
@@ -107,13 +81,9 @@ class CslAlgebra:
         return self.element({-i: self.ring.one})
 
     def component_elements(self, d: int):
-        """All of S_d (finite): canonical coefficients at degree d."""
-        seen = []
-        for c in self.ring.elements():
-            x = self.element({d: c})
-            if x not in seen:
-                seen.append(x)
-        return seen
+        """All of S_d (finite): one element per coefficient, in enumeration
+        order."""
+        return [self.element({d: c}) for c in self.ring.elements()]
 
     def __eq__(self, other):
         return (isinstance(other, CslAlgebra) and other.ring == self.ring
@@ -178,13 +148,18 @@ class CSLElement:
         return self + (-other)
 
     def __mul__(self, other):
+        """(a t^i)(b t^j) = a alpha^i(b) t^(i+j) on left-form coefficients;
+        a coefficient c stored at degree -k (t-^k c) has left form
+        alpha^-k(c), and the product is stored back in that form."""
         self._check(other)
         alg = self.algebra
         ring = alg.ring
         out = {}
         for i, a in self.coeffs:
+            a = alg.alpha_pow(min(i, 0), a)
             for j, b in other.coeffs:
-                d, c = _term_product(alg, i, a, j, b)
+                d = i + j
+                c = alg.alpha_pow(-min(d, 0), ring.mul(a, alg.alpha_pow(i + min(j, 0), b)))
                 if c != ring.zero:
                     out[d] = ring.add(out.get(d, ring.zero), c)
         return alg.element(out)
@@ -217,26 +192,6 @@ def _iterate(step, x, k: int):
     return x
 
 
-def _term_product(alg: CslAlgebra, i: int, a, j: int, b):
-    """Product of canonical terms at degrees i and j -> (degree, coefficient)."""
-    ring = alg.ring
-    if i >= 0 and j >= 0:
-        return i + j, ring.mul(a, alg.alpha_pow(i, b))
-    if i <= 0 and j <= 0:
-        return i + j, ring.mul(alg.alpha_pow(-j, a), b)
-    if i > 0 and j < 0:
-        k = -j
-        if i >= k:
-            return i - k, ring.mul(a, alg.alpha_pow(i - k, ring.mul(alg.corner_unit(k), b)))
-        return i - k, ring.mul(alg.alpha_pow(k - i, ring.mul(a, alg.corner_unit(i))), b)
-    # i < 0 < j: middle coefficient crosses the corner
-    k = -i
-    c = ring.mul(a, b)
-    if k <= j:
-        return j - k, alg._reduce_middle(c, k)
-    return -(k - j), alg._reduce_middle(c, j)
-
-
 def format_csl(x: CSLElement) -> str:
     if x.is_zero:
         return "0"
@@ -259,40 +214,15 @@ def format_csl(x: CSLElement) -> str:
 # Operations
 
 
-def csl_make(data: CornerData) -> CslAlgebra:
-    return CslAlgebra(data)
-
-
-def csl_table_epsilon(alg: CslAlgebra, n: int) -> CSLElement:
-    """Table entry: e_n for n > 0, the identity for n <= 0."""
-    return alg.scalar(alg.corner_unit(n)) if n > 0 else alg.one()
-
-
-def csl_epsilon(alg: CslAlgebra, n: int) -> CSLElement:
-    """Epsilon element at degree n, validated against the unit relations:
-    epsilon_n . s = s = s . epsilon_{-n} for every s in the (finite)
-    component S_n.  Raises AssertionFailure with a counterexample."""
-    eps = csl_table_epsilon(alg, n)
-    eps_inv = csl_table_epsilon(alg, -n)
-    for s in alg.component_elements(n):
-        if eps * s != s:
-            raise AssertionFailure(f"epsilon_{n} fails as left unit on {s!r}")
-        if s * eps_inv != s:
-            raise AssertionFailure(f"epsilon_{-n} fails as right unit on {s!r}")
-    return eps
-
-
 def csl_graded_witness(x: CSLElement, bound: int = 3) -> WitnessCertificate:
-    """Exact witness or exact absence: S_{-d} is the finite coset of
-    canonical degree-(-d) coefficients, enumerated exhaustively."""
+    """Exact witness or exact absence: S_{-d}, one element per coefficient,
+    is enumerated exhaustively."""
     alg = x.algebra
     ring = alg.ring
     if x.is_zero:
         return WitnessCertificate(x, 0, "oracle", witness=x, verified=True)
     d = x.degree()
-    cap = search_cap()
-    if ring.order > cap:
-        raise SearchCapExceeded(ring.order, cap, "corner witness search")
+    within_cap(ring.order, "corner witness search")
     searched = f"full degree {-d} component ({ring.order} coefficients)"
     for b in alg.component_elements(-d):
         if x * b * x == x:
@@ -322,7 +252,7 @@ def corner_from_dict(obj) -> CslAlgebra:
     e = ring.decode(json_field(obj, "e", object, what))
     alpha = {ring.decode(json.loads(key)): ring.decode(img)
              for key, img in json_field(obj, "alpha", dict, what).items()}
-    return csl_make(CornerData.make(ring, e, alpha))
+    return CslAlgebra(ring, e, alpha)
 
 
 def corner_to_dict(alg: CslAlgebra):

@@ -113,11 +113,6 @@ class NotCornerIso(GralError):
     """The supplied map is not a ring isomorphism onto the corner."""
 
 
-class AssertionFailure(GralError):
-    """A structural assertion (epsilon relations etc.) failed; carries a
-    counterexample description."""
-
-
 class NotDegreeOneGenerated(GralError):
     """check_strong_Z refuses oracles that do not declare degree-one
     generation."""

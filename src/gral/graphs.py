@@ -28,8 +28,8 @@ class Path:
     rewriting engine, so the hash must not be recomputed per lookup.  The
     repr is pinned to the field-by-field form
     Path(src='v', dst='w', edges=('e',)): linear systems order their rows
-    by the repr of their keys (coeffring._span_rows), and that order
-    decides which solution a solver returns.
+    by the repr of their keys (coeffring._span_rows).  That order sets the
+    cost of elimination, not the solution a solver returns.
     """
 
     __slots__ = ("src", "dst", "edges", "_hash")

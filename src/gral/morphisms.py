@@ -10,7 +10,7 @@ from .coeffring import Ring, SpanSolver
 # not called here, but perfbench/tracer.py rebinds solve_linear_system in
 # every gral module that holds it
 from .coeffring import solve_linear_system  # noqa: F401
-from .errors import GralError, RelationViolation
+from .errors import GralError, InternalVerificationFailure, RelationViolation
 from .graphs import (CohnPair, GraphMorphism, cohn_cover, compose_morphisms,
                      morphism_validate)
 from .pathalg import (AlgebraElement, AlgebraSpec, edge_element,
@@ -31,16 +31,14 @@ class AlgebraHom:
 
     @staticmethod
     def make(source: AlgebraSpec, target: AlgebraSpec,
-             vmap: dict, emap: dict, gmap: Optional[dict] = None,
-             validate: bool = True) -> "AlgebraHom":
+             vmap: dict, emap: dict, gmap: Optional[dict] = None) -> "AlgebraHom":
         if gmap is None:
             gmap = {name: img.involution() for name, img in emap.items()}
         hom = AlgebraHom(source, target,
                          tuple(sorted(vmap.items())),
                          tuple(sorted(emap.items())),
                          tuple(sorted(gmap.items())))
-        if validate:
-            hom.validate()
+        hom.validate()
         return hom
 
     def vertex_image(self, v):
@@ -209,23 +207,21 @@ def verify_graded_iso(h: AlgebraHom, degree_bound: int = 3,
     from the same factorization, is already zero in the source (rank
     arguments fail over zero divisors).
     """
-    ring = h.source.ring
     exact = h.source.graph.all_paths_within(size_bound) and \
         h.target.graph.all_paths_within(size_bound)
     # cyclic specs: bounded target elements may only be hit from source
     # elements of slightly larger length, so give the source side slack
     src_bound = size_bound if exact else size_bound + 2
+    preimages = HomPreimages(h)
     rows = []
     overall = "holds-exactly" if exact else "holds-at-bound"
     witness = ""
     for d in range(-degree_bound, degree_bound + 1):
-        src = reduced_monomials(h.source, degree=d, max_len=src_bound)
+        src, image = preimages.factored(d, src_bound)
         tgt = [monomial_element(h.target, m)
                for m in reduced_monomials(h.target, degree=d, max_len=size_bound)]
-        coords = [hom_apply(h, monomial_element(h.source, m)).terms for m in src]
         status = "holds-exactly" if exact else "holds-at-bound"
         row_witness = ""
-        image = SpanSolver(ring, coords)
         for t in tgt:
             if image.solve(t.terms) is None:
                 status = "fails"
@@ -255,19 +251,25 @@ class HomPreimages:
         self.hom = h
         self._solvers = {}
 
+    def factored(self, degree: int, size_bound: int):
+        """(source monomials, SpanSolver of their images) for the degree and
+        bound, built on first use."""
+        key = (degree, size_bound)
+        if key not in self._solvers:
+            source = self.hom.source
+            src = reduced_monomials(source, degree=degree, max_len=size_bound)
+            coords = [hom_apply(self.hom, monomial_element(source, m)).terms
+                      for m in src]
+            self._solvers[key] = src, SpanSolver(source.ring, coords)
+        return self._solvers[key]
+
     def preimage(self, target_elt: AlgebraElement,
                  size_bound: int = 3) -> Optional[AlgebraElement]:
         """One source element mapping to the target element, or None."""
         source = self.hom.source
         if target_elt.is_zero:
             return AlgebraElement.zero(source)
-        key = (target_elt.degree(), size_bound)
-        if key not in self._solvers:
-            src = reduced_monomials(source, degree=key[0], max_len=size_bound)
-            coords = [hom_apply(self.hom, monomial_element(source, m)).terms
-                      for m in src]
-            self._solvers[key] = src, SpanSolver(source.ring, coords)
-        src, solver = self._solvers[key]
+        src, solver = self.factored(target_elt.degree(), size_bound)
         sol = solver.solve(target_elt.terms)
         if sol is None:
             return None
@@ -298,29 +300,15 @@ class HomPreimages:
         left = pull(upstairs.left)
         right = pull(upstairs.right)
         if left.epsilon * x != x or x * right.epsilon != x:
-            raise GralError("transported local units failed verification")
+            # the preimages are exact and the hom is injective: a bug
+            raise InternalVerificationFailure("transported local units failed verification")
         return LocalUnitPair(x, x.degree(), left, right)
-
-
-def hom_preimage(h: AlgebraHom, target_elt: AlgebraElement,
-                 size_bound: int = 3) -> Optional[AlgebraElement]:
-    """One source element mapping to the target element, found on the
-    bounded source spanning set, or None."""
-    return HomPreimages(h).preimage(target_elt, size_bound)
 
 
 def cohn_transport(spec: AlgebraSpec) -> HomPreimages:
     """Preimages under the Cohn-to-Leavitt isomorphism of a relative Cohn
     spec."""
     return HomPreimages(cohn_to_leavitt(CohnPair(spec.graph, spec.x), spec.ring))
-
-
-def cohn_local_units(x: AlgebraElement, size_bound: int = 4) -> LocalUnitPair:
-    """Local units for relative Cohn specs, transported through the
-    Cohn-to-Leavitt isomorphism (the construction itself lives upstream)."""
-    if x.spec.is_leavitt:
-        return local_units(x)
-    return cohn_transport(x.spec).local_units(x, size_bound)
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,7 @@ class Monomial:
     monomials key every element's terms.  The repr is pinned to
     Monomial(alpha=Path(...), beta=Path(...)) because linear systems order
     their rows by the repr of their keys (coeffring._span_rows), and that
-    order decides which solution a solver returns.
+    order sets the cost of elimination (not the solution returned).
     """
 
     __slots__ = ("alpha", "beta", "_hash")

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import settings
 
 from gral.coeffring import ModularRing, ProductRing, TableRing
-from gral.cornerlaurent import CornerData, csl_make
+from gral.cornerlaurent import CslAlgebra
 from gral.graphs import Graph
 from gral.pathalg import AlgebraElement, reduced_monomials
 
@@ -38,7 +38,7 @@ def swap_algebra():
     swapping the two factors."""
     ring = ProductRing([ModularRing(2), ModularRing(2)])
     swap = {(a, b): (b, a) for a in range(2) for b in range(2)}
-    return csl_make(CornerData.make(ring, (1, 1), swap))
+    return CslAlgebra(ring, (1, 1), swap)
 
 
 def graph_a1():

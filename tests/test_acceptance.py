@@ -11,7 +11,7 @@ from conftest import (SIX_GRAPHS, graph_a1, graph_loop, graph_rose2,
                       graph_toeplitz, graph_vw, graph_vwu, random_element,
                       random_word)
 from gral.coeffring import ModularRing, ProductRing
-from gral.cornerlaurent import CornerData, csl_graded_witness, csl_make
+from gral.cornerlaurent import CslAlgebra, csl_graded_witness
 from gral.gradedstruct import (CslOracle, MatrixGradingOracle,
                                PathAlgebraOracle, PolynomialOracle,
                                TrivialGradingOracle, check_epsilon_strong,
@@ -181,7 +181,7 @@ def test_criterion_08_implication_chain():
     corpus.append(classify(MatrixGradingOracle(RINGS[2]), 2, 2))
     corpus.append(classify(PolynomialOracle(RINGS[2]), 2, 2))
     corpus.append(classify(TrivialGradingOracle(zero_multiplication_ring(2)), 2, 2))
-    lau = csl_make(CornerData.make(RINGS[2], 1, {0: 0, 1: 1}))
+    lau = CslAlgebra(RINGS[2], 1, {0: 0, 1: 1})
     corpus.append(classify(CslOracle(lau), 2, 2))
     ok = True
     for rep in corpus:
@@ -211,10 +211,10 @@ def test_criterion_09_radical_and_semiprimeness():
 
 def test_criterion_10_corner_laurent_witnesses():
     fixtures = [
-        csl_make(CornerData.make(RINGS[2], 1, {0: 0, 1: 1})),
-        csl_make(CornerData.make(RINGS[6], 1, {i: i for i in range(6)})),
-        csl_make(CornerData.make(ProductRing([RINGS[2], RINGS[2]]), (1, 1),
-                                 {(a, b): (b, a) for a in range(2) for b in range(2)})),
+        CslAlgebra(RINGS[2], 1, {0: 0, 1: 1}),
+        CslAlgebra(RINGS[6], 1, {i: i for i in range(6)}),
+        CslAlgebra(ProductRing([RINGS[2], RINGS[2]]), (1, 1),
+                   {(a, b): (b, a) for a in range(2) for b in range(2)}),
     ]
     ok = True
     found = 0
@@ -226,7 +226,7 @@ def test_criterion_10_corner_laurent_witnesses():
                 found += 1
                 if csl_graded_witness(x).absent:
                     ok = False
-    lau4 = csl_make(CornerData.make(RINGS[4], 1, {i: i for i in range(4)}))
+    lau4 = CslAlgebra(RINGS[4], 1, {i: i for i in range(4)})
     cert = csl_graded_witness(lau4.element({1: 2}))
     ok = ok and cert.absent and cert.absence_exact
     report(10, ok, f"{found} corner-Laurent witnesses found; 2t+ over Z/4 "

@@ -9,13 +9,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import table_z2xz2
-from gral import cli, coeffring
+from gral import cli, coeffring, gradedstruct, morphisms
 from gral.cli import main
 from gral.coeffring import MatrixOverRing, ModularRing, ring_make, ring_spec
 from gral.cornerlaurent import corner_from_dict, csl_element_from_dict
 from gral.errors import GralError, InternalVerificationFailure
 from gral.graphs import CohnPair, Graph, graph_from_dict, morphism_from_dict
-from gral.pathalg import AlgebraSpec, element_from_terms
+from gral.pathalg import AlgebraElement, AlgebraSpec, element_from_terms
 
 
 def write(path, obj):
@@ -414,6 +414,40 @@ def test_wrong_matrix_witness_exits_3(files, capsys, monkeypatch):
     assert code == 3
     assert captured.err.startswith("internal error: InternalVerificationFailure: ")
     assert captured.err.count("\n") == 1
+
+
+def test_broken_epsilon_exits_3(files, capsys, monkeypatch):
+    # the sum of p p* over the paths of length n is a unit on S_n and S_-n
+    # of every finite graph's Leavitt algebra: a failure is a bug, not a
+    # "fails" verdict
+    real = gradedstruct.monomial_element
+
+    def broken(spec, m):
+        if m.alpha == m.beta and m.alpha.edges:
+            return AlgebraElement.zero(spec)
+        return real(spec, m)
+    monkeypatch.setattr(gradedstruct, "monomial_element", broken)
+    code = main(["lpa", "classify", "--graph", files["vw"], "--ring", files["z2"],
+                 "--degree-bound", "1", "--size-bound", "1"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err == \
+        "internal error: InternalVerificationFailure: epsilon_1 fails on f\n"
+
+
+def test_broken_preimage_exits_3(files, capsys, monkeypatch):
+    # the Cohn-to-Leavitt preimages are exact and the map is injective, so
+    # transported units that fail on x are a bug, not a missing unit
+    monkeypatch.setattr(morphisms.HomPreimages, "preimage",
+                        lambda self, y, size_bound=3: AlgebraElement.zero(self.hom.source))
+    code = main(["lpa", "classify", "--graph", files["vw_cohn"], "--ring", files["z2"],
+                 "--degree-bound", "1", "--size-bound", "1"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err == ("internal error: InternalVerificationFailure: "
+                            "transported local units failed verification\n")
 
 
 def test_deeply_nested_file_exit2(files, tmp_path, capsys):

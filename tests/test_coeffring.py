@@ -9,6 +9,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from conftest import table_upper_z2, table_z2xz2
+from gral import coeffring
 from gral.cli import main
 from gral.coeffring import (MatrixOverRing, ModularRing, ProductRing, Ring,
                             SpanSolver, TableRing, _solve_exhaustive,
@@ -430,6 +431,21 @@ def test_span_solver_agrees_with_solve_linear_system(system):
     for target in targets:
         assert solver.solve(target) == solve_linear_system(
             ring, span_constraints(ring, columns, target), range(len(columns)))
+
+
+@given(span_systems(), st.data())
+def test_row_order_changes_neither_solution_nor_kernel(system, data):
+    # span systems keep their rows in repr order of the keys for the cost of
+    # elimination only: shuffling the rows changes no answer
+    ring, columns, targets = system
+    variables = list(range(len(columns)))
+    for target in targets:
+        rows = span_constraints(ring, columns, target)
+        shuffled = data.draw(st.permutations(rows))
+        got = [coeffring._factor(ring, r, variables) for r in (rows, shuffled)]
+        assert got[0].solve([b for _, b in rows]) == \
+            got[1].solve([b for _, b in shuffled])
+        assert got[0].kernel() == got[1].kernel()
 
 
 @pytest.mark.parametrize("n", [4, 8, 9, 12])

@@ -5,19 +5,19 @@ import random
 
 import pytest
 
-from conftest import swap_algebra
-from gral.coeffring import ModularRing, is_vnr
-from gral.cornerlaurent import (CornerData, corner_from_dict,
+from conftest import swap_algebra, table_upper_z2
+from gral.coeffring import ModularRing, ProductRing, is_vnr
+from gral.cornerlaurent import (CslAlgebra, corner_from_dict,
                                 corner_to_dict, csl_element_from_dict,
-                                csl_element_to_dict, csl_epsilon,
-                                csl_graded_witness, csl_make,
-                                csl_table_epsilon, format_csl)
+                                csl_element_to_dict, csl_graded_witness,
+                                format_csl)
 from gral.errors import GralError, NotCornerIso, NotIdempotent
+from gral.gradedstruct import CslOracle, check_epsilon_strong
 
 
 def laurent(n):
     ring = ModularRing(n)
-    return csl_make(CornerData.make(ring, 1, {i: i for i in range(n)}))
+    return CslAlgebra(ring, 1, {i: i for i in range(n)})
 
 
 # -- construction ----------------------------------------------------------------
@@ -25,7 +25,7 @@ def laurent(n):
 
 def test_laurent_degenerate_corner():
     alg = laurent(2)
-    assert alg.corner_unit(1) == 1
+    assert alg.e == 1
     tp, tm = alg.t_plus(), alg.t_minus()
     assert tm * tp == alg.one()
     assert tp * tm == alg.scalar(alg.e)
@@ -41,7 +41,7 @@ def test_swap_relation():
 def test_not_idempotent_rejected():
     ring = ModularRing(4)
     with pytest.raises(NotIdempotent):
-        csl_make(CornerData.make(ring, 2, {i: i for i in range(4)}))
+        CslAlgebra(ring, 2, {i: i for i in range(4)})
 
 
 def test_not_corner_iso_rejected():
@@ -49,9 +49,25 @@ def test_not_corner_iso_rejected():
     # additive but not multiplicative on Z/4: x -> 3x fixes 1? 3*1=3 != 1
     bad = {i: (3 * i) % 4 for i in range(4)}
     with pytest.raises(NotCornerIso):
-        csl_make(CornerData.make(ring, 1, bad))
+        CslAlgebra(ring, 1, bad)
     with pytest.raises(NotCornerIso):
-        csl_make(CornerData.make(ring, 1, {0: 0, 1: 1, 2: 2}))
+        CslAlgebra(ring, 1, {0: 0, 1: 1, 2: 2})
+
+
+def test_finite_corner_is_the_whole_ring():
+    # alpha is a bijection onto eRe, so over a finite ring eRe = R and e = 1:
+    # every idempotent e != 1 has a smaller corner and is refused
+    for ring in (ModularRing(6), ModularRing(12), ModularRing(30),
+                 ProductRing([ModularRing(2), ModularRing(2)]), table_upper_z2()):
+        proper = [e for e in ring.elements()
+                  if ring.mul(e, e) == e and e != ring.one]
+        assert proper
+        for e in proper:
+            corner = {ring.mul(ring.mul(e, x), e) for x in ring.elements()}
+            assert len(corner) < ring.order
+            with pytest.raises(NotCornerIso, match="not a bijection onto eRe"):
+                CslAlgebra(ring, e, {x: ring.mul(ring.mul(e, x), e)
+                                     for x in ring.elements()})
 
 
 # -- multiplication -----------------------------------------------------------------
@@ -88,13 +104,17 @@ def test_associativity_random():
             assert (x * y) * z == x * (y * z)
 
 
-def test_corner_unit_chain():
+def test_t_plus_t_minus_powers_are_one():
+    # e = 1: t+^i t-^i = t-^i t+^i = 1, and t^i r = alpha^i(r) t^i for
+    # negative i too
     for alg in (laurent(6), swap_algebra()):
-        ring = alg.ring
         for i in range(1, 6):
-            e_i = alg.corner_unit(i)
-            assert ring.mul(e_i, e_i) == e_i
-            assert ring.mul(alg.corner_unit(i + 1), e_i) == alg.corner_unit(i + 1)
+            assert alg.t_plus(i) * alg.t_minus(i) == alg.one()
+            assert alg.t_minus(i) * alg.t_plus(i) == alg.one()
+            for r in alg.ring.elements():
+                assert alg.t_minus(i) * alg.scalar(r) == \
+                    alg.scalar(alg.alpha_pow(-i, r)) * alg.t_minus(i)
+                assert alg.alpha_pow(i, alg.alpha_pow(-i, r)) == r
 
 
 # -- epsilon structure -----------------------------------------------------------------
@@ -108,23 +128,31 @@ def test_large_degrees_follow_the_orbits():
     for a in alg.ring.elements():
         assert [alg.alpha_pow(k, a) for k in range(5)] == [a, a[::-1]] * 2 + [a]
         assert alg.alpha_pow(huge, a) == a and alg.alpha_pow(huge + 1, a) == a[::-1]
-    assert alg.corner_unit(huge) == alg.corner_unit(2)
+        assert alg.alpha_pow(-huge - 1, a) == a[::-1]
     x = alg.element({huge: (1, 0)}) * alg.element({-huge - 1: (1, 1)})
     assert x == alg.element({2: (1, 0)}) * alg.element({-3: (1, 1)})
     assert not x.is_zero and not csl_graded_witness(x).absent
 
 
 def test_epsilon_table_degenerate():
-    alg = laurent(2)
-    for n in range(-3, 4):
-        assert csl_epsilon(alg, n) == alg.one()
+    # corner oracles go through the generic epsilon loop; the table reads 1
+    overall, rows, table = check_epsilon_strong(CslOracle(laurent(2)), 3, 3)
+    assert overall.holds
+    assert [r.verdict.status for r in rows] == ["holds-exactly"] * 7
+    assert table == tuple((d, "1") for d in range(-3, 4))
 
 
 def test_epsilon_left_relation():
+    # 1 is the only degree-0 element acting as a left unit on S_d and a right
+    # unit on S_-d, and the twisted table reads it at every degree
     alg = swap_algebra()
-    eps1 = csl_table_epsilon(alg, 1)
-    for s in alg.component_elements(1):
-        assert eps1 * s == s
+    _, _, table = check_epsilon_strong(CslOracle(alg), 2, 2)
+    assert table == tuple((d, "(1,1)") for d in range(-2, 3))
+    for d in range(-2, 3):
+        units = [r for r in alg.ring.elements()
+                 if all(alg.scalar(r) * s == s for s in alg.component_elements(d))
+                 and all(t * alg.scalar(r) == t for t in alg.component_elements(-d))]
+        assert units == [alg.ring.one]
 
 
 # -- witnesses --------------------------------------------------------------------------

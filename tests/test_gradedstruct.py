@@ -11,7 +11,7 @@ from conftest import (SIX_GRAPHS, graph_a1, graph_loop, graph_null,
                       table_upper_z2)
 from gral import gradedstruct, morphisms
 from gral.coeffring import ModularRing, is_vnr
-from gral.cornerlaurent import CornerData, csl_make, format_csl
+from gral.cornerlaurent import CslAlgebra, format_csl
 from gral.errors import (GralError, InternalVerificationFailure,
                          NotDegreeOneGenerated)
 from gral.graphs import Graph
@@ -58,7 +58,7 @@ def test_symmetric_loop_at_bound(z2):
 def test_symmetric_csl_closure_once_per_degree(z4, monkeypatch):
     # the additive closure of S_d S_-d S_d is built once per degree, not
     # once per spanning element (three per degree over Z/4)
-    lau = csl_make(CornerData.make(z4, 1, {i: i for i in range(4)}))
+    lau = CslAlgebra(z4, 1, {i: i for i in range(4)})
     closures = []
     real = gradedstruct._additive_closure
     monkeypatch.setattr(gradedstruct, "_additive_closure",
@@ -175,7 +175,7 @@ def test_strong_matches_no_sinks():
 
 
 def test_strong_laurent(z2):
-    lau = csl_make(CornerData.make(z2, 1, {0: 0, 1: 1}))
+    lau = CslAlgebra(z2, 1, {0: 0, 1: 1})
     assert check_strong_Z(CslOracle(lau), 3).strong
 
 
@@ -294,7 +294,7 @@ def test_nearly_leavitt_any_ring():
 
 
 def test_nearly_from_witness_units(z2):
-    lau = csl_make(CornerData.make(z2, 1, {0: 0, 1: 1}))
+    lau = CslAlgebra(z2, 1, {0: 0, 1: 1})
     verdict, _ = check_nearly_epsilon(CslOracle(lau), 2, 2)
     assert verdict.holds
 
@@ -535,7 +535,7 @@ def test_remark_chain_on_corpus():
     corpus.append(classify(MatrixGradingOracle(ModularRing(2)), 2, 2))
     corpus.append(classify(PolynomialOracle(ModularRing(2)), 2, 2))
     corpus.append(classify(TrivialGradingOracle(zero_multiplication_ring(2)), 2, 2))
-    lau = csl_make(CornerData.make(ModularRing(2), 1, {0: 0, 1: 1}))
+    lau = CslAlgebra(ModularRing(2), 1, {0: 0, 1: 1})
     corpus.append(classify(CslOracle(lau), 2, 2))
     for report in corpus:
         assert chain_consistent(report), report.oracle_name

@@ -32,8 +32,8 @@ def test_paths_examples():
 
 
 def test_path_repr_is_pinned():
-    # linear systems order their rows by the repr of their keys, so a
-    # changed repr changes which solution a solver returns
+    # linear systems order their rows by the repr of their keys; the order
+    # changes no answer, but it is kept for the cost of elimination
     g = graph_vw()
     assert repr(g.vertex_path("v")) == "Path(src='v', dst='v', edges=())"
     assert repr(g.make_path(["f"])) == "Path(src='v', dst='w', edges=('f',))"

@@ -11,9 +11,9 @@ from gral.coeffring import ModularRing
 from gral.errors import GralError, RelationViolation
 from gral.graphs import CohnPair, Graph, GraphMorphism
 from gral.morphisms import (AlgebraHom, HomPreimages, chain_colimit_check,
-                            cohn_local_units, cohn_to_leavitt, cohn_transport,
-                            compose_homs, hom_apply, hom_preimage, identity_hom,
-                            induced_hom, verify_graded_iso)
+                            cohn_to_leavitt, cohn_transport, compose_homs,
+                            hom_apply, identity_hom, induced_hom,
+                            verify_graded_iso)
 from gral.pathalg import (AlgebraElement, AlgebraSpec, edge_element,
                           format_element, vertex_element, word_element)
 
@@ -203,7 +203,7 @@ def test_hom_preimage_roundtrip(z2):
         if not x.is_homogeneous():
             continue
         y = hom_apply(phi, x)
-        back = hom_preimage(phi, y, 1)
+        back = HomPreimages(phi).preimage(y, 1)
         assert back is not None and hom_apply(phi, back) == y
 
 
@@ -214,7 +214,7 @@ def test_cohn_local_units_transport(z2):
     spec = AlgebraSpec.cohn(graph_vw(), z2, [])
     for word in (["f"], ["f*"], ["f", "f*"], ["v"]):
         x = word_element(spec, word)
-        pair = cohn_local_units(x)
+        pair = cohn_transport(spec).local_units(x)
         assert pair.left.epsilon * x == x
         assert x * pair.right.epsilon == x
         acc = AlgebraElement.zero(spec)
@@ -225,7 +225,7 @@ def test_cohn_local_units_transport(z2):
 
 def test_shared_preimages_match_hom_preimage(z4):
     # the per-(degree, bound) solvers kept between targets give the answers
-    # of a fresh hom_preimage; on the Toeplitz graph most targets have a
+    # of a fresh HomPreimages; on the Toeplitz graph most targets have a
     # preimage at some of the bounds only
     phi = cohn_to_leavitt(CohnPair(graph_toeplitz(), frozenset()), z4)
     shared = HomPreimages(phi)
@@ -235,14 +235,14 @@ def test_shared_preimages_match_hom_preimage(z4):
         if not y.is_homogeneous():
             continue
         for bound in (1, 2, 3):
-            assert shared.preimage(y, bound) == hom_preimage(phi, y, bound)
+            assert shared.preimage(y, bound) == HomPreimages(phi).preimage(y, bound)
 
 
 def test_cohn_local_units_share_one_transport(z2, monkeypatch):
     # one phi, and one preimage solver per (degree, bound) for all elements
     spec = AlgebraSpec.cohn(graph_vw(), z2, [])
     xs = [word_element(spec, w) for w in (["f"], ["f*"], ["f", "f*"], ["v"], ["w"])]
-    expected = [cohn_local_units(x) for x in xs]
+    expected = [cohn_transport(spec).local_units(x) for x in xs]
     built, solvers = [], []
     real_phi, real_solver = morphisms.cohn_to_leavitt, morphisms.SpanSolver
     monkeypatch.setattr(morphisms, "cohn_to_leavitt",

@@ -271,8 +271,8 @@ def test_block_product_matches_dense_reference(z6):
 
 
 def test_monomial_repr_is_pinned():
-    # linear systems order their rows by the repr of their keys, so a
-    # changed repr changes which solution a solver returns
+    # linear systems order their rows by the repr of their keys; the order
+    # changes no answer, but it is kept for the cost of elimination
     g = graph_vw()
     m = Monomial(g.make_path(["f"]), g.vertex_path("w"))
     assert repr(m) == ("Monomial(alpha=Path(src='v', dst='w', edges=('f',)), "

@@ -102,3 +102,12 @@ def test_block_structures_are_built_only_by_the_spec():
     found = [f"{path.name}:{scope}" for path in sorted(SRC.glob("*.py"))
              for scope in _calls(_parse(path), "BlockStructure")]
     assert found == ["pathalg.py:AlgebraSpec.blocks"]
+
+
+def test_cap_refusals_are_built_in_one_guard():
+    # within_cap is the one up-front cap check; only the two searches that
+    # count their states as they go raise on their own
+    found = [f"{path.name}:{scope}" for path in sorted(SRC.glob("*.py"))
+             for scope in _calls(_parse(path), "SearchCapExceeded")]
+    assert found == ["coeffring.py:within_cap", "coeffring.py:is_vnr",
+                     "gradedstruct.py:_additive_closure"]
