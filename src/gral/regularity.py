@@ -75,10 +75,16 @@ def local_unit_left(x: AlgebraElement) -> UnitFactorization:
     return UnitFactorization(eps, tuple(pairs))
 
 
-def local_units(x: AlgebraElement) -> LocalUnitPair:
-    """Both one-sided units: the right unit is the involution mirror."""
-    left = local_unit_left(x)
-    mirror = local_unit_left(x.involution())
+def local_units(x: AlgebraElement, left_unit=None) -> LocalUnitPair:
+    """Both one-sided units: the right unit is the involution mirror.
+
+    left_unit computes left units (local_unit_left when None); a caller
+    that meets both x and x* passes a memoized one, so each left unit is
+    built once.
+    """
+    left_unit = left_unit or local_unit_left
+    left = left_unit(x)
+    mirror = left_unit(x.involution())
     right_pairs = tuple((b.involution(), a.involution()) for a, b in mirror.pairs)
     right_eps = mirror.epsilon.involution()
     if x * right_eps != x:

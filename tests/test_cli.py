@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -178,6 +179,36 @@ def test_lpa_classify_cohn_epsilon_table_pinned(files, capsys):
                  "--degree-bound", "2", "--size-bound", "3"])
     assert code == 0
     assert capsys.readouterr().out == COHN_EFVW_Z4_CLASSIFY
+
+
+GOLDEN = Path(__file__).parent / "golden"
+GOLDEN_GRAPHS = {
+    "span": {"vertices": ["v", "w"],
+             "edges": [{"name": "e", "src": "v", "dst": "w"},
+                       {"name": "f", "src": "w", "dst": "v"},
+                       {"name": "g", "src": "v", "dst": "v"}]},
+    "toeplitz": {"vertices": ["u", "w"],
+                 "edges": [{"name": "e", "src": "u", "dst": "u"},
+                           {"name": "f", "src": "u", "dst": "w"}]},
+    "rose2": {"vertices": ["v"],
+              "edges": [{"name": "e", "src": "v", "dst": "v"},
+                        {"name": "f", "src": "v", "dst": "v"}]},
+}
+
+
+@pytest.mark.parametrize("graph, ring, size_bound", [
+    ("span", "z2", 4), ("toeplitz", "z6", 3), ("rose2", "z4", 3)])
+def test_lpa_classify_golden(files, capsys, graph, ring, size_bound):
+    # the symmetric rows from local units and the strong row from the
+    # factorization (span, rose2) or the span search (toeplitz has a sink)
+    # print what the bounded search printed, byte for byte
+    code = main(["lpa", "classify", "--graph", write(files["tmp"] / f"{graph}.json",
+                                                     GOLDEN_GRAPHS[graph]),
+                 "--ring", files[ring], "--degree-bound", "3",
+                 "--size-bound", str(size_bound)])
+    assert code == 0
+    expected = GOLDEN / f"classify_{graph}_{ring}_3_{size_bound}.txt"
+    assert capsys.readouterr().out == expected.read_text()
 
 
 def test_lpa_decompose(files, capsys):

@@ -1,20 +1,22 @@
 """Grading classification, epsilon structure, radical and semiprimeness."""
 
 import itertools
+import json
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import (SIX_GRAPHS, graph_a1, graph_loop, graph_null,
-                      graph_rose2, graph_toeplitz, graph_vw, swap_algebra,
-                      table_upper_z2)
+                      graph_rose2, graph_span, graph_toeplitz, graph_vw,
+                      graph_vwu, swap_algebra, table_upper_z2, table_z2xz2)
 from gral import gradedstruct, morphisms
-from gral.coeffring import ModularRing, is_vnr
+from gral.cli import main
+from gral.coeffring import ModularRing, is_vnr, ring_spec
 from gral.cornerlaurent import CslAlgebra, format_csl
 from gral.errors import (GralError, InternalVerificationFailure,
-                         NotDegreeOneGenerated)
-from gral.graphs import Graph
+                         NotDegreeOneGenerated, SearchCapExceeded)
+from gral.graphs import CohnPair, Graph, graph_to_dict
 from gral.gradedstruct import (CslOracle, GradedRingOracle,
                                MatrixGradingOracle, PathAlgebraOracle,
                                PolynomialOracle, TrivialGradingOracle,
@@ -23,11 +25,13 @@ from gral.gradedstruct import (CslOracle, GradedRingOracle,
                                check_symmetric, classify, epsilon_element,
                                homogeneous_local_units, is_semiprime_graded,
                                jacobson_radical_algebra,
+                               strong_factorization,
                                zero_multiplication_ring)
 from gral.pathalg import (AlgebraElement, AlgebraSpec, format_element,
-                          monomial_element, normal_form, reduced_monomials,
-                          word_element)
-from gral.regularity import graded_vnr_verdict
+                          identity_element, monomial_element, normal_form,
+                          reduced_monomials, word_element)
+from gral.regularity import (LocalUnitPair, UnitFactorization,
+                             graded_vnr_verdict)
 
 
 def leavitt(graph, n):
@@ -187,6 +191,122 @@ def test_strong_refuses_without_flag(z2):
 def test_strong_matrix_oracle_not_strong(z2):
     verdict = check_strong_Z(MatrixGradingOracle(z2), 3)
     assert not verdict.strong
+
+
+# -- rows read from certificates -------------------------------------------------
+
+
+CERTIFIED_GRAPHS = {**SIX_GRAPHS, "vwu": graph_vwu, "span": graph_span}
+
+
+def _search_only(monkeypatch):
+    """Force the bounded span search: no local units, no strong route."""
+    monkeypatch.setattr(PathAlgebraOracle, "local_units", lambda self, x, size_bound: None)
+    monkeypatch.setattr(gradedstruct, "strong_factorization", lambda spec: None)
+
+
+def _rows(report, *props):
+    return [row.to_text() for row in report.rows if row.property in props] + \
+        [f"{name} {v}" for name, v in report.summary if name in props]
+
+
+@pytest.mark.parametrize("bound", [2, 3])
+@pytest.mark.parametrize("n", [2, 4, 6])
+@pytest.mark.parametrize("name", sorted(CERTIFIED_GRAPHS))
+def test_certified_rows_match_the_span_search(monkeypatch, name, n, bound):
+    # the symmetric rows from local units and the strong row from the
+    # factorization are the rows the bounded span search gives
+    spec = leavitt(CERTIFIED_GRAPHS[name](), n)
+    certified = classify(spec, bound, bound)
+    _search_only(monkeypatch)
+    assert _rows(certified, "strong", "symmetric") == \
+        _rows(classify(spec, bound, bound), "strong", "symmetric")
+
+
+@st.composite
+def small_graphs(draw):
+    """A graph on at most three vertices and four edges; each vertex draws
+    zero to two out-edges, so some graphs have sinks and some do not."""
+    vertices = ["u", "v", "w"][:draw(st.integers(1, 3))]
+    edges = [(v, draw(st.sampled_from(vertices)))
+             for v in vertices for _ in range(draw(st.integers(0, 2)))][:4]
+    return Graph(vertices, [(name, a, b) for name, (a, b) in zip("abcd", edges)])
+
+
+@given(small_graphs(), st.sampled_from([2, 4, 6]))
+def test_strong_factorization_verifies_or_declines_at_sinks(graph, n):
+    spec = leavitt(graph, n)
+    pairs = strong_factorization(spec)
+    assert (pairs is None) == bool(graph.sinks)
+    if pairs is None:
+        return
+    one = identity_element(spec)
+    for factors, d in zip(pairs, (1, -1)):
+        total = AlgebraElement.zero(spec)
+        for a, b in factors:
+            assert a.degree() == d and b.degree() == -d
+            total = total + a * b
+        assert total == one
+
+
+@pytest.mark.parametrize("name, bound, side", [
+    ("span", 0, "S_1 S_-1"), ("loop", 0, "S_1 S_-1"),
+    ("source_loop", 1, "S_-1 S_1"), ("source_cycle3", 1, "S_-1 S_1")])
+def test_strong_row_holds_exactly_below_the_old_bound(monkeypatch, name, bound, side):
+    # a graph without sinks is strongly graded; the bounded search could not
+    # see it at size bound 0, nor at 1 when S_-1 S_1 needs paths out of a
+    # source, and printed an at-bound failure instead
+    graphs = {"span": graph_span(), "loop": graph_loop(),
+              "source_loop": Graph(["s", "v"], [("x", "s", "v"), ("e", "v", "v")]),
+              "source_cycle3": Graph(["s", "a", "b", "c"],
+                                     [("x", "s", "a"), ("p", "a", "b"),
+                                      ("q", "b", "c"), ("r", "c", "a")])}
+    spec = leavitt(graphs[name], 2)
+    strong = _rows(classify(spec, 3, bound), "strong")
+    assert strong == ["property=strong degree=* verdict=holds-exactly witness=no-sinks=yes",
+                      "strong holds-exactly"]
+    _search_only(monkeypatch)
+    assert _rows(classify(spec, 3, bound), "strong") == [
+        f"property=strong degree=* verdict=fails witness=1 not reached in {side} "
+        "at-bound no-sinks=yes",
+        f"strong fails (1 not reached in {side} at-bound)"]
+
+
+@pytest.mark.parametrize("ring", [table_z2xz2(), table_upper_z2()],
+                         ids=["table_z2xz2", "table_upper_z2"])
+def test_table_ring_classify_completes_from_certificates(monkeypatch, ring):
+    # over a table ring the span search solves exhaustively and gives up at
+    # the cap; the certified rows need no solve, so the report completes
+    spec = AlgebraSpec.leavitt(graph_rose2(), ring)
+    report = classify(spec, 2, 2)
+    assert [(name, v.status) for name, v in report.summary] == [
+        ("strong", "holds-exactly"), ("epsilon-strong", "holds-at-bound"),
+        ("nearly-epsilon", "holds-at-bound"), ("symmetric", "holds-at-bound")]
+    _search_only(monkeypatch)
+    with pytest.raises(SearchCapExceeded):
+        classify(spec, 2, 2)
+
+
+def test_leavitt_classify_reads_certificates(monkeypatch):
+    # no product list is formed on a graph without sinks, only the strong
+    # row's two on a graph with one; every spanning element has its left
+    # unit built once, the right units being the mirrors of the others
+    lefts, products = [], []
+    real_left, real_products = gradedstruct.local_unit_left, PathAlgebraOracle.products
+    monkeypatch.setattr(gradedstruct, "local_unit_left",
+                        lambda x: lefts.append(x) or real_left(x))
+    monkeypatch.setattr(PathAlgebraOracle, "products",
+                        lambda oracle, xs, ys: products.append(1) or real_products(oracle, xs, ys))
+    for make, formed in ((graph_span, 0), (graph_toeplitz, 2)):
+        oracle = PathAlgebraOracle(leavitt(make(), 2))
+        lefts.clear()
+        products.clear()
+        report = classify(oracle, 3, 3)
+        assert report.verdict("symmetric").holds
+        spanning = [s for d in range(-3, 4) for s in oracle.spanning(d, 3)]
+        assert len(lefts) == len(set(lefts)) == len(spanning)
+        assert set(lefts) == set(spanning)
+        assert len(products) == formed
 
 
 # -- epsilon strong -----------------------------------------------------------------
@@ -435,20 +555,68 @@ def test_nearly_products_formed_once_per_degree(monkeypatch):
     assert len(rows) == 3 and len(calls) == 2 * len(rows)
 
 
-def _raise_internal(*args, **kwargs):
-    raise InternalVerificationFailure("planted")
+def _raise_internal(real):
+    def planted(*args, **kwargs):
+        raise InternalVerificationFailure("planted")
+    return planted
 
 
-@pytest.mark.parametrize("owner, name, spec", [
-    (morphisms.HomPreimages, "local_units",
-     AlgebraSpec.cohn(graph_vw(), ModularRing(2), [])),
-    (gradedstruct, "check_strong_Z", AlgebraSpec.leavitt(graph_vw(), ModularRing(2))),
-], ids=["transported_local_units", "check_strong_Z"])
-def test_classify_reraises_internal_failures(monkeypatch, owner, name, spec):
-    # a failed self-check is a bug, not a refusal or a fallback
-    monkeypatch.setattr(owner, name, _raise_internal)
-    with pytest.raises(InternalVerificationFailure, match="planted"):
+def _swapped_left_pairs(real):
+    # left unit pairs (b, a): degrees -d and d instead of d and -d
+    def units(self, x, size_bound):
+        pair = real(self, x, size_bound)
+        left = UnitFactorization(pair.left.epsilon,
+                                 tuple((b, a) for a, b in pair.left.pairs))
+        return LocalUnitPair(pair.element, pair.degree, left, pair.right)
+    return units
+
+
+def _dropped_strong_pair(real):
+    def pairs(spec):
+        pos, neg = real(spec)
+        return pos, neg[:-1]
+    return pairs
+
+
+def _swapped_strong_pair(real):
+    def pairs(spec):
+        pos, neg = real(spec)
+        return [(b, a) for a, b in pos], neg
+    return pairs
+
+
+@pytest.mark.parametrize("owner, name, plant, spec, message", [
+    (morphisms.HomPreimages, "local_units", _raise_internal,
+     AlgebraSpec.cohn(graph_vw(), ModularRing(2), []), "planted"),
+    (gradedstruct, "check_strong_Z", _raise_internal,
+     AlgebraSpec.leavitt(graph_vw(), ModularRing(2)), "planted"),
+    (PathAlgebraOracle, "local_units", _swapped_left_pairs,
+     AlgebraSpec.leavitt(graph_vw(), ModularRing(2)),
+     "unit pair of f\\* has the wrong degree"),
+    (gradedstruct, "_strong_pairs", _dropped_strong_pair,
+     AlgebraSpec.leavitt(graph_rose2(), ModularRing(2)),
+     "1 is not the sum of its S_-1 S_1 pairs"),
+    (gradedstruct, "_strong_pairs", _swapped_strong_pair,
+     AlgebraSpec.leavitt(graph_rose2(), ModularRing(2)),
+     "strong factor pair in S_1 S_-1 has the wrong degree"),
+], ids=["transported_local_units", "check_strong_Z", "unit_pair_wrong_degree",
+        "strong_pair_dropped", "strong_pair_wrong_degree"])
+def test_classify_reraises_internal_failures(monkeypatch, tmp_path, capsys,
+                                             owner, name, plant, spec, message):
+    # a failed self-check is a bug, not a refusal or a fallback: classify
+    # raises it and lpa classify exits 3 with one line
+    monkeypatch.setattr(owner, name, plant(getattr(owner, name)))
+    with pytest.raises(InternalVerificationFailure, match=message):
         classify(spec, 1, 1)
+    graph, ring = tmp_path / "graph.json", tmp_path / "ring.json"
+    graph.write_text(json.dumps(graph_to_dict(CohnPair(spec.graph, spec.x))))
+    ring.write_text(json.dumps(ring_spec(spec.ring)))
+    code = main(["lpa", "classify", "--graph", str(graph), "--ring", str(ring),
+                 "--degree-bound", "1", "--size-bound", "1"])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.startswith("internal error: InternalVerificationFailure: ")
+    assert err.count("\n") == 1
 
 
 def test_nearly_cohn_falls_back_on_transport_errors(monkeypatch):
