@@ -26,7 +26,6 @@ from .coeffring import (Ring, SpanSolver, TableRing, search_cap,
 from .cornerlaurent import CslAlgebra, format_csl
 from .errors import (GralError, InternalVerificationFailure,
                      NotDegreeOneGenerated, SearchCapExceeded)
-from .morphisms import cohn_transport
 from .pathalg import (AlgebraElement, AlgebraSpec, Monomial, _reduce,
                       format_element, identity_element, monomial_element,
                       reduced_monomials, vertex_element)
@@ -130,9 +129,8 @@ class PathAlgebraOracle(GradedRingOracle):
         self.spec = spec
         self.name = repr(spec)
         # built on first use and kept as long as the oracle (one classify)
-        self._transport = None  # Cohn-to-Leavitt preimages
         self._spans = {}        # size bound -> degree -> spanning elements
-        self._left = {}         # x -> local_unit_left(x), Leavitt specs
+        self._left = {}         # x -> local_unit_left(x)
         self._units = {}        # (x, size bound) -> LocalUnitPair
 
     @property
@@ -157,23 +155,18 @@ class PathAlgebraOracle(GradedRingOracle):
         return identity_element(self.spec)
 
     def local_units(self, x, size_bound):
-        """Leavitt specs: the constructive local units.  Relative Cohn specs:
-        those of x's image in the Leavitt algebra of the cover, pulled back;
-        preimages may need source monomials a little longer than the bound.
+        """The constructive local units: a relative Cohn spec pulls back
+        those of x's image in the Leavitt algebra of the cover through psi,
+        exactly and with no bound (regularity.local_unit_left).
 
         Each pair is built once and kept, so check_nearly_epsilon and
-        check_symmetric share it; a Leavitt left unit is kept too, since the
-        right unit of x is the mirror of the left unit of x*, itself a
-        spanning element of the opposite degree.
+        check_symmetric share it; a left unit is kept too, since the right
+        unit of x is the mirror of the left unit of x*, itself a spanning
+        element of the opposite degree.
         """
         key = (x, size_bound)
         if key not in self._units:
-            if self.spec.is_leavitt:
-                self._units[key] = local_units(x, self._left_unit)
-            else:
-                if self._transport is None:
-                    self._transport = cohn_transport(self.spec)
-                self._units[key] = self._transport.local_units(x, size_bound + 2)
+            self._units[key] = local_units(x, self._left_unit)
         return self._units[key]
 
     def _left_unit(self, x):

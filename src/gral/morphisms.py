@@ -1,5 +1,8 @@
 """The Cohn-algebra functor on graph-pair morphisms, the Cohn-to-Leavitt
-graded isomorphism, and finite direct-limit chain verification."""
+graded isomorphism phi with its explicit inverse psi (Abrams, Ara and Siles
+Molina, LNM 2191, section 1.5), which carry elements between the two
+algebras by substitution alone, and finite direct-limit chain verification.
+"""
 
 from __future__ import annotations
 
@@ -11,12 +14,11 @@ from .coeffring import Ring, SpanSolver
 # every gral module that holds it
 from .coeffring import solve_linear_system  # noqa: F401
 from .errors import GralError, InternalVerificationFailure, RelationViolation
-from .graphs import (CohnPair, GraphMorphism, cohn_cover, compose_morphisms,
-                     morphism_validate)
+from .graphs import (PRIME_SUFFIX, CohnPair, GraphMorphism, cohn_cover,
+                     compose_morphisms, morphism_validate)
 from .pathalg import (AlgebraElement, AlgebraSpec, edge_element,
                       format_element, monomial_element, reduced_monomials,
                       vertex_element)
-from .regularity import LocalUnitPair, UnitFactorization, local_units
 
 
 @dataclass(frozen=True)
@@ -157,15 +159,59 @@ def cohn_to_leavitt(pair: CohnPair, ring: Ring) -> AlgebraHom:
     for v in e_graph.vertices:
         img = vertex_element(target, v)
         if v in y:
-            img = img + vertex_element(target, v + "'")
+            img = img + vertex_element(target, v + PRIME_SUFFIX)
         vmap[v] = img
     emap = {}
     for e in e_graph.edges:
         img = edge_element(target, e.name)
         if e.dst in y:
-            img = img + edge_element(target, e.name + "'")
+            img = img + edge_element(target, e.name + PRIME_SUFFIX)
         emap[e.name] = img
     return AlgebraHom.make(source, target, vmap, emap)
+
+
+def cohn_inverse(phi: AlgebraHom) -> AlgebraHom:
+    """psi : L_R(E(X)) -> C_R^X(E), the inverse of phi = cohn_to_leavitt.
+
+    With Y = Reg(E) minus X and q_v = sum of e e* over s(e) = v: psi(v) = q_v
+    and psi(v') = v - q_v for v in Y; psi(f) = f q_r(f) and
+    psi(f') = f (r(f) - q_r(f)) for r(f) in Y; every other generator maps to
+    itself, and ghost images come by involution.
+    """
+    source, graph = phi.source, phi.source.graph
+    y = set(graph.regular) - set(source.x)
+    vmap = {v: vertex_element(source, v) for v in graph.vertices}
+    for v in y:
+        out = [edge_element(source, e.name) for e in graph.out_edges(v)]
+        q = sum((f * f.involution() for f in out), AlgebraElement.zero(source))
+        vmap[v], vmap[v + PRIME_SUFFIX] = q, vmap[v] - q
+    emap = {}
+    for e in graph.edges:
+        f = edge_element(source, e.name)
+        emap[e.name] = f * vmap[e.dst]
+        if e.dst in y:
+            emap[e.name + PRIME_SUFFIX] = f * vmap[e.dst + PRIME_SUFFIX]
+    return AlgebraHom.make(phi.target, source, vmap, emap)
+
+
+def cohn_isomorphism(spec: AlgebraSpec):
+    """(phi, psi) of a relative Cohn spec, psi.phi and phi.psi checked to be
+    the identity on generators; built once and kept on the spec, as its
+    block structures are.  They invert each other for every finite graph
+    and X, so a failed check is a bug."""
+    if spec._cohn is None:
+        phi = cohn_to_leavitt(CohnPair(spec.graph, spec.x), spec.ring)
+        try:
+            psi = cohn_inverse(phi)
+        except RelationViolation as exc:
+            raise InternalVerificationFailure(f"psi: {exc}") from exc
+        for first, second, name in ((phi, psi, "psi.phi"), (psi, phi, "phi.psi")):
+            bad = _homs_agree(compose_homs(second, first), identity_hom(first.source))
+            if bad is not None:
+                raise InternalVerificationFailure(
+                    f"{name} is not the identity at generator {bad}")
+        spec._cohn = phi, psi
+    return spec._cohn
 
 
 # ---------------------------------------------------------------------------
@@ -212,12 +258,14 @@ def verify_graded_iso(h: AlgebraHom, degree_bound: int = 3,
     # cyclic specs: bounded target elements may only be hit from source
     # elements of slightly larger length, so give the source side slack
     src_bound = size_bound if exact else size_bound + 2
-    preimages = HomPreimages(h)
     rows = []
     overall = "holds-exactly" if exact else "holds-at-bound"
     witness = ""
     for d in range(-degree_bound, degree_bound + 1):
-        src, image = preimages.factored(d, src_bound)
+        src = reduced_monomials(h.source, degree=d, max_len=src_bound)
+        image = SpanSolver(h.source.ring,
+                           [hom_apply(h, monomial_element(h.source, m)).terms
+                            for m in src])
         tgt = [monomial_element(h.target, m)
                for m in reduced_monomials(h.target, degree=d, max_len=size_bound)]
         status = "holds-exactly" if exact else "holds-at-bound"
@@ -240,75 +288,6 @@ def verify_graded_iso(h: AlgebraHom, degree_bound: int = 3,
             overall = "fails"
             witness = f"degree {d}: {row_witness}"
     return IsoVerdict(tuple(rows), overall, witness)
-
-
-class HomPreimages:
-    """Preimages under one hom for many targets, found on bounded source
-    spanning sets: the source monomials of each (degree, bound) are mapped
-    and their images factored once, on first use."""
-
-    def __init__(self, h: AlgebraHom):
-        self.hom = h
-        self._solvers = {}
-
-    def factored(self, degree: int, size_bound: int):
-        """(source monomials, SpanSolver of their images) for the degree and
-        bound, built on first use."""
-        key = (degree, size_bound)
-        if key not in self._solvers:
-            source = self.hom.source
-            src = reduced_monomials(source, degree=degree, max_len=size_bound)
-            coords = [hom_apply(self.hom, monomial_element(source, m)).terms
-                      for m in src]
-            self._solvers[key] = src, SpanSolver(source.ring, coords)
-        return self._solvers[key]
-
-    def preimage(self, target_elt: AlgebraElement,
-                 size_bound: int = 3) -> Optional[AlgebraElement]:
-        """One source element mapping to the target element, or None."""
-        source = self.hom.source
-        if target_elt.is_zero:
-            return AlgebraElement.zero(source)
-        src, solver = self.factored(target_elt.degree(), size_bound)
-        sol = solver.solve(target_elt.terms)
-        if sol is None:
-            return None
-        return AlgebraElement.make(source, {m: sol[i] for i, m in enumerate(src)})
-
-    def local_units(self, x: AlgebraElement, size_bound: int = 4) -> LocalUnitPair:
-        """Local units of x pulled back from local units of its image, and
-        checked on x."""
-        upstairs = local_units(hom_apply(self.hom, x))
-        bound = max(size_bound, *(len(m.alpha.edges)
-                                  for side in (upstairs.left, upstairs.right)
-                                  for a, b in side.pairs
-                                  for m in list(a.terms) + list(b.terms))) \
-            if upstairs.left.pairs or upstairs.right.pairs else size_bound
-
-        def pull(factor: UnitFactorization) -> UnitFactorization:
-            pairs = []
-            eps = AlgebraElement.zero(x.spec)
-            for a, b in factor.pairs:
-                pa = self.preimage(a, bound)
-                pb = self.preimage(b, bound)
-                if pa is None or pb is None:
-                    raise GralError("transport failed: preimage outside the bound")
-                pairs.append((pa, pb))
-                eps = eps + pa * pb
-            return UnitFactorization(eps, tuple(pairs))
-
-        left = pull(upstairs.left)
-        right = pull(upstairs.right)
-        if left.epsilon * x != x or x * right.epsilon != x:
-            # the preimages are exact and the hom is injective: a bug
-            raise InternalVerificationFailure("transported local units failed verification")
-        return LocalUnitPair(x, x.degree(), left, right)
-
-
-def cohn_transport(spec: AlgebraSpec) -> HomPreimages:
-    """Preimages under the Cohn-to-Leavitt isomorphism of a relative Cohn
-    spec."""
-    return HomPreimages(cohn_to_leavitt(CohnPair(spec.graph, spec.x), spec.ring))
 
 
 # ---------------------------------------------------------------------------

@@ -75,8 +75,10 @@ class AlgebraSpec:
         if not self.x <= reg:
             raise XNotRegular(f"X contains non-regular vertices: {sorted(self.x - reg)}")
         self.special = {v: graph.out_edges(v)[0].name for v in self.x}
+        self.is_leavitt = self.x == reg
         self._joiner = "" if all(len(e.name) == 1 for e in graph.edges) else "."
         self._blocks = {}  # level -> BlockStructure, see blocks()
+        self._cohn = None  # (phi, psi), see morphisms.cohn_isomorphism
 
     @classmethod
     def leavitt(cls, graph: Graph, ring: Ring) -> "AlgebraSpec":
@@ -85,10 +87,6 @@ class AlgebraSpec:
     @classmethod
     def cohn(cls, graph: Graph, ring: Ring, x=()) -> "AlgebraSpec":
         return cls(graph, ring, x)
-
-    @property
-    def is_leavitt(self) -> bool:
-        return self.x == frozenset(self.graph.regular)
 
     def blocks(self, n: int) -> "BlockStructure":
         """The block structure of D_n, built on the first request for level

@@ -1,11 +1,15 @@
-"""Graded von Neumann regularity witnesses for Leavitt path algebras.
+"""Graded von Neumann regularity witnesses for Leavitt path algebras and
+relative Cohn path algebras.
 
 The constructive route follows the idempotent-generator proof: build a
 per-element left local unit with an explicit factorization across degrees
 d and -d, push the resulting degree-zero generators into a matricial
 filtration level, combine them into a single idempotent there, and read
-off the witness.  A brute-force oracle poses x.b.x = x as a linear system
-over a bounded spanning set and is exact on acyclic graphs.
+off the witness.  A relative Cohn spec C^X(E) takes its local units and
+witnesses from L(E(X)) through the isomorphism phi and its inverse psi
+(morphisms.cohn_isomorphism): psi of the unit or witness of phi(x),
+checked again on x.  A brute-force oracle poses x.b.x = x as a linear
+system over a bounded spanning set and is exact on acyclic graphs.
 """
 
 from __future__ import annotations
@@ -18,6 +22,7 @@ from .coeffring import (MatrixOverRing, is_vnr, matrix_vnr_witness,
                         mul_entries, solve_linear_system)
 from .errors import (CoefficientRingNotVNR, GralError,
                      InternalVerificationFailure, ZeroElement)
+from .morphisms import cohn_isomorphism, hom_apply
 from .pathalg import (AlgebraElement, AlgebraSpec, BlockStructure,
                       MatricialImage, Monomial, _expand_to_level, _mono_mul,
                       _reduce, filtration_level, matricial_decompose,
@@ -44,12 +49,20 @@ class LocalUnitPair:
 
 
 def local_unit_left(x: AlgebraElement) -> UnitFactorization:
-    """Left local unit for a nonzero homogeneous element of a Leavitt spec,
-    with its factorization across the degree pair."""
+    """Left local unit for a nonzero homogeneous element, with its
+    factorization across the degree pair.  A relative Cohn spec pulls back
+    the unit of phi(x) through psi, pair by pair."""
     if x.is_zero:
         raise ZeroElement("local units need a nonzero element")
     if not x.spec.is_leavitt:
-        raise GralError("local_unit_left needs a Leavitt spec")
+        phi, psi = cohn_isomorphism(x.spec)
+        upstairs = local_unit_left(hom_apply(phi, x))
+        pairs = tuple((hom_apply(psi, a), hom_apply(psi, b)) for a, b in upstairs.pairs)
+        eps = sum((a * b for a, b in pairs), AlgebraElement.zero(x.spec))
+        if eps * x != x:
+            # psi is checked to invert phi on generators: a bug
+            raise InternalVerificationFailure("transported local units failed verification")
+        return UnitFactorization(eps, pairs)
     d = x.degree()
     spec = x.spec
     top = max(len(m.alpha.edges) for m in x.terms)
@@ -191,9 +204,10 @@ def _verify_witness(x: AlgebraElement, b: AlgebraElement) -> bool:
 
 
 def graded_witness_constructive(x: AlgebraElement) -> WitnessCertificate:
-    """Witness via local units and the matricial idempotent generator.
+    """Witness via local units and the matricial idempotent generator; a
+    relative Cohn spec takes psi of the witness of phi(x).
 
-    Guaranteed to succeed for Leavitt specs over vnr coefficient rings; an
+    Guaranteed to succeed over vnr coefficient rings; an
     InternalVerificationFailure therefore signals a bug, not a negative.
     """
     spec = x.spec
@@ -202,6 +216,12 @@ def graded_witness_constructive(x: AlgebraElement) -> WitnessCertificate:
     if x.is_zero:
         raise ZeroElement("the zero element needs no witness")
     d = x.degree()
+    if not spec.is_leavitt:
+        phi, psi = cohn_isomorphism(spec)
+        b = hom_apply(psi, graded_witness_constructive(hom_apply(phi, x)).witness)
+        if b.degree() != -d or not _verify_witness(x, b):
+            raise InternalVerificationFailure("transported witness failed verification")
+        return WitnessCertificate(x, d, "constructive", witness=b, verified=True)
     if d < 0:
         mirror = graded_witness_constructive(x.involution())
         b = mirror.witness.involution()

@@ -1,5 +1,6 @@
 import pytest
 from hypothesis import settings
+from hypothesis import strategies as st
 
 from gral.coeffring import ModularRing, ProductRing, TableRing
 from gral.cornerlaurent import CslAlgebra
@@ -77,6 +78,16 @@ def graph_span():
 
 def graph_null():
     return Graph([], [])
+
+
+@st.composite
+def small_graphs(draw):
+    """A graph on at most three vertices and four edges; each vertex draws
+    zero to two out-edges, so some graphs have sinks and some do not."""
+    vertices = ["u", "v", "w"][:draw(st.integers(1, 3))]
+    edges = [(v, draw(st.sampled_from(vertices)))
+             for v in vertices for _ in range(draw(st.integers(0, 2)))][:4]
+    return Graph(vertices, [(name, a, b) for name, (a, b) in zip("abcd", edges)])
 
 
 SIX_GRAPHS = {

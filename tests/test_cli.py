@@ -10,7 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import table_z2xz2
-from gral import cli, coeffring, gradedstruct, morphisms
+from gral import cli, coeffring, gradedstruct, morphisms, regularity
 from gral.cli import main
 from gral.coeffring import MatrixOverRing, ModularRing, ring_make, ring_spec
 from gral.cornerlaurent import corner_from_dict, csl_element_from_dict
@@ -468,10 +468,13 @@ def test_broken_epsilon_exits_3(files, capsys, monkeypatch):
 
 
 def test_broken_preimage_exits_3(files, capsys, monkeypatch):
-    # the Cohn-to-Leavitt preimages are exact and the map is injective, so
-    # transported units that fail on x are a bug, not a missing unit
-    monkeypatch.setattr(morphisms.HomPreimages, "preimage",
-                        lambda self, y, size_bound=3: AlgebraElement.zero(self.hom.source))
+    # psi inverts phi on generators, so transported units that fail on x are
+    # a bug, not a missing unit: plant a psi that sends every element to 0
+    real = regularity.hom_apply
+
+    def broken(h, y):
+        return real(h, y) if h.target.is_leavitt else AlgebraElement.zero(h.target)
+    monkeypatch.setattr(regularity, "hom_apply", broken)
     code = main(["lpa", "classify", "--graph", files["vw_cohn"], "--ring", files["z2"],
                  "--degree-bound", "1", "--size-bound", "1"])
     captured = capsys.readouterr()
@@ -479,6 +482,65 @@ def test_broken_preimage_exits_3(files, capsys, monkeypatch):
     assert captured.out == ""
     assert captured.err == ("internal error: InternalVerificationFailure: "
                             "transported local units failed verification\n")
+
+
+def test_non_inverse_psi_exits_3(files, capsys, monkeypatch):
+    # psi with v' -> 0 keeps every relation of L(E(X)) but is no inverse:
+    # psi(phi(v)) = ff* != v in the Cohn algebra, a bug and never a refusal
+    real = morphisms.cohn_inverse
+
+    def planted(phi):
+        psi = real(phi)
+        vmap = dict(psi.vmap, **{"v'": AlgebraElement.zero(psi.target)})
+        return morphisms.AlgebraHom.make(psi.source, psi.target, vmap, dict(psi.emap))
+    monkeypatch.setattr(morphisms, "cohn_inverse", planted)
+    spec = AlgebraSpec.cohn(Graph(["v", "w"], [("f", "v", "w")]), ModularRing(2), [])
+    with pytest.raises(InternalVerificationFailure,
+                       match=r"^psi\.phi is not the identity at generator v$"):
+        morphisms.cohn_isomorphism(spec)
+    code = main(["lpa", "classify", "--graph", files["vw_cohn"], "--ring", files["z2"],
+                 "--degree-bound", "1", "--size-bound", "1"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err == ("internal error: InternalVerificationFailure: "
+                            "psi.phi is not the identity at generator v\n")
+
+
+COHN_VERDICT_VW = """\
+algebra=C^[]_Z/2(Graph(['v', 'w'], [('f', 'v', 'w')])) method=constructive overall=verified-at-bounds
+element=f* degree=-1 method=constructive witness=f bounds=- verified=true
+element=v degree=0 method=constructive witness=v bounds=- verified=true
+element=w degree=0 method=constructive witness=w bounds=- verified=true
+element=ff* degree=0 method=constructive witness=ff* bounds=- verified=true
+element=f degree=1 method=constructive witness=f* bounds=- verified=true
+element=v + w degree=0 method=constructive witness=v + w bounds=- verified=true
+element=v + w degree=0 method=constructive witness=v + w bounds=- verified=true
+"""
+
+
+def test_cohn_witness_and_verdict_run_constructively(files, capsys):
+    # a relative Cohn spec over a vnr ring takes psi of the Leavitt witness
+    # of phi(x); both commands used to exit 2 without --method oracle
+    witness = ["lpa", "witness", "--graph", files["vw_cohn"], "--ring", files["z2"],
+               "--element", files["elt_f"]]
+    assert main(witness) == 0
+    assert capsys.readouterr().out == \
+        "element=f degree=1 method=constructive witness=f* bounds=- verified=true\n"
+    assert main(witness + ["--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert (payload["method"], payload["witness"], payload["verified"]) == \
+        ("constructive", "f*", True)
+    verdict = ["lpa", "verdict", "--graph", files["vw_cohn"], "--ring", files["z2"],
+               "--degree-bound", "1", "--size-bound", "1", "--samples", "2"]
+    assert main(verdict) == 0
+    assert capsys.readouterr().out == COHN_VERDICT_VW
+    assert main(verdict + ["--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert (payload["method"], payload["overall"]) == ("constructive", "verified-at-bounds")
+    assert [c["witness"] for c in payload["certificates"]] == \
+        ["f", "v", "w", "ff*", "f*", "v + w", "v + w"]
+    assert all(c["verified"] for c in payload["certificates"])
 
 
 def test_deeply_nested_file_exit2(files, tmp_path, capsys):

@@ -9,8 +9,9 @@ from hypothesis import strategies as st
 
 from conftest import (SIX_GRAPHS, graph_a1, graph_loop, graph_null,
                       graph_rose2, graph_span, graph_toeplitz, graph_vw,
-                      graph_vwu, swap_algebra, table_upper_z2, table_z2xz2)
-from gral import gradedstruct, morphisms
+                      graph_vwu, small_graphs, swap_algebra, table_upper_z2,
+                      table_z2xz2)
+from gral import gradedstruct, morphisms, regularity
 from gral.cli import main
 from gral.coeffring import ModularRing, is_vnr, ring_spec
 from gral.cornerlaurent import CslAlgebra, format_csl
@@ -221,16 +222,6 @@ def test_certified_rows_match_the_span_search(monkeypatch, name, n, bound):
     _search_only(monkeypatch)
     assert _rows(certified, "strong", "symmetric") == \
         _rows(classify(spec, bound, bound), "strong", "symmetric")
-
-
-@st.composite
-def small_graphs(draw):
-    """A graph on at most three vertices and four edges; each vertex draws
-    zero to two out-edges, so some graphs have sinks and some do not."""
-    vertices = ["u", "v", "w"][:draw(st.integers(1, 3))]
-    edges = [(v, draw(st.sampled_from(vertices)))
-             for v in vertices for _ in range(draw(st.integers(0, 2)))][:4]
-    return Graph(vertices, [(name, a, b) for name, (a, b) in zip("abcd", edges)])
 
 
 @given(small_graphs(), st.sampled_from([2, 4, 6]))
@@ -539,13 +530,14 @@ def test_path_oracle_local_units(z2):
 
 
 def test_nearly_products_formed_once_per_degree(monkeypatch):
-    # with every transport refused, each element falls back to the bounded
-    # search, which shares one S_d S_-d and one S_-d S_d list per degree
+    # with every transport through psi refused, each element falls back to
+    # the bounded search, which shares one S_d S_-d and one S_-d S_d list
+    # per degree
     spec = AlgebraSpec.cohn(graph_vw(), ModularRing(2), [])
 
     def refuse(*args, **kwargs):
         raise GralError("transport refused")
-    monkeypatch.setattr(morphisms.HomPreimages, "local_units", refuse)
+    monkeypatch.setattr(regularity, "cohn_isomorphism", refuse)
     calls = []
     real = PathAlgebraOracle.products
     monkeypatch.setattr(PathAlgebraOracle, "products",
@@ -586,7 +578,7 @@ def _swapped_strong_pair(real):
 
 
 @pytest.mark.parametrize("owner, name, plant, spec, message", [
-    (morphisms.HomPreimages, "local_units", _raise_internal,
+    (regularity, "cohn_isomorphism", _raise_internal,
      AlgebraSpec.cohn(graph_vw(), ModularRing(2), []), "planted"),
     (gradedstruct, "check_strong_Z", _raise_internal,
      AlgebraSpec.leavitt(graph_vw(), ModularRing(2)), "planted"),
@@ -625,7 +617,7 @@ def test_nearly_cohn_falls_back_on_transport_errors(monkeypatch):
 
     def refuse(*args, **kwargs):
         raise GralError("transport refused")
-    monkeypatch.setattr(morphisms.HomPreimages, "local_units", refuse)
+    monkeypatch.setattr(regularity, "cohn_isomorphism", refuse)
     assert classify(spec, 1, 1).to_text() == expected
 
 

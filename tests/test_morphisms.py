@@ -3,19 +3,23 @@
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from conftest import (graph_a1, graph_loop, graph_span, graph_toeplitz, graph_vw,
-                      graph_vwu, random_element)
+                      graph_vwu, random_element, small_graphs)
 from gral import coeffring, morphisms
-from gral.coeffring import ModularRing
+from gral.coeffring import ModularRing, SpanSolver
 from gral.errors import GralError, RelationViolation
 from gral.graphs import CohnPair, Graph, GraphMorphism
-from gral.morphisms import (AlgebraHom, HomPreimages, chain_colimit_check,
-                            cohn_to_leavitt, cohn_transport, compose_homs,
+from gral.morphisms import (AlgebraHom, _homs_agree, chain_colimit_check,
+                            cohn_isomorphism, cohn_to_leavitt, compose_homs,
                             hom_apply, identity_hom, induced_hom,
                             verify_graded_iso)
 from gral.pathalg import (AlgebraElement, AlgebraSpec, edge_element,
-                          format_element, vertex_element, word_element)
+                          format_element, monomial_element, reduced_monomials,
+                          vertex_element, word_element)
+from gral.regularity import local_units
 
 
 def inclusion_a1_vw(ring):
@@ -196,15 +200,29 @@ def test_iso_non_injective_hom_names_a_kernel_element(n):
 
 
 def test_hom_preimage_roundtrip(z2):
-    phi = cohn_to_leavitt(CohnPair(graph_vw(), frozenset()), z2)
+    # psi(phi(x)) = x on the Cohn side and phi(psi(y)) = y on the Leavitt side
+    spec = AlgebraSpec.cohn(graph_vw(), z2, [])
+    phi, psi = cohn_isomorphism(spec)
     rng = random.Random(71)
     for _ in range(40):
-        x = random_element(phi.source, rng, max_len=1)
-        if not x.is_homogeneous():
-            continue
-        y = hom_apply(phi, x)
-        back = HomPreimages(phi).preimage(y, 1)
-        assert back is not None and hom_apply(phi, back) == y
+        x = random_element(phi.source, rng, max_len=2)
+        assert hom_apply(psi, hom_apply(phi, x)) == x
+        y = random_element(phi.target, rng, max_len=2)
+        assert hom_apply(phi, hom_apply(psi, y)) == y
+
+
+@given(small_graphs(), st.data(), st.sampled_from([2, 4, 6]))
+def test_cohn_inverse_is_the_inverse_on_generators(graph, data, n):
+    # psi validates against the relations of L(E(X)), and both composites
+    # are the identity on generators, for every X inside Reg(E)
+    regular = sorted(graph.regular)
+    x = [v for v in regular if data.draw(st.booleans())]
+    spec = AlgebraSpec.cohn(graph, ModularRing(n), x)
+    phi, psi = cohn_isomorphism(spec)
+    psi.validate()
+    assert _homs_agree(compose_homs(psi, phi), identity_hom(phi.source)) is None
+    assert _homs_agree(compose_homs(phi, psi), identity_hom(phi.target)) is None
+    assert cohn_isomorphism(spec) == (phi, psi)
 
 
 # -- transported local units --------------------------------------------------------------
@@ -214,7 +232,7 @@ def test_cohn_local_units_transport(z2):
     spec = AlgebraSpec.cohn(graph_vw(), z2, [])
     for word in (["f"], ["f*"], ["f", "f*"], ["v"]):
         x = word_element(spec, word)
-        pair = cohn_transport(spec).local_units(x)
+        pair = local_units(x)
         assert pair.left.epsilon * x == x
         assert x * pair.right.epsilon == x
         acc = AlgebraElement.zero(spec)
@@ -224,36 +242,44 @@ def test_cohn_local_units_transport(z2):
 
 
 def test_shared_preimages_match_hom_preimage(z4):
-    # the per-(degree, bound) solvers kept between targets give the answers
-    # of a fresh HomPreimages; on the Toeplitz graph most targets have a
-    # preimage at some of the bounds only
-    phi = cohn_to_leavitt(CohnPair(graph_toeplitz(), frozenset()), z4)
-    shared = HomPreimages(phi)
+    # differential: wherever a linear solve over the bounded source
+    # monomials finds a preimage of y, it is psi(y); on these cyclic graphs
+    # many targets have a preimage at some of the bounds only
     rng = random.Random(83)
-    for _ in range(30):
-        y = random_element(phi.target, rng, max_len=2)
-        if not y.is_homogeneous():
-            continue
-        for bound in (1, 2, 3):
-            assert shared.preimage(y, bound) == HomPreimages(phi).preimage(y, bound)
+    for make in (graph_toeplitz, graph_span):
+        spec = AlgebraSpec.cohn(make(), z4, [])
+        phi, psi = cohn_isomorphism(spec)
+        found = 0
+        for _ in range(30):
+            y = random_element(phi.target, rng, max_len=2)
+            if y.is_zero or not y.is_homogeneous():
+                continue
+            for bound in (1, 2, 3):
+                src = reduced_monomials(spec, degree=y.degree(), max_len=bound)
+                solver = SpanSolver(z4, [hom_apply(phi, monomial_element(spec, m)).terms
+                                         for m in src])
+                sol = solver.solve(y.terms)
+                if sol is not None:
+                    found += 1
+                    assert AlgebraElement.make(
+                        spec, {m: sol[i] for i, m in enumerate(src)}) == hom_apply(psi, y)
+        assert found > 0
 
 
 def test_cohn_local_units_share_one_transport(z2, monkeypatch):
-    # one phi, and one preimage solver per (degree, bound) for all elements
-    spec = AlgebraSpec.cohn(graph_vw(), z2, [])
-    xs = [word_element(spec, w) for w in (["f"], ["f*"], ["f", "f*"], ["v"], ["w"])]
-    expected = [cohn_transport(spec).local_units(x) for x in xs]
-    built, solvers = [], []
-    real_phi, real_solver = morphisms.cohn_to_leavitt, morphisms.SpanSolver
+    # phi and psi are built once per spec and serve every element
+    xs_words = (["f"], ["f*"], ["f", "f*"], ["v"], ["w"])
+    fresh = AlgebraSpec.cohn(graph_vw(), z2, [])
+    expected = [local_units(word_element(fresh, w)) for w in xs_words]
+    built, inverted = [], []
+    real_phi, real_psi = morphisms.cohn_to_leavitt, morphisms.cohn_inverse
     monkeypatch.setattr(morphisms, "cohn_to_leavitt",
                         lambda *args: built.append(args) or real_phi(*args))
-    monkeypatch.setattr(morphisms, "SpanSolver",
-                        lambda *args: solvers.append(args) or real_solver(*args))
-    transport = cohn_transport(spec)
-    assert [transport.local_units(x, 4) for x in xs] == expected
-    preimages = sum(2 * len(side.pairs) for u in expected for side in (u.left, u.right))
-    assert len(built) == 1
-    assert 0 < len(solvers) < preimages
+    monkeypatch.setattr(morphisms, "cohn_inverse",
+                        lambda *args: inverted.append(args) or real_psi(*args))
+    spec = AlgebraSpec.cohn(graph_vw(), z2, [])
+    assert [local_units(word_element(spec, w)) for w in xs_words] == expected
+    assert len(built) == len(inverted) == 1
 
 
 # -- chains ---------------------------------------------------------------------------------

@@ -4,12 +4,14 @@ import random
 
 import pytest
 
-from conftest import (graph_a1, graph_loop, graph_null, graph_rose2,
-                      graph_toeplitz, graph_vw, graph_vwu, random_element)
+from conftest import (graph_2cycle, graph_a1, graph_loop, graph_null,
+                      graph_rose2, graph_toeplitz, graph_vw, graph_vwu,
+                      random_element)
 import gral.regularity as regularity
 from gral.coeffring import ModularRing, ProductRing
 from gral.graphs import Graph
-from gral.errors import (CoefficientRingNotVNR, GralError, ZeroElement)
+from gral.errors import (CoefficientRingNotVNR, GralError,
+                         InternalVerificationFailure, ZeroElement)
 from gral.pathalg import (AlgebraElement, AlgebraSpec, BlockStructure,
                           MatricialImage, Monomial, format_element,
                           matricial_decompose, monomial_element,
@@ -273,6 +275,47 @@ def test_constructive_refuses_non_vnr():
     spec = AlgebraSpec.leavitt(graph_loop(), ModularRing(4))
     with pytest.raises(CoefficientRingNotVNR):
         graded_witness_constructive(word_element(spec, ["e"]))
+
+
+@pytest.mark.parametrize("make, x", [(graph_rose2, []), (graph_toeplitz, []),
+                                     (graph_2cycle, ["v"])],
+                         ids=["rose2", "toeplitz", "2cycle_Xv"])
+def test_cohn_constructive_witnesses(z6, make, x):
+    # psi of the Leavitt witness of phi(x): degree -d and x.b.x = x in the
+    # Cohn algebra, for every monomial times every nonzero scalar and for
+    # random homogeneous sums; inhomogeneous elements and non-vnr rings
+    # are refused as on Leavitt specs
+    spec = AlgebraSpec.cohn(make(), z6, x)
+    elements = [monomial_element(spec, m, c)
+                for m in reduced_monomials(spec, max_len=2) for c in range(1, 6)]
+    rng = random.Random(53)
+    elements += [random_element(spec, rng, degree=rng.randint(-2, 2)) for _ in range(20)]
+    for el in elements:
+        if el.is_zero:
+            continue
+        cert = graded_witness_constructive(el)
+        b = cert.witness
+        assert cert.method == "constructive" and cert.verified
+        assert b.degree() == -el.degree() and el * b * el == el
+    v, e = spec.graph.vertices[0], spec.graph.edges[0].name
+    with pytest.raises(GralError, match="not homogeneous"):
+        graded_witness_constructive(vertex_element(spec, v) + word_element(spec, [e]))
+    z4_spec = AlgebraSpec.cohn(make(), ModularRing(4), x)
+    with pytest.raises(CoefficientRingNotVNR):
+        graded_witness_constructive(vertex_element(z4_spec, v))
+
+
+def test_broken_transported_witness_is_a_bug(monkeypatch, z2):
+    # a psi that sends every element to 0 yields no witness: exact re-check
+    real = regularity.hom_apply
+
+    def broken(h, y):
+        return real(h, y) if h.target.is_leavitt else AlgebraElement.zero(h.target)
+    monkeypatch.setattr(regularity, "hom_apply", broken)
+    spec = AlgebraSpec.cohn(graph_vw(), z2, [])
+    with pytest.raises(InternalVerificationFailure,
+                       match="transported witness failed verification"):
+        graded_witness_constructive(word_element(spec, ["f"]))
 
 
 def test_reflection_consistency(z6):
