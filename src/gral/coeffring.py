@@ -9,6 +9,8 @@ immutable after construction, so everything here is safe to share.
 
 from __future__ import annotations
 
+import collections
+import functools
 import itertools
 import math
 import os
@@ -345,7 +347,7 @@ def ring_make(spec) -> Ring:
 def within_cap(states: int, what: str) -> int:
     """states, checked before a search over that many states: past the
     search cap, SearchCapExceeded naming what.  The one up-front cap check;
-    only is_vnr and the additive closure count their states as they go."""
+    only is_vnr counts its states as it goes.  Linear algebra never asks."""
     cap = search_cap()
     if states > cap:
         raise SearchCapExceeded(states, cap, what)
@@ -436,7 +438,7 @@ def is_vnr(ring: Ring) -> VnrVerdict:
 # SpanSolver factors the columns of a span question once for any number
 # of targets and its kernel, and solve_linear_system and kernel_generators
 # are the one-question uses of the same factorization.  Product rings
-# split into their factors; table rings search exhaustively (capped).
+# split into their factors; other rings are solved in additive coordinates.
 
 
 def _span_rows(columns, keys=()):
@@ -509,8 +511,8 @@ def solve_linear_system(ring: Ring, constraints, variables=None):
     """One solution as {var: element}, or None if certifiably absent.
 
     Modular and product rings are solved exactly (CRT into prime powers,
-    elimination with unit pivots and p-divisible recursion); table rings
-    fall back to capped exhaustive search.
+    elimination with unit pivots and p-divisible recursion); table rings by
+    the same elimination in additive coordinates.
     """
     varlist = _collect_vars(constraints, variables)
     if isinstance(ring, ProductRing):
@@ -552,7 +554,7 @@ def _factor(ring: Ring, constraints, varlist):
         return _ProductSystem(ring, constraints, varlist)
     if isinstance(ring, ModularRing):
         return _ModularSystem(ring, constraints, varlist)
-    return _ExhaustiveSystem(ring, constraints, varlist)
+    return _AdditiveSystem(ring, constraints, varlist)
 
 
 class _ProductSystem:
@@ -582,21 +584,85 @@ class _ProductSystem:
         return gens
 
 
-class _ExhaustiveSystem:
+class _AdditiveSystem:
+    """A table ring's constraints in additive coordinates: x_v = sum_a
+    n_(v,a) . a over the nonzero a, so l . x_v . r adds n_(v,a) . (l . a . r).
+    Each answer is mapped back to R and re-checked exactly."""
+
     def __init__(self, ring, constraints, varlist):
-        self.ring, self.varlist = ring, varlist
-        self.lhs = [terms for terms, _ in constraints]
+        self.ring, self.varlist, self.lhs = ring, varlist, [terms for terms, _ in constraints]
+        nonzero = [a for a in ring.elements() if a != ring.zero]
+        self.labels = [(v, a) for v in varlist for a in nonzero]
+        columns = {label: {} for label in self.labels}
+        for i, terms in enumerate(self.lhs):
+            for (l, v, r), a in itertools.product(terms, nonzero):
+                col = columns[v, a]
+                col[i] = ring.add(col.get(i, ring.zero), _term(ring, l, a, r))
+        self.span = AdditiveSpan(ring, list(columns.values()))
 
     def solve(self, rhs):
-        return _solve_exhaustive(self.ring, list(zip(self.lhs, rhs)), self.varlist)
+        counts = self.span.solve(dict(enumerate(rhs)))
+        return None if counts is None else self._checked(counts, rhs, "linear solution")
 
     def kernel(self):
-        """Every nonzero solution of the homogeneous system."""
         zero = self.ring.zero
-        constraints = [(terms, zero) for terms in self.lhs]
-        search = _assignments(self.ring, self.varlist, "kernel search over table ring")
-        return [a for a in search if any(x != zero for x in a.values())
-                and _check_assignment(self.ring, constraints, a)]
+        gens = [self._checked(c, itertools.repeat(zero), "kernel generator")
+                for c in self.span.kernel()]
+        return [g for g in gens if any(x != zero for x in g.values())]
+
+    def _checked(self, counts, rhs, what):
+        ring = self.ring
+        x = fold_multiples(ring, self.labels, counts, self.varlist)
+        for terms, b in zip(self.lhs, rhs):
+            if functools.reduce(ring.add, (_term(ring, l, x[v], r) for l, v, r in terms),
+                                ring.zero) != b:
+                raise InternalVerificationFailure(f"{what} failed re-verification")
+        return x
+
+
+def _term(ring, l, x, r):
+    """l . x . r, a None factor left out."""
+    x = x if l is None else ring.mul(l, x)
+    return x if r is None else ring.mul(x, r)
+
+
+def fold_multiples(ring: Ring, labels, counts, keys) -> dict:
+    """{key: sum of n . a over its labels (key, a) and counts n} for each key."""
+    out = dict.fromkeys(keys, ring.zero)
+    for (k, a), n in zip(labels, counts):
+        for _ in range(n):
+            out[k] = ring.add(out[k], a)
+    return out
+
+
+class AdditiveSpan:
+    """Integer combinations sum_i n_i . columns[i] = target of coordinate
+    dicts {key: ring element}, n_i mod N, the exponent of (R, +) = (Z/N)^R
+    modulo the e_a + e_b - e_(a+b).  An entry c at key k is the unit vector
+    at (k, c), and each key gets the relations as columns of its own, so one
+    SpanSolver over Z/N gives solve(target) = [n_i] or None and kernel()."""
+
+    def __init__(self, ring: Ring, columns):
+        self.zero, self.width = ring.zero, len(columns)
+        n, multiples = 1, ring.elements()
+        while any(x != ring.zero for x in multiples):
+            n, multiples = n + 1, [ring.add(x, a) for x, a in zip(multiples, ring.elements())]
+        # e_a + e_b - e_(a+b), the -1 read as n - 1
+        relations = [collections.Counter((a, b) + (ring.add(a, b),) * (n - 1))
+                     for a, b in itertools.combinations_with_replacement(ring.elements(), 2)]
+        keys = dict.fromkeys(k for col in columns for k in col)
+        self._solver = SpanSolver(ModularRing(n), [self._vector(col) for col in columns] + [
+            {(k, x): c % n for x, c in rel.items() if c % n} for k in keys for rel in relations])
+
+    def _vector(self, coords):
+        return {(k, c): 1 for k, c in coords.items() if c != self.zero}
+
+    def solve(self, target) -> Optional[list]:
+        sol = self._solver.solve(self._vector(target))
+        return None if sol is None else [sol[i] for i in range(self.width)]
+
+    def kernel(self) -> list:
+        return [[g[i] for i in range(self.width)] for g in self._solver.kernel()]
 
 
 def _fold_modular(ring, constraints, varlist):
@@ -791,34 +857,6 @@ class _PrimePowerFactor:
         return gens
 
 
-def _assignments(ring: Ring, varlist, what):
-    """Every assignment of ring elements to the variables, in enumeration
-    order; refuses past the search cap."""
-    within_cap(ring.order ** len(varlist) if varlist else 1, what)
-    for combo in itertools.product(ring.elements(), repeat=len(varlist)):
-        yield dict(zip(varlist, combo))
-
-
-def _solve_exhaustive(ring: Ring, constraints, varlist):
-    return next((a for a in _assignments(ring, varlist, "linear solve over table ring")
-                 if _check_assignment(ring, constraints, a)), None)
-
-
-def _check_assignment(ring, constraints, assignment):
-    for terms, rhs in constraints:
-        acc = ring.zero
-        for l, v, r in terms:
-            t = assignment[v]
-            if l is not None:
-                t = ring.mul(l, t)
-            if r is not None:
-                t = ring.mul(t, r)
-            acc = ring.add(acc, t)
-        if acc != rhs:
-            return False
-    return True
-
-
 def kernel_generators(ring: Ring, constraints, variables):
     """Nonzero generators {var: element} of the solution module of a
     homogeneous system (every right-hand side zero, a modular one read mod
@@ -888,8 +926,8 @@ def mat_mul(a: MatrixOverRing, b: MatrixOverRing) -> MatrixOverRing:
 def matrix_vnr_witness(a: MatrixOverRing) -> Optional[MatrixOverRing]:
     """Y with A.Y.A = A, or None (certified absence).
 
-    Field components get an O(n^3) generalized inverse; modular rings split
-    by CRT; everything else goes through solve_linear_system.  The result is
+    Prime moduli get an O(n^3) generalized inverse; modular rings split by
+    CRT; everything else goes through solve_linear_system.  The result is
     re-verified before returning.
     """
     y = _matrix_witness_dispatch(a)
@@ -928,8 +966,6 @@ def _matrix_witness_dispatch(a: MatrixOverRing):
         return MatrixOverRing(ring, tuple(
             tuple(_crt([(y[i][j], q) for y, q in comps]) for j in range(a.rows))
             for i in range(a.cols)))
-    if ring.is_field():
-        return _field_generalized_inverse(a)
     return _matrix_witness_solve(a)
 
 

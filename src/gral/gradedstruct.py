@@ -21,11 +21,10 @@ import itertools
 from dataclasses import dataclass
 from typing import Optional
 
-from .coeffring import (Ring, SpanSolver, TableRing, search_cap,
+from .coeffring import (AdditiveSpan, Ring, SpanSolver, TableRing, fold_multiples,
                         solve_linear_system, span_constraints, within_cap)
 from .cornerlaurent import CslAlgebra, format_csl
-from .errors import (GralError, InternalVerificationFailure,
-                     NotDegreeOneGenerated, SearchCapExceeded)
+from .errors import GralError, InternalVerificationFailure, NotDegreeOneGenerated
 from .pathalg import (AlgebraElement, AlgebraSpec, Monomial, _reduce,
                       format_element, identity_element, monomial_element,
                       reduced_monomials, vertex_element)
@@ -423,9 +422,9 @@ class PolynomialOracle(GradedRingOracle):
 
 class CslOracle(GradedRingOracle):
     """Corner skew Laurent ring, over a finite ring the skew Laurent ring
-    R[t, t^-1; alpha] (see cornerlaurent).  Components are finite, so
-    membership is decided by additive closure (the twist keeps coordinates
-    from being left-linear)."""
+    R[t, t^-1; alpha] (see cornerlaurent).  The twist keeps coordinates from
+    being left-linear, so spans are solved in the additive span of the
+    R-multiples of their elements."""
 
     degree_one_generated = True
 
@@ -454,9 +453,8 @@ class CslOracle(GradedRingOracle):
         return format_csl(x)
 
     def span_solver(self, elements):
-        closure = _additive_closure(self, elements)
-        # membership only; coefficients not reported
-        return lambda target: [] if target in closure else None
+        solve = _multiples_solver(self, elements, [lambda x: x])
+        return lambda target: solve([target])
 
 
 def _as_oracle(target) -> GradedRingOracle:
@@ -464,28 +462,23 @@ def _as_oracle(target) -> GradedRingOracle:
     return PathAlgebraOracle(target) if isinstance(target, AlgebraSpec) else target
 
 
-def _additive_closure(oracle, elements):
-    """Closure of the R-scalings of the elements under addition, as a dict
-    whose keys keep the order in which they were found, so a search over it
-    returns the same element on every run."""
-    if not elements:
-        return {}
-    seeds = dict.fromkeys(oracle.scale(r, el) for el in elements
-                          for r in oracle.ring.elements())
-    closure = dict(seeds)
-    changed = True
-    cap = search_cap()
-    while changed:
-        changed = False
-        for a in list(closure):
-            for b in seeds:
-                c = oracle.add(a, b)
-                if c not in closure:
-                    closure[c] = None
-                    changed = True
-                    if len(closure) > cap:
-                        raise SearchCapExceeded(len(closure), cap, "additive closure")
-    return closure
+def _multiples_solver(oracle, elements, maps):
+    """A function from targets [y_f], one per additive map f, to [c_i] with
+    f(sum_i c_i . elements[i]) = y_f for every f, or None: an AdditiveSpan
+    over the multiples r . elements[i], exact for every ring and twist."""
+    ring = oracle.ring
+    labels = [(i, r) for i in range(len(elements)) for r in ring.elements() if r != ring.zero]
+
+    def stacked(xs):
+        return {(j, k): c for j, x in enumerate(xs) for k, c in oracle.coords(x).items()}
+    span = AdditiveSpan(ring, [stacked([f(oracle.scale(r, elements[i])) for f in maps])
+                               for i, r in labels])
+
+    def solve(targets):
+        counts = span.solve(stacked(targets))
+        return None if counts is None else \
+            list(fold_multiples(ring, labels, counts, range(len(elements))).values())
+    return solve
 
 
 # ---------------------------------------------------------------------------
@@ -788,39 +781,35 @@ def _solve_epsilon(oracle, products, span_d, span_md):
     span_d and t.eps = t for every t in span_md, or None (also when there
     are no products).
 
-    The linear system reads these equations through the coordinates, which
-    describe the products only where scaling a product scales its
-    coordinates on the side the equation needs; a non-commutative
-    coefficient ring or a twisted corner breaks that, and there an empty
-    linear answer proves nothing.  So every candidate is checked on the
-    elements themselves, and when the linear answer fails, or finds nothing
-    over a corner ring or a non-commutative ring, the finite additive
-    closure of the products is searched instead.
+    The linear system reads these equations through coordinates, which a
+    non-commutative ring or a twisted corner keeps from being left-linear;
+    so its answer is checked on the elements, and when it fails, or finds
+    nothing over such a ring, the equations are solved exactly over the
+    additive span of the products' R-multiples.
     """
     if not products:
         return None
     ring, coords, mul = oracle.ring, oracle.coords, oracle.mul
-
-    def is_unit(eps):
-        return all(mul(eps, s) == s for s in span_d) and \
-            all(mul(t, eps) == t for t in span_md)
-
+    equations = [(s, lambda eps, s=s: mul(eps, s)) for s in span_d] + \
+        [(t, lambda eps, t=t: mul(t, eps)) for t in span_md]
     constraints = []
-    for s in span_d:
-        constraints += span_constraints(
-            ring, [coords(mul(p, s)) for p in products], coords(s))
-    for t in span_md:
-        constraints += span_constraints(
-            ring, [coords(mul(t, p)) for p in products], coords(t))
+    for x, f in equations:
+        constraints += span_constraints(ring, [coords(f(p)) for p in products], coords(x))
     sol = solve_linear_system(ring, constraints, list(range(len(products))))
     if sol is not None:
-        eps = functools.reduce(oracle.add, (oracle.scale(sol[i], p)
-                                            for i, p in enumerate(products)))
-        if is_unit(eps):
+        eps = functools.reduce(oracle.add, map(oracle.scale, sol.values(), products))
+        if all(f(eps) == x for x, f in equations):
             return eps
     elif ring.is_commutative() and not isinstance(oracle, CslOracle):
         return None
-    return next((c for c in _additive_closure(oracle, products) if is_unit(c)), None)
+    coeffs = _multiples_solver(oracle, products, [f for _, f in equations])(
+        [x for x, _ in equations])
+    if coeffs is None:
+        return None
+    eps = functools.reduce(oracle.add, map(oracle.scale, coeffs, products))
+    if any(f(eps) != x for x, f in equations):
+        raise InternalVerificationFailure("epsilon from the additive span is no unit")
+    return eps
 
 
 def _epsilon_leavitt(oracle: PathAlgebraOracle, degree_bound, size_bound):
@@ -981,9 +970,10 @@ def jacobson_radical_algebra(spec: AlgebraSpec) -> RadicalReport:
                 raise InternalVerificationFailure("radical is not graded")
             if comp not in gens and not comp.is_zero:
                 gens.append(comp)
-    span = set(_additive_closure(PathAlgebraOracle(spec), gens))
-    span.add(AlgebraElement.zero(spec))
-    if span != rad_set:
+    multiples = [g.scale(r) for g in gens for r in spec.ring.elements()]
+    solve = PathAlgebraOracle(spec).span_solver(gens)
+    if any(x + m not in rad_set for x in radical for m in multiples) or \
+            any(solve(x) is None for x in radical):
         raise InternalVerificationFailure("homogeneous set does not generate the radical")
     return RadicalReport(len(radical), tuple(sorted(gens, key=format_element)),
                          len(basis))

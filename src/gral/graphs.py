@@ -195,35 +195,31 @@ def is_acyclic(graph: Graph) -> bool:
     return True
 
 
-def cohn_cover(graph: Graph, x) -> Graph:
-    """E(X): duplicate the regular vertices outside X.
-
-    Adds v' for each v in Y = Reg(E) \\ X and an edge e' : s(e) -> r(e)' for
-    each edge e with r(e) in Y.  Primed names are original + "'"; a collision
-    with an existing name is an error.
-    """
-    x = frozenset(x)
+def cohn_duplicates(graph: Graph, x) -> dict:
+    """{name: its duplicate's name in E(X)} for each vertex of Y = Reg(E) \\ X,
+    sorted, and then each edge into Y, in edge order: the first of name + "'",
+    name + "''", ... that no vertex or edge has taken."""
     reg = set(graph.regular)
-    if not x <= reg:
-        raise XNotRegular(f"X contains non-regular vertices: {sorted(x - reg)}")
-    y = sorted(reg - x)
+    if not set(x) <= reg:
+        raise XNotRegular(f"X contains non-regular vertices: {sorted(set(x) - reg)}")
+    y = reg - set(x)
     taken = set(graph.vertices) | {e.name for e in graph.edges}
-    new_vertices = []
-    for v in y:
-        pv = v + PRIME_SUFFIX
-        if pv in taken:
-            raise GralError(f"primed name {pv!r} collides with an existing name")
-        taken.add(pv)
-        new_vertices.append(pv)
-    new_edges = []
-    for e in graph.edges:
-        if e.dst in y:
-            pe = e.name + PRIME_SUFFIX
-            if pe in taken:
-                raise GralError(f"primed name {pe!r} collides with an existing name")
-            taken.add(pe)
-            new_edges.append(Edge(pe, e.src, e.dst + PRIME_SUFFIX))
-    return Graph(graph.vertices + tuple(new_vertices), graph.edges + tuple(new_edges))
+    dup = {}
+    for name in sorted(y) + [e.name for e in graph.edges if e.dst in y]:
+        dup[name] = name + PRIME_SUFFIX
+        while dup[name] in taken:
+            dup[name] += PRIME_SUFFIX
+        taken.add(dup[name])
+    return dup
+
+
+def cohn_cover(graph: Graph, x) -> Graph:
+    """E(X): a duplicate v' of each v in Y and e' : s(e) -> r(e)' of each edge
+    e with r(e) in Y, appended and named as in cohn_duplicates."""
+    dup = cohn_duplicates(graph, x)
+    return Graph(graph.vertices + tuple(dup[v] for v in sorted(graph.vertices) if v in dup),
+                 graph.edges + tuple(Edge(dup[e.name], e.src, dup[e.dst])
+                                     for e in graph.edges if e.name in dup))
 
 
 # ---------------------------------------------------------------------------

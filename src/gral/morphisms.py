@@ -14,7 +14,7 @@ from .coeffring import Ring, SpanSolver
 # every gral module that holds it
 from .coeffring import solve_linear_system  # noqa: F401
 from .errors import GralError, InternalVerificationFailure, RelationViolation
-from .graphs import (PRIME_SUFFIX, CohnPair, GraphMorphism, cohn_cover,
+from .graphs import (CohnPair, GraphMorphism, cohn_cover, cohn_duplicates,
                      compose_morphisms, morphism_validate)
 from .pathalg import (AlgebraElement, AlgebraSpec, edge_element,
                       format_element, monomial_element, reduced_monomials,
@@ -154,19 +154,11 @@ def cohn_to_leavitt(pair: CohnPair, ring: Ring) -> AlgebraHom:
     cover = cohn_cover(e_graph, pair.x)
     source = AlgebraSpec(e_graph, ring, pair.x)
     target = AlgebraSpec.leavitt(cover, ring)
-    y = set(e_graph.regular) - set(pair.x)
-    vmap = {}
-    for v in e_graph.vertices:
-        img = vertex_element(target, v)
-        if v in y:
-            img = img + vertex_element(target, v + PRIME_SUFFIX)
-        vmap[v] = img
-    emap = {}
-    for e in e_graph.edges:
-        img = edge_element(target, e.name)
-        if e.dst in y:
-            img = img + edge_element(target, e.name + PRIME_SUFFIX)
-        emap[e.name] = img
+    vmap = {v: vertex_element(target, v) for v in e_graph.vertices}
+    emap = {e.name: edge_element(target, e.name) for e in e_graph.edges}
+    for name, dup in cohn_duplicates(e_graph, pair.x).items():
+        images, generator = (vmap, vertex_element) if name in vmap else (emap, edge_element)
+        images[name] += generator(target, dup)
     return AlgebraHom.make(source, target, vmap, emap)
 
 
@@ -179,18 +171,18 @@ def cohn_inverse(phi: AlgebraHom) -> AlgebraHom:
     itself, and ghost images come by involution.
     """
     source, graph = phi.source, phi.source.graph
-    y = set(graph.regular) - set(source.x)
+    dup = cohn_duplicates(graph, source.x)
     vmap = {v: vertex_element(source, v) for v in graph.vertices}
-    for v in y:
+    for v in sorted(set(graph.vertices) & set(dup)):
         out = [edge_element(source, e.name) for e in graph.out_edges(v)]
         q = sum((f * f.involution() for f in out), AlgebraElement.zero(source))
-        vmap[v], vmap[v + PRIME_SUFFIX] = q, vmap[v] - q
+        vmap[v], vmap[dup[v]] = q, vmap[v] - q
     emap = {}
     for e in graph.edges:
         f = edge_element(source, e.name)
         emap[e.name] = f * vmap[e.dst]
-        if e.dst in y:
-            emap[e.name + PRIME_SUFFIX] = f * vmap[e.dst + PRIME_SUFFIX]
+        if e.dst in dup:
+            emap[dup[e.name]] = f * vmap[dup[e.dst]]
     return AlgebraHom.make(phi.target, source, vmap, emap)
 
 

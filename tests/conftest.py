@@ -1,3 +1,6 @@
+import functools
+import itertools
+
 import pytest
 from hypothesis import settings
 from hypothesis import strategies as st
@@ -32,6 +35,25 @@ def table_upper_z2():
         return 4 * (a & x) + 2 * ((a & y) ^ (b & z)) + (c & z)
     return TableRing([[i ^ j for j in range(8)] for i in range(8)],
                      [[mul(i, j) for j in range(8)] for i in range(8)], zero=0, one=5)
+
+
+def brute_solutions(ring, constraints, variables):
+    """Every assignment of ring elements to the variables that satisfies the
+    constraints, in enumeration order: the reference for the solvers."""
+    out = []
+    for combo in itertools.product(ring.elements(), repeat=len(variables)):
+        assignment = dict(zip(variables, combo))
+        if all(functools.reduce(ring.add, (two_sided(ring, l, assignment[v], r)
+                                           for l, v, r in terms), ring.zero) == rhs
+               for terms, rhs in constraints):
+            out.append(assignment)
+    return out
+
+
+def two_sided(ring, l, x, r):
+    """l . x . r, a None factor left out."""
+    x = x if l is None else ring.mul(l, x)
+    return x if r is None else ring.mul(x, r)
 
 
 def swap_algebra():

@@ -118,7 +118,8 @@ def test_lpa_witness_found(files, capsys):
 
 def test_lpa_witness_constructive_non_square_blocks(tmp_path, capsys):
     # e + f on the two-loop rose decomposes into 1x2 blocks, which a table
-    # ring solves as a linear system
+    # ring solves as a linear system in additive coordinates; e* and f* are
+    # both witnesses, and elimination picks e*
     ring = table_z2xz2()
     graph = write(tmp_path / "rose2.json", {
         "vertices": ["v"],
@@ -132,7 +133,21 @@ def test_lpa_witness_constructive_non_square_blocks(tmp_path, capsys):
                  "--element", element, "--method", "constructive"])
     out = capsys.readouterr().out
     assert code == 0
-    assert "witness=f*" in out and "verified=true" in out
+    assert "witness=e*" in out and "verified=true" in out
+
+
+def test_lpa_verdict_over_a_table_ring(tmp_path, capsys):
+    # the default verdict on the two-loop rose over the vnr ring Z/2 x Z/2,
+    # given by tables, solves every block in additive coordinates
+    graph = write(tmp_path / "rose2.json", {
+        "vertices": ["v"],
+        "edges": [{"name": "e", "src": "v", "dst": "v"},
+                  {"name": "f", "src": "v", "dst": "v"}]})
+    ring = write(tmp_path / "table.json", ring_spec(table_z2xz2()))
+    assert main(["lpa", "verdict", "--graph", graph, "--ring", ring]) == 0
+    out = capsys.readouterr().out
+    assert "method=constructive overall=verified-at-bounds" in out
+    assert out.count("verified=true") == 628
 
 
 def test_lpa_classify_lines(files, capsys):
@@ -219,11 +234,32 @@ def test_lpa_decompose(files, capsys):
     assert "block=(1,w)" in out and "rank=2" in out
 
 
+PRIMED_COHN = {"vertices": ["v", "v'"], "edges": [{"name": "f", "src": "v", "dst": "v'"}],
+               "x": []}
+
+
 def test_graph_cover(files, capsys):
     code = main(["graph", "cover", "--graph", files["vw_cohn"]])
     out = capsys.readouterr().out
     assert code == 0
     assert "v'" in out
+
+
+def test_graph_cover_takes_the_next_free_prime(files, capsys):
+    graph = write(files["tmp"] / "primed.json", PRIMED_COHN)
+    assert main(["graph", "cover", "--graph", graph]) == 0
+    assert json.loads(capsys.readouterr().out)["vertices"] == ["v", "v'", "v''"]
+
+
+def test_lpa_witness_cohn_spec_with_a_primed_name(files, capsys):
+    # the duplicate of v is v'', since v' is taken
+    element = write(files["tmp"] / "f.json", [
+        {"coeff": 1, "alpha": ["f"], "beta": {"vertex": "v'"}}])
+    code = main(["lpa", "witness", "--graph", write(files["tmp"] / "primed.json", PRIMED_COHN),
+                 "--ring", files["z2"], "--element", element])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert "method=constructive witness=f*" in out and "verified=true" in out
 
 
 def test_morphism_check(files, capsys):

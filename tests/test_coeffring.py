@@ -8,17 +8,17 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from conftest import table_upper_z2, table_z2xz2
+from conftest import brute_solutions, table_upper_z2, table_z2xz2
 from gral import coeffring
 from gral.cli import main
 from gral.coeffring import (MatrixOverRing, ModularRing, ProductRing, Ring,
-                            SpanSolver, TableRing, _solve_exhaustive,
-                            is_semiprime_ring,
+                            SpanSolver, TableRing, is_semiprime_ring,
                             is_vnr, jacobson_radical, kernel_generators,
                             mat_mul, matrix_vnr_witness, mul_entries,
                             ring_make, ring_spec, search_cap,
                             solve_linear_system, span_constraints, vnr_witness)
 from gral.errors import AxiomViolation, SearchCapExceeded
+from gral.gradedstruct import zero_multiplication_ring
 
 
 def brute_vnr_witness(ring, a):
@@ -27,28 +27,6 @@ def brute_vnr_witness(ring, a):
         if ring.mul(ring.mul(a, y), a) == a:
             return y
     return None
-
-
-def brute_solutions(ring, constraints, variables):
-    out = []
-    for combo in itertools.product(ring.elements(), repeat=len(variables)):
-        assignment = dict(zip(variables, combo))
-        ok = True
-        for terms, rhs in constraints:
-            acc = ring.zero
-            for l, v, r in terms:
-                t = assignment[v]
-                if l is not None:
-                    t = ring.mul(l, t)
-                if r is not None:
-                    t = ring.mul(t, r)
-                acc = ring.add(acc, t)
-            if acc != rhs:
-                ok = False
-                break
-        if ok:
-            out.append(assignment)
-    return out
 
 
 # -- construction -------------------------------------------------------------
@@ -277,15 +255,9 @@ def test_solve_product_ring(z2xz2):
     assert got == {"x": (1, 0), "y": (0, 1)}
 
 
-def test_solve_table_ring_exhaustive_and_cap(monkeypatch):
-    add = [[(i + j) % 3 for j in range(3)] for i in range(3)]
-    mul = [[(i * j) % 3 for j in range(3)] for i in range(3)]
-    ring = TableRing(add, mul, zero=0, one=1)
-    got = solve_linear_system(ring, [([(2, "x", None)], 1)])
+def test_solve_table_ring():
+    got = solve_linear_system(_z3_table(), [([(2, "x", None)], 1)])
     assert got == {"x": 2}
-    monkeypatch.setenv("GRAL_SEARCH_CAP", "2")
-    with pytest.raises(SearchCapExceeded):
-        solve_linear_system(ring, [([(2, "x", None), (1, "y", None)], 1)])
 
 
 @pytest.mark.parametrize("raw", ["abc", "0", "-3"])
@@ -332,7 +304,7 @@ def test_span_constraints_solve_agrees_with_exhaustive(ring):
         variables = list(range(ncols))
         constraints = span_constraints(ring, columns, target)
         got = solve_linear_system(ring, constraints, variables)
-        assert (got is None) == (_solve_exhaustive(ring, constraints, variables) is None)
+        assert (got is None) == (brute_solutions(ring, constraints, variables) == [])
         if got is not None:
             for k in set(keys):
                 acc = ring.zero
@@ -353,13 +325,19 @@ SPAN_RINGS = {"Z4": ModularRing(4), "Z8": ModularRing(8), "Z6": ModularRing(6),
 COLUMN_KEYS = ("a", "b", "c")
 
 
+# the rings solved in additive coordinates: commutative and not, unital and
+# not, a field and not
+TABLE_RINGS = {"Z2xZ2table": table_z2xz2(), "upper_Z2": table_upper_z2(),
+               "Z3table": _z3_table(), "zero_mult": zero_multiplication_ring(2)}
+
+
 @st.composite
-def span_systems(draw):
+def span_systems(draw, rings=SPAN_RINGS):
     """(ring, columns, targets): up to 4 columns over three keys, entries
     possibly zero (so all-zero and empty columns and the empty column list
     occur), and targets that may use a key "z" no column has; the last
     target is a combination of the columns."""
-    ring = SPAN_RINGS[draw(st.sampled_from(sorted(SPAN_RINGS)))]
+    ring = rings[draw(st.sampled_from(sorted(rings)))]
     elems = st.sampled_from(ring.elements())
     columns = draw(st.lists(st.dictionaries(st.sampled_from(COLUMN_KEYS), elems,
                                             max_size=3), max_size=4))
@@ -470,8 +448,7 @@ def test_span_solver_answers_every_target_like_brute_force(n):
                 assert tuple(got[i] for i in range(len(columns))) in solutions[(a, b)]
 
 
-def test_span_solver_table_ring_keeps_the_cap(monkeypatch):
-    # as in solve_linear_system, the table-ring search refuses past the cap,
+def test_span_solver_table_ring_agrees_with_solve_linear_system():
     # also for a target key that no column has
     ring = _z3_table()
     columns = [{"a": 1}, {"a": 2, "b": 1}]
@@ -479,9 +456,67 @@ def test_span_solver_table_ring_keeps_the_cap(monkeypatch):
     for target in ({"a": 1}, {"b": 2}, {"z": 1}):
         assert solver.solve(target) == solve_linear_system(
             ring, span_constraints(ring, columns, target), range(2))
-    monkeypatch.setenv("GRAL_SEARCH_CAP", "2")
-    with pytest.raises(SearchCapExceeded):
-        solver.solve({"z": 1})
+
+
+@st.composite
+def two_sided_systems(draw):
+    """(ring, constraints, variables) over a table ring: up to three
+    unknowns and three constraints of up to three terms l . x . r, each
+    factor None or any element, so empty and all-zero rows occur."""
+    ring = TABLE_RINGS[draw(st.sampled_from(sorted(TABLE_RINGS)))]
+    variables = list(range(draw(st.integers(1, 3))))
+    factor = st.sampled_from((None,) + tuple(ring.elements()))
+    terms = st.lists(st.tuples(factor, st.sampled_from(variables), factor), max_size=3)
+    constraints = draw(st.lists(st.tuples(terms, st.sampled_from(ring.elements())),
+                                min_size=1, max_size=3))
+    return ring, constraints, variables
+
+
+def additive_span(ring, gens, variables):
+    """Every sum of the generators {var: element}, as tuples over the
+    variables: the integer combinations, which are all of the solutions
+    of a two-sided system that the generators solve."""
+    vecs = [tuple(g[v] for v in variables) for g in gens]
+    span = frontier = {tuple(ring.zero for _ in variables)}
+    while frontier:
+        frontier = {tuple(map(ring.add, x, g)) for x in frontier for g in vecs} - span
+        span |= frontier
+    return span
+
+
+@given(two_sided_systems())
+def test_table_ring_solve_agrees_with_enumeration(system):
+    ring, constraints, variables = system
+    got = solve_linear_system(ring, constraints, variables)
+    brute = brute_solutions(ring, constraints, variables)
+    assert got in brute if brute else got is None
+
+
+@given(span_systems(TABLE_RINGS))
+def test_table_ring_span_solver_agrees_with_enumeration(system):
+    ring, columns, targets = system
+    solver = SpanSolver(ring, columns)
+    for target in targets:
+        got = solver.solve(target)
+        brute = brute_solutions(ring, span_constraints(ring, columns, target),
+                                range(len(columns)))
+        assert got in brute if brute else got is None
+
+
+@given(two_sided_systems(), span_systems(TABLE_RINGS))
+def test_table_ring_kernels_generate_every_solution(system, span):
+    ring, constraints, variables = system
+    homogeneous = [(terms, ring.zero) for terms, _ in constraints]
+    brute = {tuple(sol[v] for v in variables)
+             for sol in brute_solutions(ring, homogeneous, variables)}
+    gens = kernel_generators(ring, homogeneous, variables)
+    assert all(any(x != ring.zero for x in g.values()) for g in gens)
+    assert additive_span(ring, gens, variables) == brute
+    ring, columns, _ = span
+    variables = range(len(columns))
+    brute = {tuple(sol[i] for i in variables)
+             for sol in brute_solutions(ring, span_constraints(ring, columns), variables)}
+    assert additive_span(ring, SpanSolver(ring, columns).kernel(), variables) == brute
 
 
 def test_kernel_generators_mod4(z4):

@@ -16,7 +16,7 @@ from gral.cli import main
 from gral.coeffring import ModularRing, is_vnr, ring_spec
 from gral.cornerlaurent import CslAlgebra, format_csl
 from gral.errors import (GralError, InternalVerificationFailure,
-                         NotDegreeOneGenerated, SearchCapExceeded)
+                         NotDegreeOneGenerated)
 from gral.graphs import CohnPair, Graph, graph_to_dict
 from gral.gradedstruct import (CslOracle, GradedRingOracle,
                                MatrixGradingOracle, PathAlgebraOracle,
@@ -61,16 +61,16 @@ def test_symmetric_loop_at_bound(z2):
 
 
 def test_symmetric_csl_closure_once_per_degree(z4, monkeypatch):
-    # the additive closure of S_d S_-d S_d is built once per degree, not
-    # once per spanning element (three per degree over Z/4)
+    # the AdditiveSpan of S_d S_-d S_d is built once per degree, not once
+    # per spanning element (three per degree over Z/4)
     lau = CslAlgebra(z4, 1, {i: i for i in range(4)})
-    closures = []
-    real = gradedstruct._additive_closure
-    monkeypatch.setattr(gradedstruct, "_additive_closure",
-                        lambda oracle, els: closures.append(len(els)) or real(oracle, els))
+    spans = []
+    real = gradedstruct.AdditiveSpan
+    monkeypatch.setattr(gradedstruct, "AdditiveSpan",
+                        lambda ring, columns: spans.append(len(columns)) or real(ring, columns))
     verdict, rows = check_symmetric(CslOracle(lau), 2, 2)
     assert verdict.status == "holds-exactly"
-    assert len(closures) == len(rows) == 5
+    assert len(spans) == len(rows) == 5
 
 
 @st.composite
@@ -266,16 +266,41 @@ def test_strong_row_holds_exactly_below_the_old_bound(monkeypatch, name, bound, 
 @pytest.mark.parametrize("ring", [table_z2xz2(), table_upper_z2()],
                          ids=["table_z2xz2", "table_upper_z2"])
 def test_table_ring_classify_completes_from_certificates(monkeypatch, ring):
-    # over a table ring the span search solves exhaustively and gives up at
-    # the cap; the certified rows need no solve, so the report completes
+    # the certified rows need no solve; the span search over a table ring
+    # solves in additive coordinates, with no cap, and gives the same report
     spec = AlgebraSpec.leavitt(graph_rose2(), ring)
-    report = classify(spec, 2, 2)
-    assert [(name, v.status) for name, v in report.summary] == [
+    certified = classify(spec, 2, 2)
+    assert [(name, v.status) for name, v in certified.summary] == [
         ("strong", "holds-exactly"), ("epsilon-strong", "holds-at-bound"),
         ("nearly-epsilon", "holds-at-bound"), ("symmetric", "holds-at-bound")]
     _search_only(monkeypatch)
-    with pytest.raises(SearchCapExceeded):
-        classify(spec, 2, 2)
+    assert classify(spec, 2, 2).to_text() == certified.to_text()
+
+
+def test_table_ring_strong_row_fails_at_a_sink():
+    # w.S_1 = 0 at the sink w, so 1 is not in S_1 S_-1 at any bound; over a
+    # table ring the span search decides it by elimination, with no cap
+    graph = Graph(["u", "v", "w"], [("a", "u", "v"), ("b", "u", "w"),
+                                    ("c", "u", "u"), ("d", "u", "v")])
+    report = classify(AlgebraSpec.leavitt(graph, table_z2xz2()), 2, 2)
+    assert report.rows[0].to_text() == (
+        "property=strong degree=* verdict=fails "
+        "witness=1 not reached in S_1 S_-1 at-bound no-sinks=no")
+
+
+# conjugation by [[1, 1], [0, 1]], the other automorphism of table_upper_z2
+UPPER_CONJUGATION = {0: 0, 1: 3, 2: 2, 3: 1, 4: 6, 5: 5, 6: 4, 7: 7}
+
+
+@pytest.mark.parametrize("alpha", [{x: x for x in range(8)}, UPPER_CONJUGATION],
+                         ids=["identity", "conjugation"])
+def test_upper_triangular_corner_classify_holds_exactly(alpha):
+    # t^d t^-d = 1 = t5 at every degree, and over a finite ring 1 is the only
+    # unit of S_d; the twist does not change that
+    ring = table_upper_z2()
+    report = classify(CslOracle(CslAlgebra(ring, ring.one, alpha)), 2, 2)
+    assert {row.verdict.status for row in report.rows} == {"holds-exactly"}
+    assert report.eps_table == tuple((d, "t5") for d in range(-2, 3))
 
 
 def test_leavitt_classify_reads_certificates(monkeypatch):
@@ -468,6 +493,48 @@ def test_solve_epsilon_units_checked_on_swap_algebra():
             assert eps is not None and s * eps == s, (d, format_csl(s))
 
 
+def additive_closure(oracle, elements):
+    """Every sum of the R-multiples r . x of the elements, by closure."""
+    seeds = {oracle.scale(r, x) for x in elements for r in oracle.ring.elements()}
+    closure = frontier = {oracle.scale(oracle.ring.zero, elements[0])}
+    while frontier:
+        frontier = {oracle.add(a, b) for a in frontier for b in seeds} - closure
+        closure |= frontier
+    return closure
+
+
+@st.composite
+def epsilon_questions(draw):
+    """(oracle, products, span_d, span_md) over a table ring: the trivial
+    grading or M2 of the ring, with one to three products and up to two
+    elements on each side, any of them possibly zero."""
+    ring = draw(st.sampled_from([table_z2xz2(), table_upper_z2()]))
+    entry = st.sampled_from(ring.elements())
+    if draw(st.booleans()):
+        oracle, element = TrivialGradingOracle(ring), entry
+    else:
+        row = st.tuples(entry, entry)
+        oracle, element = MatrixGradingOracle(ring), st.tuples(row, row)
+    products = draw(st.lists(element, min_size=1, max_size=3, unique=True))
+    return oracle, products, draw(st.lists(element, max_size=2)), \
+        draw(st.lists(element, max_size=2))
+
+
+@given(epsilon_questions())
+def test_solve_epsilon_is_none_exactly_without_a_unit_in_the_closure(question):
+    # the differential reference: the additive closure of the products'
+    # R-multiples, searched for a unit element by element
+    oracle, products, span_d, span_md = question
+
+    def is_unit(eps):
+        return all(oracle.mul(eps, s) == s for s in span_d) and \
+            all(oracle.mul(t, eps) == t for t in span_md)
+    eps = gradedstruct._solve_epsilon(oracle, products, span_d, span_md)
+    closure = additive_closure(oracle, products)
+    assert (eps is None) == (not any(map(is_unit, closure)))
+    assert eps is None or (is_unit(eps) and eps in closure)
+
+
 def test_solve_epsilon_units_checked_over_noncommutative_ring():
     # over upper-triangular matrices the coordinates of t.(c.p) are not
     # c times those of t.p, so the linear answer can miss t.eps = t, and
@@ -478,7 +545,7 @@ def test_solve_epsilon_units_checked_over_noncommutative_ring():
     nonzero = [x for x in ring.elements() if x != ring.zero]
     outcomes = set()
     for products in itertools.permutations(nonzero, 2):
-        closure = gradedstruct._additive_closure(oracle, list(products))
+        closure = additive_closure(oracle, products)
         for t in nonzero:
             for left, right, is_unit in (
                     ([t], [], lambda eps: ring.mul(eps, t) == t),

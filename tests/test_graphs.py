@@ -97,10 +97,14 @@ def test_cohn_cover_rejects_sinks():
         cohn_cover(graph_vw(), ["w"])
 
 
-def test_primed_name_collision_is_error():
-    g = Graph(["v", "v'"], [("e", "v", "v")])
-    with pytest.raises(GralError):
-        cohn_cover(g, [])
+def test_primed_name_collision_takes_the_next_prime():
+    # a taken primed name passes to the first free one, for vertices and
+    # edges alike, in cohn_cover's order: the vertices, then the edges
+    g = Graph(["v", "v'"], [("e", "v", "v"), ("e'", "v", "v'"), ("f", "v'", "v")])
+    cover = cohn_cover(g, [])
+    assert cover.vertices == ("v", "v'", "v''", "v'''")
+    assert [(e.name, e.src, e.dst) for e in cover.edges[3:]] == [
+        ("e''", "v", "v''"), ("e'''", "v", "v'''"), ("f'", "v'", "v''")]
 
 
 def test_cohn_pair_rejects_nonregular():

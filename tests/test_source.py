@@ -105,9 +105,16 @@ def test_block_structures_are_built_only_by_the_spec():
 
 
 def test_cap_refusals_are_built_in_one_guard():
-    # within_cap is the one up-front cap check; only the two searches that
-    # count their states as they go raise on their own
+    # within_cap is the one up-front cap check; only the vnr search, which
+    # counts its states as it goes, raises on its own
     found = [f"{path.name}:{scope}" for path in sorted(SRC.glob("*.py"))
              for scope in _calls(_parse(path), "SearchCapExceeded")]
-    assert found == ["coeffring.py:within_cap", "coeffring.py:is_vnr",
-                     "gradedstruct.py:_additive_closure"]
+    assert found == ["coeffring.py:within_cap", "coeffring.py:is_vnr"]
+
+
+def test_search_cap_is_read_only_by_the_two_guards():
+    # linear algebra never asks for the cap: every capped search goes
+    # through within_cap or is the vnr search
+    found = [f"{path.name}:{scope}" for path in sorted(SRC.glob("*.py"))
+             for scope in _calls(_parse(path), "search_cap")]
+    assert found == ["coeffring.py:within_cap", "coeffring.py:is_vnr"]
