@@ -10,6 +10,7 @@ failed its own re-verification (a bug; one "internal error:" line).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -400,10 +401,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# built on the first call of main, not at import, and reused by every later call
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     for bound in ("degree_bound", "size_bound", "samples"):

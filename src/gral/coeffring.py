@@ -717,6 +717,11 @@ class _ModularSystem:
     def __init__(self, ring, constraints, varlist):
         self.n, self.varlist = ring.n, varlist
         self.rows, _ = _fold_modular(ring, constraints, varlist)
+        # column j as (row, entry) pairs, for re-checks from a solution's support
+        self.columns = [[] for _ in varlist]
+        for r, row in enumerate(self.rows):
+            for j, c in row.items():
+                self.columns[j].append((r, c))
         self.parts = []
         for p, e in _prime_powers(self.n):
             q = p**e
@@ -752,9 +757,16 @@ class _ModularSystem:
         return gens
 
     def _checked(self, x, rhs, what):
-        for row, b in zip(self.rows, rhs):
-            if (sum(c * x[j] for j, c in row.items()) - b) % self.n:
-                raise InternalVerificationFailure(f"{what} failed re-verification")
+        """x as {var: entry}, once sum_j x_j . column_j, formed from the
+        nonzero x_j, equals rhs on every row (also on a row no column has)."""
+        acc = [0] * len(self.rows)
+        for j, xj in enumerate(x):
+            if xj:
+                for r, c in self.columns[j]:
+                    acc[r] += c * xj
+        n = self.n
+        if any((a - b) % n for a, b in zip(acc, rhs)):
+            raise InternalVerificationFailure(f"{what} failed re-verification")
         return dict(zip(self.varlist, x))
 
 
@@ -770,6 +782,10 @@ class _PrimePowerFactor:
         self.ops = []  # (pivot row, inverse, ((row, factor), ...))
         pivots = []    # (pivot row, pivot column)
         used = set()
+        holders = [set() for _ in range(ncols)]  # column -> rows with an entry there
+        for i, row in enumerate(rows):
+            for j in row:
+                holders[j].add(i)
         for i, row in enumerate(rows):
             # a row passed over here keeps all its entries divisible by p:
             # every later pivot subtracts a multiple of p from it
@@ -779,17 +795,22 @@ class _PrimePowerFactor:
             inv = pow(row[j], -1, q)
             row = rows[i] = {jj: c * inv % q for jj, c in row.items()}
             elim = []
-            for k, other in enumerate(rows):
-                f = other.get(j)
-                if k == i or not f:
+            for k in sorted(holders[j]):
+                if k == i:
                     continue
+                other = rows[k]
+                f = other[j]
                 elim.append((k, f))
                 for jj, c in row.items():
-                    x = (other.get(jj, 0) - f * c) % q
+                    old = other.get(jj)
+                    x = ((old or 0) - f * c) % q
                     if x:
+                        if old is None:
+                            holders[jj].add(k)
                         other[jj] = x
-                    else:
-                        other.pop(jj, None)
+                    elif old is not None:
+                        del other[jj]
+                        holders[jj].discard(k)
             self.ops.append((i, inv, tuple(elim)))
             pivots.append((i, j))
             used.add(j)

@@ -728,18 +728,22 @@ def epsilon_element(spec: AlgebraSpec, n: int, size_bound: int = 3) -> AlgebraEl
     all length-|n| paths.  For negative n the same element acts from the
     other side.  Both unit relations are checked on the bounded spanning
     sets; they hold for every finite graph, so a failure is a bug."""
+    return _checked_epsilon(PathAlgebraOracle(spec), n, size_bound)
+
+
+def _checked_epsilon(oracle: PathAlgebraOracle, n, size_bound):
+    """epsilon_element, checked on the oracle's spanning sets."""
+    spec = oracle.spec
     if not spec.is_leavitt:
         raise GralError("epsilon_element needs a Leavitt spec")
     n = abs(n)
     eps = AlgebraElement.zero(spec)
     for p in spec.graph.paths(n):
         eps = eps + monomial_element(spec, Monomial(p, p))
-    for m in reduced_monomials(spec, degree=n, max_len=size_bound):
-        s = monomial_element(spec, m)
+    for s in oracle.spanning(n, size_bound):
         if eps * s != s:
             raise InternalVerificationFailure(f"epsilon_{n} fails on {format_element(s)}")
-    for m in reduced_monomials(spec, degree=-n, max_len=size_bound):
-        s = monomial_element(spec, m)
+    for s in oracle.spanning(-n, size_bound):
         if s * eps != s:
             raise InternalVerificationFailure(f"epsilon_{-n} fails on {format_element(s)}")
     return eps
@@ -813,11 +817,10 @@ def _solve_epsilon(oracle, products, span_d, span_md):
 
 
 def _epsilon_leavitt(oracle: PathAlgebraOracle, degree_bound, size_bound):
-    spec = oracle.spec
     exact = oracle.exact_at(0, size_bound)
     rows, table = [], []
     for n in range(degree_bound + 1):
-        eps = epsilon_element(spec, n, size_bound)
+        eps = _checked_epsilon(oracle, n, size_bound)
         status = HOLDS_EXACT if exact else HOLDS_AT_BOUND
         rows.append(ReportRow("epsilon-strong", f"+-{n}" if n else "0",
                               Verdict(status)))

@@ -95,24 +95,45 @@ class AlgebraHom:
 
 def hom_apply(h: AlgebraHom, x: AlgebraElement) -> AlgebraElement:
     """Substitute generator images and renormalize in the target."""
-    if x.spec != h.source:
-        raise GralError("element does not live in the hom's source algebra")
+    return hom_apply_all(h, [x])[0]
+
+
+def hom_apply_all(h: AlgebraHom, xs) -> list:
+    """hom_apply of each element of xs.  The image of each path and of each
+    monomial is formed once per call, from the images of its shorter paths:
+    real(alpha e) = real(alpha) . h(e) and ghost(e beta) = ghost(beta) . h(e*),
+    so each is the left-to-right product of its generators' images."""
     vmap, emap, gmap = dict(h.vmap), dict(h.emap), dict(h.gmap)
-    out = AlgebraElement.zero(h.target)
-    for m, c in x.terms.items():
-        if m.alpha.edges:
-            real = emap[m.alpha.edges[0]]
-            for name in m.alpha.edges[1:]:
-                real = real * emap[name]
-        else:
-            real = vmap[m.alpha.src]
-        if m.beta.edges:
-            ghost = gmap[m.beta.edges[-1]]
-            for name in reversed(m.beta.edges[:-1]):
-                ghost = ghost * gmap[name]
-        else:
-            ghost = vmap[m.beta.src]
-        out = out + (real * ghost).scale(c)
+    real, ghost, images = {}, {}, {}   # edges -> image; monomial -> image
+
+    def real_image(edges):
+        img = real.get(edges)
+        if img is None:
+            img = real[edges] = (emap[edges[0]] if len(edges) == 1 else
+                                 real_image(edges[:-1]) * emap[edges[-1]])
+        return img
+
+    def ghost_image(edges):
+        img = ghost.get(edges)
+        if img is None:
+            img = ghost[edges] = (gmap[edges[0]] if len(edges) == 1 else
+                                  ghost_image(edges[1:]) * gmap[edges[0]])
+        return img
+
+    out = []
+    for x in xs:
+        if x.spec != h.source:
+            raise GralError("element does not live in the hom's source algebra")
+        acc = AlgebraElement.zero(h.target)
+        for m, c in x.terms.items():
+            img = images.get(m)
+            if img is None:
+                a, b = m.alpha, m.beta
+                img = images[m] = (
+                    (real_image(a.edges) if a.edges else vmap[a.src]) *
+                    (ghost_image(b.edges) if b.edges else vmap[b.src]))
+            acc = acc + img.scale(c)
+        out.append(acc)
     return out
 
 
@@ -253,13 +274,16 @@ def verify_graded_iso(h: AlgebraHom, degree_bound: int = 3,
     rows = []
     overall = "holds-exactly" if exact else "holds-at-bound"
     witness = ""
-    for d in range(-degree_bound, degree_bound + 1):
-        src = reduced_monomials(h.source, degree=d, max_len=src_bound)
-        image = SpanSolver(h.source.ring,
-                           [hom_apply(h, monomial_element(h.source, m)).terms
-                            for m in src])
-        tgt = [monomial_element(h.target, m)
-               for m in reduced_monomials(h.target, degree=d, max_len=size_bound)]
+    degrees = range(-degree_bound, degree_bound + 1)
+    src_by_degree = _by_degree(reduced_monomials(h.source, max_len=src_bound), degrees)
+    tgt_by_degree = _by_degree(reduced_monomials(h.target, max_len=size_bound), degrees)
+    sources = [m for d in degrees for m in src_by_degree[d]]
+    images = dict(zip(sources, hom_apply_all(
+        h, [monomial_element(h.source, m) for m in sources])))
+    for d in degrees:
+        src = src_by_degree[d]
+        image = SpanSolver(h.source.ring, [images[m].terms for m in src])
+        tgt = [monomial_element(h.target, m) for m in tgt_by_degree[d]]
         status = "holds-exactly" if exact else "holds-at-bound"
         row_witness = ""
         for t in tgt:
@@ -280,6 +304,15 @@ def verify_graded_iso(h: AlgebraHom, degree_bound: int = 3,
             overall = "fails"
             witness = f"degree {d}: {row_witness}"
     return IsoVerdict(tuple(rows), overall, witness)
+
+
+def _by_degree(monomials, degrees) -> dict:
+    """{d: the monomials of degree d, in their given order} for d in degrees."""
+    out = {d: [] for d in degrees}
+    for m in monomials:
+        if m.degree in out:
+            out[m.degree].append(m)
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -74,7 +74,7 @@ class AlgebraSpec:
         self.x = reg if x is None else frozenset(x)
         if not self.x <= reg:
             raise XNotRegular(f"X contains non-regular vertices: {sorted(self.x - reg)}")
-        self.special = {v: graph.out_edges(v)[0].name for v in self.x}
+        self.special_names = frozenset(graph.out_edges(v)[0].name for v in self.x)
         self.is_leavitt = self.x == reg
         self._joiner = "" if all(len(e.name) == 1 for e in graph.edges) else "."
         self._blocks = {}  # level -> BlockStructure, see blocks()
@@ -151,10 +151,9 @@ def _mono_mul(spec: AlgebraSpec, m1: Monomial, m2: Monomial) -> Optional[Monomia
 
 
 def _reducible(spec: AlgebraSpec, m: Monomial) -> bool:
-    a, b = m.alpha, m.beta
-    if not a.edges or not b.edges or a.edges[-1] != b.edges[-1]:
-        return False
-    return spec.special.get(spec.graph.edge(a.edges[-1]).src) == a.edges[-1]
+    """alpha and beta end in one edge, the special edge of its source."""
+    a, b = m.alpha.edges, m.beta.edges
+    return bool(a and b) and a[-1] == b[-1] and a[-1] in spec.special_names
 
 
 def _drop_last(spec: AlgebraSpec, p: Path) -> Path:

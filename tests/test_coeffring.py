@@ -17,7 +17,8 @@ from gral.coeffring import (MatrixOverRing, ModularRing, ProductRing, Ring,
                             mat_mul, matrix_vnr_witness, mul_entries,
                             ring_make, ring_spec, search_cap,
                             solve_linear_system, span_constraints, vnr_witness)
-from gral.errors import AxiomViolation, SearchCapExceeded
+from gral.errors import (AxiomViolation, InternalVerificationFailure,
+                         SearchCapExceeded)
 from gral.gradedstruct import zero_multiplication_ring
 
 
@@ -517,6 +518,78 @@ def test_table_ring_kernels_generate_every_solution(system, span):
     brute = {tuple(sol[i] for i in variables)
              for sol in brute_solutions(ring, span_constraints(ring, columns), variables)}
     assert additive_span(ring, SpanSolver(ring, columns).kernel(), variables) == brute
+
+
+FACTOR_RINGS = {"Z4": ModularRing(4), "Z8": ModularRing(8), "Z12": ModularRing(12),
+                "Z2xZ2": ProductRing([ModularRing(2), ModularRing(2)])}
+
+
+@st.composite
+def sparse_systems(draw):
+    """(ring, constraints, variables): up to six rows over up to three
+    unknowns, each row holding at most three terms l . x with l nonzero or
+    None, so rows share columns, fill in and cancel during elimination."""
+    ring = FACTOR_RINGS[draw(st.sampled_from(sorted(FACTOR_RINGS)))]
+    variables = list(range(draw(st.integers(1, 3))))
+    factor = st.sampled_from((None,) + tuple(c for c in ring.elements() if c != ring.zero))
+    terms = st.lists(st.tuples(factor, st.sampled_from(variables), st.none()), max_size=3)
+    constraints = draw(st.lists(st.tuples(terms, st.sampled_from(ring.elements())),
+                                min_size=1, max_size=6))
+    return ring, constraints, variables
+
+
+def _ones(*variables):
+    return [(None, v, None) for v in variables]
+
+
+# every run eliminates a column that an earlier pivot filled into a row
+# (x0 + x1, x0 + x2, x0) and one that it cancelled from a row (x0 + x1,
+# x0 + x1 + x2, x1)
+@example((FACTOR_RINGS["Z4"], [(_ones(0, 1), 1), (_ones(0, 2), 2), (_ones(0), 3)], [0, 1, 2]))
+@example((FACTOR_RINGS["Z12"], [(_ones(0, 1), 1), (_ones(0, 1, 2), 2), (_ones(1), 3)],
+          [0, 1, 2]))
+@given(sparse_systems())
+def test_factor_agrees_with_brute_force(system):
+    # solvable exactly when brute force finds a solution, the answer one of
+    # them, and every kernel generator solves the homogeneous system
+    ring, constraints, variables = system
+    factored = coeffring._factor(ring, constraints, variables)
+    brute = brute_solutions(ring, constraints, variables)
+    got = factored.solve([b for _, b in constraints])
+    assert got in brute if brute else got is None
+    homogeneous = brute_solutions(ring, [(terms, ring.zero) for terms, _ in constraints],
+                                  variables)
+    assert all(g in homogeneous for g in factored.kernel())
+
+
+def test_checked_rejects_a_wrong_entry(z4):
+    system = SpanSolver(z4, [{"a": 1, "b": 2}, {"b": 1}])._system
+    assert system._checked([1, 1], [1, 3, 0], "solution") == {0: 1, 1: 1}
+    with pytest.raises(InternalVerificationFailure, match="solution failed re-verification"):
+        system._checked([1, 2], [1, 3, 0], "solution")
+
+
+def test_checked_reads_rows_no_column_touches(z4, monkeypatch):
+    # the trailing row of a SpanSolver has no column: a target key that no
+    # column has lands there, and a tampered factor that answers anyway is
+    # caught by the re-check of that row
+    solver = SpanSolver(z4, [{"a": 1}])
+    assert solver.solve({"a": 1, "z": 2}) is None
+    with pytest.raises(InternalVerificationFailure):
+        solver._system._checked([1], [1, 2], "solution")
+    monkeypatch.setattr(coeffring._PrimePowerFactor, "solve",
+                        lambda self, rhs: [rhs[0]])
+    assert solver.solve({"a": 1}) == {0: 1}
+    with pytest.raises(InternalVerificationFailure, match="linear solution"):
+        solver.solve({"a": 1, "z": 2})
+
+
+def test_tampered_kernel_generator_is_caught(z4, monkeypatch):
+    solver = SpanSolver(z4, [{"a": 2}])
+    assert solver.kernel() == [{0: 2}]
+    monkeypatch.setattr(coeffring._PrimePowerFactor, "kernel", lambda self: [[1]])
+    with pytest.raises(InternalVerificationFailure, match="kernel generator"):
+        solver.kernel()
 
 
 def test_kernel_generators_mod4(z4):

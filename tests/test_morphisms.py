@@ -6,15 +6,16 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import (graph_a1, graph_loop, graph_span, graph_toeplitz, graph_vw,
-                      graph_vwu, random_element, small_graphs)
+from conftest import (graph_a1, graph_loop, graph_rose2, graph_span, graph_toeplitz,
+                      graph_vw, graph_vwu, random_element, small_graphs)
 from gral import coeffring, morphisms
 from gral.coeffring import ModularRing, SpanSolver
 from gral.errors import GralError, RelationViolation
 from gral.graphs import CohnPair, Graph, GraphMorphism
-from gral.morphisms import (AlgebraHom, _homs_agree, chain_colimit_check,
-                            cohn_isomorphism, cohn_to_leavitt, compose_homs,
-                            hom_apply, identity_hom, induced_hom,
+from gral.morphisms import (AlgebraHom, IsoRow, _homs_agree,
+                            chain_colimit_check, cohn_isomorphism,
+                            cohn_to_leavitt, compose_homs, hom_apply,
+                            hom_apply_all, identity_hom, induced_hom,
                             verify_graded_iso)
 from gral.pathalg import (AlgebraElement, AlgebraSpec, edge_element,
                           format_element, monomial_element, reduced_monomials,
@@ -83,6 +84,34 @@ def test_hom_apply_identity_and_laws(z6):
         assert hom_apply(h, x) == x
         assert hom_apply(h, x * y) == hom_apply(h, x) * hom_apply(h, y)
         assert hom_apply(h, x + y) == hom_apply(h, x) + hom_apply(h, y)
+
+
+def substituted(h, x):
+    """h(x) term by term, every path image multiplied out afresh."""
+    vmap, emap, gmap = dict(h.vmap), dict(h.emap), dict(h.gmap)
+    out = AlgebraElement.zero(h.target)
+    for m, c in x.terms.items():
+        real = vmap[m.alpha.src]
+        for name in m.alpha.edges:
+            real = real * emap[name]
+        ghost = vmap[m.beta.src]
+        for name in m.beta.edges:
+            ghost = gmap[name] * ghost
+        out = out + (real * ghost).scale(c)
+    return out
+
+
+@pytest.mark.parametrize("make", [graph_rose2, graph_span])
+def test_batched_hom_apply_matches_each_element(make, z4):
+    # one batch shares its path images across elements: the same images as
+    # one element at a time and as substituting generators afresh
+    spec = AlgebraSpec.cohn(make(), z4, [])
+    rng = random.Random(97)
+    for h in cohn_isomorphism(spec):
+        xs = [random_element(h.source, rng, max_len=3) for _ in range(25)]
+        batch = hom_apply_all(h, xs)
+        assert batch == [hom_apply(h, x) for x in xs] == [substituted(h, x) for x in xs]
+        assert hom_apply_all(h, []) == []
 
 
 def test_hom_apply_preserves_degree(z2):
@@ -154,6 +183,17 @@ def test_iso_cyclic_at_bound(z2):
     phi = cohn_to_leavitt(CohnPair(graph_loop(), frozenset()), z2)
     verdict = verify_graded_iso(phi, 2, 2)
     assert verdict.status == "holds-at-bound"
+
+
+def test_iso_span_graph_rows_pinned(z4):
+    # the Cohn-to-Leavitt iso of {e: v->w, f: w->v, g: v->v}, X empty, over
+    # Z/4 at bounds 2/2: the bounded source reaches length 4, the target 2
+    verdict = verify_graded_iso(cohn_to_leavitt(CohnPair(graph_span(), frozenset()), z4), 2, 2)
+    ranks = {-2: (52, 10), -1: (87, 19), 0: (143, 33), 1: (87, 19), 2: (52, 10)}
+    assert verdict.rows == tuple(IsoRow(d, s, t, "holds-at-bound")
+                                 for d, (s, t) in ranks.items())
+    assert (verdict.status, verdict.witness) == ("holds-at-bound", "")
+    assert (verdict.total_source_rank(), verdict.total_target_rank()) == (421, 91)
 
 
 def test_verify_graded_iso_factors_once_per_degree(monkeypatch):
