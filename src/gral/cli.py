@@ -32,9 +32,8 @@ from .pathalg import (AlgebraSpec, dn_rank, element_from_terms,
 from .regularity import (graded_vnr_verdict, graded_witness_constructive,
                          graded_witness_oracle)
 
-DEFAULT_DEGREE_BOUND = 3
-DEFAULT_SIZE_BOUND = 3
-DEFAULT_SAMPLES = 100
+# the integer options a subcommand may read, with their defaults
+INT_OPTIONS = {"degree-bound": 3, "size-bound": 3, "samples": 100, "seed": 0}
 
 
 def _load(path: str):
@@ -108,13 +107,9 @@ def cmd_check_ring(args) -> int:
 def cmd_lpa_witness(args) -> int:
     spec = _spec_from_args(args)
     x = element_from_terms(spec, _load(args.element))
-    method = args.method
-    if method is None:
-        method = "constructive" if is_vnr(spec.ring).regular else "oracle"
-    if method == "constructive":
-        cert = graded_witness_constructive(x)
-    else:
-        cert = graded_witness_oracle(x, args.size_bound)
+    method = args.method or ("constructive" if is_vnr(spec.ring).regular else "oracle")
+    cert = (graded_witness_constructive(x) if method == "constructive"
+            else graded_witness_oracle(x, args.size_bound))
     lines = [cert.to_text(format_element)]
     _emit(args, lines, _cert_payload(cert, format_element))
     return 1 if cert.absent else 0
@@ -331,12 +326,13 @@ def cmd_examples(args) -> int:
 # Parser
 
 
-def _add_common(p, element=False):
-    p.add_argument("--degree-bound", type=int, default=DEFAULT_DEGREE_BOUND)
-    p.add_argument("--size-bound", type=int, default=DEFAULT_SIZE_BOUND)
-    p.add_argument("--samples", type=int, default=DEFAULT_SAMPLES)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--method", choices=["constructive", "oracle"], default=None)
+def _add_options(p, *names):
+    """The named options, then --json and --output, read by every subcommand."""
+    for name in names:
+        if name == "method":
+            p.add_argument("--method", choices=["constructive", "oracle"], default=None)
+        else:
+            p.add_argument(f"--{name}", type=int, default=INT_OPTIONS[name])
     p.add_argument("--json", action="store_true")
     p.add_argument("--output", default=None)
 
@@ -349,16 +345,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check-ring", help="vnr / radical / semiprime for a ring file")
     p.add_argument("ring")
-    _add_common(p)
+    _add_options(p)
     p.set_defaults(func=cmd_check_ring)
 
     lpa = sub.add_parser("lpa", help="path algebra checks")
     lpa_sub = lpa.add_subparsers(dest="subcommand", required=True)
-    for name, fn, needs_element in (
-        ("witness", cmd_lpa_witness, True),
-        ("verdict", cmd_lpa_verdict, False),
-        ("classify", cmd_lpa_classify, False),
-        ("decompose", cmd_lpa_decompose, True),
+    for name, fn, needs_element, options in (
+        ("witness", cmd_lpa_witness, True, ("size-bound", "method")),
+        ("verdict", cmd_lpa_verdict, False,
+         ("degree-bound", "size-bound", "samples", "seed", "method")),
+        ("classify", cmd_lpa_classify, False, ("degree-bound", "size-bound")),
+        ("decompose", cmd_lpa_decompose, True, ()),
     ):
         q = lpa_sub.add_parser(name)
         q.add_argument("--graph", required=True)
@@ -367,14 +364,14 @@ def build_parser() -> argparse.ArgumentParser:
             q.add_argument("--element", required=True)
         if name == "decompose":
             q.add_argument("--level", type=int, required=True)
-        _add_common(q)
+        _add_options(q, *options)
         q.set_defaults(func=fn)
 
     g = sub.add_parser("graph", help="graph constructions")
     g_sub = g.add_subparsers(dest="subcommand", required=True)
     q = g_sub.add_parser("cover")
     q.add_argument("--graph", required=True)
-    _add_common(q)
+    _add_options(q)
     q.set_defaults(func=cmd_graph_cover)
 
     m = sub.add_parser("morphism", help="morphism validation")
@@ -384,7 +381,7 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--target", required=True)
     q.add_argument("--map", required=True)
     q.add_argument("--ring", default=None)
-    _add_common(q)
+    _add_options(q)
     q.set_defaults(func=cmd_morphism_check)
 
     c = sub.add_parser("corner", help="corner skew Laurent checks")
@@ -392,11 +389,11 @@ def build_parser() -> argparse.ArgumentParser:
     q = c_sub.add_parser("witness")
     q.add_argument("--corner", required=True)
     q.add_argument("--element", default=None)
-    _add_common(q)
+    _add_options(q, "degree-bound", "size-bound")
     q.set_defaults(func=cmd_corner_witness)
 
     e = sub.add_parser("examples", help="run the built-in reference fixtures")
-    _add_common(e)
+    _add_options(e)
     e.set_defaults(func=cmd_examples)
     return parser
 

@@ -152,6 +152,9 @@ class ModularRing(Ring):
     def index(self, a):
         return a
 
+    def is_commutative(self) -> bool:
+        return True
+
     def describe(self):
         return f"Z/{self.n}"
 
@@ -201,6 +204,9 @@ class ProductRing(Ring):
         if len(json_value(obj, list, f"an element of {self.describe()}")) != len(self.factors):
             raise ValueError(f"bad product element: {obj!r}")
         return tuple(f.decode(x) for f, x in zip(self.factors, obj))
+
+    def is_commutative(self) -> bool:
+        return all(f.is_commutative() for f in self.factors)
 
     def describe(self):
         return " x ".join(f.describe() for f in self.factors)

@@ -9,14 +9,15 @@ eRe, so |eRe| = |R|, hence eRe = R, 1 = e.x.e for some x, and e = 1.  So
 alpha is an automorphism, t+ t- = 1 as well, and with t^k = t+^k for k >= 0
 and t^k = t-^-k for k < 0 every product follows from t^i r = alpha^i(r) t^i.
 Canonical form: sum of t-^k a_{-k} (k > 0), a_0, and a_k t+^k (k > 0), each
-a_k a free coefficient.
+a_k a free coefficient.  A homogeneous element has a graded witness exactly
+when its coefficient has one in R (csl_graded_witness).
 """
 
 from __future__ import annotations
 
 from typing import Optional
 
-from .coeffring import Ring, within_cap
+from .coeffring import Ring, vnr_witness, within_cap
 from .errors import (GralError, InternalVerificationFailure, NotCornerIso,
                      NotIdempotent, json_field)
 from .regularity import WitnessCertificate
@@ -215,22 +216,25 @@ def format_csl(x: CSLElement) -> str:
 
 
 def csl_graded_witness(x: CSLElement, bound: int = 3) -> WitnessCertificate:
-    """Exact witness or exact absence: S_{-d}, one element per coefficient,
-    is enumerated exhaustively."""
+    """Exact witness or exact absence, in closed form: x.b.x for x and b
+    with coefficients a and c is x with a.c.a for a (t+^k t-^k = 1), so the
+    first witness of S_{-d} in enumeration order has c = vnr_witness(a)."""
     alg = x.algebra
     ring = alg.ring
     if x.is_zero:
         return WitnessCertificate(x, 0, "oracle", witness=x, verified=True)
     d = x.degree()
     within_cap(ring.order, "corner witness search")
-    searched = f"full degree {-d} component ({ring.order} coefficients)"
-    for b in alg.component_elements(-d):
-        if x * b * x == x:
-            return WitnessCertificate(x, d, "oracle", witness=b,
-                                      bounds=(("size", bound),), verified=True)
-    return WitnessCertificate(x, d, "oracle", absent=True, absence_exact=True,
-                              searched=searched, bounds=(("size", bound),),
-                              verified=True)
+    bounds = (("size", bound),)
+    c = vnr_witness(ring, x.coeff(d))
+    if c is None:
+        return WitnessCertificate(x, d, "oracle", absent=True, absence_exact=True, bounds=bounds,
+                                  searched=f"full degree {-d} component ({ring.order} coefficients)",
+                                  verified=True)
+    b = alg.element({-d: c})
+    if x * b * x != x:
+        raise InternalVerificationFailure("corner witness failed verification")
+    return WitnessCertificate(x, d, "oracle", witness=b, bounds=bounds, verified=True)
 
 
 # ---------------------------------------------------------------------------

@@ -189,7 +189,7 @@ class PathAlgebraOracle(GradedRingOracle):
         occurrence of each normal form is kept.  A normal form first occurs
         in the default at the first pair whose raw sum reduces to it, and
         that raw sum is first seen at the same pair, so the elements and
-        their order are the default's; _solve_epsilon picks its epsilon,
+        their order are the default's; solve_combination picks its epsilon,
         and so the printed epsilon table, from that order.
 
         (a b*)(c d*) is nonzero only if b and c start at one vertex and one
@@ -761,7 +761,9 @@ def check_epsilon_strong(oracle: GradedRingOracle, degree_bound: int = 3,
         span_md = oracle.spanning(-d, size_bound)
         exact = oracle.exact_at(d, size_bound) and oracle.exact_at(-d, size_bound)
         products = oracle.products(span_d, span_md)
-        eps = _solve_epsilon(oracle, products, span_d, span_md)
+        eps = solve_combination(oracle, products,
+                                [(s, lambda u, s=s: oracle.mul(u, s)) for s in span_d] +
+                                [(t, lambda u, t=t: oracle.mul(t, u)) for t in span_md])
         if eps is None:
             if not span_d and not span_md:
                 # both components zero: epsilon 0 works vacuously
@@ -780,40 +782,38 @@ def check_epsilon_strong(oracle: GradedRingOracle, degree_bound: int = 3,
     return _combine(rows), rows, tuple(table)
 
 
-def _solve_epsilon(oracle, products, span_d, span_md):
-    """A combination eps of the products with eps.s = s for every s in
-    span_d and t.eps = t for every t in span_md, or None (also when there
-    are no products).
+def solve_combination(oracle, elements, equations):
+    """A combination b of the elements with f(b) = y for every equation
+    (y, f), each f additive, or None (also when there are no elements):
+    the units here and the oracle witness of regularity.
 
     The linear system reads these equations through coordinates, which a
     non-commutative ring or a twisted corner keeps from being left-linear;
     so its answer is checked on the elements, and when it fails, or finds
     nothing over such a ring, the equations are solved exactly over the
-    additive span of the products' R-multiples.
+    additive span of the elements' R-multiples.
     """
-    if not products:
+    if not elements:
         return None
-    ring, coords, mul = oracle.ring, oracle.coords, oracle.mul
-    equations = [(s, lambda eps, s=s: mul(eps, s)) for s in span_d] + \
-        [(t, lambda eps, t=t: mul(t, eps)) for t in span_md]
+    ring, coords = oracle.ring, oracle.coords
     constraints = []
-    for x, f in equations:
-        constraints += span_constraints(ring, [coords(f(p)) for p in products], coords(x))
-    sol = solve_linear_system(ring, constraints, list(range(len(products))))
+    for y, f in equations:
+        constraints += span_constraints(ring, [coords(f(p)) for p in elements], coords(y))
+    sol = solve_linear_system(ring, constraints, list(range(len(elements))))
     if sol is not None:
-        eps = functools.reduce(oracle.add, map(oracle.scale, sol.values(), products))
-        if all(f(eps) == x for x, f in equations):
-            return eps
+        b = functools.reduce(oracle.add, map(oracle.scale, sol.values(), elements))
+        if all(f(b) == y for y, f in equations):
+            return b
     elif ring.is_commutative() and not isinstance(oracle, CslOracle):
         return None
-    coeffs = _multiples_solver(oracle, products, [f for _, f in equations])(
-        [x for x, _ in equations])
+    coeffs = _multiples_solver(oracle, elements, [f for _, f in equations])(
+        [y for y, _ in equations])
     if coeffs is None:
         return None
-    eps = functools.reduce(oracle.add, map(oracle.scale, coeffs, products))
-    if any(f(eps) != x for x, f in equations):
-        raise InternalVerificationFailure("epsilon from the additive span is no unit")
-    return eps
+    b = functools.reduce(oracle.add, map(oracle.scale, coeffs, elements))
+    if any(f(b) != y for y, f in equations):
+        raise InternalVerificationFailure("combination from the additive span fails its equations")
+    return b
 
 
 def _epsilon_leavitt(oracle: PathAlgebraOracle, degree_bound, size_bound):
@@ -837,7 +837,7 @@ def check_nearly_epsilon(target, degree_bound: int = 3, size_bound: int = 3):
     for every bounded spanning element of S_d.
 
     Each element first gets the oracle's own units (local_units); when the
-    oracle has none or refuses, the bounded search _solve_epsilon decides,
+    oracle has none or refuses, the bounded search solve_combination decides,
     over product lists formed once per degree, when first needed.
     """
     oracle = _as_oracle(target)
@@ -879,17 +879,12 @@ def _missing_unit(oracle, s, d, size_bound, products):
     """The first side ("left", then "right") on which the bounded search
     finds no unit for s in S_d, or None; products caches the two product
     lists of degree d."""
-    for side in ("left", "right"):
+    span_d, span_md = oracle.spanning(d, size_bound), oracle.spanning(-d, size_bound)
+    for side, xs, ys, act in (("left", span_d, span_md, lambda u: oracle.mul(u, s)),
+                              ("right", span_md, span_d, lambda u: oracle.mul(s, u))):
         if side not in products:
-            span_d = oracle.spanning(d, size_bound)
-            span_md = oracle.spanning(-d, size_bound)
-            products[side] = (oracle.products(span_d, span_md) if side == "left"
-                              else oracle.products(span_md, span_d))
-        if side == "left":
-            unit = _solve_epsilon(oracle, products[side], [s], [])
-        else:
-            unit = _solve_epsilon(oracle, products[side], [], [s])
-        if unit is None:
+            products[side] = oracle.products(xs, ys)
+        if solve_combination(oracle, products[side], [(s, act)]) is None:
             return side
     return None
 

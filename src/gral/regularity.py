@@ -8,8 +8,9 @@ filtration level, combine them into a single idempotent there, and read
 off the witness.  A relative Cohn spec C^X(E) takes its local units and
 witnesses from L(E(X)) through the isomorphism phi and its inverse psi
 (morphisms.cohn_isomorphism): psi of the unit or witness of phi(x),
-checked again on x.  A brute-force oracle poses x.b.x = x as a linear
-system over a bounded spanning set and is exact on acyclic graphs.
+checked again on x.  The oracle route asks gradedstruct.solve_combination
+for a combination b of a bounded spanning set with x.b.x = x, and its
+absence is exact on acyclic graphs.
 """
 
 from __future__ import annotations
@@ -18,15 +19,17 @@ import random
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .coeffring import (MatrixOverRing, is_vnr, matrix_vnr_witness,
-                        mul_entries, solve_linear_system)
+from .coeffring import MatrixOverRing, is_vnr, matrix_vnr_witness, mul_entries
+# not called here, but perfbench/tracer.py rebinds solve_linear_system in
+# every gral module that holds it
+from .coeffring import solve_linear_system  # noqa: F401
 from .errors import (CoefficientRingNotVNR, GralError,
                      InternalVerificationFailure, ZeroElement)
 from .morphisms import cohn_isomorphism, hom_apply
 from .pathalg import (AlgebraElement, AlgebraSpec, BlockStructure,
-                      MatricialImage, Monomial, _expand_to_level, _mono_mul,
-                      _reduce, filtration_level, matricial_decompose,
-                      matricial_lift, monomial_element, reduced_monomials)
+                      MatricialImage, Monomial, _expand_to_level,
+                      filtration_level, matricial_decompose, matricial_lift,
+                      monomial_element, reduced_monomials)
 
 # ---------------------------------------------------------------------------
 # Local units
@@ -244,41 +247,29 @@ def graded_witness_constructive(x: AlgebraElement) -> WitnessCertificate:
     return WitnessCertificate(x, d, "constructive", witness=r, verified=True)
 
 
-def graded_witness_oracle(x: AlgebraElement, bound: int) -> WitnessCertificate:
-    """Direct search: solve x.b.x = x over the degree-(-d) spanning set with
-    real/ghost lengths at most the bound.  Exact absence on acyclic graphs
-    once the bound reaches the longest path."""
+def graded_witness_oracle(x: AlgebraElement, bound: int,
+                          oracle=None) -> WitnessCertificate:
+    """solve_combination for x.b.x = x over the degree-(-d) spanning
+    monomials with real/ghost lengths at most the bound, from the spec's
+    PathAlgebraOracle (pass one to share its spanning sets).  Exact
+    absence on acyclic graphs once the bound reaches the longest path."""
+    from .gradedstruct import PathAlgebraOracle, solve_combination
+
     spec = x.spec
-    ring = spec.ring
     if x.is_zero:
         return WitnessCertificate(x, 0, "oracle", witness=x, verified=True)
     d = x.degree()
-    candidates = reduced_monomials(spec, degree=-d, max_len=bound)
-    constraints_map = {m: [] for m in x.terms}
-    for cand in candidates:
-        for m1, r1 in x.terms.items():
-            t1 = _mono_mul(spec, m1, cand)
-            if t1 is None:
-                continue
-            for m2, r2 in x.terms.items():
-                t2 = _mono_mul(spec, t1, m2)
-                if t2 is None:
-                    continue
-                for mono, c in _reduce(spec, {t2: r1}, ring).items():
-                    constraints_map.setdefault(mono, []).append((c, cand, r2))
-    constraints = [(terms, x.coeff(mono))
-                   for mono, terms in sorted(constraints_map.items(),
-                                             key=lambda kv: kv[0].sort_key())]
+    if oracle is None:
+        oracle = PathAlgebraOracle(spec)
+    candidates = oracle.spanning(-d, bound)
     searched = (f"degree {-d} spanning monomials with lengths <= {bound} "
                 f"({len(candidates)} candidates)")
-    solution = solve_linear_system(ring, constraints, candidates)
+    b = solve_combination(oracle, candidates, [(x, lambda b: x * b * x)])
     bounds = (("size", bound),)
-    if solution is None:
+    if b is None:
         return WitnessCertificate(x, d, "oracle", absent=True,
                                   absence_exact=spec.graph.all_paths_within(bound),
-                                  searched=searched,
-                                  bounds=bounds, verified=True)
-    b = AlgebraElement.make(spec, {m: c for m, c in solution.items()})
+                                  searched=searched, bounds=bounds, verified=True)
     if not _verify_witness(x, b):
         raise InternalVerificationFailure("oracle witness failed verification")
     return WitnessCertificate(x, d, "oracle", witness=b, bounds=bounds,
@@ -332,6 +323,8 @@ def graded_vnr_verdict(spec: AlgebraSpec, degree_bound: int = 3,
                        seed: int = 0, method: Optional[str] = None) -> RegularityReport:
     """Run witness searches over all bounded reduced monomials, their scalar
     multiples, and seeded random homogeneous combinations."""
+    from .gradedstruct import PathAlgebraOracle
+
     bounds = (("degree", degree_bound), ("length", filtration_bound),
               ("samples", samples), ("seed", seed))
     if spec.graph.is_null():
@@ -352,6 +345,7 @@ def graded_vnr_verdict(spec: AlgebraSpec, degree_bound: int = 3,
     rng = random.Random(seed)
     elements.extend(sample_homogeneous(spec, degree_bound, filtration_bound,
                                        samples, rng))
+    oracle = PathAlgebraOracle(spec)
     certificates = []
     counterexample = None
     inconclusive = False
@@ -361,7 +355,7 @@ def graded_vnr_verdict(spec: AlgebraSpec, degree_bound: int = 3,
         if method == "constructive":
             cert = graded_witness_constructive(x)
         else:
-            cert = graded_witness_oracle(x, filtration_bound)
+            cert = graded_witness_oracle(x, filtration_bound, oracle)
         certificates.append(cert)
         if cert.absent and counterexample is None:
             if cert.absence_exact:

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import table_z2xz2
+from conftest import table_upper_z2, table_z2xz2
 from gral import cli, coeffring, gradedstruct, morphisms, regularity
 from gral.cli import main
 from gral.coeffring import MatrixOverRing, ModularRing, ring_make, ring_spec
@@ -134,6 +134,36 @@ def test_lpa_witness_constructive_non_square_blocks(tmp_path, capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert "witness=e*" in out and "verified=true" in out
+
+
+def test_lpa_witness_oracle_over_a_noncommutative_table_ring_pinned(files, capsys):
+    # 3 = [[0, 1], [0, 1]] is idempotent; over upper-triangular matrices
+    # x.b.x = x is solved in the additive span of the multiples r . f*,
+    # which finds 3 * f*
+    ring = write(files["tmp"] / "upper.json", ring_spec(table_upper_z2()))
+    element = write(files["tmp"] / "elt_3f.json", [
+        {"coeff": 3, "alpha": ["f"], "beta": {"vertex": "w"}}])
+    assert main(["lpa", "witness", "--graph", files["vw"], "--ring", ring,
+                 "--element", element, "--method", "oracle"]) == 0
+    assert capsys.readouterr().out == \
+        "element=t3*f degree=1 method=oracle witness=t3*f* bounds=size=3 verified=true\n"
+
+
+def test_oracle_absence_over_a_large_modulus_exit1(files, capsys, monkeypatch):
+    # 2f has no witness over Z/999996, as 4c = 2 has no solution; the linear
+    # answer is exact over a commutative ring, and Z/n is one without a scan
+    # of its pairs (about 5 * 10^11 here)
+    def scan(ring):
+        raise AssertionError(f"scanned the pairs of {ring.describe()}")
+    monkeypatch.setattr(coeffring.Ring, "is_commutative", scan)
+    ring = write(files["tmp"] / "z999996.json", {"kind": "mod", "n": 999996})
+    element = write(files["tmp"] / "elt_2f.json", [
+        {"coeff": 2, "alpha": ["f"], "beta": {"vertex": "w"}}])
+    code = main(["lpa", "witness", "--graph", files["vw"], "--ring", ring,
+                 "--element", element, "--method", "oracle"])
+    out = capsys.readouterr().out
+    assert code == 1
+    assert "absence=exact" in out
 
 
 def test_lpa_verdict_over_a_table_ring(tmp_path, capsys):
@@ -584,6 +614,28 @@ def test_deeply_nested_file_exit2(files, tmp_path, capsys):
     deep.write_text("[" * 100000 + "]" * 100000)
     assert main(["check-ring", str(deep)]) == 2
     assert capsys.readouterr().err == f"error: {deep}: JSON nested too deeply\n"
+
+
+@pytest.mark.parametrize("command", [
+    ["check-ring", "{z2}", "--seed", "1"],
+    ["lpa", "witness", "--graph", "{vw}", "--ring", "{z2}", "--element", "{elt_f}",
+     "--samples", "5"],
+    ["lpa", "classify", "--graph", "{vw}", "--ring", "{z2}", "--method", "oracle"],
+    ["lpa", "decompose", "--graph", "{vw}", "--ring", "{z2}", "--element", "{elt_f}",
+     "--level", "1", "--size-bound", "2"],
+    ["graph", "cover", "--graph", "{vw}", "--degree-bound", "2"],
+    ["morphism", "check", "--source", "{a1}", "--target", "{vw}", "--map", "{map}",
+     "--seed", "0"],
+    ["corner", "witness", "--corner", "{corner_z6}", "--method", "oracle"],
+    ["examples", "--samples", "5"],
+], ids=["check-ring", "lpa-witness", "lpa-classify", "lpa-decompose", "graph-cover",
+        "morphism-check", "corner-witness", "examples"])
+def test_option_the_subcommand_does_not_read_exit2(files, capsys, command):
+    # each subcommand takes only the options it reads; any other is a usage
+    # error, never parsed and ignored
+    assert main([arg.format(**files) for arg in command]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "unrecognized arguments" in captured.err
 
 
 def test_usage_error_exit2(capsys):

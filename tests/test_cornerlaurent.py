@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from conftest import swap_algebra, table_upper_z2
+from conftest import swap_algebra, table_upper_z2, table_z2xz2
 from gral.coeffring import ModularRing, ProductRing, is_vnr
 from gral.cornerlaurent import (CslAlgebra, corner_from_dict,
                                 corner_to_dict, csl_element_from_dict,
@@ -192,6 +192,35 @@ def test_inhomogeneous_rejected():
     x = alg.one() + alg.t_plus()
     with pytest.raises(GralError):
         csl_graded_witness(x)
+
+
+def enumerated_witness(x):
+    """The reference: the first b of S_-d, in enumeration order, with
+    x.b.x = x, or None."""
+    return next((b for b in x.algebra.component_elements(-x.degree())
+                 if x * b * x == x), None)
+
+
+def identity_corner(ring):
+    return CslAlgebra(ring, ring.one, {a: a for a in ring.elements()})
+
+
+@pytest.mark.parametrize("alg", [
+    laurent(4), laurent(6), laurent(8),
+    identity_corner(ProductRing([ModularRing(2), ModularRing(3)])),
+    identity_corner(table_upper_z2()), swap_algebra(),
+    # the bit swap (a, b) -> (b, a) of Z/2 x Z/2 given by tables
+    CslAlgebra(table_z2xz2(), 3, {0: 0, 1: 2, 2: 1, 3: 3}),
+], ids=["Z4", "Z6", "Z8", "Z2xZ3", "upper_Z2", "swap", "table_swap"])
+def test_closed_form_witness_is_the_first_enumerated(alg):
+    for d in range(-4, 5):
+        for x in alg.component_elements(d):
+            if x.is_zero:
+                continue
+            cert = csl_graded_witness(x)
+            expected = enumerated_witness(x)
+            assert cert.verified and cert.absent == (expected is None), format_csl(x)
+            assert cert.witness == expected and (not cert.absent or cert.absence_exact)
 
 
 def test_cor_witnesses_iff_vnr_coefficients():

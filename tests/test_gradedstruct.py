@@ -477,6 +477,15 @@ def test_classify_swap_corner_pinned():
     assert classify(CslOracle(swap_algebra()), 2, 2).to_text() == SWAP_CORNER_CLASSIFY
 
 
+def solve_epsilon(oracle, products, span_d, span_md):
+    """A combination of the products that is a left unit on span_d and a
+    right unit on span_md, as check_epsilon_strong asks for it."""
+    mul = oracle.mul
+    return gradedstruct.solve_combination(
+        oracle, products, [(s, lambda u, s=s: mul(u, s)) for s in span_d] +
+        [(t, lambda u, t=t: mul(t, u)) for t in span_md])
+
+
 def test_solve_epsilon_units_checked_on_swap_algebra():
     # the twist keeps coordinates from being left-linear: the linear answer
     # for t- on the left (and t+ on the right) is 0, which is no unit, so
@@ -487,9 +496,9 @@ def test_solve_epsilon_units_checked_on_swap_algebra():
         left = oracle.products(span_d, span_md)
         right = oracle.products(span_md, span_d)
         for s in span_d:
-            eps = gradedstruct._solve_epsilon(oracle, left, [s], [])
+            eps = solve_epsilon(oracle, left, [s], [])
             assert eps is not None and eps * s == s, (d, format_csl(s))
-            eps = gradedstruct._solve_epsilon(oracle, right, [], [s])
+            eps = solve_epsilon(oracle, right, [], [s])
             assert eps is not None and s * eps == s, (d, format_csl(s))
 
 
@@ -529,7 +538,7 @@ def test_solve_epsilon_is_none_exactly_without_a_unit_in_the_closure(question):
     def is_unit(eps):
         return all(oracle.mul(eps, s) == s for s in span_d) and \
             all(oracle.mul(t, eps) == t for t in span_md)
-    eps = gradedstruct._solve_epsilon(oracle, products, span_d, span_md)
+    eps = solve_epsilon(oracle, products, span_d, span_md)
     closure = additive_closure(oracle, products)
     assert (eps is None) == (not any(map(is_unit, closure)))
     assert eps is None or (is_unit(eps) and eps in closure)
@@ -550,7 +559,7 @@ def test_solve_epsilon_units_checked_over_noncommutative_ring():
             for left, right, is_unit in (
                     ([t], [], lambda eps: ring.mul(eps, t) == t),
                     ([], [t], lambda eps: ring.mul(t, eps) == t)):
-                eps = gradedstruct._solve_epsilon(oracle, list(products), left, right)
+                eps = solve_epsilon(oracle, list(products), left, right)
                 if eps is None:
                     assert not any(map(is_unit, closure)), (products, t, left)
                 else:

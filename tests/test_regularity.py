@@ -1,14 +1,17 @@
 """Local units, idempotent generators and graded regularity witnesses."""
 
+import functools
+import itertools
 import random
 
 import pytest
 
 from conftest import (graph_2cycle, graph_a1, graph_loop, graph_null,
                       graph_rose2, graph_toeplitz, graph_vw, graph_vwu,
-                      random_element)
+                      random_element, table_upper_z2)
 import gral.regularity as regularity
 from gral.coeffring import ModularRing, ProductRing
+from gral.gradedstruct import PathAlgebraOracle
 from gral.graphs import Graph
 from gral.errors import (CoefficientRingNotVNR, GralError,
                          InternalVerificationFailure, ZeroElement)
@@ -440,6 +443,34 @@ def test_oracle_agrees_with_constructive_on_acyclic():
                     constructive = graded_witness_constructive(x)
                     assert not oracle.absent and not constructive.absent
                     assert x * oracle.witness * x == x
+
+
+def combinations(spec, elements):
+    """Every R-combination sum r_i . elements[i], the r_i on the left."""
+    return [functools.reduce(lambda a, b: a + b,
+                             (el.scale(r) for el, r in zip(elements, coeffs)),
+                             AlgebraElement.zero(spec))
+            for coeffs in itertools.product(spec.ring.elements(), repeat=len(elements))]
+
+
+@pytest.mark.parametrize("graph", [graph_a1, graph_vw], ids=["A1", "vw"])
+@pytest.mark.parametrize("ring", [ModularRing(4), ProductRing([ModularRing(2)] * 2),
+                                  table_upper_z2()], ids=["Z4", "Z2xZ2", "upper_Z2"])
+def test_oracle_absence_matches_brute_force(graph, ring):
+    # the reference: every R-combination b of the bounded S_-d, tried on
+    # every nonzero R-combination x of the bounded S_d
+    spec = AlgebraSpec.leavitt(graph(), ring)
+    oracle = PathAlgebraOracle(spec)
+    for d in (-1, 0, 1):
+        candidates = combinations(spec, oracle.spanning(-d, 1))
+        for x in combinations(spec, oracle.spanning(d, 1)):
+            if x.is_zero:
+                continue
+            cert = graded_witness_oracle(x, 1, oracle)
+            found = any(x * b * x == x for b in candidates)
+            assert cert.absent == (not found), format_element(x)
+            assert cert.absent or (x * cert.witness * x == x and cert.witness in candidates)
+            assert not cert.absent or cert.absence_exact
 
 
 # -- verdict --------------------------------------------------------------------
