@@ -79,19 +79,19 @@ class Ring:
 
     def decode(self, obj):
         a = self._decode(obj)
-        if a not in self._element_set():
+        if not self._has(a):
             raise ValueError(f"not an element of {self.describe()}: {obj!r}")
         return a
 
     def _decode(self, obj):
         return json_value(obj, int, f"an element of {self.describe()}")
 
-    def _element_set(self):
+    def _has(self, a) -> bool:
         cached = getattr(self, "_elt_set", None)
         if cached is None:
             cached = set(self.elements())
             self._elt_set = cached
-        return cached
+        return a in cached
 
     def describe(self) -> str:
         raise NotImplementedError
@@ -127,10 +127,15 @@ class ModularRing(Ring):
             raise ValueError("modulus must be at least 2")
         self.n = n
         self.order = n
-        self._elems = tuple(range(n))
+        self._elems = None  # built on the first elements() call
 
     def elements(self):
+        if self._elems is None:
+            self._elems = tuple(range(self.n))
         return self._elems
+
+    def _has(self, a) -> bool:
+        return 0 <= a < self.n
 
     def add(self, a, b):
         return (a + b) % self.n
@@ -141,13 +146,9 @@ class ModularRing(Ring):
     def neg(self, a):
         return (-a) % self.n
 
-    @property
-    def zero(self):
-        return 0
-
-    @property
-    def one(self):
-        return 1
+    # plain attributes, not properties: the product kernel reads them per call
+    zero = 0
+    one = 1
 
     def index(self, a):
         return a
@@ -1016,7 +1017,8 @@ def _matrix_witness_solve(a: MatrixOverRing):
 
 
 def _field_generalized_inverse(a: MatrixOverRing):
-    """Full-rank decomposition E.A.F = [[I,0],[0,0]]; Y = F.J^T.E."""
+    """Full-rank decomposition E.A.F = [[I,0],[0,0]]; Y = F.J^T.E.  The
+    ring is Z/p for a prime p, so each pivot's inverse is pow(., -1, p)."""
     ring = a.ring
     m, n = a.rows, a.cols
     mat = [list(row) for row in a.entries]
@@ -1041,7 +1043,7 @@ def _field_generalized_inverse(a: MatrixOverRing):
             row[rank], row[pj] = row[pj], row[rank]
         for row in f:
             row[rank], row[pj] = row[pj], row[rank]
-        inv = next(b for b in ring.elements() if ring.mul(b, mat[rank][rank]) == ring.one)
+        inv = pow(mat[rank][rank], -1, ring.n)
         mat[rank] = [ring.mul(inv, x) for x in mat[rank]]
         e[rank] = [ring.mul(inv, x) for x in e[rank]]
         for i in range(m):

@@ -13,7 +13,8 @@ from .coeffring import Ring, SpanSolver
 # not called here, but perfbench/tracer.py rebinds solve_linear_system in
 # every gral module that holds it
 from .coeffring import solve_linear_system  # noqa: F401
-from .errors import GralError, InternalVerificationFailure, RelationViolation
+from .errors import (GralError, InternalVerificationFailure, RelationViolation,
+                     SpecMismatch)
 from .graphs import (CohnPair, GraphMorphism, cohn_cover, cohn_duplicates,
                      compose_morphisms, morphism_validate)
 from .pathalg import (AlgebraElement, AlgebraSpec, edge_element,
@@ -57,6 +58,9 @@ class AlgebraHom:
         generator images; raises RelationViolation naming the first failure."""
         g = self.source.graph
         vmap, emap, gmap = dict(self.vmap), dict(self.emap), dict(self.gmap)
+        for img in (*vmap.values(), *emap.values(), *gmap.values()):
+            if img.spec != self.target:
+                raise SpecMismatch("a generator image does not live in the target algebra")
         for v in g.vertices:
             img = vmap[v]
             if not img.is_zero and img.degree() != 0:
@@ -102,8 +106,12 @@ def hom_apply_all(h: AlgebraHom, xs) -> list:
     """hom_apply of each element of xs.  The image of each path and of each
     monomial is formed once per call, from the images of its shorter paths:
     real(alpha e) = real(alpha) . h(e) and ghost(e beta) = ghost(beta) . h(e*),
-    so each is the left-to-right product of its generators' images."""
+    so each is the left-to-right product of its generators' images.  The
+    images are summed into one dict per element, in the order that adding
+    each c . image in turn gives."""
     vmap, emap, gmap = dict(h.vmap), dict(h.emap), dict(h.gmap)
+    ring = h.target.ring
+    zero, add, mul = ring.zero, ring.add, ring.mul
     real, ghost, images = {}, {}, {}   # edges -> image; monomial -> image
 
     def real_image(edges):
@@ -124,7 +132,7 @@ def hom_apply_all(h: AlgebraHom, xs) -> list:
     for x in xs:
         if x.spec != h.source:
             raise GralError("element does not live in the hom's source algebra")
-        acc = AlgebraElement.zero(h.target)
+        acc = {}
         for m, c in x.terms.items():
             img = images.get(m)
             if img is None:
@@ -132,8 +140,18 @@ def hom_apply_all(h: AlgebraHom, xs) -> list:
                 img = images[m] = (
                     (real_image(a.edges) if a.edges else vmap[a.src]) *
                     (ghost_image(b.edges) if b.edges else vmap[b.src]))
-            acc = acc + img.scale(c)
-        out.append(acc)
+            for m2, c2 in img.terms.items():
+                c2 = mul(c, c2)
+                if c2 == zero:
+                    continue
+                prev = acc.get(m2)
+                if prev is not None:
+                    c2 = add(prev, c2)
+                if c2 == zero:
+                    acc.pop(m2, None)
+                else:
+                    acc[m2] = c2
+        out.append(AlgebraElement(h.target, acc))
     return out
 
 

@@ -129,8 +129,9 @@ class AlgebraSpec:
 # Rewriting engine
 
 
-def _mono_mul(spec: AlgebraSpec, m1: Monomial, m2: Monomial) -> Optional[Monomial]:
-    """(a b*)(c d*) before relation-(v) reduction: a single monomial or None."""
+def _mono_mul(m1: Monomial, m2: Monomial) -> Optional[Monomial]:
+    """(a b*)(c d*) before relation-(v) reduction: a single monomial or None.
+    When |b| = |c| the result is a d*, with a itself, not a rebuilt copy."""
     b, c = m1.beta, m2.alpha
     lb, lc = len(b.edges), len(c.edges)
     if lb <= lc:
@@ -138,27 +139,29 @@ def _mono_mul(spec: AlgebraSpec, m1: Monomial, m2: Monomial) -> Optional[Monomia
             return None
         if lb == 0 and b.src != c.src:
             return None
-        rest = c.edges[lb:]
-        alpha = Path(m1.alpha.src, c.dst, m1.alpha.edges + rest)
+        if lb == lc:
+            return Monomial(m1.alpha, m2.beta)
+        alpha = Path(m1.alpha.src, c.dst, m1.alpha.edges + c.edges[lb:])
         return Monomial(alpha, m2.beta)
     if b.edges[:lc] != c.edges:
         return None
     if lc == 0 and c.src != b.src:
         return None
-    rest = b.edges[lc:]
-    beta = Path(m2.beta.src, b.dst, m2.beta.edges + rest)
+    beta = Path(m2.beta.src, b.dst, m2.beta.edges + b.edges[lc:])
     return Monomial(m1.alpha, beta)
 
 
 def _reducible(spec: AlgebraSpec, m: Monomial) -> bool:
     """alpha and beta end in one edge, the special edge of its source."""
     a, b = m.alpha.edges, m.beta.edges
-    return bool(a and b) and a[-1] == b[-1] and a[-1] in spec.special_names
+    if a and b and a[-1] == b[-1]:
+        return a[-1] in spec.special_names
+    return False
 
 
-def _drop_last(spec: AlgebraSpec, p: Path) -> Path:
-    v = spec.graph.edge(p.edges[-1]).src
-    return Path(p.src if p.edges[:-1] else v, v, p.edges[:-1])
+def _drop_last(p: Path, v: str) -> Path:
+    """p without its last edge, which leaves v."""
+    return Path(p.src if len(p.edges) > 1 else v, v, p.edges[:-1])
 
 
 def _append(p: Path, edge) -> Path:
@@ -166,11 +169,12 @@ def _append(p: Path, edge) -> Path:
 
 
 def _rewrite(spec: AlgebraSpec, m: Monomial):
-    """alpha0 f (beta0 f)* = alpha0 beta0* - sum of the non-special siblings."""
+    """alpha0 f (beta0 f)* = alpha0 beta0* - sum of the non-special siblings:
+    the monomial with sign +1, then each sibling's with sign -1."""
     f = m.alpha.edges[-1]
     v = spec.graph.edge(f).src
-    a0 = _drop_last(spec, m.alpha)
-    b0 = _drop_last(spec, m.beta)
+    a0 = _drop_last(m.alpha, v)
+    b0 = _drop_last(m.beta, v)
     out = [(Monomial(a0, b0), 1)]
     for other in spec.graph.out_edges(v):
         if other.name != f:
@@ -180,27 +184,39 @@ def _rewrite(spec: AlgebraSpec, m: Monomial):
 
 def _reduce(spec: AlgebraSpec, terms: dict, ring: Ring, chooser=None) -> dict:
     """Apply relation-(v) rewrites to a fixed point, with coefficients in
-    ring; the result has no zero coefficients.
+    ring, and return the normal form's terms.
 
-    chooser picks the next reducible monomial from a sorted list; the default
-    is leftmost (minimal sort key), used everywhere outside confluence tests.
+    terms must have no zero coefficients, and _reduce takes it over: the
+    dict is rewritten in place and returned, at once when no term is
+    reducible.  chooser picks the next reducible monomial from a sorted
+    list; the default is leftmost (minimal sort key), used everywhere
+    outside confluence tests.
     """
-    zero = ring.zero
-    terms = {m: c for m, c in terms.items() if c != zero}
-    pending = {m for m in terms if _reducible(spec, m)}
+    pending = None
+    for m in terms:
+        if _reducible(spec, m):
+            if pending is None:
+                pending = set()
+            pending.add(m)
+    if pending is None:
+        return terms
+    zero, add, neg = ring.zero, ring.add, ring.neg
     while pending:
-        if chooser is None:
-            m = min(pending, key=Monomial.sort_key)
-        else:
+        if chooser is not None:
             m = chooser(sorted(pending, key=Monomial.sort_key))
+        elif len(pending) == 1:
+            m = next(iter(pending))
+        else:
+            m = min(pending, key=Monomial.sort_key)
         pending.discard(m)
         c = terms.pop(m, None)
         if c is None:
             continue
         for m2, sign in _rewrite(spec, m):
-            c2 = c if sign > 0 else ring.neg(c)
-            if m2 in terms:
-                c2 = ring.add(terms[m2], c2)
+            c2 = c if sign > 0 else neg(c)
+            prev = terms.get(m2)
+            if prev is not None:
+                c2 = add(prev, c2)
             if c2 == zero:
                 terms.pop(m2, None)
                 pending.discard(m2)
@@ -216,13 +232,29 @@ def _reduce(spec: AlgebraSpec, terms: dict, ring: Ring, chooser=None) -> dict:
 
 
 class AlgebraElement:
-    """Finite coefficient-weighted sum of reduced monomials; immutable."""
+    """Finite coefficient-weighted sum of reduced monomials.
 
-    __slots__ = ("spec", "terms")
+    Contracts of the product kernel:
+    - Elements are immutable: neither spec nor terms (monomial -> nonzero
+      coefficient) changes after __init__.
+    - The hash is computed on the first __hash__ and kept in a slot, as Path
+      and Monomial keep theirs; __reduce__ rebuilds an element from spec and
+      terms, so the hash is never pickled (string hashes differ between
+      processes).
+    - A dict passed to __init__ belongs to the element built from it.  A
+      raw product (raw_product) is brought to normal form in place by
+      _reduce and becomes the product's terms without a copy.
+    """
+
+    __slots__ = ("spec", "terms", "_hash")
 
     def __init__(self, spec: AlgebraSpec, terms: dict):
         self.spec = spec
         self.terms = terms
+        self._hash = None
+
+    def __reduce__(self):
+        return AlgebraElement, (self.spec, self.terms)
 
     @staticmethod
     def make(spec: AlgebraSpec, terms: dict) -> "AlgebraElement":
@@ -248,12 +280,15 @@ class AlgebraElement:
             raise SpecMismatch("elements belong to different algebra specs")
 
     def __add__(self, other):
-        self._check(other)
+        if other.spec is not self.spec:
+            self._check(other)
         ring = self.spec.ring
+        zero, add = ring.zero, ring.add
         out = dict(self.terms)
         for m, c in other.terms.items():
-            c2 = ring.add(out.get(m, ring.zero), c)
-            if c2 == ring.zero:
+            prev = out.get(m)
+            c2 = c if prev is None else add(prev, c)
+            if c2 == zero:
                 out.pop(m, None)
             else:
                 out[m] = c2
@@ -271,18 +306,22 @@ class AlgebraElement:
         nonzero coefficient, summed over the term pairs.  Equal raw products
         have equal normal forms, so callers that form many products can
         reduce each distinct one once."""
-        self._check(other)
+        if other.spec is not self.spec:
+            self._check(other)
         ring = self.spec.ring
+        zero, add, mul = ring.zero, ring.add, ring.mul
+        right = other.terms.items()
         raw = {}
         for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                m = _mono_mul(self.spec, m1, m2)
+            for m2, c2 in right:
+                m = _mono_mul(m1, m2)
                 if m is None:
                     continue
-                c = ring.mul(c1, c2)
-                if m in raw:
-                    c = ring.add(raw[m], c)
-                if c == ring.zero:
+                c = mul(c1, c2)
+                prev = raw.get(m)
+                if prev is not None:
+                    c = add(prev, c)
+                if c == zero:
                     raw.pop(m, None)
                 else:
                     raw[m] = c
@@ -291,15 +330,16 @@ class AlgebraElement:
     def __mul__(self, other, chooser=None):
         """Product in normal form; chooser picks the rewrite order (see
         _reduce), and the result does not depend on it."""
-        return AlgebraElement(self.spec, _reduce(self.spec, self.raw_product(other),
-                                                 self.spec.ring, chooser))
+        spec = self.spec
+        return AlgebraElement(spec, _reduce(spec, self.raw_product(other), spec.ring, chooser))
 
     def scale(self, r) -> "AlgebraElement":
         ring = self.spec.ring
+        zero, mul = ring.zero, ring.mul
         out = {}
         for m, c in self.terms.items():
-            c2 = ring.mul(r, c)
-            if c2 != ring.zero:
+            c2 = mul(r, c)
+            if c2 != zero:
                 out[m] = c2
         return AlgebraElement(self.spec, out)
 
@@ -318,6 +358,9 @@ class AlgebraElement:
 
     def degree(self) -> Optional[int]:
         """Degree of a nonzero homogeneous element, None for zero."""
+        if len(self.terms) == 1:
+            for m in self.terms:
+                return m.degree
         degs = {m.degree for m in self.terms}
         if not degs:
             return None
@@ -326,11 +369,16 @@ class AlgebraElement:
         return degs.pop()
 
     def __eq__(self, other):
-        return (isinstance(other, AlgebraElement) and other.spec == self.spec
+        if other is self:
+            return True
+        return (isinstance(other, AlgebraElement)
+                and (other.spec is self.spec or other.spec == self.spec)
                 and other.terms == self.terms)
 
     def __hash__(self):
-        return hash(frozenset(self.terms.items()))
+        if self._hash is None:
+            self._hash = hash(frozenset(self.terms.items()))
+        return self._hash
 
     def __repr__(self):
         return format_element(self)
@@ -612,17 +660,15 @@ def matricial_lift(image: MatricialImage) -> AlgebraElement:
     structure = image.structure
     spec = structure.spec
     ring = spec.ring
-    raw = {}
+    raw = {}  # each (a, b) occurs in one block only: no sums, no zeros
     for k in structure.keys:
         labels = structure.labels[k]
         m = image.mats[k]
         for i, a in enumerate(labels):
             for j, b in enumerate(labels):
                 c = m[i][j]
-                if c == ring.zero:
-                    continue
-                mono = Monomial(a, b)
-                raw[mono] = ring.add(raw.get(mono, ring.zero), c)
+                if c != ring.zero:
+                    raw[Monomial(a, b)] = c
     return AlgebraElement(spec, _reduce(spec, raw, ring))
 
 
@@ -678,4 +724,5 @@ def element_from_terms(spec: AlgebraSpec, terms) -> AlgebraElement:
         c = ring.decode(json_field(t, "coeff", object, "a term"))
         m = Monomial(a, b)
         raw[m] = ring.add(raw.get(m, ring.zero), c)
-    return AlgebraElement(spec, _reduce(spec, raw, ring))
+    return AlgebraElement(spec, _reduce(spec, {m: c for m, c in raw.items() if c != ring.zero},
+                                        ring))

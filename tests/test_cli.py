@@ -256,6 +256,32 @@ def test_lpa_classify_golden(files, capsys, graph, ring, size_bound):
     assert capsys.readouterr().out == expected.read_text()
 
 
+@pytest.mark.parametrize("name, graph, ring, degree_bound", [
+    ("toeplitz", GOLDEN_GRAPHS["toeplitz"], "z6", 2),          # constructive
+    ("rose2cohn", dict(GOLDEN_GRAPHS["rose2"], x=[]), "z2", 2),  # through psi
+    ("rose2", GOLDEN_GRAPHS["rose2"], "z4", 1)])               # oracle: Z/4 is not vnr
+def test_lpa_verdict_golden(files, capsys, name, graph, ring, degree_bound):
+    # every certificate line of a verdict, witness text included, byte for byte
+    code = main(["lpa", "verdict", "--graph", write(files["tmp"] / f"{name}.json", graph),
+                 "--ring", files[ring], "--degree-bound", str(degree_bound),
+                 "--size-bound", "2"])
+    assert code == 0
+    expected = GOLDEN / f"verdict_{name}_{ring}_{degree_bound}_2.txt"
+    assert capsys.readouterr().out == expected.read_text()
+
+
+def test_lpa_witness_over_a_large_modulus_without_enumerating(files, capsys, monkeypatch):
+    # decoding 2 and searching S_-1 never lists the million elements of Z/n
+    monkeypatch.setattr(ModularRing, "elements", lambda self: pytest.fail("Z/n enumerated"))
+    ring = write(files["tmp"] / "big.json", {"kind": "mod", "n": 999996})
+    element = write(files["tmp"] / "2f.json", [
+        {"coeff": 2, "alpha": ["f"], "beta": {"vertex": "w"}}])
+    code = main(["lpa", "witness", "--graph", files["vw"], "--ring", ring,
+                 "--element", element, "--method", "oracle"])
+    assert code == 1
+    assert "element=2*f degree=1 method=oracle absence=exact" in capsys.readouterr().out
+
+
 def test_lpa_decompose(files, capsys):
     code = main(["lpa", "decompose", "--graph", files["vw"], "--ring", files["z6"],
                  "--element", files["elt_2v"], "--level", "1"])

@@ -57,6 +57,18 @@ def test_ring_make_refuses_rings_beyond_the_cap(monkeypatch):
         ring_make({"kind": "product", "factors": [{"kind": "mod", "n": 11}] * 2})
 
 
+def test_modular_decode_checks_the_range_without_enumerating(monkeypatch):
+    monkeypatch.setattr(ModularRing, "elements", lambda self: pytest.fail("Z/n enumerated"))
+    ring = ModularRing(999996)
+    assert ring.decode(0) == 0 and ring.decode(999995) == 999995
+    for bad, message in ((999996, "not an element of Z/999996: 999996"),
+                         (-1, "not an element of Z/999996: -1"),
+                         (True, "an element of Z/999996 must be an integer, got True")):
+        with pytest.raises(ValueError) as err:
+            ring.decode(bad)
+        assert str(err.value) == message
+
+
 def test_is_commutative():
     assert ModularRing(6).is_commutative() and table_z2xz2().is_commutative()
     assert not table_upper_z2().is_commutative()
@@ -666,6 +678,21 @@ def test_mul_entries_matches_dense_reference(ring):
         assert mul_entries(ring, a, b) == dense_product(ring, a, b)
         assert mat_mul(MatrixOverRing(ring, a), MatrixOverRing(ring, b)) == \
             MatrixOverRing(ring, dense_product(ring, a, b))
+
+
+@pytest.mark.parametrize("entries, witness", [
+    (((3, 5), (6, 10)), ((3336, 0), (0, 0))),
+    (((2, 3), (5, 7)), ((10000, 3), (5, 10005))),
+    (((0, 0), (0, 9999)), ((0, 0), (0, 8756))),
+])
+def test_matrix_witness_over_a_large_prime(monkeypatch, entries, witness):
+    # over the field Z/10007 each pivot's inverse is pow(a, -1, p), with no
+    # scan of the ring; the inverse is unique, so the witness is the same
+    monkeypatch.setattr(ModularRing, "elements", lambda self: pytest.fail("Z/p enumerated"))
+    a = MatrixOverRing(ModularRing(10007), entries)
+    y = matrix_vnr_witness(a)
+    assert y.entries == witness
+    assert mat_mul(mat_mul(a, y), a) == a
 
 
 def test_matrix_witness_random_verified(z6):

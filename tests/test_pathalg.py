@@ -1,12 +1,16 @@
 """Cohn/Leavitt path algebra arithmetic, normal forms and the matricial
 decomposition."""
 
+import pickle
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from conftest import (SIX_GRAPHS, graph_loop, graph_null, graph_rose2,
-                      graph_toeplitz, graph_vw, random_element, random_word)
+                      graph_toeplitz, graph_vw, random_element, random_word,
+                      small_graphs, table_upper_z2)
 from gral.coeffring import ModularRing
 from gral.errors import (GralError, NotDegreeZero, NotInDn, SpecMismatch,
                          UnknownGenerator)
@@ -15,8 +19,9 @@ from gral.pathalg import (AlgebraElement, AlgebraSpec, BlockStructure,
                           MatricialImage, Monomial, dn_rank, dn_reduced_basis,
                           element_from_terms, element_to_terms,
                           filtration_level, format_element, identity_element,
-                          matricial_decompose, matricial_lift, normal_form,
-                          reduced_monomials, vertex_element, word_element)
+                          matricial_decompose, matricial_lift,
+                          monomial_element, normal_form, reduced_monomials,
+                          vertex_element, word_element)
 
 
 def leavitt(graph, n):
@@ -175,6 +180,82 @@ def test_distributivity_random(z4):
     for _ in range(100):
         x, y, z = (random_element(spec, rng) for _ in range(3))
         assert x * (y + z) == x * y + x * z
+
+
+# -- kernel properties on random specs -------------------------------------------
+
+KERNEL_RINGS = (ModularRing(4), ModularRing(6), table_upper_z2())
+
+
+@st.composite
+def kernel_specs(draw, leavitt=None):
+    """A Leavitt or relative Cohn spec over a random graph of small_graphs
+    and Z/4, Z/6 or the upper-triangular 2x2 matrices over Z/2; X is any
+    subset of Reg(E), so proper and empty ones occur."""
+    graph = draw(small_graphs())
+    ring = draw(st.sampled_from(KERNEL_RINGS))
+    if leavitt is None:
+        leavitt = draw(st.booleans())
+    x = None if leavitt else draw(st.sets(st.sampled_from(graph.regular))
+                                  if graph.regular else st.just(set()))
+    return AlgebraSpec(graph, ring, x)
+
+
+def kernel_terms(draw, spec, degree=None):
+    """Up to four (monomial, nonzero coefficient) pairs, repeats allowed."""
+    pool = reduced_monomials(spec, degree=degree, max_len=2)
+    nonzero = [c for c in spec.ring.elements() if c != spec.ring.zero]
+    if not pool:
+        return []
+    return draw(st.lists(st.tuples(st.sampled_from(pool), st.sampled_from(nonzero)),
+                         max_size=4))
+
+
+def sum_of_terms(spec, terms):
+    acc = AlgebraElement.zero(spec)
+    for m, c in terms:
+        acc = acc + monomial_element(spec, m, c)
+    return acc
+
+
+@given(st.data())
+def test_kernel_products_agree_on_random_specs(data):
+    spec = data.draw(kernel_specs())
+    x, y, z = (sum_of_terms(spec, kernel_terms(data.draw, spec)) for _ in range(3))
+    rnd = data.draw(st.randoms(use_true_random=False))
+    xy = x * y
+    assert x.__mul__(y, chooser=rnd.choice) == xy
+    assert (x * y) * z == x * (y * z)
+    assert x * (y + z) == xy + x * z and (x + y) * z == x * z + y * z
+    termwise = AlgebraElement.zero(spec)
+    for m1, c1 in x.terms.items():
+        for m2, c2 in y.terms.items():
+            termwise = termwise + monomial_element(spec, m1, c1) * monomial_element(spec, m2, c2)
+    assert termwise == xy
+
+
+@given(st.data())
+def test_kernel_hash_ignores_term_order_and_survives_pickle(data):
+    spec = data.draw(kernel_specs())
+    terms = kernel_terms(data.draw, spec)
+    x = sum_of_terms(spec, terms)
+    y = sum_of_terms(spec, data.draw(st.permutations(terms)))
+    assert x == y and hash(x) == hash(y)
+    for z in (x, y, x * y):
+        copy = pickle.loads(pickle.dumps(z))
+        assert copy._hash is None  # the hash is never pickled
+        assert copy == z and z == copy and hash(copy) == hash(z)
+        assert copy.terms == z.terms and list(copy.terms) == list(z.terms)
+
+
+@given(st.data())
+def test_decompose_then_lift_is_the_identity_on_random_specs(data):
+    spec = data.draw(kernel_specs(leavitt=True))
+    x = sum_of_terms(spec, kernel_terms(data.draw, spec, degree=0))
+    n = filtration_level(x) + data.draw(st.integers(0, 1))
+    image = matricial_decompose(x, n)
+    assert matricial_lift(image) == x
+    assert matricial_decompose(matricial_lift(image), n) == image
 
 
 # -- spanning sets --------------------------------------------------------------
