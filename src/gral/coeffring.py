@@ -429,23 +429,24 @@ def is_vnr(ring: Ring) -> VnrVerdict:
 #
 # A system's left-hand sides are factored once (_factor) and then asked for
 # solutions against any number of right-hand sides, and for the generators
-# of its homogeneous solutions.  Over Z/n, factoring folds the constraints
-# into sparse rows, splits n into prime powers q = p**e and, for each,
+# of its homogeneous solutions.  ring_parts is the one split: a product
+# ring into its factors, a composite Z/n into its prime powers, each part
+# factored on its own and each answer joined (by CRT) and checked to
+# project back onto every part's.  Over Z/q, q = p**e, _PrimePowerFactor
+# is the one elimination: it folds the constraints into sparse rows,
 # eliminates with unit pivots (first row, then first column, holding a
-# unit), records the row operations and factors the leftover rows, whose
-# entries are all divisible by p, divided by p mod p**(e-1).  Solving
-# replays the row operations on the right-hand side, checks the leftover
-# rows, back-substitutes, joins the prime powers by CRT and re-checks the
-# solution exactly against the folded rows.  The kernel comes from the same
-# factorization: the non-pivot unknowns are free, or, when leftover rows
-# remain, range over the lifted kernel of the sub-factorization plus
-# p**(e-1) times anything; the reduced pivot rows then fix the pivot
-# unknowns, and each generator is moved to its prime power by CRT and
-# re-checked exactly.  Pivots depend on the left-hand sides alone, so
-# SpanSolver factors the columns of a span question once for any number
-# of targets and its kernel, and solve_linear_system and kernel_generators
-# are the one-question uses of the same factorization.  Product rings
-# split into their factors; other rings are solved in additive coordinates.
+# unit), records the row operations and factors the leftover rows, all
+# divisible by p, divided by p mod p**(e-1).  Solving replays the row
+# operations on the right-hand side, checks the leftover rows and
+# back-substitutes; the kernel's non-pivot unknowns are free, or range
+# over the lifted sub-kernel plus p**(e-1) times anything, and the reduced
+# pivot rows fix the rest.  Every solution and generator is re-checked
+# exactly.  A matrix's generalized inverse over Z/p is the row operations
+# of its rows replayed on the unit vectors.  Pivots depend on the
+# left-hand sides alone, so SpanSolver factors a span question's columns
+# once for any number of targets and its kernel.  Table rings are solved
+# by AdditiveSpan: given each unknown's image of every nonzero element,
+# it eliminates in additive coordinates and answers in ring elements.
 
 
 def _span_rows(columns, keys=()):
@@ -507,30 +508,20 @@ class SpanSolver:
         return self._system.kernel()
 
 
-def _factor_system(constraints, i):
-    """The constraints projected to the i-th factor of a product ring."""
-    return [([(None if l is None else l[i], v, None if r is None else r[i])
-              for (l, v, r) in terms], rhs[i])
-            for terms, rhs in constraints]
-
-
 def solve_linear_system(ring: Ring, constraints, variables=None):
     """One solution as {var: element}, or None if certifiably absent.
 
-    Modular and product rings are solved exactly (CRT into prime powers,
-    elimination with unit pivots and p-divisible recursion); table rings by
-    the same elimination in additive coordinates.
+    Modular and product rings are solved exactly (split by ring_parts,
+    elimination with unit pivots and p-divisible recursion over each prime
+    power); table rings by the same elimination in additive coordinates.
     """
     varlist = _collect_vars(constraints, variables)
     if isinstance(ring, ProductRing):
         # each factor is a solve_linear_system call of its own
-        per_factor = []
-        for i, factor in enumerate(ring.factors):
-            sol = solve_linear_system(factor, _factor_system(constraints, i), varlist)
-            if sol is None:
-                return None
-            per_factor.append(sol)
-        return _join_factors(per_factor, varlist)
+        split = ring_parts(ring)
+        return _joined(split, (solve_linear_system(part, system, varlist) for part, system
+                               in zip(split[0], _split_constraints(split, constraints))),
+                       varlist, "linear solution")
     return _factor(ring, constraints, varlist).solve([b for _, b in constraints])
 
 
@@ -547,79 +538,101 @@ def _collect_vars(constraints, variables):
     return seen
 
 
-def _join_factors(per_factor, varlist):
-    """A product-ring solution from one solution per factor."""
-    return {v: tuple(sol[v] for sol in per_factor) for v in varlist}
-
-
 def _factor(ring: Ring, constraints, varlist):
     """The left-hand sides of the constraints (their right-hand sides are
     ignored) prepared once; solve(rhs), with one right-hand side per
     constraint, gives {var: element} or None, and kernel() the nonzero
     generators {var: element} of the homogeneous solutions."""
-    if isinstance(ring, ProductRing):
-        return _ProductSystem(ring, constraints, varlist)
+    split = ring_parts(ring)
+    if split is not None:
+        return _SplitSystem(split, constraints, varlist)
     if isinstance(ring, ModularRing):
         return _ModularSystem(ring, constraints, varlist)
     return _AdditiveSystem(ring, constraints, varlist)
 
 
-class _ProductSystem:
-    def __init__(self, ring, constraints, varlist):
-        self.varlist = varlist
-        self.zeros = [factor.zero for factor in ring.factors]
-        self.parts = [_factor(factor, _factor_system(constraints, i), varlist)
-                      for i, factor in enumerate(ring.factors)]
+def _split_constraints(split, constraints):
+    """The constraints projected to each part of a ring_parts split, one
+    list of constraints per part."""
+    parts, project, _ = split
+    none = (None,) * len(parts)
+    per_part = [[] for _ in parts]
+    for terms, b in constraints:
+        terms = [(none if l is None else project(l), v, none if r is None else project(r))
+                 for l, v, r in terms]
+        for k, (system, bk) in enumerate(zip(per_part, project(b))):
+            system.append(([(l[k], v, r[k]) for l, v, r in terms], bk))
+    return per_part
+
+
+def _joined(split, answers, varlist, what):
+    """{var: element} joined from the answers {var: element}, one per part
+    of a ring_parts split and read in turn, once each joined entry projects
+    back onto every part's; None at the first answer that is None."""
+    per_part = []
+    for sol in answers:
+        if sol is None:
+            return None
+        per_part.append(sol)
+    _, project, join = split
+    x = {}
+    for v in varlist:
+        xs = tuple(sol[v] for sol in per_part)
+        x[v] = join(xs)
+        if project(x[v]) != xs:
+            raise InternalVerificationFailure(f"{what} failed re-verification")
+    return x
+
+
+class _SplitSystem:
+    """A system over a ring that ring_parts splits, factored part by part."""
+
+    def __init__(self, split, constraints, varlist):
+        self.split, self.varlist = split, varlist
+        self.parts = [_factor(part, system, varlist)
+                      for part, system in zip(split[0], _split_constraints(split, constraints))]
 
     def solve(self, rhs):
-        per_factor = []
-        for i, part in enumerate(self.parts):
-            sol = part.solve([b[i] for b in rhs])
-            if sol is None:
-                return None
-            per_factor.append(sol)
-        return _join_factors(per_factor, self.varlist)
+        rhs = [self.split[1](b) for b in rhs]
+        return _joined(self.split, (part.solve([b[k] for b in rhs])
+                                    for k, part in enumerate(self.parts)),
+                       self.varlist, "linear solution")
 
     def kernel(self):
-        """Each factor's generators, zero in the other factors."""
-        gens = []
-        for i, part in enumerate(self.parts):
-            for g in part.kernel():
-                gens.append({v: tuple(g[v] if k == i else zero
-                                      for k, zero in enumerate(self.zeros))
-                             for v in self.varlist})
-        return gens
+        """Each part's generators, zero in the other parts."""
+        zeros = [dict.fromkeys(self.varlist, part.zero) for part in self.split[0]]
+        return [_joined(self.split, zeros[:k] + [g] + zeros[k + 1:], self.varlist,
+                        "kernel generator")
+                for k, part in enumerate(self.parts) for g in part.kernel()]
 
 
 class _AdditiveSystem:
-    """A table ring's constraints in additive coordinates: x_v = sum_a
-    n_(v,a) . a over the nonzero a, so l . x_v . r adds n_(v,a) . (l . a . r).
-    Each answer is mapped back to R and re-checked exactly."""
+    """A table ring's constraints solved by AdditiveSpan: the map of the
+    unknown v sends a to the sum of the terms l . a . r of v in each row.
+    Each answer is re-checked exactly."""
 
     def __init__(self, ring, constraints, varlist):
         self.ring, self.varlist, self.lhs = ring, varlist, [terms for terms, _ in constraints]
         nonzero = [a for a in ring.elements() if a != ring.zero]
-        self.labels = [(v, a) for v in varlist for a in nonzero]
-        columns = {label: {} for label in self.labels}
+        images = {v: [{} for _ in nonzero] for v in varlist}  # v -> a -> {row: entry}
         for i, terms in enumerate(self.lhs):
-            for (l, v, r), a in itertools.product(terms, nonzero):
-                col = columns[v, a]
-                col[i] = ring.add(col.get(i, ring.zero), _term(ring, l, a, r))
-        self.span = AdditiveSpan(ring, list(columns.values()))
+            for l, v, r in terms:
+                for col, a in zip(images[v], nonzero):
+                    col[i] = ring.add(col.get(i, ring.zero), _term(ring, l, a, r))
+        self.span = AdditiveSpan(ring, list(images.values()))
 
     def solve(self, rhs):
-        counts = self.span.solve(dict(enumerate(rhs)))
-        return None if counts is None else self._checked(counts, rhs, "linear solution")
+        xs = self.span.solve(dict(enumerate(rhs)))
+        return None if xs is None else self._checked(xs, rhs, "linear solution")
 
     def kernel(self):
         zero = self.ring.zero
-        gens = [self._checked(c, itertools.repeat(zero), "kernel generator")
-                for c in self.span.kernel()]
-        return [g for g in gens if any(x != zero for x in g.values())]
+        return [self._checked(g, itertools.repeat(zero), "kernel generator")
+                for g in self.span.kernel()]
 
-    def _checked(self, counts, rhs, what):
+    def _checked(self, xs, rhs, what):
         ring = self.ring
-        x = fold_multiples(ring, self.labels, counts, self.varlist)
+        x = dict(zip(self.varlist, xs))
         for terms, b in zip(self.lhs, rhs):
             if functools.reduce(ring.add, (_term(ring, l, x[v], r) for l, v, r in terms),
                                 ring.zero) != b:
@@ -633,24 +646,20 @@ def _term(ring, l, x, r):
     return x if r is None else ring.mul(x, r)
 
 
-def fold_multiples(ring: Ring, labels, counts, keys) -> dict:
-    """{key: sum of n . a over its labels (key, a) and counts n} for each key."""
-    out = dict.fromkeys(keys, ring.zero)
-    for (k, a), n in zip(labels, counts):
-        for _ in range(n):
-            out[k] = ring.add(out[k], a)
-    return out
-
-
 class AdditiveSpan:
-    """Integer combinations sum_i n_i . columns[i] = target of coordinate
-    dicts {key: ring element}, n_i mod N, the exponent of (R, +) = (Z/N)^R
-    modulo the e_a + e_b - e_(a+b).  An entry c at key k is the unit vector
-    at (k, c), and each key gets the relations as columns of its own, so one
-    SpanSolver over Z/N gives solve(target) = [n_i] or None and kernel()."""
+    """Elements x_i of R with sum_i f_i(x_i) = target, for additive maps f_i
+    into coordinate dicts {key: ring element}; images[i] lists f_i(a) for
+    each nonzero a of R in enumeration order.  Solved in additive
+    coordinates x_i = sum_a n_(i,a) . a, n mod N, the exponent of (R, +) =
+    (Z/N)^R modulo the e_a + e_b - e_(a+b).  An entry c at key k is the
+    unit vector at (k, c), and each key gets the relations as columns of its
+    own, so one SpanSolver over Z/N gives solve(target) = [x_i] or None and
+    kernel(), the generators [x_i] that are not all zero."""
 
-    def __init__(self, ring: Ring, columns):
-        self.zero, self.width = ring.zero, len(columns)
+    def __init__(self, ring: Ring, images):
+        self.ring, self.zero, self.width = ring, ring.zero, len(images)
+        self.nonzero = [a for a in ring.elements() if a != ring.zero]
+        columns = [col for image in images for col in image]
         n, multiples = 1, ring.elements()
         while any(x != ring.zero for x in multiples):
             n, multiples = n + 1, [ring.add(x, a) for x, a in zip(multiples, ring.elements())]
@@ -664,20 +673,33 @@ class AdditiveSpan:
     def _vector(self, coords):
         return {(k, c): 1 for k, c in coords.items() if c != self.zero}
 
+    def _elements(self, counts):
+        """[x_i], x_i = sum_a n . a over the counts n of the (i, a)."""
+        ring, nonzero = self.ring, self.nonzero
+        out = []
+        for i in range(self.width):
+            x = ring.zero
+            for t, a in enumerate(nonzero, i * len(nonzero)):
+                for _ in range(counts[t]):
+                    x = ring.add(x, a)
+            out.append(x)
+        return out
+
     def solve(self, target) -> Optional[list]:
         sol = self._solver.solve(self._vector(target))
-        return None if sol is None else [sol[i] for i in range(self.width)]
+        return None if sol is None else self._elements(sol)
 
     def kernel(self) -> list:
-        return [[g[i] for i in range(self.width)] for g in self._solver.kernel()]
+        gens = (self._elements(g) for g in self._solver.kernel())
+        return [g for g in gens if any(x != self.zero for x in g)]
 
 
 def _fold_modular(ring, constraints, varlist):
-    """Sparse rows {column: entry} and right-hand sides, reduced mod n."""
+    """The left-hand sides as sparse rows {column: entry}, reduced mod n."""
     n = ring.n
     pos = {v: i for i, v in enumerate(varlist)}
-    rows, rhs = [], []
-    for terms, b in constraints:
+    rows = []
+    for terms, _ in constraints:
         row = {}
         for l, v, r in terms:
             j = pos[v]
@@ -687,8 +709,7 @@ def _fold_modular(ring, constraints, varlist):
             else:
                 row.pop(j, None)
         rows.append(row)
-        rhs.append(b % n)
-    return rows, rhs
+    return rows
 
 
 def _prime_powers(n: int):
@@ -717,51 +738,49 @@ def _crt(residues):
     return x
 
 
+def ring_parts(ring: Ring):
+    """(parts, project, join), the one split of a ring, or None: a product
+    into its factors, a composite Z/n into Z/q for each prime power q of n
+    (joined by CRT).  project maps an element to its tuple of parts, and
+    join is its inverse.  Cached on the handle."""
+    cached = getattr(ring, "_parts_cache", False)  # None is an answer
+    if cached is not False:
+        return cached
+    split = None
+    if isinstance(ring, ProductRing):
+        split = (ring.factors, lambda x: x, tuple)
+    elif isinstance(ring, ModularRing):
+        qs = [p**e for p, e in _prime_powers(ring.n)]
+        if len(qs) > 1:
+            split = (tuple(ModularRing(q) for q in qs),
+                     lambda x: tuple(x % q for q in qs),
+                     lambda xs: _crt(zip(xs, qs)))
+    ring._parts_cache = split
+    return split
+
+
 class _ModularSystem:
-    """The left-hand sides over Z/n as sparse rows, factored once per prime
-    power."""
+    """The left-hand sides over Z/q, q a prime power, as sparse rows,
+    factored once."""
 
     def __init__(self, ring, constraints, varlist):
         self.n, self.varlist = ring.n, varlist
-        self.rows, _ = _fold_modular(ring, constraints, varlist)
+        self.rows = _fold_modular(ring, constraints, varlist)
         # column j as (row, entry) pairs, for re-checks from a solution's support
         self.columns = [[] for _ in varlist]
         for r, row in enumerate(self.rows):
             for j, c in row.items():
                 self.columns[j].append((r, c))
-        self.parts = []
-        for p, e in _prime_powers(self.n):
-            q = p**e
-            self.parts.append(_PrimePowerFactor(
-                [{j: c % q for j, c in row.items() if c % q} for row in self.rows],
-                len(varlist), p, e))
+        (p, e), = _prime_powers(self.n)
+        self.factor = _PrimePowerFactor([dict(row) for row in self.rows], len(varlist), p, e)
 
     def solve(self, rhs):
-        n = self.n
-        rhs = [b % n for b in rhs]
-        residues = []
-        for part in self.parts:
-            sol = part.solve([b % part.q for b in rhs])
-            if sol is None:
-                return None
-            residues.append((sol, part.q))
-        if len(residues) == 1:
-            x = residues[0][0]  # n is one prime power: entries already in [0, n)
-        else:
-            x = [_crt([(sol[j], q) for sol, q in residues])
-                 for j in range(len(self.varlist))]
-        return self._checked(x, rhs, "linear solution")
+        x = self.factor.solve([b % self.n for b in rhs])
+        return None if x is None else self._checked(x, rhs, "linear solution")
 
     def kernel(self):
-        """Each prime power's generators, moved by CRT to be 0 mod the
-        other prime powers."""
-        gens = []
-        for part in self.parts:
-            unit = _crt([(int(other is part), other.q) for other in self.parts])
-            for g in part.kernel():
-                gens.append(self._checked([c * unit % self.n for c in g],
-                                          itertools.repeat(0), "kernel generator"))
-        return gens
+        return [self._checked(g, itertools.repeat(0), "kernel generator")
+                for g in self.factor.kernel()]
 
     def _checked(self, x, rhs, what):
         """x as {var: entry}, once sum_j x_j . column_j, formed from the
@@ -834,15 +853,22 @@ class _PrimePowerFactor:
         self.pivots = [(i, j, tuple((jj, c) for jj, c in rows[i].items() if jj != j))
                        for i, j in pivots]
 
-    def solve(self, rhs):
-        """Solution mod q of the factored rows against rhs (entries in
-        [0, q), overwritten), or None."""
-        p, q = self.p, self.q
+    def replay(self, rhs):
+        """rhs (entries in [0, q), overwritten) with the recorded row
+        operations applied."""
+        q = self.q
         for i, inv, elim in self.ops:
             b = rhs[i] = rhs[i] * inv % q
             if b:
                 for k, f in elim:
                     rhs[k] = (rhs[k] - f * b) % q
+        return rhs
+
+    def solve(self, rhs):
+        """Solution mod q of the factored rows against rhs (entries in
+        [0, q), overwritten), or None."""
+        p, q = self.p, self.q
+        rhs = self.replay(rhs)
         if any(rhs[i] % p for i in self.rem):
             return None
         sol = [0] * self.ncols
@@ -954,9 +980,10 @@ def mat_mul(a: MatrixOverRing, b: MatrixOverRing) -> MatrixOverRing:
 def matrix_vnr_witness(a: MatrixOverRing) -> Optional[MatrixOverRing]:
     """Y with A.Y.A = A, or None (certified absence).
 
-    Prime moduli get an O(n^3) generalized inverse; modular rings split by
-    CRT; everything else goes through solve_linear_system.  The result is
-    re-verified before returning.
+    A ring that ring_parts splits is solved part by part; Z/p gets the
+    generalized inverse from one elimination of A's rows; everything else
+    goes through solve_linear_system.  The result is re-verified before
+    returning.
     """
     y = _matrix_witness_dispatch(a)
     if y is not None and mat_mul(mat_mul(a, y), a) != a:
@@ -966,34 +993,20 @@ def matrix_vnr_witness(a: MatrixOverRing) -> Optional[MatrixOverRing]:
 
 def _matrix_witness_dispatch(a: MatrixOverRing):
     ring = a.ring
-    if isinstance(ring, ProductRing):
-        comps = []
-        for i, factor in enumerate(ring.factors):
-            sub = MatrixOverRing(factor, tuple(tuple(x[i] for x in row) for row in a.entries))
-            y = _matrix_witness_dispatch(sub)
+    split = ring_parts(ring)
+    if split is not None:
+        parts, project, join = split
+        # part k's matrix holds the k-th parts of A's entries
+        ys = []
+        for part, entries in zip(parts, zip(*(tuple(zip(*map(project, row)))
+                                              for row in a.entries))):
+            y = _matrix_witness_dispatch(MatrixOverRing(part, entries))
             if y is None:
                 return None
-            comps.append(y)
-        rows = a.cols
-        cols = a.rows
-        return MatrixOverRing(ring, tuple(
-            tuple(tuple(comps[k].entries[i][j] for k in range(len(ring.factors)))
-                  for j in range(cols))
-            for i in range(rows)))
-    if isinstance(ring, ModularRing):
-        comps = []
-        for p, e in _prime_powers(ring.n):
-            q = p**e
-            sub = MatrixOverRing(ModularRing(q),
-                                 tuple(tuple(x % q for x in row) for row in a.entries))
-            y = (_field_generalized_inverse(sub) if e == 1
-                 else _matrix_witness_solve(sub))
-            if y is None:
-                return None
-            comps.append((y.entries, q))
-        return MatrixOverRing(ring, tuple(
-            tuple(_crt([(y[i][j], q) for y, q in comps]) for j in range(a.rows))
-            for i in range(a.cols)))
+            ys.append(y.entries)
+        return MatrixOverRing(ring, tuple(tuple(map(join, zip(*rows))) for rows in zip(*ys)))
+    if isinstance(ring, ModularRing) and _prime_powers(ring.n)[0][1] == 1:
+        return _field_generalized_inverse(a)
     return _matrix_witness_solve(a)
 
 
@@ -1017,51 +1030,19 @@ def _matrix_witness_solve(a: MatrixOverRing):
 
 
 def _field_generalized_inverse(a: MatrixOverRing):
-    """Full-rank decomposition E.A.F = [[I,0],[0,0]]; Y = F.J^T.E.  The
-    ring is Z/p for a prime p, so each pivot's inverse is pow(., -1, p)."""
-    ring = a.ring
-    m, n = a.rows, a.cols
-    mat = [list(row) for row in a.entries]
-    e = [[ring.one if i == j else ring.zero for j in range(m)] for i in range(m)]
-    f = [[ring.one if i == j else ring.zero for j in range(n)] for i in range(n)]
-    rank = 0
-    for _ in range(min(m, n)):
-        pivot = None
-        for i in range(rank, m):
-            for j in range(rank, n):
-                if mat[i][j] != ring.zero:
-                    pivot = (i, j)
-                    break
-            if pivot:
-                break
-        if pivot is None:
-            break
-        pi, pj = pivot
-        mat[rank], mat[pi] = mat[pi], mat[rank]
-        e[rank], e[pi] = e[pi], e[rank]
-        for row in mat:
-            row[rank], row[pj] = row[pj], row[rank]
-        for row in f:
-            row[rank], row[pj] = row[pj], row[rank]
-        inv = pow(mat[rank][rank], -1, ring.n)
-        mat[rank] = [ring.mul(inv, x) for x in mat[rank]]
-        e[rank] = [ring.mul(inv, x) for x in e[rank]]
-        for i in range(m):
-            if i != rank and mat[i][rank] != ring.zero:
-                c = mat[i][rank]
-                mat[i] = [ring.sub(x, ring.mul(c, y)) for x, y in zip(mat[i], mat[rank])]
-                e[i] = [ring.sub(x, ring.mul(c, y)) for x, y in zip(e[i], e[rank])]
-        for j in range(n):
-            if j != rank and mat[rank][j] != ring.zero:
-                c = mat[rank][j]
-                for i in range(m):
-                    mat[i][j] = ring.sub(mat[i][j], ring.mul(mat[i][rank], c))
-                for i in range(n):
-                    f[i][j] = ring.sub(f[i][j], ring.mul(f[i][rank], c))
-        rank += 1
-    # Y = F . J^T . E where J^T is n x m with identity block of size rank
-    jt_e = [[e[i][j] if i < rank else ring.zero for j in range(m)] for i in range(n)]
-    return MatrixOverRing(ring, mul_entries(ring, f, jt_e))
+    """Y with A.Y.A = A over Z/p, p prime, from one elimination of A's rows.
+    Its row operations E make E.A reduced, with a 1 at each pivot (i, j),
+    zeros in the rest of column j and zero rows without a pivot; row j of Y
+    is row i of E, and every other row of Y is zero.  Column r of E is the
+    replay of the r-th unit vector."""
+    m = a.rows
+    factor = _PrimePowerFactor([{j: x for j, x in enumerate(row) if x} for row in a.entries],
+                               a.cols, a.ring.n, 1)
+    e_rows = list(zip(*(factor.replay([0] * r + [1] + [0] * (m - 1 - r)) for r in range(m))))
+    y = [(0,) * m] * a.cols
+    for i, j, _ in factor.pivots:
+        y[j] = e_rows[i]
+    return MatrixOverRing(a.ring, tuple(y))
 
 
 # ---------------------------------------------------------------------------

@@ -136,6 +136,24 @@ def test_lpa_witness_constructive_non_square_blocks(tmp_path, capsys):
     assert "witness=e*" in out and "verified=true" in out
 
 
+def test_lpa_witness_rose3_block_inverse_pinned(files, capsys):
+    # the Z/2 blocks' generalized inverses come from the span solver's
+    # elimination, which takes, row by row, the least unused column as its
+    # pivot; a full-pivoting elimination printed witness=ab(bb)* + cb(ab)*
+    graph = write(files["tmp"] / "rose3.json", {
+        "vertices": ["v"],
+        "edges": [{"name": name, "src": "v", "dst": "v"} for name in "abc"]})
+    element = write(files["tmp"] / "x.json", [
+        {"coeff": 1, "alpha": list(alpha), "beta": list(beta)}
+        for alpha, beta in (("ab", "cb"), ("bb", "aa"), ("bb", "ab"))])
+    code = main(["lpa", "witness", "--graph", graph, "--ring", files["z2"],
+                 "--element", element])
+    assert code == 0
+    assert capsys.readouterr().out == (
+        "element=ab(cb)* + bb(aa)* + bb(ab)* degree=0 method=constructive "
+        "witness=aa(bb)* + cb(ab)* bounds=- verified=true\n")
+
+
 def test_lpa_witness_oracle_over_a_noncommutative_table_ring_pinned(files, capsys):
     # 3 = [[0, 1], [0, 1]] is idempotent; over upper-triangular matrices
     # x.b.x = x is solved in the additive span of the multiples r . f*,

@@ -533,7 +533,10 @@ def test_table_ring_kernels_generate_every_solution(system, span):
 
 
 FACTOR_RINGS = {"Z4": ModularRing(4), "Z8": ModularRing(8), "Z12": ModularRing(12),
-                "Z2xZ2": ProductRing([ModularRing(2), ModularRing(2)])}
+                "Z6": ModularRing(6),
+                "Z2xZ2": ProductRing([ModularRing(2), ModularRing(2)]),
+                # a split inside a split: Z/6 is split again into Z/2 and Z/3
+                "Z2xZ6": ProductRing([ModularRing(2), ModularRing(6)])}
 
 
 @st.composite
@@ -602,6 +605,53 @@ def test_tampered_kernel_generator_is_caught(z4, monkeypatch):
     monkeypatch.setattr(coeffring._PrimePowerFactor, "kernel", lambda self: [[1]])
     with pytest.raises(InternalVerificationFailure, match="kernel generator"):
         solver.kernel()
+
+
+def test_wrong_join_is_caught():
+    # each joined answer must project back onto every part's answer, so a
+    # join that answers wrongly is caught in solve and in kernel alike
+    parts, project, join = coeffring.ring_parts(ModularRing(6))
+    constraints = [([(None, 0, None), (2, 1, None)], 0)]  # x0 + 2 x1
+    system = coeffring._SplitSystem((parts, project, join), constraints, [0, 1])
+    assert system.solve([1]) == {0: 1, 1: 0}
+    assert system.kernel() == [{0: 0, 1: 3}, {0: 4, 1: 4}]
+    wrong = coeffring._SplitSystem((parts, project, lambda xs: (join(xs) + 1) % 6),
+                                   constraints, [0, 1])
+    with pytest.raises(InternalVerificationFailure, match="linear solution"):
+        wrong.solve([1])
+    with pytest.raises(InternalVerificationFailure, match="kernel generator"):
+        wrong.kernel()
+
+
+Z2xZ3 = ProductRing([ModularRing(2), ModularRing(3)])
+SPLIT_RINGS = {"Z6": ModularRing(6), "Z12": ModularRing(12), "Z30": ModularRing(30),
+               "Z2xZ3": Z2xZ3, "(Z2xZ3)xZ5": ProductRing([Z2xZ3, ModularRing(5)])}
+
+
+@pytest.mark.parametrize("name", sorted(SPLIT_RINGS))
+def test_ring_parts_splits_into_a_product(name):
+    # join undoes project, and project is additive and multiplicative: the
+    # ring is the product of its parts; the split is made once per handle
+    ring = SPLIT_RINGS[name]
+    split = coeffring.ring_parts(ring)
+    parts, project, join = split
+    assert coeffring.ring_parts(ring) is split
+    assert all(join(project(x)) == x for x in ring.elements())
+    for x, y in itertools.product(ring.elements(), repeat=2):
+        for op in ("add", "mul"):
+            assert project(getattr(ring, op)(x, y)) == tuple(
+                getattr(part, op)(a, b) for part, a, b in zip(parts, project(x), project(y)))
+
+
+def test_ring_parts_of_twelve_are_its_prime_powers():
+    parts, _, _ = coeffring.ring_parts(ModularRing(12))
+    assert parts == (ModularRing(4), ModularRing(3))
+
+
+@pytest.mark.parametrize("ring", [ModularRing(7), ModularRing(8), table_z2xz2()],
+                         ids=["Z7", "Z8", "Z2xZ2table"])
+def test_ring_parts_leaves_prime_powers_and_tables_whole(ring):
+    assert coeffring.ring_parts(ring) is None
 
 
 def test_kernel_generators_mod4(z4):
@@ -692,6 +742,43 @@ def test_matrix_witness_over_a_large_prime(monkeypatch, entries, witness):
     a = MatrixOverRing(ModularRing(10007), entries)
     y = matrix_vnr_witness(a)
     assert y.entries == witness
+    assert mat_mul(mat_mul(a, y), a) == a
+
+
+def test_field_inverse_pivots_on_the_least_unused_column_pinned(z2):
+    # row by row, the least unused column holding a unit is the pivot, and
+    # row j of Y is the row operations' row i for each pivot (i, j); the
+    # full-pivoting elimination this replaced gave ((0, 0), (0, 1), (1, 0))
+    a = MatrixOverRing.from_lists(z2, [[0, 0, 1], [1, 1, 0]])
+    assert matrix_vnr_witness(a).entries == ((0, 1), (0, 0), (1, 0))
+
+
+VNR_MATRIX_RINGS = {"Z2": ModularRing(2), "Z3": ModularRing(3), "Z5": ModularRing(5),
+                    "Z6": ModularRing(6), "Z30": ModularRing(30), "Z2xZ3": Z2xZ3,
+                    "(Z2xZ3)xZ5": ProductRing([Z2xZ3, ModularRing(5)])}
+
+
+@st.composite
+def vnr_ring_matrices(draw):
+    """An m x n matrix, m, n <= 6, over a von Neumann regular ring, with
+    some of its rows and columns set to zero."""
+    ring = VNR_MATRIX_RINGS[draw(st.sampled_from(sorted(VNR_MATRIX_RINGS)))]
+    m, n = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    entries = draw(st.lists(st.lists(st.sampled_from(ring.elements()), min_size=n,
+                                     max_size=n), min_size=m, max_size=m))
+    zero_rows = draw(st.sets(st.integers(0, m - 1)))
+    zero_cols = draw(st.sets(st.integers(0, n - 1)))
+    return MatrixOverRing.from_lists(ring, [
+        [ring.zero if i in zero_rows or j in zero_cols else x for j, x in enumerate(row)]
+        for i, row in enumerate(entries)])
+
+
+@given(vnr_ring_matrices())
+def test_matrix_witness_over_vnr_rings_always_exists(a):
+    # every matrix over a von Neumann regular ring is regular: the witness
+    # is n x m, and A.Y.A = A (which matrix_vnr_witness also re-checks)
+    y = matrix_vnr_witness(a)
+    assert (y.rows, y.cols) == (a.cols, a.rows)
     assert mat_mul(mat_mul(a, y), a) == a
 
 

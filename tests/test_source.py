@@ -104,6 +104,14 @@ def test_block_structures_are_built_only_by_the_spec():
     assert found == ["pathalg.py:AlgebraSpec.blocks"]
 
 
+def test_rings_are_split_only_by_ring_parts():
+    # ring_parts is the one product/CRT split: a split anywhere else would
+    # join its parts without the check that each answer projects back
+    found = [f"{path.name}:{scope}" for path in sorted(SRC.glob("*.py"))
+             for scope in _calls(_parse(path), "_crt")]
+    assert found == ["coeffring.py:ring_parts"]
+
+
 def test_cap_refusals_are_built_in_one_guard():
     # within_cap is the one up-front cap check; only the vnr search, which
     # counts its states as it goes, raises on its own
