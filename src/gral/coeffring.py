@@ -481,27 +481,37 @@ class SpanSolver:
     {key: coefficient}; solve(target) gives {i: r_i} or None, the same
     answer as solve_linear_system(ring, span_constraints(ring, columns,
     target), range(len(columns))), and kernel() the generators of the
-    {i: r_i} with sum_i r_i . columns[i] = 0."""
+    {i: r_i} with sum_i r_i . columns[i] = 0.
 
-    def __init__(self, ring: Ring, columns):
+    More blocks of columns, one column per unknown in each, ask for the
+    same r_i in several equations: solve(target, ...) takes one target per
+    block, and the rows are those of span_constraints block by block."""
+
+    def __init__(self, ring: Ring, *blocks):
         self.zero = ring.zero
-        rows = _span_rows(columns)
-        self._row_of = {k: r for r, (k, _) in enumerate(rows)}
+        self._row_of = []  # per block, key -> row
+        constraints = []
+        for columns in blocks:
+            rows = _span_rows(columns)
+            self._row_of.append({k: r for r, (k, _) in enumerate(rows, len(constraints))})
+            constraints += [(terms, ring.zero) for _, terms in rows]
         # the last row, without terms, stands for the target keys that no
         # column has: span_constraints gives each of them such a row, and a
         # nonzero coefficient there leaves the system without a solution
-        constraints = [(terms, ring.zero) for _, terms in rows] + [([], ring.zero)]
-        self._system = _factor(ring, constraints, list(range(len(columns))))
+        constraints.append(([], ring.zero))
+        self._system = _factor(ring, constraints, list(range(len(blocks[0]))))
+        self._nrows = len(constraints)
 
-    def solve(self, target) -> Optional[dict]:
+    def solve(self, *targets) -> Optional[dict]:
         zero = self.zero
-        rhs = [zero] * (len(self._row_of) + 1)
-        for k, b in target.items():
-            r = self._row_of.get(k)
-            if r is not None:
-                rhs[r] = b
-            elif b != zero:
-                rhs[-1] = b
+        rhs = [zero] * self._nrows
+        for row_of, target in zip(self._row_of, targets):
+            for k, b in target.items():
+                r = row_of.get(k)
+                if r is not None:
+                    rhs[r] = b
+                elif b != zero:
+                    rhs[-1] = b
         return self._system.solve(rhs)
 
     def kernel(self) -> list:

@@ -116,9 +116,6 @@ class CSLElement:
                 return c
         return self.algebra.ring.zero
 
-    def degrees(self):
-        return [d for d, _ in self.coeffs]
-
     def degree(self) -> Optional[int]:
         if not self.coeffs:
             return None

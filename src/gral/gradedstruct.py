@@ -21,8 +21,10 @@ import itertools
 from dataclasses import dataclass
 from typing import Optional
 
-from .coeffring import (AdditiveSpan, Ring, SpanSolver, TableRing, solve_linear_system,
-                        span_constraints, within_cap)
+from .coeffring import AdditiveSpan, Ring, SpanSolver, TableRing, mul_entries, within_cap
+# not called here, but perfbench/tracer.py rebinds solve_linear_system in
+# every gral module that holds it
+from .coeffring import solve_linear_system  # noqa: F401
 from .cornerlaurent import CslAlgebra, format_csl
 from .errors import GralError, InternalVerificationFailure, NotDegreeOneGenerated
 from .pathalg import (AlgebraElement, AlgebraSpec, Monomial, _reduce,
@@ -96,26 +98,15 @@ class GradedRingOracle:
                     out.append(p)
         return out
 
-    def span_solve(self, target, elements) -> Optional[list]:
-        """Coefficients r_i with sum r_i.elements_i = target, or None."""
-        return self.span_solver(elements)(target)
+    def span_solve(self, target, elements):
+        """A combination sum r_i.elements_i equal to target, or None."""
+        return combination_solver(self, elements, [_identity])([target])
 
     def local_units(self, x, size_bound: int):
         """Left and right units of the homogeneous element x from the ring's
         own construction, as a verified LocalUnitPair, or None when there is
         none and the bounded search must decide."""
         return None
-
-    def span_solver(self, elements):
-        """span_solve against one spanning set for many targets: the
-        elements are prepared once, and the returned function maps a target
-        to its coefficients or None."""
-        solver = SpanSolver(self.ring, [self.coords(el) for el in elements])
-
-        def solve(target):
-            sol = solver.solve(self.coords(target))
-            return None if sol is None else [sol[i] for i in range(len(elements))]
-        return solve
 
 
 class PathAlgebraOracle(GradedRingOracle):
@@ -265,10 +256,7 @@ class MatrixGradingOracle(GradedRingOracle):
                      for r1, r2 in zip(x, y))
 
     def mul(self, x, y):
-        ring = self._ring
-        return tuple(tuple(
-            ring.add(ring.mul(x[i][0], y[0][j]), ring.mul(x[i][1], y[1][j]))
-            for j in range(2)) for i in range(2))
+        return mul_entries(self._ring, x, y)
 
     def scale(self, r, x):
         ring = self._ring
@@ -419,9 +407,10 @@ class PolynomialOracle(GradedRingOracle):
 
 class CslOracle(GradedRingOracle):
     """Corner skew Laurent ring, over a finite ring the skew Laurent ring
-    R[t, t^-1; alpha] (see cornerlaurent).  The twist keeps coordinates from
-    being left-linear, so spans are solved in the additive span of the
-    R-multiples of their elements."""
+    R[t, t^-1; alpha] (see cornerlaurent).  A twist keeps coordinates from
+    being left-linear, so combination_solver, when the linear answer is
+    missing or fails its check, searches the additive span of the
+    R-multiples of the elements."""
 
     degree_one_generated = True
 
@@ -449,28 +438,68 @@ class CslOracle(GradedRingOracle):
     def format(self, x):
         return format_csl(x)
 
-    def span_solver(self, elements):
-        solve = _multiples_solver(self, elements, [lambda x: x])
-        return lambda target: solve([target])
-
 
 def _as_oracle(target) -> GradedRingOracle:
     """Path algebra specs are read through PathAlgebraOracle."""
     return PathAlgebraOracle(target) if isinstance(target, AlgebraSpec) else target
 
 
-def _multiples_solver(oracle, elements, maps):
-    """A function from targets [y_f], one per additive map f, to [c_i] with
-    f(sum_i c_i . elements[i]) = y_f for every f, or None: an AdditiveSpan
-    over the multiples r . elements[i], exact for every ring and twist."""
-    ring = oracle.ring
+def _identity(x):
+    return x
+
+
+def combination_solver(oracle, elements, maps):
+    """A function from targets [y_f], one per additive map f, to a
+    combination b of the elements with f(b) = y_f for every f, or None
+    (always, when there are no elements): the one bounded search behind
+    the units, the epsilons, span membership and the oracle witness.
+
+    The elements' images are factored once into a linear system, read
+    through coordinates, map by map.  A non-commutative ring or a twisted
+    corner keeps those from being left-linear, so each answer is checked
+    on the elements; when the check fails, or the system finds nothing
+    over such a ring, the equations are solved exactly in the additive
+    span of the elements' R-multiples, built on first need and kept for
+    later targets, and its answer is checked too.
+    """
+    if not elements:
+        return lambda targets: None
+    ring, coords = oracle.ring, oracle.coords
+    # without maps, one block of empty columns: every combination solves it
+    blocks = [[coords(f(p)) for p in elements] for f in maps] or [[{}] * len(elements)]
+    linear = SpanSolver(ring, *blocks)
+    exhaustive = not ring.is_commutative() or isinstance(oracle, CslOracle)
+    span = None
 
     def stacked(xs):
-        return {(j, k): c for j, x in enumerate(xs) for k, c in oracle.coords(x).items()}
-    span = AdditiveSpan(ring, [[stacked([f(oracle.scale(r, el)) for f in maps])
-                                for r in ring.elements() if r != ring.zero]
-                               for el in elements])
-    return lambda targets: span.solve(stacked(targets))
+        return {(j, k): c for j, x in enumerate(xs) for k, c in coords(x).items()}
+
+    def checked(coeffs, targets):
+        b = functools.reduce(oracle.add, map(oracle.scale, coeffs, elements))
+        return b if all(f(b) == y for f, y in zip(maps, targets)) else None
+
+    def solve(targets):
+        nonlocal span
+        sol = linear.solve(*map(coords, targets))
+        if sol is not None:
+            b = checked(sol.values(), targets)
+            if b is not None:
+                return b
+        elif not exhaustive:
+            return None
+        if span is None:
+            span = AdditiveSpan(ring, [[stacked([f(oracle.scale(r, p)) for f in maps])
+                                        for r in ring.elements() if r != ring.zero]
+                                       for p in elements])
+        coeffs = span.solve(stacked(targets))
+        if coeffs is None:
+            return None
+        b = checked(coeffs, targets)
+        if b is None:
+            raise InternalVerificationFailure(
+                "combination from the additive span fails its equations")
+        return b
+    return solve
 
 
 # ---------------------------------------------------------------------------
@@ -533,6 +562,14 @@ class ClassificationReport:
         return "\n".join(lines)
 
 
+def _verdict(exact, failure=None, bound=0) -> Verdict:
+    """Holds exactly or at the bound, or fails with the failure, marked
+    at-bound when the check was not exact."""
+    if failure is None:
+        return Verdict(HOLDS_EXACT if exact else HOLDS_AT_BOUND)
+    return Verdict(FAILS, failure + ("" if exact else " at-bound"), bound)
+
+
 def _combine(rows) -> Verdict:
     for row in rows:
         if row.verdict.status == FAILS:
@@ -561,10 +598,6 @@ def check_symmetric(oracle: GradedRingOracle, degree_bound: int = 3,
     for d in range(-degree_bound, degree_bound + 1):
         span_d = oracle.spanning(d, size_bound)
         exact = oracle.exact_at(d, size_bound) and oracle.exact_at(-d, size_bound)
-        if not span_d:
-            rows.append(ReportRow("symmetric", str(d),
-                                  Verdict(HOLDS_EXACT if exact else HOLDS_AT_BOUND)))
-            continue
         solve = None
         bad = None
         for s in span_d:
@@ -574,19 +607,14 @@ def check_symmetric(oracle: GradedRingOracle, degree_bound: int = 3,
                 continue
             if solve is None:
                 span_md = oracle.spanning(-d, size_bound)
-                solve = oracle.span_solver(
-                    oracle.products(oracle.products(span_d, span_md), span_d))
-            if solve(s) is None:
+                solve = combination_solver(
+                    oracle, oracle.products(oracle.products(span_d, span_md), span_d),
+                    [_identity])
+            if solve([s]) is None:
                 bad = s
                 break
-        if bad is not None:
-            note = "" if exact else " at-bound"
-            rows.append(ReportRow("symmetric", str(d),
-                                  Verdict(FAILS, f"{oracle.format(bad)} not in S_d S_-d S_d{note}",
-                                          size_bound)))
-        else:
-            rows.append(ReportRow("symmetric", str(d),
-                                  Verdict(HOLDS_EXACT if exact else HOLDS_AT_BOUND)))
+        failure = None if bad is None else f"{oracle.format(bad)} not in S_d S_-d S_d"
+        rows.append(ReportRow("symmetric", str(d), _verdict(exact, failure, size_bound)))
     return _combine(rows), rows
 
 
@@ -646,8 +674,7 @@ def check_strong_Z(oracle: GradedRingOracle, size_bound: int = 3) -> StrongVerdi
         verdict = Verdict(HOLDS_EXACT)  # positive findings are witnessed
     else:
         side = "S_1 S_-1" if not ok_pos else "S_-1 S_1"
-        verdict = Verdict(FAILS, f"1 not reached in {side}" +
-                          ("" if exact else " at-bound"), size_bound)
+        verdict = _verdict(exact, f"1 not reached in {side}", size_bound)
     return StrongVerdict(verdict, no_sinks)
 
 
@@ -756,56 +783,21 @@ def check_epsilon_strong(oracle: GradedRingOracle, degree_bound: int = 3,
         eps = solve_combination(oracle, products,
                                 [(s, lambda u, s=s: oracle.mul(u, s)) for s in span_d] +
                                 [(t, lambda u, t=t: oracle.mul(t, u)) for t in span_md])
-        if eps is None:
-            if not span_d and not span_md:
-                # both components zero: epsilon 0 works vacuously
-                rows.append(ReportRow("epsilon-strong", str(d),
-                                      Verdict(HOLDS_EXACT if exact else HOLDS_AT_BOUND)))
-                table.append((d, "0"))
-                continue
-            note = "" if exact else " at-bound"
+        if eps is None and (span_d or span_md):
             rows.append(ReportRow("epsilon-strong", str(d),
-                                  Verdict(FAILS, f"no epsilon at degree {d}{note}",
-                                          size_bound)))
+                                  _verdict(exact, f"no epsilon at degree {d}", size_bound)))
             continue
-        rows.append(ReportRow("epsilon-strong", str(d),
-                              Verdict(HOLDS_EXACT if exact else HOLDS_AT_BOUND)))
-        table.append((d, oracle.format(eps)))
+        rows.append(ReportRow("epsilon-strong", str(d), _verdict(exact)))
+        # both components zero: epsilon 0 works vacuously
+        table.append((d, "0" if eps is None else oracle.format(eps)))
     return _combine(rows), rows, tuple(table)
 
 
 def solve_combination(oracle, elements, equations):
     """A combination b of the elements with f(b) = y for every equation
-    (y, f), each f additive, or None (also when there are no elements):
-    the units here and the oracle witness of regularity.
-
-    The linear system reads these equations through coordinates, which a
-    non-commutative ring or a twisted corner keeps from being left-linear;
-    so its answer is checked on the elements, and when it fails, or finds
-    nothing over such a ring, the equations are solved exactly over the
-    additive span of the elements' R-multiples.
-    """
-    if not elements:
-        return None
-    ring, coords = oracle.ring, oracle.coords
-    constraints = []
-    for y, f in equations:
-        constraints += span_constraints(ring, [coords(f(p)) for p in elements], coords(y))
-    sol = solve_linear_system(ring, constraints, list(range(len(elements))))
-    if sol is not None:
-        b = functools.reduce(oracle.add, map(oracle.scale, sol.values(), elements))
-        if all(f(b) == y for y, f in equations):
-            return b
-    elif ring.is_commutative() and not isinstance(oracle, CslOracle):
-        return None
-    coeffs = _multiples_solver(oracle, elements, [f for _, f in equations])(
+    (y, f), each f additive, or None: combination_solver for one target."""
+    return combination_solver(oracle, elements, [f for _, f in equations])(
         [y for y, _ in equations])
-    if coeffs is None:
-        return None
-    b = functools.reduce(oracle.add, map(oracle.scale, coeffs, elements))
-    if any(f(b) != y for y, f in equations):
-        raise InternalVerificationFailure("combination from the additive span fails its equations")
-    return b
 
 
 def _epsilon_leavitt(oracle: PathAlgebraOracle, degree_bound, size_bound):
@@ -813,9 +805,7 @@ def _epsilon_leavitt(oracle: PathAlgebraOracle, degree_bound, size_bound):
     rows, table = [], []
     for n in range(degree_bound + 1):
         eps = _checked_epsilon(oracle, n, size_bound)
-        status = HOLDS_EXACT if exact else HOLDS_AT_BOUND
-        rows.append(ReportRow("epsilon-strong", f"+-{n}" if n else "0",
-                              Verdict(status)))
+        rows.append(ReportRow("epsilon-strong", f"+-{n}" if n else "0", _verdict(exact)))
         table.append((n, format_element(eps)))
     return _combine(rows), rows, tuple(table)
 
@@ -845,14 +835,11 @@ def check_nearly_epsilon(target, degree_bound: int = 3, size_bound: int = 3):
                 continue
             side = _missing_unit(oracle, s, d, size_bound, products)
             if side is not None:
-                note = "" if exact else " at-bound"
-                rows.append(ReportRow("nearly-epsilon", str(d),
-                                      Verdict(FAILS, f"no {side} unit for {oracle.format(s)}{note}",
-                                              size_bound)))
+                rows.append(ReportRow("nearly-epsilon", str(d), _verdict(
+                    exact, f"no {side} unit for {oracle.format(s)}", size_bound)))
                 break
         else:
-            rows.append(ReportRow("nearly-epsilon", str(d),
-                                  Verdict(HOLDS_EXACT if exact else HOLDS_AT_BOUND)))
+            rows.append(ReportRow("nearly-epsilon", str(d), _verdict(exact)))
     if not rows:
         rows.append(ReportRow("nearly-epsilon", "*", Verdict(HOLDS_EXACT)))
     return _combine(rows), rows
@@ -961,9 +948,10 @@ def jacobson_radical_algebra(spec: AlgebraSpec) -> RadicalReport:
             if comp not in gens and not comp.is_zero:
                 gens.append(comp)
     multiples = [g.scale(r) for g in gens for r in spec.ring.elements()]
-    solve = PathAlgebraOracle(spec).span_solver(gens)
+    # with no generators every answer is None, so 0, the empty sum, is skipped
+    solve = combination_solver(PathAlgebraOracle(spec), gens, [_identity])
     if any(x + m not in rad_set for x in radical for m in multiples) or \
-            any(solve(x) is None for x in radical):
+            any(solve([x]) is None for x in radical if not x.is_zero):
         raise InternalVerificationFailure("homogeneous set does not generate the radical")
     return RadicalReport(len(radical), tuple(sorted(gens, key=format_element)),
                          len(basis))
@@ -987,10 +975,8 @@ def is_semiprime_graded(target, degree_bound: int = 3, size_bound: int = 3):
                     continue
                 if all(oracle.is_zero(oracle.mul(oracle.mul(x, t), x))
                        for t in span_all):
-                    note = "" if exact else " at-bound"
-                    return Verdict(FAILS, f"{oracle.format(x)} squashes the span{note}",
-                                   size_bound)
-    return Verdict(HOLDS_EXACT if exact else HOLDS_AT_BOUND)
+                    return _verdict(exact, f"{oracle.format(x)} squashes the span", size_bound)
+    return _verdict(exact)
 
 
 # ---------------------------------------------------------------------------

@@ -60,17 +60,33 @@ def test_symmetric_loop_at_bound(z2):
     assert verdict.status == "holds-at-bound"
 
 
-def test_symmetric_csl_closure_once_per_degree(z4, monkeypatch):
-    # the AdditiveSpan of S_d S_-d S_d is built once per degree, not once
-    # per spanning element (three per degree over Z/4)
-    lau = CslAlgebra(z4, 1, {i: i for i in range(4)})
+def _symmetric_span_builds(monkeypatch, algebra):
+    """The verdict of check_symmetric on the corner ring, with the
+    AdditiveSpans it builds."""
     spans = []
     real = gradedstruct.AdditiveSpan
     monkeypatch.setattr(gradedstruct, "AdditiveSpan",
-                        lambda ring, columns: spans.append(len(columns)) or real(ring, columns))
-    verdict, rows = check_symmetric(CslOracle(lau), 2, 2)
-    assert verdict.status == "holds-exactly"
-    assert len(spans) == len(rows) == 5
+                        lambda ring, columns: spans.append(columns) or real(ring, columns))
+    verdict, rows = check_symmetric(CslOracle(algebra), 2, 2)
+    return verdict, rows, spans
+
+
+def test_symmetric_csl_closure_once_per_degree(monkeypatch):
+    # the swap twists the coordinates, so some linear answers fail their
+    # check: the AdditiveSpan of S_d S_-d S_d is then built once per degree
+    # and shared by the later elements, never twice over the same products
+    verdict, rows, spans = _symmetric_span_builds(monkeypatch, swap_algebra())
+    assert verdict.status == "holds-exactly" and len(rows) == 5
+    assert 1 <= len(spans) <= 5
+    assert all(a != b for a, b in itertools.combinations(spans, 2))
+
+
+def test_symmetric_csl_identity_corner_builds_no_closure(z4, monkeypatch):
+    # without a twist every linear answer passes its check on the elements
+    verdict, rows, spans = _symmetric_span_builds(
+        monkeypatch, CslAlgebra(z4, 1, {i: i for i in range(4)}))
+    assert verdict.status == "holds-exactly" and len(rows) == 5
+    assert spans == []
 
 
 @st.composite
@@ -510,6 +526,50 @@ def additive_closure(oracle, elements):
         frontier = {oracle.add(a, b) for a in frontier for b in seeds} - closure
         closure |= frontier
     return closure
+
+
+@st.composite
+def membership_questions(draw):
+    """(oracle, elements, target): the trivial grading or M2 of a table
+    ring, or the swap or identity corner with elements that are sums of
+    one or two components of degrees -1 to 1; one to three elements and a
+    target, any of them possibly zero."""
+    kind = draw(st.sampled_from(["trivial", "m2", "swap", "identity"]))
+    if kind in ("swap", "identity"):
+        algebra = swap_algebra() if kind == "swap" else \
+            CslAlgebra(ModularRing(4), 1, {i: i for i in range(4)})
+        oracle = CslOracle(algebra)
+        component = st.sampled_from([x for d in (-1, 0, 1)
+                                     for x in algebra.component_elements(d)])
+        element = st.builds(lambda x, y: x + y, component, component)
+    else:
+        ring = draw(st.sampled_from([table_z2xz2(), table_upper_z2()]))
+        entry = st.sampled_from(ring.elements())
+        if kind == "trivial":
+            oracle, element = TrivialGradingOracle(ring), entry
+        else:
+            row = st.tuples(entry, entry)
+            oracle, element = MatrixGradingOracle(ring), st.tuples(row, row)
+    return oracle, draw(st.lists(element, min_size=1, max_size=3)), draw(element)
+
+
+@given(membership_questions())
+def test_span_solve_is_none_exactly_outside_the_closure(question):
+    # membership goes through the same solver as the units: the answer is
+    # the target itself, and None means it is no sum of R-multiples
+    oracle, elements, target = question
+    got = oracle.span_solve(target, elements)
+    assert (got is None) == (target not in additive_closure(oracle, elements))
+    assert got is None or got == target
+
+
+def test_span_solve_searches_the_closure_after_an_empty_linear_answer():
+    # r.x = r t+ + alpha^-1(r) t-, so the coordinates of x do not scale
+    # with r: no r solves the linear system for (1,0) t+, yet (1,0).x is it
+    algebra = swap_algebra()
+    x = algebra.element({1: (1, 0), -1: (1, 0)})
+    target = algebra.element({1: (1, 0)})
+    assert CslOracle(algebra).span_solve(target, [x]) == target
 
 
 @st.composite

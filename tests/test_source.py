@@ -112,6 +112,16 @@ def test_rings_are_split_only_by_ring_parts():
     assert found == ["coeffring.py:ring_parts"]
 
 
+def test_spans_in_gradedstruct_are_built_only_by_combination_solver():
+    # combination_solver is the one bounded search: a span built anywhere
+    # else in gradedstruct would answer without the check on the elements
+    tree = _parse(SRC / "gradedstruct.py")
+    found = {name: [scope.split(".")[0] for scope in _calls(tree, name)]
+             for name in ("SpanSolver", "AdditiveSpan")}
+    assert found == {"SpanSolver": ["combination_solver"],
+                     "AdditiveSpan": ["combination_solver"]}
+
+
 def test_cap_refusals_are_built_in_one_guard():
     # within_cap is the one up-front cap check; only the vnr search, which
     # counts its states as it goes, raises on its own
