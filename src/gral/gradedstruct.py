@@ -27,9 +27,9 @@ from .coeffring import AdditiveSpan, Ring, SpanSolver, TableRing, mul_entries, w
 from .coeffring import solve_linear_system  # noqa: F401
 from .cornerlaurent import CslAlgebra, format_csl
 from .errors import GralError, InternalVerificationFailure, NotDegreeOneGenerated
-from .pathalg import (AlgebraElement, AlgebraSpec, Monomial, _reduce,
-                      format_element, identity_element, monomial_element,
-                      reduced_monomials, vertex_element)
+from .pathalg import (AlgebraElement, AlgebraSpec, Monomial, format_element,
+                      identity_element, monomial_element, reduced_monomials,
+                      vertex_element)
 from .regularity import local_unit_left, local_units
 
 # ---------------------------------------------------------------------------
@@ -86,17 +86,13 @@ class GradedRingOracle:
     def products(self, xs, ys) -> list:
         """The distinct nonzero products x.y, x in xs and y in ys, in the
         order in which they first occur (xs outer, ys inner)."""
-        out = []
-        seen = set()
+        out = {}
         for a in xs:
             for b in ys:
                 p = self.mul(a, b)
-                if self.is_zero(p):
-                    continue
-                if p not in seen:
-                    seen.add(p)
-                    out.append(p)
-        return out
+                if not self.is_zero(p):
+                    out.setdefault(p, p)
+        return list(out)
 
     def span_solve(self, target, elements):
         """A combination sum r_i.elements_i equal to target, or None."""
@@ -167,55 +163,11 @@ class PathAlgebraOracle(GradedRingOracle):
     def format(self, x):
         return format_element(x)
 
-    def products(self, xs, ys):
-        """The default's list, with each distinct product brought to normal
-        form once.
 
-        The products are first formed unreduced (raw_product) and
-        deduplicated, since equal raw sums have equal normal forms; then
-        each distinct raw sum is reduced once, and the first nonzero
-        occurrence of each normal form is kept.  A normal form first occurs
-        in the default at the first pair whose raw sum reduces to it, and
-        that raw sum is first seen at the same pair, so the elements and
-        their order are the default's; solve_combination picks its epsilon,
-        and so the printed epsilon table, from that order.
-
-        (a b*)(c d*) is nonzero only if b and c start at one vertex and one
-        is a prefix of the other, so each x meets only the ys with a term
-        whose real path starts at the source of a ghost path of x, along
-        the same first edge or at the vertex itself; the others give empty
-        raw products and are skipped, the rest taken in the default order.
-        """
-        spec = self.spec
-        by_start = {}   # (source, first edge or None) of a real path -> ys
-        by_source = {}  # source of a real path -> ys
-        for j, y in enumerate(ys):
-            for m in y.terms:
-                c = m.alpha
-                by_start.setdefault((c.src, c.edges[0] if c.edges else None),
-                                    set()).add(j)
-                by_source.setdefault(c.src, set()).add(j)
-        empty = frozenset()
-        raws = {}
-        for a in xs:
-            meets = set()
-            for m in a.terms:
-                b = m.beta
-                if b.edges:
-                    meets |= by_start.get((b.src, b.edges[0]), empty)
-                    meets |= by_start.get((b.src, None), empty)
-                else:
-                    meets |= by_source.get(b.src, empty)
-            for j in sorted(meets):
-                raw = a.raw_product(ys[j])
-                if raw:
-                    raws.setdefault(frozenset(raw.items()), raw)
-        out = {}
-        for raw in raws.values():
-            terms = _reduce(spec, raw, spec.ring)
-            if terms:
-                out.setdefault(frozenset(terms.items()), terms)
-        return [AlgebraElement(spec, terms) for terms in out.values()]
+def _require_one(ring: Ring, what: str) -> None:
+    """Refuse a ring without an identity, as spanning elements use ring.one."""
+    if ring.one is None:
+        raise GralError(f"{what} needs a unital ring; {ring.describe()} has no identity")
 
 
 class MatrixGradingOracle(GradedRingOracle):
@@ -225,6 +177,7 @@ class MatrixGradingOracle(GradedRingOracle):
     degree_one_generated = True
 
     def __init__(self, ring: Ring):
+        _require_one(ring, "the M2 grading")
         self._ring = ring
         self.name = f"M2({ring.describe()})-graded"
 
@@ -336,6 +289,7 @@ class PolynomialOracle(GradedRingOracle):
     degree_one_generated = True
 
     def __init__(self, ring: Ring):
+        _require_one(ring, "the polynomial ring")
         self._ring = ring
         self.name = f"{ring.describe()}[x]"
 

@@ -169,61 +169,50 @@ def _append(p: Path, edge) -> Path:
 
 
 def _rewrite(spec: AlgebraSpec, m: Monomial):
-    """alpha0 f (beta0 f)* = alpha0 beta0* - sum of the non-special siblings:
-    the monomial with sign +1, then each sibling's with sign -1."""
-    f = m.alpha.edges[-1]
-    v = spec.graph.edge(f).src
-    a0 = _drop_last(m.alpha, v)
-    b0 = _drop_last(m.beta, v)
-    out = [(Monomial(a0, b0), 1)]
-    for other in spec.graph.out_edges(v):
-        if other.name != f:
-            out.append((Monomial(_append(a0, other), _append(b0, other)), -1))
+    """The normal form of a reducible alpha0 f (beta0 f)* in closed form:
+    strip the shared special last edge f, emit -alpha0 g (beta0 g)* for each
+    sibling g of f (never reducible: f is the special edge at s(g)), and
+    repeat on alpha0 beta0* while it is reducible.  Returns (monomial, sign)
+    pairs, the remaining reduced monomial last with sign +1."""
+    graph = spec.graph
+    out = []
+    while _reducible(spec, m):
+        f = m.alpha.edges[-1]
+        v = graph.edge(f).src
+        alpha, beta = _drop_last(m.alpha, v), _drop_last(m.beta, v)
+        for other in graph.out_edges(v):
+            if other.name != f:
+                out.append((Monomial(_append(alpha, other), _append(beta, other)), -1))
+        m = Monomial(alpha, beta)
+    out.append((m, 1))
     return out
 
 
-def _reduce(spec: AlgebraSpec, terms: dict, ring: Ring, chooser=None) -> dict:
-    """Apply relation-(v) rewrites to a fixed point, with coefficients in
-    ring, and return the normal form's terms.
-
-    terms must have no zero coefficients, and _reduce takes it over: the
-    dict is rewritten in place and returned, at once when no term is
-    reducible.  chooser picks the next reducible monomial from a sorted
-    list; the default is leftmost (minimal sort key), used everywhere
-    outside confluence tests.
-    """
-    pending = None
+def _reduce(spec: AlgebraSpec, terms: dict, ring: Ring) -> dict:
+    """The normal form's terms, coefficients in ring: each reducible
+    monomial is replaced by its closed form (_rewrite) in one pass, since no
+    rewritten monomial is reducible.  terms must have no zero coefficients,
+    and _reduce takes it over: the dict is rewritten in place and returned,
+    at once when no term is reducible."""
+    reducible = []  # a loop: a comprehension would cost a frame per product
     for m in terms:
         if _reducible(spec, m):
-            if pending is None:
-                pending = set()
-            pending.add(m)
-    if pending is None:
+            reducible.append(m)
+    if not reducible:
         return terms
     zero, add, neg = ring.zero, ring.add, ring.neg
-    while pending:
-        if chooser is not None:
-            m = chooser(sorted(pending, key=Monomial.sort_key))
-        elif len(pending) == 1:
-            m = next(iter(pending))
-        else:
-            m = min(pending, key=Monomial.sort_key)
-        pending.discard(m)
-        c = terms.pop(m, None)
-        if c is None:
-            continue
+    for m in reducible:
+        c = terms.pop(m)
+        minus = neg(c)
         for m2, sign in _rewrite(spec, m):
-            c2 = c if sign > 0 else neg(c)
+            c2 = c if sign > 0 else minus
             prev = terms.get(m2)
             if prev is not None:
                 c2 = add(prev, c2)
             if c2 == zero:
-                terms.pop(m2, None)
-                pending.discard(m2)
+                del terms[m2]
             else:
                 terms[m2] = c2
-                if _reducible(spec, m2):
-                    pending.add(m2)
     return terms
 
 
@@ -268,9 +257,6 @@ class AlgebraElement:
     def support(self):
         return sorted(self.terms, key=Monomial.sort_key)
 
-    def coeff(self, m: Monomial):
-        return self.terms.get(m, self.spec.ring.zero)
-
     @property
     def is_zero(self) -> bool:
         return not self.terms
@@ -302,10 +288,9 @@ class AlgebraElement:
         return self + (-other)
 
     def raw_product(self, other) -> dict:
-        """The product's terms before relation-(v) reduction: monomial ->
-        nonzero coefficient, summed over the term pairs.  Equal raw products
-        have equal normal forms, so callers that form many products can
-        reduce each distinct one once."""
+        """The raw half of __mul__: the product's terms before relation-(v)
+        reduction, monomial -> nonzero coefficient, summed over the term
+        pairs."""
         if other.spec is not self.spec:
             self._check(other)
         ring = self.spec.ring
@@ -327,11 +312,10 @@ class AlgebraElement:
                     raw[m] = c
         return raw
 
-    def __mul__(self, other, chooser=None):
-        """Product in normal form; chooser picks the rewrite order (see
-        _reduce), and the result does not depend on it."""
+    def __mul__(self, other):
+        """Product in normal form: the raw product, reduced in place."""
         spec = self.spec
-        return AlgebraElement(spec, _reduce(spec, self.raw_product(other), spec.ring, chooser))
+        return AlgebraElement(spec, _reduce(spec, self.raw_product(other), spec.ring))
 
     def scale(self, r) -> "AlgebraElement":
         ring = self.spec.ring
@@ -427,20 +411,20 @@ def generator(spec: AlgebraSpec, symbol: str) -> AlgebraElement:
     raise UnknownGenerator(f"{symbol!r} is not a generator of {spec!r}")
 
 
-def word_element(spec: AlgebraSpec, word, coeff=None, chooser=None) -> AlgebraElement:
+def word_element(spec: AlgebraSpec, word, coeff=None) -> AlgebraElement:
     """Evaluate a word in the generators v, f, f*."""
     word = list(word)
     if not word:
         raise UnknownGenerator("empty word")
     acc = generator(spec, word[0])
     for symbol in word[1:]:
-        acc = acc.__mul__(generator(spec, symbol), chooser)
+        acc = acc * generator(spec, symbol)
     if coeff is not None:
         acc = acc.scale(coeff)
     return acc
 
 
-def normal_form(spec: AlgebraSpec, raw_terms, chooser=None) -> AlgebraElement:
+def normal_form(spec: AlgebraSpec, raw_terms) -> AlgebraElement:
     """Normalize a raw sum given as (coeff, word) pairs or bare words."""
     acc = AlgebraElement.zero(spec)
     for item in raw_terms:
@@ -448,7 +432,7 @@ def normal_form(spec: AlgebraSpec, raw_terms, chooser=None) -> AlgebraElement:
             coeff, word = item
         else:
             coeff, word = None, item
-        acc = acc + word_element(spec, word, coeff, chooser)
+        acc = acc + word_element(spec, word, coeff)
     return acc
 
 
@@ -487,7 +471,7 @@ def reduced_monomials(spec: AlgebraSpec, degree: Optional[int] = None,
 
 def monomial_element(spec: AlgebraSpec, m: Monomial, coeff=None) -> AlgebraElement:
     terms = {m: spec.ring.one if coeff is None else coeff}
-    return AlgebraElement(spec, _reduce(spec, terms, spec.ring) if _reducible(spec, m) else terms)
+    return AlgebraElement(spec, _reduce(spec, terms, spec.ring))
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from gral.coeffring import ModularRing, ProductRing, TableRing
 from gral.cornerlaurent import CslAlgebra
 from gral.graphs import Graph
-from gral.pathalg import AlgebraElement, reduced_monomials
+from gral.pathalg import AlgebraElement, Monomial, generator, reduced_monomials
 
 
 # Property tests replay the same examples on every run and stay within the
@@ -164,3 +164,52 @@ def random_word(spec, rng, max_len=6):
         [e.name + "*" for e in g.edges]
     n = rng.randint(1, max_len)
     return [rng.choice(symbols) for _ in range(n)]
+
+
+def rewrite_in_random_order(spec, terms, rng):
+    """The normal form of terms (monomial -> coefficient), reached one
+    relation-(v) rewrite at a time, each time at a reducible monomial chosen
+    by the seeded rng: alpha0 f (beta0 f)* -> alpha0 beta0* - the sum of
+    alpha0 g (beta0 g)* over the siblings g of f.  A reference for the
+    kernel's closed form that shares no code with it."""
+    g, ring = spec.graph, spec.ring
+    special = {g.out_edges(v)[0].name for v in spec.x}
+    out = {m: c for m, c in terms.items() if c != ring.zero}
+
+    def add(m, c):
+        c = ring.add(out.get(m, ring.zero), c)
+        if c == ring.zero:
+            out.pop(m, None)
+        else:
+            out[m] = c
+
+    while True:
+        pending = sorted((m for m in out if m.alpha.edges and m.beta.edges
+                          and m.alpha.edges[-1] == m.beta.edges[-1]
+                          and m.alpha.edges[-1] in special), key=Monomial.sort_key)
+        if not pending:
+            return out
+        m = rng.choice(pending)
+        c = out.pop(m)
+        f = g.edge(m.alpha.edges[-1])
+        a0, b0 = m.alpha.edges[:-1], m.beta.edges[:-1]
+        add(Monomial(_path(g, a0, f.src), _path(g, b0, f.src)), c)
+        for e in g.out_edges(f.src):
+            if e.name != f.name:
+                add(Monomial(g.make_path(a0 + (e.name,)), g.make_path(b0 + (e.name,))),
+                    ring.neg(c))
+
+
+def _path(g, edges, v):
+    """The path along edges, or the vertex v when there are none."""
+    return g.make_path(edges) if edges else g.vertex_path(v)
+
+
+def word_in_random_order(spec, word, rng):
+    """The word's value in normal form: the product of its generators with
+    no reduction on the way (the Cohn path algebra's monomial product),
+    then rewrite_in_random_order."""
+    acc = generator(spec, word[0])
+    for symbol in word[1:]:
+        acc = AlgebraElement(spec, acc.raw_product(generator(spec, symbol)))
+    return AlgebraElement(spec, rewrite_in_random_order(spec, acc.terms, rng))

@@ -9,7 +9,7 @@ import time
 
 from conftest import (SIX_GRAPHS, graph_a1, graph_loop, graph_rose2,
                       graph_toeplitz, graph_vw, graph_vwu, random_element,
-                      random_word)
+                      random_word, word_in_random_order)
 from gral.coeffring import ModularRing, ProductRing
 from gral.cornerlaurent import CslAlgebra, csl_graded_witness
 from gral.gradedstruct import (CslOracle, MatrixGradingOracle,
@@ -243,8 +243,7 @@ def test_criterion_11_rewriting_soundness():
         shuffler = random.Random(600 + idx)
         for _ in range(1000):
             word = random_word(spec, rng)
-            if word_element(spec, word) != \
-                    word_element(spec, word, chooser=lambda lst: shuffler.choice(lst)):
+            if word_element(spec, word) != word_in_random_order(spec, word, shuffler):
                 ok = False
     assoc_spec = leavitt(graph_rose2(), 6)
     rng = random.Random(700)

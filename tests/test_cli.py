@@ -100,6 +100,20 @@ def test_lpa_verdict_exit_codes(files, capsys):
     assert "counterexample-found" in out
 
 
+@pytest.mark.parametrize("command", [
+    ["lpa", "verdict", "--graph", "{a1}", "--ring", "{z6}", "--size-bound", "-1"],
+    ["lpa", "verdict", "--graph", "{a1}", "--ring", "{z6}", "--degree-bound", "-1"],
+    ["lpa", "verdict", "--graph", "{a1}", "--ring", "{z6}", "--samples", "-1"],
+    ["corner", "witness", "--corner", "{corner_z6}", "--degree-bound", "-2"],
+], ids=["size-bound", "degree-bound", "samples", "corner-degree-bound"])
+def test_negative_bounds_exit2(files, capsys, command):
+    # refused before any file is read or any search starts
+    assert main([arg.format(**files) for arg in command]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {command[-2]} must be nonnegative\n"
+
+
 def test_lpa_witness_absence(files, capsys):
     code = main(["lpa", "witness", "--graph", files["a1"], "--ring", files["z4"],
                  "--element", files["elt_2v"]])

@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 
 from conftest import (SIX_GRAPHS, graph_loop, graph_null, graph_rose2,
                       graph_toeplitz, graph_vw, random_element, random_word,
-                      small_graphs, table_upper_z2)
+                      rewrite_in_random_order, small_graphs, table_upper_z2,
+                      word_in_random_order)
 from gral.coeffring import ModularRing
 from gral.errors import (GralError, NotDegreeZero, NotInDn, SpecMismatch,
                          UnknownGenerator)
@@ -158,10 +159,19 @@ def test_confluence_two_strategies(graph_name, modulus):
     shuffler = random.Random(999)
     for _ in range(300):
         word = random_word(spec, rng)
-        default = word_element(spec, word)
-        randomized = word_element(spec, word,
-                                  chooser=lambda lst: shuffler.choice(lst))
-        assert default == randomized
+        assert word_element(spec, word) == word_in_random_order(spec, word, shuffler)
+
+
+def test_rewrite_strips_every_shared_special_edge(z3):
+    # e is the special edge of the Leavitt rose2: (ee)(ee)* = ee* - ef(ef)*
+    # and ee* = v - ff*, so the closed form strips two levels
+    spec = AlgebraSpec.leavitt(graph_rose2(), z3)
+    g = spec.graph
+    ee, fee = g.make_path(["e", "e"]), g.make_path(["f", "e", "e"])
+    assert format_element(monomial_element(spec, Monomial(ee, ee))) == \
+        "v + 2*ff* + 2*ef(ef)*"
+    assert format_element(monomial_element(spec, Monomial(fee, ee))) == \
+        "f + 2*fff* + 2*fef(ef)*"
 
 
 def test_associativity_random(z6):
@@ -224,7 +234,7 @@ def test_kernel_products_agree_on_random_specs(data):
     x, y, z = (sum_of_terms(spec, kernel_terms(data.draw, spec)) for _ in range(3))
     rnd = data.draw(st.randoms(use_true_random=False))
     xy = x * y
-    assert x.__mul__(y, chooser=rnd.choice) == xy
+    assert AlgebraElement(spec, rewrite_in_random_order(spec, x.raw_product(y), rnd)) == xy
     assert (x * y) * z == x * (y * z)
     assert x * (y + z) == xy + x * z and (x + y) * z == x * z + y * z
     termwise = AlgebraElement.zero(spec)
@@ -232,6 +242,34 @@ def test_kernel_products_agree_on_random_specs(data):
         for m2, c2 in y.terms.items():
             termwise = termwise + monomial_element(spec, m1, c1) * monomial_element(spec, m2, c2)
     assert termwise == xy
+
+
+@given(st.data())
+def test_reduce_matches_one_rewrite_at_a_time_on_random_specs(data):
+    # sums of monomials alpha.beta* of lengths <= 2, reducible or not, and
+    # of their extensions along up to two special edges on both sides, which
+    # the kernel strips in one closed form
+    spec = data.draw(kernel_specs())
+    g = spec.graph
+    paths = [p for n in range(3) for p in g.paths(n)]
+    pool = []
+    for a in paths:
+        for b in paths:
+            if a.dst == b.dst:
+                pool.append(Monomial(a, b))
+                x, y = a, b
+                for _ in range(2):
+                    if x.dst not in spec.x:
+                        break
+                    f = g.out_edges(x.dst)[0]
+                    x, y = g.extend(x, f), g.extend(y, f)
+                    pool.append(Monomial(x, y))
+    nonzero = [c for c in spec.ring.elements() if c != spec.ring.zero]
+    terms = data.draw(st.dictionaries(st.sampled_from(pool), st.sampled_from(nonzero),
+                                      max_size=4))
+    rnd = data.draw(st.randoms(use_true_random=False))
+    expected = AlgebraElement(spec, rewrite_in_random_order(spec, terms, rnd))
+    assert sum_of_terms(spec, terms.items()) == expected
 
 
 @given(st.data())

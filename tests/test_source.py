@@ -136,3 +136,16 @@ def test_search_cap_is_read_only_by_the_two_guards():
     found = [f"{path.name}:{scope}" for path in sorted(SRC.glob("*.py"))
              for scope in _calls(_parse(path), "search_cap")]
     assert found == ["coeffring.py:within_cap", "coeffring.py:is_vnr"]
+
+
+def test_normal_forms_are_computed_only_in_pathalg():
+    # _reduce is the one relation-(v) rule and has one rewrite order; a
+    # reduction elsewhere, or an order knob, would be a second product path
+    found = {path.name for path in sorted(SRC.glob("*.py"))
+             for _ in _calls(_parse(path), "_reduce")}
+    assert found == {"pathalg.py"}
+    knobs = [f"{path.name}:{node.lineno}" for path in sorted(SRC.glob("*.py"))
+             for node in ast.walk(_parse(path))
+             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))
+             and "chooser" in {a.arg for a in ast.walk(node.args) if isinstance(a, ast.arg)}]
+    assert knobs == []
