@@ -28,8 +28,8 @@ from .coeffring import solve_linear_system  # noqa: F401
 from .cornerlaurent import CslAlgebra, format_csl
 from .errors import GralError, InternalVerificationFailure, NotDegreeOneGenerated
 from .pathalg import (AlgebraElement, AlgebraSpec, Monomial, format_element,
-                      identity_element, monomial_element, reduced_monomials,
-                      vertex_element)
+                      identity_element, monomial_element, nonzero_products,
+                      reduced_monomials, vertex_element)
 from .regularity import local_unit_left, local_units
 
 # ---------------------------------------------------------------------------
@@ -162,6 +162,11 @@ class PathAlgebraOracle(GradedRingOracle):
 
     def format(self, x):
         return format_element(x)
+
+    def products(self, xs, ys):
+        """The default's list, without the pairs whose paths cannot meet
+        (pathalg.nonzero_products)."""
+        return nonzero_products(self.spec, xs, ys)
 
 
 def _require_one(ring: Ring, what: str) -> None:

@@ -194,11 +194,13 @@ def _reduce(spec: AlgebraSpec, terms: dict, ring: Ring) -> dict:
     rewritten monomial is reducible.  terms must have no zero coefficients,
     and _reduce takes it over: the dict is rewritten in place and returned,
     at once when no term is reducible."""
-    reducible = []  # a loop: a comprehension would cost a frame per product
+    reducible = None  # a loop: a comprehension would cost a frame per product
     for m in terms:
         if _reducible(spec, m):
+            if reducible is None:
+                reducible = []
             reducible.append(m)
-    if not reducible:
+    if reducible is None:
         return terms
     zero, add, neg = ring.zero, ring.add, ring.neg
     for m in reducible:
@@ -288,9 +290,10 @@ class AlgebraElement:
         return self + (-other)
 
     def raw_product(self, other) -> dict:
-        """The raw half of __mul__: the product's terms before relation-(v)
-        reduction, monomial -> nonzero coefficient, summed over the term
-        pairs."""
+        """The product's terms before relation-(v) reduction: monomial ->
+        nonzero coefficient, summed over the term pairs.  Equal raw products
+        have equal normal forms, so nonzero_products reduces each distinct
+        one once."""
         if other.spec is not self.spec:
             self._check(other)
         ring = self.spec.ring
@@ -366,6 +369,50 @@ class AlgebraElement:
 
     def __repr__(self):
         return format_element(self)
+
+
+def nonzero_products(spec: AlgebraSpec, xs, ys) -> list:
+    """The distinct nonzero products x.y, x in xs and y in ys, in the order
+    in which they first occur (xs outer, ys inner).
+
+    (a b*)(c d*) is nonzero only if b and c start at one vertex and one is
+    a prefix of the other, so each x meets only the ys with a term whose
+    real path starts at the source of a ghost path of x, along the same
+    first edge or at the vertex itself; the other pairs are skipped.  Equal
+    raw products have equal normal forms, so each distinct raw product is
+    reduced once.  A normal form first occurs at the first pair whose raw
+    product reduces to it, and that raw product is first seen at the same
+    pair, so the list is the one of all pairs, element for element and in
+    order.
+    """
+    by_start = {}   # (source, first edge or None) of a real path -> ys
+    by_source = {}  # source of a real path -> ys
+    for j, y in enumerate(ys):
+        for m in y.terms:
+            c = m.alpha
+            by_start.setdefault((c.src, c.edges[0] if c.edges else None), set()).add(j)
+            by_source.setdefault(c.src, set()).add(j)
+    empty = frozenset()
+    raws = {}
+    for x in xs:
+        meets = set()
+        for m in x.terms:
+            b = m.beta
+            if b.edges:
+                meets |= by_start.get((b.src, b.edges[0]), empty)
+                meets |= by_start.get((b.src, None), empty)
+            else:
+                meets |= by_source.get(b.src, empty)
+        for j in sorted(meets):
+            raw = x.raw_product(ys[j])
+            if raw:
+                raws.setdefault(frozenset(raw.items()), raw)
+    out = {}
+    for raw in raws.values():
+        p = AlgebraElement(spec, _reduce(spec, raw, spec.ring))
+        if p.terms:
+            out.setdefault(p, p)
+    return list(out)
 
 
 def format_element(x: AlgebraElement) -> str:
@@ -470,8 +517,11 @@ def reduced_monomials(spec: AlgebraSpec, degree: Optional[int] = None,
 
 
 def monomial_element(spec: AlgebraSpec, m: Monomial, coeff=None) -> AlgebraElement:
-    terms = {m: spec.ring.one if coeff is None else coeff}
-    return AlgebraElement(spec, _reduce(spec, terms, spec.ring))
+    ring = spec.ring
+    c = ring.one if coeff is None else coeff
+    if c == ring.zero:
+        return AlgebraElement.zero(spec)
+    return AlgebraElement(spec, _reduce(spec, {m: c}, ring))
 
 
 # ---------------------------------------------------------------------------

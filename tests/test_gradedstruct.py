@@ -18,8 +18,8 @@ from gral.cornerlaurent import CslAlgebra, format_csl
 from gral.errors import (GralError, InternalVerificationFailure,
                          NotDegreeOneGenerated)
 from gral.graphs import CohnPair, Graph, graph_to_dict
-from gral.gradedstruct import (CslOracle, MatrixGradingOracle,
-                               PathAlgebraOracle,
+from gral.gradedstruct import (CslOracle, GradedRingOracle,
+                               MatrixGradingOracle, PathAlgebraOracle,
                                PolynomialOracle, TrivialGradingOracle,
                                check_epsilon_strong,
                                check_nearly_epsilon, check_strong_Z,
@@ -89,11 +89,49 @@ def test_symmetric_csl_identity_corner_builds_no_closure(z4, monkeypatch):
     assert spans == []
 
 
+@st.composite
+def path_product_inputs(draw):
+    """(oracle, xs, ys) over a random graph on at most three vertices and
+    four edges, Z/2..Z/6, Leavitt or Cohn with X empty: xs and ys are lists
+    (with repeats) of monomials of S_d and S_-d, or of combinations of up to
+    three of them, with coefficients that may be zero."""
+    vertices = ["u", "v", "w"][:draw(st.integers(1, 3))]
+    ends = draw(st.lists(st.tuples(st.sampled_from(vertices), st.sampled_from(vertices)),
+                         min_size=1, max_size=4))
+    graph = Graph(vertices, [(name, a, b) for name, (a, b) in zip("abcd", ends)])
+    ring = ModularRing(draw(st.integers(2, 6)))
+    spec = (AlgebraSpec.leavitt(graph, ring) if draw(st.booleans())
+            else AlgebraSpec.cohn(graph, ring, []))
+    d, bound = draw(st.integers(-2, 2)), draw(st.integers(1, 2))
+    monomials = draw(st.booleans())
+
+    def elements(degree):
+        pool = reduced_monomials(spec, degree=degree, max_len=bound)
+        if not pool:
+            return []
+        terms = st.dictionaries(st.sampled_from(pool), st.sampled_from(ring.elements()),
+                                min_size=1, max_size=1 if monomials else 3)
+        return [AlgebraElement.make(spec, t) for t in draw(st.lists(terms, max_size=8))]
+    return PathAlgebraOracle(spec), elements(d), elements(-d)
+
+
+@given(path_product_inputs())
+def test_path_products_match_the_default(inputs):
+    # the path-algebra list skips the pairs whose paths cannot meet and
+    # reduces each distinct raw product once; it must be the default's,
+    # element for element and in order, since the epsilon search picks its
+    # answer from that order; the inner products S_d.S_-d are multi-term
+    # inputs for the triple
+    oracle, xs, ys = inputs
+    inner = GradedRingOracle.products(oracle, xs, ys)
+    for left, right in ((xs, ys), (ys, xs), (inner, xs), (xs, inner)):
+        assert oracle.products(left, right) == GradedRingOracle.products(oracle, left, right)
+
+
 def test_path_products_drop_zeros_and_repeated_normal_forms(z2):
-    # the product list keeps no zero and each normal form once: on the
-    # Leavitt rose2 over Z/2, x = v + ef* + fe* has x.x = 0 although its raw
-    # sum is not empty, and e.e* and (v + ff*).v are different raw sums with
-    # one normal form; both also occur in the symmetric triples
+    # on the Leavitt rose2 over Z/2, x = v + ef* + fe* has x.x = 0 although
+    # its raw sum is not empty, and e.e* and (v + ff*).v are different raw
+    # sums with one normal form; both also occur in the symmetric triples
     spec = AlgebraSpec.leavitt(graph_rose2(), z2)
     oracle = PathAlgebraOracle(spec)
     x = normal_form(spec, [["v"], ["e", "f*"], ["f", "e*"]])
@@ -102,9 +140,16 @@ def test_path_products_drop_zeros_and_repeated_normal_forms(z2):
     assert x.raw_product(x) and (x * x).is_zero
     assert e.raw_product(es) != u.raw_product(v) and e * es == u * v == u
     got = oracle.products([x, e, u], [x, es, v])
+    assert got == GradedRingOracle.products(oracle, [x, e, u], [x, es, v])
     assert [format_element(p) for p in got] == [
         "e* + e(ef)* + f(ee)*", "v + ef* + fe*", "e + eef* + efe*", "v + ff*", "e",
         "v + ef* + ff*", "e* + f(ef)*"]
+    for d in range(-2, 3):
+        span_d, span_md = oracle.spanning(d, 2), oracle.spanning(-d, 2)
+        inner = oracle.products(span_d, span_md)
+        assert inner == GradedRingOracle.products(oracle, span_d, span_md)
+        assert oracle.products(inner, span_d) == \
+            GradedRingOracle.products(oracle, inner, span_d)
 
 
 # -- epsilon elements --------------------------------------------------------------

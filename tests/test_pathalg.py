@@ -174,6 +174,14 @@ def test_rewrite_strips_every_shared_special_edge(z3):
         "f + 2*fff* + 2*fef(ef)*"
 
 
+def test_monomial_element_with_zero_coefficient_is_zero(z3):
+    # a reducible monomial too: its closed form must not see a zero coefficient
+    spec = AlgebraSpec.leavitt(graph_rose2(), z3)
+    ee = spec.graph.make_path(["e", "e"])
+    for m in (Monomial(ee, ee), reduced_monomials(spec, degree=0, max_len=1)[0]):
+        assert monomial_element(spec, m, 0).is_zero
+
+
 def test_associativity_random(z6):
     spec = AlgebraSpec.leavitt(graph_rose2(), z6)
     rng = random.Random(21)
