@@ -153,6 +153,11 @@ class ModularRing(Ring):
     def index(self, a):
         return a
 
+    @functools.cached_property
+    def _is_prime(self) -> bool:
+        """Whether n is prime, factored once per handle."""
+        return _prime_powers(self.n) == [(self.n, 1)]
+
     def is_commutative(self) -> bool:
         return True
 
@@ -354,7 +359,8 @@ def ring_make(spec) -> Ring:
 def within_cap(states: int, what: str) -> int:
     """states, checked before a search over that many states: past the
     search cap, SearchCapExceeded naming what.  The one up-front cap check;
-    only is_vnr counts its states as it goes.  Linear algebra never asks."""
+    only is_vnr counts its states as it goes.  A matricial level asks with
+    its dense rank; the linear solvers never ask."""
     cap = search_cap()
     if states > cap:
         raise SearchCapExceeded(states, cap, what)
@@ -810,13 +816,14 @@ class _PrimePowerFactor:
     """Elimination of sparse rows mod q = p**e with unit pivots, recorded
     so that any right-hand side can be replayed.  The rows left without a
     unit pivot have every entry divisible by p; divided by p they are
-    factored mod p**(e-1) in sub."""
+    factored mod p**(e-1) in sub.  Only ops and the pivot cells are built up
+    front; the rest waits for the first solve or kernel call."""
 
     def __init__(self, rows, ncols, p, e):
         q = p**e
-        self.p, self.q, self.ncols = p, q, ncols
-        self.ops = []  # (pivot row, inverse, ((row, factor), ...))
-        pivots = []    # (pivot row, pivot column)
+        self.p, self.q, self.e, self.ncols = p, q, e, ncols
+        self.ops = []    # (pivot row, inverse, ((row, factor), ...))
+        self.cells = []  # (pivot row, pivot column)
         used = set()
         holders = [set() for _ in range(ncols)]  # column -> rows with an entry there
         for i, row in enumerate(rows):
@@ -848,20 +855,29 @@ class _PrimePowerFactor:
                         del other[jj]
                         holders[jj].discard(k)
             self.ops.append((i, inv, tuple(elim)))
-            pivots.append((i, j))
+            self.cells.append((i, j))
             used.add(j)
-        pivot_rows = {i for i, _ in pivots}
-        self.rem = [i for i in range(len(rows)) if i not in pivot_rows]
-        self.live = [j for j in range(ncols) if j not in used]
-        self.sub = None
-        if e > 1 and self.rem:
-            pos = {j: t for t, j in enumerate(self.live)}
-            self.sub = _PrimePowerFactor(
-                [{pos[j]: c // p for j, c in rows[i].items()} for i in self.rem],
-                len(self.live), p, e - 1)
+        self._rows = rows
+
+    @functools.cached_property
+    def _reduced(self):
+        """(rem, live, sub, pivots): rows and columns without a pivot, sub,
+        and per pivot (row, column, the reduced row's other entries)."""
+        rows = vars(self).pop("_rows")  # read here once, then dropped
+        p, cells = self.p, self.cells
+        pivot_rows = {i for i, _ in cells}
+        used = {j for _, j in cells}
+        rem = [i for i in range(len(rows)) if i not in pivot_rows]
+        live = [j for j in range(self.ncols) if j not in used]
+        sub = None
+        if self.e > 1 and rem:
+            pos = {j: t for t, j in enumerate(live)}
+            sub = _PrimePowerFactor([{pos[j]: c // p for j, c in rows[i].items()} for i in rem],
+                                    len(live), p, self.e - 1)
         # the reduced pivot rows hold their pivot and non-pivot columns only
-        self.pivots = [(i, j, tuple((jj, c) for jj, c in rows[i].items() if jj != j))
-                       for i, j in pivots]
+        pivots = [(i, j, tuple((jj, c) for jj, c in rows[i].items() if jj != j))
+                  for i, j in cells]
+        return rem, live, sub, pivots
 
     def replay(self, rhs):
         """rhs (entries in [0, q), overwritten) with the recorded row
@@ -878,21 +894,22 @@ class _PrimePowerFactor:
         """Solution mod q of the factored rows against rhs (entries in
         [0, q), overwritten), or None."""
         p, q = self.p, self.q
+        rem, live, sub, pivots = self._reduced
         rhs = self.replay(rhs)
-        if any(rhs[i] % p for i in self.rem):
+        if any(rhs[i] % p for i in rem):
             return None
         sol = [0] * self.ncols
-        if self.sub is None:
+        if sub is None:
             # the non-pivot unknowns stay 0
-            for i, j, _ in self.pivots:
+            for i, j, _ in pivots:
                 sol[j] = rhs[i]
             return sol
-        sub = self.sub.solve([rhs[i] // p for i in self.rem])
-        if sub is None:
+        sub_sol = sub.solve([rhs[i] // p for i in rem])
+        if sub_sol is None:
             return None
-        for j, x in zip(self.live, sub):
+        for j, x in zip(live, sub_sol):
             sol[j] = x
-        for i, j, entries in self.pivots:
+        for i, j, entries in pivots:
             acc = rhs[i]
             for jj, c in entries:
                 acc -= c * sol[jj]
@@ -903,19 +920,20 @@ class _PrimePowerFactor:
         """Generators mod q of the solutions of the factored rows against
         0, as lists over the columns."""
         q = self.q
-        if self.sub is None:
-            free = [{j: 1} for j in self.live]
+        _, live, sub, pivots = self._reduced
+        if sub is None:
+            free = [{j: 1} for j in live]
         else:
             # the leftover rows are p times sub's: their solutions mod q are
             # sub's kernel lifted plus p**(e-1) times anything
-            free = [dict(zip(self.live, g)) for g in self.sub.kernel()]
-            free += [{j: q // self.p} for j in self.live]
+            free = [dict(zip(live, g)) for g in sub.kernel()]
+            free += [{j: q // self.p} for j in live]
         gens = []
         for values in free:
             x = [0] * self.ncols
             for j, c in values.items():
                 x[j] = c
-            for _, j, entries in self.pivots:
+            for _, j, entries in pivots:
                 x[j] = -sum(c * x[jj] for jj, c in entries) % q
             gens.append(x)
         return gens
@@ -981,78 +999,72 @@ def mul_entries(ring: Ring, a, b) -> tuple:
     return tuple(out)
 
 
-def mat_mul(a: MatrixOverRing, b: MatrixOverRing) -> MatrixOverRing:
-    if a.cols != b.rows:
-        raise ValueError("matrix shape mismatch")
-    return MatrixOverRing(a.ring, mul_entries(a.ring, a.entries, b.entries))
-
-
 def matrix_vnr_witness(a: MatrixOverRing) -> Optional[MatrixOverRing]:
     """Y with A.Y.A = A, or None (certified absence).
 
     A ring that ring_parts splits is solved part by part; Z/p gets the
     generalized inverse from one elimination of A's rows; everything else
-    goes through solve_linear_system.  The result is re-verified before
-    returning.
+    goes through solve_linear_system.  The parts are solved on plain row
+    tuples, and the result is re-verified before it is returned.
     """
-    y = _matrix_witness_dispatch(a)
-    if y is not None and mat_mul(mat_mul(a, y), a) != a:
+    ring, entries = a.ring, a.entries
+    y = _matrix_witness_dispatch(ring, entries)
+    if y is not None and (len(y) != a.cols or
+                          mul_entries(ring, mul_entries(ring, entries, y), entries) != entries):
         raise InternalVerificationFailure("matrix witness failed re-verification")
-    return y
+    return None if y is None else MatrixOverRing(ring, y)
 
 
-def _matrix_witness_dispatch(a: MatrixOverRing):
-    ring = a.ring
+def _matrix_witness_dispatch(ring: Ring, rows):
+    """Rows of a Y with A.Y.A = A for A's rows over ring, or None."""
     split = ring_parts(ring)
     if split is not None:
         parts, project, join = split
         # part k's matrix holds the k-th parts of A's entries
         ys = []
-        for part, entries in zip(parts, zip(*(tuple(zip(*map(project, row)))
-                                              for row in a.entries))):
-            y = _matrix_witness_dispatch(MatrixOverRing(part, entries))
+        for part, part_rows in zip(parts, zip(*(tuple(zip(*map(project, row)))
+                                                for row in rows))):
+            y = _matrix_witness_dispatch(part, part_rows)
             if y is None:
                 return None
-            ys.append(y.entries)
-        return MatrixOverRing(ring, tuple(tuple(map(join, zip(*rows))) for rows in zip(*ys)))
-    if isinstance(ring, ModularRing) and _prime_powers(ring.n)[0][1] == 1:
-        return _field_generalized_inverse(a)
-    return _matrix_witness_solve(a)
+            ys.append(y)
+        return tuple(tuple(map(join, zip(*y_rows))) for y_rows in zip(*ys))
+    if isinstance(ring, ModularRing) and ring._is_prime:
+        return _field_generalized_inverse(rows, ring.n)
+    return _matrix_witness_solve(ring, rows)
 
 
-def _matrix_witness_solve(a: MatrixOverRing):
-    ring = a.ring
-    m, n = a.rows, a.cols
+def _matrix_witness_solve(ring: Ring, rows):
+    m, n = len(rows), len(rows[0])
     constraints = []
     for i in range(m):
         for j in range(n):
             terms = []
             for k in range(n):
                 for l in range(m):
-                    terms.append((a.entries[i][k], (k, l), a.entries[l][j]))
-            constraints.append((terms, a.entries[i][j]))
+                    terms.append((rows[i][k], (k, l), rows[l][j]))
+            constraints.append((terms, rows[i][j]))
     variables = [(k, l) for k in range(n) for l in range(m)]
     sol = solve_linear_system(ring, constraints, variables)
     if sol is None:
         return None
-    return MatrixOverRing(ring, tuple(
-        tuple(sol[(k, l)] for l in range(m)) for k in range(n)))
+    return tuple(tuple(sol[(k, l)] for l in range(m)) for k in range(n))
 
 
-def _field_generalized_inverse(a: MatrixOverRing):
-    """Y with A.Y.A = A over Z/p, p prime, from one elimination of A's rows.
-    Its row operations E make E.A reduced, with a 1 at each pivot (i, j),
-    zeros in the rest of column j and zero rows without a pivot; row j of Y
-    is row i of E, and every other row of Y is zero.  Column r of E is the
-    replay of the r-th unit vector."""
-    m = a.rows
-    factor = _PrimePowerFactor([{j: x for j, x in enumerate(row) if x} for row in a.entries],
-                               a.cols, a.ring.n, 1)
+def _field_generalized_inverse(rows, p):
+    """Rows of a Y with A.Y.A = A over Z/p, p prime, from the row operations
+    E and pivot cells of one elimination of A's rows.  E.A is reduced, with
+    a 1 at each pivot (i, j), zeros in the rest of column j and zero rows
+    without a pivot; row j of Y is row i of E, and every other row of Y is
+    zero.  Column r of E is the replay of the r-th unit vector."""
+    m = len(rows)
+    factor = _PrimePowerFactor([{j: x for j, x in enumerate(row) if x} for row in rows],
+                               len(rows[0]), p, 1)
     e_rows = list(zip(*(factor.replay([0] * r + [1] + [0] * (m - 1 - r)) for r in range(m))))
-    y = [(0,) * m] * a.cols
-    for i, j, _ in factor.pivots:
+    y = [(0,) * m] * len(rows[0])
+    for i, j in factor.cells:
         y[j] = e_rows[i]
-    return MatrixOverRing(a.ring, tuple(y))
+    return tuple(y)
 
 
 # ---------------------------------------------------------------------------

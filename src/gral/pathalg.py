@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 from typing import Optional
 
-from .coeffring import Ring, mul_entries
+from .coeffring import Ring, mul_entries, within_cap
 from .errors import (GralError, NotDegreeZero, NotInDn, SpecMismatch,
                      UnknownGenerator, XNotRegular, json_field, json_value)
 from .graphs import Graph, Path
@@ -553,6 +553,13 @@ class BlockStructure:
         g = spec.graph
         keys = [(i, v) for i in range(n) for v in sorted(g.sinks)]
         keys += [(n, v) for v in sorted(g.vertices)]
+        # |P(i, v)| for i <= n, counted before any path is listed
+        counts = [dict.fromkeys(g.vertices, 1)]
+        for _ in range(n):
+            counts.append(dict.fromkeys(g.vertices, 0))
+            for e in g.edges:
+                counts[-1][e.dst] += counts[-2][e.src]
+        within_cap(sum(counts[i][v] ** 2 for i, v in keys), "block structure")
         self.keys = tuple(keys)
         self.labels = {(i, v): tuple(g.paths(i, v)) for (i, v) in keys}
         self.index = {k: {p: j for j, p in enumerate(lbls)}
@@ -583,7 +590,8 @@ class MatricialImage:
     @staticmethod
     def zeros(structure: BlockStructure) -> "MatricialImage":
         """The zero image, one shared per structure: images are never
-        written into, their rows are tuples."""
+        written into, their rows are tuples.  Operations pass its blocks,
+        the shared zero blocks, through (0.B = 0, A + 0 = A)."""
         if structure._zero is None:
             zero = structure.spec.ring.zero
             structure._zero = MatricialImage(structure, {
@@ -604,28 +612,36 @@ class MatricialImage:
     def block(self, key):
         return self.mats[key]
 
-    def _zip(self, other, fn):
+    def _zip(self, other, fn, zero_first_is_identity):
         if self.structure != other.structure:
             raise SpecMismatch("block elements from different structures")
+        zeros = MatricialImage.zeros(self.structure).mats
         mats = {}
         for k in self.structure.keys:
-            a, b = self.mats[k], other.mats[k]
-            mats[k] = tuple(tuple(fn(x, y) for x, y in zip(ra, rb))
-                            for ra, rb in zip(a, b))
+            a, b, z = self.mats[k], other.mats[k], zeros[k]
+            if b is z:
+                mats[k] = a
+            elif a is z and zero_first_is_identity:
+                mats[k] = b
+            else:
+                mats[k] = tuple(tuple(fn(x, y) for x, y in zip(ra, rb))
+                                for ra, rb in zip(a, b))
         return MatricialImage(self.structure, mats)
 
     def __add__(self, other):
-        return self._zip(other, self.structure.spec.ring.add)
+        return self._zip(other, self.structure.spec.ring.add, True)
 
     def __sub__(self, other):
-        return self._zip(other, self.structure.spec.ring.sub)
+        return self._zip(other, self.structure.spec.ring.sub, False)
 
     def __mul__(self, other):
         if self.structure != other.structure:
             raise SpecMismatch("block elements from different structures")
         ring = self.structure.spec.ring
+        z = MatricialImage.zeros(self.structure).mats
         return MatricialImage(self.structure, {
-            k: mul_entries(ring, self.mats[k], other.mats[k])
+            k: z[k] if self.mats[k] is z[k] or other.mats[k] is z[k]
+            else mul_entries(ring, self.mats[k], other.mats[k])
             for k in self.structure.keys})
 
     def __eq__(self, other):
@@ -677,16 +693,18 @@ def matricial_decompose(x: AlgebraElement, n: int) -> MatricialImage:
     if level > n:
         raise NotInDn(f"element has filtration level {level} > {n}")
     ring = spec.ring
-    img = MatricialImage.zeros(structure)
-    mats = {k: [list(row) for row in m] for k, m in img.mats.items()}
+    touched = {}  # key -> rows as lists; every other block stays the shared zero
     for m, c in _expand_to_level(spec, x.terms, n).items():
-        l = len(m.alpha.edges)
-        key = (l, m.alpha.dst)
+        key = (len(m.alpha.edges), m.alpha.dst)
         idx = structure.index[key]
+        block = touched.get(key)
+        if block is None:
+            block = touched[key] = [[ring.zero] * len(idx) for _ in idx]
         i, j = idx[m.alpha], idx[m.beta]
-        mats[key][i][j] = ring.add(mats[key][i][j], c)
-    return MatricialImage(structure, {k: tuple(tuple(row) for row in m)
-                                      for k, m in mats.items()})
+        block[i][j] = ring.add(block[i][j], c)
+    zeros = MatricialImage.zeros(structure).mats
+    return MatricialImage(structure, {k: tuple(map(tuple, touched[k])) if k in touched
+                                      else zeros[k] for k in structure.keys})
 
 
 def matricial_lift(image: MatricialImage) -> AlgebraElement:
@@ -694,10 +712,13 @@ def matricial_lift(image: MatricialImage) -> AlgebraElement:
     structure = image.structure
     spec = structure.spec
     ring = spec.ring
+    zeros = MatricialImage.zeros(structure).mats
     raw = {}  # each (a, b) occurs in one block only: no sums, no zeros
     for k in structure.keys:
-        labels = structure.labels[k]
         m = image.mats[k]
+        if m is zeros[k]:
+            continue
+        labels = structure.labels[k]
         for i, a in enumerate(labels):
             for j, b in enumerate(labels):
                 c = m[i][j]

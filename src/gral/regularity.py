@@ -121,8 +121,9 @@ def idempotent_generator(structure: BlockStructure, generators):
     idempotent, so one generalized inverse per block suffices: stack the
     generators' s x s blocks into C (k.s x s), take a matrix witness W of C
     (C.W.C = C) and set y = W.C; u_i is the i-th s-column slice of W.  The
-    witness is computed on the nonzero rows and columns of C only.  Refuses
-    non-vnr coefficient rings.
+    witness is computed on the nonzero rows and columns of C only, and a key
+    where every generator has the shared zero block gives it to y and the
+    u_i.  Refuses non-vnr coefficient rings.
     """
     ring = structure.spec.ring
     if not is_vnr(ring).regular:
@@ -132,9 +133,15 @@ def idempotent_generator(structure: BlockStructure, generators):
         if c.structure != structure:
             raise GralError("generator from a different block structure")
     zero = ring.zero
+    zeros = MatricialImage.zeros(structure).mats
     y_mats = {}
     u_mats = [{} for _ in generators]
     for key in structure.keys:
+        if all(c.mats[key] is zeros[key] for c in generators):
+            y_mats[key] = zeros[key]
+            for u in u_mats:
+                u[key] = zeros[key]
+            continue
         s = len(structure.labels[key])
         stacked = [row for c in generators for row in c.mats[key]]
         rows = [r for r, row in enumerate(stacked) if any(x != zero for x in row)]

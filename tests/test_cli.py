@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from conftest import table_upper_z2, table_z2xz2
 from gral import cli, coeffring, gradedstruct, morphisms, regularity
 from gral.cli import main
-from gral.coeffring import MatrixOverRing, ModularRing, ring_make, ring_spec
+from gral.coeffring import ModularRing, ring_make, ring_spec
 from gral.cornerlaurent import corner_from_dict, csl_element_from_dict
 from gral.errors import GralError, InternalVerificationFailure
 from gral.graphs import CohnPair, Graph, graph_from_dict, morphism_from_dict
@@ -554,14 +554,35 @@ def test_internal_failure_exits_3(files, capsys, monkeypatch):
     assert captured.err == "internal error: InternalVerificationFailure: planted\n"
 
 
+@pytest.mark.parametrize("command", [
+    ["lpa", "decompose", "--level", "2"],
+    ["lpa", "witness", "--method", "constructive"],
+], ids=["decompose", "witness"])
+def test_block_structure_beyond_the_cap_exit2(files, capsys, monkeypatch, command):
+    # rose3 at level 2 is one 9 x 9 block, dense rank 81; ab(ab)* needs it
+    graph = write(files["tmp"] / "rose3.json", {
+        "vertices": ["v"],
+        "edges": [{"name": n, "src": "v", "dst": "v"} for n in "abc"]})
+    element = write(files["tmp"] / "elt_abab.json", [
+        {"coeff": 1, "alpha": ["a", "b"], "beta": ["a", "b"]}])
+    args = command + ["--graph", graph, "--ring", files["z2"], "--element", element]
+    monkeypatch.setenv("GRAL_SEARCH_CAP", "80")
+    assert main(args) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: block structure needs 81 states, cap is 80\n"
+    monkeypatch.setenv("GRAL_SEARCH_CAP", "81")
+    assert main(args) == 0
+    assert capsys.readouterr().err == ""
+
+
 def test_wrong_matrix_witness_exits_3(files, capsys, monkeypatch):
     # matrix_vnr_witness re-checks A.Y.A = A on what the dispatch returns
     real = coeffring._matrix_witness_dispatch
 
-    def wrong(a):
-        y = real(a)
-        return MatrixOverRing(y.ring, tuple(tuple(y.ring.zero for _ in row)
-                                            for row in y.entries))
+    def wrong(ring, rows):
+        # the dispatch works on plain row tuples: a zero Y of the right shape
+        return tuple(tuple(ring.zero for _ in row) for row in real(ring, rows))
     monkeypatch.setattr(coeffring, "_matrix_witness_dispatch", wrong)
     code = main(["lpa", "witness", "--graph", files["vw"], "--ring", files["z6"],
                  "--element", files["elt_f"], "--method", "constructive"])

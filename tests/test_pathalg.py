@@ -1,8 +1,10 @@
 """Cohn/Leavitt path algebra arithmetic, normal forms and the matricial
 decomposition."""
 
+import os
 import pickle
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given
@@ -13,9 +15,9 @@ from conftest import (SIX_GRAPHS, graph_loop, graph_null, graph_rose2,
                       rewrite_in_random_order, small_graphs, table_upper_z2,
                       word_in_random_order)
 from gral.coeffring import ModularRing
-from gral.errors import (GralError, NotDegreeZero, NotInDn, SpecMismatch,
-                         UnknownGenerator)
-from gral.graphs import Path
+from gral.errors import (GralError, NotDegreeZero, NotInDn, SearchCapExceeded,
+                         SpecMismatch, UnknownGenerator)
+from gral.graphs import Graph, Path
 from gral.pathalg import (AlgebraElement, AlgebraSpec, BlockStructure,
                           MatricialImage, Monomial, dn_rank, dn_reduced_basis,
                           element_from_terms, element_to_terms,
@@ -422,6 +424,37 @@ def test_monomial_is_hashed_once_and_equals_only_monomials(monkeypatch):
     assert m != (a, b) and (a, b) != m and m != Monomial(b, b)
     assert m.involute() == Monomial(b, a) and m.involute() != m
     assert m.__reduce__() == (Monomial, (a, b))
+
+
+@given(small_graphs(), st.integers(0, 4))
+def test_block_structure_is_refused_just_past_its_rank(graph, n):
+    # the cap check counts |P(i, v)| before any path is listed; the rank it
+    # checks must be the sum of s**2 over the blocks that would be listed
+    spec = AlgebraSpec.leavitt(graph, ModularRing(2))
+    structure = BlockStructure(spec, n)
+    rank = sum(len(graph.paths(i, v)) ** 2 for i, v in structure.keys)
+    assert structure.rank() == rank
+    with mock.patch.dict(os.environ, {"GRAL_SEARCH_CAP": str(rank)}):
+        assert BlockStructure(spec, n) == structure
+    if rank > 1:
+        with mock.patch.dict(os.environ, {"GRAL_SEARCH_CAP": str(rank - 1)}):
+            with pytest.raises(SearchCapExceeded, match=f"needs {rank} states"):
+                BlockStructure(spec, n)
+
+
+def test_block_structure_past_the_cap_is_refused(monkeypatch, z2):
+    # rose3 at level 2 is one 9 x 9 block: dense rank 81
+    spec = AlgebraSpec.leavitt(Graph(["v"], [("a", "v", "v"), ("b", "v", "v"),
+                                             ("c", "v", "v")]), z2)
+    x = word_element(spec, ["a", "b", "b*", "a*"])
+    monkeypatch.setenv("GRAL_SEARCH_CAP", "80")
+    with pytest.raises(SearchCapExceeded, match="^block structure needs 81 states, cap is 80$"):
+        spec.blocks(2)
+    with pytest.raises(SearchCapExceeded):
+        matricial_decompose(x, 2)
+    assert spec.blocks(1).rank() == 9
+    monkeypatch.setenv("GRAL_SEARCH_CAP", "81")
+    assert matricial_lift(matricial_decompose(x, 2)) == x
 
 
 def test_spec_builds_one_block_structure_per_level(z2):

@@ -5,10 +5,12 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from conftest import (graph_2cycle, graph_a1, graph_loop, graph_null,
-                      graph_rose2, graph_toeplitz, graph_vw, graph_vwu,
-                      random_element, table_upper_z2)
+from conftest import (SIX_GRAPHS, graph_2cycle, graph_a1, graph_loop,
+                      graph_null, graph_rose2, graph_toeplitz, graph_vw,
+                      graph_vwu, random_element, table_upper_z2)
 import gral.regularity as regularity
 from gral.coeffring import ModularRing, ProductRing
 from gral.gradedstruct import PathAlgebraOracle
@@ -16,9 +18,10 @@ from gral.graphs import Graph
 from gral.errors import (CoefficientRingNotVNR, GralError,
                          InternalVerificationFailure, ZeroElement)
 from gral.pathalg import (AlgebraElement, AlgebraSpec, BlockStructure,
-                          MatricialImage, Monomial, format_element,
-                          matricial_decompose, monomial_element,
-                          reduced_monomials, vertex_element, word_element)
+                          MatricialImage, Monomial, _expand_to_level,
+                          format_element, matricial_decompose, matricial_lift,
+                          monomial_element, reduced_monomials, vertex_element,
+                          word_element)
 from gral.regularity import (graded_vnr_verdict, graded_witness_constructive,
                              graded_witness_oracle, idempotent_generator,
                              local_unit_left, local_units, sample_homogeneous)
@@ -225,6 +228,102 @@ def test_idempotent_generator_all_zero_gives_zero(z6):
     zero = MatricialImage.zeros(structure)
     y, us = idempotent_generator(structure, [zero, zero])
     assert y == zero and us == [zero, zero]
+
+
+def fresh_blocks(image):
+    """image with every nonempty block rebuilt as a new tuple, so that none
+    is a shared zero block and every operation takes the full path."""
+    return MatricialImage(image.structure, {k: tuple(tuple(row) for row in m)
+                                            for k, m in image.mats.items()})
+
+
+def dense_decompose(x, n):
+    """x's image at level n from a table of every block, each filled entry
+    by entry from x's expansion to level n."""
+    structure, ring = x.spec.blocks(n), x.spec.ring
+    mats = {k: [[ring.zero] * len(l) for _ in l] for k, l in structure.labels.items()}
+    for m, c in _expand_to_level(x.spec, x.terms, n).items():
+        key = (len(m.alpha.edges), m.alpha.dst)
+        i, j = structure.index[key][m.alpha], structure.index[key][m.beta]
+        mats[key][i][j] = ring.add(mats[key][i][j], c)
+    return MatricialImage(structure, {k: tuple(map(tuple, m)) for k, m in mats.items()})
+
+
+def dense_op(a, b, op):
+    """a + b, a - b or a . b block by block, every entry of every block."""
+    ring = a.structure.spec.ring
+    mats = {}
+    for k in a.structure.keys:
+        p, q = a.block(k), b.block(k)
+        s = range(len(p))
+        if op == "mul":
+            mats[k] = tuple(tuple(functools.reduce(ring.add, (ring.mul(p[i][t], q[t][j])
+                                                             for t in s), ring.zero)
+                                  for j in s) for i in s)
+        else:
+            fn = ring.add if op == "add" else ring.sub
+            mats[k] = tuple(tuple(fn(p[i][j], q[i][j]) for j in s) for i in s)
+    return MatricialImage(a.structure, mats)
+
+
+def graph_rose3():
+    return Graph(["v"], [("a", "v", "v"), ("b", "v", "v"), ("c", "v", "v")])
+
+
+ZERO_BLOCK_GRAPHS = dict(SIX_GRAPHS, rose3=graph_rose3)
+ZERO_BLOCK_RINGS = {"Z2": ModularRing(2), "Z6": ModularRing(6), "Z30": ModularRing(30),
+                    "Z2xZ3": ProductRing([ModularRing(2), ModularRing(3)])}
+
+
+@given(st.sampled_from(sorted(ZERO_BLOCK_GRAPHS)), st.sampled_from(sorted(ZERO_BLOCK_RINGS)),
+       st.integers(0, 3), st.randoms(use_true_random=False))
+def test_shared_zero_blocks_agree_with_dense_blocks(graph, ring, level, rnd):
+    # decompose, +, -, x, lift and idempotent_generator pass the shared zero
+    # blocks through; on the same values with fresh zero blocks, every block
+    # is computed in full, and both must equal the dense reference
+    spec = AlgebraSpec.leavitt(ZERO_BLOCK_GRAPHS[graph](), ZERO_BLOCK_RINGS[ring])
+    xs = [random_element(spec, rnd, degree=0, max_len=level) for _ in range(3)]
+    images = [matricial_decompose(x, level) for x in xs]
+    dense = [dense_decompose(x, level) for x in xs]
+    fresh = [fresh_blocks(img) for img in images]
+    assert images == dense
+    for x, img, f in zip(xs, images, fresh):
+        assert matricial_lift(img) == matricial_lift(f) == x
+    for a, b, fa, fb in ((images[0], images[1], fresh[0], fresh[1]),
+                         (images[2], images[0], fresh[2], fresh[0])):
+        for op, result, full in (("add", a + b, fa + fb), ("sub", a - b, fa - fb),
+                                 ("mul", a * b, fa * fb)):
+            assert result == full == dense_op(fa, fb, op)
+            assert matricial_lift(result) == matricial_lift(full)
+    structure = spec.blocks(level)
+    y, us = idempotent_generator(structure, images)
+    assert (y, us) == idempotent_generator(structure, fresh)
+
+
+def test_shared_zero_blocks_pass_through(z6):
+    # toeplitz at level 2: blocks (0, w), (1, w), (2, u) and (2, w); e e*
+    # expands to ee(ee)* + ef(ef)* in (2, u) and (2, w), and 5 ee(ee)* sits
+    # in (2, u) alone, so (0, w) and (1, w) stay the shared zero blocks
+    spec = AlgebraSpec.leavitt(graph_toeplitz(), z6)
+    structure = spec.blocks(2)
+    zeros = MatricialImage.zeros(structure).mats
+    a = matricial_decompose(word_element(spec, ["e", "e*"]), 2)
+    b = matricial_decompose(word_element(spec, ["e", "e", "e*", "e*"]).scale(5), 2)
+    untouched = [k for k in structure.keys if a.mats[k] is zeros[k]]
+    assert untouched == [(0, "w"), (1, "w")]
+    assert [k for k in structure.keys if b.mats[k] is zeros[k]] == untouched + [(2, "w")]
+    assert (a * b).mats[(2, "w")] is zeros[(2, "w")]
+    for k in untouched:
+        assert (a * b).mats[k] is zeros[k] and (a + b).mats[k] is zeros[k]
+        assert (a - b).mats[k] is zeros[k]
+    zero = MatricialImage.zeros(structure)
+    assert all((a + zero).mats[k] is a.mats[k] and (zero + a).mats[k] is a.mats[k]
+               and (a - zero).mats[k] is a.mats[k] for k in structure.keys)
+    # 0 - a is not a pass-through: it is -a
+    assert zero - a == dense_op(fresh_blocks(zero), fresh_blocks(a), "sub")
+    y, us = idempotent_generator(structure, [a, b])
+    assert all(y.mats[k] is zeros[k] and all(u.mats[k] is zeros[k] for u in us)
+               for k in untouched)
 
 
 def test_rose3_level4_witness_on_support(monkeypatch):
