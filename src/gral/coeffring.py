@@ -1005,11 +1005,12 @@ def matrix_vnr_witness(a: MatrixOverRing) -> Optional[MatrixOverRing]:
     A ring that ring_parts splits is solved part by part; Z/p gets the
     generalized inverse from one elimination of A's rows; everything else
     goes through solve_linear_system.  The parts are solved on plain row
-    tuples, and the result is re-verified before it is returned.
+    tuples, and the result (its shape and A.Y.A = A) is re-verified
+    before it is returned.
     """
     ring, entries = a.ring, a.entries
     y = _matrix_witness_dispatch(ring, entries)
-    if y is not None and (len(y) != a.cols or
+    if y is not None and (len(y) != a.cols or any(len(row) != a.rows for row in y) or
                           mul_entries(ring, mul_entries(ring, entries, y), entries) != entries):
         raise InternalVerificationFailure("matrix witness failed re-verification")
     return None if y is None else MatrixOverRing(ring, y)

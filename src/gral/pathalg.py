@@ -559,7 +559,7 @@ class BlockStructure:
             counts.append(dict.fromkeys(g.vertices, 0))
             for e in g.edges:
                 counts[-1][e.dst] += counts[-2][e.src]
-        within_cap(sum(counts[i][v] ** 2 for i, v in keys), "block structure")
+        self._rank = within_cap(sum(counts[i][v] ** 2 for i, v in keys), "block structure")
         self.keys = tuple(keys)
         self.labels = {(i, v): tuple(g.paths(i, v)) for (i, v) in keys}
         self.index = {k: {p: j for j, p in enumerate(lbls)}
@@ -567,7 +567,7 @@ class BlockStructure:
         self._zero = None  # see MatricialImage.zeros
 
     def rank(self) -> int:
-        return sum(len(l) ** 2 for l in self.labels.values())
+        return self._rank
 
     def __eq__(self, other):
         return other is self or (isinstance(other, BlockStructure)
@@ -612,27 +612,23 @@ class MatricialImage:
     def block(self, key):
         return self.mats[key]
 
-    def _zip(self, other, fn, zero_first_is_identity):
+    def _zip(self, other, fn):
+        """fn entry by entry; A + 0 = A - 0 = A for a shared zero block."""
         if self.structure != other.structure:
             raise SpecMismatch("block elements from different structures")
         zeros = MatricialImage.zeros(self.structure).mats
         mats = {}
         for k in self.structure.keys:
-            a, b, z = self.mats[k], other.mats[k], zeros[k]
-            if b is z:
-                mats[k] = a
-            elif a is z and zero_first_is_identity:
-                mats[k] = b
-            else:
-                mats[k] = tuple(tuple(fn(x, y) for x, y in zip(ra, rb))
-                                for ra, rb in zip(a, b))
+            a, b = self.mats[k], other.mats[k]
+            mats[k] = a if b is zeros[k] else tuple(tuple(fn(x, y) for x, y in zip(ra, rb))
+                                                    for ra, rb in zip(a, b))
         return MatricialImage(self.structure, mats)
 
     def __add__(self, other):
-        return self._zip(other, self.structure.spec.ring.add, True)
+        return self._zip(other, self.structure.spec.ring.add)
 
     def __sub__(self, other):
-        return self._zip(other, self.structure.spec.ring.sub, False)
+        return self._zip(other, self.structure.spec.ring.sub)
 
     def __mul__(self, other):
         if self.structure != other.structure:

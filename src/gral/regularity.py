@@ -162,9 +162,9 @@ def idempotent_generator(structure: BlockStructure, generators):
             u[key] = tuple(tuple(row[i * s:(i + 1) * s]) for row in w)
     y = MatricialImage(structure, y_mats)
     us = [MatricialImage(structure, u) for u in u_mats]
-    acc = MatricialImage.zeros(structure)
-    for u, c in zip(us, generators):
-        acc = acc + u * c
+    # from the first product: zero image + u.c would zip every block of it
+    products = [u * c for u, c in zip(us, generators)]
+    acc = sum(products[1:], products[0]) if products else MatricialImage.zeros(structure)
     if acc != y or not y.is_idempotent():
         raise InternalVerificationFailure("idempotent generator bookkeeping failed")
     for c in generators:

@@ -576,20 +576,30 @@ def test_block_structure_beyond_the_cap_exit2(files, capsys, monkeypatch, comman
     assert capsys.readouterr().err == ""
 
 
-def test_wrong_matrix_witness_exits_3(files, capsys, monkeypatch):
-    # matrix_vnr_witness re-checks A.Y.A = A on what the dispatch returns
+def _spoiled_matrix_witness_exits_3(files, capsys, monkeypatch, spoil):
+    # the dispatch works on plain row tuples; spoil rewrites what it returns
     real = coeffring._matrix_witness_dispatch
-
-    def wrong(ring, rows):
-        # the dispatch works on plain row tuples: a zero Y of the right shape
-        return tuple(tuple(ring.zero for _ in row) for row in real(ring, rows))
-    monkeypatch.setattr(coeffring, "_matrix_witness_dispatch", wrong)
+    monkeypatch.setattr(coeffring, "_matrix_witness_dispatch",
+                        lambda ring, rows: spoil(real(ring, rows), ring))
     code = main(["lpa", "witness", "--graph", files["vw"], "--ring", files["z6"],
                  "--element", files["elt_f"], "--method", "constructive"])
     captured = capsys.readouterr()
     assert code == 3
     assert captured.err.startswith("internal error: InternalVerificationFailure: ")
     assert captured.err.count("\n") == 1
+
+
+def test_wrong_matrix_witness_exits_3(files, capsys, monkeypatch):
+    # matrix_vnr_witness re-checks A.Y.A = A: a zero Y of the right shape
+    _spoiled_matrix_witness_exits_3(files, capsys, monkeypatch, lambda y, ring: tuple(
+        tuple(ring.zero for _ in row) for row in y))
+
+
+def test_misshapen_matrix_witness_exits_3(files, capsys, monkeypatch):
+    # the right values with one more column: A.Y.A still multiplies out to A
+    # entry by entry, so only the re-check of Y's shape refuses it
+    _spoiled_matrix_witness_exits_3(files, capsys, monkeypatch, lambda y, ring: tuple(
+        row + (ring.zero,) for row in y))
 
 
 def test_broken_epsilon_exits_3(files, capsys, monkeypatch):

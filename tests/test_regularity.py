@@ -317,10 +317,10 @@ def test_shared_zero_blocks_pass_through(z6):
         assert (a * b).mats[k] is zeros[k] and (a + b).mats[k] is zeros[k]
         assert (a - b).mats[k] is zeros[k]
     zero = MatricialImage.zeros(structure)
-    assert all((a + zero).mats[k] is a.mats[k] and (zero + a).mats[k] is a.mats[k]
-               and (a - zero).mats[k] is a.mats[k] for k in structure.keys)
-    # 0 - a is not a pass-through: it is -a
-    assert zero - a == dense_op(fresh_blocks(zero), fresh_blocks(a), "sub")
+    assert all((a + zero).mats[k] is a.mats[k] and (a - zero).mats[k] is a.mats[k]
+               for k in structure.keys)
+    # only a zero second operand passes through: 0 + a and 0 - a are computed
+    assert zero + a == a and zero - a == dense_op(fresh_blocks(zero), fresh_blocks(a), "sub")
     y, us = idempotent_generator(structure, [a, b])
     assert all(y.mats[k] is zeros[k] and all(u.mats[k] is zeros[k] for u in us)
                for k in untouched)
