@@ -983,12 +983,24 @@ class MatrixOverRing:
 def mul_entries(ring: Ring, a, b) -> tuple:
     """Rows of A.B for matrices given as sequences of rows; the one block
     kernel.  Each row of A visits only its nonzero entries t, and each of
-    those only the nonzero entries of row t of B."""
+    those only the nonzero entries of row t of B.
+
+    Cost: an all-zero row of A or B costs one C-level row.count(zero),
+    which compares with the ring's zero (a ProductRing zero (0, 0) is
+    truthy); a zero row of A is the one shared row (zero,) * width.  A
+    nonzero row of A pays a Python step per entry, plus one per product
+    of its nonzero entries with the nonzero entries of B's matching rows.
+    """
     zero, add, mul = ring.zero, ring.add, ring.mul
     width = len(b[0]) if b else 0
-    b_support = [[(j, x) for j, x in enumerate(row) if x != zero] for row in b]
+    b_support = [[] if row.count(zero) == len(row)
+                 else [(j, x) for j, x in enumerate(row) if x != zero] for row in b]
+    zero_row = (zero,) * width
     out = []
     for row in a:
+        if row.count(zero) == len(row):
+            out.append(zero_row)
+            continue
         acc = [zero] * width
         for x, b_row in zip(row, b_support):
             if x == zero:

@@ -19,9 +19,10 @@ from .graphs import Graph, Path
 class Monomial:
     """The monomial alpha.beta* (alpha and beta end at one vertex).
 
-    Immutable by contract, like Path: __init__ hashes the two paths once
-    (the value of hash((alpha, beta))) and __hash__ returns it, since
-    monomials key every element's terms.  The repr is pinned to
+    Immutable by contract, like Path: __init__ hashes the two paths' cached
+    hashes once (the value of hash((alpha._hash, beta._hash)), with no
+    Path.__hash__ call) and __hash__ returns it, since monomials key every
+    element's terms.  The repr is pinned to
     Monomial(alpha=Path(...), beta=Path(...)) because linear systems order
     their rows by the repr of their keys (coeffring._span_rows), and that
     order sets the cost of elimination (not the solution returned).
@@ -32,7 +33,7 @@ class Monomial:
     def __init__(self, alpha: Path, beta: Path):
         self.alpha = alpha
         self.beta = beta
-        self._hash = hash((alpha, beta))
+        self._hash = hash((alpha._hash, beta._hash))
 
     def __hash__(self):
         return self._hash

@@ -721,16 +721,59 @@ def sparse_rows(ring, rng, rows, cols, density):
                        for _ in range(cols)) for _ in range(rows))
 
 
-@pytest.mark.parametrize("ring", [ModularRing(6),
-                                  ProductRing([ModularRing(2), ModularRing(3)])])
+def relabelled_z2xz2():
+    """table_z2xz2 with its elements renamed by perm: the zero is 2 and 0
+    is a nonzero element, so a kernel that tests entries by truthiness or
+    against the literal 0 gets wrong answers."""
+    ring, perm = table_z2xz2(), [2, 0, 3, 1]
+    inv = [perm.index(i) for i in range(4)]
+
+    def table(op):
+        return [[perm[op(inv[i], inv[j])] for j in range(4)] for i in range(4)]
+    return TableRing(table(ring.add), table(ring.mul), zero=perm[ring.zero], one=perm[ring.one])
+
+
+def with_zero_lines(ring, rows, zero_rows, zero_cols):
+    """rows with the given rows and columns set to the ring's zero."""
+    return tuple(tuple(ring.zero if i in zero_rows or j in zero_cols else x
+                       for j, x in enumerate(row)) for i, row in enumerate(rows))
+
+
+KERNEL_RINGS = pytest.mark.parametrize(
+    "ring", [ModularRing(6), ProductRing([ModularRing(2), ModularRing(3)]), relabelled_z2xz2()])
+
+
+@KERNEL_RINGS
 def test_mul_entries_matches_dense_reference(ring):
     rng = random.Random(61)
     for _ in range(40):
         m, k, n = (rng.randint(1, 30) for _ in range(3))
-        density = rng.choice([0.0, 0.02, 0.05, 0.1])  # about 90% zeros or more
+        density = rng.choice([0.0, 0.02, 0.05, 0.1, 0.5])  # 0.5: few zero rows
         a = sparse_rows(ring, rng, m, k, density)
         b = sparse_rows(ring, rng, k, n, density)
-        assert mul_entries(ring, a, b) == dense_product(ring, a, b)
+        # explicit all-zero rows of A and B and all-zero columns of both
+        a = with_zero_lines(ring, a, set(rng.sample(range(m), m // 3)),
+                            set(rng.sample(range(k), k // 3)))
+        b = with_zero_lines(ring, b, set(rng.sample(range(k), k // 3)),
+                            set(rng.sample(range(n), n // 3)))
+        expected = dense_product(ring, a, b)
+        assert mul_entries(ring, a, b) == expected
+        # A as a list of lists, as idempotent_generator passes its W
+        assert mul_entries(ring, [list(row) for row in a], b) == expected
+
+
+@KERNEL_RINGS
+def test_mul_entries_keeps_rows_of_one_nonzero_element(ring):
+    # a row repeating one nonzero element is no zero row, even when that
+    # element is 0 or falsy, in A and in B
+    rng = random.Random(62)
+    for c in ring.elements():
+        if c == ring.zero:
+            continue
+        rows = ((c,) * 3, (ring.zero,) * 3, (c,) * 3)
+        other = sparse_rows(ring, rng, 3, 3, 1.0)
+        for a, b in ((rows, other), (other, rows)):
+            assert mul_entries(ring, a, b) == dense_product(ring, a, b)
 
 
 @pytest.mark.parametrize("entries, witness", [

@@ -415,9 +415,9 @@ def test_monomial_is_hashed_once_and_equals_only_monomials(monkeypatch):
     g = graph_vw()
     a, b = g.make_path(["f"]), g.vertex_path("w")
     m = Monomial(a, b)
-    assert len(hashes) == 2
     n = Monomial(Path("v", "w", ("f",)), Path("w", "w"))
-    del hashes[:]
+    assert hashes == []  # built from the paths' cached hashes
+    assert hash(m) == hash((a._hash, b._hash))
     assert m == n and n == m and hash(m) == hash(n)
     assert {m: 1}[n] == 1 and hash(m) == hash(m)
     assert hashes == []

@@ -544,6 +544,37 @@ def test_oracle_agrees_with_constructive_on_acyclic():
                     assert x * oracle.witness * x == x
 
 
+@st.composite
+def acyclic_graphs(draw):
+    """A graph on one to four vertices with at most four edges, each from
+    an earlier vertex to a later one; parallel edges and sinks occur."""
+    vertices = ["u", "v", "w", "z"][:draw(st.integers(1, 4))]
+    pairs = [(a, b) for i, a in enumerate(vertices) for b in vertices[i + 1:]]
+    edges = draw(st.lists(st.sampled_from(pairs), max_size=4)) if pairs else []
+    return Graph(vertices, [(name, a, b) for name, (a, b) in zip("abcd", edges)])
+
+
+@given(acyclic_graphs(), st.sampled_from([ModularRing(6),
+                                          ProductRing([ModularRing(2), ModularRing(3)])]),
+       st.data())
+def test_constructive_and_oracle_witnesses_on_random_acyclic_graphs(graph, ring, data):
+    # a homogeneous sum of one to three reduced monomials over a vnr ring:
+    # both routes must return a verified witness of the opposite degree
+    spec = AlgebraSpec.leavitt(graph, ring)
+    bound = graph.longest_path_length()
+    pools = {}
+    for m in reduced_monomials(spec, max_len=bound):
+        pools.setdefault(m.degree, []).append(m)
+    d = data.draw(st.sampled_from(sorted(pools)))
+    monos = data.draw(st.lists(st.sampled_from(pools[d]), min_size=1, max_size=3, unique=True))
+    nonzero = [c for c in ring.elements() if c != ring.zero]
+    x = AlgebraElement.make(spec, {m: data.draw(st.sampled_from(nonzero)) for m in monos})
+    for cert in (graded_witness_constructive(x), graded_witness_oracle(x, bound)):
+        assert cert.verified and not cert.absent
+        assert cert.witness.degree() == -d
+        assert x * cert.witness * x == x
+
+
 def combinations(spec, elements):
     """Every R-combination sum r_i . elements[i], the r_i on the left."""
     return [functools.reduce(lambda a, b: a + b,
