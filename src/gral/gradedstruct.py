@@ -5,13 +5,16 @@ spanned at the bound) from bounded ones.  Built-in oracles cover path
 algebras, the epsilon-but-not-strong matrix grading, trivial gradings,
 truncated polynomial rings and corner skew Laurent rings.
 
-Rows come from certificates where the ring has them, each checked
-exactly, and from a bounded span search elsewhere.  The oracle's local
-units (Leavitt specs, and relative Cohn specs through the Cohn-to-Leavitt
-isomorphism) decide the nearly epsilon-strong rows, and the same units
-certify s = sum a_i (b_i s) in S_d S_-d S_d for the symmetric rows.  A
-Leavitt spec without sinks has explicit factorizations of 1 in S_1 S_-1
-and in S_-1 S_1 for the strong row (Hazrat's criterion).
+Every row of a path algebra (Leavitt or relative Cohn) comes from a
+certificate, checked exactly; the bounded span search decides the rows of
+the other oracles.  The epsilon rows come from closed forms
+(epsilon_element).  The oracle's local units (Leavitt specs, and relative
+Cohn specs through the Cohn-to-Leavitt isomorphism) decide the nearly
+epsilon-strong rows, and the same units certify s = sum a_i (b_i s) in
+S_d S_-d S_d for the symmetric rows.  The strong row (Hazrat's criterion)
+comes from explicit factorizations of 1 in S_1 S_-1 and in S_-1 S_1 for a
+Leavitt spec without sinks, and otherwise from a nonzero z of degree 0
+with z.e = 0 for every edge e.
 """
 
 from __future__ import annotations
@@ -28,8 +31,8 @@ from .coeffring import solve_linear_system  # noqa: F401
 from .cornerlaurent import CslAlgebra, format_csl
 from .errors import GralError, InternalVerificationFailure, NotDegreeOneGenerated
 from .pathalg import (AlgebraElement, AlgebraSpec, Monomial, format_element,
-                      identity_element, monomial_element, nonzero_products,
-                      reduced_monomials, vertex_element)
+                      identity_element, monomial_element, reduced_monomials,
+                      vertex_element)
 from .regularity import local_unit_left, local_units
 
 # ---------------------------------------------------------------------------
@@ -46,6 +49,7 @@ class GradedRingOracle:
 
     name = "oracle"
     degree_one_generated = True
+    no_sinks = None  # path algebras: Hazrat's criterion, shown on the strong row
 
     @property
     def ring(self) -> Ring:
@@ -100,8 +104,8 @@ class GradedRingOracle:
 
     def local_units(self, x, size_bound: int):
         """Left and right units of the homogeneous element x from the ring's
-        own construction, as a verified LocalUnitPair, or None when there is
-        none and the bounded search must decide."""
+        own construction, as a verified LocalUnitPair, or None when the ring
+        has none and the bounded search must decide."""
         return None
 
 
@@ -134,13 +138,19 @@ class PathAlgebraOracle(GradedRingOracle):
     def exact_at(self, degree, size_bound):
         return self.spec.graph.all_paths_within(size_bound)
 
+    @property
+    def no_sinks(self):
+        return not self.spec.graph.sinks
+
     def identity(self):
         return identity_element(self.spec)
 
     def local_units(self, x, size_bound):
         """The constructive local units: a relative Cohn spec pulls back
         those of x's image in the Leavitt algebra of the cover through psi,
-        exactly and with no bound (regularity.local_unit_left).
+        exactly and with no bound (regularity.local_unit_left).  They exist
+        for every nonzero homogeneous x, so this never returns None, and a
+        failure is raised.
 
         Each pair is built once and kept, so check_nearly_epsilon and
         check_symmetric share it; a left unit is kept too, since the right
@@ -162,11 +172,6 @@ class PathAlgebraOracle(GradedRingOracle):
 
     def format(self, x):
         return format_element(x)
-
-    def products(self, xs, ys):
-        """The default's list, without the pairs whose paths cannot meet
-        (pathalg.nonzero_products)."""
-        return nonzero_products(self.spec, xs, ys)
 
 
 def _require_one(ring: Ring, what: str) -> None:
@@ -560,7 +565,7 @@ def check_symmetric(oracle: GradedRingOracle, degree_bound: int = 3,
         solve = None
         bad = None
         for s in span_d:
-            units = _oracle_units(oracle, s, size_bound)
+            units = oracle.local_units(s, size_bound)
             if units is not None:
                 _check_symmetric_unit(oracle, s, d, units.left)
                 continue
@@ -609,24 +614,31 @@ class StrongVerdict:
 def check_strong_Z(oracle: GradedRingOracle, size_bound: int = 3) -> StrongVerdict:
     """Degree-one criterion: 1 in S_1 S_-1 and 1 in S_-1 S_1.
 
-    Refuses oracles that do not declare degree-one generation; for path
-    algebra oracles the graph-side no-sinks criterion is reported alongside.
-    A Leavitt spec whose graph has no sinks holds exactly at every bound by
-    strong_factorization; the rest is decided by bounded span membership.
+    Refuses oracles that do not declare degree-one generation; the oracle's
+    no_sinks (path algebras) is reported alongside.  A path algebra is
+    decided at every bound: by strong_factorization, or else by eps_1 != 1.
+    Then z = 1 - eps_1 (the sinks, and v - sum_{s(e)=v} e e* for each v in
+    Reg(E) \\ X) is not 0 and kills every edge, and 1 = sum a_i b_i with
+    a_i in S_1 would give eps_1 = sum (eps_1 a_i) b_i = 1.  That failure is
+    marked at-bound where the spanning sets do not span, as the bounded
+    search printed it.  Other oracles are decided by bounded span membership.
     """
     if not oracle.degree_one_generated:
         raise NotDegreeOneGenerated(f"{oracle.name} lacks the degree-one flag")
     one = oracle.identity()
     if one is None:
         raise GralError("strong grading test needs a unital oracle")
-    no_sinks = None
+    no_sinks = oracle.no_sinks
+    exact = oracle.exact_at(1, size_bound) and oracle.exact_at(-1, size_bound)
     if isinstance(oracle, PathAlgebraOracle):
-        no_sinks = not oracle.spec.graph.sinks
         if strong_factorization(oracle.spec) is not None:
             return StrongVerdict(Verdict(HOLDS_EXACT), no_sinks)
+        if epsilon_element(oracle.spec, 1) == one:
+            raise InternalVerificationFailure("strong factorization declined, yet eps_1 = 1")
+        return StrongVerdict(_verdict(exact, "1 not reached in S_1 S_-1", size_bound),
+                             no_sinks)
     s1 = oracle.spanning(1, size_bound)
     sm1 = oracle.spanning(-1, size_bound)
-    exact = oracle.exact_at(1, size_bound) and oracle.exact_at(-1, size_bound)
     ok_pos = oracle.span_solve(one, oracle.products(s1, sm1)) is not None
     ok_neg = oracle.span_solve(one, oracle.products(sm1, s1)) is not None
     if ok_pos and ok_neg:
@@ -641,8 +653,7 @@ def strong_factorization(spec: AlgebraSpec):
     """Hazrat's criterion made constructive: for a Leavitt spec whose graph
     has no sinks, the pairs (a, b) of _strong_pairs, with 1 = sum a.b over
     a in S_1, b in S_-1 and again over a in S_-1, b in S_1; None for other
-    specs and for graphs with a sink (w.S_1 = 0 at a sink w, so 1 is not
-    in S_1 S_-1).  Both identities and every degree are checked by exact
+    specs.  Both identities and every degree are checked by exact
     multiplication; they hold for every finite graph without sinks, so a
     failure is a bug.
     """
@@ -650,89 +661,113 @@ def strong_factorization(spec: AlgebraSpec):
         return None
     one = identity_element(spec)
     pos, neg = _strong_pairs(spec)
-    for pairs, da, side in ((pos, 1, "S_1 S_-1"), (neg, -1, "S_-1 S_1")):
-        total = AlgebraElement.zero(spec)
-        for a, b in pairs:
-            if a.degree() != da or b.degree() != -da:
-                raise InternalVerificationFailure(
-                    f"strong factor pair in {side} has the wrong degree")
-            total = total + a * b
-        if total != one:
+    for pairs, d, side in ((pos, 1, "S_1 S_-1"), (neg, -1, "S_-1 S_1")):
+        if _factor_sum(spec, pairs, d, f"strong factor pair in {side}") != one:
             raise InternalVerificationFailure(f"1 is not the sum of its {side} pairs")
     return pos, neg
 
 
 def _strong_pairs(spec: AlgebraSpec):
-    """The pairs of strong_factorization for a graph without sinks.
-
-    S_1 S_-1: (e, e*) for every edge, as 1 = sum_e e e*.  S_-1 S_1: every
-    vertex is expanded along its out-edges (v = sum_{s(e)=v} e e*) until
-    the path p repeats a vertex, so 1 = sum p p* over these paths, each of
-    length at most |V|.  The last edges of p close a cycle at r(p), and the
-    last |p| + 1 edges of a walk around it give beta with r(beta) = r(p);
-    then p p* = (p beta*)(beta p*).
-    """
-    graph = spec.graph
-    pos = []
-    for e in graph.edges:
-        real, at_range = graph.make_path([e.name]), graph.vertex_path(e.dst)
-        pos.append((monomial_element(spec, Monomial(real, at_range)),
-                    monomial_element(spec, Monomial(at_range, real))))
-    neg = []
-    level = [(graph.vertex_path(v), (v,)) for v in sorted(graph.vertices)]
-    while level:
-        grown = []
-        for p, seen in level:
-            for e in graph.out_edges(p.dst):
-                q = graph.extend(p, e)
-                if e.dst not in seen:
-                    grown.append((q, seen + (e.dst,)))
-                    continue
-                cycle = q.edges[seen.index(e.dst):]
-                walk = cycle * (len(q) // len(cycle) + 1)
-                beta = graph.make_path(walk[-len(q) - 1:])
-                neg.append((monomial_element(spec, Monomial(q, beta)),
-                            monomial_element(spec, Monomial(beta, q))))
-        level = grown
-    return pos, neg
+    """The factor pairs of eps_1 and eps_-1 (_epsilon_paths).  Without sinks
+    every vertex is v = sum_{s(e)=v} e e*, so eps_1 = sum_e e e* = 1, and
+    M_1 drops no branch, so eps_-1 = sum q q* over M_1 = 1 too."""
+    return [_factor_pairs(spec, _epsilon_paths(spec.graph, n)) for n in (1, -1)]
 
 
 # ---------------------------------------------------------------------------
 # Epsilon-strong gradings
 
 
-def epsilon_element(spec: AlgebraSpec, n: int, size_bound: int = 3) -> AlgebraElement:
-    """Candidate epsilon at degree n for a Leavitt spec: sum of p p* over
-    all length-|n| paths.  For negative n the same element acts from the
-    other side.  Both unit relations are checked on the bounded spanning
-    sets; they hold for every finite graph, so a failure is a bug."""
-    return _checked_epsilon(PathAlgebraOracle(spec), n, size_bound)
+def epsilon_element(spec: AlgebraSpec, n: int) -> AlgebraElement:
+    """The epsilon of degree n of a Leavitt or relative Cohn spec in closed
+    form (Nystedt and Oinert): the one element of S_n S_-n that is a left
+    unit on S_n and a right unit on S_-n.
 
-
-def _checked_epsilon(oracle: PathAlgebraOracle, n, size_bound):
-    """epsilon_element, checked on the oracle's spanning sets."""
-    spec = oracle.spec
-    if not spec.is_leavitt:
-        raise GralError("epsilon_element needs a Leavitt spec")
-    n = abs(n)
-    eps = AlgebraElement.zero(spec)
-    for p in spec.graph.paths(n):
-        eps = eps + monomial_element(spec, Monomial(p, p))
-    for s in oracle.spanning(n, size_bound):
-        if eps * s != s:
-            raise InternalVerificationFailure(f"epsilon_{n} fails on {format_element(s)}")
-    for s in oracle.spanning(-n, size_bound):
-        if s * eps != s:
-            raise InternalVerificationFailure(f"epsilon_{-n} fails on {format_element(s)}")
+    It is the sum of q q* = (q c*)(c q*) over the pairs (q, c) of
+    _epsilon_paths, with q c* in S_n and c q* in S_-n.  For n >= 0 that is
+    eps_n = sum_{|p|=n} p p*.  Only (CK1), p* q = delta_{p,q} r(p) for
+    paths of one length, is used, so it holds in every C^X(E).  Every
+    monomial a b* of S_n has a = q a' for one of the paths q, and so has
+    every b of S_-n.  So eps q = q and q* eps = q* prove both unit relations
+    on all of S_n and S_-n, at every bound; they are checked exactly, with
+    the factor pairs' degrees and sum.  They hold for every finite graph and
+    X, so a failure is a bug.
+    """
+    paths = _epsilon_paths(spec.graph, n)
+    eps = sum((monomial_element(spec, Monomial(q, q)) for q, _ in paths),
+              AlgebraElement.zero(spec))
+    for q, _ in paths:
+        x = monomial_element(spec, Monomial(q, spec.graph.vertex_path(q.dst)))
+        if eps * x != x or x.involution() * eps != x.involution():
+            raise InternalVerificationFailure(f"epsilon_{n} fails on {format_element(x)}")
+    if _factor_sum(spec, _factor_pairs(spec, paths), n, f"epsilon_{n} factor pair") != eps:
+        raise InternalVerificationFailure(f"epsilon_{n} is not the sum of its factor pairs")
     return eps
+
+
+def _epsilon_paths(graph, n: int):
+    """Pairs (q, c) of paths with r(c) = r(q) and |q| - |c| = n: for n >= 0
+    the paths q of length n, with c = r(q); for n < 0 the set M_-n.
+
+    M_-n: each vertex, in sorted order, is expanded along its out-edges,
+    and a path q is kept, with no further expansion, once r(q) receives a
+    path c of length |q| - n (found from the path counts); a branch that
+    ends at a sink is dropped.  A path into a vertex on a cycle is always
+    kept, so each branch stops within |V| - 1 edges.  A path a whose range
+    receives a path of length |a| - n extends exactly one kept q.
+    """
+    if n >= 0:
+        return [(p, graph.vertex_path(p.dst)) for p in graph.paths(n)]
+    counts = graph.path_counts(len(graph.vertices) - 1 - n)
+    pairs = []
+    level = [graph.vertex_path(v) for v in sorted(graph.vertices)]
+    while level:
+        grown = []
+        for q in level:
+            if counts[len(q) - n][q.dst]:
+                pairs.append((q, _path_into(graph, counts, q.dst, len(q) - n)))
+            else:
+                grown.extend(graph.extend(q, e) for e in graph.out_edges(q.dst))
+        level = grown
+    return pairs
+
+
+def _path_into(graph, counts, v, length):
+    """A path of the given length (at least 1) into v, which counts (of
+    Graph.path_counts) says exists: built backwards from v, each step along
+    the first edge whose source receives a path one edge shorter."""
+    edges = []
+    for k in range(length, 0, -1):
+        e = next(e for e in graph.edges if e.dst == v and counts[k - 1][e.src])
+        edges.append(e.name)
+        v = e.src
+    return graph.make_path(reversed(edges))
+
+
+def _factor_pairs(spec, paths):
+    """The elements (q c*, c q*) of the path pairs (q, c)."""
+    return [(monomial_element(spec, Monomial(q, c)), monomial_element(spec, Monomial(c, q)))
+            for q, c in paths]
+
+
+def _factor_sum(spec, pairs, d, what):
+    """sum a.b over the pairs, each a of degree d and b of degree -d; a
+    wrong degree is a bug."""
+    total = AlgebraElement.zero(spec)
+    for a, b in pairs:
+        if a.degree() != d or b.degree() != -d:
+            raise InternalVerificationFailure(f"{what} has the wrong degree")
+        total = total + a * b
+    return total
 
 
 def check_epsilon_strong(oracle: GradedRingOracle, degree_bound: int = 3,
                          size_bound: int = 3):
     """Per degree, a single element of the bounded S_d S_-d span acting as a
-    left unit on S_d and a right unit on S_{-d}; records the epsilon found."""
-    if isinstance(oracle, PathAlgebraOracle) and oracle.spec.is_leavitt:
-        return _epsilon_leavitt(oracle, degree_bound, size_bound)
+    left unit on S_d and a right unit on S_{-d}; records the epsilon found.
+    A path algebra's epsilons come from epsilon_element instead."""
+    if isinstance(oracle, PathAlgebraOracle):
+        return _epsilon_path_algebra(oracle, degree_bound, size_bound)
     rows, table = [], []
     for d in range(-degree_bound, degree_bound + 1):
         span_d = oracle.spanning(d, size_bound)
@@ -759,13 +794,20 @@ def solve_combination(oracle, elements, equations):
         [y for y, _ in equations])
 
 
-def _epsilon_leavitt(oracle: PathAlgebraOracle, degree_bound, size_bound):
-    exact = oracle.exact_at(0, size_bound)
+def _epsilon_path_algebra(oracle: PathAlgebraOracle, degree_bound, size_bound):
+    """The rows of epsilon_element's closed forms.  A relative Cohn spec has
+    one row and one table entry per degree.  A Leavitt spec has one row +-n
+    per pair of degrees and eps_n in the table; eps_-n is formed and
+    checked too, but not printed."""
+    spec = oracle.spec
+    verdict = _verdict(oracle.exact_at(0, size_bound))
     rows, table = [], []
-    for n in range(degree_bound + 1):
-        eps = _checked_epsilon(oracle, n, size_bound)
-        rows.append(ReportRow("epsilon-strong", f"+-{n}" if n else "0", _verdict(exact)))
-        table.append((n, format_element(eps)))
+    for d in range(-degree_bound, degree_bound + 1):
+        eps = epsilon_element(spec, d)
+        if not spec.is_leavitt or d >= 0:
+            label = str(d) if not spec.is_leavitt else f"+-{d}" if d else "0"
+            rows.append(ReportRow("epsilon-strong", label, verdict))
+            table.append((d, format_element(eps)))
     return _combine(rows), rows, tuple(table)
 
 
@@ -778,8 +820,8 @@ def check_nearly_epsilon(target, degree_bound: int = 3, size_bound: int = 3):
     for every bounded spanning element of S_d.
 
     Each element first gets the oracle's own units (local_units); when the
-    oracle has none or refuses, the bounded search solve_combination decides,
-    over product lists formed once per degree, when first needed.
+    oracle has none, the bounded search solve_combination decides, over
+    product lists formed once per degree, when first needed.
     """
     oracle = _as_oracle(target)
     rows = []
@@ -790,7 +832,7 @@ def check_nearly_epsilon(target, degree_bound: int = 3, size_bound: int = 3):
         exact = oracle.exact_at(d, size_bound) and oracle.exact_at(-d, size_bound)
         products = {}  # side -> S_d S_-d ("left") or S_-d S_d ("right")
         for s in span_d:
-            if _oracle_units(oracle, s, size_bound) is not None:
+            if oracle.local_units(s, size_bound) is not None:
                 continue
             side = _missing_unit(oracle, s, d, size_bound, products)
             if side is not None:
@@ -802,15 +844,6 @@ def check_nearly_epsilon(target, degree_bound: int = 3, size_bound: int = 3):
     if not rows:
         rows.append(ReportRow("nearly-epsilon", "*", Verdict(HOLDS_EXACT)))
     return _combine(rows), rows
-
-
-def _oracle_units(oracle, x, size_bound):
-    """The oracle's units for x, or None when it has none or refuses; a
-    failed self-check is a bug and propagates."""
-    try:
-        return oracle.local_units(x, size_bound)
-    except GralError:
-        return None
 
 
 def _missing_unit(oracle, s, d, size_bound, products):

@@ -139,6 +139,15 @@ class Graph:
             level = [p for p in level if p.dst == target]
         return sorted(level, key=Path.sort_key)
 
+    def path_counts(self, n: int):
+        """[{v: |P(i, v)|} for i = 0..n], counted without listing a path."""
+        counts = [dict.fromkeys(self.vertices, 1)]
+        for _ in range(n):
+            counts.append(dict.fromkeys(self.vertices, 0))
+            for e in self.edges:
+                counts[-1][e.dst] += counts[-2][e.src]
+        return counts
+
     def longest_path_length(self) -> Optional[int]:
         """Max path length for acyclic graphs, None if the graph has a cycle."""
         if not is_acyclic(self):

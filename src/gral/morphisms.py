@@ -228,10 +228,14 @@ def cohn_inverse(phi: AlgebraHom) -> AlgebraHom:
 def cohn_isomorphism(spec: AlgebraSpec):
     """(phi, psi) of a relative Cohn spec, psi.phi and phi.psi checked to be
     the identity on generators; built once and kept on the spec, as its
-    block structures are.  They invert each other for every finite graph
-    and X, so a failed check is a bug."""
+    block structures are.  Both are homomorphisms and invert each other for
+    every finite graph and X, so a relation that either breaks, or a failed
+    check, is a bug (InternalVerificationFailure)."""
     if spec._cohn is None:
-        phi = cohn_to_leavitt(CohnPair(spec.graph, spec.x), spec.ring)
+        try:
+            phi = cohn_to_leavitt(CohnPair(spec.graph, spec.x), spec.ring)
+        except RelationViolation as exc:
+            raise InternalVerificationFailure(f"phi: {exc}") from exc
         try:
             psi = cohn_inverse(phi)
         except RelationViolation as exc:

@@ -292,9 +292,7 @@ class AlgebraElement:
 
     def raw_product(self, other) -> dict:
         """The product's terms before relation-(v) reduction: monomial ->
-        nonzero coefficient, summed over the term pairs.  Equal raw products
-        have equal normal forms, so nonzero_products reduces each distinct
-        one once."""
+        nonzero coefficient, summed over the term pairs."""
         if other.spec is not self.spec:
             self._check(other)
         ring = self.spec.ring
@@ -370,50 +368,6 @@ class AlgebraElement:
 
     def __repr__(self):
         return format_element(self)
-
-
-def nonzero_products(spec: AlgebraSpec, xs, ys) -> list:
-    """The distinct nonzero products x.y, x in xs and y in ys, in the order
-    in which they first occur (xs outer, ys inner).
-
-    (a b*)(c d*) is nonzero only if b and c start at one vertex and one is
-    a prefix of the other, so each x meets only the ys with a term whose
-    real path starts at the source of a ghost path of x, along the same
-    first edge or at the vertex itself; the other pairs are skipped.  Equal
-    raw products have equal normal forms, so each distinct raw product is
-    reduced once.  A normal form first occurs at the first pair whose raw
-    product reduces to it, and that raw product is first seen at the same
-    pair, so the list is the one of all pairs, element for element and in
-    order.
-    """
-    by_start = {}   # (source, first edge or None) of a real path -> ys
-    by_source = {}  # source of a real path -> ys
-    for j, y in enumerate(ys):
-        for m in y.terms:
-            c = m.alpha
-            by_start.setdefault((c.src, c.edges[0] if c.edges else None), set()).add(j)
-            by_source.setdefault(c.src, set()).add(j)
-    empty = frozenset()
-    raws = {}
-    for x in xs:
-        meets = set()
-        for m in x.terms:
-            b = m.beta
-            if b.edges:
-                meets |= by_start.get((b.src, b.edges[0]), empty)
-                meets |= by_start.get((b.src, None), empty)
-            else:
-                meets |= by_source.get(b.src, empty)
-        for j in sorted(meets):
-            raw = x.raw_product(ys[j])
-            if raw:
-                raws.setdefault(frozenset(raw.items()), raw)
-    out = {}
-    for raw in raws.values():
-        p = AlgebraElement(spec, _reduce(spec, raw, spec.ring))
-        if p.terms:
-            out.setdefault(p, p)
-    return list(out)
 
 
 def format_element(x: AlgebraElement) -> str:
@@ -554,12 +508,7 @@ class BlockStructure:
         g = spec.graph
         keys = [(i, v) for i in range(n) for v in sorted(g.sinks)]
         keys += [(n, v) for v in sorted(g.vertices)]
-        # |P(i, v)| for i <= n, counted before any path is listed
-        counts = [dict.fromkeys(g.vertices, 1)]
-        for _ in range(n):
-            counts.append(dict.fromkeys(g.vertices, 0))
-            for e in g.edges:
-                counts[-1][e.dst] += counts[-2][e.src]
+        counts = g.path_counts(n)  # before any path is listed
         self._rank = within_cap(sum(counts[i][v] ** 2 for i, v in keys), "block structure")
         self.keys = tuple(keys)
         self.labels = {(i, v): tuple(g.paths(i, v)) for (i, v) in keys}

@@ -134,8 +134,8 @@ def test_criterion_05_epsilon_structure():
     for name, make in SIX_GRAPHS.items():
         for n_ring in (2, 6):
             spec = leavitt(make(), n_ring)
-            for n in range(4):
-                eps = epsilon_element(spec, n, size_bound=3)
+            for n in range(-3, 4):
+                eps = epsilon_element(spec, n)
                 for m in reduced_monomials(spec, degree=n, max_len=3):
                     s = monomial_element(spec, m)
                     ok = ok and eps * s == s

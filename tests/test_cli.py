@@ -250,8 +250,8 @@ epsilon degree=2 element=0
 
 
 def test_lpa_classify_cohn_epsilon_table_pinned(files, capsys):
-    # the relative Cohn spec goes through the generic span solver, so this
-    # pins the solver-dependent epsilon table byte for byte
+    # the relative Cohn spec's epsilon table, one closed form per degree,
+    # pinned byte for byte; the bounded search printed the same table
     code = main(["lpa", "classify", "--graph", files["efvw_cohn"], "--ring", files["z4"],
                  "--degree-bound", "2", "--size-bound", "3"])
     assert code == 0
@@ -277,8 +277,8 @@ GOLDEN_GRAPHS = {
     ("span", "z2", 4), ("toeplitz", "z6", 3), ("rose2", "z4", 3)])
 def test_lpa_classify_golden(files, capsys, graph, ring, size_bound):
     # the symmetric rows from local units and the strong row from the
-    # factorization (span, rose2) or the span search (toeplitz has a sink)
-    # print what the bounded search printed, byte for byte
+    # factorization (span, rose2) or the sink (toeplitz) print what the
+    # bounded search printed, byte for byte
     code = main(["lpa", "classify", "--graph", write(files["tmp"] / f"{graph}.json",
                                                      GOLDEN_GRAPHS[graph]),
                  "--ring", files[ring], "--degree-bound", "3",
@@ -286,6 +286,37 @@ def test_lpa_classify_golden(files, capsys, graph, ring, size_bound):
     assert code == 0
     expected = GOLDEN / f"classify_{graph}_{ring}_3_{size_bound}.txt"
     assert capsys.readouterr().out == expected.read_text()
+
+
+def _no_search(*args, **kwargs):
+    raise AssertionError("a path algebra reached the bounded search")
+
+
+@pytest.mark.parametrize("graph, ring, degree_bound, size_bound", [
+    ("span", "z2", 3, 4), ("toeplitz", "z6", 3, 3), ("rose2", "z4", 3, 3),
+    ("toeplitz", "table_z2xz2", 2, 2),
+    ("efvwcohn", "z4", 2, 3), ("spancohn", "z6", 2, 2), ("rose2cohn", "table_upper_z2", 2, 2)])
+def test_path_algebra_classify_runs_no_search(files, capsys, monkeypatch,
+                                              graph, ring, degree_bound, size_bound):
+    # every row of a Leavitt or relative Cohn spec, with or without sinks,
+    # comes from a certificate: with the span search and the product lists
+    # refused, classify prints the pinned report
+    monkeypatch.setattr(gradedstruct, "combination_solver", _no_search)
+    monkeypatch.setattr(gradedstruct.GradedRingOracle, "products", _no_search)
+    graphs = {"efvwcohn": json.loads(Path(files["efvw_cohn"]).read_text()),
+              "spancohn": dict(GOLDEN_GRAPHS["span"], x=[]),
+              "rose2cohn": dict(GOLDEN_GRAPHS["rose2"], x=[]), **GOLDEN_GRAPHS}
+    rings = {"table_z2xz2": table_z2xz2(), "table_upper_z2": table_upper_z2()}
+    ring_file = write(files["tmp"] / f"{ring}.json", ring_spec(rings[ring])) \
+        if ring in rings else files[ring]
+    code = main(["lpa", "classify", "--graph", write(files["tmp"] / f"{graph}.json",
+                                                     graphs[graph]),
+                 "--ring", ring_file, "--degree-bound", str(degree_bound),
+                 "--size-bound", str(size_bound)])
+    assert code == 0
+    expected = COHN_EFVW_Z4_CLASSIFY if graph == "efvwcohn" else \
+        (GOLDEN / f"classify_{graph}_{ring}_{degree_bound}_{size_bound}.txt").read_text()
+    assert capsys.readouterr().out == expected
 
 
 @pytest.mark.parametrize("name, graph, ring, degree_bound", [

@@ -1,5 +1,6 @@
 """Grading classification, epsilon structure, radical and semiprimeness."""
 
+import dataclasses
 import itertools
 import json
 
@@ -16,11 +17,11 @@ from gral.cli import main
 from gral.coeffring import ModularRing, is_vnr, ring_spec
 from gral.cornerlaurent import CslAlgebra, format_csl
 from gral.errors import (GralError, InternalVerificationFailure,
-                         NotDegreeOneGenerated)
+                         NotDegreeOneGenerated, RelationViolation)
 from gral.graphs import CohnPair, Graph, graph_to_dict
 from gral.gradedstruct import (CslOracle, GradedRingOracle,
                                MatrixGradingOracle, PathAlgebraOracle,
-                               PolynomialOracle, TrivialGradingOracle,
+                               PolynomialOracle, ReportRow, TrivialGradingOracle,
                                check_epsilon_strong,
                                check_nearly_epsilon, check_strong_Z,
                                check_symmetric, classify, epsilon_element,
@@ -29,8 +30,8 @@ from gral.gradedstruct import (CslOracle, GradedRingOracle,
                                strong_factorization,
                                zero_multiplication_ring)
 from gral.pathalg import (AlgebraElement, AlgebraSpec, format_element,
-                          identity_element, monomial_element, normal_form,
-                          reduced_monomials, word_element)
+                          identity_element, monomial_element, reduced_monomials,
+                          word_element)
 from gral.regularity import (LocalUnitPair, UnitFactorization,
                              graded_vnr_verdict)
 
@@ -89,69 +90,6 @@ def test_symmetric_csl_identity_corner_builds_no_closure(z4, monkeypatch):
     assert spans == []
 
 
-@st.composite
-def path_product_inputs(draw):
-    """(oracle, xs, ys) over a random graph on at most three vertices and
-    four edges, Z/2..Z/6, Leavitt or Cohn with X empty: xs and ys are lists
-    (with repeats) of monomials of S_d and S_-d, or of combinations of up to
-    three of them, with coefficients that may be zero."""
-    vertices = ["u", "v", "w"][:draw(st.integers(1, 3))]
-    ends = draw(st.lists(st.tuples(st.sampled_from(vertices), st.sampled_from(vertices)),
-                         min_size=1, max_size=4))
-    graph = Graph(vertices, [(name, a, b) for name, (a, b) in zip("abcd", ends)])
-    ring = ModularRing(draw(st.integers(2, 6)))
-    spec = (AlgebraSpec.leavitt(graph, ring) if draw(st.booleans())
-            else AlgebraSpec.cohn(graph, ring, []))
-    d, bound = draw(st.integers(-2, 2)), draw(st.integers(1, 2))
-    monomials = draw(st.booleans())
-
-    def elements(degree):
-        pool = reduced_monomials(spec, degree=degree, max_len=bound)
-        if not pool:
-            return []
-        terms = st.dictionaries(st.sampled_from(pool), st.sampled_from(ring.elements()),
-                                min_size=1, max_size=1 if monomials else 3)
-        return [AlgebraElement.make(spec, t) for t in draw(st.lists(terms, max_size=8))]
-    return PathAlgebraOracle(spec), elements(d), elements(-d)
-
-
-@given(path_product_inputs())
-def test_path_products_match_the_default(inputs):
-    # the path-algebra list skips the pairs whose paths cannot meet and
-    # reduces each distinct raw product once; it must be the default's,
-    # element for element and in order, since the epsilon search picks its
-    # answer from that order; the inner products S_d.S_-d are multi-term
-    # inputs for the triple
-    oracle, xs, ys = inputs
-    inner = GradedRingOracle.products(oracle, xs, ys)
-    for left, right in ((xs, ys), (ys, xs), (inner, xs), (xs, inner)):
-        assert oracle.products(left, right) == GradedRingOracle.products(oracle, left, right)
-
-
-def test_path_products_drop_zeros_and_repeated_normal_forms(z2):
-    # on the Leavitt rose2 over Z/2, x = v + ef* + fe* has x.x = 0 although
-    # its raw sum is not empty, and e.e* and (v + ff*).v are different raw
-    # sums with one normal form; both also occur in the symmetric triples
-    spec = AlgebraSpec.leavitt(graph_rose2(), z2)
-    oracle = PathAlgebraOracle(spec)
-    x = normal_form(spec, [["v"], ["e", "f*"], ["f", "e*"]])
-    e, es, v = (word_element(spec, [w]) for w in ("e", "e*", "v"))
-    u = normal_form(spec, [["v"], ["f", "f*"]])
-    assert x.raw_product(x) and (x * x).is_zero
-    assert e.raw_product(es) != u.raw_product(v) and e * es == u * v == u
-    got = oracle.products([x, e, u], [x, es, v])
-    assert got == GradedRingOracle.products(oracle, [x, e, u], [x, es, v])
-    assert [format_element(p) for p in got] == [
-        "e* + e(ef)* + f(ee)*", "v + ef* + fe*", "e + eef* + efe*", "v + ff*", "e",
-        "v + ef* + ff*", "e* + f(ef)*"]
-    for d in range(-2, 3):
-        span_d, span_md = oracle.spanning(d, 2), oracle.spanning(-d, 2)
-        inner = oracle.products(span_d, span_md)
-        assert inner == GradedRingOracle.products(oracle, span_d, span_md)
-        assert oracle.products(inner, span_d) == \
-            GradedRingOracle.products(oracle, inner, span_d)
-
-
 # -- epsilon elements --------------------------------------------------------------
 
 
@@ -169,8 +107,8 @@ def test_epsilon_element_examples(z2):
 def test_epsilon_element_relations_all_graphs():
     for name, make in SIX_GRAPHS.items():
         spec = leavitt(make(), 6)
-        for n in range(4):
-            eps = epsilon_element(spec, n, size_bound=3)
+        for n in range(-3, 4):
+            eps = epsilon_element(spec, n)
             for m in reduced_monomials(spec, degree=n, max_len=3):
                 s = monomial_element(spec, m)
                 assert eps * s == s, (name, n)
@@ -180,8 +118,30 @@ def test_epsilon_element_relations_all_graphs():
 
 
 def test_epsilon_element_negative_other_side(z2):
+    # eps_-1 is in S_-1 S_1: f*f = w, a left unit on S_-1 (spanned by f*)
+    # and a right unit on S_1 (spanned by f); eps_1 = ff* = v is neither
     spec = leavitt(graph_vw(), 2)
-    assert epsilon_element(spec, -1) == epsilon_element(spec, 1)
+    assert format_element(epsilon_element(spec, -1)) == "w"
+    assert epsilon_element(spec, -1) == word_element(spec, ["f*", "f"])
+    assert format_element(epsilon_element(spec, 1)) == "v"
+
+
+FUW = Graph(["u", "w"], [("f", "u", "w"), ("e", "w", "w")])
+
+
+@pytest.mark.parametrize("x, eps", [([], "w + ff*"), (["u"], "u + w")])
+def test_epsilon_element_reaches_past_a_source(x, eps):
+    # on {f: u->w, e: w->w} the element f(eee)* of S_-2 starts at the source
+    # u, so w is no left unit on S_-2 (w.f(eee)* = 0): the bounded search
+    # took w for a unit while f(eee)* was past the size bound; the closed
+    # form keeps the path f, whose range w receives paths of every length
+    spec = AlgebraSpec(FUW, ModularRing(2), x)
+    x = word_element(spec, ["f", "e*", "e*", "e*"])
+    w = word_element(spec, ["w"])
+    assert (w * x).is_zero and not x.is_zero
+    for n in (1, 2, 3):
+        assert format_element(epsilon_element(spec, -n)) == eps
+    assert epsilon_element(spec, -2) * x == x
 
 
 # -- strong ---------------------------------------------------------------------
@@ -217,10 +177,43 @@ def test_strong_matrix_oracle_not_strong(z2):
 CERTIFIED_GRAPHS = {**SIX_GRAPHS, "vwu": graph_vwu, "span": graph_span}
 
 
-def _search_only(monkeypatch):
-    """Force the bounded span search: no local units, no strong route."""
-    monkeypatch.setattr(PathAlgebraOracle, "local_units", lambda self, x, size_bound: None)
-    monkeypatch.setattr(gradedstruct, "strong_factorization", lambda spec: None)
+class _GenericView:
+    """A path algebra read through the bounded span search alone: a
+    duck-typed view of the oracle, with its name, that is no
+    PathAlgebraOracle (so no closed-form epsilon or strong route) and has
+    no local units."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.name = inner.name
+        self.degree_one_generated = inner.degree_one_generated
+
+    def __getattr__(self, name):
+        return getattr(self.inner, name)
+
+    def local_units(self, x, size_bound):
+        return None
+
+
+def _search_only(spec):
+    return _GenericView(PathAlgebraOracle(spec))
+
+
+def _per_degree(report, spec):
+    """The report's text with a Leavitt spec's epsilon rows +-n and table
+    laid out per degree, as the span search prints them, eps_-n taken from
+    epsilon_element; a relative Cohn report's text as it is."""
+    if not spec.is_leavitt:
+        return report.to_text()
+    eps = {int(row.degree.lstrip("+-")): row.verdict for row in report.rows
+           if row.property == "epsilon-strong"}
+    top = max(eps)
+    rows = [row for row in report.rows if row.property == "strong"] + \
+        [ReportRow("epsilon-strong", str(d), eps[abs(d)]) for d in range(-top, top + 1)] + \
+        [row for row in report.rows if row.property in ("nearly-epsilon", "symmetric")]
+    table = tuple((d, format_element(epsilon_element(spec, d))) for d in range(-top, top + 1))
+    assert table[top:] == report.eps_table
+    return dataclasses.replace(report, rows=tuple(rows), eps_table=table).to_text()
 
 
 def _rows(report, *props):
@@ -231,14 +224,13 @@ def _rows(report, *props):
 @pytest.mark.parametrize("bound", [2, 3])
 @pytest.mark.parametrize("n", [2, 4, 6])
 @pytest.mark.parametrize("name", sorted(CERTIFIED_GRAPHS))
-def test_certified_rows_match_the_span_search(monkeypatch, name, n, bound):
+def test_certified_rows_match_the_span_search(name, n, bound):
     # the symmetric rows from local units and the strong row from the
     # factorization are the rows the bounded span search gives
     spec = leavitt(CERTIFIED_GRAPHS[name](), n)
     certified = classify(spec, bound, bound)
-    _search_only(monkeypatch)
     assert _rows(certified, "strong", "symmetric") == \
-        _rows(classify(spec, bound, bound), "strong", "symmetric")
+        _rows(classify(_search_only(spec), bound, bound), "strong", "symmetric")
 
 
 @given(small_graphs(), st.sampled_from([2, 4, 6]))
@@ -260,7 +252,7 @@ def test_strong_factorization_verifies_or_declines_at_sinks(graph, n):
 @pytest.mark.parametrize("name, bound, side", [
     ("span", 0, "S_1 S_-1"), ("loop", 0, "S_1 S_-1"),
     ("source_loop", 1, "S_-1 S_1"), ("source_cycle3", 1, "S_-1 S_1")])
-def test_strong_row_holds_exactly_below_the_old_bound(monkeypatch, name, bound, side):
+def test_strong_row_holds_exactly_below_the_old_bound(name, bound, side):
     # a graph without sinks is strongly graded; the bounded search could not
     # see it at size bound 0, nor at 1 when S_-1 S_1 needs paths out of a
     # source, and printed an at-bound failure instead
@@ -273,16 +265,49 @@ def test_strong_row_holds_exactly_below_the_old_bound(monkeypatch, name, bound, 
     strong = _rows(classify(spec, 3, bound), "strong")
     assert strong == ["property=strong degree=* verdict=holds-exactly witness=no-sinks=yes",
                       "strong holds-exactly"]
-    _search_only(monkeypatch)
-    assert _rows(classify(spec, 3, bound), "strong") == [
+    assert _rows(classify(_search_only(spec), 3, bound), "strong") == [
         f"property=strong degree=* verdict=fails witness=1 not reached in {side} "
         "at-bound no-sinks=yes",
         f"strong fails (1 not reached in {side} at-bound)"]
 
 
+@st.composite
+def path_algebra_specs(draw, acyclic):
+    """A Leavitt or relative Cohn spec: a graph on one to four vertices
+    with up to five edges (each from a lower to a higher vertex when
+    acyclic), a random X in Reg(E), over Z/2..Z/6."""
+    vertices = ["u", "v", "w", "z"][:draw(st.integers(1, 4))]
+    pairs = [(a, b) for i, a in enumerate(vertices) for j, b in enumerate(vertices)
+             if i < j or not acyclic]
+    ends = draw(st.lists(st.sampled_from(pairs), max_size=5)) if pairs else []
+    graph = Graph(vertices, [(name, a, b) for name, (a, b) in zip("abcde", ends)])
+    x = [v for v in graph.regular if draw(st.booleans())]
+    return AlgebraSpec(graph, ModularRing(draw(st.integers(2, 6))), x)
+
+
+@given(path_algebra_specs(acyclic=True))
+def test_closed_form_classify_matches_the_span_search_on_acyclic_graphs(spec):
+    # at a bound covering the longest path every component is spanned, the
+    # search's answers are exact, and an epsilon is unique in S_d S_-d: so
+    # the certified report must be the search's, epsilon table included
+    bound = spec.graph.longest_path_length()
+    assert classify(_search_only(spec), bound, bound).to_text() == \
+        _per_degree(classify(spec, bound, bound), spec)
+
+
+@given(path_algebra_specs(acyclic=False))
+def test_closed_form_epsilons_pass_the_bounded_unit_checks(spec):
+    # the equations the bounded search asks of its epsilon, on every graph
+    oracle = PathAlgebraOracle(spec)
+    for d in range(-2, 3):
+        eps = epsilon_element(spec, d)
+        assert all(eps * s == s for s in oracle.spanning(d, 2)), d
+        assert all(t * eps == t for t in oracle.spanning(-d, 2)), d
+
+
 @pytest.mark.parametrize("ring", [table_z2xz2(), table_upper_z2()],
                          ids=["table_z2xz2", "table_upper_z2"])
-def test_table_ring_classify_completes_from_certificates(monkeypatch, ring):
+def test_table_ring_classify_completes_from_certificates(ring):
     # the certified rows need no solve; the span search over a table ring
     # solves in additive coordinates, with no cap, and gives the same report
     spec = AlgebraSpec.leavitt(graph_rose2(), ring)
@@ -290,8 +315,7 @@ def test_table_ring_classify_completes_from_certificates(monkeypatch, ring):
     assert [(name, v.status) for name, v in certified.summary] == [
         ("strong", "holds-exactly"), ("epsilon-strong", "holds-at-bound"),
         ("nearly-epsilon", "holds-at-bound"), ("symmetric", "holds-at-bound")]
-    _search_only(monkeypatch)
-    assert classify(spec, 2, 2).to_text() == certified.to_text()
+    assert classify(_search_only(spec), 2, 2).to_text() == _per_degree(certified, spec)
 
 
 def test_table_ring_strong_row_fails_at_a_sink():
@@ -321,16 +345,16 @@ def test_upper_triangular_corner_classify_holds_exactly(alpha):
 
 
 def test_leavitt_classify_reads_certificates(monkeypatch):
-    # no product list is formed on a graph without sinks, only the strong
-    # row's two on a graph with one; every spanning element has its left
-    # unit built once, the right units being the mirrors of the others
+    # no product list is formed, with or without a sink; every spanning
+    # element has its left unit built once, the right units being the
+    # mirrors of the others
     lefts, products = [], []
-    real_left, real_products = gradedstruct.local_unit_left, PathAlgebraOracle.products
+    real_left, real_products = gradedstruct.local_unit_left, GradedRingOracle.products
     monkeypatch.setattr(gradedstruct, "local_unit_left",
                         lambda x: lefts.append(x) or real_left(x))
-    monkeypatch.setattr(PathAlgebraOracle, "products",
+    monkeypatch.setattr(GradedRingOracle, "products",
                         lambda oracle, xs, ys: products.append(1) or real_products(oracle, xs, ys))
-    for make, formed in ((graph_span, 0), (graph_toeplitz, 2)):
+    for make in (graph_span, graph_toeplitz):
         oracle = PathAlgebraOracle(leavitt(make(), 2))
         lefts.clear()
         products.clear()
@@ -339,7 +363,7 @@ def test_leavitt_classify_reads_certificates(monkeypatch):
         spanning = [s for d in range(-3, 4) for s in oracle.spanning(d, 3)]
         assert len(lefts) == len(set(lefts)) == len(spanning)
         assert set(lefts) == set(spanning)
-        assert len(products) == formed
+        assert products == []
 
 
 # -- epsilon strong -----------------------------------------------------------------
@@ -404,18 +428,6 @@ def test_epsilon_strong_leavitt_vw(z2):
     assert dict(table)[1] == "v"  # ff* reduces to v
 
 
-class _GenericView:
-    """Duck-typed delegating wrapper that forces the generic solver route."""
-
-    def __init__(self, inner):
-        self.inner = inner
-        self.name = "generic:" + inner.name
-        self.degree_one_generated = inner.degree_one_generated
-
-    def __getattr__(self, name):
-        return getattr(self.inner, name)
-
-
 def test_epsilon_generic_solver_agrees_with_closed_form(z2):
     # dual route: the generic per-degree solver must find epsilons matching
     # the closed-form construction on a finite-dimensional instance
@@ -427,7 +439,7 @@ def test_epsilon_generic_solver_agrees_with_closed_form(z2):
     assert got[1] == format_element(epsilon_element(spec, 1))
     assert got[0] == format_element(epsilon_element(spec, 0))
     # the degree -1 entry is f*f = w, left-uniting S_-1 and right-uniting S_1
-    assert got[-1] == format_element(word_element(spec, ["f*", "f"]))
+    assert got[-1] == format_element(epsilon_element(spec, -1)) == "w"
 
 
 def test_epsilon_strong_fails_nonunital_fixture():
@@ -676,19 +688,14 @@ def test_path_oracle_local_units(z2):
 
 
 def test_nearly_products_formed_once_per_degree(monkeypatch):
-    # with every transport through psi refused, each element falls back to
-    # the bounded search, which shares one S_d S_-d and one S_-d S_d list
-    # per degree
+    # without local units each element is decided by the bounded search,
+    # which shares one S_d S_-d and one S_-d S_d list per degree
     spec = AlgebraSpec.cohn(graph_vw(), ModularRing(2), [])
-
-    def refuse(*args, **kwargs):
-        raise GralError("transport refused")
-    monkeypatch.setattr(regularity, "cohn_isomorphism", refuse)
     calls = []
-    real = PathAlgebraOracle.products
-    monkeypatch.setattr(PathAlgebraOracle, "products",
+    real = GradedRingOracle.products
+    monkeypatch.setattr(GradedRingOracle, "products",
                         lambda oracle, xs, ys: calls.append(1) or real(oracle, xs, ys))
-    verdict, rows = check_nearly_epsilon(spec, 2, 2)
+    verdict, rows = check_nearly_epsilon(_search_only(spec), 2, 2)
     assert verdict.holds
     assert len(rows) == 3 and len(calls) == 2 * len(rows)
 
@@ -697,6 +704,25 @@ def _raise_internal(real):
     def planted(*args, **kwargs):
         raise InternalVerificationFailure("planted")
     return planted
+
+
+def _raise_relation(real):
+    def planted(*args, **kwargs):
+        raise RelationViolation("(ii)", "planted")
+    return planted
+
+
+def _short_epsilon_companion(real):
+    # a path into v one edge shorter than asked for: the factor pair of
+    # eps_-n gets degrees 1 - n and n - 1
+    def path_into(graph, counts, v, length):
+        p = real(graph, counts, v, length)
+        return graph.make_path(p.edges[1:]) if length > 1 else graph.vertex_path(v)
+    return path_into
+
+
+def _declined(real):
+    return lambda spec: None
 
 
 def _swapped_left_pairs(real):
@@ -726,6 +752,15 @@ def _swapped_strong_pair(real):
 @pytest.mark.parametrize("owner, name, plant, spec, message", [
     (regularity, "cohn_isomorphism", _raise_internal,
      AlgebraSpec.cohn(graph_vw(), ModularRing(2), []), "planted"),
+    (morphisms, "cohn_to_leavitt", _raise_relation,
+     AlgebraSpec.cohn(graph_vw(), ModularRing(2), []),
+     "phi: relation \\(ii\\) violated: planted"),
+    (gradedstruct, "_path_into", _short_epsilon_companion,
+     AlgebraSpec.cohn(graph_rose2(), ModularRing(2), []),
+     "epsilon_-1 factor pair has the wrong degree"),
+    (gradedstruct, "strong_factorization", _declined,
+     AlgebraSpec.leavitt(graph_rose2(), ModularRing(2)),
+     "strong factorization declined, yet eps_1 = 1"),
     (gradedstruct, "check_strong_Z", _raise_internal,
      AlgebraSpec.leavitt(graph_vw(), ModularRing(2)), "planted"),
     (PathAlgebraOracle, "local_units", _swapped_left_pairs,
@@ -737,7 +772,9 @@ def _swapped_strong_pair(real):
     (gradedstruct, "_strong_pairs", _swapped_strong_pair,
      AlgebraSpec.leavitt(graph_rose2(), ModularRing(2)),
      "strong factor pair in S_1 S_-1 has the wrong degree"),
-], ids=["transported_local_units", "check_strong_Z", "unit_pair_wrong_degree",
+], ids=["transported_local_units", "phi_relation", "epsilon_companion_short",
+        "strong_factorization_declined",
+        "check_strong_Z", "unit_pair_wrong_degree",
         "strong_pair_dropped", "strong_pair_wrong_degree"])
 def test_classify_reraises_internal_failures(monkeypatch, tmp_path, capsys,
                                              owner, name, plant, spec, message):
@@ -755,16 +792,6 @@ def test_classify_reraises_internal_failures(monkeypatch, tmp_path, capsys,
     assert code == 3
     assert err.startswith("internal error: InternalVerificationFailure: ")
     assert err.count("\n") == 1
-
-
-def test_nearly_cohn_falls_back_on_transport_errors(monkeypatch):
-    spec = AlgebraSpec.cohn(graph_vw(), ModularRing(2), [])
-    expected = classify(spec, 1, 1).to_text()
-
-    def refuse(*args, **kwargs):
-        raise GralError("transport refused")
-    monkeypatch.setattr(regularity, "cohn_isomorphism", refuse)
-    assert classify(spec, 1, 1).to_text() == expected
 
 
 # -- homogeneous local units -------------------------------------------------------------
