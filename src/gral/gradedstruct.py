@@ -8,13 +8,13 @@ truncated polynomial rings and corner skew Laurent rings.
 Every row of a path algebra (Leavitt or relative Cohn) comes from a
 certificate, checked exactly; the bounded span search decides the rows of
 the other oracles.  The epsilon rows come from closed forms
-(epsilon_element).  The oracle's local units (Leavitt specs, and relative
-Cohn specs through the Cohn-to-Leavitt isomorphism) decide the nearly
-epsilon-strong rows, and the same units certify s = sum a_i (b_i s) in
-S_d S_-d S_d for the symmetric rows.  The strong row (Hazrat's criterion)
-comes from explicit factorizations of 1 in S_1 S_-1 and in S_-1 S_1 for a
-Leavitt spec without sinks, and otherwise from a nonzero z of degree 0
-with z.e = 0 for every edge e.
+(epsilon_element).  The oracle's local units decide the nearly
+epsilon-strong rows: x x* x = x by (CK1) alone, so x x* and x* x are units
+of a spanning monomial x in every C^X(E), with no Cohn-to-Leavitt detour.
+They also certify s = sum a_i (b_i s) in S_d S_-d S_d for the symmetric rows.
+The strong row (Hazrat's criterion) comes from explicit factorizations of
+1 in S_1 S_-1 and in S_-1 S_1 for a Leavitt spec without sinks, and
+otherwise from a nonzero z of degree 0 with z.e = 0 for every edge e.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from .errors import GralError, InternalVerificationFailure, NotDegreeOneGenerate
 from .pathalg import (AlgebraElement, AlgebraSpec, Monomial, format_element,
                       identity_element, monomial_element, reduced_monomials,
                       vertex_element)
-from .regularity import local_unit_left, local_units
+from .regularity import LocalUnitPair, UnitFactorization
 
 # ---------------------------------------------------------------------------
 # Oracle interface
@@ -117,8 +117,8 @@ class PathAlgebraOracle(GradedRingOracle):
         self.name = repr(spec)
         # built on first use and kept as long as the oracle (one classify)
         self._spans = {}        # size bound -> degree -> spanning elements
-        self._left = {}         # x -> local_unit_left(x)
-        self._units = {}        # (x, size bound) -> LocalUnitPair
+        self._units = {}        # spanning monomial x -> LocalUnitPair
+        self._unit_of = {}      # monomial m -> UnitFactorization of m m*
 
     @property
     def ring(self):
@@ -146,26 +146,33 @@ class PathAlgebraOracle(GradedRingOracle):
         return identity_element(self.spec)
 
     def local_units(self, x, size_bound):
-        """The constructive local units: a relative Cohn spec pulls back
-        those of x's image in the Leavitt algebra of the cover through psi,
-        exactly and with no bound (regularity.local_unit_left).  They exist
-        for every nonzero homogeneous x, so this never returns None, and a
-        failure is raised.
+        """The units of a spanning monomial x of degree d in closed form, for
+        Leavitt and relative Cohn specs alike: (CK1) alone gives x x* x = x,
+        so x x* in S_d S_-d is a left unit with the pair (x, x*), and x* x in
+        S_-d S_d, the left unit of x*, a right unit with the pair (x*, x).
+        The pair degrees and x x* x = x are checked exactly, at every bound,
+        and a failure is a bug.  Anything but a monomial with coefficient one
+        is refused.  Each pair is kept for check_symmetric."""
+        units = self._units.get(x)
+        if units is None:
+            if len(x.terms) != 1 or self.ring.one not in x.terms.values():
+                raise GralError(f"{format_element(x)} is no monomial with coefficient one")
+            (m,) = x.terms
+            d = m.degree
+            left, right = self._monomial_unit(m), self._monomial_unit(m.involute())
+            degrees = [y.degree() for unit in (left, right) for y in unit.pairs[0]]
+            if degrees != [d, -d, -d, d] or left.epsilon * x != x or x * right.epsilon != x:
+                raise InternalVerificationFailure(f"x x* x = x fails on {format_element(x)}")
+            units = self._units[x] = LocalUnitPair(x, d, left, right)
+        return units
 
-        Each pair is built once and kept, so check_nearly_epsilon and
-        check_symmetric share it; a left unit is kept too, since the right
-        unit of x is the mirror of the left unit of x*, itself a spanning
-        element of the opposite degree.
-        """
-        key = (x, size_bound)
-        if key not in self._units:
-            self._units[key] = local_units(x, self._left_unit)
-        return self._units[key]
-
-    def _left_unit(self, x):
-        if x not in self._left:
-            self._left[x] = local_unit_left(x)
-        return self._left[x]
+    def _monomial_unit(self, m):
+        """UnitFactorization(x x*, ((x, x*),)) of x = m, formed once."""
+        unit = self._unit_of.get(m)
+        if unit is None:
+            a, b = (monomial_element(self.spec, n) for n in (m, m.involute()))
+            unit = self._unit_of[m] = UnitFactorization(a * b, ((a, b),))
+        return unit
 
     def coords(self, x):
         return dict(x.terms)
@@ -688,10 +695,11 @@ def epsilon_element(spec: AlgebraSpec, n: int) -> AlgebraElement:
     eps_n = sum_{|p|=n} p p*.  Only (CK1), p* q = delta_{p,q} r(p) for
     paths of one length, is used, so it holds in every C^X(E).  Every
     monomial a b* of S_n has a = q a' for one of the paths q, and so has
-    every b of S_-n.  So eps q = q and q* eps = q* prove both unit relations
-    on all of S_n and S_-n, at every bound; they are checked exactly, with
-    the factor pairs' degrees and sum.  They hold for every finite graph and
-    X, so a failure is a bug.
+    every b of S_-n (for n < 0, _check_cover confirms it on the graph).  So
+    eps q = q and q* eps = q* prove both unit relations on all of S_n and
+    S_-n, at every bound; they are checked exactly, with the factor pairs'
+    degrees and sum.  They hold for every finite graph and X, so a failure
+    is a bug.
     """
     paths = _epsilon_paths(spec.graph, n)
     eps = sum((monomial_element(spec, Monomial(q, q)) for q, _ in paths),
@@ -702,7 +710,25 @@ def epsilon_element(spec: AlgebraSpec, n: int) -> AlgebraElement:
             raise InternalVerificationFailure(f"epsilon_{n} fails on {format_element(x)}")
     if _factor_sum(spec, _factor_pairs(spec, paths), n, f"epsilon_{n} factor pair") != eps:
         raise InternalVerificationFailure(f"epsilon_{n} is not the sum of its factor pairs")
+    if n < 0:
+        _check_cover(spec, {q for q, _ in paths}, n)
     return eps
+
+
+def _check_cover(spec, kept, n):
+    """Every path a whose range receives a path of length |a| - n extends a
+    kept q of M_-n: walked on the graph along every out-edge, independently
+    of _epsilon_paths, so a branch that the construction missed is caught."""
+    graph = spec.graph
+    counts = graph.path_counts(len(graph.vertices) - 1 - n)
+    level = [graph.vertex_path(v) for v in graph.vertices]
+    while level:
+        level = [p for p in level if p not in kept]
+        missed = [p for p in level if counts[len(p) - n][p.dst]]
+        if missed:
+            raise InternalVerificationFailure(
+                f"epsilon_{n} misses the branch {spec.path_str(missed[0])}")
+        level = [graph.extend(p, e) for p in level for e in graph.out_edges(p.dst)]
 
 
 def _epsilon_paths(graph, n: int):

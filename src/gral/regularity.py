@@ -5,18 +5,18 @@ The constructive route follows the idempotent-generator proof: build a
 per-element left local unit with an explicit factorization across degrees
 d and -d, push the resulting degree-zero generators into a matricial
 filtration level, combine them into a single idempotent there, and read
-off the witness.  A relative Cohn spec C^X(E) takes its local units and
-witnesses from L(E(X)) through the isomorphism phi and its inverse psi
-(morphisms.cohn_isomorphism): psi of the unit or witness of phi(x),
-checked again on x.  The oracle route asks gradedstruct.solve_combination
-for a combination b of a bounded spanning set with x.b.x = x, and its
-absence is exact on acyclic graphs.
+off the witness.  A relative Cohn spec C^X(E) takes its witnesses from
+L(E(X)) through the isomorphism phi and its inverse psi
+(morphisms.cohn_isomorphism): psi of the witness of phi(x), checked again
+on x.  The oracle route asks gradedstruct.solve_combination for a
+combination b of a bounded spanning set with x.b.x = x, and its absence
+is exact on acyclic graphs.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from .coeffring import MatrixOverRing, is_vnr, matrix_vnr_witness, mul_entries
@@ -52,20 +52,13 @@ class LocalUnitPair:
 
 
 def local_unit_left(x: AlgebraElement) -> UnitFactorization:
-    """Left local unit for a nonzero homogeneous element, with its
-    factorization across the degree pair.  A relative Cohn spec pulls back
-    the unit of phi(x) through psi, pair by pair."""
+    """Left local unit for a nonzero homogeneous element of a Leavitt spec,
+    with its factorization across the degree pair.  A relative Cohn spec is
+    refused: graded_witness_constructive transports its whole witness."""
     if x.is_zero:
         raise ZeroElement("local units need a nonzero element")
     if not x.spec.is_leavitt:
-        phi, psi = cohn_isomorphism(x.spec)
-        upstairs = local_unit_left(hom_apply(phi, x))
-        pairs = tuple((hom_apply(psi, a), hom_apply(psi, b)) for a, b in upstairs.pairs)
-        eps = sum((a * b for a, b in pairs), AlgebraElement.zero(x.spec))
-        if eps * x != x:
-            # psi is checked to invert phi on generators: a bug
-            raise InternalVerificationFailure("transported local units failed verification")
-        return UnitFactorization(eps, pairs)
+        raise GralError("local_unit_left needs a Leavitt spec")
     d = x.degree()
     spec = x.spec
     top = max(len(m.alpha.edges) for m in x.terms)
@@ -81,32 +74,11 @@ def local_unit_left(x: AlgebraElement) -> UnitFactorization:
         b = monomial_element(spec, Monomial(delta, gamma))
         pairs.append((a, b))
         eps = eps + a * b
-    for a, b in pairs:
-        if not a.is_zero and a.degree() != d:
-            raise InternalVerificationFailure("left factor has wrong degree")
-        if not b.is_zero and b.degree() != -d:
-            raise InternalVerificationFailure("right factor has wrong degree")
+    if any(a.degree() != d or b.degree() != -d for a, b in pairs):
+        raise InternalVerificationFailure("local unit factor has wrong degree")
     if eps * x != x:
         raise InternalVerificationFailure("local unit does not absorb the element")
     return UnitFactorization(eps, tuple(pairs))
-
-
-def local_units(x: AlgebraElement, left_unit=None) -> LocalUnitPair:
-    """Both one-sided units: the right unit is the involution mirror.
-
-    left_unit computes left units (local_unit_left when None); a caller
-    that meets both x and x* passes a memoized one, so each left unit is
-    built once.
-    """
-    left_unit = left_unit or local_unit_left
-    left = left_unit(x)
-    mirror = left_unit(x.involution())
-    right_pairs = tuple((b.involution(), a.involution()) for a, b in mirror.pairs)
-    right_eps = mirror.epsilon.involution()
-    if x * right_eps != x:
-        raise InternalVerificationFailure("right local unit failed")
-    return LocalUnitPair(x, x.degree(), left,
-                         UnitFactorization(right_eps, right_pairs))
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ from gral import cli, coeffring, gradedstruct, morphisms, regularity
 from gral.cli import main
 from gral.coeffring import ModularRing, ring_make, ring_spec
 from gral.cornerlaurent import corner_from_dict, csl_element_from_dict
-from gral.errors import GralError, InternalVerificationFailure
+from gral.errors import GralError, InternalVerificationFailure, RelationViolation
 from gral.graphs import CohnPair, Graph, graph_from_dict, morphism_from_dict
 from gral.pathalg import AlgebraElement, AlgebraSpec, element_from_terms
 
@@ -653,21 +653,28 @@ def test_broken_epsilon_exits_3(files, capsys, monkeypatch):
         "internal error: InternalVerificationFailure: epsilon_1 fails on f\n"
 
 
+def _witness_vw_cohn(files, capsys):
+    """lpa witness of f on the relative Cohn vw over Z/2: (exit code, stdout,
+    stderr).  Its witness is psi of the Leavitt witness of phi(f), the route
+    that still transports through the Cohn-to-Leavitt isomorphism."""
+    code = main(["lpa", "witness", "--graph", files["vw_cohn"], "--ring", files["z2"],
+                 "--element", files["elt_f"]])
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
 def test_broken_preimage_exits_3(files, capsys, monkeypatch):
-    # psi inverts phi on generators, so transported units that fail on x are
-    # a bug, not a missing unit: plant a psi that sends every element to 0
+    # psi inverts phi on generators, so a transported witness that fails on
+    # x is a bug, not a missing witness: plant a psi that sends every
+    # element to 0
     real = regularity.hom_apply
 
     def broken(h, y):
         return real(h, y) if h.target.is_leavitt else AlgebraElement.zero(h.target)
     monkeypatch.setattr(regularity, "hom_apply", broken)
-    code = main(["lpa", "classify", "--graph", files["vw_cohn"], "--ring", files["z2"],
-                 "--degree-bound", "1", "--size-bound", "1"])
-    captured = capsys.readouterr()
-    assert code == 3
-    assert captured.out == ""
-    assert captured.err == ("internal error: InternalVerificationFailure: "
-                            "transported local units failed verification\n")
+    assert _witness_vw_cohn(files, capsys) == (3, "", (
+        "internal error: InternalVerificationFailure: "
+        "transported witness failed verification\n"))
 
 
 def test_non_inverse_psi_exits_3(files, capsys, monkeypatch):
@@ -684,13 +691,30 @@ def test_non_inverse_psi_exits_3(files, capsys, monkeypatch):
     with pytest.raises(InternalVerificationFailure,
                        match=r"^psi\.phi is not the identity at generator v$"):
         morphisms.cohn_isomorphism(spec)
-    code = main(["lpa", "classify", "--graph", files["vw_cohn"], "--ring", files["z2"],
-                 "--degree-bound", "1", "--size-bound", "1"])
-    captured = capsys.readouterr()
-    assert code == 3
-    assert captured.out == ""
-    assert captured.err == ("internal error: InternalVerificationFailure: "
-                            "psi.phi is not the identity at generator v\n")
+    assert _witness_vw_cohn(files, capsys) == (3, "", (
+        "internal error: InternalVerificationFailure: "
+        "psi.phi is not the identity at generator v\n"))
+
+
+def _raise_internal(*args):
+    raise InternalVerificationFailure("planted")
+
+
+def _raise_relation(*args):
+    raise RelationViolation("(ii)", "planted")
+
+
+@pytest.mark.parametrize("owner, name, plant, message", [
+    (regularity, "cohn_isomorphism", _raise_internal, "planted"),
+    (morphisms, "cohn_to_leavitt", _raise_relation, "phi: relation (ii) violated: planted"),
+], ids=["transported_witness", "phi_relation"])
+def test_witness_reraises_internal_failures(files, capsys, monkeypatch,
+                                            owner, name, plant, message):
+    # a failed self-check on the way through phi is a bug, not a refusal:
+    # lpa witness exits 3 with one line
+    monkeypatch.setattr(owner, name, plant)
+    assert _witness_vw_cohn(files, capsys) == (
+        3, "", f"internal error: InternalVerificationFailure: {message}\n")
 
 
 COHN_VERDICT_VW = """\

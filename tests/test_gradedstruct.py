@@ -17,7 +17,7 @@ from gral.cli import main
 from gral.coeffring import ModularRing, is_vnr, ring_spec
 from gral.cornerlaurent import CslAlgebra, format_csl
 from gral.errors import (GralError, InternalVerificationFailure,
-                         NotDegreeOneGenerated, RelationViolation)
+                         NotDegreeOneGenerated)
 from gral.graphs import CohnPair, Graph, graph_to_dict
 from gral.gradedstruct import (CslOracle, GradedRingOracle,
                                MatrixGradingOracle, PathAlgebraOracle,
@@ -29,7 +29,7 @@ from gral.gradedstruct import (CslOracle, GradedRingOracle,
                                jacobson_radical_algebra,
                                strong_factorization,
                                zero_multiplication_ring)
-from gral.pathalg import (AlgebraElement, AlgebraSpec, format_element,
+from gral.pathalg import (AlgebraElement, AlgebraSpec, Monomial, format_element,
                           identity_element, monomial_element, reduced_monomials,
                           word_element)
 from gral.regularity import (LocalUnitPair, UnitFactorization,
@@ -305,6 +305,23 @@ def test_closed_form_epsilons_pass_the_bounded_unit_checks(spec):
         assert all(t * eps == t for t in oracle.spanning(-d, 2)), d
 
 
+@given(path_algebra_specs(acyclic=False))
+def test_closed_form_units_of_every_spanning_monomial(spec):
+    # x x* x = x in every C^X(E), so x x* and x* x are units of x; on a
+    # Leavitt spec the left one is the unit local_unit_left builds for x
+    oracle = PathAlgebraOracle(spec)
+    for d in range(-2, 3):
+        for x in oracle.spanning(d, 2):
+            units = oracle.local_units(x, 2)
+            assert units.left.epsilon * x == x == x * units.right.epsilon
+            for unit, e in ((units.left, d), (units.right, -d)):
+                (a, b), = unit.pairs
+                assert a.degree() == e and b.degree() == -e
+                assert a * b == unit.epsilon
+            if spec.is_leavitt:
+                assert units.left == regularity.local_unit_left(x)
+
+
 @pytest.mark.parametrize("ring", [table_z2xz2(), table_upper_z2()],
                          ids=["table_z2xz2", "table_upper_z2"])
 def test_table_ring_classify_completes_from_certificates(ring):
@@ -345,25 +362,29 @@ def test_upper_triangular_corner_classify_holds_exactly(alpha):
 
 
 def test_leavitt_classify_reads_certificates(monkeypatch):
-    # no product list is formed, with or without a sink; every spanning
-    # element has its left unit built once, the right units being the
-    # mirrors of the others
-    lefts, products = [], []
-    real_left, real_products = gradedstruct.local_unit_left, GradedRingOracle.products
-    monkeypatch.setattr(gradedstruct, "local_unit_left",
+    # no product list is formed and no unit is built by local_unit_left,
+    # with or without a sink; every spanning monomial x has its idempotent
+    # x x* formed once, the right units being the left units of the others
+    lefts, products, idempotents = [], [], []
+    real_left, real_products = regularity.local_unit_left, GradedRingOracle.products
+    monkeypatch.setattr(regularity, "local_unit_left",
                         lambda x: lefts.append(x) or real_left(x))
     monkeypatch.setattr(GradedRingOracle, "products",
                         lambda oracle, xs, ys: products.append(1) or real_products(oracle, xs, ys))
+    monkeypatch.setattr(gradedstruct, "UnitFactorization",
+                        lambda eps, pairs: idempotents.append(pairs[0][0])
+                        or UnitFactorization(eps, pairs))
     for make in (graph_span, graph_toeplitz):
         oracle = PathAlgebraOracle(leavitt(make(), 2))
         lefts.clear()
         products.clear()
+        idempotents.clear()
         report = classify(oracle, 3, 3)
         assert report.verdict("symmetric").holds
         spanning = [s for d in range(-3, 4) for s in oracle.spanning(d, 3)]
-        assert len(lefts) == len(set(lefts)) == len(spanning)
-        assert set(lefts) == set(spanning)
-        assert products == []
+        assert len(idempotents) == len(set(idempotents)) == len(spanning)
+        assert set(idempotents) == set(spanning)
+        assert lefts == products == []
 
 
 # -- epsilon strong -----------------------------------------------------------------
@@ -662,29 +683,37 @@ def test_nearly_cohn_cyclic(z4):
     assert verdict.holds
 
 
-def test_nearly_cohn_builds_phi_once(z2, monkeypatch):
-    built = []
-    real = morphisms.cohn_to_leavitt
-    monkeypatch.setattr(morphisms, "cohn_to_leavitt",
-                        lambda *args: built.append(args) or real(*args))
-    verdict, _ = check_nearly_epsilon(
-        PathAlgebraOracle(AlgebraSpec.cohn(graph_vw(), z2, [])), 2, 2)
-    assert verdict.holds
-    assert len(built) == 1
+def test_cohn_classify_builds_no_phi(z2, monkeypatch):
+    # every unit of a relative Cohn classify comes from x x* x = x in the
+    # Cohn algebra itself: neither phi nor psi is built or applied
+    calls = []
+    for owner in (morphisms, regularity):
+        for name in ("cohn_isomorphism", "cohn_to_leavitt", "cohn_inverse",
+                     "hom_apply", "hom_apply_all"):
+            if hasattr(owner, name):
+                monkeypatch.setattr(owner, name, lambda *args, name=name: calls.append(name))
+    for make in (graph_vw, graph_span, graph_toeplitz):
+        report = classify(AlgebraSpec.cohn(make(), z2, []), 2, 2)
+        assert report.verdict("nearly-epsilon").holds
+        assert report.verdict("symmetric").holds
+    assert calls == []
 
 
-def test_path_oracle_local_units(z2):
-    # Leavitt specs: the constructive units; Cohn specs: units of the image
-    # under the Cohn-to-Leavitt isomorphism, pulled back
+def test_path_oracle_local_units(z2, z3):
+    # x x* and x* x with the pairs (x, x*) and (x*, x), Leavitt and relative
+    # Cohn alike; ff* is v in the Leavitt algebra only
     def units(spec, word):
         pair = PathAlgebraOracle(spec).local_units(word_element(spec, word), 2)
         return (format_element(pair.left.epsilon), format_element(pair.right.epsilon),
                 [(format_element(a), format_element(b)) for a, b in pair.left.pairs])
     assert units(AlgebraSpec.leavitt(graph_vw(), z2), ["f"]) == ("v", "w", [("f", "f*")])
     assert units(AlgebraSpec.cohn(graph_vw(), z2, []), ["f"]) == ("ff*", "w", [("f", "f*")])
-    assert units(AlgebraSpec.cohn(graph_vw(), z2, []), ["v"]) == \
-        ("v", "v", [("ff*", "ff*"), ("v + ff*", "v + ff*")])
+    assert units(AlgebraSpec.cohn(graph_vw(), z2, []), ["v"]) == ("v", "v", [("v", "v")])
     assert MatrixGradingOracle(z2).local_units(MatrixGradingOracle(z2).unit(0, 1), 2) is None
+    spec = AlgebraSpec.cohn(graph_vw(), z3, [])
+    for x in (identity_element(spec), word_element(spec, ["f"], 2), AlgebraElement.zero(spec)):
+        with pytest.raises(GralError, match=" is no monomial with coefficient one$"):
+            PathAlgebraOracle(spec).local_units(x, 2)
 
 
 def test_nearly_products_formed_once_per_degree(monkeypatch):
@@ -703,12 +732,6 @@ def test_nearly_products_formed_once_per_degree(monkeypatch):
 def _raise_internal(real):
     def planted(*args, **kwargs):
         raise InternalVerificationFailure("planted")
-    return planted
-
-
-def _raise_relation(real):
-    def planted(*args, **kwargs):
-        raise RelationViolation("(ii)", "planted")
     return planted
 
 
@@ -735,6 +758,38 @@ def _swapped_left_pairs(real):
     return units
 
 
+def _self_adjoint_involute(real):
+    # a wrong (alpha beta*)* = alpha beta* whenever alpha and beta both have
+    # edges; the epsilons' checks involve no such monomial
+    def involute(m):
+        return m if m.alpha.edges and m.beta.edges else real(m)
+    return involute
+
+
+class _FirstOutEdge:
+    """A graph that shows only the first out-edge of each vertex."""
+
+    def __init__(self, graph):
+        self.graph = graph
+
+    def __getattr__(self, name):
+        return getattr(self.graph, name)
+
+    def out_edges(self, v):
+        return self.graph.out_edges(v)[:1]
+
+
+def _first_out_edge_only(real):
+    # M_-n expanded along the first out-edge of each path: the branches
+    # under the others go missing, yet eps q = q holds on every kept q
+    return lambda graph, n: real(_FirstOutEdge(graph), n)
+
+
+# a source s with two out-edges into loops: M_1 expands s into a and b
+SOURCE_TWO_LOOPS = Graph(["s", "v", "w"], [("a", "s", "v"), ("b", "s", "w"),
+                                           ("c", "v", "v"), ("d", "w", "w")])
+
+
 def _dropped_strong_pair(real):
     def pairs(spec):
         pos, neg = real(spec)
@@ -750,11 +805,6 @@ def _swapped_strong_pair(real):
 
 
 @pytest.mark.parametrize("owner, name, plant, spec, message", [
-    (regularity, "cohn_isomorphism", _raise_internal,
-     AlgebraSpec.cohn(graph_vw(), ModularRing(2), []), "planted"),
-    (morphisms, "cohn_to_leavitt", _raise_relation,
-     AlgebraSpec.cohn(graph_vw(), ModularRing(2), []),
-     "phi: relation \\(ii\\) violated: planted"),
     (gradedstruct, "_path_into", _short_epsilon_companion,
      AlgebraSpec.cohn(graph_rose2(), ModularRing(2), []),
      "epsilon_-1 factor pair has the wrong degree"),
@@ -772,10 +822,19 @@ def _swapped_strong_pair(real):
     (gradedstruct, "_strong_pairs", _swapped_strong_pair,
      AlgebraSpec.leavitt(graph_rose2(), ModularRing(2)),
      "strong factor pair in S_1 S_-1 has the wrong degree"),
-], ids=["transported_local_units", "phi_relation", "epsilon_companion_short",
+    (Monomial, "involute", _self_adjoint_involute,
+     AlgebraSpec.leavitt(graph_rose2(), ModularRing(2)), "^x x\\* x = x fails on ef\\*$"),
+    (Monomial, "involute", _self_adjoint_involute,
+     AlgebraSpec.cohn(graph_rose2(), ModularRing(3), []),
+     "^x x\\* x = x fails on ef\\*$"),
+    (gradedstruct, "_epsilon_paths", _first_out_edge_only,
+     AlgebraSpec.cohn(SOURCE_TWO_LOOPS, ModularRing(2), []),
+     "^epsilon_-1 misses the branch b$"),
+], ids=["epsilon_companion_short",
         "strong_factorization_declined",
         "check_strong_Z", "unit_pair_wrong_degree",
-        "strong_pair_dropped", "strong_pair_wrong_degree"])
+        "strong_pair_dropped", "strong_pair_wrong_degree",
+        "involute_leavitt", "involute_cohn", "epsilon_first_out_edge_only"])
 def test_classify_reraises_internal_failures(monkeypatch, tmp_path, capsys,
                                              owner, name, plant, spec, message):
     # a failed self-check is a bug, not a refusal or a fallback: classify

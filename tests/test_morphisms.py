@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from conftest import (graph_a1, graph_loop, graph_rose2, graph_span, graph_toeplitz,
                       graph_vw, graph_vwu, random_element, small_graphs)
-from gral import coeffring, morphisms
+from gral import coeffring
 from gral.coeffring import ModularRing, SpanSolver
 from gral.errors import GralError, RelationViolation
 from gral.graphs import CohnPair, Graph, GraphMorphism
@@ -20,7 +20,6 @@ from gral.morphisms import (AlgebraHom, IsoRow, _homs_agree,
 from gral.pathalg import (AlgebraElement, AlgebraSpec, edge_element,
                           format_element, monomial_element, reduced_monomials,
                           vertex_element, word_element)
-from gral.regularity import local_units
 
 
 def inclusion_a1_vw(ring):
@@ -265,22 +264,6 @@ def test_cohn_inverse_is_the_inverse_on_generators(graph, data, n):
     assert cohn_isomorphism(spec) == (phi, psi)
 
 
-# -- transported local units --------------------------------------------------------------
-
-
-def test_cohn_local_units_transport(z2):
-    spec = AlgebraSpec.cohn(graph_vw(), z2, [])
-    for word in (["f"], ["f*"], ["f", "f*"], ["v"]):
-        x = word_element(spec, word)
-        pair = local_units(x)
-        assert pair.left.epsilon * x == x
-        assert x * pair.right.epsilon == x
-        acc = AlgebraElement.zero(spec)
-        for a, b in pair.left.pairs:
-            acc = acc + a * b
-        assert acc == pair.left.epsilon
-
-
 def test_shared_preimages_match_hom_preimage(z4):
     # differential: wherever a linear solve over the bounded source
     # monomials finds a preimage of y, it is psi(y); on these cyclic graphs
@@ -304,22 +287,6 @@ def test_shared_preimages_match_hom_preimage(z4):
                     assert AlgebraElement.make(
                         spec, {m: sol[i] for i, m in enumerate(src)}) == hom_apply(psi, y)
         assert found > 0
-
-
-def test_cohn_local_units_share_one_transport(z2, monkeypatch):
-    # phi and psi are built once per spec and serve every element
-    xs_words = (["f"], ["f*"], ["f", "f*"], ["v"], ["w"])
-    fresh = AlgebraSpec.cohn(graph_vw(), z2, [])
-    expected = [local_units(word_element(fresh, w)) for w in xs_words]
-    built, inverted = [], []
-    real_phi, real_psi = morphisms.cohn_to_leavitt, morphisms.cohn_inverse
-    monkeypatch.setattr(morphisms, "cohn_to_leavitt",
-                        lambda *args: built.append(args) or real_phi(*args))
-    monkeypatch.setattr(morphisms, "cohn_inverse",
-                        lambda *args: inverted.append(args) or real_psi(*args))
-    spec = AlgebraSpec.cohn(graph_vw(), z2, [])
-    assert [local_units(word_element(spec, w)) for w in xs_words] == expected
-    assert len(built) == len(inverted) == 1
 
 
 # -- chains ---------------------------------------------------------------------------------

@@ -24,7 +24,7 @@ from gral.pathalg import (AlgebraElement, AlgebraSpec, BlockStructure,
                           word_element)
 from gral.regularity import (graded_vnr_verdict, graded_witness_constructive,
                              graded_witness_oracle, idempotent_generator,
-                             local_unit_left, local_units, sample_homogeneous)
+                             local_unit_left, sample_homogeneous)
 
 
 # -- local units ---------------------------------------------------------------
@@ -63,21 +63,27 @@ def test_local_unit_component_membership(z6):
         x = random_element(spec, rng, degree=d)
         if x.is_zero:
             continue
-        pair = local_units(x)
-        assert pair.left.epsilon * x == x
-        assert x * pair.right.epsilon == x
-        for a, b in pair.left.pairs:
-            assert a.is_zero or a.degree() == d
-            assert b.is_zero or b.degree() == -d
-        for a, b in pair.right.pairs:
-            assert a.is_zero or a.degree() == -d
-            assert b.is_zero or b.degree() == d
+        # the right unit of x is the mirror of the left unit of x*
+        left, mirror = local_unit_left(x), local_unit_left(x.involution())
+        assert left.epsilon * x == x
+        assert x * mirror.epsilon.involution() == x
+        for unit, e in ((left, d), (mirror, -d)):
+            for a, b in unit.pairs:
+                assert a.is_zero or a.degree() == e
+                assert b.is_zero or b.degree() == -e
 
 
 def test_local_unit_zero_rejected(z2):
     spec = AlgebraSpec.leavitt(graph_loop(), z2)
     with pytest.raises(ZeroElement):
         local_unit_left(AlgebraElement.zero(spec))
+
+
+def test_local_unit_left_refuses_relative_cohn_specs(z2):
+    # a relative Cohn witness is transported whole, so no unit goes through psi
+    spec = AlgebraSpec.cohn(graph_vw(), z2, [])
+    with pytest.raises(GralError, match="^local_unit_left needs a Leavitt spec$"):
+        local_unit_left(word_element(spec, ["f"]))
 
 
 # -- idempotent generators -------------------------------------------------------

@@ -149,3 +149,18 @@ def test_normal_forms_are_computed_only_in_pathalg():
              if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))
              and "chooser" in {a.arg for a in ast.walk(node.args) if isinstance(a, ast.arg)}]
     assert knobs == []
+
+
+def test_gradedstruct_transports_no_unit_through_psi():
+    # classify's local units come from x x* x = x in the algebra itself:
+    # gradedstruct needs neither the Cohn-to-Leavitt maps nor the
+    # constructive units of regularity
+    tree = _parse(SRC / "gradedstruct.py")
+    used = {alias.asname or alias.name for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names}
+    used |= {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    used |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    banned = {"cohn_isomorphism", "hom_apply", "hom_apply_all", "local_unit_left"}
+    assert used & banned == set()
+    assert "local_unit_left" in {node.name for node in _parse(SRC / "regularity.py").body
+                                 if isinstance(node, ast.FunctionDef)}
