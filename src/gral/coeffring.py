@@ -360,7 +360,8 @@ def within_cap(states: int, what: str) -> int:
     """states, checked before a search over that many states: past the
     search cap, SearchCapExceeded naming what.  The one up-front cap check;
     only is_vnr counts its states as it goes.  A matricial level asks with
-    its dense rank; the linear solvers never ask."""
+    its dense rank, the path listings with their path counts; the linear
+    solvers never ask."""
     cap = search_cap()
     if states > cap:
         raise SearchCapExceeded(states, cap, what)

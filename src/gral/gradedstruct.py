@@ -8,10 +8,11 @@ truncated polynomial rings and corner skew Laurent rings.
 Every row of a path algebra (Leavitt or relative Cohn) comes from a
 certificate, checked exactly; the bounded span search decides the rows of
 the other oracles.  The epsilon rows come from closed forms
-(epsilon_element).  The oracle's local units decide the nearly
-epsilon-strong rows: x x* x = x by (CK1) alone, so x x* and x* x are units
-of a spanning monomial x in every C^X(E), with no Cohn-to-Leavitt detour.
-They also certify s = sum a_i (b_i s) in S_d S_-d S_d for the symmetric rows.
+(epsilon_element).  The oracle's graded witness decides the nearly
+epsilon-strong and symmetric rows: x x* x = x by (CK1) alone for a
+spanning monomial x in every C^X(E), and any y in S_-d with x y x = x
+makes x y a left unit in S_d S_-d, y x a right unit in S_-d S_d, and puts
+x = (x y) x in S_d S_-d S_d.
 The strong row (Hazrat's criterion) comes from explicit factorizations of
 1 in S_1 S_-1 and in S_-1 S_1 for a Leavitt spec without sinks, and
 otherwise from a nonzero z of degree 0 with z.e = 0 for every edge e.
@@ -33,7 +34,6 @@ from .errors import GralError, InternalVerificationFailure, NotDegreeOneGenerate
 from .pathalg import (AlgebraElement, AlgebraSpec, Monomial, format_element,
                       identity_element, monomial_element, reduced_monomials,
                       vertex_element)
-from .regularity import LocalUnitPair, UnitFactorization
 
 # ---------------------------------------------------------------------------
 # Oracle interface
@@ -102,10 +102,10 @@ class GradedRingOracle:
         """A combination sum r_i.elements_i equal to target, or None."""
         return combination_solver(self, elements, [_identity])([target])
 
-    def local_units(self, x, size_bound: int):
-        """Left and right units of the homogeneous element x from the ring's
-        own construction, as a verified LocalUnitPair, or None when the ring
-        has none and the bounded search must decide."""
+    def graded_witness(self, x):
+        """A y of degree -deg x with x y x = x from the ring's own
+        construction, already checked, or None when the ring has none and
+        the bounded search must decide."""
         return None
 
 
@@ -117,8 +117,7 @@ class PathAlgebraOracle(GradedRingOracle):
         self.name = repr(spec)
         # built on first use and kept as long as the oracle (one classify)
         self._spans = {}        # size bound -> degree -> spanning elements
-        self._units = {}        # spanning monomial x -> LocalUnitPair
-        self._unit_of = {}      # monomial m -> UnitFactorization of m m*
+        self._witnesses = {}    # spanning monomial x -> x*
 
     @property
     def ring(self):
@@ -145,34 +144,22 @@ class PathAlgebraOracle(GradedRingOracle):
     def identity(self):
         return identity_element(self.spec)
 
-    def local_units(self, x, size_bound):
-        """The units of a spanning monomial x of degree d in closed form, for
-        Leavitt and relative Cohn specs alike: (CK1) alone gives x x* x = x,
-        so x x* in S_d S_-d is a left unit with the pair (x, x*), and x* x in
-        S_-d S_d, the left unit of x*, a right unit with the pair (x*, x).
-        The pair degrees and x x* x = x are checked exactly, at every bound,
-        and a failure is a bug.  Anything but a monomial with coefficient one
-        is refused.  Each pair is kept for check_symmetric."""
-        units = self._units.get(x)
-        if units is None:
+    def graded_witness(self, x):
+        """x* for a spanning monomial x of degree d, Leavitt and relative
+        Cohn specs alike: (CK1) alone gives x x* x = x in every C^X(E).
+        deg x* = -d and (x x*) x = x, the bracket of every witness
+        certificate, are checked once per monomial, and a failure is a bug.
+        Anything but a monomial with coefficient one is refused."""
+        y = self._witnesses.get(x)
+        if y is None:
             if len(x.terms) != 1 or self.ring.one not in x.terms.values():
                 raise GralError(f"{format_element(x)} is no monomial with coefficient one")
             (m,) = x.terms
-            d = m.degree
-            left, right = self._monomial_unit(m), self._monomial_unit(m.involute())
-            degrees = [y.degree() for unit in (left, right) for y in unit.pairs[0]]
-            if degrees != [d, -d, -d, d] or left.epsilon * x != x or x * right.epsilon != x:
+            y = monomial_element(self.spec, m.involute())
+            if y.degree() != -m.degree or x * y * x != x:
                 raise InternalVerificationFailure(f"x x* x = x fails on {format_element(x)}")
-            units = self._units[x] = LocalUnitPair(x, d, left, right)
-        return units
-
-    def _monomial_unit(self, m):
-        """UnitFactorization(x x*, ((x, x*),)) of x = m, formed once."""
-        unit = self._unit_of.get(m)
-        if unit is None:
-            a, b = (monomial_element(self.spec, n) for n in (m, m.involute()))
-            unit = self._unit_of[m] = UnitFactorization(a * b, ((a, b),))
-        return unit
+            self._witnesses[x] = y
+        return y
 
     def coords(self, x):
         return dict(x.terms)
@@ -559,9 +546,8 @@ def check_symmetric(oracle: GradedRingOracle, degree_bound: int = 3,
     """S_d = S_d S_{-d} S_d per degree, for every bounded spanning element
     s of S_d.
 
-    An element with the oracle's local units (the pair check_nearly_epsilon
-    used) is certified by its left unit epsilon = sum a_i b_i with a_i in
-    S_d and b_i in S_-d, since s = sum a_i (b_i s).  The other elements are
+    An element with the oracle's graded witness y is certified by
+    s = (s y) s, with s in S_d and y in S_-d.  The other elements are
     decided by bounded span membership in the triple products, formed once
     per degree when first needed.
     """
@@ -572,9 +558,7 @@ def check_symmetric(oracle: GradedRingOracle, degree_bound: int = 3,
         solve = None
         bad = None
         for s in span_d:
-            units = oracle.local_units(s, size_bound)
-            if units is not None:
-                _check_symmetric_unit(oracle, s, d, units.left)
+            if oracle.graded_witness(s) is not None:
                 continue
             if solve is None:
                 span_md = oracle.spanning(-d, size_bound)
@@ -587,21 +571,6 @@ def check_symmetric(oracle: GradedRingOracle, degree_bound: int = 3,
         failure = None if bad is None else f"{oracle.format(bad)} not in S_d S_-d S_d"
         rows.append(ReportRow("symmetric", str(d), _verdict(exact, failure, size_bound)))
     return _combine(rows), rows
-
-
-def _check_symmetric_unit(oracle, s, d, unit):
-    """Check that the left unit's pairs have degrees d and -d and that
-    sum a_i (b_i s) = s; either failure is a bug in the unit's construction."""
-    total = None
-    for a, b in unit.pairs:
-        if (not a.is_zero and a.degree() != d) or (not b.is_zero and b.degree() != -d):
-            raise InternalVerificationFailure(
-                f"unit pair of {oracle.format(s)} has the wrong degree")
-        term = oracle.mul(a, oracle.mul(b, s))
-        total = term if total is None else oracle.add(total, term)
-    if total != s:
-        raise InternalVerificationFailure(
-            f"left unit pairs do not rebuild {oracle.format(s)}")
 
 
 # ---------------------------------------------------------------------------
@@ -824,8 +793,11 @@ def _epsilon_path_algebra(oracle: PathAlgebraOracle, degree_bound, size_bound):
     """The rows of epsilon_element's closed forms.  A relative Cohn spec has
     one row and one table entry per degree.  A Leavitt spec has one row +-n
     per pair of degrees and eps_n in the table; eps_-n is formed and
-    checked too, but not printed."""
+    checked too, but not printed.  The paths of lengths 0..degree_bound
+    are capped, counted before the first epsilon is formed."""
     spec = oracle.spec
+    within_cap(sum(sum(c.values()) for c in spec.graph.path_counts(degree_bound)),
+               "epsilon paths")
     verdict = _verdict(oracle.exact_at(0, size_bound))
     rows, table = [], []
     for d in range(-degree_bound, degree_bound + 1):
@@ -845,9 +817,10 @@ def check_nearly_epsilon(target, degree_bound: int = 3, size_bound: int = 3):
     """Per degree d, a left unit in S_d S_-d and a right unit in S_-d S_d
     for every bounded spanning element of S_d.
 
-    Each element first gets the oracle's own units (local_units); when the
-    oracle has none, the bounded search solve_combination decides, over
-    product lists formed once per degree, when first needed.
+    An element with the oracle's graded witness y has them: s y and y s,
+    since (s y) s = s = s (y s).  When the oracle has none, the bounded
+    search solve_combination decides, over product lists formed once per
+    degree, when first needed.
     """
     oracle = _as_oracle(target)
     rows = []
@@ -858,7 +831,7 @@ def check_nearly_epsilon(target, degree_bound: int = 3, size_bound: int = 3):
         exact = oracle.exact_at(d, size_bound) and oracle.exact_at(-d, size_bound)
         products = {}  # side -> S_d S_-d ("left") or S_-d S_d ("right")
         for s in span_d:
-            if oracle.local_units(s, size_bound) is not None:
+            if oracle.graded_witness(s) is not None:
                 continue
             side = _missing_unit(oracle, s, d, size_bound, products)
             if side is not None:

@@ -453,8 +453,12 @@ def identity_element(spec: AlgebraSpec) -> AlgebraElement:
 def reduced_monomials(spec: AlgebraSpec, degree: Optional[int] = None,
                       max_len: int = 3):
     """Reduced monomials with real and ghost lengths at most max_len,
-    optionally restricted to one degree; sorted."""
+    optionally restricted to one degree; sorted.  The pairs it loops over,
+    sum over v of (sum_{i <= max_len} |P(i, v)|)^2, are capped before any
+    path is listed."""
     g = spec.graph
+    counts = g.path_counts(max_len)
+    within_cap(sum(sum(c[v] for c in counts) ** 2 for v in g.vertices), "reduced monomials")
     by_range = {v: [] for v in g.vertices}
     for n in range(max_len + 1):
         for p in g.paths(n):

@@ -43,14 +43,6 @@ class UnitFactorization:
     pairs: tuple
 
 
-@dataclass(frozen=True)
-class LocalUnitPair:
-    element: AlgebraElement
-    degree: int
-    left: UnitFactorization    # left.epsilon . x = x
-    right: UnitFactorization   # x . right.epsilon = x
-
-
 def local_unit_left(x: AlgebraElement) -> UnitFactorization:
     """Left local unit for a nonzero homogeneous element of a Leavitt spec,
     with its factorization across the degree pair.  A relative Cohn spec is

@@ -276,7 +276,7 @@ GOLDEN_GRAPHS = {
 @pytest.mark.parametrize("graph, ring, size_bound", [
     ("span", "z2", 4), ("toeplitz", "z6", 3), ("rose2", "z4", 3)])
 def test_lpa_classify_golden(files, capsys, graph, ring, size_bound):
-    # the symmetric rows from local units and the strong row from the
+    # the symmetric rows from graded witnesses and the strong row from the
     # factorization (span, rose2) or the sink (toeplitz) print what the
     # bounded search printed, byte for byte
     code = main(["lpa", "classify", "--graph", write(files["tmp"] / f"{graph}.json",
@@ -603,6 +603,28 @@ def test_block_structure_beyond_the_cap_exit2(files, capsys, monkeypatch, comman
     assert captured.out == ""
     assert captured.err == "error: block structure needs 81 states, cap is 80\n"
     monkeypatch.setenv("GRAL_SEARCH_CAP", "81")
+    assert main(args) == 0
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("bounds, what, states", [
+    (["--degree-bound", "1", "--size-bound", "3"], "reduced monomials", 225),
+    (["--degree-bound", "3", "--size-bound", "1"], "epsilon paths", 15),
+], ids=["reduced_monomials", "epsilon_paths"])
+def test_classify_listings_beyond_the_cap_exit2(files, capsys, monkeypatch,
+                                                bounds, what, states):
+    # rose2 has 1 + 2 + 4 + 8 = 15 paths of length at most 3: 15^2 monomial
+    # pairs at size bound 3 and 15 epsilon paths at degree bound 3, both
+    # counted before any path is listed
+    args = ["lpa", "classify", "--graph", write(files["tmp"] / "rose2.json",
+                                                GOLDEN_GRAPHS["rose2"]),
+            "--ring", files["z2"]] + bounds
+    monkeypatch.setenv("GRAL_SEARCH_CAP", str(states - 1))
+    assert main(args) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {what} needs {states} states, cap is {states - 1}\n"
+    monkeypatch.setenv("GRAL_SEARCH_CAP", str(states))
     assert main(args) == 0
     assert capsys.readouterr().err == ""
 

@@ -32,8 +32,7 @@ from gral.gradedstruct import (CslOracle, GradedRingOracle,
 from gral.pathalg import (AlgebraElement, AlgebraSpec, Monomial, format_element,
                           identity_element, monomial_element, reduced_monomials,
                           word_element)
-from gral.regularity import (LocalUnitPair, UnitFactorization,
-                             graded_vnr_verdict)
+from gral.regularity import UnitFactorization, graded_vnr_verdict
 
 
 def leavitt(graph, n):
@@ -181,7 +180,7 @@ class _GenericView:
     """A path algebra read through the bounded span search alone: a
     duck-typed view of the oracle, with its name, that is no
     PathAlgebraOracle (so no closed-form epsilon or strong route) and has
-    no local units."""
+    no graded witness."""
 
     def __init__(self, inner):
         self.inner = inner
@@ -191,7 +190,7 @@ class _GenericView:
     def __getattr__(self, name):
         return getattr(self.inner, name)
 
-    def local_units(self, x, size_bound):
+    def graded_witness(self, x):
         return None
 
 
@@ -225,7 +224,7 @@ def _rows(report, *props):
 @pytest.mark.parametrize("n", [2, 4, 6])
 @pytest.mark.parametrize("name", sorted(CERTIFIED_GRAPHS))
 def test_certified_rows_match_the_span_search(name, n, bound):
-    # the symmetric rows from local units and the strong row from the
+    # the symmetric rows from graded witnesses and the strong row from the
     # factorization are the rows the bounded span search gives
     spec = leavitt(CERTIFIED_GRAPHS[name](), n)
     certified = classify(spec, bound, bound)
@@ -306,20 +305,20 @@ def test_closed_form_epsilons_pass_the_bounded_unit_checks(spec):
 
 
 @given(path_algebra_specs(acyclic=False))
-def test_closed_form_units_of_every_spanning_monomial(spec):
-    # x x* x = x in every C^X(E), so x x* and x* x are units of x; on a
-    # Leavitt spec the left one is the unit local_unit_left builds for x
+def test_graded_witness_of_every_spanning_monomial(spec):
+    # x y x = x in both brackets, so x y in S_d S_-d and y x in S_-d S_d are
+    # idempotent units of x; on a Leavitt spec x y, with the pair (x, y), is
+    # the unit local_unit_left builds for x
     oracle = PathAlgebraOracle(spec)
     for d in range(-2, 3):
         for x in oracle.spanning(d, 2):
-            units = oracle.local_units(x, 2)
-            assert units.left.epsilon * x == x == x * units.right.epsilon
-            for unit, e in ((units.left, d), (units.right, -d)):
-                (a, b), = unit.pairs
-                assert a.degree() == e and b.degree() == -e
-                assert a * b == unit.epsilon
+            y = oracle.graded_witness(x)
+            assert y.degree() == -d
+            assert (x * y) * x == x == x * (y * x)
+            for unit in (x * y, y * x):
+                assert unit.degree() == 0 and unit * unit == unit
             if spec.is_leavitt:
-                assert units.left == regularity.local_unit_left(x)
+                assert regularity.local_unit_left(x) == UnitFactorization(x * y, ((x, y),))
 
 
 @pytest.mark.parametrize("ring", [table_z2xz2(), table_upper_z2()],
@@ -363,27 +362,26 @@ def test_upper_triangular_corner_classify_holds_exactly(alpha):
 
 def test_leavitt_classify_reads_certificates(monkeypatch):
     # no product list is formed and no unit is built by local_unit_left,
-    # with or without a sink; every spanning monomial x has its idempotent
-    # x x* formed once, the right units being the left units of the others
-    lefts, products, idempotents = [], [], []
+    # with or without a sink; the nearly-epsilon and symmetric rows of every
+    # spanning monomial x cost the two products of its witness check (x x*) x
+    lefts, products, muls = [], [], []
     real_left, real_products = regularity.local_unit_left, GradedRingOracle.products
+    real_mul = AlgebraElement.__mul__
     monkeypatch.setattr(regularity, "local_unit_left",
                         lambda x: lefts.append(x) or real_left(x))
     monkeypatch.setattr(GradedRingOracle, "products",
                         lambda oracle, xs, ys: products.append(1) or real_products(oracle, xs, ys))
-    monkeypatch.setattr(gradedstruct, "UnitFactorization",
-                        lambda eps, pairs: idempotents.append(pairs[0][0])
-                        or UnitFactorization(eps, pairs))
+    monkeypatch.setattr(AlgebraElement, "__mul__",
+                        lambda x, y: muls.append(1) or real_mul(x, y))
     for make in (graph_span, graph_toeplitz):
-        oracle = PathAlgebraOracle(leavitt(make(), 2))
-        lefts.clear()
-        products.clear()
-        idempotents.clear()
-        report = classify(oracle, 3, 3)
-        assert report.verdict("symmetric").holds
+        spec = leavitt(make(), 2)
+        assert classify(spec, 3, 3).verdict("symmetric").holds
+        oracle = PathAlgebraOracle(spec)
         spanning = [s for d in range(-3, 4) for s in oracle.spanning(d, 3)]
-        assert len(idempotents) == len(set(idempotents)) == len(spanning)
-        assert set(idempotents) == set(spanning)
+        muls.clear()
+        assert check_nearly_epsilon(oracle, 3, 3)[0].holds
+        assert check_symmetric(oracle, 3, 3)[0].holds
+        assert len(muls) == 2 * len(spanning)
         assert lefts == products == []
 
 
@@ -700,24 +698,22 @@ def test_cohn_classify_builds_no_phi(z2, monkeypatch):
 
 
 def test_path_oracle_local_units(z2, z3):
-    # x x* and x* x with the pairs (x, x*) and (x*, x), Leavitt and relative
-    # Cohn alike; ff* is v in the Leavitt algebra only
-    def units(spec, word):
-        pair = PathAlgebraOracle(spec).local_units(word_element(spec, word), 2)
-        return (format_element(pair.left.epsilon), format_element(pair.right.epsilon),
-                [(format_element(a), format_element(b)) for a, b in pair.left.pairs])
-    assert units(AlgebraSpec.leavitt(graph_vw(), z2), ["f"]) == ("v", "w", [("f", "f*")])
-    assert units(AlgebraSpec.cohn(graph_vw(), z2, []), ["f"]) == ("ff*", "w", [("f", "f*")])
-    assert units(AlgebraSpec.cohn(graph_vw(), z2, []), ["v"]) == ("v", "v", [("v", "v")])
-    assert MatrixGradingOracle(z2).local_units(MatrixGradingOracle(z2).unit(0, 1), 2) is None
+    # the graded witness of a spanning monomial x is x*, Leavitt and
+    # relative Cohn alike; ff* is a spanning monomial of the Cohn algebra only
+    def witness(spec, word):
+        return format_element(PathAlgebraOracle(spec).graded_witness(word_element(spec, word)))
+    leavitt_vw, cohn_vw = AlgebraSpec.leavitt(graph_vw(), z2), AlgebraSpec.cohn(graph_vw(), z2, [])
+    assert [witness(leavitt_vw, word) for word in (["f"], ["f*"], ["v"])] == ["f*", "f", "v"]
+    assert [witness(cohn_vw, word) for word in (["f"], ["f", "f*"], ["w"])] == ["f*", "ff*", "w"]
+    assert MatrixGradingOracle(z2).graded_witness(MatrixGradingOracle(z2).unit(0, 1)) is None
     spec = AlgebraSpec.cohn(graph_vw(), z3, [])
     for x in (identity_element(spec), word_element(spec, ["f"], 2), AlgebraElement.zero(spec)):
         with pytest.raises(GralError, match=" is no monomial with coefficient one$"):
-            PathAlgebraOracle(spec).local_units(x, 2)
+            PathAlgebraOracle(spec).graded_witness(x)
 
 
 def test_nearly_products_formed_once_per_degree(monkeypatch):
-    # without local units each element is decided by the bounded search,
+    # without a graded witness each element is decided by the bounded search,
     # which shares one S_d S_-d and one S_-d S_d list per degree
     spec = AlgebraSpec.cohn(graph_vw(), ModularRing(2), [])
     calls = []
@@ -748,14 +744,12 @@ def _declined(real):
     return lambda spec: None
 
 
-def _swapped_left_pairs(real):
-    # left unit pairs (b, a): degrees -d and d instead of d and -d
-    def units(self, x, size_bound):
-        pair = real(self, x, size_bound)
-        left = UnitFactorization(pair.left.epsilon,
-                                 tuple((b, a) for a, b in pair.left.pairs))
-        return LocalUnitPair(pair.element, pair.degree, left, pair.right)
-    return units
+def _ghost_involute_to_degree_zero(real):
+    # (r(b) b*)* = b b* instead of b: a witness of degree 0 for a ghost path
+    # of degree -|b|; the epsilons involute no ghost path
+    def involute(m):
+        return Monomial(m.beta, m.beta) if m.beta.edges and not m.alpha.edges else real(m)
+    return involute
 
 
 def _self_adjoint_involute(real):
@@ -813,9 +807,8 @@ def _swapped_strong_pair(real):
      "strong factorization declined, yet eps_1 = 1"),
     (gradedstruct, "check_strong_Z", _raise_internal,
      AlgebraSpec.leavitt(graph_vw(), ModularRing(2)), "planted"),
-    (PathAlgebraOracle, "local_units", _swapped_left_pairs,
-     AlgebraSpec.leavitt(graph_vw(), ModularRing(2)),
-     "unit pair of f\\* has the wrong degree"),
+    (Monomial, "involute", _ghost_involute_to_degree_zero,
+     AlgebraSpec.leavitt(graph_vw(), ModularRing(2)), "^x x\\* x = x fails on f\\*$"),
     (gradedstruct, "_strong_pairs", _dropped_strong_pair,
      AlgebraSpec.leavitt(graph_rose2(), ModularRing(2)),
      "1 is not the sum of its S_-1 S_1 pairs"),
@@ -832,7 +825,7 @@ def _swapped_strong_pair(real):
      "^epsilon_-1 misses the branch b$"),
 ], ids=["epsilon_companion_short",
         "strong_factorization_declined",
-        "check_strong_Z", "unit_pair_wrong_degree",
+        "check_strong_Z", "witness_wrong_degree",
         "strong_pair_dropped", "strong_pair_wrong_degree",
         "involute_leavitt", "involute_cohn", "epsilon_first_out_edge_only"])
 def test_classify_reraises_internal_failures(monkeypatch, tmp_path, capsys,

@@ -164,3 +164,17 @@ def test_gradedstruct_transports_no_unit_through_psi():
     assert used & banned == set()
     assert "local_unit_left" in {node.name for node in _parse(SRC / "regularity.py").body
                                  if isinstance(node, ast.FunctionDef)}
+
+
+def test_gradedstruct_imports_nothing_from_regularity():
+    # classify's units come from the oracle's graded witness, not from unit
+    # records: gradedstruct needs no import from regularity, and the unit
+    # pair record is gone from the package
+    imports = [ast.unparse(node) for node in ast.walk(_parse(SRC / "gradedstruct.py"))
+               if isinstance(node, (ast.Import, ast.ImportFrom))]
+    assert [line for line in imports if "regularity" in line] == []
+    defined = [f"{path.name}:{node.name}" for path in sorted(SRC.glob("*.py"))
+               for node in ast.walk(_parse(path))
+               if isinstance(node, (ast.ClassDef, ast.FunctionDef))
+               and node.name == "LocalUnitPair"]
+    assert defined == []
