@@ -714,6 +714,7 @@ def _epsilon_paths(graph, n: int):
     if n >= 0:
         return [(p, graph.vertex_path(p.dst)) for p in graph.paths(n)]
     counts = graph.path_counts(len(graph.vertices) - 1 - n)
+    within_cap(_walk_size(graph, counts, n), "epsilon walk")
     pairs = []
     level = [graph.vertex_path(v) for v in sorted(graph.vertices)]
     while level:
@@ -725,6 +726,21 @@ def _epsilon_paths(graph, n: int):
                 grown.extend(graph.extend(q, e) for e in graph.out_edges(q.dst))
         level = grown
     return pairs
+
+
+def _walk_size(graph, counts, n):
+    """The number of paths the M_-n walk visits, counted on (length, range)
+    pairs, which alone decide whether a path is kept; no branch is longer
+    than |V| - 1 edges."""
+    level, total = dict.fromkeys(graph.vertices, 1), 0
+    for length in range(len(graph.vertices)):
+        total += sum(level.values())
+        grown = dict.fromkeys(graph.vertices, 0)
+        for e in graph.edges:
+            if not counts[length - n][e.src]:
+                grown[e.dst] += level[e.src]
+        level = grown
+    return total
 
 
 def _path_into(graph, counts, v, length):
@@ -794,7 +810,8 @@ def _epsilon_path_algebra(oracle: PathAlgebraOracle, degree_bound, size_bound):
     one row and one table entry per degree.  A Leavitt spec has one row +-n
     per pair of degrees and eps_n in the table; eps_-n is formed and
     checked too, but not printed.  The paths of lengths 0..degree_bound
-    are capped, counted before the first epsilon is formed."""
+    are capped, counted before the first epsilon is formed; each walk for
+    M_-n is capped by its own size in _epsilon_paths."""
     spec = oracle.spec
     within_cap(sum(sum(c.values()) for c in spec.graph.path_counts(degree_bound)),
                "epsilon paths")

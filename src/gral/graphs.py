@@ -149,19 +149,18 @@ class Graph:
         return counts
 
     def longest_path_length(self) -> Optional[int]:
-        """Max path length for acyclic graphs, None if the graph has a cycle."""
-        if not is_acyclic(self):
+        """Max path length for acyclic graphs, None if the graph has a cycle,
+        from path_counts(|V|): a path of |V| edges repeats a vertex."""
+        counts = self.path_counts(len(self.vertices))
+        if any(counts[-1].values()):
             return None
-        n = 0
-        while self.paths(n + 1):
-            n += 1
-        return n
+        return max((i for i, c in enumerate(counts) if any(c.values())), default=0)
 
     def all_paths_within(self, length_bound: int) -> bool:
-        """Whether every path has length <= length_bound, i.e. spanning sets
-        cut at that length span their whole components."""
-        longest = self.longest_path_length()
-        return longest is not None and length_bound >= longest
+        """Whether spanning sets cut at this length span their components: no
+        path of min(length_bound + 1, |V|) edges; one of |V| means a cycle."""
+        counts = self.path_counts(min(length_bound + 1, len(self.vertices)))
+        return not any(counts[-1].values())
 
     def __eq__(self, other):
         return (isinstance(other, Graph) and other.vertices == self.vertices
@@ -180,38 +179,26 @@ def vertex_classify(graph: Graph):
 
 
 def is_acyclic(graph: Graph) -> bool:
-    color = {v: 0 for v in graph.vertices}  # 0 new, 1 active, 2 done
-    for start in graph.vertices:
-        if color[start]:
-            continue
-        stack = [(start, iter(graph.out_edges(start)))]
-        color[start] = 1
-        while stack:
-            v, it = stack[-1]
-            advanced = False
-            for e in it:
-                w = e.dst
-                if color[w] == 1:
-                    return False
-                if color[w] == 0:
-                    color[w] = 1
-                    stack.append((w, iter(graph.out_edges(w))))
-                    advanced = True
-                    break
-            if not advanced:
-                color[v] = 2
-                stack.pop()
-    return True
+    return graph.longest_path_length() is not None
+
+
+def regular_subset(graph: Graph, x=None) -> frozenset:
+    """X as a frozenset, Reg(E) when x is None; a vertex of X that is not
+    regular raises XNotRegular."""
+    reg = frozenset(graph.regular)
+    if x is None:
+        return reg
+    x = frozenset(x)
+    if not x <= reg:
+        raise XNotRegular(f"X contains non-regular vertices: {sorted(x - reg)}")
+    return x
 
 
 def cohn_duplicates(graph: Graph, x) -> dict:
     """{name: its duplicate's name in E(X)} for each vertex of Y = Reg(E) \\ X,
     sorted, and then each edge into Y, in edge order: the first of name + "'",
     name + "''", ... that no vertex or edge has taken."""
-    reg = set(graph.regular)
-    if not set(x) <= reg:
-        raise XNotRegular(f"X contains non-regular vertices: {sorted(set(x) - reg)}")
-    y = reg - set(x)
+    y = set(graph.regular) - regular_subset(graph, x)
     taken = set(graph.vertices) | {e.name for e in graph.edges}
     dup = {}
     for name in sorted(y) + [e.name for e in graph.edges if e.dst in y]:
@@ -243,15 +230,7 @@ class CohnPair:
     x: frozenset = field(default=None)
 
     def __post_init__(self):
-        x = self.x
-        if x is None:
-            x = frozenset(self.graph.regular)
-        else:
-            x = frozenset(x)
-        reg = set(self.graph.regular)
-        if not x <= reg:
-            raise XNotRegular(f"X contains non-regular vertices: {sorted(x - reg)}")
-        object.__setattr__(self, "x", x)
+        object.__setattr__(self, "x", regular_subset(self.graph, self.x))
 
 
 @dataclass(frozen=True)

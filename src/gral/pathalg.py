@@ -12,8 +12,8 @@ from typing import Optional
 
 from .coeffring import Ring, mul_entries, within_cap
 from .errors import (GralError, NotDegreeZero, NotInDn, SpecMismatch,
-                     UnknownGenerator, XNotRegular, json_field, json_value)
-from .graphs import Graph, Path
+                     UnknownGenerator, json_field, json_value)
+from .graphs import Graph, Path, regular_subset
 
 
 class Monomial:
@@ -71,12 +71,9 @@ class AlgebraSpec:
     def __init__(self, graph: Graph, ring: Ring, x=None):
         self.graph = graph
         self.ring = ring
-        reg = frozenset(graph.regular)
-        self.x = reg if x is None else frozenset(x)
-        if not self.x <= reg:
-            raise XNotRegular(f"X contains non-regular vertices: {sorted(self.x - reg)}")
+        self.x = regular_subset(graph, x)
         self.special_names = frozenset(graph.out_edges(v)[0].name for v in self.x)
-        self.is_leavitt = self.x == reg
+        self.is_leavitt = self.x == frozenset(graph.regular)
         self._joiner = "" if all(len(e.name) == 1 for e in graph.edges) else "."
         self._blocks = {}  # level -> BlockStructure, see blocks()
         self._cohn = None  # (phi, psi), see morphisms.cohn_isomorphism

@@ -196,7 +196,8 @@ def graded_witness_constructive(x: AlgebraElement) -> WitnessCertificate:
         if b.degree() != -d or not _verify_witness(x, b):
             raise InternalVerificationFailure("transported witness failed verification")
         return WitnessCertificate(x, d, "constructive", witness=b, verified=True)
-    if d < 0:
+    if d < 0 and spec.ring.is_commutative():
+        # r.ab* -> r.ba* is an anti-homomorphism only over a commutative ring
         mirror = graded_witness_constructive(x.involution())
         b = mirror.witness.involution()
         if not _verify_witness(x, b):

@@ -37,6 +37,21 @@ def table_upper_z2():
                      [[mul(i, j) for j in range(8)] for i in range(8)], zero=0, one=5)
 
 
+def table_m2_z2():
+    """All 2x2 matrices over Z/2 given by tables, a non-commutative von
+    Neumann regular ring of order 16: 8a + 4b + 2c + d stands for
+    [[a, b], [c, d]]."""
+    def entries(i):
+        return i >> 3, (i >> 2) & 1, (i >> 1) & 1, i & 1
+
+    def mul(i, j):
+        (a, b, c, d), (p, q, r, s) = entries(i), entries(j)
+        return (8 * ((a & p) ^ (b & r)) + 4 * ((a & q) ^ (b & s))
+                + 2 * ((c & p) ^ (d & r)) + ((c & q) ^ (d & s)))
+    return TableRing([[i ^ j for j in range(16)] for i in range(16)],
+                     [[mul(i, j) for j in range(16)] for i in range(16)], zero=0, one=9)
+
+
 def brute_solutions(ring, constraints, variables):
     """Every assignment of ring elements to the variables that satisfies the
     constraints, in enumeration order: the reference for the solvers."""

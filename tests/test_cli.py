@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import table_upper_z2, table_z2xz2
+from conftest import table_m2_z2, table_upper_z2, table_z2xz2
 from gral import cli, coeffring, gradedstruct, morphisms, regularity
 from gral.cli import main
 from gral.coeffring import ModularRing, ring_make, ring_spec
@@ -607,17 +607,28 @@ def test_block_structure_beyond_the_cap_exit2(files, capsys, monkeypatch, comman
     assert capsys.readouterr().err == ""
 
 
-@pytest.mark.parametrize("bounds, what, states", [
-    (["--degree-bound", "1", "--size-bound", "3"], "reduced monomials", 225),
-    (["--degree-bound", "3", "--size-bound", "1"], "epsilon paths", 15),
-], ids=["reduced_monomials", "epsilon_paths"])
+def diamond_chain(k):
+    """v0 => v1 => ... => vk, two parallel edges per link: 2^k paths from v0
+    to vk and no cycle."""
+    return {"vertices": [f"v{i}" for i in range(k + 1)],
+            "edges": [{"name": f"{n}{i}", "src": f"v{i}", "dst": f"v{i + 1}"}
+                      for i in range(k) for n in "ab"]}
+
+
+@pytest.mark.parametrize("graph, bounds, what, states", [
+    (GOLDEN_GRAPHS["rose2"], ["--degree-bound", "1", "--size-bound", "3"],
+     "reduced monomials", 225),
+    (GOLDEN_GRAPHS["rose2"], ["--degree-bound", "3", "--size-bound", "1"], "epsilon paths", 15),
+    (diamond_chain(5), ["--degree-bound", "1", "--size-bound", "1"], "epsilon walk", 68),
+], ids=["reduced_monomials", "epsilon_paths", "epsilon_walk"])
 def test_classify_listings_beyond_the_cap_exit2(files, capsys, monkeypatch,
-                                                bounds, what, states):
+                                                graph, bounds, what, states):
     # rose2 has 1 + 2 + 4 + 8 = 15 paths of length at most 3: 15^2 monomial
-    # pairs at size bound 3 and 15 epsilon paths at degree bound 3, both
-    # counted before any path is listed
-    args = ["lpa", "classify", "--graph", write(files["tmp"] / "rose2.json",
-                                                GOLDEN_GRAPHS["rose2"]),
+    # pairs at size bound 3 and 15 epsilon paths at degree bound 3; the walk
+    # for eps_-1 on the 5-link chain keeps no path from v0, so it visits
+    # 1 + 2 + ... + 32 = 63 paths from v0 and each other vertex once; all
+    # are counted before any path is listed
+    args = ["lpa", "classify", "--graph", write(files["tmp"] / "graph.json", graph),
             "--ring", files["z2"]] + bounds
     monkeypatch.setenv("GRAL_SEARCH_CAP", str(states - 1))
     assert main(args) == 2
@@ -627,6 +638,60 @@ def test_classify_listings_beyond_the_cap_exit2(files, capsys, monkeypatch,
     monkeypatch.setenv("GRAL_SEARCH_CAP", str(states))
     assert main(args) == 0
     assert capsys.readouterr().err == ""
+
+
+def test_witness_exactness_on_a_long_chain_lists_no_long_path(files, capsys, monkeypatch):
+    # 2 v0 has no witness over Z/4; whether that absence is exact is read
+    # from path counts, never from the 2^20 paths of the 20-link chain
+    real = Graph.paths
+
+    def paths(graph, n, target=None):
+        if n > 3:
+            raise AssertionError(f"listed the paths of length {n}")
+        return real(graph, n, target)
+    monkeypatch.setattr(Graph, "paths", paths)
+    element = write(files["tmp"] / "elt_2v0.json", [
+        {"coeff": 2, "alpha": {"vertex": "v0"}, "beta": {"vertex": "v0"}}])
+    assert main(["lpa", "witness", "--graph", write(files["tmp"] / "chain20.json",
+                                                    diamond_chain(20)),
+                 "--ring", files["z4"], "--element", element]) == 1
+    assert capsys.readouterr().out == (
+        "element=2*v0 degree=0 method=oracle absence=at-bound searched=degree 0 "
+        "spanning monomials with lengths <= 3 (1173 candidates) bounds=size=3 "
+        "verified=true\n")
+
+
+M2_GRAPHS = {"rose2": GOLDEN_GRAPHS["rose2"],
+             "vw2": {"vertices": ["v", "w"],
+                     "edges": [{"name": n, "src": "v", "dst": "w"} for n in "ef"]}}
+
+
+def test_negative_degree_witness_over_m2_z2_exit0(files, capsys):
+    # over a non-commutative ring r.ab* -> r.ba* is no anti-homomorphism;
+    # the constructive route takes the left unit of t1 e* + t2 f* directly
+    ring = write(files["tmp"] / "m2.json", ring_spec(table_m2_z2()))
+    element = write(files["tmp"] / "elt_m2.json", [
+        {"coeff": 1, "alpha": {"vertex": "v"}, "beta": ["e"]},
+        {"coeff": 2, "alpha": {"vertex": "v"}, "beta": ["f"]}])
+    assert main(["lpa", "witness", "--graph", write(files["tmp"] / "rose2.json",
+                                                    M2_GRAPHS["rose2"]),
+                 "--ring", ring, "--element", element]) == 0
+    assert capsys.readouterr().out == ("element=t1*e* + t2*f* degree=-1 method=constructive "
+                                       "witness=t1*e bounds=- verified=true\n")
+
+
+@pytest.mark.parametrize("graph, samples", [("rose2", 20), ("vw2", 30)])
+def test_verdict_over_m2_z2_exit0(files, capsys, graph, samples):
+    ring = write(files["tmp"] / "m2.json", ring_spec(table_m2_z2()))
+    assert main(["lpa", "verdict", "--graph", write(files["tmp"] / f"{graph}.json",
+                                                    M2_GRAPHS[graph]),
+                 "--ring", ring, "--degree-bound", "1", "--size-bound", "1",
+                 "--samples", str(samples)]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    lines = captured.out.splitlines()
+    assert " method=constructive overall=verified-at-bounds" in lines[0]
+    assert len(lines) > 1 and all("verified=true" in line for line in lines[1:])
 
 
 def _spoiled_matrix_witness_exits_3(files, capsys, monkeypatch, spoil):

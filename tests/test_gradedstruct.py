@@ -143,6 +143,28 @@ def test_epsilon_element_reaches_past_a_source(x, eps):
     assert epsilon_element(spec, -2) * x == x
 
 
+class _CountingGraph(Graph):
+    """A graph that records every path extended along one of its edges."""
+
+    def __init__(self, graph):
+        super().__init__(graph.vertices, graph.edges)
+        self.extended = 0
+
+    def extend(self, p, e):
+        self.extended += 1
+        return super().extend(p, e)
+
+
+@given(small_graphs(), st.integers(-3, -1))
+def test_epsilon_walk_is_counted_before_it_is_listed(graph, n):
+    # the cap's count is the number of paths the M_-n walk visits: one per
+    # vertex and one per extension
+    graph = _CountingGraph(graph)
+    size = gradedstruct._walk_size(graph, graph.path_counts(len(graph.vertices) - 1 - n), n)
+    gradedstruct._epsilon_paths(graph, n)
+    assert size == len(graph.vertices) + graph.extended
+
+
 # -- strong ---------------------------------------------------------------------
 
 

@@ -3,6 +3,8 @@
 import pickle
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from conftest import (SIX_GRAPHS, graph_a1, graph_loop, graph_null,
                       graph_rose2, graph_toeplitz, graph_vw, graph_vwu)
@@ -160,6 +162,45 @@ def test_is_acyclic_examples():
     two = Graph(["v", "w"], [("e", "v", "w"), ("f", "w", "v")])
     assert not is_acyclic(two)
     assert is_acyclic(graph_null())
+
+
+@st.composite
+def graphs_up_to_five_vertices(draw):
+    """Zero to five vertices and up to seven edges; half the draws put every
+    edge from an earlier vertex to a later one, the rest allow loops and
+    cycles."""
+    vertices = [f"v{i}" for i in range(draw(st.integers(0, 5)))]
+    forward = draw(st.booleans())
+    pairs = [(a, b) for i, a in enumerate(vertices) for j, b in enumerate(vertices)
+             if i < j or not forward]
+    edges = draw(st.lists(st.sampled_from(pairs), max_size=7)) if pairs else []
+    return Graph(vertices, [(f"e{i}", a, b) for i, (a, b) in enumerate(edges)])
+
+
+def brute_path_lengths(graph, max_len):
+    """The length of every path with at most max_len edges, listed by
+    extending each path along every edge out of its range."""
+    level = [(0, v) for v in graph.vertices]
+    lengths = [0] * len(level)
+    for n in range(1, max_len + 1):
+        level = [(n, e.dst) for _, v in level for e in graph.edges if e.src == v]
+        lengths += [n] * len(level)
+    return lengths
+
+
+@given(graphs_up_to_five_vertices(), st.integers(0, 6))
+def test_graph_facts_match_brute_force(graph, bound):
+    # the reference: a vertex that reaches itself by one or more edges lies
+    # on a cycle; an acyclic graph's paths have at most |V| - 1 edges
+    reach = {v: {e.dst for e in graph.edges if e.src == v} for v in graph.vertices}
+    for _ in graph.vertices:
+        reach = {v: r.union(*(reach[w] for w in r)) for v, r in reach.items()}
+    acyclic = not any(v in r for v, r in reach.items())
+    longest = max(brute_path_lengths(graph, len(graph.vertices)), default=0) \
+        if acyclic else None
+    assert is_acyclic(graph) == acyclic
+    assert graph.longest_path_length() == longest
+    assert graph.all_paths_within(bound) == (acyclic and longest <= bound)
 
 
 def test_graph_json_roundtrip():

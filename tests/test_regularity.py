@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from conftest import (SIX_GRAPHS, graph_2cycle, graph_a1, graph_loop,
                       graph_null, graph_rose2, graph_toeplitz, graph_vw,
-                      graph_vwu, random_element, table_upper_z2)
+                      graph_vwu, random_element, table_m2_z2, table_upper_z2)
 import gral.regularity as regularity
 from gral.coeffring import ModularRing, ProductRing
 from gral.gradedstruct import PathAlgebraOracle
@@ -465,6 +465,33 @@ def test_constructive_branching_graph_hammer(z6):
             continue
         cert = graded_witness_constructive(x)
         assert x * cert.witness * x == x
+
+
+M2_GRAPHS = dict(SIX_GRAPHS,
+                 vw2=lambda: Graph(["v", "w"], [("e", "v", "w"), ("f", "v", "w")]),
+                 fork=lambda: Graph(["v", "a", "b", "c"],
+                                    [("e", "v", "a"), ("f", "v", "b"), ("g", "v", "c")]))
+
+
+@pytest.mark.parametrize("graph", sorted(M2_GRAPHS))
+def test_constructive_witnesses_over_m2_z2(graph):
+    # M_2(Z/2) is von Neumann regular and not commutative, so a negative
+    # degree takes the left-unit route, not the reflection through x*
+    ring = table_m2_z2()
+    assert not ring.is_commutative()
+    spec = AlgebraSpec.leavitt(M2_GRAPHS[graph](), ring)
+    rng = random.Random(graph)
+    for d in range(-2, 3):
+        if not reduced_monomials(spec, degree=d, max_len=2):
+            continue
+        for _ in range(6):
+            x = random_element(spec, rng, degree=d, max_len=2)
+            if x.is_zero:
+                continue
+            cert = graded_witness_constructive(x)
+            assert cert.verified and not cert.absent
+            assert cert.witness.degree() == -d
+            assert x * cert.witness * x == x
 
 
 def random_graph(rng):

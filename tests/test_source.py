@@ -178,3 +178,21 @@ def test_gradedstruct_imports_nothing_from_regularity():
                if isinstance(node, (ast.ClassDef, ast.FunctionDef))
                and node.name == "LocalUnitPair"]
     assert defined == []
+
+
+def _called_name(call) -> str:
+    """f of a call f(...) or obj.f(...)."""
+    return call.func.attr if isinstance(call.func, ast.Attribute) else ast.unparse(call.func)
+
+
+def test_graph_facts_list_no_paths():
+    # acyclicity, the longest path and exactness are read from path counts;
+    # a path listing or a walk along out-edges grows with the number of
+    # paths, which doubles with each link of a chain of parallel edges
+    facts = {"longest_path_length", "all_paths_within", "is_acyclic"}
+    found = {node.name: sorted(_called_name(call) for call in ast.walk(node)
+                               if isinstance(call, ast.Call)
+                               and _called_name(call) in {"paths", "out_edges", "extend"})
+             for node in ast.walk(_parse(SRC / "graphs.py"))
+             if isinstance(node, ast.FunctionDef) and node.name in facts}
+    assert found == {name: [] for name in facts}
