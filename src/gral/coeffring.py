@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import collections
 import functools
+import heapq
 import itertools
 import math
 import os
@@ -436,20 +437,27 @@ def is_vnr(ring: Ring) -> VnrVerdict:
 #
 # A system's left-hand sides are factored once (_factor) and then asked for
 # solutions against any number of right-hand sides, and for the generators
-# of its homogeneous solutions.  ring_parts is the one split: a product
-# ring into its factors, a composite Z/n into its prime powers, each part
-# factored on its own and each answer joined (by CRT) and checked to
-# project back onto every part's.  Over Z/q, q = p**e, _PrimePowerFactor
-# is the one elimination: it folds the constraints into sparse rows,
-# eliminates with unit pivots (first row, then first column, holding a
-# unit), records the row operations and factors the leftover rows, all
-# divisible by p, divided by p mod p**(e-1).  Solving replays the row
-# operations on the right-hand side, checks the leftover rows and
-# back-substitutes; the kernel's non-pivot unknowns are free, or range
-# over the lifted sub-kernel plus p**(e-1) times anything, and the reduced
-# pivot rows fix the rest.  Every solution and generator is re-checked
-# exactly.  A matrix's generalized inverse over Z/p is the row operations
-# of its rows replayed on the unit vectors.  Pivots depend on the
+# of its homogeneous solutions.  A right-hand side is a sparse {row: entry},
+# so a solve costs what its target reaches, not the size of the system.
+# ring_parts is the one split: a product ring into its factors, a
+# composite Z/n into its prime powers, each part factored on its own; the
+# answers are joined (by CRT) on the unknowns that some part makes
+# nonzero, each joined entry checked to project back onto every part's,
+# and every other unknown is the joined zero, checked once.  Over Z/q,
+# q = p**e, _PrimePowerFactor is the one elimination: it folds the
+# constraints into sparse rows, eliminates with unit pivots (first row,
+# then first column, holding a unit), records the row operations and
+# factors the leftover rows, all divisible by p, divided by p mod
+# p**(e-1).  Solving replays, in recorded order, the row operations whose
+# pivot row the target has reached (any other adds zero), checks the
+# leftover rows it has reached and back-substitutes from the nonzero free
+# values; the kernel's non-pivot unknowns are free, or range over the
+# lifted sub-kernel plus p**(e-1) times anything, and the reduced pivot
+# rows fix the rest.  Every solution and generator is re-checked exactly
+# on every row: sum_j x_j . column_j - rhs is formed on the rows that the
+# answer's columns or rhs touch, and every other row reads 0 = 0.  A
+# matrix's generalized inverse over Z/p is the row operations of its rows
+# replayed densely (replay) on the unit vectors.  Pivots depend on the
 # left-hand sides alone, so SpanSolver factors a span question's columns
 # once for any number of targets and its kernel.  Table rings are solved
 # by AdditiveSpan: given each unknown's image of every nonzero element,
@@ -492,7 +500,10 @@ class SpanSolver:
 
     More blocks of columns, one column per unknown in each, ask for the
     same r_i in several equations: solve(target, ...) takes one target per
-    block, and the rows are those of span_constraints block by block."""
+    block, and the rows are those of span_constraints block by block.
+
+    A solve passes the targets' nonzero entries on as a sparse right-hand
+    side, so it costs what they reach, not the size of the system."""
 
     def __init__(self, ring: Ring, *blocks):
         self.zero = ring.zero
@@ -507,18 +518,15 @@ class SpanSolver:
         # nonzero coefficient there leaves the system without a solution
         constraints.append(([], ring.zero))
         self._system = _factor(ring, constraints, list(range(len(blocks[0]))))
-        self._nrows = len(constraints)
+        self._absent = len(constraints) - 1
 
     def solve(self, *targets) -> Optional[dict]:
-        zero = self.zero
-        rhs = [zero] * self._nrows
+        zero, absent = self.zero, self._absent
+        rhs = {}
         for row_of, target in zip(self._row_of, targets):
             for k, b in target.items():
-                r = row_of.get(k)
-                if r is not None:
-                    rhs[r] = b
-                elif b != zero:
-                    rhs[-1] = b
+                if b != zero:
+                    rhs[row_of.get(k, absent)] = b
         return self._system.solve(rhs)
 
     def kernel(self) -> list:
@@ -539,7 +547,7 @@ def solve_linear_system(ring: Ring, constraints, variables=None):
         return _joined(split, (solve_linear_system(part, system, varlist) for part, system
                                in zip(split[0], _split_constraints(split, constraints))),
                        varlist, "linear solution")
-    return _factor(ring, constraints, varlist).solve([b for _, b in constraints])
+    return _factor(ring, constraints, varlist).solve(dict(enumerate(b for _, b in constraints)))
 
 
 def _collect_vars(constraints, variables):
@@ -557,9 +565,11 @@ def _collect_vars(constraints, variables):
 
 def _factor(ring: Ring, constraints, varlist):
     """The left-hand sides of the constraints (their right-hand sides are
-    ignored) prepared once; solve(rhs), with one right-hand side per
-    constraint, gives {var: element} or None, and kernel() the nonzero
-    generators {var: element} of the homogeneous solutions."""
+    ignored) prepared once; solve(rhs), rhs a sparse {constraint index:
+    right-hand side}, gives {var: element} over every unknown or None, and
+    kernel() the nonzero generators {var: element} of the homogeneous
+    solutions.  support(rhs) is solve's answer with zero entries possibly
+    left out, which is all that the join of a split reads."""
     split = ring_parts(ring)
     if split is not None:
         return _SplitSystem(split, constraints, varlist)
@@ -583,18 +593,26 @@ def _split_constraints(split, constraints):
 
 
 def _joined(split, answers, varlist, what):
-    """{var: element} joined from the answers {var: element}, one per part
-    of a ring_parts split and read in turn, once each joined entry projects
-    back onto every part's; None at the first answer that is None."""
+    """{var: element} over varlist joined from the answers {var: element},
+    one per part of a ring_parts split and read in turn, an unknown that an
+    answer leaves out being zero there; None at the first answer that is
+    None.  Only the unknowns that some answer makes nonzero are joined, each
+    once it projects back onto every part's; every other unknown is the
+    join of the zeros, which is checked the same way once."""
     per_part = []
     for sol in answers:
         if sol is None:
             return None
         per_part.append(sol)
-    _, project, join = split
-    x = {}
-    for v in varlist:
-        xs = tuple(sol[v] for sol in per_part)
+    parts, project, join = split
+    zeros = tuple(part.zero for part in parts)
+    zero = join(zeros)
+    if project(zero) != zeros:
+        raise InternalVerificationFailure(f"{what} failed re-verification")
+    x = dict.fromkeys(varlist, zero)
+    for v in dict.fromkeys(v for sol, z in zip(per_part, zeros)
+                           for v, a in sol.items() if a != z):
+        xs = tuple(sol.get(v, z) for sol, z in zip(per_part, zeros))
         x[v] = join(xs)
         if project(x[v]) != xs:
             raise InternalVerificationFailure(f"{what} failed re-verification")
@@ -610,15 +628,17 @@ class _SplitSystem:
                       for part, system in zip(split[0], _split_constraints(split, constraints))]
 
     def solve(self, rhs):
-        rhs = [self.split[1](b) for b in rhs]
-        return _joined(self.split, (part.solve([b[k] for b in rhs])
+        rhs = {r: self.split[1](b) for r, b in rhs.items()}
+        return _joined(self.split, (part.support({r: b[k] for r, b in rhs.items()})
                                     for k, part in enumerate(self.parts)),
                        self.varlist, "linear solution")
 
+    support = solve  # the join holds every unknown
+
     def kernel(self):
         """Each part's generators, zero in the other parts."""
-        zeros = [dict.fromkeys(self.varlist, part.zero) for part in self.split[0]]
-        return [_joined(self.split, zeros[:k] + [g] + zeros[k + 1:], self.varlist,
+        none = [{}] * len(self.parts)
+        return [_joined(self.split, none[:k] + [g] + none[k + 1:], self.varlist,
                         "kernel generator")
                 for k, part in enumerate(self.parts) for g in part.kernel()]
 
@@ -639,20 +659,20 @@ class _AdditiveSystem:
         self.span = AdditiveSpan(ring, list(images.values()))
 
     def solve(self, rhs):
-        xs = self.span.solve(dict(enumerate(rhs)))
+        xs = self.span.solve(rhs)
         return None if xs is None else self._checked(xs, rhs, "linear solution")
 
+    support = solve  # the answer holds every unknown
+
     def kernel(self):
-        zero = self.ring.zero
-        return [self._checked(g, itertools.repeat(zero), "kernel generator")
-                for g in self.span.kernel()]
+        return [self._checked(g, {}, "kernel generator") for g in self.span.kernel()]
 
     def _checked(self, xs, rhs, what):
         ring = self.ring
         x = dict(zip(self.varlist, xs))
-        for terms, b in zip(self.lhs, rhs):
+        for i, terms in enumerate(self.lhs):
             if functools.reduce(ring.add, (_term(ring, l, x[v], r) for l, v, r in terms),
-                                ring.zero) != b:
+                                ring.zero) != rhs.get(i, ring.zero):
                 raise InternalVerificationFailure(f"{what} failed re-verification")
         return x
 
@@ -792,25 +812,37 @@ class _ModularSystem:
         self.factor = _PrimePowerFactor([dict(row) for row in self.rows], len(varlist), p, e)
 
     def solve(self, rhs):
-        x = self.factor.solve([b % self.n for b in rhs])
+        x = self.support(rhs)
+        if x is None:
+            return None
+        full = dict.fromkeys(self.varlist, 0)
+        full.update(x)
+        return full
+
+    def support(self, rhs):
+        n = self.n
+        x = self.factor.solve({r: b % n for r, b in rhs.items() if b % n})
         return None if x is None else self._checked(x, rhs, "linear solution")
 
     def kernel(self):
-        return [self._checked(g, itertools.repeat(0), "kernel generator")
+        return [self._checked(dict(enumerate(g)), {}, "kernel generator")
                 for g in self.factor.kernel()]
 
     def _checked(self, x, rhs, what):
-        """x as {var: entry}, once sum_j x_j . column_j, formed from the
-        nonzero x_j, equals rhs on every row (also on a row no column has)."""
-        acc = [0] * len(self.rows)
-        for j, xj in enumerate(x):
+        """x, {column: entry}, as {var: entry} once sum_j x_j . column_j
+        equals rhs, {row: entry}, on every row (also on a row no column
+        has).  The difference is formed on the rows that rhs or the column
+        of a nonzero x_j touches: every other row reads 0 = 0."""
+        acc = dict(rhs)
+        for j, xj in x.items():
             if xj:
                 for r, c in self.columns[j]:
-                    acc[r] += c * xj
+                    acc[r] = acc.get(r, 0) - c * xj
         n = self.n
-        if any((a - b) % n for a, b in zip(acc, rhs)):
+        if any(a % n for a in acc.values()):
             raise InternalVerificationFailure(f"{what} failed re-verification")
-        return dict(zip(self.varlist, x))
+        varlist = self.varlist
+        return {varlist[j]: xj for j, xj in x.items()}
 
 
 class _PrimePowerFactor:
@@ -862,13 +894,14 @@ class _PrimePowerFactor:
 
     @functools.cached_property
     def _reduced(self):
-        """(rem, live, sub, pivots): rows and columns without a pivot, sub,
-        and per pivot (row, column, the reduced row's other entries)."""
+        """(rem, live, sub, pivots): the rows without a pivot, each mapped
+        to its row of sub, the columns without a pivot, sub, and per pivot
+        (row, column, the reduced row's other entries)."""
         rows = vars(self).pop("_rows")  # read here once, then dropped
         p, cells = self.p, self.cells
         pivot_rows = {i for i, _ in cells}
         used = {j for _, j in cells}
-        rem = [i for i in range(len(rows)) if i not in pivot_rows]
+        rem = {i: t for t, i in enumerate(i for i in range(len(rows)) if i not in pivot_rows)}
         live = [j for j in range(self.ncols) if j not in used]
         sub = None
         if self.e > 1 and rem:
@@ -891,30 +924,83 @@ class _PrimePowerFactor:
                     rhs[k] = (rhs[k] - f * b) % q
         return rhs
 
-    def solve(self, rhs):
-        """Solution mod q of the factored rows against rhs (entries in
-        [0, q), overwritten), or None."""
-        p, q = self.p, self.q
-        rem, live, sub, pivots = self._reduced
-        rhs = self.replay(rhs)
-        if any(rhs[i] % p for i in rem):
-            return None
-        sol = [0] * self.ncols
-        if sub is None:
-            # the non-pivot unknowns stay 0
-            for i, j, _ in pivots:
-                sol[j] = rhs[i]
-            return sol
-        sub_sol = sub.solve([rhs[i] // p for i in rem])
-        if sub_sol is None:
-            return None
-        for j, x in zip(live, sub_sol):
-            sol[j] = x
-        for i, j, entries in pivots:
-            acc = rhs[i]
+    @functools.cached_property
+    def _lookup(self):
+        """(op_of, column_of, users): the index in ops of each pivot row's
+        op, the column of each pivot row, and per column without a pivot the
+        (pivot column, entry) pairs of the reduced pivot rows that hold it."""
+        users = {}
+        for _, j, entries in self._reduced[3]:
             for jj, c in entries:
-                acc -= c * sol[jj]
-            sol[j] = acc % q
+                users.setdefault(jj, []).append((j, c))
+        return {i: t for t, (i, _, _) in enumerate(self.ops)}, dict(self.cells), users
+
+    def sparse_replay(self, rhs):
+        """rhs, a sparse {row: entry} with entries in [0, q) (overwritten),
+        with the recorded row operations applied, as replay applies them to
+        the dense list.  An op whose pivot row reads 0 when it is reached
+        adds nothing, so only the ops of rows that rhs has reached by then
+        are run, in recorded order; a row that comes to read 0 is dropped."""
+        q, ops = self.q, self.ops
+        op_of = self._lookup[0]
+        todo = [op_of[i] for i in rhs if i in op_of]
+        heapq.heapify(todo)
+        done = -1
+        while todo:
+            t = heapq.heappop(todo)
+            if t == done:
+                continue
+            done = t
+            i, inv, elim = ops[t]
+            b = rhs.get(i)
+            if not b:
+                continue
+            b = rhs[i] = b * inv % q
+            for k, f in elim:
+                x = (rhs.get(k, 0) - f * b) % q
+                if x:
+                    rhs[k] = x
+                    u = op_of.get(k)
+                    if u is not None and u > t:
+                        heapq.heappush(todo, u)
+                else:
+                    rhs.pop(k, None)
+        return rhs
+
+    def solve(self, rhs):
+        """Solution mod q of the factored rows against rhs, a sparse {row:
+        entry} with entries in [0, q) (overwritten), as a sparse {column:
+        entry}, or None.  It costs what rhs reaches: the replayed ops, the
+        leftover rows that rhs reaches and the pivot rows that hold a
+        nonzero free value."""
+        p, q = self.p, self.q
+        rem, live, sub, _ = self._reduced
+        _, column_of, users = self._lookup
+        acc = {}   # pivot column -> its row's entry less the free values' terms
+        left = {}  # row of sub -> its entry divided by p
+        for i, b in self.sparse_replay(rhs).items():
+            t = rem.get(i)
+            if t is None:
+                acc[column_of[i]] = b
+            elif b % p:
+                return None
+            elif b:
+                left[t] = b // p
+        sol = {}
+        if left:
+            # left holds entries only when there is a sub to solve them
+            sub_sol = sub.solve(left)
+            if sub_sol is None:
+                return None
+            for t, x in sub_sol.items():
+                jj = live[t]
+                sol[jj] = x
+                for j, c in users.get(jj, ()):
+                    acc[j] = acc.get(j, 0) - c * x
+        for j, a in acc.items():
+            a %= q
+            if a:
+                sol[j] = a
         return sol
 
     def kernel(self):

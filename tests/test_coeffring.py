@@ -439,8 +439,8 @@ def test_row_order_changes_neither_solution_nor_kernel(system, data):
         rows = span_constraints(ring, columns, target)
         shuffled = data.draw(st.permutations(rows))
         got = [coeffring._factor(ring, r, variables) for r in (rows, shuffled)]
-        assert got[0].solve([b for _, b in rows]) == \
-            got[1].solve([b for _, b in shuffled])
+        assert got[0].solve(dict(enumerate(b for _, b in rows))) == \
+            got[1].solve(dict(enumerate(b for _, b in shuffled)))
         assert got[0].kernel() == got[1].kernel()
 
 
@@ -575,7 +575,7 @@ def test_factor_agrees_with_brute_force(system):
     ring, constraints, variables = system
     factored = coeffring._factor(ring, constraints, variables)
     brute = brute_solutions(ring, constraints, variables)
-    got = factored.solve([b for _, b in constraints])
+    got = factored.solve(dict(enumerate(b for _, b in constraints)))
     assert got in brute if brute else got is None
     homogeneous = brute_solutions(ring, [(terms, ring.zero) for terms, _ in constraints],
                                   variables)
@@ -584,9 +584,9 @@ def test_factor_agrees_with_brute_force(system):
 
 def test_checked_rejects_a_wrong_entry(z4):
     system = SpanSolver(z4, [{"a": 1, "b": 2}, {"b": 1}])._system
-    assert system._checked([1, 1], [1, 3, 0], "solution") == {0: 1, 1: 1}
+    assert system._checked({0: 1, 1: 1}, {0: 1, 1: 3, 2: 0}, "solution") == {0: 1, 1: 1}
     with pytest.raises(InternalVerificationFailure, match="solution failed re-verification"):
-        system._checked([1, 2], [1, 3, 0], "solution")
+        system._checked({0: 1, 1: 2}, {0: 1, 1: 3, 2: 0}, "solution")
 
 
 def test_checked_reads_rows_no_column_touches(z4, monkeypatch):
@@ -596,9 +596,9 @@ def test_checked_reads_rows_no_column_touches(z4, monkeypatch):
     solver = SpanSolver(z4, [{"a": 1}])
     assert solver.solve({"a": 1, "z": 2}) is None
     with pytest.raises(InternalVerificationFailure):
-        solver._system._checked([1], [1, 2], "solution")
+        solver._system._checked({0: 1}, {0: 1, 1: 2}, "solution")
     monkeypatch.setattr(coeffring._PrimePowerFactor, "solve",
-                        lambda self, rhs: [rhs[0]])
+                        lambda self, rhs: {0: rhs[0]})
     assert solver.solve({"a": 1}) == {0: 1}
     with pytest.raises(InternalVerificationFailure, match="linear solution"):
         solver.solve({"a": 1, "z": 2})
@@ -618,14 +618,69 @@ def test_wrong_join_is_caught():
     parts, project, join = coeffring.ring_parts(ModularRing(6))
     constraints = [([(None, 0, None), (2, 1, None)], 0)]  # x0 + 2 x1
     system = coeffring._SplitSystem((parts, project, join), constraints, [0, 1])
-    assert system.solve([1]) == {0: 1, 1: 0}
+    assert system.solve({0: 1}) == {0: 1, 1: 0}
     assert system.kernel() == [{0: 0, 1: 3}, {0: 4, 1: 4}]
     wrong = coeffring._SplitSystem((parts, project, lambda xs: (join(xs) + 1) % 6),
                                    constraints, [0, 1])
     with pytest.raises(InternalVerificationFailure, match="linear solution"):
-        wrong.solve([1])
+        wrong.solve({0: 1})
     with pytest.raises(InternalVerificationFailure, match="kernel generator"):
         wrong.kernel()
+
+
+def _prime_power_factors(system):
+    """(factor, number of rows) of every _PrimePowerFactor in a factored
+    modular system: each part's, and each factor's p-divisible sub."""
+    parts = system.parts if isinstance(system, coeffring._SplitSystem) else [system]
+    todo = [(part.factor, len(part.rows)) for part in parts]
+    while todo:
+        factor, nrows = todo.pop()
+        yield factor, nrows
+        rem, _, sub, _ = factor._reduced
+        if sub is not None:
+            todo.append((sub, len(rem)))
+
+
+@st.composite
+def modular_systems(draw):
+    """(ring, constraints, variables) over Z/4, Z/8, Z/9 or Z/12: up to
+    eight rows over up to four unknowns, each row holding at most three
+    terms c . x with c nonzero, so pivots fill in and cancel."""
+    ring = ModularRing(draw(st.sampled_from([4, 8, 9, 12])))
+    variables = list(range(draw(st.integers(1, 4))))
+    terms = st.lists(st.tuples(st.integers(1, ring.n - 1), st.sampled_from(variables),
+                               st.none()), max_size=3)
+    constraints = draw(st.lists(st.tuples(terms, st.just(0)), min_size=1, max_size=8))
+    return ring, constraints, variables
+
+
+@given(modular_systems(), st.data())
+def test_sparse_replay_agrees_with_replay(system, data):
+    # the sparse replay of a target dict runs only the ops its rows reach,
+    # and reads the same entries as the dense replay of the same list
+    ring, constraints, variables = system
+    for factor, nrows in _prime_power_factors(coeffring._factor(ring, constraints, variables)):
+        target = data.draw(st.dictionaries(st.integers(0, nrows - 1),
+                                           st.integers(0, factor.q - 1)))
+        dense = factor.replay([target.get(r, 0) for r in range(nrows)])
+        sparse = factor.sparse_replay(dict(target))
+        assert {r: b for r, b in sparse.items() if b} == {r: b for r, b in enumerate(dense) if b}
+
+
+def test_span_solves_do_not_replay_densely(monkeypatch):
+    # the dense replay serves only the generalized inverse over Z/p
+    def dense_replay(self, rhs):
+        raise RuntimeError("dense replay")
+    monkeypatch.setattr(coeffring._PrimePowerFactor, "replay", dense_replay)
+    assert SpanSolver(ModularRing(4), [{"a": 1, "b": 2}, {"b": 1}]).solve(
+        {"a": 1, "b": 3}) == {0: 1, 1: 1}
+    assert solve_linear_system(ModularRing(12), [([(None, 0, None), (2, 1, None)], 5),
+                                                 ([(None, 1, None)], 1)]) == {0: 3, 1: 1}
+    ring = _z3_table()
+    span = coeffring.AdditiveSpan(ring, [[{"k": a} for a in (1, 2)]])
+    assert span.solve({"k": 2}) == [2]
+    with pytest.raises(RuntimeError, match="dense replay"):
+        matrix_vnr_witness(MatrixOverRing.from_lists(ModularRing(3), [[1, 2], [2, 1]]))
 
 
 Z2xZ3 = ProductRing([ModularRing(2), ModularRing(3)])

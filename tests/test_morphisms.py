@@ -195,6 +195,16 @@ def test_iso_span_graph_rows_pinned(z4):
     assert (verdict.total_source_rank(), verdict.total_target_rank()) == (421, 91)
 
 
+@pytest.mark.parametrize("n", [6, 30])
+def test_iso_span_graph_over_composite_moduli(n):
+    # the same iso over Z/n, n split by CRT into two or three primes, at
+    # bounds 3/3: the bounded source reaches length 6, the target 3
+    phi = cohn_to_leavitt(CohnPair(graph_span(), frozenset()), ModularRing(n))
+    verdict = verify_graded_iso(phi, 3, 3)
+    assert (verdict.status, verdict.witness) == ("holds-at-bound", "")
+    assert (verdict.total_source_rank(), verdict.total_target_rank()) == (1288, 288)
+
+
 def test_verify_graded_iso_factors_once_per_degree(monkeypatch):
     # one elimination per degree answers every target basis element of it
     # and gives that degree's kernel
