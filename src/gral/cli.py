@@ -10,8 +10,10 @@ failed its own re-verification (a bug; one "internal error:" line).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
+import os
 import sys
 
 from . import gradedstruct
@@ -50,8 +52,10 @@ def _emit(args, lines, payload):
     if getattr(args, "output", None):
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
+    elif sys.stdout is None:  # fd 1 was closed before the run started
+        raise OSError("stdout is closed")
     else:
-        print(text)
+        print(text, flush=True)  # flushed: a report stdout cannot take fails in main
 
 
 def _cert_payload(cert, fmt):
@@ -403,23 +407,31 @@ _parser = functools.cache(build_parser)
 
 
 def main(argv=None) -> int:
+    line = None
     try:
         args = _parser().parse_args(argv)
-    except SystemExit as exc:
-        return 2 if exc.code not in (0, None) else 0
-    for bound in ("degree_bound", "size_bound", "samples"):
-        if getattr(args, bound, 0) < 0:
-            print(f"error: --{bound.replace('_', '-')} must be nonnegative",
-                  file=sys.stderr)
-            return 2
-    try:
-        return args.func(args)
+        for bound in ("degree_bound", "size_bound", "samples"):
+            if getattr(args, bound, 0) < 0:
+                raise ValueError(f"--{bound.replace('_', '-')} must be nonnegative")
+        code = args.func(args)
+    except SystemExit as exc:  # argparse has written help or a usage error
+        code = 2 if exc.code not in (0, None) else 0
     except (GralError, OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        line, code = f"error: {exc}", 2
     except Exception as exc:  # a bug, never a verdict: the one exit-3 boundary
-        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 3
+        line, code = f"internal error: {type(exc).__name__}: {exc}", 3
+    if line and sys.stderr is not None:  # else print would fall back to stdout
+        with contextlib.suppress(OSError):  # no stderr to take it: the code still tells
+            print(line, file=sys.stderr)
+    for stream in filter(None, (sys.stdout, sys.stderr)):  # None: closed at start
+        try:  # a failed write that argparse dropped, or that is still buffered
+            stream.flush()
+        except OSError:
+            code = max(code, 2)
+            if stream in (sys.__stdout__, sys.__stderr__):  # or the flush at exit fails: 120
+                with open(os.devnull, "w") as null:
+                    os.dup2(null.fileno(), stream.fileno())
+    return code
 
 
 if __name__ == "__main__":

@@ -438,12 +438,14 @@ def is_vnr(ring: Ring) -> VnrVerdict:
 # A system's left-hand sides are factored once (_factor) and then asked for
 # solutions against any number of right-hand sides, and for the generators
 # of its homogeneous solutions.  A right-hand side is a sparse {row: entry},
-# so a solve costs what its target reaches, not the size of the system.
-# ring_parts is the one split: a product ring into its factors, a
-# composite Z/n into its prime powers, each part factored on its own; the
-# answers are joined (by CRT) on the unknowns that some part makes
-# nonzero, each joined entry checked to project back onto every part's,
-# and every other unknown is the joined zero, checked once.  Over Z/q,
+# and so is every answer, a solution or kernel generator {var: element}
+# over its nonzero unknowns, so a solve costs what its target reaches, not
+# the size of the system; a missing unknown reads zero.  ring_parts is the
+# one split: a product ring into its factors, a composite Z/n into its
+# prime powers, each part factored on its own; the answers are joined (by
+# CRT) on the unknowns that some part makes nonzero, each joined entry
+# checked to project back onto every part's, and the join of the zeros,
+# which every other unknown stands for, is checked once.  Over Z/q,
 # q = p**e, _PrimePowerFactor is the one elimination: it folds the
 # constraints into sparse rows, eliminates with unit pivots (first row,
 # then first column, holding a unit), records the row operations and
@@ -455,13 +457,14 @@ def is_vnr(ring: Ring) -> VnrVerdict:
 # lifted sub-kernel plus p**(e-1) times anything, and the reduced pivot
 # rows fix the rest.  Every solution and generator is re-checked exactly
 # on every row: sum_j x_j . column_j - rhs is formed on the rows that the
-# answer's columns or rhs touch, and every other row reads 0 = 0.  A
-# matrix's generalized inverse over Z/p is the row operations of its rows
-# replayed densely (replay) on the unit vectors.  Pivots depend on the
-# left-hand sides alone, so SpanSolver factors a span question's columns
-# once for any number of targets and its kernel.  Table rings are solved
-# by AdditiveSpan: given each unknown's image of every nonzero element,
-# it eliminates in additive coordinates and answers in ring elements.
+# answer's columns or rhs touch; no other row holds a nonzero unknown or
+# an entry of rhs, so each reads 0 = 0.  A matrix's generalized inverse
+# over Z/p is the row operations of its rows replayed densely (replay) on
+# the unit vectors.  Pivots depend on the left-hand sides alone, so
+# SpanSolver factors a span question's columns once for any number of
+# targets and its kernel.  Table rings are solved by AdditiveSpan: given
+# each unknown's image of every nonzero element, it eliminates in
+# additive coordinates and answers {i: x_i} in ring elements.
 
 
 def _span_rows(columns, keys=()):
@@ -496,7 +499,7 @@ class SpanSolver:
     {key: coefficient}; solve(target) gives {i: r_i} or None, the same
     answer as solve_linear_system(ring, span_constraints(ring, columns,
     target), range(len(columns))), and kernel() the generators of the
-    {i: r_i} with sum_i r_i . columns[i] = 0.
+    {i: r_i} with sum_i r_i . columns[i] = 0, all over the nonzero r_i.
 
     More blocks of columns, one column per unknown in each, ask for the
     same r_i in several equations: solve(target, ...) takes one target per
@@ -534,7 +537,7 @@ class SpanSolver:
 
 
 def solve_linear_system(ring: Ring, constraints, variables=None):
-    """One solution as {var: element}, or None if certifiably absent.
+    """One solution, {var: element} on its nonzero unknowns, or None if none exists.
 
     Modular and product rings are solved exactly (split by ring_parts,
     elimination with unit pivots and p-divisible recursion over each prime
@@ -546,7 +549,7 @@ def solve_linear_system(ring: Ring, constraints, variables=None):
         split = ring_parts(ring)
         return _joined(split, (solve_linear_system(part, system, varlist) for part, system
                                in zip(split[0], _split_constraints(split, constraints))),
-                       varlist, "linear solution")
+                       "linear solution")
     return _factor(ring, constraints, varlist).solve(dict(enumerate(b for _, b in constraints)))
 
 
@@ -566,10 +569,9 @@ def _collect_vars(constraints, variables):
 def _factor(ring: Ring, constraints, varlist):
     """The left-hand sides of the constraints (their right-hand sides are
     ignored) prepared once; solve(rhs), rhs a sparse {constraint index:
-    right-hand side}, gives {var: element} over every unknown or None, and
-    kernel() the nonzero generators {var: element} of the homogeneous
-    solutions.  support(rhs) is solve's answer with zero entries possibly
-    left out, which is all that the join of a split reads."""
+    right-hand side}, gives {var: element} over the nonzero unknowns or
+    None, and kernel() the generators of the homogeneous solutions, each
+    {var: element} over its nonzero unknowns and none of them empty."""
     split = ring_parts(ring)
     if split is not None:
         return _SplitSystem(split, constraints, varlist)
@@ -592,13 +594,12 @@ def _split_constraints(split, constraints):
     return per_part
 
 
-def _joined(split, answers, varlist, what):
-    """{var: element} over varlist joined from the answers {var: element},
-    one per part of a ring_parts split and read in turn, an unknown that an
-    answer leaves out being zero there; None at the first answer that is
-    None.  Only the unknowns that some answer makes nonzero are joined, each
-    once it projects back onto every part's; every other unknown is the
-    join of the zeros, which is checked the same way once."""
+def _joined(split, answers, what):
+    """{var: element} joined from the answers {var: element}, one per part
+    of a ring_parts split and read in turn, on the unknowns that some answer
+    makes nonzero (a missing entry is zero), each checked to project back
+    onto every part's; the join of the zeros, which every other unknown
+    stands for, is checked once.  None at the first answer that is None."""
     per_part = []
     for sol in answers:
         if sol is None:
@@ -606,10 +607,9 @@ def _joined(split, answers, varlist, what):
         per_part.append(sol)
     parts, project, join = split
     zeros = tuple(part.zero for part in parts)
-    zero = join(zeros)
-    if project(zero) != zeros:
+    if project(join(zeros)) != zeros:
         raise InternalVerificationFailure(f"{what} failed re-verification")
-    x = dict.fromkeys(varlist, zero)
+    x = {}
     for v in dict.fromkeys(v for sol, z in zip(per_part, zeros)
                            for v, a in sol.items() if a != z):
         xs = tuple(sol.get(v, z) for sol, z in zip(per_part, zeros))
@@ -623,23 +623,20 @@ class _SplitSystem:
     """A system over a ring that ring_parts splits, factored part by part."""
 
     def __init__(self, split, constraints, varlist):
-        self.split, self.varlist = split, varlist
+        self.split = split
         self.parts = [_factor(part, system, varlist)
                       for part, system in zip(split[0], _split_constraints(split, constraints))]
 
     def solve(self, rhs):
         rhs = {r: self.split[1](b) for r, b in rhs.items()}
-        return _joined(self.split, (part.support({r: b[k] for r, b in rhs.items()})
+        return _joined(self.split, (part.solve({r: b[k] for r, b in rhs.items()})
                                     for k, part in enumerate(self.parts)),
-                       self.varlist, "linear solution")
-
-    support = solve  # the join holds every unknown
+                       "linear solution")
 
     def kernel(self):
         """Each part's generators, zero in the other parts."""
         none = [{}] * len(self.parts)
-        return [_joined(self.split, none[:k] + [g] + none[k + 1:], self.varlist,
-                        "kernel generator")
+        return [_joined(self.split, none[:k] + [g] + none[k + 1:], "kernel generator")
                 for k, part in enumerate(self.parts) for g in part.kernel()]
 
 
@@ -662,17 +659,16 @@ class _AdditiveSystem:
         xs = self.span.solve(rhs)
         return None if xs is None else self._checked(xs, rhs, "linear solution")
 
-    support = solve  # the answer holds every unknown
-
     def kernel(self):
         return [self._checked(g, {}, "kernel generator") for g in self.span.kernel()]
 
     def _checked(self, xs, rhs, what):
-        ring = self.ring
-        x = dict(zip(self.varlist, xs))
+        """xs, {index: element}, as {var: element} once every row holds."""
+        ring, zero, varlist = self.ring, self.ring.zero, self.varlist
+        x = {varlist[i]: a for i, a in xs.items()}
         for i, terms in enumerate(self.lhs):
-            if functools.reduce(ring.add, (_term(ring, l, x[v], r) for l, v, r in terms),
-                                ring.zero) != rhs.get(i, ring.zero):
+            if functools.reduce(ring.add, (_term(ring, l, x.get(v, zero), r)
+                                           for l, v, r in terms), zero) != rhs.get(i, zero):
                 raise InternalVerificationFailure(f"{what} failed re-verification")
         return x
 
@@ -690,8 +686,8 @@ class AdditiveSpan:
     coordinates x_i = sum_a n_(i,a) . a, n mod N, the exponent of (R, +) =
     (Z/N)^R modulo the e_a + e_b - e_(a+b).  An entry c at key k is the
     unit vector at (k, c), and each key gets the relations as columns of its
-    own, so one SpanSolver over Z/N gives solve(target) = [x_i] or None and
-    kernel(), the generators [x_i] that are not all zero."""
+    own, so one SpanSolver over Z/N gives solve(target) = {i: x_i} or None
+    and kernel(), the nonzero generators, each over its nonzero x_i."""
 
     def __init__(self, ring: Ring, images):
         self.ring, self.zero, self.width = ring, ring.zero, len(images)
@@ -711,24 +707,23 @@ class AdditiveSpan:
         return {(k, c): 1 for k, c in coords.items() if c != self.zero}
 
     def _elements(self, counts):
-        """[x_i], x_i = sum_a n . a over the counts n of the (i, a)."""
+        """{i: x_i} over the nonzero x_i = sum_a n . a, from the counts {column:
+        n} of the (i, a); the relations' columns, after them, are skipped."""
         ring, nonzero = self.ring, self.nonzero
-        out = []
-        for i in range(self.width):
-            x = ring.zero
-            for t, a in enumerate(nonzero, i * len(nonzero)):
-                for _ in range(counts[t]):
-                    x = ring.add(x, a)
-            out.append(x)
-        return out
+        k, out = len(nonzero), {}
+        for t, n in counts.items():
+            if t < self.width * k:
+                i, a = divmod(t, k)
+                for _ in range(n):
+                    out[i] = ring.add(out.get(i, ring.zero), nonzero[a])
+        return {i: x for i, x in out.items() if x != self.zero}
 
-    def solve(self, target) -> Optional[list]:
+    def solve(self, target) -> Optional[dict]:
         sol = self._solver.solve(self._vector(target))
         return None if sol is None else self._elements(sol)
 
     def kernel(self) -> list:
-        gens = (self._elements(g) for g in self._solver.kernel())
-        return [g for g in gens if any(x != self.zero for x in g)]
+        return [g for g in map(self._elements, self._solver.kernel()) if g]
 
 
 def _fold_modular(ring, constraints, varlist):
@@ -812,37 +807,29 @@ class _ModularSystem:
         self.factor = _PrimePowerFactor([dict(row) for row in self.rows], len(varlist), p, e)
 
     def solve(self, rhs):
-        x = self.support(rhs)
-        if x is None:
-            return None
-        full = dict.fromkeys(self.varlist, 0)
-        full.update(x)
-        return full
-
-    def support(self, rhs):
         n = self.n
         x = self.factor.solve({r: b % n for r, b in rhs.items() if b % n})
         return None if x is None else self._checked(x, rhs, "linear solution")
 
     def kernel(self):
-        return [self._checked(dict(enumerate(g)), {}, "kernel generator")
-                for g in self.factor.kernel()]
+        return [self._checked(g, {}, "kernel generator") for g in self.factor.kernel()]
 
     def _checked(self, x, rhs, what):
-        """x, {column: entry}, as {var: entry} once sum_j x_j . column_j
-        equals rhs, {row: entry}, on every row (also on a row no column
-        has).  The difference is formed on the rows that rhs or the column
-        of a nonzero x_j touches: every other row reads 0 = 0."""
+        """x, {column: entry}, as {var: entry} over its nonzero entries once
+        sum_j x_j . column_j equals rhs, {row: entry}, on every row (also on
+        a row no column has).  The difference is formed on the rows that rhs
+        or the column of a nonzero x_j touches: every other row reads 0 = 0."""
         acc = dict(rhs)
+        out, varlist = {}, self.varlist
         for j, xj in x.items():
             if xj:
+                out[varlist[j]] = xj
                 for r, c in self.columns[j]:
                     acc[r] = acc.get(r, 0) - c * xj
         n = self.n
         if any(a % n for a in acc.values()):
             raise InternalVerificationFailure(f"{what} failed re-verification")
-        varlist = self.varlist
-        return {varlist[j]: xj for j, xj in x.items()}
+        return out
 
 
 class _PrimePowerFactor:
@@ -1005,32 +992,30 @@ class _PrimePowerFactor:
 
     def kernel(self):
         """Generators mod q of the solutions of the factored rows against
-        0, as lists over the columns."""
+        0, each {column: entry} over its nonzero entries."""
         q = self.q
         _, live, sub, pivots = self._reduced
         if sub is None:
-            free = [{j: 1} for j in live]
+            gens = [{j: 1} for j in live]
         else:
             # the leftover rows are p times sub's: their solutions mod q are
             # sub's kernel lifted plus p**(e-1) times anything
-            free = [dict(zip(live, g)) for g in sub.kernel()]
-            free += [{j: q // self.p} for j in live]
-        gens = []
-        for values in free:
-            x = [0] * self.ncols
-            for j, c in values.items():
-                x[j] = c
+            gens = [{live[t]: c for t, c in g.items()} for g in sub.kernel()]
+            gens += [{j: q // self.p} for j in live]
+        for x in gens:
+            # a reduced pivot row holds its pivot and free columns only
             for _, j, entries in pivots:
-                x[j] = -sum(c * x[jj] for jj, c in entries) % q
-            gens.append(x)
+                xj = -sum(c * x.get(jj, 0) for jj, c in entries) % q
+                if xj:
+                    x[j] = xj
         return gens
 
 
 def kernel_generators(ring: Ring, constraints, variables):
-    """Nonzero generators {var: element} of the solution module of a
-    homogeneous system (every right-hand side zero, a modular one read mod
-    n; ValueError otherwise), from the same factorization that
-    solve_linear_system uses.
+    """Generators of the solution module of a homogeneous system (every
+    right-hand side zero, a modular one read mod n; ValueError otherwise),
+    from the same factorization that solve_linear_system uses.  Each is
+    {var: element} over its nonzero unknowns, and none is empty.
 
     Used for injectivity testing over rings with zero divisors, where rank
     arguments are unavailable.
@@ -1148,7 +1133,7 @@ def _matrix_witness_solve(ring: Ring, rows):
     sol = solve_linear_system(ring, constraints, variables)
     if sol is None:
         return None
-    return tuple(tuple(sol[(k, l)] for l in range(m)) for k in range(n))
+    return tuple(tuple(sol.get((k, l), ring.zero) for l in range(m)) for k in range(n))
 
 
 def _field_generalized_inverse(rows, p):

@@ -428,19 +428,22 @@ def combination_solver(oracle, elements, maps):
     linear = SpanSolver(ring, *blocks)
     exhaustive = not ring.is_commutative() or isinstance(oracle, CslOracle)
     span = None
+    zero = oracle.scale(ring.zero, elements[0])  # the sum of no elements
 
     def stacked(xs):
         return {(j, k): c for j, x in enumerate(xs) for k, c in coords(x).items()}
 
     def checked(coeffs, targets):
-        b = functools.reduce(oracle.add, map(oracle.scale, coeffs, elements))
+        # b = sum_i c . elements[i] over the answer's entries {i: c}
+        b = functools.reduce(oracle.add, (oracle.scale(c, elements[i])
+                                          for i, c in coeffs.items()), zero)
         return b if all(f(b) == y for f, y in zip(maps, targets)) else None
 
     def solve(targets):
         nonlocal span
         sol = linear.solve(*map(coords, targets))
         if sol is not None:
-            b = checked(sol.values(), targets)
+            b = checked(sol, targets)
             if b is not None:
                 return b
         elif not exhaustive:

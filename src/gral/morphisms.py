@@ -315,8 +315,7 @@ def verify_graded_iso(h: AlgebraHom, degree_bound: int = 3,
                 break
         if status != "fails":
             for gen in image.kernel():
-                combo = AlgebraElement.make(
-                    h.source, {m: gen[i] for i, m in enumerate(src)})
+                combo = AlgebraElement.make(h.source, {src[i]: c for i, c in gen.items()})
                 if not combo.is_zero:
                     status = "fails"
                     row_witness = f"kernel element {format_element(combo)}"

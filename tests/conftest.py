@@ -54,14 +54,16 @@ def table_m2_z2():
 
 def brute_solutions(ring, constraints, variables):
     """Every assignment of ring elements to the variables that satisfies the
-    constraints, in enumeration order: the reference for the solvers."""
+    constraints, in enumeration order: the reference for the solvers.  Each
+    is {var: element} over its nonzero variables, the shape of the solvers'
+    answers, so a variable that it leaves out is zero."""
     out = []
     for combo in itertools.product(ring.elements(), repeat=len(variables)):
         assignment = dict(zip(variables, combo))
         if all(functools.reduce(ring.add, (two_sided(ring, l, assignment[v], r)
                                            for l, v, r in terms), ring.zero) == rhs
                for terms, rhs in constraints):
-            out.append(assignment)
+            out.append({v: x for v, x in assignment.items() if x != ring.zero})
     return out
 
 

@@ -3,6 +3,9 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -838,6 +841,117 @@ def test_cohn_witness_and_verdict_run_constructively(files, capsys):
     assert [c["witness"] for c in payload["certificates"]] == \
         ["f", "v", "w", "ff*", "f*", "v + w", "v + w"]
     assert all(c["verified"] for c in payload["certificates"])
+
+
+ZERO_WITNESS = "element=0 degree=0 method={} witness=0 bounds=- verified=true\n"
+
+
+@pytest.mark.parametrize("graph, ring, method", [
+    ("vw", "z4", "oracle"), ("vw", "z6", "constructive"), ("vw_cohn", "z2", "constructive"),
+], ids=["Z4-oracle", "Z6-constructive", "cohn-Z2-constructive"])
+def test_zero_element_witness_exit0_on_every_route(files, capsys, graph, ring, method):
+    # the zero element is its own witness, whichever route the ring picks
+    zero = write(files["tmp"] / "zero.json", [])
+    assert main(["lpa", "witness", "--graph", files[graph], "--ring", files[ring],
+                 "--element", zero]) == 0
+    assert capsys.readouterr().out == ZERO_WITNESS.format(method)
+
+
+class BrokenStream:
+    """A stream whose reader has gone: every write fails."""
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def flush(self):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+@pytest.mark.parametrize("command, err", [
+    (["lpa", "witness", "--graph", "{vw}", "--ring", "{z6}", "--element", "{elt_f}"], "error: "),
+    (["check-ring", "{z4}"], "error: "),
+    (["check-ring", "{tmp}/missing.json"], "error: "),
+    (["--help"], ""),
+    (["no-such-command"], "usage: "),
+], ids=["witness-exit0", "check-ring-exit1", "missing-file-exit2", "help", "usage-error"])
+def test_unwritable_report_exits_2(files, monkeypatch, command, err):
+    # a report that stdout cannot take is a failure to write, like an
+    # unwritable --output, never a verdict; with stderr gone too, the
+    # error line is dropped and the exit code still says so
+    args = [arg.format(**files) for arg in command]
+    stderr = io.StringIO()
+    monkeypatch.setattr(sys, "stdout", BrokenStream())
+    monkeypatch.setattr(sys, "stderr", stderr)
+    assert main(args) == 2
+    assert stderr.getvalue().startswith(err)
+    monkeypatch.setattr(sys, "stderr", BrokenStream())
+    assert main(args) == 2
+
+
+def test_output_stream_closed_at_start(files, monkeypatch, capsys):
+    # a stream whose fd was closed before the run is None: a report that
+    # cannot go to stdout exits 2; a closed stderr only drops the error line
+    zero = write(files["tmp"] / "zero.json", [])
+    witness = ["lpa", "witness", "--graph", files["vw"], "--ring", files["z6"], "--element", zero]
+    monkeypatch.setattr(sys, "stdout", None)
+    assert main(witness) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    monkeypatch.undo()
+    monkeypatch.setattr(sys, "stderr", None)
+    assert main(witness) == 0
+    assert main(["check-ring", str(files["tmp"] / "missing.json")]) == 2
+    assert capsys.readouterr().out == ZERO_WITNESS.format("constructive")
+
+
+def _run_gral(files, command, **streams):
+    # python -m gral on the source tree, with PYTHONUNBUFFERED as the caller sets it
+    src = Path(cli.__file__).resolve().parent.parent
+    zero = write(files["tmp"] / "zero.json", [])
+    command = {"report": ["lpa", "witness", "--graph", files["vw"], "--ring", files["z6"],
+                          "--element", zero],
+               "missing": ["check-ring", str(files["tmp"] / "missing.json")]}.get(
+                   command[0], command)
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(src)
+    env.update(streams.pop("env", {}))
+    return subprocess.run([sys.executable, "-m", "gral", *command], timeout=60, env=env,
+                          **streams)
+
+
+@pytest.mark.parametrize("command", [["report"], ["no-such-command"]],
+                         ids=["report", "usage-error"])
+@pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+def test_closed_output_pipe_exits_2(files, command, unbuffered):
+    # stdout and stderr on a pipe whose read end is closed before the run;
+    # buffered, a failed write must not fail again at exit (exit 120)
+    read, write_end = os.pipe()
+    os.close(read)
+    try:
+        proc = _run_gral(files, command, stdout=write_end, stderr=write_end,
+                         env={"PYTHONUNBUFFERED": unbuffered} if unbuffered else {})
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 2
+
+
+@pytest.mark.parametrize("closed, command, code, out", [
+    ((2,), "report", 0, ZERO_WITNESS.format("constructive")),
+    ((2,), "missing", 2, ""),
+    ((1,), "report", 2, None),
+    ((1, 2), "report", 2, None),
+], ids=["stderr-report", "stderr-missing-file", "stdout-report", "both-report"])
+def test_closed_output_fd_exits_by_report(files, closed, command, code, out):
+    # fds closed before start (as by `2>&-`): the exit code still says
+    # whether the report was written, and never falls to 1
+    proc = _run_gral(files, [command], stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                     preexec_fn=lambda: [os.close(fd) for fd in closed])
+    assert proc.returncode == code
+    if out is not None:
+        assert proc.stdout.decode() == out
+    if 2 in closed:
+        assert proc.stderr == b""
+    else:  # the report that stdout could not take is named on stderr
+        assert proc.stderr.startswith(b"error: ")
 
 
 def test_deeply_nested_file_exit2(files, tmp_path, capsys):

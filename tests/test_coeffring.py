@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from conftest import brute_solutions, table_upper_z2, table_z2xz2
+from conftest import brute_solutions, table_m2_z2, table_upper_z2, table_z2xz2
 from gral import coeffring
 from gral.cli import main
 from gral.coeffring import (MatrixOverRing, ModularRing, ProductRing, Ring,
@@ -177,7 +177,7 @@ def test_solve_z6_absent(z6):
 def test_solve_z2_substitution(z2):
     got = solve_linear_system(
         z2, [([(None, "x", None), (None, "y", None)], 1), ([(None, "x", None)], 1)])
-    assert got == {"x": 1, "y": 0}
+    assert got == {"x": 1}  # y = 0 is left out
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 8, 9, 12])
@@ -220,8 +220,9 @@ def test_solve_agrees_with_brute_force_on_product(z2xz2):
 
 
 def module_span(ring, gens, nvars):
-    """Every combination sum r_g . g of the generator vectors."""
-    vecs = [tuple(g[i] for i in range(nvars)) for g in gens]
+    """Every combination sum r_g . g of the generator vectors, a missing
+    entry of a generator read as zero."""
+    vecs = [tuple(g.get(i, ring.zero) for i in range(nvars)) for g in gens]
     span = frontier = {tuple(ring.zero for _ in range(nvars))}
     while frontier:
         frontier = {tuple(ring.add(a, ring.mul(r, b)) for a, b in zip(vec, g))
@@ -249,7 +250,7 @@ def test_kernel_generators_span_full_solution_set():
                 rows.append([ring.mul(c, x) for x in rows[0]])
             columns = [{k: row[i] for k, row in enumerate(rows)} for i in range(nvars)]
             constraints = span_constraints(ring, columns)
-            brute = {tuple(sol[i] for i in range(nvars))
+            brute = {tuple(sol.get(i, ring.zero) for i in range(nvars))
                      for sol in brute_solutions(ring, constraints, range(nvars))}
             for gens in (kernel_generators(ring, constraints, range(nvars)),
                          SpanSolver(ring, columns).kernel()):
@@ -327,7 +328,7 @@ def test_span_constraints_solve_agrees_with_exhaustive(ring):
             for k in set(keys):
                 acc = ring.zero
                 for i, col in enumerate(columns):
-                    acc = ring.add(acc, ring.mul(got[i], col.get(k, ring.zero)))
+                    acc = ring.add(acc, ring.mul(got.get(i, ring.zero), col.get(k, ring.zero)))
                 assert acc == target.get(k, ring.zero)
 
 
@@ -413,8 +414,8 @@ def test_span_solver_solutions_combine_to_target(system):
     for target in targets:
         sol = solver.solve(target)
         if sol is not None:
-            assert sorted(sol) == list(range(len(columns)))
-            coeffs = [sol[i] for i in range(len(columns))]
+            assert set(sol) <= set(range(len(columns)))
+            coeffs = [sol.get(i, ring.zero) for i in range(len(columns))]
             assert _nonzero_part(ring, _combine_columns(ring, columns, coeffs)) == \
                 _nonzero_part(ring, target)
 
@@ -463,7 +464,7 @@ def test_span_solver_answers_every_target_like_brute_force(n):
             if got is None:
                 assert (a, b) not in solutions
             else:
-                assert tuple(got[i] for i in range(len(columns))) in solutions[(a, b)]
+                assert tuple(got.get(i, 0) for i in range(len(columns))) in solutions[(a, b)]
 
 
 def test_span_solver_table_ring_agrees_with_solve_linear_system():
@@ -492,9 +493,10 @@ def two_sided_systems(draw):
 
 def additive_span(ring, gens, variables):
     """Every sum of the generators {var: element}, as tuples over the
-    variables: the integer combinations, which are all of the solutions
-    of a two-sided system that the generators solve."""
-    vecs = [tuple(g[v] for v in variables) for g in gens]
+    variables (a missing entry read as zero): the integer combinations,
+    which are all of the solutions of a two-sided system that the
+    generators solve."""
+    vecs = [tuple(g.get(v, ring.zero) for v in variables) for g in gens]
     span = frontier = {tuple(ring.zero for _ in variables)}
     while frontier:
         frontier = {tuple(map(ring.add, x, g)) for x in frontier for g in vecs} - span
@@ -525,16 +527,58 @@ def test_table_ring_span_solver_agrees_with_enumeration(system):
 def test_table_ring_kernels_generate_every_solution(system, span):
     ring, constraints, variables = system
     homogeneous = [(terms, ring.zero) for terms, _ in constraints]
-    brute = {tuple(sol[v] for v in variables)
+    brute = {tuple(sol.get(v, ring.zero) for v in variables)
              for sol in brute_solutions(ring, homogeneous, variables)}
     gens = kernel_generators(ring, homogeneous, variables)
     assert all(any(x != ring.zero for x in g.values()) for g in gens)
     assert additive_span(ring, gens, variables) == brute
     ring, columns, _ = span
     variables = range(len(columns))
-    brute = {tuple(sol[i] for i in variables)
+    brute = {tuple(sol.get(i, ring.zero) for i in variables)
              for sol in brute_solutions(ring, span_constraints(ring, columns), variables)}
     assert additive_span(ring, SpanSolver(ring, columns).kernel(), variables) == brute
+
+
+# every kind of ring the solve layer answers over: prime powers, composite
+# moduli (split by CRT), products (Z/2 x Z/6 split twice) and the
+# three table rings (solved in additive coordinates)
+ANSWER_RINGS = {"Z2": ModularRing(2), "Z4": ModularRing(4), "Z9": ModularRing(9),
+                "Z6": ModularRing(6), "Z12": ModularRing(12),
+                "Z2xZ3": ProductRing([ModularRing(2), ModularRing(3)]),
+                "Z2xZ6": ProductRing([ModularRing(2), ModularRing(6)]),
+                "Z2xZ2table": table_z2xz2(), "upper_Z2": table_upper_z2(),
+                "M2_Z2": table_m2_z2()}
+
+
+# every run answers with a zero unknown left out over a split of a split
+# and over a table ring
+@example((ANSWER_RINGS["Z2xZ6"], [{"a": (1, 1)}, {"a": (0, 3), "b": (1, 0)}], [{"a": (1, 1)}]))
+@example((ANSWER_RINGS["M2_Z2"], [{"a": 9}, {"b": 9}], [{"a": 9}]))
+@given(span_systems(ANSWER_RINGS))
+def test_solve_layer_answers_list_only_nonzero_unknowns(system):
+    # every solution and kernel generator of the solve layer is {unknown:
+    # element} over its nonzero unknowns, and with the left-out unknowns
+    # read as zero it solves its system; AdditiveSpan is asked for the
+    # same combinations, through the additive maps a -> a . column
+    ring, columns, targets = system
+    zero, n = ring.zero, len(columns)
+    solver = SpanSolver(ring, columns)
+    homogeneous = span_constraints(ring, columns)
+    span = coeffring.AdditiveSpan(ring, [[{k: ring.mul(a, c) for k, c in col.items()}
+                                          for a in ring.elements() if a != zero]
+                                         for col in columns])
+    answers = [(sol, target) for target in targets for sol in (
+        solver.solve(target), span.solve(target),
+        solve_linear_system(ring, span_constraints(ring, columns, target), range(n)))]
+    kernels = solver.kernel() + span.kernel() + kernel_generators(ring, homogeneous, range(n))
+    assert all(kernels)  # no generator is zero
+    for sol, t in answers + [(g, {}) for g in kernels]:
+        if sol is not None:
+            assert set(sol) <= set(range(n))
+            assert all(x != zero for x in sol.values())
+            coeffs = [sol.get(i, zero) for i in range(n)]
+            assert _nonzero_part(ring, _combine_columns(ring, columns, coeffs)) == \
+                _nonzero_part(ring, t)
 
 
 FACTOR_RINGS = {"Z4": ModularRing(4), "Z8": ModularRing(8), "Z12": ModularRing(12),
@@ -607,7 +651,7 @@ def test_checked_reads_rows_no_column_touches(z4, monkeypatch):
 def test_tampered_kernel_generator_is_caught(z4, monkeypatch):
     solver = SpanSolver(z4, [{"a": 2}])
     assert solver.kernel() == [{0: 2}]
-    monkeypatch.setattr(coeffring._PrimePowerFactor, "kernel", lambda self: [[1]])
+    monkeypatch.setattr(coeffring._PrimePowerFactor, "kernel", lambda self: [{0: 1}])
     with pytest.raises(InternalVerificationFailure, match="kernel generator"):
         solver.kernel()
 
@@ -618,8 +662,8 @@ def test_wrong_join_is_caught():
     parts, project, join = coeffring.ring_parts(ModularRing(6))
     constraints = [([(None, 0, None), (2, 1, None)], 0)]  # x0 + 2 x1
     system = coeffring._SplitSystem((parts, project, join), constraints, [0, 1])
-    assert system.solve({0: 1}) == {0: 1, 1: 0}
-    assert system.kernel() == [{0: 0, 1: 3}, {0: 4, 1: 4}]
+    assert system.solve({0: 1}) == {0: 1}
+    assert system.kernel() == [{1: 3}, {0: 4, 1: 4}]
     wrong = coeffring._SplitSystem((parts, project, lambda xs: (join(xs) + 1) % 6),
                                    constraints, [0, 1])
     with pytest.raises(InternalVerificationFailure, match="linear solution"):
@@ -678,7 +722,7 @@ def test_span_solves_do_not_replay_densely(monkeypatch):
                                                  ([(None, 1, None)], 1)]) == {0: 3, 1: 1}
     ring = _z3_table()
     span = coeffring.AdditiveSpan(ring, [[{"k": a} for a in (1, 2)]])
-    assert span.solve({"k": 2}) == [2]
+    assert span.solve({"k": 2}) == {0: 2}
     with pytest.raises(RuntimeError, match="dense replay"):
         matrix_vnr_witness(MatrixOverRing.from_lists(ModularRing(3), [[1, 2], [2, 1]]))
 

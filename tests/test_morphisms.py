@@ -295,7 +295,7 @@ def test_shared_preimages_match_hom_preimage(z4):
                 if sol is not None:
                     found += 1
                     assert AlgebraElement.make(
-                        spec, {m: sol[i] for i, m in enumerate(src)}) == hom_apply(psi, y)
+                        spec, {src[i]: c for i, c in sol.items()}) == hom_apply(psi, y)
         assert found > 0
 
 

@@ -196,3 +196,21 @@ def test_graph_facts_list_no_paths():
              for node in ast.walk(_parse(SRC / "graphs.py"))
              if isinstance(node, ast.FunctionDef) and node.name in facts}
     assert found == {name: [] for name in facts}
+
+
+def test_solve_layer_answers_in_one_shape():
+    # every solve answers {var: element} over its nonzero unknowns only: no
+    # class in coeffring keeps a second answer beside solve (a support
+    # method or alias; AlgebraElement.support in pathalg is another method),
+    # and no answer is filled out over every unknown
+    tree = _parse(SRC / "coeffring.py")
+    found = [f"{cls.name}:{node.lineno}" for cls in ast.walk(tree)
+             if isinstance(cls, ast.ClassDef) for node in cls.body
+             if isinstance(node, ast.FunctionDef) and node.name == "support"
+             or isinstance(node, ast.Assign)
+             and "support" in {ast.unparse(target) for target in node.targets}]
+    assert found == []
+    fills = [ast.unparse(call) for call in ast.walk(tree) if isinstance(call, ast.Call)
+             and ast.unparse(call.func) == "dict.fromkeys"
+             and "varlist" in ast.unparse(call.args[0])]
+    assert fills == []
