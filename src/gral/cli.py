@@ -341,8 +341,21 @@ def _add_options(p, *names):
     p.add_argument("--output", default=None)
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse's parser, except that help or a usage message that cannot
+    be written raises OSError (exit 2 in main, as a report that cannot be
+    written does) instead of being dropped.  Subparsers are made of the
+    same class."""
+
+    def _print_message(self, message, file=None):
+        file = file or sys.stderr
+        if message and file is not None:  # None: the stream was closed at start
+            file.write(message)
+            file.flush()
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="gral",
         description="graded rings, Leavitt path algebras and regularity witnesses")
     sub = parser.add_subparsers(dest="command", required=True)

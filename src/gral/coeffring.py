@@ -457,10 +457,11 @@ def is_vnr(ring: Ring) -> VnrVerdict:
 # lifted sub-kernel plus p**(e-1) times anything, and the reduced pivot
 # rows fix the rest.  Every solution and generator is re-checked exactly
 # on every row: sum_j x_j . column_j - rhs is formed on the rows that the
-# answer's columns or rhs touch; no other row holds a nonzero unknown or
-# an entry of rhs, so each reads 0 = 0.  A matrix's generalized inverse
-# over Z/p is the row operations of its rows replayed densely (replay) on
-# the unit vectors.  Pivots depend on the left-hand sides alone, so
+# answer's columns (over a table ring, the terms of its nonzero unknowns)
+# or rhs touch; no other row holds a nonzero unknown or an entry of rhs,
+# so each reads 0 = 0.  A matrix's generalized inverse over Z/p is the
+# same replay (sparse_replay) of its rows' row operations on the unit
+# vectors.  Pivots depend on the left-hand sides alone, so
 # SpanSolver factors a span question's columns once for any number of
 # targets and its kernel.  Table rings are solved by AdditiveSpan: given
 # each unknown's image of every nonzero element, it eliminates in
@@ -646,11 +647,13 @@ class _AdditiveSystem:
     Each answer is re-checked exactly."""
 
     def __init__(self, ring, constraints, varlist):
-        self.ring, self.varlist, self.lhs = ring, varlist, [terms for terms, _ in constraints]
+        self.ring, self.varlist = ring, varlist
+        self.terms = {v: [] for v in varlist}  # v -> its (row, l, r) terms
         nonzero = [a for a in ring.elements() if a != ring.zero]
         images = {v: [{} for _ in nonzero] for v in varlist}  # v -> a -> {row: entry}
-        for i, terms in enumerate(self.lhs):
+        for i, (terms, _) in enumerate(constraints):
             for l, v, r in terms:
+                self.terms[v].append((i, l, r))
                 for col, a in zip(images[v], nonzero):
                     col[i] = ring.add(col.get(i, ring.zero), _term(ring, l, a, r))
         self.span = AdditiveSpan(ring, list(images.values()))
@@ -663,13 +666,18 @@ class _AdditiveSystem:
         return [self._checked(g, {}, "kernel generator") for g in self.span.kernel()]
 
     def _checked(self, xs, rhs, what):
-        """xs, {index: element}, as {var: element} once every row holds."""
-        ring, zero, varlist = self.ring, self.ring.zero, self.varlist
-        x = {varlist[i]: a for i, a in xs.items()}
-        for i, terms in enumerate(self.lhs):
-            if functools.reduce(ring.add, (_term(ring, l, x.get(v, zero), r)
-                                           for l, v, r in terms), zero) != rhs.get(i, zero):
-                raise InternalVerificationFailure(f"{what} failed re-verification")
+        """xs, {index: element} over the nonzero x_i, as {var: element} once
+        every row holds.  The rows are summed from the terms of the nonzero
+        unknowns; every other row holds none, so it reads 0 and must have 0
+        in rhs too."""
+        ring, zero = self.ring, self.ring.zero
+        x = {self.varlist[i]: a for i, a in xs.items()}
+        acc = {}
+        for v, a in x.items():
+            for row, l, r in self.terms[v]:
+                acc[row] = ring.add(acc.get(row, zero), _term(ring, l, a, r))
+        if any(acc.get(row, zero) != rhs.get(row, zero) for row in rhs.keys() | acc.keys()):
+            raise InternalVerificationFailure(f"{what} failed re-verification")
         return x
 
 
@@ -900,36 +908,30 @@ class _PrimePowerFactor:
                   for i, j in cells]
         return rem, live, sub, pivots
 
-    def replay(self, rhs):
-        """rhs (entries in [0, q), overwritten) with the recorded row
-        operations applied."""
-        q = self.q
-        for i, inv, elim in self.ops:
-            b = rhs[i] = rhs[i] * inv % q
-            if b:
-                for k, f in elim:
-                    rhs[k] = (rhs[k] - f * b) % q
-        return rhs
+    @functools.cached_property
+    def _op_of(self):
+        """The index in ops of each pivot row's op."""
+        return {i: t for t, (i, _, _) in enumerate(self.ops)}
 
     @functools.cached_property
     def _lookup(self):
-        """(op_of, column_of, users): the index in ops of each pivot row's
-        op, the column of each pivot row, and per column without a pivot the
-        (pivot column, entry) pairs of the reduced pivot rows that hold it."""
+        """(column_of, users): the column of each pivot row, and per column
+        without a pivot the (pivot column, entry) pairs of the reduced pivot
+        rows that hold it."""
         users = {}
         for _, j, entries in self._reduced[3]:
             for jj, c in entries:
                 users.setdefault(jj, []).append((j, c))
-        return {i: t for t, (i, _, _) in enumerate(self.ops)}, dict(self.cells), users
+        return dict(self.cells), users
 
     def sparse_replay(self, rhs):
         """rhs, a sparse {row: entry} with entries in [0, q) (overwritten),
-        with the recorded row operations applied, as replay applies them to
-        the dense list.  An op whose pivot row reads 0 when it is reached
-        adds nothing, so only the ops of rows that rhs has reached by then
-        are run, in recorded order; a row that comes to read 0 is dropped."""
+        with the recorded row operations applied.  An op whose pivot row
+        reads 0 when it is reached adds nothing, so only the ops of rows
+        that rhs has reached by then are run, in recorded order; a row that
+        comes to read 0 is dropped."""
         q, ops = self.q, self.ops
-        op_of = self._lookup[0]
+        op_of = self._op_of
         todo = [op_of[i] for i in rhs if i in op_of]
         heapq.heapify(todo)
         done = -1
@@ -962,7 +964,7 @@ class _PrimePowerFactor:
         nonzero free value."""
         p, q = self.p, self.q
         rem, live, sub, _ = self._reduced
-        _, column_of, users = self._lookup
+        column_of, users = self._lookup
         acc = {}   # pivot column -> its row's entry less the free values' terms
         left = {}  # row of sub -> its entry divided by p
         for i, b in self.sparse_replay(rhs).items():
@@ -1141,14 +1143,15 @@ def _field_generalized_inverse(rows, p):
     E and pivot cells of one elimination of A's rows.  E.A is reduced, with
     a 1 at each pivot (i, j), zeros in the rest of column j and zero rows
     without a pivot; row j of Y is row i of E, and every other row of Y is
-    zero.  Column r of E is the replay of the r-th unit vector."""
+    zero.  Column r of E is the sparse replay of the r-th unit vector, the
+    one replay that solves use; the reduced rows are never built."""
     m = len(rows)
     factor = _PrimePowerFactor([{j: x for j, x in enumerate(row) if x} for row in rows],
                                len(rows[0]), p, 1)
-    e_rows = list(zip(*(factor.replay([0] * r + [1] + [0] * (m - 1 - r)) for r in range(m))))
+    e_columns = [factor.sparse_replay({r: 1}) for r in range(m)]
     y = [(0,) * m] * len(rows[0])
     for i, j in factor.cells:
-        y[j] = e_rows[i]
+        y[j] = tuple(column.get(i, 0) for column in e_columns)
     return tuple(y)
 
 

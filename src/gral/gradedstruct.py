@@ -13,9 +13,9 @@ epsilon-strong and symmetric rows: x x* x = x by (CK1) alone for a
 spanning monomial x in every C^X(E), and any y in S_-d with x y x = x
 makes x y a left unit in S_d S_-d, y x a right unit in S_-d S_d, and puts
 x = (x y) x in S_d S_-d S_d.
-The strong row (Hazrat's criterion) comes from explicit factorizations of
-1 in S_1 S_-1 and in S_-1 S_1 for a Leavitt spec without sinks, and
-otherwise from a nonzero z of degree 0 with z.e = 0 for every edge e.
+The strong row reads eps_1 and eps_-1: 1 is in S_1 S_-1 and in S_-1 S_1
+iff both are 1, and for a Leavitt spec that must agree with Hazrat's
+criterion (no sinks).
 """
 
 from __future__ import annotations
@@ -368,7 +368,7 @@ class CslOracle(GradedRingOracle):
     R[t, t^-1; alpha] (see cornerlaurent).  A twist keeps coordinates from
     being left-linear, so combination_solver, when the linear answer is
     missing or fails its check, searches the additive span of the
-    R-multiples of the elements."""
+    R-multiples of the elements, even over a commutative ring."""
 
     degree_one_generated = True
 
@@ -413,12 +413,14 @@ def combination_solver(oracle, elements, maps):
     the units, the epsilons, span membership and the oracle witness.
 
     The elements' images are factored once into a linear system, read
-    through coordinates, map by map.  A non-commutative ring or a twisted
-    corner keeps those from being left-linear, so each answer is checked
-    on the elements; when the check fails, or the system finds nothing
-    over such a ring, the equations are solved exactly in the additive
-    span of the elements' R-multiples, built on first need and kept for
-    later targets, and its answer is checked too.
+    through coordinates, map by map, and each answer is checked on the
+    elements.  Over a commutative ring the coordinates of every oracle but
+    a corner's are left-linear, so the linear answer is the answer, and
+    one that fails its check is a bug.  A non-commutative ring or a
+    twisted corner keeps them from being left-linear: when the check
+    fails, or the system finds nothing, the equations are solved exactly
+    in the additive span of the elements' R-multiples, built on first need
+    and kept for later targets, and its answer is checked too.
     """
     if not elements:
         return lambda targets: None
@@ -426,7 +428,7 @@ def combination_solver(oracle, elements, maps):
     # without maps, one block of empty columns: every combination solves it
     blocks = [[coords(f(p)) for p in elements] for f in maps] or [[{}] * len(elements)]
     linear = SpanSolver(ring, *blocks)
-    exhaustive = not ring.is_commutative() or isinstance(oracle, CslOracle)
+    left_linear = ring.is_commutative() and not isinstance(oracle, CslOracle)
     span = None
     zero = oracle.scale(ring.zero, elements[0])  # the sum of no elements
 
@@ -446,7 +448,9 @@ def combination_solver(oracle, elements, maps):
             b = checked(sol, targets)
             if b is not None:
                 return b
-        elif not exhaustive:
+            if left_linear:
+                raise InternalVerificationFailure("linear combination fails its equations")
+        elif left_linear:
             return None
         if span is None:
             span = AdditiveSpan(ring, [[stacked([f(oracle.scale(r, p)) for f in maps])
@@ -595,12 +599,13 @@ def check_strong_Z(oracle: GradedRingOracle, size_bound: int = 3) -> StrongVerdi
 
     Refuses oracles that do not declare degree-one generation; the oracle's
     no_sinks (path algebras) is reported alongside.  A path algebra is
-    decided at every bound: by strong_factorization, or else by eps_1 != 1.
-    Then z = 1 - eps_1 (the sinks, and v - sum_{s(e)=v} e e* for each v in
-    Reg(E) \\ X) is not 0 and kills every edge, and 1 = sum a_i b_i with
-    a_i in S_1 would give eps_1 = sum (eps_1 a_i) b_i = 1.  That failure is
-    marked at-bound where the spanning sets do not span, as the bounded
-    search printed it.  Other oracles are decided by bounded span membership.
+    decided at every bound by epsilon_element: eps_n in S_n S_-n is a left
+    unit on S_n, so 1 = sum a_i b_i with a_i in S_n gives eps_n = sum
+    (eps_n a_i) b_i = 1, and 1 is in S_n S_-n iff eps_n = 1.  A Leavitt
+    spec must agree with Hazrat's criterion, strong iff no sinks; a
+    disagreement is a bug.  A failure is marked at-bound where the spanning
+    sets do not span, as the bounded search printed it.  Other oracles are
+    decided by bounded span membership.
     """
     if not oracle.degree_one_generated:
         raise NotDegreeOneGenerated(f"{oracle.name} lacks the degree-one flag")
@@ -610,47 +615,22 @@ def check_strong_Z(oracle: GradedRingOracle, size_bound: int = 3) -> StrongVerdi
     no_sinks = oracle.no_sinks
     exact = oracle.exact_at(1, size_bound) and oracle.exact_at(-1, size_bound)
     if isinstance(oracle, PathAlgebraOracle):
-        if strong_factorization(oracle.spec) is not None:
-            return StrongVerdict(Verdict(HOLDS_EXACT), no_sinks)
-        if epsilon_element(oracle.spec, 1) == one:
-            raise InternalVerificationFailure("strong factorization declined, yet eps_1 = 1")
-        return StrongVerdict(_verdict(exact, "1 not reached in S_1 S_-1", size_bound),
-                             no_sinks)
-    s1 = oracle.spanning(1, size_bound)
-    sm1 = oracle.spanning(-1, size_bound)
-    ok_pos = oracle.span_solve(one, oracle.products(s1, sm1)) is not None
-    ok_neg = oracle.span_solve(one, oracle.products(sm1, s1)) is not None
+        spec = oracle.spec
+        ok_pos = epsilon_element(spec, 1) == one
+        ok_neg = ok_pos and epsilon_element(spec, -1) == one
+        if spec.is_leavitt and (ok_pos and ok_neg) != no_sinks:
+            raise InternalVerificationFailure("the strong row disagrees with Hazrat's criterion")
+    else:
+        s1 = oracle.spanning(1, size_bound)
+        sm1 = oracle.spanning(-1, size_bound)
+        ok_pos = oracle.span_solve(one, oracle.products(s1, sm1)) is not None
+        ok_neg = oracle.span_solve(one, oracle.products(sm1, s1)) is not None
     if ok_pos and ok_neg:
         verdict = Verdict(HOLDS_EXACT)  # positive findings are witnessed
     else:
         side = "S_1 S_-1" if not ok_pos else "S_-1 S_1"
         verdict = _verdict(exact, f"1 not reached in {side}", size_bound)
     return StrongVerdict(verdict, no_sinks)
-
-
-def strong_factorization(spec: AlgebraSpec):
-    """Hazrat's criterion made constructive: for a Leavitt spec whose graph
-    has no sinks, the pairs (a, b) of _strong_pairs, with 1 = sum a.b over
-    a in S_1, b in S_-1 and again over a in S_-1, b in S_1; None for other
-    specs.  Both identities and every degree are checked by exact
-    multiplication; they hold for every finite graph without sinks, so a
-    failure is a bug.
-    """
-    if not spec.is_leavitt or spec.graph.sinks:
-        return None
-    one = identity_element(spec)
-    pos, neg = _strong_pairs(spec)
-    for pairs, d, side in ((pos, 1, "S_1 S_-1"), (neg, -1, "S_-1 S_1")):
-        if _factor_sum(spec, pairs, d, f"strong factor pair in {side}") != one:
-            raise InternalVerificationFailure(f"1 is not the sum of its {side} pairs")
-    return pos, neg
-
-
-def _strong_pairs(spec: AlgebraSpec):
-    """The factor pairs of eps_1 and eps_-1 (_epsilon_paths).  Without sinks
-    every vertex is v = sum_{s(e)=v} e e*, so eps_1 = sum_e e e* = 1, and
-    M_1 drops no branch, so eps_-1 = sum q q* over M_1 = 1 too."""
-    return [_factor_pairs(spec, _epsilon_paths(spec.graph, n)) for n in (1, -1)]
 
 
 # ---------------------------------------------------------------------------
@@ -680,7 +660,12 @@ def epsilon_element(spec: AlgebraSpec, n: int) -> AlgebraElement:
         x = monomial_element(spec, Monomial(q, spec.graph.vertex_path(q.dst)))
         if eps * x != x or x.involution() * eps != x.involution():
             raise InternalVerificationFailure(f"epsilon_{n} fails on {format_element(x)}")
-    if _factor_sum(spec, _factor_pairs(spec, paths), n, f"epsilon_{n} factor pair") != eps:
+    total = AlgebraElement.zero(spec)
+    for a, b in _factor_pairs(spec, paths):
+        if a.degree() != n or b.degree() != -n:
+            raise InternalVerificationFailure(f"epsilon_{n} factor pair has the wrong degree")
+        total = total + a * b
+    if total != eps:
         raise InternalVerificationFailure(f"epsilon_{n} is not the sum of its factor pairs")
     if n < 0:
         _check_cover(spec, {q for q, _ in paths}, n)
@@ -762,17 +747,6 @@ def _factor_pairs(spec, paths):
     """The elements (q c*, c q*) of the path pairs (q, c)."""
     return [(monomial_element(spec, Monomial(q, c)), monomial_element(spec, Monomial(c, q)))
             for q, c in paths]
-
-
-def _factor_sum(spec, pairs, d, what):
-    """sum a.b over the pairs, each a of degree d and b of degree -d; a
-    wrong degree is a bug."""
-    total = AlgebraElement.zero(spec)
-    for a, b in pairs:
-        if a.degree() != d or b.degree() != -d:
-            raise InternalVerificationFailure(f"{what} has the wrong degree")
-        total = total + a * b
-    return total
 
 
 def check_epsilon_strong(oracle: GradedRingOracle, degree_bound: int = 3,

@@ -19,7 +19,7 @@ from gral.coeffring import ModularRing, ring_make, ring_spec
 from gral.cornerlaurent import corner_from_dict, csl_element_from_dict
 from gral.errors import GralError, InternalVerificationFailure, RelationViolation
 from gral.graphs import CohnPair, Graph, graph_from_dict, morphism_from_dict
-from gral.pathalg import AlgebraElement, AlgebraSpec, element_from_terms
+from gral.pathalg import AlgebraElement, AlgebraSpec, element_from_terms, word_element
 
 
 def write(path, obj):
@@ -807,6 +807,33 @@ def test_witness_reraises_internal_failures(files, capsys, monkeypatch,
         3, "", f"internal error: InternalVerificationFailure: {message}\n")
 
 
+class _WrongSpanSolver(coeffring.SpanSolver):
+    """A SpanSolver whose every answer is {0: 1}."""
+
+    def solve(self, *targets):
+        return {0: 1}
+
+
+def test_wrong_linear_combination_exits_3(files, capsys, monkeypatch):
+    # over Z/6 a path algebra's coordinates are left-linear, so a linear
+    # answer that fails its check is a bug, never a cue to search the
+    # additive span: b = f* gives 2f.f*.2f = 4f, not 2f
+    spans = []
+    monkeypatch.setattr(gradedstruct, "SpanSolver", _WrongSpanSolver)
+    monkeypatch.setattr(gradedstruct, "AdditiveSpan", lambda *args: spans.append(args))
+    spec = AlgebraSpec.leavitt(Graph(["v", "w"], [("f", "v", "w")]), ModularRing(6))
+    with pytest.raises(InternalVerificationFailure,
+                       match="^linear combination fails its equations$"):
+        regularity.graded_witness_oracle(word_element(spec, ["f"], 2), 2)
+    elt_2f = write(files["tmp"] / "elt_2f.json", [
+        {"coeff": 2, "alpha": ["f"], "beta": {"vertex": "w"}}])
+    assert main(["lpa", "witness", "--graph", files["vw"], "--ring", files["z6"],
+                 "--element", elt_2f, "--method", "oracle"]) == 3
+    assert capsys.readouterr() == ("", "internal error: InternalVerificationFailure: "
+                                       "linear combination fails its equations\n")
+    assert spans == []
+
+
 COHN_VERDICT_VW = """\
 algebra=C^[]_Z/2(Graph(['v', 'w'], [('f', 'v', 'w')])) method=constructive overall=verified-at-bounds
 element=f* degree=-1 method=constructive witness=f bounds=- verified=true
@@ -871,9 +898,11 @@ class BrokenStream:
     (["lpa", "witness", "--graph", "{vw}", "--ring", "{z6}", "--element", "{elt_f}"], "error: "),
     (["check-ring", "{z4}"], "error: "),
     (["check-ring", "{tmp}/missing.json"], "error: "),
-    (["--help"], ""),
+    (["--help"], "error: "),
+    (["lpa", "--help"], "error: "),
     (["no-such-command"], "usage: "),
-], ids=["witness-exit0", "check-ring-exit1", "missing-file-exit2", "help", "usage-error"])
+], ids=["witness-exit0", "check-ring-exit1", "missing-file-exit2", "help", "lpa-help",
+        "usage-error"])
 def test_unwritable_report_exits_2(files, monkeypatch, command, err):
     # a report that stdout cannot take is a failure to write, like an
     # unwritable --output, never a verdict; with stderr gone too, the
@@ -918,12 +947,16 @@ def _run_gral(files, command, **streams):
                           **streams)
 
 
-@pytest.mark.parametrize("command", [["report"], ["no-such-command"]],
-                         ids=["report", "usage-error"])
+HELP_COMMANDS = [["--help"], ["lpa", "--help"]]
+
+
+@pytest.mark.parametrize("command", [["report"], ["no-such-command"], *HELP_COMMANDS],
+                         ids=["report", "usage-error", "help", "lpa-help"])
 @pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
 def test_closed_output_pipe_exits_2(files, command, unbuffered):
     # stdout and stderr on a pipe whose read end is closed before the run;
-    # buffered, a failed write must not fail again at exit (exit 120)
+    # buffered, a failed write must not fail again at exit (exit 120), and
+    # unbuffered, help that argparse could not write must not exit 0
     read, write_end = os.pipe()
     os.close(read)
     try:
@@ -932,6 +965,15 @@ def test_closed_output_pipe_exits_2(files, command, unbuffered):
     finally:
         os.close(write_end)
     assert proc.returncode == 2
+
+
+@pytest.mark.parametrize("command", HELP_COMMANDS, ids=["help", "lpa-help"])
+@pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+def test_help_on_open_pipe_exits_0(files, command, unbuffered):
+    proc = _run_gral(files, command, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                     env={"PYTHONUNBUFFERED": unbuffered} if unbuffered else {})
+    assert proc.returncode == 0 and proc.stderr == b""
+    assert proc.stdout.startswith(b"usage: gral ")
 
 
 @pytest.mark.parametrize("closed, command, code, out", [

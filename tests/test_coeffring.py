@@ -539,6 +539,25 @@ def test_table_ring_kernels_generate_every_solution(system, span):
     assert additive_span(ring, SpanSolver(ring, columns).kernel(), variables) == brute
 
 
+@pytest.mark.parametrize("width", [10, 40, 160])
+def test_table_ring_recheck_costs_the_answers_support(monkeypatch, width):
+    # the exact re-check of a one-key answer sums that unknown's one term,
+    # whatever the width; a tampered answer is still caught, on a row that
+    # only the target reaches and on a row of the answer
+    ring = table_z2xz2()
+    solver = SpanSolver(ring, [{k: ring.one} for k in range(width)])
+    calls = []
+    real = coeffring._term
+    monkeypatch.setattr(coeffring, "_term", lambda *args: calls.append(args) or real(*args))
+    assert solver.solve({0: ring.one}) == {0: ring.one}
+    assert len(calls) == 1
+    for tampered in ({}, {1: ring.one}):
+        monkeypatch.setattr(coeffring.AdditiveSpan, "solve",
+                            lambda span, target, answer=tampered: dict(answer))
+        with pytest.raises(InternalVerificationFailure, match="linear solution"):
+            solver.solve({0: ring.one})
+
+
 # every kind of ring the solve layer answers over: prime powers, composite
 # moduli (split by CRT), products (Z/2 x Z/6 split twice) and the
 # three table rings (solved in additive coordinates)
@@ -698,6 +717,18 @@ def modular_systems(draw):
     return ring, constraints, variables
 
 
+def _dense_replay(factor, rhs):
+    """rhs, a list with entries in [0, q), with every recorded row
+    operation of the factor applied in order: the reference replay."""
+    q = factor.q
+    for i, inv, elim in factor.ops:
+        b = rhs[i] = rhs[i] * inv % q
+        if b:
+            for k, f in elim:
+                rhs[k] = (rhs[k] - f * b) % q
+    return rhs
+
+
 @given(modular_systems(), st.data())
 def test_sparse_replay_agrees_with_replay(system, data):
     # the sparse replay of a target dict runs only the ops its rows reach,
@@ -706,25 +737,32 @@ def test_sparse_replay_agrees_with_replay(system, data):
     for factor, nrows in _prime_power_factors(coeffring._factor(ring, constraints, variables)):
         target = data.draw(st.dictionaries(st.integers(0, nrows - 1),
                                            st.integers(0, factor.q - 1)))
-        dense = factor.replay([target.get(r, 0) for r in range(nrows)])
+        dense = _dense_replay(factor, [target.get(r, 0) for r in range(nrows)])
         sparse = factor.sparse_replay(dict(target))
         assert {r: b for r, b in sparse.items() if b} == {r: b for r, b in enumerate(dense) if b}
 
 
-def test_span_solves_do_not_replay_densely(monkeypatch):
-    # the dense replay serves only the generalized inverse over Z/p
-    def dense_replay(self, rhs):
-        raise RuntimeError("dense replay")
-    monkeypatch.setattr(coeffring._PrimePowerFactor, "replay", dense_replay)
-    assert SpanSolver(ModularRing(4), [{"a": 1, "b": 2}, {"b": 1}]).solve(
-        {"a": 1, "b": 3}) == {0: 1, 1: 1}
-    assert solve_linear_system(ModularRing(12), [([(None, 0, None), (2, 1, None)], 5),
-                                                 ([(None, 1, None)], 1)]) == {0: 3, 1: 1}
-    ring = _z3_table()
-    span = coeffring.AdditiveSpan(ring, [[{"k": a} for a in (1, 2)]])
-    assert span.solve({"k": 2}) == {0: 2}
-    with pytest.raises(RuntimeError, match="dense replay"):
-        matrix_vnr_witness(MatrixOverRing.from_lists(ModularRing(3), [[1, 2], [2, 1]]))
+@given(st.sampled_from([2, 3, 5]), st.data())
+def test_generalized_inverse_builds_no_reduced_rows(p, data):
+    # the inverse over Z/p reads its row operations through sparse_replay
+    # alone: the reduced rows, which only solves and kernels read, are
+    # never built, and Y is E's rows at the pivot columns
+    shape = data.draw(st.tuples(st.integers(1, 4), st.integers(1, 4)))
+    rows = data.draw(st.lists(st.lists(st.integers(0, p - 1), min_size=shape[1],
+                                       max_size=shape[1]), min_size=shape[0], max_size=shape[0]))
+    def reduced(factor):
+        raise AssertionError("the reduced rows were built")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(coeffring._PrimePowerFactor, "_reduced", property(reduced))
+        y = matrix_vnr_witness(MatrixOverRing.from_lists(ModularRing(p), rows))
+    factor = coeffring._PrimePowerFactor(
+        [{j: x for j, x in enumerate(row) if x} for row in rows], shape[1], p, 1)
+    e_rows = list(zip(*(_dense_replay(factor, [int(r == c) for r in range(shape[0])])
+                        for c in range(shape[0]))))
+    expected = [(0,) * shape[0]] * shape[1]
+    for i, j in factor.cells:
+        expected[j] = e_rows[i]
+    assert y.entries == tuple(expected)
 
 
 Z2xZ3 = ProductRing([ModularRing(2), ModularRing(3)])

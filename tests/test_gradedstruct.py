@@ -27,7 +27,6 @@ from gral.gradedstruct import (CslOracle, GradedRingOracle,
                                check_symmetric, classify, epsilon_element,
                                homogeneous_local_units, is_semiprime_graded,
                                jacobson_radical_algebra,
-                               strong_factorization,
                                zero_multiplication_ring)
 from gral.pathalg import (AlgebraElement, AlgebraSpec, Monomial, format_element,
                           identity_element, monomial_element, reduced_monomials,
@@ -254,20 +253,21 @@ def test_certified_rows_match_the_span_search(name, n, bound):
         _rows(classify(_search_only(spec), bound, bound), "strong", "symmetric")
 
 
-@given(small_graphs(), st.sampled_from([2, 4, 6]))
-def test_strong_factorization_verifies_or_declines_at_sinks(graph, n):
-    spec = leavitt(graph, n)
-    pairs = strong_factorization(spec)
-    assert (pairs is None) == bool(graph.sinks)
-    if pairs is None:
-        return
+@given(small_graphs(), st.data(), st.sampled_from([2, 4, 6]))
+def test_strong_row_holds_iff_leavitt_without_sinks(graph, data, n):
+    # 1 is in S_1 S_-1 and in S_-1 S_1 iff eps_1 = eps_-1 = 1, and by
+    # Hazrat's criterion iff the spec is Leavitt and has no sinks: a
+    # relative Cohn spec, X a proper subset of Reg(E), is never strong
+    x = [v for v in sorted(graph.regular) if data.draw(st.booleans())]
+    spec = AlgebraSpec(graph, ModularRing(n), x)
+    strong = check_strong_Z(PathAlgebraOracle(spec), 1)
     one = identity_element(spec)
-    for factors, d in zip(pairs, (1, -1)):
-        total = AlgebraElement.zero(spec)
-        for a, b in factors:
-            assert a.degree() == d and b.degree() == -d
-            total = total + a * b
-        assert total == one
+    epsilons = [epsilon_element(spec, d) == one for d in (1, -1)]
+    assert strong.strong == (spec.is_leavitt and not graph.sinks) == all(epsilons)
+    assert strong.no_sinks == (not graph.sinks)
+    if not strong.strong:
+        side = "S_1 S_-1" if not epsilons[0] else "S_-1 S_1"
+        assert strong.verdict.witness.startswith(f"1 not reached in {side}")
 
 
 @pytest.mark.parametrize("name, bound, side", [
@@ -762,10 +762,6 @@ def _short_epsilon_companion(real):
     return path_into
 
 
-def _declined(real):
-    return lambda spec: None
-
-
 def _ghost_involute_to_degree_zero(real):
     # (r(b) b*)* = b b* instead of b: a witness of degree 0 for a ghost path
     # of degree -|b|; the epsilons involute no ghost path
@@ -807,36 +803,45 @@ SOURCE_TWO_LOOPS = Graph(["s", "v", "w"], [("a", "s", "v"), ("b", "s", "w"),
 
 
 def _dropped_strong_pair(real):
-    def pairs(spec):
-        pos, neg = real(spec)
-        return pos, neg[:-1]
+    # the last factor pair of eps_-1 goes missing
+    def pairs(spec, paths):
+        out = real(spec, paths)
+        return out[:-1] if out and out[0][0].degree() < 0 else out
     return pairs
 
 
 def _swapped_strong_pair(real):
-    def pairs(spec):
-        pos, neg = real(spec)
-        return [(b, a) for a, b in pos], neg
+    # the factor pairs of eps_1 with their sides swapped
+    def pairs(spec, paths):
+        out = real(spec, paths)
+        return [(b, a) for a, b in out] if out and out[0][0].degree() > 0 else out
     return pairs
+
+
+def _eps_one_not_one(real):
+    # eps_1 = 0 on a graph without sinks: the strong row would fail
+    def epsilon(spec, n):
+        return AlgebraElement.zero(spec) if n == 1 else real(spec, n)
+    return epsilon
 
 
 @pytest.mark.parametrize("owner, name, plant, spec, message", [
     (gradedstruct, "_path_into", _short_epsilon_companion,
      AlgebraSpec.cohn(graph_rose2(), ModularRing(2), []),
      "epsilon_-1 factor pair has the wrong degree"),
-    (gradedstruct, "strong_factorization", _declined,
+    (gradedstruct, "epsilon_element", _eps_one_not_one,
      AlgebraSpec.leavitt(graph_rose2(), ModularRing(2)),
-     "strong factorization declined, yet eps_1 = 1"),
+     "^the strong row disagrees with Hazrat's criterion$"),
     (gradedstruct, "check_strong_Z", _raise_internal,
      AlgebraSpec.leavitt(graph_vw(), ModularRing(2)), "planted"),
     (Monomial, "involute", _ghost_involute_to_degree_zero,
      AlgebraSpec.leavitt(graph_vw(), ModularRing(2)), "^x x\\* x = x fails on f\\*$"),
-    (gradedstruct, "_strong_pairs", _dropped_strong_pair,
+    (gradedstruct, "_factor_pairs", _dropped_strong_pair,
      AlgebraSpec.leavitt(graph_rose2(), ModularRing(2)),
-     "1 is not the sum of its S_-1 S_1 pairs"),
-    (gradedstruct, "_strong_pairs", _swapped_strong_pair,
+     "^epsilon_-1 is not the sum of its factor pairs$"),
+    (gradedstruct, "_factor_pairs", _swapped_strong_pair,
      AlgebraSpec.leavitt(graph_rose2(), ModularRing(2)),
-     "strong factor pair in S_1 S_-1 has the wrong degree"),
+     "^epsilon_1 factor pair has the wrong degree$"),
     (Monomial, "involute", _self_adjoint_involute,
      AlgebraSpec.leavitt(graph_rose2(), ModularRing(2)), "^x x\\* x = x fails on ef\\*$"),
     (Monomial, "involute", _self_adjoint_involute,
@@ -846,7 +851,7 @@ def _swapped_strong_pair(real):
      AlgebraSpec.cohn(SOURCE_TWO_LOOPS, ModularRing(2), []),
      "^epsilon_-1 misses the branch b$"),
 ], ids=["epsilon_companion_short",
-        "strong_factorization_declined",
+        "hazrat_cross_check",
         "check_strong_Z", "witness_wrong_degree",
         "strong_pair_dropped", "strong_pair_wrong_degree",
         "involute_leavitt", "involute_cohn", "epsilon_first_out_edge_only"])

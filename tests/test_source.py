@@ -214,3 +214,27 @@ def test_solve_layer_answers_in_one_shape():
              and ast.unparse(call.func) == "dict.fromkeys"
              and "varlist" in ast.unparse(call.args[0])]
     assert fills == []
+
+
+def _definitions(tree, scope=()):
+    """The dotted name of each class and function, inside the classes and
+    functions that enclose it."""
+    for child in ast.iter_child_nodes(tree):
+        inner = scope
+        if isinstance(child, (ast.ClassDef, ast.FunctionDef)):
+            inner = scope + (child.name,)
+            yield ".".join(inner)
+        yield from _definitions(child, inner)
+
+
+def test_each_answer_has_one_construction():
+    # the strong row reads eps_1 and eps_-1 from epsilon_element, and the
+    # generalized inverse reads sparse_replay: a second construction of
+    # either answer is gone for good
+    defined = {f"{path.name}:{name}" for path in sorted(SRC.glob("*.py"))
+               for name in _definitions(_parse(path))}
+    assert defined & {"gradedstruct.py:strong_factorization",
+                      "gradedstruct.py:_strong_pairs",
+                      "coeffring.py:_PrimePowerFactor.replay"} == set()
+    assert {"gradedstruct.py:epsilon_element",
+            "coeffring.py:_PrimePowerFactor.sparse_replay"} <= defined
