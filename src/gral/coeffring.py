@@ -15,8 +15,7 @@ import heapq
 import itertools
 import math
 import os
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .errors import (AxiomViolation, InternalVerificationFailure,
                      SearchCapExceeded, json_field, json_value)
@@ -386,8 +385,7 @@ def ring_spec(ring: Ring):
 # von Neumann regularity
 
 
-@dataclass(frozen=True)
-class VnrVerdict:
+class VnrVerdict(NamedTuple):
     regular: bool
     witnesses: Optional[tuple] = None       # ((a, y), ...) when regular
     counterexample: Optional[object] = None  # least a without a witness
@@ -1032,14 +1030,22 @@ def kernel_generators(ring: Ring, constraints, variables):
 # Matrices
 
 
-@dataclass(frozen=True)
-class MatrixOverRing:
+class _MatrixFields(NamedTuple):
     ring: Ring
     entries: tuple  # tuple of row tuples
 
-    def __post_init__(self):
-        if not self.entries or not self.entries[0]:
+
+class MatrixOverRing(_MatrixFields):
+    """A matrix with at least one row and one column; empty dimensions
+    raise ValueError.  Build it by calling the class: _make and _replace
+    skip the check."""
+
+    __slots__ = ()
+
+    def __new__(cls, ring: Ring, entries: tuple):
+        if not entries or not entries[0]:
             raise ValueError("matrix dimensions must be positive")
+        return super().__new__(cls, ring, entries)
 
     @property
     def rows(self):
@@ -1183,8 +1189,7 @@ def jacobson_radical(ring: Ring):
     return radical
 
 
-@dataclass(frozen=True)
-class SemiprimeVerdict:
+class SemiprimeVerdict(NamedTuple):
     semiprime: bool
     witness: Optional[object] = None  # a != 0 with aRa = 0
 

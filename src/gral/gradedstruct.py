@@ -22,8 +22,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .coeffring import AdditiveSpan, Ring, SpanSolver, TableRing, mul_entries, within_cap
 # not called here, but perfbench/tracer.py rebinds solve_linear_system in
@@ -118,6 +117,7 @@ class PathAlgebraOracle(GradedRingOracle):
         # built on first use and kept as long as the oracle (one classify)
         self._spans = {}        # size bound -> degree -> spanning elements
         self._witnesses = {}    # spanning monomial x -> x*
+        self._epsilons = {}     # degree n -> epsilon_element(spec, n)
 
     @property
     def ring(self):
@@ -160,6 +160,14 @@ class PathAlgebraOracle(GradedRingOracle):
                 raise InternalVerificationFailure(f"x x* x = x fails on {format_element(x)}")
             self._witnesses[x] = y
         return y
+
+    def epsilon(self, n):
+        """epsilon_element(spec, n), formed and checked once per degree;
+        the strong row and the epsilon rows both read it."""
+        eps = self._epsilons.get(n)
+        if eps is None:
+            eps = self._epsilons[n] = epsilon_element(self.spec, n)
+        return eps
 
     def coords(self, x):
         return dict(x.terms)
@@ -476,8 +484,7 @@ HOLDS_AT_BOUND = "holds-at-bound"
 FAILS = "fails"
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(NamedTuple):
     status: str
     witness: str = ""
     bound: int = 0
@@ -492,8 +499,7 @@ class Verdict:
         return self.status
 
 
-@dataclass(frozen=True)
-class ReportRow:
+class ReportRow(NamedTuple):
     property: str
     degree: str  # printable degree or "*"
     verdict: Verdict
@@ -503,8 +509,7 @@ class ReportRow:
             (f" witness={self.verdict.witness}" if self.verdict.witness else "")
 
 
-@dataclass(frozen=True)
-class ClassificationReport:
+class ClassificationReport(NamedTuple):
     oracle_name: str
     rows: tuple
     summary: tuple  # ((property, Verdict), ...)
@@ -584,8 +589,7 @@ def check_symmetric(oracle: GradedRingOracle, degree_bound: int = 3,
 # Strong gradings
 
 
-@dataclass(frozen=True)
-class StrongVerdict:
+class StrongVerdict(NamedTuple):
     verdict: Verdict
     no_sinks: Optional[bool] = None  # Leavitt cross-check, when available
 
@@ -616,8 +620,8 @@ def check_strong_Z(oracle: GradedRingOracle, size_bound: int = 3) -> StrongVerdi
     exact = oracle.exact_at(1, size_bound) and oracle.exact_at(-1, size_bound)
     if isinstance(oracle, PathAlgebraOracle):
         spec = oracle.spec
-        ok_pos = epsilon_element(spec, 1) == one
-        ok_neg = ok_pos and epsilon_element(spec, -1) == one
+        ok_pos = oracle.epsilon(1) == one
+        ok_neg = ok_pos and oracle.epsilon(-1) == one
         if spec.is_leavitt and (ok_pos and ok_neg) != no_sinks:
             raise InternalVerificationFailure("the strong row disagrees with Hazrat's criterion")
     else:
@@ -795,7 +799,7 @@ def _epsilon_path_algebra(oracle: PathAlgebraOracle, degree_bound, size_bound):
     verdict = _verdict(oracle.exact_at(0, size_bound))
     rows, table = [], []
     for d in range(-degree_bound, degree_bound + 1):
-        eps = epsilon_element(spec, d)
+        eps = oracle.epsilon(d)
         if not spec.is_leavitt or d >= 0:
             label = str(d) if not spec.is_leavitt else f"+-{d}" if d else "0"
             rows.append(ReportRow("epsilon-strong", label, verdict))
@@ -857,8 +861,7 @@ def _missing_unit(oracle, s, d, size_bound, products):
 # Homogeneous local units
 
 
-@dataclass(frozen=True)
-class LocalUnitsReport:
+class LocalUnitsReport(NamedTuple):
     units: tuple          # vertex idempotents, as elements
     total: AlgebraElement  # sum of all vertices (identity for finite graphs)
     verified: bool
@@ -893,8 +896,7 @@ def homogeneous_local_units(spec: AlgebraSpec, size_bound: int = 3) -> LocalUnit
 # Radical and semiprimeness of finite algebra instances
 
 
-@dataclass(frozen=True)
-class RadicalReport:
+class RadicalReport(NamedTuple):
     size: int
     generators: tuple       # homogeneous generating set
     dimension: int

@@ -3,16 +3,14 @@ relative-Cohn cover construction and morphisms between (graph, X) pairs."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .errors import GralError, XNotRegular, json_field
 
 PRIME_SUFFIX = "'"
 
 
-@dataclass(frozen=True)
-class Edge:
+class Edge(NamedTuple):
     name: str
     src: str
     dst: str
@@ -29,10 +27,12 @@ class Path:
     repr is pinned to the field-by-field form
     Path(src='v', dst='w', edges=('e',)): linear systems order their rows
     by the repr of their keys (coeffring._span_rows).  That order sets the
-    cost of elimination, not the solution a solver returns.
+    cost of elimination, not the solution a solver returns.  The repr is
+    built on first use and kept in the _repr slot, which stays unset until
+    then, so a path that is never printed or sorted pays nothing for it.
     """
 
-    __slots__ = ("src", "dst", "edges", "_hash")
+    __slots__ = ("src", "dst", "edges", "_hash", "_repr")
 
     def __init__(self, src: str, dst: str, edges: tuple = ()):
         self.src = src
@@ -52,7 +52,11 @@ class Path:
                 and self.src == other.src and self.dst == other.dst)
 
     def __repr__(self):
-        return f"Path(src={self.src!r}, dst={self.dst!r}, edges={self.edges!r})"
+        cached = getattr(self, "_repr", None)
+        if cached is None:
+            cached = self._repr = \
+                f"Path(src={self.src!r}, dst={self.dst!r}, edges={self.edges!r})"
+        return cached
 
     def __reduce__(self):
         # rebuild from the fields: string hashes differ between processes
@@ -222,19 +226,23 @@ def cohn_cover(graph: Graph, x) -> Graph:
 # Category of (graph, X) pairs
 
 
-@dataclass(frozen=True)
-class CohnPair:
-    """Object (E, X) with X a subset of the regular vertices of E."""
-
+class _CohnPairFields(NamedTuple):
     graph: Graph
-    x: frozenset = field(default=None)
-
-    def __post_init__(self):
-        object.__setattr__(self, "x", regular_subset(self.graph, self.x))
+    x: frozenset = None
 
 
-@dataclass(frozen=True)
-class GraphMorphism:
+class CohnPair(_CohnPairFields):
+    """Object (E, X) with X a subset of the regular vertices of E; X = None
+    reads Reg(E), and a non-regular vertex in X raises XNotRegular.  Build
+    it by calling the class: _make and _replace skip the check."""
+
+    __slots__ = ()
+
+    def __new__(cls, graph: Graph, x=None):
+        return super().__new__(cls, graph, regular_subset(graph, x))
+
+
+class GraphMorphism(NamedTuple):
     """Morphism (F, Y) -> (E, X): vertex and edge maps."""
 
     source: CohnPair
@@ -263,8 +271,7 @@ class GraphMorphism:
         return dict(self.emap)[name]
 
 
-@dataclass(frozen=True)
-class MorphismVerdict:
+class MorphismVerdict(NamedTuple):
     valid: bool
     failed_condition: Optional[str] = None  # "a" | "b" | "c"
     detail: str = ""

@@ -6,8 +6,7 @@ algebras by substitution alone, and finite direct-limit chain verification.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .coeffring import Ring, SpanSolver
 # not called here, but perfbench/tracer.py rebinds solve_linear_system in
@@ -22,8 +21,7 @@ from .pathalg import (AlgebraElement, AlgebraSpec, edge_element,
                       vertex_element)
 
 
-@dataclass(frozen=True)
-class AlgebraHom:
+class AlgebraHom(NamedTuple):
     """Generator assignment between two path algebra presentations."""
 
     source: AlgebraSpec
@@ -253,8 +251,7 @@ def cohn_isomorphism(spec: AlgebraSpec):
 # Graded-isomorphism verification
 
 
-@dataclass(frozen=True)
-class IsoRow:
+class IsoRow(NamedTuple):
     degree: int
     source_rank: int
     target_rank: int
@@ -262,8 +259,7 @@ class IsoRow:
     witness: str = ""
 
 
-@dataclass(frozen=True)
-class IsoVerdict:
+class IsoVerdict(NamedTuple):
     rows: tuple
     status: str
     witness: str = ""
@@ -340,8 +336,7 @@ def _by_degree(monomials, degrees) -> dict:
 # Finite chains of morphisms
 
 
-@dataclass(frozen=True)
-class ChainVerdict:
+class ChainVerdict(NamedTuple):
     commutes: bool
     detail: str = ""
 

@@ -450,25 +450,26 @@ def identity_element(spec: AlgebraSpec) -> AlgebraElement:
 def reduced_monomials(spec: AlgebraSpec, degree: Optional[int] = None,
                       max_len: int = 3):
     """Reduced monomials with real and ghost lengths at most max_len,
-    optionally restricted to one degree; sorted.  The pairs it loops over,
-    sum over v of (sum_{i <= max_len} |P(i, v)|)^2, are capped before any
-    path is listed."""
+    optionally restricted to one degree; sorted.  One degree d pairs only
+    the paths whose lengths differ by d.  The cap counts every pair of
+    every degree, sum over v of (sum_{i <= max_len} |P(i, v)|)^2, before
+    any path is listed, so a degree is refused exactly when all are."""
     g = spec.graph
     counts = g.path_counts(max_len)
     within_cap(sum(sum(c[v] for c in counts) ** 2 for v in g.vertices), "reduced monomials")
-    by_range = {v: [] for v in g.vertices}
+    by_range = {v: [[] for _ in range(max_len + 1)] for v in g.vertices}
     for n in range(max_len + 1):
         for p in g.paths(n):
-            by_range[p.dst].append(p)
+            by_range[p.dst][n].append(p)
+    lengths = [(i, j) for i in range(max_len + 1) for j in range(max_len + 1)
+               if degree is None or i - j == degree]
     out = []
     for v in g.vertices:
-        for a, b in itertools.product(by_range[v], repeat=2):
-            m = Monomial(a, b)
-            if degree is not None and m.degree != degree:
-                continue
-            if _reducible(spec, m):
-                continue
-            out.append(m)
+        for i, j in lengths:
+            for a, b in itertools.product(by_range[v][i], by_range[v][j]):
+                m = Monomial(a, b)
+                if not _reducible(spec, m):
+                    out.append(m)
     return sorted(out, key=Monomial.sort_key)
 
 

@@ -16,8 +16,7 @@ is exact on acyclic graphs.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .coeffring import MatrixOverRing, is_vnr, matrix_vnr_witness, mul_entries
 # not called here, but perfbench/tracer.py rebinds solve_linear_system in
@@ -35,8 +34,7 @@ from .pathalg import (AlgebraElement, AlgebraSpec, BlockStructure,
 # Local units
 
 
-@dataclass(frozen=True)
-class UnitFactorization:
+class UnitFactorization(NamedTuple):
     """epsilon = sum of a_i b_i with a_i of degree d and b_i of degree -d."""
 
     epsilon: AlgebraElement
@@ -141,8 +139,7 @@ def idempotent_generator(structure: BlockStructure, generators):
 # Certificates
 
 
-@dataclass(frozen=True)
-class WitnessCertificate:
+class WitnessCertificate(NamedTuple):
     """Machine-checkable record: either a verified witness b with
     x = x.b.x, or a certified absence over a described search space."""
 
@@ -252,8 +249,7 @@ def graded_witness_oracle(x: AlgebraElement, bound: int,
 # Whole-algebra verdicts
 
 
-@dataclass(frozen=True)
-class RegularityReport:
+class RegularityReport(NamedTuple):
     spec: AlgebraSpec
     method: str
     bounds: tuple

@@ -806,6 +806,18 @@ def test_kernel_generators_mod4(z4):
 # -- matrices -----------------------------------------------------------------
 
 
+def test_matrix_refuses_empty_dimensions(z2):
+    # positionally, by keyword and through from_lists, as the record always has
+    for make in (lambda e: MatrixOverRing(z2, e), lambda e: MatrixOverRing(ring=z2, entries=e),
+                 lambda e: MatrixOverRing.from_lists(z2, e)):
+        for entries in ((), ((),), [[]]):
+            with pytest.raises(ValueError, match="dimensions must be positive"):
+                make(entries)
+    a = MatrixOverRing(z2, ((1, 0),))
+    assert (a.rows, a.cols) == (1, 2) and a == MatrixOverRing.from_lists(z2, [[1, 0]])
+    assert repr(a).startswith("MatrixOverRing(ring=") and repr(a).endswith(", entries=((1, 0),))")
+
+
 def test_matrix_witness_idempotent(z2):
     a = MatrixOverRing.from_lists(z2, [[1, 0], [0, 0]])
     y = matrix_vnr_witness(a)

@@ -1,6 +1,5 @@
 """Grading classification, epsilon structure, radical and semiprimeness."""
 
-import dataclasses
 import itertools
 import json
 
@@ -124,6 +123,17 @@ def test_epsilon_element_negative_other_side(z2):
     assert format_element(epsilon_element(spec, 1)) == "v"
 
 
+def test_classify_forms_each_epsilon_once(monkeypatch):
+    # the strong row's eps_1 and eps_-1 are the epsilon rows' own: seven
+    # degrees, seven epsilons, each still checked inside epsilon_element
+    formed = []
+    monkeypatch.setattr(gradedstruct, "epsilon_element",
+                        lambda spec, n, real=epsilon_element: formed.append(n) or real(spec, n))
+    report = classify(leavitt(graph_span(), 2), 3, 3)
+    assert report.verdict("strong").status == "holds-exactly"
+    assert sorted(formed) == list(range(-3, 4))
+
+
 FUW = Graph(["u", "w"], [("f", "u", "w"), ("e", "w", "w")])
 
 
@@ -233,7 +243,7 @@ def _per_degree(report, spec):
         [row for row in report.rows if row.property in ("nearly-epsilon", "symmetric")]
     table = tuple((d, format_element(epsilon_element(spec, d))) for d in range(-top, top + 1))
     assert table[top:] == report.eps_table
-    return dataclasses.replace(report, rows=tuple(rows), eps_table=table).to_text()
+    return report._replace(rows=tuple(rows), eps_table=table).to_text()
 
 
 def _rows(report, *props):

@@ -41,6 +41,16 @@ def test_path_repr_is_pinned():
     assert repr(g.make_path(["f"])) == "Path(src='v', dst='w', edges=('f',))"
 
 
+def test_path_repr_is_built_once():
+    # the repr is kept after its first use and reads the field form before
+    # and after; a pickle rebuilds the path without it
+    for p in graph_rose2().paths(2) + [Path("v", "w", ("f",))]:
+        form = f"Path(src={p.src!r}, dst={p.dst!r}, edges={p.edges!r})"
+        first = repr(p)
+        assert first == form and repr(p) is first and repr(p) == form
+        assert repr(pickle.loads(pickle.dumps(p))) == form
+
+
 def test_path_is_hashed_once_and_equals_only_paths():
     class Name(str):
         hashes = 0
@@ -112,6 +122,30 @@ def test_primed_name_collision_takes_the_next_prime():
 def test_cohn_pair_rejects_nonregular():
     with pytest.raises(XNotRegular):
         CohnPair(graph_a1(), frozenset({"v"}))
+
+
+def test_cohn_pair_reads_the_regular_vertices_by_default():
+    # X omitted or None is Reg(E), positionally or by keyword; a given X is
+    # kept as a frozenset and checked, and the record compares by value
+    vwu = graph_vwu()
+    reg = frozenset(vwu.regular)
+    for pair in (CohnPair(vwu), CohnPair(vwu, None), CohnPair(graph=vwu, x=None)):
+        assert pair.x == reg and pair == CohnPair(vwu, reg)
+    assert CohnPair(vwu, ["v"]).x == frozenset({"v"})
+    assert hash(CohnPair(vwu, ["v"])) == hash(CohnPair(vwu, {"v"}))
+    assert repr(CohnPair(vwu, [])) == f"CohnPair(graph={vwu!r}, x=frozenset())"
+    with pytest.raises(XNotRegular):
+        CohnPair(graph=graph_vw(), x={"w"})
+
+
+def test_graph_equality_and_hash_read_the_edge_fields():
+    # edges compare and hash as their (name, src, dst) fields
+    g = Graph(["v", "w"], [("e", "v", "w"), ("f", "w", "v")])
+    assert hash(g) == hash((("v", "w"), (("e", "v", "w"), ("f", "w", "v"))))
+    assert g == Graph(["v", "w"], list(g.edges)) and hash(g) == hash(Graph(["v", "w"], g.edges))
+    assert g != Graph(["v", "w"], [("e", "v", "w"), ("f", "w", "w")])
+    assert g != Graph(["w", "v"], [("e", "v", "w"), ("f", "w", "v")])
+    assert repr(g.edges[0]) == "Edge(name='e', src='v', dst='w')"
 
 
 def test_morphism_validate_inclusion():

@@ -317,6 +317,16 @@ def test_free_span_rank_five(z2):
     assert names == {"v", "w", "f", "f*", "ff*"}
 
 
+@given(kernel_specs(), st.integers(0, 3))
+def test_one_degree_is_the_filtered_list(spec, max_len):
+    # one degree pairs only paths whose lengths differ by it: the same
+    # monomials in the same order as filtering the list of every degree
+    every = reduced_monomials(spec, max_len=max_len)
+    for d in range(-max_len - 1, max_len + 2):
+        assert reduced_monomials(spec, degree=d, max_len=max_len) == \
+            [m for m in every if m.degree == d]
+
+
 def test_ghost_path_independence(z6):
     # distinct pure ghost monomials stay distinct basis elements
     spec = AlgebraSpec.leavitt(graph_rose2(), z6)

@@ -1,8 +1,14 @@
 """Properties of the package source itself."""
 
 import ast
+import importlib
 import inspect
+import os
 import pathlib
+import subprocess
+import sys
+
+import pytest
 
 from gral import gradedstruct
 
@@ -238,3 +244,51 @@ def test_each_answer_has_one_construction():
                       "coeffring.py:_PrimePowerFactor.replay"} == set()
     assert {"gradedstruct.py:epsilon_element",
             "coeffring.py:_PrimePowerFactor.sparse_replay"} <= defined
+
+
+def test_no_module_imports_dataclasses():
+    # result records are NamedTuples: dataclasses generates their methods
+    # at import and loads inspect with it, on every CLI start
+    found = [f"{path.name}:{node.lineno}" for path in sorted(SRC.glob("*.py"))
+             for node in ast.walk(_parse(path))
+             if isinstance(node, ast.Import) and any(a.name == "dataclasses" for a in node.names)
+             or isinstance(node, ast.ImportFrom) and node.module == "dataclasses"]
+    assert found == []
+
+
+def test_cli_import_loads_neither_dataclasses_nor_inspect():
+    code = ("import sys; before = set(sys.modules); import gral.cli; "
+            "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))")
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=60, env=env, check=True)
+    assert proc.stdout.strip() == "[]"
+
+
+def _records():
+    """Every NamedTuple class that a gral module defines."""
+    for path in sorted(SRC.glob("*.py")):
+        if path.stem.startswith("__"):  # the package itself; __main__ runs the CLI
+            continue
+        module = importlib.import_module(f"gral.{path.stem}")
+        for _, cls in inspect.getmembers(module, inspect.isclass):
+            if cls.__module__ == module.__name__ and issubclass(cls, tuple) \
+                    and hasattr(cls, "_fields"):
+                yield cls
+
+
+def test_records_are_immutable_values():
+    # each record has no instance dict, refuses assignment to a field or a
+    # new attribute, and compares and hashes by value
+    records = {cls.__name__: cls for cls in _records()}
+    assert len([name for name in records if not name.startswith("_")]) == 20
+    for cls in records.values():
+        record = cls._make(range(len(cls._fields)))  # values, unchecked
+        assert not hasattr(record, "__dict__"), cls.__name__
+        for name in cls._fields + ("extra",):
+            with pytest.raises(AttributeError):
+                setattr(record, name, None)
+        same = cls._make(range(len(cls._fields)))
+        assert record == same and hash(record) == hash(same)
+        assert repr(record) == f"{cls.__name__}(" + ", ".join(
+            f"{name}={i}" for i, name in enumerate(cls._fields)) + ")"
