@@ -391,8 +391,29 @@ class VnrVerdict(NamedTuple):
     counterexample: Optional[object] = None  # least a without a witness
 
 
+def _unit_witness(q: int, a: int):
+    """The first y with a.y.a = a over Z/q, q a prime power: a unit's
+    inverse, its one witness; 0 for a = 0; None for any other a, p.u with
+    p | q, as p.u.y = 1 mod a power of p has no solution."""
+    if a == 0:
+        return 0
+    return pow(a, -1, q) if math.gcd(a, q) == 1 else None
+
+
+def _whole_modulus(ring: Ring) -> bool:
+    """Whether ring is a Z/q that ring_parts leaves whole, q a prime power."""
+    return isinstance(ring, ModularRing) and ring_parts(ring) is None
+
+
 def vnr_witness(ring: Ring, a):
-    """First y in enumeration order with a = a.y.a, or None."""
+    """First y in enumeration order with a = a.y.a, or None: over a Z/q
+    that ring_parts leaves whole in closed form and re-checked, over any
+    other ring by search."""
+    if _whole_modulus(ring):
+        y = _unit_witness(ring.n, a)
+        if y is not None and ring.mul(ring.mul(a, y), a) != a:
+            raise InternalVerificationFailure("vnr witness failed re-verification")
+        return y
     for y in ring.elements():
         if ring.mul(ring.mul(a, y), a) == a:
             return y
@@ -400,26 +421,36 @@ def vnr_witness(ring: Ring, a):
 
 
 def is_vnr(ring: Ring) -> VnrVerdict:
-    """Each a with its first witness y, or the first a without one.  Every
-    product a.y.a tried is one step, and more steps than the search cap
-    raise SearchCapExceeded."""
+    """Each a with its first witness y, or the first a without one.  Over a
+    Z/q that ring_parts leaves whole the witnesses are read in closed form,
+    O(q) steps in all; any other ring is searched, where every product
+    a.y.a tried is one step and more steps than the search cap raise
+    SearchCapExceeded.  Every witness is re-checked."""
     cached = getattr(ring, "_vnr_cache", None)
     if cached is not None:
         return cached
+    closed = _whole_modulus(ring)
     cap = search_cap()
     steps = 0
     table = []
     for a in ring.elements():
-        for y in ring.elements():
-            steps += 1
-            if steps > cap:
-                raise SearchCapExceeded(steps, cap, "vnr search")
-            if ring.mul(ring.mul(a, y), a) == a:
-                table.append((a, y))
-                break
+        if closed:
+            y = _unit_witness(ring.n, a)
         else:
+            y = None
+            for b in ring.elements():
+                steps += 1
+                if steps > cap:
+                    raise SearchCapExceeded(steps, cap, "vnr search")
+                if ring.mul(ring.mul(a, b), a) == a:
+                    y = b
+                    break
+        if y is None:
             verdict = VnrVerdict(False, None, a)
             break
+        if ring.mul(ring.mul(a, y), a) != a:
+            raise InternalVerificationFailure("vnr witness failed re-verification")
+        table.append((a, y))
     else:
         verdict = VnrVerdict(True, tuple(table), None)
     ring._vnr_cache = verdict
@@ -1094,11 +1125,12 @@ def mul_entries(ring: Ring, a, b) -> tuple:
 def matrix_vnr_witness(a: MatrixOverRing) -> Optional[MatrixOverRing]:
     """Y with A.Y.A = A, or None (certified absence).
 
-    A ring that ring_parts splits is solved part by part; Z/p gets the
-    generalized inverse from one elimination of A's rows; everything else
-    goes through solve_linear_system.  The parts are solved on plain row
-    tuples, and the result (its shape and A.Y.A = A) is re-verified
-    before it is returned.
+    A ring that ring_parts splits is solved part by part; a 1x1 A over
+    Z/q, q a prime power, is read in closed form; Z/p gets the generalized
+    inverse from one elimination of A's rows; everything else goes through
+    solve_linear_system.  The parts are solved on plain row tuples, and
+    the result (its shape and A.Y.A = A) is re-verified before it is
+    returned.
     """
     ring, entries = a.ring, a.entries
     y = _matrix_witness_dispatch(ring, entries)
@@ -1122,8 +1154,13 @@ def _matrix_witness_dispatch(ring: Ring, rows):
                 return None
             ys.append(y)
         return tuple(tuple(map(join, zip(*y_rows))) for y_rows in zip(*ys))
-    if isinstance(ring, ModularRing) and ring._is_prime:
-        return _field_generalized_inverse(rows, ring.n)
+    if isinstance(ring, ModularRing):
+        # left whole by ring_parts: Z/q, q a prime power
+        if len(rows) == 1 and len(rows[0]) == 1:
+            y = _unit_witness(ring.n, rows[0][0])
+            return None if y is None else ((y,),)
+        if ring._is_prime:
+            return _field_generalized_inverse(rows, ring.n)
     return _matrix_witness_solve(ring, rows)
 
 
@@ -1166,7 +1203,19 @@ def _field_generalized_inverse(rows, p):
 
 
 def jacobson_radical(ring: Ring):
-    """{x : 1 - yx has a left inverse for all y}, in enumeration order."""
+    """{x : 1 - yx has a left inverse for all y}, in enumeration order.
+
+    Over a Z/q that ring_parts leaves whole, q = p**e, it is p.R, the
+    multiples of p, re-checked in O(q) steps: p**e = 0, so p.R is a nil
+    ideal of a commutative ring and lies in the radical, and every other x
+    is a unit, so 1 - x**-1 . x = 0 has no left inverse.  Any other ring
+    is enumerated, |R|**2 states under the search cap."""
+    if _whole_modulus(ring):
+        n = ring.n
+        (p, e), = _prime_powers(n)
+        if pow(p, e, n) != ring.zero or any(math.gcd(x, n) != 1 for x in range(n) if x % p):
+            raise InternalVerificationFailure(f"radical of {ring.describe()} failed re-verification")
+        return list(range(0, n, p))
     within_cap(ring.order**2, "radical enumeration")
     one = ring.one
     elems = ring.elements()
@@ -1195,6 +1244,24 @@ class SemiprimeVerdict(NamedTuple):
 
 
 def is_semiprime_ring(ring: Ring) -> SemiprimeVerdict:
+    """Semiprime, or the first a != 0 with a.R.a = 0.
+
+    Over a Z/q that ring_parts leaves whole, q = p**e, it is semiprime iff
+    e = 1, and otherwise the witness is p**ceil(e/2), the least a != 0 with
+    a.a = 0.  That is re-checked in O(q) ring operations: a.a != 0 for each
+    a != 0 before the witness (for each a != 0 when there is none), and
+    witness.r.witness = 0 for every r.  Any other ring is enumerated,
+    |R|**2 states under the search cap."""
+    if _whole_modulus(ring):
+        (p, e), = _prime_powers(ring.n)
+        witness = None if e == 1 else p**((e + 1) // 2)
+        zero = ring.zero
+        if any(ring.mul(a, a) == zero for a in range(1, witness or ring.n)) or (
+                witness is not None and any(ring.mul(ring.mul(witness, r), witness) != zero
+                                            for r in ring.elements())):
+            raise InternalVerificationFailure(
+                f"semiprimeness of {ring.describe()} failed re-verification")
+        return SemiprimeVerdict(witness is None, witness)
     within_cap(ring.order**2, "semiprime enumeration")
     for a in ring.elements():
         if a == ring.zero:

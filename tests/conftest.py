@@ -24,6 +24,13 @@ def table_z2xz2():
                      [[i & j for j in range(4)] for i in range(4)], zero=0, one=3)
 
 
+def table_mod(n):
+    """Z/n given by tables: unlike Z/n itself, whose scalars are read in
+    closed form, its vnr questions are searched under the cap."""
+    return TableRing([[(i + j) % n for j in range(n)] for i in range(n)],
+                     [[i * j % n for j in range(n)] for i in range(n)], zero=0, one=1)
+
+
 def table_upper_z2():
     """Upper-triangular 2x2 matrices over Z/2 given by tables, a
     non-commutative ring of order 8: 4a + 2b + c stands for [[a, b], [0, c]]."""

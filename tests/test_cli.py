@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import table_m2_z2, table_upper_z2, table_z2xz2
+from conftest import table_m2_z2, table_mod, table_upper_z2, table_z2xz2
 from gral import cli, coeffring, gradedstruct, morphisms, regularity
 from gral.cli import main
 from gral.coeffring import ModularRing, ring_make, ring_spec
@@ -77,9 +77,10 @@ def test_check_ring_z4_exit1(files, capsys):
     ["lpa", "witness", "--graph", "{a1}", "--ring", "{ring}", "--element", "{elt_2v}"],
 ], ids=["check-ring", "lpa-witness"])
 def test_vnr_search_beyond_the_cap_exit2(files, capsys, monkeypatch, command):
-    # Z/7 loads under a cap of 20 but its vnr search needs 28 steps; lpa
-    # witness without --method runs that search to pick its method
-    ring = write(files["tmp"] / "z7.json", {"kind": "mod", "n": 7})
+    # Z/7 given by tables loads under a cap of 20 but its vnr search needs
+    # 28 steps (Z/7 itself is read in closed form); lpa witness without
+    # --method runs that search to pick its method
+    ring = write(files["tmp"] / "z7.json", ring_spec(table_mod(7)))
     monkeypatch.setenv("GRAL_SEARCH_CAP", "20")
     assert main([arg.format(ring=ring, **files) for arg in command]) == 2
     captured = capsys.readouterr()
@@ -182,6 +183,33 @@ def test_lpa_witness_oracle_over_a_noncommutative_table_ring_pinned(files, capsy
                  "--element", element, "--method", "oracle"]) == 0
     assert capsys.readouterr().out == \
         "element=t3*f degree=1 method=oracle witness=t3*f* bounds=size=3 verified=true\n"
+
+
+def test_lpa_witness_over_a_large_prime_exit0(files, capsys):
+    # Z/20011 has 20011^2 a.y.a pairs, past the search cap, but its scalars
+    # are read in closed form: is_vnr picks the constructive route, and the
+    # witness of 2*e + 5*fef* carries 2^-1 = 10006
+    graph = write(files["tmp"] / "rose2.json", GOLDEN_GRAPHS["rose2"])
+    ring = write(files["tmp"] / "z20011.json", {"kind": "mod", "n": 20011})
+    element = write(files["tmp"] / "x.json", [
+        {"coeff": 2, "alpha": ["e"], "beta": {"vertex": "v"}},
+        {"coeff": 5, "alpha": ["f", "e"], "beta": ["f"]}])
+    assert main(["lpa", "witness", "--graph", graph, "--ring", ring,
+                 "--element", element]) == 0
+    assert capsys.readouterr().out == (
+        "element=2*e + 5*fef* degree=1 method=constructive witness=10006*e* "
+        "bounds=- verified=true\n")
+
+
+def test_check_ring_over_a_large_prime_exit0(files, capsys):
+    # Z/1009 has 1009^2 radical and semiprime states, past the search cap;
+    # the radical of Z/p^e is p.R and Z/p is semiprime, in closed form
+    ring = write(files["tmp"] / "z1009.json", {"kind": "mod", "n": 1009})
+    assert main(["check-ring", ring]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[:2] == ["ring=Z/1009 order=1009", "vnr=true"]
+    assert lines[2].startswith("witnesses=0:0,1:1,2:505,3:673,") and lines[2].count(":") == 1009
+    assert lines[3:] == ["radical={0}", "semiprime=true"]
 
 
 def test_oracle_absence_over_a_large_modulus_exit1(files, capsys, monkeypatch):

@@ -8,7 +8,8 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from conftest import brute_solutions, table_m2_z2, table_upper_z2, table_z2xz2
+from conftest import (brute_solutions, table_m2_z2, table_mod, table_upper_z2,
+                      table_z2xz2)
 from gral import coeffring
 from gral.cli import main
 from gral.coeffring import (MatrixOverRing, ModularRing, ProductRing, Ring,
@@ -138,13 +139,15 @@ def test_is_vnr_verdicts(z4, z6):
 
 
 def test_is_vnr_search_is_capped(monkeypatch):
-    # each product a.y.a tried is one step: over the field Z/7, a = 0 takes
-    # one and a = k takes k^-1 + 1, 28 in all
+    # each product a.y.a tried is one step: over the field Z/7 given by
+    # tables, a = 0 takes one and a = k takes k^-1 + 1, 28 in all (Z/7
+    # itself is read in closed form); each call gets a fresh handle, as the
+    # verdict is cached on it
     monkeypatch.setenv("GRAL_SEARCH_CAP", "28")
-    assert is_vnr(ModularRing(7)).regular
+    assert is_vnr(table_mod(7)).regular
     monkeypatch.setenv("GRAL_SEARCH_CAP", "27")
     with pytest.raises(SearchCapExceeded, match="vnr search needs 28 states, cap is 27"):
-        is_vnr(ModularRing(7))
+        is_vnr(table_mod(7))
 
 
 def test_is_vnr_product_is_and_of_factors(z2, z4):
@@ -1033,6 +1036,90 @@ def test_matrix_witness_prime_power_agrees_with_brute_force():
         for combo in itertools.product(range(8), repeat=4):
             cand = MatrixOverRing.from_lists(ring, [combo[:2], combo[2:]])
             assert mat_mul(mat_mul(a, cand), a) != a
+
+
+# -- scalars over Z/q in closed form ------------------------------------------
+
+
+def is_prime_power(n):
+    p = next(d for d in range(2, n + 1) if n % d == 0)
+    while n % p == 0:
+        n //= p
+    return n == 1
+
+
+PRIME_POWERS = [q for q in range(2, 300) if is_prime_power(q)]
+
+
+def test_scalar_blocks_agree_with_the_solver():
+    # a 1x1 block over a Z/q that ring_parts leaves whole is read in closed
+    # form, after the one split of Z/n and of products; its witness is the
+    # one that the linear solver gives the same block
+    rings = [ModularRing(n) for n in range(2, 300)] + [
+        ProductRing([ModularRing(a), ModularRing(b)]) for a, b in ((2, 4), (4, 3), (9, 4))]
+    cases = 0
+    for ring in rings:
+        for a in ring.elements():
+            y = matrix_vnr_witness(MatrixOverRing(ring, ((a,),)))
+            assert (None if y is None else y.entries) == \
+                coeffring._matrix_witness_solve(ring, ((a,),)), (ring.describe(), a)
+            cases += 1
+    assert cases == 44849 + 8 + 12 + 36
+
+
+def brute_scalar_facts(q):
+    """Over Z/q, by enumeration in integer arithmetic: each a's first y with
+    a.y.a = a (or None), the x with 1 - y.x a unit for every y, and the
+    first a != 0 with a.r.a = 0 for every r (or None)."""
+    witnesses = [next((y for y in range(q) if a * y * a % q == a), None) for a in range(q)]
+    units = {u for u in range(q) if any(z * u % q == 1 for z in range(q))}
+    radical = [x for x in range(q) if all((1 - y * x) % q in units for y in range(q))]
+    nil = next((a for a in range(1, q) if all(a * r * a % q == 0 for r in range(q))), None)
+    return witnesses, radical, nil
+
+
+def test_prime_power_closed_forms_agree_with_enumeration():
+    assert len(PRIME_POWERS) == 79
+    for q in PRIME_POWERS:
+        ring = ModularRing(q)
+        witnesses, radical, nil = brute_scalar_facts(q)
+        assert [vnr_witness(ring, a) for a in range(q)] == witnesses, q
+        if None in witnesses:
+            assert is_vnr(ring) == (False, None, witnesses.index(None)), q
+        else:
+            assert is_vnr(ring) == (True, tuple(enumerate(witnesses)), None), q
+        assert jacobson_radical(ring) == radical, q
+        assert is_semiprime_ring(ring) == (nil is None, nil), q
+
+
+def test_prime_power_answers_need_no_search(monkeypatch):
+    # Z/q is answered in O(q) steps, far below a cap that its |R|^2
+    # enumeration would pass; table rings still search under the cap
+    monkeypatch.setenv("GRAL_SEARCH_CAP", "2")
+    assert is_vnr(ModularRing(20011)).regular
+    assert vnr_witness(ModularRing(20011), 2) == 10006
+    assert is_vnr(ModularRing(1024)) == (False, None, 2)
+    assert jacobson_radical(ModularRing(1009)) == [0]
+    assert jacobson_radical(ModularRing(27)) == [0, 3, 6, 9, 12, 15, 18, 21, 24]
+    assert is_semiprime_ring(ModularRing(1009)) == (True, None)
+    assert is_semiprime_ring(ModularRing(1024)) == (False, 32)
+    with pytest.raises(SearchCapExceeded):
+        is_vnr(table_mod(2))
+
+
+def test_prime_power_answers_are_rechecked(monkeypatch):
+    # a wrong closed form fails its exact re-check instead of being printed
+    monkeypatch.setattr(coeffring, "_unit_witness", lambda q, a: 1)
+    with pytest.raises(InternalVerificationFailure):
+        is_vnr(ModularRing(7))
+    with pytest.raises(InternalVerificationFailure):
+        vnr_witness(ModularRing(7), 3)
+    # read as Z/4, Z/8 has 4 != 0 in the radical's p**e and in 2.1.2
+    monkeypatch.setattr(coeffring, "_prime_powers", lambda n: [(2, 2)])
+    with pytest.raises(InternalVerificationFailure):
+        jacobson_radical(ModularRing(8))
+    with pytest.raises(InternalVerificationFailure):
+        is_semiprime_ring(ModularRing(8))
 
 
 # -- radical and semiprimeness ------------------------------------------------

@@ -118,6 +118,17 @@ def test_rings_are_split_only_by_ring_parts():
     assert found == ["coeffring.py:ring_parts"]
 
 
+def test_scalar_witnesses_have_one_closed_form():
+    # _unit_witness is the one closed form of a scalar's witness over a Z/q
+    # that ring_parts leaves whole: the 1x1 blocks, is_vnr and vnr_witness
+    # read it, and a fourth reader would be a route that no differential
+    # test compares with the solver or with enumeration
+    found = sorted(f"{path.name}:{scope}" for path in sorted(SRC.glob("*.py"))
+                   for scope in _calls(_parse(path), "_unit_witness"))
+    assert found == ["coeffring.py:_matrix_witness_dispatch", "coeffring.py:is_vnr",
+                     "coeffring.py:vnr_witness"]
+
+
 def test_spans_in_gradedstruct_are_built_only_by_combination_solver():
     # combination_solver is the one bounded search: a span built anywhere
     # else in gradedstruct would answer without the check on the elements
