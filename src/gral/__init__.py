@@ -11,8 +11,7 @@ from .coeffring import (MatrixOverRing, ModularRing, ProductRing, Ring,
                         jacobson_radical, matrix_vnr_witness, ring_make,
                         solve_linear_system, vnr_witness)
 from .graphs import (CohnPair, Graph, GraphMorphism, Path, cohn_cover,
-                     graph_from_dict, is_acyclic, morphism_validate,
-                     vertex_classify)
+                     graph_from_dict, morphism_validate)
 from .pathalg import (AlgebraElement, AlgebraSpec, Monomial,
                       filtration_level, matricial_decompose, matricial_lift,
                       normal_form, reduced_monomials, word_element)
@@ -21,8 +20,8 @@ __all__ = [
     "AlgebraElement", "AlgebraSpec", "CohnPair", "Graph", "GraphMorphism",
     "MatrixOverRing", "ModularRing", "Monomial", "Path", "ProductRing",
     "Ring", "TableRing", "cohn_cover", "filtration_level", "graph_from_dict",
-    "is_acyclic", "is_semiprime_ring", "is_vnr", "jacobson_radical",
+    "is_semiprime_ring", "is_vnr", "jacobson_radical",
     "matricial_decompose", "matricial_lift", "matrix_vnr_witness",
     "morphism_validate", "normal_form", "reduced_monomials", "ring_make",
-    "solve_linear_system", "vertex_classify", "vnr_witness", "word_element",
+    "solve_linear_system", "vnr_witness", "word_element",
 ]

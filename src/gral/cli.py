@@ -16,7 +16,6 @@ import json
 import os
 import sys
 
-from . import gradedstruct
 from .coeffring import (is_semiprime_ring, is_vnr, jacobson_radical,
                         ring_make)
 from .cornerlaurent import (CslAlgebra, corner_from_dict,

@@ -512,28 +512,18 @@ def _span_rows(columns, keys=()):
     return [(k, rows[k]) for k in sorted(rows, key=repr)]
 
 
-def span_constraints(ring: Ring, columns, target=None):
-    """Constraints for sum_i r_i . columns[i] = target over the variables
-    0..len(columns)-1, where columns and target are coordinate dicts
-    {key: coefficient}.  One row per key of the columns and the target, in
-    repr order, with its terms in column order; no target gives the
-    homogeneous system."""
-    target = target or {}
-    zero = ring.zero
-    return [(terms, target.get(k, zero)) for k, terms in _span_rows(columns, target)]
-
-
 class SpanSolver:
     """Solutions of sum_i r_i . columns[i] = target for many targets, the
     columns factored once.  Columns and targets are coordinate dicts
     {key: coefficient}; solve(target) gives {i: r_i} or None, the same
-    answer as solve_linear_system(ring, span_constraints(ring, columns,
-    target), range(len(columns))), and kernel() the generators of the
-    {i: r_i} with sum_i r_i . columns[i] = 0, all over the nonzero r_i.
+    answer as solve_linear_system over one row per key of the columns and
+    the target (_span_rows, with target[key] on the right), and kernel()
+    the generators of the {i: r_i} with sum_i r_i . columns[i] = 0, all
+    over the nonzero r_i.
 
     More blocks of columns, one column per unknown in each, ask for the
     same r_i in several equations: solve(target, ...) takes one target per
-    block, and the rows are those of span_constraints block by block.
+    block, and the rows are those of each block in turn.
 
     A solve passes the targets' nonzero entries on as a sparse right-hand
     side, so it costs what they reach, not the size of the system."""
@@ -547,7 +537,7 @@ class SpanSolver:
             self._row_of.append({k: r for r, (k, _) in enumerate(rows, len(constraints))})
             constraints += [(terms, ring.zero) for _, terms in rows]
         # the last row, without terms, stands for the target keys that no
-        # column has: span_constraints gives each of them such a row, and a
+        # column has: the full system gives each of them such a row, and a
         # nonzero coefficient there leaves the system without a solution
         constraints.append(([], ring.zero))
         self._system = _factor(ring, constraints, list(range(len(blocks[0]))))
@@ -1085,10 +1075,6 @@ class MatrixOverRing(_MatrixFields):
     @property
     def cols(self):
         return len(self.entries[0])
-
-    @staticmethod
-    def from_lists(ring, rows):
-        return MatrixOverRing(ring, tuple(tuple(r) for r in rows))
 
 
 def mul_entries(ring: Ring, a, b) -> tuple:

@@ -75,12 +75,6 @@ class CslAlgebra:
     def scalar(self, r) -> "CSLElement":
         return self.element({0: r})
 
-    def t_plus(self, i: int = 1) -> "CSLElement":
-        return self.element({i: self.ring.one})
-
-    def t_minus(self, i: int = 1) -> "CSLElement":
-        return self.element({-i: self.ring.one})
-
     def component_elements(self, d: int):
         """All of S_d (finite): one element per coefficient, in enumeration
         order."""
@@ -122,9 +116,6 @@ class CSLElement:
         if len(self.coeffs) > 1:
             raise GralError("element is not homogeneous")
         return self.coeffs[0][0]
-
-    def is_homogeneous(self) -> bool:
-        return len(self.coeffs) <= 1
 
     def _check(self, other):
         if self.algebra != other.algebra:

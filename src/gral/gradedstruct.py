@@ -2,8 +2,8 @@
 
 Verdicts distinguish exact checks (finite-dimensional components fully
 spanned at the bound) from bounded ones.  Built-in oracles cover path
-algebras, the epsilon-but-not-strong matrix grading, trivial gradings,
-truncated polynomial rings and corner skew Laurent rings.
+algebras, the epsilon-but-not-strong matrix grading, trivial gradings
+and corner skew Laurent rings.
 
 Every row of a path algebra (Leavitt or relative Cohn) comes from a
 certificate, checked exactly; the bounded span search decides the rows of
@@ -21,7 +21,6 @@ criterion (no sinks).
 from __future__ import annotations
 
 import functools
-import itertools
 from typing import NamedTuple, Optional
 
 from .coeffring import AdditiveSpan, Ring, SpanSolver, TableRing, mul_entries, within_cap
@@ -31,8 +30,7 @@ from .coeffring import solve_linear_system  # noqa: F401
 from .cornerlaurent import CslAlgebra, format_csl
 from .errors import GralError, InternalVerificationFailure, NotDegreeOneGenerated
 from .pathalg import (AlgebraElement, AlgebraSpec, Monomial, format_element,
-                      identity_element, monomial_element, reduced_monomials,
-                      vertex_element)
+                      identity_element, monomial_element, reduced_monomials)
 
 # ---------------------------------------------------------------------------
 # Oracle interface
@@ -290,85 +288,6 @@ class TrivialGradingOracle(GradedRingOracle):
 
     def format(self, x):
         return self._ring.format_element(x)
-
-
-class PolynomialOracle(GradedRingOracle):
-    """R[x] with its degree grading, viewed through bounded spanning sets.
-
-    Elements are tuples of (degree, coeff) pairs.
-    """
-
-    degree_one_generated = True
-
-    def __init__(self, ring: Ring):
-        _require_one(ring, "the polynomial ring")
-        self._ring = ring
-        self.name = f"{ring.describe()}[x]"
-
-    @property
-    def ring(self):
-        return self._ring
-
-    def monomial(self, degree, c=None):
-        c = self._ring.one if c is None else c
-        return ((degree, c),) if c != self._ring.zero else ()
-
-    def spanning(self, degree, size_bound):
-        if degree < 0:
-            return []
-        return [self.monomial(degree)]
-
-    def exact_at(self, degree, size_bound):
-        return True
-
-    def add(self, x, y):
-        ring = self._ring
-        out = dict(x)
-        for d, c in y:
-            c2 = ring.add(out.get(d, ring.zero), c)
-            if c2 == ring.zero:
-                out.pop(d, None)
-            else:
-                out[d] = c2
-        return tuple(sorted(out.items()))
-
-    def mul(self, x, y):
-        ring = self._ring
-        out = {}
-        for d1, c1 in x:
-            for d2, c2 in y:
-                c = ring.mul(c1, c2)
-                d = d1 + d2
-                c = ring.add(out.get(d, ring.zero), c)
-                if c == ring.zero:
-                    out.pop(d, None)
-                else:
-                    out[d] = c
-        return tuple(sorted(out.items()))
-
-    def scale(self, r, x):
-        ring = self._ring
-        return tuple((d, ring.mul(r, c)) for d, c in x
-                     if ring.mul(r, c) != ring.zero)
-
-    def is_zero(self, x):
-        return not x
-
-    def identity(self):
-        return ((0, self._ring.one),)
-
-    def coords(self, x):
-        return dict(x)
-
-    def format(self, x):
-        if not x:
-            return "0"
-        ring = self._ring
-        return " + ".join(
-            (ring.format_element(c) if d == 0
-             else ("x" if d == 1 else f"x^{d}") if c == ring.one
-             else f"{ring.format_element(c)}*x^{d}")
-            for d, c in x)
 
 
 class CslOracle(GradedRingOracle):
@@ -855,93 +774,6 @@ def _missing_unit(oracle, s, d, size_bound, products):
         if solve_combination(oracle, products[side], [(s, act)]) is None:
             return side
     return None
-
-
-# ---------------------------------------------------------------------------
-# Homogeneous local units
-
-
-class LocalUnitsReport(NamedTuple):
-    units: tuple          # vertex idempotents, as elements
-    total: AlgebraElement  # sum of all vertices (identity for finite graphs)
-    verified: bool
-
-
-def homogeneous_local_units(spec: AlgebraSpec, size_bound: int = 3) -> LocalUnitsReport:
-    """The vertex idempotents; for finite graphs their sum absorbs every
-    bounded spanning element and is reported as the single unit."""
-    vs = [vertex_element(spec, v) for v in sorted(spec.graph.vertices)]
-    total = identity_element(spec)
-    for i, u in enumerate(vs):
-        if u * u != u:
-            raise InternalVerificationFailure(f"vertex {format_element(u)} is not idempotent")
-        for w in vs[i + 1:]:
-            if not (u * w).is_zero or not (w * u).is_zero:
-                raise InternalVerificationFailure(
-                    f"vertices {format_element(u)} and {format_element(w)} are not orthogonal")
-    for m in reduced_monomials(spec, max_len=size_bound):
-        x = monomial_element(spec, m)
-        if total * x != x or x * total != x:
-            raise InternalVerificationFailure(
-                f"the vertex sum is not a unit for {format_element(x)}")
-        sa = vertex_element(spec, m.alpha.src)
-        sb = vertex_element(spec, m.beta.src)
-        if sa * x != x or x * sb != x:
-            raise InternalVerificationFailure(
-                f"the source vertices are not local units for {format_element(x)}")
-    return LocalUnitsReport(tuple(vs), total, True)
-
-
-# ---------------------------------------------------------------------------
-# Radical and semiprimeness of finite algebra instances
-
-
-class RadicalReport(NamedTuple):
-    size: int
-    generators: tuple       # homogeneous generating set
-    dimension: int
-
-
-def _all_elements(spec: AlgebraSpec, basis):
-    ring = spec.ring
-    for combo in itertools.product(ring.elements(), repeat=len(basis)):
-        yield AlgebraElement.make(spec, dict(zip(basis, combo)))
-
-
-def jacobson_radical_algebra(spec: AlgebraSpec) -> RadicalReport:
-    """Radical of a finite-as-a-set Leavitt/Cohn algebra (acyclic graph,
-    finite ring), by quasi-regularity enumeration; the result is graded and
-    comes with a homogeneous generating set."""
-    longest = spec.graph.longest_path_length()
-    if longest is None:
-        raise GralError("radical enumeration needs an acyclic graph")
-    basis = reduced_monomials(spec, max_len=longest)
-    total = spec.ring.order ** len(basis)
-    within_cap(total * total, "algebra radical enumeration")
-    elements = list(_all_elements(spec, basis))
-    one = identity_element(spec)
-    invertible = set()
-    for u in elements:
-        if any(z * u == one for z in elements):
-            invertible.add(u)
-    radical = [x for x in elements
-               if all((one - (y * x)) in invertible for y in elements)]
-    rad_set = set(radical)
-    gens = []
-    for x in radical:
-        for _, comp in x.homogeneous_components().items():
-            if comp not in rad_set:
-                raise InternalVerificationFailure("radical is not graded")
-            if comp not in gens and not comp.is_zero:
-                gens.append(comp)
-    multiples = [g.scale(r) for g in gens for r in spec.ring.elements()]
-    # with no generators every answer is None, so 0, the empty sum, is skipped
-    solve = combination_solver(PathAlgebraOracle(spec), gens, [_identity])
-    if any(x + m not in rad_set for x in radical for m in multiples) or \
-            any(solve([x]) is None for x in radical if not x.is_zero):
-        raise InternalVerificationFailure("homogeneous set does not generate the radical")
-    return RadicalReport(len(radical), tuple(sorted(gens, key=format_element)),
-                         len(basis))
 
 
 def is_semiprime_graded(target, degree_bound: int = 3, size_bound: int = 3):

@@ -152,14 +152,6 @@ class Graph:
                 counts[-1][e.dst] += counts[-2][e.src]
         return counts
 
-    def longest_path_length(self) -> Optional[int]:
-        """Max path length for acyclic graphs, None if the graph has a cycle,
-        from path_counts(|V|): a path of |V| edges repeats a vertex."""
-        counts = self.path_counts(len(self.vertices))
-        if any(counts[-1].values()):
-            return None
-        return max((i for i, c in enumerate(counts) if any(c.values())), default=0)
-
     def all_paths_within(self, length_bound: int) -> bool:
         """Whether spanning sets cut at this length span their components: no
         path of min(length_bound + 1, |V|) edges; one of |V| means a cycle."""
@@ -175,15 +167,6 @@ class Graph:
 
     def __repr__(self):
         return f"Graph({list(self.vertices)}, {[(e.name, e.src, e.dst) for e in self.edges]})"
-
-
-def vertex_classify(graph: Graph):
-    """(sinks, regular vertices)."""
-    return graph.sinks, graph.regular
-
-
-def is_acyclic(graph: Graph) -> bool:
-    return graph.longest_path_length() is not None
 
 
 def regular_subset(graph: Graph, x=None) -> frozenset:
@@ -303,16 +286,6 @@ def morphism_validate(m: GraphMorphism) -> MorphismVerdict:
         if images != targets:
             return MorphismVerdict(False, "c", f"s^-1({v}) not mapped bijectively")
     return MorphismVerdict(True)
-
-
-def compose_morphisms(second: GraphMorphism, first: GraphMorphism) -> GraphMorphism:
-    """second after first."""
-    if first.target != second.source:
-        raise GralError("morphisms do not compose")
-    v2, e2 = dict(second.vmap), dict(second.emap)
-    vmap = {v: v2[w] for v, w in first.vmap}
-    emap = {n: e2[m_] for n, m_ in first.emap}
-    return GraphMorphism.make(first.source, second.target, vmap, emap)
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,7 @@
 """The Cohn-algebra functor on graph-pair morphisms, the Cohn-to-Leavitt
 graded isomorphism phi with its explicit inverse psi (Abrams, Ara and Siles
 Molina, LNM 2191, section 1.5), which carry elements between the two
-algebras by substitution alone, and finite direct-limit chain verification.
+algebras by substitution alone.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from .coeffring import solve_linear_system  # noqa: F401
 from .errors import (GralError, InternalVerificationFailure, RelationViolation,
                      SpecMismatch)
 from .graphs import (CohnPair, GraphMorphism, cohn_cover, cohn_duplicates,
-                     compose_morphisms, morphism_validate)
+                     morphism_validate)
 from .pathalg import (AlgebraElement, AlgebraSpec, edge_element,
                       format_element, monomial_element, reduced_monomials,
                       vertex_element)
@@ -168,6 +168,20 @@ def compose_homs(second: AlgebraHom, first: AlgebraHom) -> AlgebraHom:
         {v: hom_apply(second, img) for v, img in first.vmap},
         {e: hom_apply(second, img) for e, img in first.emap},
         {e: hom_apply(second, img) for e, img in first.gmap})
+
+
+def _homs_agree(a: AlgebraHom, b: AlgebraHom) -> Optional[str]:
+    """Name of the first generator on which the homs differ, or None."""
+    for (v, img) in a.vmap:
+        if img != b.vertex_image(v):
+            return v
+    for (e, img) in a.emap:
+        if img != b.edge_image(e):
+            return e
+    for (e, img) in a.gmap:
+        if img != b.ghost_image(e):
+            return e + "*"
+    return None
 
 
 def induced_hom(psi: GraphMorphism, ring: Ring) -> AlgebraHom:
@@ -330,81 +344,3 @@ def _by_degree(monomials, degrees) -> dict:
         if m.degree in out:
             out[m.degree].append(m)
     return out
-
-
-# ---------------------------------------------------------------------------
-# Finite chains of morphisms
-
-
-class ChainVerdict(NamedTuple):
-    commutes: bool
-    detail: str = ""
-
-
-def _homs_agree(a: AlgebraHom, b: AlgebraHom) -> Optional[str]:
-    """Name of the first generator on which the homs differ, or None."""
-    for (v, img) in a.vmap:
-        if img != b.vertex_image(v):
-            return v
-    for (e, img) in a.emap:
-        if img != b.edge_image(e):
-            return e
-    for (e, img) in a.gmap:
-        if img != b.ghost_image(e):
-            return e + "*"
-    return None
-
-
-def chain_colimit_check(morphisms, ring: Ring, claimed_composites=None) -> ChainVerdict:
-    """Functoriality along a finite chain (F_1,Y_1) -> ... -> (F_m,Y_m):
-    the induced hom of every composite equals the composite of induced homs,
-    and all paths into the final algebra agree on generators.
-
-    claimed_composites may supply {(i, j): GraphMorphism} fixtures to verify
-    against; the default composes the chain itself.
-    """
-    morphisms = list(morphisms)
-    if not morphisms:
-        return ChainVerdict(True, "single-object chain")
-    for k, psi in enumerate(morphisms):
-        verdict = morphism_validate(psi)
-        if not verdict.valid:
-            return ChainVerdict(False, f"morphism {k} invalid at ({verdict.failed_condition})")
-        if k + 1 < len(morphisms) and psi.target != morphisms[k + 1].source:
-            return ChainVerdict(False, f"morphisms {k} and {k + 1} do not chain")
-    homs = [induced_hom(psi, ring) for psi in morphisms]
-    m = len(morphisms)
-    for i in range(m):
-        for j in range(i + 1, m + 1):
-            composite = morphisms[i]
-            for k in range(i + 1, j):
-                composite = compose_morphisms(morphisms[k], composite)
-            if claimed_composites and (i, j) in claimed_composites:
-                composite = claimed_composites[(i, j)]
-            lhs = induced_hom(composite, ring)
-            rhs = homs[i]
-            for k in range(i + 1, j):
-                rhs = compose_homs(homs[k], rhs)
-            bad = _homs_agree(lhs, rhs)
-            if bad is not None:
-                return ChainVerdict(False,
-                                    f"composite {i}->{j} disagrees at generator {bad}")
-    # cocone commutation: every route into the final algebra agrees
-    for i in range(m):
-        direct = homs[i]
-        for k in range(i + 1, m):
-            direct = compose_homs(homs[k], direct)
-        staged = None
-        for j in range(i + 1, m):
-            left = homs[i]
-            for k in range(i + 1, j):
-                left = compose_homs(homs[k], left)
-            rest = homs[j]
-            for k in range(j + 1, m):
-                rest = compose_homs(homs[k], rest)
-            staged = compose_homs(rest, left)
-            bad = _homs_agree(direct, staged)
-            if bad is not None:
-                return ChainVerdict(False,
-                                    f"cocone via {j} disagrees at generator {bad}")
-    return ChainVerdict(True)

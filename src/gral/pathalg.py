@@ -551,16 +551,6 @@ class MatricialImage:
                 for k, l in structure.labels.items()})
         return structure._zero
 
-    @staticmethod
-    def one(structure: BlockStructure) -> "MatricialImage":
-        ring = structure.spec.ring
-        mats = {}
-        for k in structure.keys:
-            s = len(structure.labels[k])
-            mats[k] = tuple(tuple(ring.one if i == j else ring.zero
-                                  for j in range(s)) for i in range(s))
-        return MatricialImage(structure, mats)
-
     def block(self, key):
         return self.mats[key]
 
@@ -678,11 +668,6 @@ def matricial_lift(image: MatricialImage) -> AlgebraElement:
 def dn_rank(spec: AlgebraSpec, n: int) -> int:
     """Rank of D_n from the block formula."""
     return spec.blocks(n).rank()
-
-
-def dn_reduced_basis(spec: AlgebraSpec, n: int):
-    """Reduced monomials spanning D_n (degree 0, lengths <= n)."""
-    return reduced_monomials(spec, degree=0, max_len=n)
 
 
 # ---------------------------------------------------------------------------

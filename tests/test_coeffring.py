@@ -17,10 +17,16 @@ from gral.coeffring import (MatrixOverRing, ModularRing, ProductRing, Ring,
                             is_vnr, jacobson_radical, kernel_generators,
                             matrix_vnr_witness, mul_entries,
                             ring_make, ring_spec, search_cap,
-                            solve_linear_system, span_constraints, vnr_witness)
+                            solve_linear_system, vnr_witness)
 from gral.errors import (AxiomViolation, InternalVerificationFailure,
                          SearchCapExceeded)
 from gral.gradedstruct import zero_multiplication_ring
+from reference import span_constraints
+
+
+def matrix(ring, rows):
+    """The MatrixOverRing of nested lists of entries."""
+    return MatrixOverRing(ring, tuple(tuple(r) for r in rows))
 
 
 def mat_mul(a, b):
@@ -757,7 +763,7 @@ def test_generalized_inverse_builds_no_reduced_rows(p, data):
         raise AssertionError("the reduced rows were built")
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(coeffring._PrimePowerFactor, "_reduced", property(reduced))
-        y = matrix_vnr_witness(MatrixOverRing.from_lists(ModularRing(p), rows))
+        y = matrix_vnr_witness(matrix(ModularRing(p), rows))
     factor = coeffring._PrimePowerFactor(
         [{j: x for j, x in enumerate(row) if x} for row in rows], shape[1], p, 1)
     e_rows = list(zip(*(_dense_replay(factor, [int(r == c) for r in range(shape[0])])
@@ -810,32 +816,32 @@ def test_kernel_generators_mod4(z4):
 
 
 def test_matrix_refuses_empty_dimensions(z2):
-    # positionally, by keyword and through from_lists, as the record always has
+    # positionally, by keyword and from nested lists, as the record always has
     for make in (lambda e: MatrixOverRing(z2, e), lambda e: MatrixOverRing(ring=z2, entries=e),
-                 lambda e: MatrixOverRing.from_lists(z2, e)):
+                 lambda e: matrix(z2, e)):
         for entries in ((), ((),), [[]]):
             with pytest.raises(ValueError, match="dimensions must be positive"):
                 make(entries)
     a = MatrixOverRing(z2, ((1, 0),))
-    assert (a.rows, a.cols) == (1, 2) and a == MatrixOverRing.from_lists(z2, [[1, 0]])
+    assert (a.rows, a.cols) == (1, 2) and a == matrix(z2, [[1, 0]])
     assert repr(a).startswith("MatrixOverRing(ring=") and repr(a).endswith(", entries=((1, 0),))")
 
 
 def test_matrix_witness_idempotent(z2):
-    a = MatrixOverRing.from_lists(z2, [[1, 0], [0, 0]])
+    a = matrix(z2, [[1, 0], [0, 0]])
     y = matrix_vnr_witness(a)
     assert mat_mul(mat_mul(a, y), a) == a
     assert y == a
 
 
 def test_matrix_witness_scalar_z6(z6):
-    a = MatrixOverRing.from_lists(z6, [[2]])
+    a = matrix(z6, [[2]])
     y = matrix_vnr_witness(a)
     assert y.entries == ((2,),)
 
 
 def test_matrix_witness_absent_z4(z4):
-    a = MatrixOverRing.from_lists(z4, [[2]])
+    a = matrix(z4, [[2]])
     assert matrix_vnr_witness(a) is None
 
 
@@ -845,7 +851,7 @@ def test_matrix_witness_non_square(ring):
     # verified witness or has none among all candidates
     for shape in ((2, 1), (1, 2)):
         for flat in itertools.product(ring.elements(), repeat=2):
-            a = MatrixOverRing.from_lists(ring, [flat] if shape == (1, 2)
+            a = matrix(ring, [flat] if shape == (1, 2)
                                           else [[x] for x in flat])
             y = matrix_vnr_witness(a)
             if y is not None:
@@ -853,7 +859,7 @@ def test_matrix_witness_non_square(ring):
                 assert mat_mul(mat_mul(a, y), a) == a
                 continue
             for cand in itertools.product(ring.elements(), repeat=2):
-                y = MatrixOverRing.from_lists(ring, [cand] if shape == (2, 1)
+                y = matrix(ring, [cand] if shape == (2, 1)
                                               else [[x] for x in cand])
                 assert mat_mul(mat_mul(a, y), a) != a
 
@@ -947,7 +953,7 @@ def test_field_inverse_pivots_on_the_least_unused_column_pinned(z2):
     # row by row, the least unused column holding a unit is the pivot, and
     # row j of Y is the row operations' row i for each pivot (i, j); the
     # full-pivoting elimination this replaced gave ((0, 0), (0, 1), (1, 0))
-    a = MatrixOverRing.from_lists(z2, [[0, 0, 1], [1, 1, 0]])
+    a = matrix(z2, [[0, 0, 1], [1, 1, 0]])
     assert matrix_vnr_witness(a).entries == ((0, 1), (0, 0), (1, 0))
 
 
@@ -977,8 +983,8 @@ def test_split_ring_generalized_inverses_pinned(ring, rows, witness):
     # each part of a split ring is solved on its own and the answers are
     # joined (by CRT, or as tuples); pinned, so that how the parts are
     # handed around cannot change a printed witness
-    y = matrix_vnr_witness(MatrixOverRing.from_lists(ring, rows))
-    assert y == MatrixOverRing.from_lists(ring, witness)
+    y = matrix_vnr_witness(matrix(ring, rows))
+    assert y == matrix(ring, witness)
 
 
 VNR_MATRIX_RINGS = {"Z2": ModularRing(2), "Z3": ModularRing(3), "Z5": ModularRing(5),
@@ -996,7 +1002,7 @@ def vnr_ring_matrices(draw):
                                      max_size=n), min_size=m, max_size=m))
     zero_rows = draw(st.sets(st.integers(0, m - 1)))
     zero_cols = draw(st.sets(st.integers(0, n - 1)))
-    return MatrixOverRing.from_lists(ring, [
+    return matrix(ring, [
         [ring.zero if i in zero_rows or j in zero_cols else x for j, x in enumerate(row)]
         for i, row in enumerate(entries)])
 
@@ -1015,7 +1021,7 @@ def test_matrix_witness_random_verified(z6):
     for _ in range(25):
         rows = rng.randint(1, 3)
         cols = rng.randint(1, 3)
-        a = MatrixOverRing.from_lists(
+        a = matrix(
             z6, [[rng.randrange(6) for _ in range(cols)] for _ in range(rows)])
         y = matrix_vnr_witness(a)
         assert y is not None  # Z/6 is vnr, so every matrix is regular
@@ -1027,14 +1033,14 @@ def test_matrix_witness_prime_power_agrees_with_brute_force():
     ring = ModularRing(8)
     rng = random.Random(13)
     for _ in range(10):
-        a = MatrixOverRing.from_lists(
+        a = matrix(
             ring, [[rng.randrange(8) for _ in range(2)] for _ in range(2)])
         y = matrix_vnr_witness(a)
         if y is not None:
             assert mat_mul(mat_mul(a, y), a) == a
             continue
         for combo in itertools.product(range(8), repeat=4):
-            cand = MatrixOverRing.from_lists(ring, [combo[:2], combo[2:]])
+            cand = matrix(ring, [combo[:2], combo[2:]])
             assert mat_mul(mat_mul(a, cand), a) != a
 
 

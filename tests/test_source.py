@@ -1,6 +1,7 @@
 """Properties of the package source itself."""
 
 import ast
+import collections
 import importlib
 import inspect
 import os
@@ -10,6 +11,7 @@ import sys
 
 import pytest
 
+import reference
 from gral import gradedstruct
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "gral"
@@ -43,7 +45,8 @@ def test_graded_oracles_implement_the_abstract_methods():
     assert abstract == {"ring", "spanning", "exact_at", "coords"}
     oracles = [cls for _, cls in inspect.getmembers(gradedstruct, inspect.isclass)
                if issubclass(cls, base) and cls is not base]
-    assert len(oracles) == 5
+    assert len(oracles) == 4
+    oracles.append(reference.PolynomialOracle)  # R[x], kept with the tests
     missing = [(cls.__name__, name) for cls in oracles for name in sorted(abstract)
                if getattr(cls, name) is getattr(base, name)]
     assert missing == []
@@ -206,11 +209,12 @@ def test_graph_facts_list_no_paths():
     # acyclicity, the longest path and exactness are read from path counts;
     # a path listing or a walk along out-edges grows with the number of
     # paths, which doubles with each link of a chain of parallel edges
-    facts = {"longest_path_length", "all_paths_within", "is_acyclic"}
+    facts = {"longest_path_length", "all_paths_within"}
     found = {node.name: sorted(_called_name(call) for call in ast.walk(node)
                                if isinstance(call, ast.Call)
                                and _called_name(call) in {"paths", "out_edges", "extend"})
-             for node in ast.walk(_parse(SRC / "graphs.py"))
+             for path in (SRC / "graphs.py", pathlib.Path(reference.__file__))
+             for node in ast.walk(_parse(path))
              if isinstance(node, ast.FunctionDef) and node.name in facts}
     assert found == {name: [] for name in facts}
 
@@ -292,7 +296,7 @@ def test_records_are_immutable_values():
     # each record has no instance dict, refuses assignment to a field or a
     # new attribute, and compares and hashes by value
     records = {cls.__name__: cls for cls in _records()}
-    assert len([name for name in records if not name.startswith("_")]) == 20
+    assert len([name for name in records if not name.startswith("_")]) == 17
     for cls in records.values():
         record = cls._make(range(len(cls._fields)))  # values, unchecked
         assert not hasattr(record, "__dict__"), cls.__name__
@@ -303,3 +307,48 @@ def test_records_are_immutable_values():
         assert record == same and hash(record) == hash(same)
         assert repr(record) == f"{cls.__name__}(" + ", ".join(
             f"{name}={i}" for i, name in enumerate(cls._fields)) + ")"
+
+
+# Every top-level function and class of src/gral, and every method of a
+# top-level class, that no name or attribute in src/gral refers to outside
+# its own definition; each stays for the reason given.  Code that only
+# tests use lives in tests/reference.py or in the test that uses it,
+# except the entries marked TESTS: ROADMAP item 23 lists them to move.
+WRITER = "writes a certificate part that a check command will read back"
+TESTS = "used only by tests (ROADMAP item 23)"
+UNREFERENCED = {
+    "cli.py:_Parser._print_message": "argparse's hook: the base class calls it",
+    "coeffring.py:Ring.is_field": "perfbench/run.py's set-up calls it",
+    "coeffring.py:kernel_generators": "perfbench/tracer.py wraps it by name",
+    "cornerlaurent.py:corner_to_dict": WRITER,
+    "cornerlaurent.py:csl_element_to_dict": WRITER,
+    "pathalg.py:AlgebraSpec.cohn": TESTS,
+    "pathalg.py:AlgebraElement.homogeneous_components": TESTS,
+    "pathalg.py:AlgebraElement.is_homogeneous": TESTS,
+    "pathalg.py:normal_form": "public API in gral.__all__",
+    "pathalg.py:element_to_terms": WRITER,
+}
+
+
+def _names(node) -> collections.Counter:
+    """How often each name and attribute occurs in node."""
+    return collections.Counter(n.id if isinstance(n, ast.Name) else n.attr
+                               for n in ast.walk(node)
+                               if isinstance(n, (ast.Name, ast.Attribute)))
+
+
+def test_unreferenced_definitions_are_listed_with_a_reason():
+    trees = {path.name: _parse(path) for path in sorted(SRC.glob("*.py"))}
+    everywhere = sum((_names(tree) for tree in trees.values()), collections.Counter())
+    found = set()
+    for file, tree in trees.items():
+        for node in tree.body:
+            defs = [(node.name, node)] if isinstance(node, (ast.ClassDef, ast.FunctionDef)) else []
+            if isinstance(node, ast.ClassDef):
+                defs += [(f"{node.name}.{m.name}", m) for m in node.body
+                         if isinstance(m, ast.FunctionDef) and not m.name.startswith("__")]
+            for dotted, definition in defs:
+                name = dotted.split(".")[-1]
+                if everywhere[name] == _names(definition)[name]:
+                    found.add(f"{file}:{dotted}")
+    assert found == set(UNREFERENCED)
