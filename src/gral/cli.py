@@ -30,8 +30,7 @@ from .graphs import CohnPair, Graph, cohn_cover, graph_from_dict, graph_to_dict,
 from .morphisms import cohn_to_leavitt, induced_hom, verify_graded_iso
 from .pathalg import (AlgebraSpec, dn_rank, element_from_terms,
                       format_element, matricial_decompose)
-from .regularity import (graded_vnr_verdict, graded_witness_constructive,
-                         graded_witness_oracle)
+from .regularity import graded_vnr_verdict, graded_witness_constructive
 
 # the integer options a subcommand may read, with their defaults
 INT_OPTIONS = {"degree-bound": 3, "size-bound": 3, "samples": 100, "seed": 0}
@@ -109,10 +108,7 @@ def cmd_check_ring(args) -> int:
 
 def cmd_lpa_witness(args) -> int:
     spec = _spec_from_args(args)
-    x = element_from_terms(spec, _load(args.element))
-    method = args.method or ("constructive" if is_vnr(spec.ring).regular else "oracle")
-    cert = (graded_witness_constructive(x) if method == "constructive"
-            else graded_witness_oracle(x, args.size_bound))
+    cert = graded_witness_constructive(element_from_terms(spec, _load(args.element)))
     lines = [cert.to_text(format_element)]
     _emit(args, lines, _cert_payload(cert, format_element))
     return 1 if cert.absent else 0
@@ -121,8 +117,7 @@ def cmd_lpa_witness(args) -> int:
 def cmd_lpa_verdict(args) -> int:
     spec = _spec_from_args(args)
     report = graded_vnr_verdict(spec, args.degree_bound, args.size_bound,
-                                samples=args.samples, seed=args.seed,
-                                method=args.method)
+                                samples=args.samples, seed=args.seed)
     lines = [f"algebra={spec!r} method={report.method} overall={report.overall}"]
     lines += [c.to_text(format_element) for c in report.certificates]
     payload = {
@@ -332,10 +327,7 @@ def cmd_examples(args) -> int:
 def _add_options(p, *names):
     """The named options, then --json and --output, read by every subcommand."""
     for name in names:
-        if name == "method":
-            p.add_argument("--method", choices=["constructive", "oracle"], default=None)
-        else:
-            p.add_argument(f"--{name}", type=int, default=INT_OPTIONS[name])
+        p.add_argument(f"--{name}", type=int, default=INT_OPTIONS[name])
     p.add_argument("--json", action="store_true")
     p.add_argument("--output", default=None)
 
@@ -367,9 +359,9 @@ def build_parser() -> argparse.ArgumentParser:
     lpa = sub.add_parser("lpa", help="path algebra checks")
     lpa_sub = lpa.add_subparsers(dest="subcommand", required=True)
     for name, fn, needs_element, options in (
-        ("witness", cmd_lpa_witness, True, ("size-bound", "method")),
+        ("witness", cmd_lpa_witness, True, ()),
         ("verdict", cmd_lpa_verdict, False,
-         ("degree-bound", "size-bound", "samples", "seed", "method")),
+         ("degree-bound", "size-bound", "samples", "seed")),
         ("classify", cmd_lpa_classify, False, ("degree-bound", "size-bound")),
         ("decompose", cmd_lpa_decompose, True, ()),
     ):

@@ -153,11 +153,6 @@ class ModularRing(Ring):
     def index(self, a):
         return a
 
-    @functools.cached_property
-    def _is_prime(self) -> bool:
-        """Whether n is prime, factored once per handle."""
-        return _prime_powers(self.n) == [(self.n, 1)]
-
     def is_commutative(self) -> bool:
         return True
 
@@ -457,6 +452,23 @@ def is_vnr(ring: Ring) -> VnrVerdict:
     return verdict
 
 
+def is_regular(ring: Ring) -> bool:
+    """is_vnr(ring).regular, with no Z/n enumerated: a split ring is regular
+    iff each part is, and a whole Z/q, q = p**e, iff e = 1 (_unit_witness).
+    A table ring is searched by is_vnr.  Cached on the handle."""
+    cached = getattr(ring, "_regular_cache", None)
+    if cached is None:
+        split = ring_parts(ring)
+        if split is not None:
+            cached = all(map(is_regular, split[0]))
+        elif isinstance(ring, ModularRing):
+            cached = _prime_powers(ring.n)[0][1] == 1
+        else:
+            cached = is_vnr(ring).regular
+        ring._regular_cache = cached
+    return cached
+
+
 # ---------------------------------------------------------------------------
 # Linear systems
 #
@@ -488,7 +500,7 @@ def is_vnr(ring: Ring) -> VnrVerdict:
 # on every row: sum_j x_j . column_j - rhs is formed on the rows that the
 # answer's columns (over a table ring, the terms of its nonzero unknowns)
 # or rhs touch; no other row holds a nonzero unknown or an entry of rhs,
-# so each reads 0 = 0.  A matrix's generalized inverse over Z/p is the
+# so each reads 0 = 0.  A matrix's generalized inverse over Z/q is the
 # same replay (sparse_replay) of its rows' row operations on the unit
 # vectors.  Pivots depend on the left-hand sides alone, so
 # SpanSolver factors a span question's columns once for any number of
@@ -771,7 +783,8 @@ def _fold_modular(ring, constraints, varlist):
     return rows
 
 
-def _prime_powers(n: int):
+@functools.cache  # moduli are few, and each block witness over Z/q reads its p and e
+def _prime_powers(n: int) -> tuple:
     out = []
     d = 2
     while d * d <= n:
@@ -784,7 +797,7 @@ def _prime_powers(n: int):
         d += 1
     if n > 1:
         out.append((n, 1))
-    return out
+    return tuple(out)
 
 
 def _crt(residues):
@@ -1112,8 +1125,9 @@ def matrix_vnr_witness(a: MatrixOverRing) -> Optional[MatrixOverRing]:
     """Y with A.Y.A = A, or None (certified absence).
 
     A ring that ring_parts splits is solved part by part; a 1x1 A over
-    Z/q, q a prime power, is read in closed form; Z/p gets the generalized
-    inverse from one elimination of A's rows; everything else goes through
+    Z/q, q a prime power, is read in closed form, and any other A over Z/q
+    gets its generalized inverse, or the proof that it has none, from one
+    unit-pivot elimination of its rows; only a table ring goes through
     solve_linear_system.  The parts are solved on plain row tuples, and
     the result (its shape and A.Y.A = A) is re-verified before it is
     returned.
@@ -1145,8 +1159,8 @@ def _matrix_witness_dispatch(ring: Ring, rows):
         if len(rows) == 1 and len(rows[0]) == 1:
             y = _unit_witness(ring.n, rows[0][0])
             return None if y is None else ((y,),)
-        if ring._is_prime:
-            return _field_generalized_inverse(rows, ring.n)
+        (p, e), = _prime_powers(ring.n)
+        return _prime_power_generalized_inverse(rows, p, e)
     return _matrix_witness_solve(ring, rows)
 
 
@@ -1167,16 +1181,21 @@ def _matrix_witness_solve(ring: Ring, rows):
     return tuple(tuple(sol.get((k, l), ring.zero) for l in range(m)) for k in range(n))
 
 
-def _field_generalized_inverse(rows, p):
-    """Rows of a Y with A.Y.A = A over Z/p, p prime, from the row operations
-    E and pivot cells of one elimination of A's rows.  E.A is reduced, with
-    a 1 at each pivot (i, j), zeros in the rest of column j and zero rows
-    without a pivot; row j of Y is row i of E, and every other row of Y is
-    zero.  Column r of E is the sparse replay of the r-th unit vector, the
-    one replay that solves use; the reduced rows are never built."""
+def _prime_power_generalized_inverse(rows, p, e):
+    """Rows of a Y with A.Y.A = A over Z/q, q = p**e, or None, from the row
+    operations E and pivot cells of one unit-pivot elimination of A's rows.
+    E.A has a 1 at each pivot (i, j), zeros in the rest of column j, and
+    rows without a pivot over pR (zero over Z/p).  If those are zero, row j
+    of Y is row i of E, column r of E being the sparse replay of the r-th
+    unit vector, and every other row of Y is zero.  If not, A is diag(I, M)
+    up to invertible operations, M != 0 over pR, and no Z has M.Z.M = M:
+    that would put M in p**2 R, then p**4 R, and so on down to 0."""
     m = len(rows)
     factor = _PrimePowerFactor([{j: x for j, x in enumerate(row) if x} for row in rows],
-                               len(rows[0]), p, 1)
+                               len(rows[0]), p, e)
+    # _op_of holds the pivot rows; _rows, the eliminated rows, waits for _reduced
+    if e > 1 and any(row for i, row in enumerate(factor._rows) if i not in factor._op_of):
+        return None
     e_columns = [factor.sparse_replay({r: 1}) for r in range(m)]
     y = [(0,) * m] * len(rows[0])
     for i, j in factor.cells:

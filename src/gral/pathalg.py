@@ -82,10 +82,6 @@ class AlgebraSpec:
     def leavitt(cls, graph: Graph, ring: Ring) -> "AlgebraSpec":
         return cls(graph, ring, None)
 
-    @classmethod
-    def cohn(cls, graph: Graph, ring: Ring, x=()) -> "AlgebraSpec":
-        return cls(graph, ring, x)
-
     def blocks(self, n: int) -> "BlockStructure":
         """The block structure of D_n, built on the first request for level
         n and shared by every later one.  The cache lives on the spec, so it
@@ -247,8 +243,10 @@ class AlgebraElement:
 
     @staticmethod
     def make(spec: AlgebraSpec, terms: dict) -> "AlgebraElement":
-        zero = spec.ring.zero
-        return AlgebraElement(spec, {m: c for m, c in terms.items() if c != zero})
+        """The normal form of sum c.m over terms {monomial: coefficient}."""
+        ring = spec.ring
+        return AlgebraElement(spec, _reduce(spec, {m: c for m, c in terms.items()
+                                                   if c != ring.zero}, ring))
 
     @staticmethod
     def zero(spec: AlgebraSpec) -> "AlgebraElement":
@@ -328,16 +326,6 @@ class AlgebraElement:
 
     def involution(self) -> "AlgebraElement":
         return AlgebraElement(self.spec, {m.involute(): c for m, c in self.terms.items()})
-
-    def homogeneous_components(self):
-        """Mapping degree -> component; empty for the zero element."""
-        comps = {}
-        for m, c in self.terms.items():
-            comps.setdefault(m.degree, {})[m] = c
-        return {d: AlgebraElement(self.spec, t) for d, t in sorted(comps.items())}
-
-    def is_homogeneous(self) -> bool:
-        return len({m.degree for m in self.terms}) <= 1
 
     def degree(self) -> Optional[int]:
         """Degree of a nonzero homogeneous element, None for zero."""

@@ -1,16 +1,16 @@
 """Graded von Neumann regularity witnesses for Leavitt path algebras and
 relative Cohn path algebras.
 
-The constructive route follows the idempotent-generator proof: build a
-per-element left local unit with an explicit factorization across degrees
-d and -d, push the resulting degree-zero generators into a matricial
-filtration level, combine them into a single idempotent there, and read
-off the witness.  A relative Cohn spec C^X(E) takes its witnesses from
-L(E(X)) through the isomorphism phi and its inverse psi
-(morphisms.cohn_isomorphism): psi of the witness of phi(x), checked again
-on x.  The oracle route asks gradedstruct.solve_combination for a
-combination b of a bounded spanning set with x.b.x = x, and its absence
-is exact on acyclic graphs.
+Over a von Neumann regular coefficient ring the constructive route
+follows the idempotent-generator proof: build a per-element left local
+unit with an explicit factorization across degrees d and -d, push the
+resulting degree-zero generators into a matricial filtration level,
+combine them into a single idempotent there, and read off the witness.
+Over any other ring the element's block groups decide it exactly.  A
+relative Cohn spec C^X(E) takes its witnesses from L(E(X)) through the
+isomorphism phi and its inverse psi (morphisms.cohn_isomorphism): psi of
+the witness of phi(x), checked again on x; an absence for phi(x) is one
+for x.
 """
 
 from __future__ import annotations
@@ -18,12 +18,14 @@ from __future__ import annotations
 import random
 from typing import NamedTuple, Optional
 
-from .coeffring import MatrixOverRing, is_vnr, matrix_vnr_witness, mul_entries
+from .coeffring import (MatrixOverRing, is_regular, is_vnr, matrix_vnr_witness,
+                        mul_entries)
 # not called here, but perfbench/tracer.py rebinds solve_linear_system in
 # every gral module that holds it
 from .coeffring import solve_linear_system  # noqa: F401
 from .errors import (CoefficientRingNotVNR, GralError,
                      InternalVerificationFailure, ZeroElement)
+from .graphs import Path
 from .morphisms import cohn_isomorphism, hom_apply
 from .pathalg import (AlgebraElement, AlgebraSpec, BlockStructure,
                       MatricialImage, Monomial, _expand_to_level,
@@ -145,7 +147,7 @@ class WitnessCertificate(NamedTuple):
 
     element: object
     degree: int
-    method: str                       # "constructive" | "oracle"
+    method: str                       # "constructive" | "blocks" | "oracle"
     witness: Optional[object] = None
     absent: bool = False
     absence_exact: bool = False
@@ -175,31 +177,39 @@ def _verify_witness(x: AlgebraElement, b: AlgebraElement) -> bool:
 
 
 def graded_witness_constructive(x: AlgebraElement) -> WitnessCertificate:
-    """Witness via local units and the matricial idempotent generator; a
-    relative Cohn spec takes psi of the witness of phi(x).
+    """Witness via local units and the matricial idempotent generator over
+    a vnr coefficient ring, and via the block groups (method "blocks"),
+    witness or exact absence, over any other; a relative Cohn spec takes
+    psi of the witness of phi(x).
 
-    Guaranteed to succeed over vnr coefficient rings; an
+    Guaranteed to find a witness over vnr coefficient rings; an
     InternalVerificationFailure therefore signals a bug, not a negative.
     """
     spec = x.spec
-    if not is_vnr(spec.ring).regular:
-        raise CoefficientRingNotVNR(f"{spec.ring.describe()} is not von Neumann regular")
+    regular = is_regular(spec.ring)
+    method = "constructive" if regular else "blocks"
     if x.is_zero:
-        return WitnessCertificate(x, 0, "constructive", witness=x, verified=True)
+        return WitnessCertificate(x, 0, method, witness=x, verified=True)
     d = x.degree()
     if not spec.is_leavitt:
         phi, psi = cohn_isomorphism(spec)
-        b = hom_apply(psi, graded_witness_constructive(hom_apply(phi, x)).witness)
+        image = graded_witness_constructive(hom_apply(phi, x))
+        if image.absent:  # phi is a graded isomorphism
+            return WitnessCertificate(x, d, method, absent=True, absence_exact=True,
+                                      searched=f"phi(x) {image.searched}", verified=True)
+        b = hom_apply(psi, image.witness)
         if b.degree() != -d or not _verify_witness(x, b):
             raise InternalVerificationFailure("transported witness failed verification")
-        return WitnessCertificate(x, d, "constructive", witness=b, verified=True)
+        return WitnessCertificate(x, d, method, witness=b, verified=True)
+    if not regular:
+        return _group_witness(x, d)
     if d < 0 and spec.ring.is_commutative():
         # r.ab* -> r.ba* is an anti-homomorphism only over a commutative ring
         mirror = graded_witness_constructive(x.involution())
         b = mirror.witness.involution()
         if not _verify_witness(x, b):
             raise InternalVerificationFailure("reflected witness failed")
-        return WitnessCertificate(x, d, "constructive", witness=b, verified=True)
+        return WitnessCertificate(x, d, method, witness=b, verified=True)
     unit = local_unit_left(x)
     cs = [b * x for _, b in unit.pairs]
     level = max(filtration_level(c) for c in cs)
@@ -213,36 +223,49 @@ def graded_witness_constructive(x: AlgebraElement) -> WitnessCertificate:
         raise InternalVerificationFailure("witness has wrong degree")
     if not _verify_witness(x, r):
         raise InternalVerificationFailure("constructive witness failed verification")
-    return WitnessCertificate(x, d, "constructive", witness=r, verified=True)
+    return WitnessCertificate(x, d, method, witness=r, verified=True)
 
 
-def graded_witness_oracle(x: AlgebraElement, bound: int,
-                          oracle=None) -> WitnessCertificate:
-    """solve_combination for x.b.x = x over the degree-(-d) spanning
-    monomials with real/ghost lengths at most the bound, from the spec's
-    PathAlgebraOracle (pass one to share its spanning sets).  Exact
-    absence on acyclic graphs once the bound reaches the longest path."""
-    from .gradedstruct import PathAlgebraOracle, solve_combination
-
+def _group_witness(x: AlgebraElement, d: int) -> WitnessCertificate:
+    """x of degree d in a Leavitt spec, expanded by v = sum ee* until each
+    ghost path beta has the longest ghost length n or ends at a sink, and
+    grouped by (|beta|, r(beta)) into matrices X_k, the alphas as rows and
+    the betas as columns: b = sum_k Y_k[beta, alpha] beta.alpha* with
+    X_k.Y_k.X_k = X_k.  The alphas, and the betas, are prefix-free (equal
+    or orthogonal by (CK1) at one length, a shorter one ends at a sink), so
+    x.b.x is the sum of the X_k.Y_k.X_k.  A group without a generalized
+    inverse over R proves that x has no witness y: the group's corner of
+    x.y.x = x is X_k.Z.X_k = X_k over the degree-0 corner of L(E), a union
+    of matrix rings over R with R on the diagonal, and a diagonal entry of
+    Z is a generalized inverse of X_k over R (Hazrat, Israel J. Math. 195,
+    2013; Abrams, Ara and Siles Molina, LNM 2191).  The absence names that
+    group: its key, rows, columns and matrix."""
     spec = x.spec
-    if x.is_zero:
-        return WitnessCertificate(x, 0, "oracle", witness=x, verified=True)
-    d = x.degree()
-    if oracle is None:
-        oracle = PathAlgebraOracle(spec)
-    candidates = oracle.spanning(-d, bound)
-    searched = (f"degree {-d} spanning monomials with lengths <= {bound} "
-                f"({len(candidates)} candidates)")
-    b = solve_combination(oracle, candidates, [(x, lambda b: x * b * x)])
-    bounds = (("size", bound),)
-    if b is None:
-        return WitnessCertificate(x, d, "oracle", absent=True,
-                                  absence_exact=spec.graph.all_paths_within(bound),
-                                  searched=searched, bounds=bounds, verified=True)
-    if not _verify_witness(x, b):
-        raise InternalVerificationFailure("oracle witness failed verification")
-    return WitnessCertificate(x, d, "oracle", witness=b, bounds=bounds,
-                              verified=True)
+    ring = spec.ring
+    n = max(len(m.beta.edges) for m in x.terms)
+    groups = {}
+    for m, c in _expand_to_level(spec, x.terms, n + d).items():
+        groups.setdefault((len(m.beta.edges), m.beta.dst), {})[m] = c
+    raw = {}
+    for key in sorted(groups):
+        terms = groups[key]
+        rows = sorted({m.alpha for m in terms}, key=Path.sort_key)
+        cols = sorted({m.beta for m in terms}, key=Path.sort_key)
+        entries = tuple(tuple(terms.get(Monomial(a, b), ring.zero) for b in cols) for a in rows)
+        y = matrix_vnr_witness(MatrixOverRing(ring, entries))
+        if y is None:
+            searched = (f"group ({key[0]},{key[1]}) rows [{','.join(map(spec.path_str, rows))}]"
+                        f" columns [{','.join(map(spec.path_str, cols))}] matrix ["
+                        + ";".join(",".join(map(ring.format_element, row)) for row in entries)
+                        + "] has no generalized inverse")
+            return WitnessCertificate(x, d, "blocks", absent=True, absence_exact=True,
+                                      searched=searched, verified=True)
+        raw.update((Monomial(beta, alpha), c) for beta, y_row in zip(cols, y.entries)
+                   for alpha, c in zip(rows, y_row))
+    b = AlgebraElement.make(spec, raw)
+    if b.degree() != -d or not _verify_witness(x, b):
+        raise InternalVerificationFailure("block witness failed verification")
+    return WitnessCertificate(x, d, "blocks", witness=b, verified=True)
 
 
 # ---------------------------------------------------------------------------
@@ -254,7 +277,7 @@ class RegularityReport(NamedTuple):
     method: str
     bounds: tuple
     certificates: tuple
-    overall: str                      # verified-at-bounds | counterexample-found | inconclusive-at-bounds
+    overall: str                      # verified-at-bounds | counterexample-found
     counterexample: Optional[WitnessCertificate] = None
 
     @property
@@ -288,21 +311,15 @@ def sample_homogeneous(spec: AlgebraSpec, degree_bound: int, length_bound: int,
 
 def graded_vnr_verdict(spec: AlgebraSpec, degree_bound: int = 3,
                        filtration_bound: int = 3, samples: int = 100,
-                       seed: int = 0, method: Optional[str] = None) -> RegularityReport:
-    """Run witness searches over all bounded reduced monomials, their scalar
-    multiples, and seeded random homogeneous combinations."""
-    from .gradedstruct import PathAlgebraOracle
-
+                       seed: int = 0) -> RegularityReport:
+    """A witness, or an exact absence, for every bounded reduced monomial
+    times every nonzero scalar and for seeded random homogeneous
+    combinations; the first absence is the counterexample."""
     bounds = (("degree", degree_bound), ("length", filtration_bound),
               ("samples", samples), ("seed", seed))
+    method = "constructive" if is_regular(spec.ring) else "blocks"
     if spec.graph.is_null():
-        return RegularityReport(spec, method or "constructive", bounds, (),
-                                "verified-at-bounds")
-    if method is None:
-        method = "constructive" if is_vnr(spec.ring).regular else "oracle"
-    elif method == "constructive" and not is_vnr(spec.ring).regular:
-        raise CoefficientRingNotVNR(
-            f"{spec.ring.describe()} is not von Neumann regular")
+        return RegularityReport(spec, method, bounds, (), "verified-at-bounds")
     ring = spec.ring
     nonzero = [c for c in ring.elements() if c != ring.zero]
     elements = []
@@ -313,28 +330,8 @@ def graded_vnr_verdict(spec: AlgebraSpec, degree_bound: int = 3,
     rng = random.Random(seed)
     elements.extend(sample_homogeneous(spec, degree_bound, filtration_bound,
                                        samples, rng))
-    oracle = PathAlgebraOracle(spec)
-    certificates = []
-    counterexample = None
-    inconclusive = False
-    for x in elements:
-        if x.is_zero:
-            continue
-        if method == "constructive":
-            cert = graded_witness_constructive(x)
-        else:
-            cert = graded_witness_oracle(x, filtration_bound, oracle)
-        certificates.append(cert)
-        if cert.absent and counterexample is None:
-            if cert.absence_exact:
-                counterexample = cert
-            else:
-                inconclusive = True
-    if counterexample is not None:
-        overall = "counterexample-found"
-    elif inconclusive:
-        overall = "inconclusive-at-bounds"
-    else:
-        overall = "verified-at-bounds"
+    certificates = [graded_witness_constructive(x) for x in elements if not x.is_zero]
+    counterexample = next((c for c in certificates if c.absent), None)
+    overall = "verified-at-bounds" if counterexample is None else "counterexample-found"
     return RegularityReport(spec, method, bounds, tuple(certificates),
                             overall, counterexample)

@@ -151,8 +151,6 @@ def _commands():
             for name in elements:
                 yield (f"lpa witness --graph @{graph} --ring @{ring}"
                        f" --element @{graph}-{name}-{ring}"), both
-        yield (f"lpa witness --graph @rose2 --ring @{ring} --element @rose2-neg2-{ring}"
-               " --method oracle"), both
         yield (f"lpa decompose --graph @rose2 --ring @{ring} --element @rose2-mix0-{ring}"
                " --level 2"), both
         for graph in ("toeplitz", "rose2c"):
@@ -162,8 +160,7 @@ def _commands():
             yield (f"lpa classify --graph @{graph} --ring @{ring}"
                    " --degree-bound 2 --size-bound 2"), both
     yield "lpa verdict --graph @rose2 --ring @z6 --degree-bound 2 --size-bound 2 --samples 4", False
-    yield ("lpa verdict --graph @rose2 --ring @z4 --degree-bound 1 --size-bound 1"
-           " --method oracle"), False
+    yield "lpa verdict --graph @rose2 --ring @z4 --degree-bound 2 --size-bound 2", False
     yield "lpa classify --graph @vwc --ring @z2 --degree-bound 3 --size-bound 2", False
     yield "lpa classify --graph @toeplitz --ring @z2xz2 --degree-bound 2 --size-bound 2", False
     for corner in CORNERS:
@@ -187,6 +184,7 @@ def _commands():
     yield "corner witness --corner @bad-corner", False
     yield "lpa verdict --graph @rose2 --ring @z2 --samples -1", False
     yield "lpa decompose --graph @rose2 --ring @z2 --element @rose2-estar-z2", False
+    yield "lpa witness --graph @rose2 --ring @z4 --element @rose2-neg2-z4 --method oracle", False
     yield "lpa frobnicate", False
 
 

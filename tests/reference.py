@@ -2,8 +2,9 @@
 
 Tests compare the package against these: a span system written out row
 by row, R[x] as a fifth graded-ring oracle, the vertex idempotents as
-local units, the Jacobson radical of a finite algebra by enumeration (the
-differential oracle on acyclic graphs) and functoriality along finite
+local units, the bounded witness search over a path algebra's spanning
+monomials, the Jacobson radical of a finite algebra by enumeration (both
+differential oracles on acyclic graphs) and functoriality along finite
 chains of graph morphisms.
 """
 
@@ -15,11 +16,12 @@ from typing import NamedTuple, Optional
 from gral.coeffring import Ring, _span_rows, within_cap
 from gral.errors import GralError, InternalVerificationFailure
 from gral.gradedstruct import (GradedRingOracle, PathAlgebraOracle, _identity, _require_one,
-                               combination_solver)
+                               combination_solver, solve_combination)
 from gral.graphs import Graph, GraphMorphism, morphism_validate
 from gral.morphisms import _homs_agree, compose_homs, induced_hom
 from gral.pathalg import (AlgebraElement, AlgebraSpec, format_element, identity_element,
                           monomial_element, reduced_monomials, vertex_element)
+from gral.regularity import WitnessCertificate
 
 
 def longest_path_length(graph: Graph) -> Optional[int]:
@@ -40,6 +42,47 @@ def span_constraints(ring: Ring, columns, target=None):
     target = target or {}
     zero = ring.zero
     return [(terms, target.get(k, zero)) for k, terms in _span_rows(columns, target)]
+
+
+def homogeneous_components(x: AlgebraElement) -> dict:
+    """Mapping degree -> component of x; empty for the zero element."""
+    comps = {}
+    for m, c in x.terms.items():
+        comps.setdefault(m.degree, {})[m] = c
+    return {d: AlgebraElement(x.spec, t) for d, t in sorted(comps.items())}
+
+
+def is_homogeneous(x: AlgebraElement) -> bool:
+    return len({m.degree for m in x.terms}) <= 1
+
+
+# ---------------------------------------------------------------------------
+# The bounded witness search
+
+
+def graded_witness_oracle(x: AlgebraElement, bound: int, oracle=None) -> WitnessCertificate:
+    """solve_combination for x.b.x = x over the degree-(-d) spanning
+    monomials with real/ghost lengths at most the bound, from the spec's
+    PathAlgebraOracle (pass one to share its spanning sets).  Exact
+    absence on acyclic graphs once the bound reaches the longest path."""
+    spec = x.spec
+    if x.is_zero:
+        return WitnessCertificate(x, 0, "oracle", witness=x, verified=True)
+    d = x.degree()
+    if oracle is None:
+        oracle = PathAlgebraOracle(spec)
+    candidates = oracle.spanning(-d, bound)
+    searched = (f"degree {-d} spanning monomials with lengths <= {bound} "
+                f"({len(candidates)} candidates)")
+    b = solve_combination(oracle, candidates, [(x, lambda b: x * b * x)])
+    bounds = (("size", bound),)
+    if b is None:
+        return WitnessCertificate(x, d, "oracle", absent=True,
+                                  absence_exact=spec.graph.all_paths_within(bound),
+                                  searched=searched, bounds=bounds, verified=True)
+    if x * b * x != x:
+        raise InternalVerificationFailure("oracle witness failed verification")
+    return WitnessCertificate(x, d, "oracle", witness=b, bounds=bounds, verified=True)
 
 
 # ---------------------------------------------------------------------------
@@ -197,7 +240,7 @@ def jacobson_radical_algebra(spec: AlgebraSpec) -> RadicalReport:
     rad_set = set(radical)
     gens = []
     for x in radical:
-        for _, comp in x.homogeneous_components().items():
+        for _, comp in homogeneous_components(x).items():
             if comp not in rad_set:
                 raise InternalVerificationFailure("radical is not graded")
             if comp not in gens and not comp.is_zero:

@@ -19,7 +19,9 @@ from gral.coeffring import ModularRing, ring_make, ring_spec
 from gral.cornerlaurent import corner_from_dict, csl_element_from_dict
 from gral.errors import GralError, InternalVerificationFailure, RelationViolation
 from gral.graphs import CohnPair, Graph, graph_from_dict, morphism_from_dict
-from gral.pathalg import AlgebraElement, AlgebraSpec, element_from_terms, word_element
+from gral.pathalg import (AlgebraElement, AlgebraSpec, element_from_terms, format_element,
+                          word_element)
+from reference import graded_witness_oracle
 
 
 def write(path, obj):
@@ -78,8 +80,8 @@ def test_check_ring_z4_exit1(files, capsys):
 ], ids=["check-ring", "lpa-witness"])
 def test_vnr_search_beyond_the_cap_exit2(files, capsys, monkeypatch, command):
     # Z/7 given by tables loads under a cap of 20 but its vnr search needs
-    # 28 steps (Z/7 itself is read in closed form); lpa witness without
-    # --method runs that search to pick its method
+    # 28 steps (Z/7 itself is read in closed form); lpa witness runs that
+    # search to pick its route
     ring = write(files["tmp"] / "z7.json", ring_spec(table_mod(7)))
     monkeypatch.setenv("GRAL_SEARCH_CAP", "20")
     assert main([arg.format(ring=ring, **files) for arg in command]) == 2
@@ -148,7 +150,7 @@ def test_lpa_witness_constructive_non_square_blocks(tmp_path, capsys):
         for name in ("e", "f")])
     code = main(["lpa", "witness", "--graph", graph,
                  "--ring", write(tmp_path / "table.json", ring_spec(ring)),
-                 "--element", element, "--method", "constructive"])
+                 "--element", element])
     out = capsys.readouterr().out
     assert code == 0
     assert "witness=e*" in out and "verified=true" in out
@@ -173,16 +175,20 @@ def test_lpa_witness_rose3_block_inverse_pinned(files, capsys):
 
 
 def test_lpa_witness_oracle_over_a_noncommutative_table_ring_pinned(files, capsys):
-    # 3 = [[0, 1], [0, 1]] is idempotent; over upper-triangular matrices
-    # x.b.x = x is solved in the additive span of the multiples r . f*,
-    # which finds 3 * f*
+    # 3 = [[0, 1], [0, 1]] is idempotent; the upper-triangular matrices are
+    # not vnr, so the one group [3] of 3f is solved in additive coordinates,
+    # which finds 1: 3.1.3 = 3.  The reference oracle's search of the
+    # additive span of the multiples r . f* finds 3 * f*
     ring = write(files["tmp"] / "upper.json", ring_spec(table_upper_z2()))
     element = write(files["tmp"] / "elt_3f.json", [
         {"coeff": 3, "alpha": ["f"], "beta": {"vertex": "w"}}])
     assert main(["lpa", "witness", "--graph", files["vw"], "--ring", ring,
-                 "--element", element, "--method", "oracle"]) == 0
+                 "--element", element]) == 0
     assert capsys.readouterr().out == \
-        "element=t3*f degree=1 method=oracle witness=t3*f* bounds=size=3 verified=true\n"
+        "element=t3*f degree=1 method=blocks witness=t1*f* bounds=- verified=true\n"
+    spec = AlgebraSpec.leavitt(VW, table_upper_z2())
+    assert graded_witness_oracle(word_element(spec, ["f"], 3), 3).to_text(format_element) == \
+        "element=t3*f degree=1 method=oracle witness=t3*f* bounds=size=3 verified=true"
 
 
 def test_lpa_witness_over_a_large_prime_exit0(files, capsys):
@@ -213,9 +219,10 @@ def test_check_ring_over_a_large_prime_exit0(files, capsys):
 
 
 def test_oracle_absence_over_a_large_modulus_exit1(files, capsys, monkeypatch):
-    # 2f has no witness over Z/999996, as 4c = 2 has no solution; the linear
-    # answer is exact over a commutative ring, and Z/n is one without a scan
-    # of its pairs (about 5 * 10^11 here)
+    # 2f has no witness over Z/999996, as 4c = 2 has no solution; its one
+    # group [2] has no generalized inverse over the part Z/4, and Z/n is
+    # not vnr by its prime powers, without a scan of its pairs (about
+    # 5 * 10^11 here)
     def scan(ring):
         raise AssertionError(f"scanned the pairs of {ring.describe()}")
     monkeypatch.setattr(coeffring.Ring, "is_commutative", scan)
@@ -223,10 +230,12 @@ def test_oracle_absence_over_a_large_modulus_exit1(files, capsys, monkeypatch):
     element = write(files["tmp"] / "elt_2f.json", [
         {"coeff": 2, "alpha": ["f"], "beta": {"vertex": "w"}}])
     code = main(["lpa", "witness", "--graph", files["vw"], "--ring", ring,
-                 "--element", element, "--method", "oracle"])
+                 "--element", element])
     out = capsys.readouterr().out
     assert code == 1
-    assert "absence=exact" in out
+    assert out == ("element=2*f degree=1 method=blocks absence=exact searched=group (0,w) "
+                   "rows [f] columns [w] matrix [2] has no generalized inverse bounds=- "
+                   "verified=true\n")
 
 
 def test_lpa_verdict_over_a_table_ring(tmp_path, capsys):
@@ -353,27 +362,29 @@ def test_path_algebra_classify_runs_no_search(files, capsys, monkeypatch,
 @pytest.mark.parametrize("name, graph, ring, degree_bound", [
     ("toeplitz", GOLDEN_GRAPHS["toeplitz"], "z6", 2),          # constructive
     ("rose2cohn", dict(GOLDEN_GRAPHS["rose2"], x=[]), "z2", 2),  # through psi
-    ("rose2", GOLDEN_GRAPHS["rose2"], "z4", 1)])               # oracle: Z/4 is not vnr
+    ("rose2", GOLDEN_GRAPHS["rose2"], "z4", 1)])               # blocks: Z/4 is not vnr
 def test_lpa_verdict_golden(files, capsys, name, graph, ring, degree_bound):
-    # every certificate line of a verdict, witness text included, byte for byte
+    # every certificate line of a verdict, witness text included, byte for
+    # byte; over Z/4 every 2.m is an exact counterexample
     code = main(["lpa", "verdict", "--graph", write(files["tmp"] / f"{name}.json", graph),
                  "--ring", files[ring], "--degree-bound", str(degree_bound),
                  "--size-bound", "2"])
-    assert code == 0
+    assert code == (1 if ring == "z4" else 0)
     expected = GOLDEN / f"verdict_{name}_{ring}_{degree_bound}_2.txt"
     assert capsys.readouterr().out == expected.read_text()
 
 
 def test_lpa_witness_over_a_large_modulus_without_enumerating(files, capsys, monkeypatch):
-    # decoding 2 and searching S_-1 never lists the million elements of Z/n
+    # decoding 2, choosing the route and solving the group [2] never list
+    # the million elements of Z/n
     monkeypatch.setattr(ModularRing, "elements", lambda self: pytest.fail("Z/n enumerated"))
     ring = write(files["tmp"] / "big.json", {"kind": "mod", "n": 999996})
     element = write(files["tmp"] / "2f.json", [
         {"coeff": 2, "alpha": ["f"], "beta": {"vertex": "w"}}])
     code = main(["lpa", "witness", "--graph", files["vw"], "--ring", ring,
-                 "--element", element, "--method", "oracle"])
+                 "--element", element])
     assert code == 1
-    assert "element=2*f degree=1 method=oracle absence=exact" in capsys.readouterr().out
+    assert "element=2*f degree=1 method=blocks absence=exact" in capsys.readouterr().out
 
 
 def test_lpa_decompose(files, capsys):
@@ -488,8 +499,9 @@ def _load_map(obj):
 
 def _argv(files, kind, path):
     """The command that reads an input of this kind from path, the other
-    inputs being valid.  The oracle method keeps a fuzzed modulus from
-    reaching is_vnr, whose search is quadratic in the ring's order."""
+    inputs being valid.  A fuzzed modulus picks the route by its prime
+    powers, never by is_vnr's search, which is quadratic in the ring's
+    order."""
     if kind in ("corner", "csl"):
         paths = {"corner": files["corner_z4"], "csl": files["csl_2t"], kind: path}
         return ["corner", "witness", "--corner", paths["corner"], "--element", paths["csl"]]
@@ -498,7 +510,7 @@ def _argv(files, kind, path):
                 "--map", path, "--ring", files["z2"]]
     paths = {"graph": files["vw"], "ring": files["z2"], "element": files["elt_f"], kind: path}
     return ["lpa", "witness", "--graph", paths["graph"], "--ring", paths["ring"],
-            "--element", paths["element"], "--method", "oracle"]
+            "--element", paths["element"]]
 
 
 @pytest.mark.parametrize("kind, content, load, error", [
@@ -607,9 +619,9 @@ def test_internal_failure_exits_3(files, capsys, monkeypatch):
     # a failed self-check is a bug: exit 3 with one line, never a verdict
     def planted(*args, **kwargs):
         raise InternalVerificationFailure("planted")
-    monkeypatch.setattr(cli, "graded_witness_oracle", planted)
+    monkeypatch.setattr(cli, "graded_witness_constructive", planted)
     code = main(["lpa", "witness", "--graph", files["vw"], "--ring", files["z6"],
-                 "--element", files["elt_f"], "--method", "oracle"])
+                 "--element", files["elt_f"]])
     captured = capsys.readouterr()
     assert code == 3
     assert captured.out == ""
@@ -618,7 +630,7 @@ def test_internal_failure_exits_3(files, capsys, monkeypatch):
 
 @pytest.mark.parametrize("command", [
     ["lpa", "decompose", "--level", "2"],
-    ["lpa", "witness", "--method", "constructive"],
+    ["lpa", "witness"],
 ], ids=["decompose", "witness"])
 def test_block_structure_beyond_the_cap_exit2(files, capsys, monkeypatch, command):
     # rose3 at level 2 is one 9 x 9 block, dense rank 81; ab(ab)* needs it
@@ -672,8 +684,8 @@ def test_classify_listings_beyond_the_cap_exit2(files, capsys, monkeypatch,
 
 
 def test_witness_exactness_on_a_long_chain_lists_no_long_path(files, capsys, monkeypatch):
-    # 2 v0 has no witness over Z/4; whether that absence is exact is read
-    # from path counts, never from the 2^20 paths of the 20-link chain
+    # 2 v0 has no witness over Z/4: its one group [2] is read at level 0,
+    # and none of the 2^20 paths of the 20-link chain is listed
     real = Graph.paths
 
     def paths(graph, n, target=None):
@@ -687,8 +699,8 @@ def test_witness_exactness_on_a_long_chain_lists_no_long_path(files, capsys, mon
                                                     diamond_chain(20)),
                  "--ring", files["z4"], "--element", element]) == 1
     assert capsys.readouterr().out == (
-        "element=2*v0 degree=0 method=oracle absence=at-bound searched=degree 0 "
-        "spanning monomials with lengths <= 3 (1173 candidates) bounds=size=3 "
+        "element=2*v0 degree=0 method=blocks absence=exact searched=group (0,v0) "
+        "rows [v0] columns [v0] matrix [2] has no generalized inverse bounds=- "
         "verified=true\n")
 
 
@@ -731,7 +743,7 @@ def _spoiled_matrix_witness_exits_3(files, capsys, monkeypatch, spoil):
     monkeypatch.setattr(coeffring, "_matrix_witness_dispatch",
                         lambda ring, rows: spoil(real(ring, rows), ring))
     code = main(["lpa", "witness", "--graph", files["vw"], "--ring", files["z6"],
-                 "--element", files["elt_f"], "--method", "constructive"])
+                 "--element", files["elt_f"]])
     captured = capsys.readouterr()
     assert code == 3
     assert captured.err.startswith("internal error: InternalVerificationFailure: ")
@@ -805,7 +817,7 @@ def test_non_inverse_psi_exits_3(files, capsys, monkeypatch):
         vmap = dict(psi.vmap, **{"v'": AlgebraElement.zero(psi.target)})
         return morphisms.AlgebraHom.make(psi.source, psi.target, vmap, dict(psi.emap))
     monkeypatch.setattr(morphisms, "cohn_inverse", planted)
-    spec = AlgebraSpec.cohn(Graph(["v", "w"], [("f", "v", "w")]), ModularRing(2), [])
+    spec = AlgebraSpec(Graph(["v", "w"], [("f", "v", "w")]), ModularRing(2), [])
     with pytest.raises(InternalVerificationFailure,
                        match=r"^psi\.phi is not the identity at generator v$"):
         morphisms.cohn_isomorphism(spec)
@@ -845,20 +857,16 @@ class _WrongSpanSolver(coeffring.SpanSolver):
 def test_wrong_linear_combination_exits_3(files, capsys, monkeypatch):
     # over Z/6 a path algebra's coordinates are left-linear, so a linear
     # answer that fails its check is a bug, never a cue to search the
-    # additive span: b = f* gives 2f.f*.2f = 4f, not 2f
+    # additive span: b = f* gives 2f.f*.2f = 4f, not 2f.  No command
+    # searches a path algebra's span for a witness, so the reference
+    # oracle asks combination_solver
     spans = []
     monkeypatch.setattr(gradedstruct, "SpanSolver", _WrongSpanSolver)
     monkeypatch.setattr(gradedstruct, "AdditiveSpan", lambda *args: spans.append(args))
     spec = AlgebraSpec.leavitt(Graph(["v", "w"], [("f", "v", "w")]), ModularRing(6))
     with pytest.raises(InternalVerificationFailure,
                        match="^linear combination fails its equations$"):
-        regularity.graded_witness_oracle(word_element(spec, ["f"], 2), 2)
-    elt_2f = write(files["tmp"] / "elt_2f.json", [
-        {"coeff": 2, "alpha": ["f"], "beta": {"vertex": "w"}}])
-    assert main(["lpa", "witness", "--graph", files["vw"], "--ring", files["z6"],
-                 "--element", elt_2f, "--method", "oracle"]) == 3
-    assert capsys.readouterr() == ("", "internal error: InternalVerificationFailure: "
-                                       "linear combination fails its equations\n")
+        graded_witness_oracle(word_element(spec, ["f"], 2), 2)
     assert spans == []
 
 
@@ -876,7 +884,7 @@ element=v + w degree=0 method=constructive witness=v + w bounds=- verified=true
 
 def test_cohn_witness_and_verdict_run_constructively(files, capsys):
     # a relative Cohn spec over a vnr ring takes psi of the Leavitt witness
-    # of phi(x); both commands used to exit 2 without --method oracle
+    # of phi(x), in both commands
     witness = ["lpa", "witness", "--graph", files["vw_cohn"], "--ring", files["z2"],
                "--element", files["elt_f"]]
     assert main(witness) == 0
@@ -902,8 +910,8 @@ ZERO_WITNESS = "element=0 degree=0 method={} witness=0 bounds=- verified=true\n"
 
 
 @pytest.mark.parametrize("graph, ring, method", [
-    ("vw", "z4", "oracle"), ("vw", "z6", "constructive"), ("vw_cohn", "z2", "constructive"),
-], ids=["Z4-oracle", "Z6-constructive", "cohn-Z2-constructive"])
+    ("vw", "z4", "blocks"), ("vw", "z6", "constructive"), ("vw_cohn", "z2", "constructive"),
+], ids=["Z4-blocks", "Z6-constructive", "cohn-Z2-constructive"])
 def test_zero_element_witness_exit0_on_every_route(files, capsys, graph, ring, method):
     # the zero element is its own witness, whichever route the ring picks
     zero = write(files["tmp"] / "zero.json", [])
@@ -1043,8 +1051,14 @@ def test_deeply_nested_file_exit2(files, tmp_path, capsys):
      "--seed", "0"],
     ["corner", "witness", "--corner", "{corner_z6}", "--method", "oracle"],
     ["examples", "--samples", "5"],
+    ["lpa", "witness", "--graph", "{vw}", "--ring", "{z4}", "--element", "{elt_f}",
+     "--method", "oracle"],
+    ["lpa", "witness", "--graph", "{vw}", "--ring", "{z4}", "--element", "{elt_f}",
+     "--size-bound", "2"],
+    ["lpa", "verdict", "--graph", "{vw}", "--ring", "{z4}", "--method", "constructive"],
 ], ids=["check-ring", "lpa-witness", "lpa-classify", "lpa-decompose", "graph-cover",
-        "morphism-check", "corner-witness", "examples"])
+        "morphism-check", "corner-witness", "examples", "lpa-witness-method",
+        "lpa-witness-size-bound", "lpa-verdict-method"])
 def test_option_the_subcommand_does_not_read_exit2(files, capsys, command):
     # each subcommand takes only the options it reads; any other is a usage
     # error, never parsed and ignored

@@ -13,7 +13,7 @@ from conftest import (brute_solutions, table_m2_z2, table_mod, table_upper_z2,
 from gral import coeffring
 from gral.cli import main
 from gral.coeffring import (MatrixOverRing, ModularRing, ProductRing, Ring,
-                            SpanSolver, TableRing, is_semiprime_ring,
+                            SpanSolver, TableRing, is_regular, is_semiprime_ring,
                             is_vnr, jacobson_radical, kernel_generators,
                             matrix_vnr_witness, mul_entries,
                             ring_make, ring_spec, search_cap,
@@ -160,6 +160,16 @@ def test_is_vnr_product_is_and_of_factors(z2, z4):
     prod = ProductRing([z2, z4])
     assert not is_vnr(prod).regular
     assert is_vnr(ProductRing([z2, ModularRing(3)])).regular
+
+
+def test_is_regular_agrees_with_the_vnr_search():
+    # the witness route is chosen from a Z/n's prime powers, a product's
+    # parts and a table ring's search; each answer is the search's verdict
+    rings = [ModularRing(n) for n in range(2, 41)] + [
+        ProductRing([ModularRing(2), ModularRing(4)]), ProductRing([ModularRing(3), ModularRing(5)]),
+        table_mod(7), table_z2xz2(), table_upper_z2(), table_m2_z2()]
+    for ring in rings:
+        assert is_regular(ring) == is_vnr(ring).regular, ring.describe()
 
 
 def test_witness_recheck_property(z6):
@@ -1028,20 +1038,60 @@ def test_matrix_witness_random_verified(z6):
         assert mat_mul(mat_mul(a, y), a) == a
 
 
-def test_matrix_witness_prime_power_agrees_with_brute_force():
-    # non-field solve path: 2x2 over Z/8, absences checked exhaustively
-    ring = ModularRing(8)
+def _no_bilinear_solve_over_z_n(monkeypatch):
+    """Make _matrix_witness_solve refuse a ModularRing: each Z/q block is
+    answered by its unit-pivot elimination."""
+    real = coeffring._matrix_witness_solve
+
+    def table_rings_only(ring, rows):
+        if isinstance(ring, ModularRing):
+            raise AssertionError(f"bilinear solve over {ring.describe()}")
+        return real(ring, rows)
+    monkeypatch.setattr(coeffring, "_matrix_witness_solve", table_rings_only)
+    return real
+
+
+def test_matrix_witness_prime_power_agrees_with_brute_force(monkeypatch):
+    # 2x2 over Z/8 and Z/9 from one unit-pivot elimination, never the
+    # bilinear solve; absences checked exhaustively
+    _no_bilinear_solve_over_z_n(monkeypatch)
     rng = random.Random(13)
-    for _ in range(10):
-        a = matrix(
-            ring, [[rng.randrange(8) for _ in range(2)] for _ in range(2)])
-        y = matrix_vnr_witness(a)
-        if y is not None:
-            assert mat_mul(mat_mul(a, y), a) == a
-            continue
-        for combo in itertools.product(range(8), repeat=4):
-            cand = matrix(ring, [combo[:2], combo[2:]])
-            assert mat_mul(mat_mul(a, cand), a) != a
+    absent = 0
+    for n in (8, 9):
+        ring = ModularRing(n)
+        for _ in range(12):
+            a = matrix(
+                ring, [[rng.choice([0, 0, 1, 3, n // 2, rng.randrange(n)]) for _ in range(2)]
+                       for _ in range(2)])
+            y = matrix_vnr_witness(a)
+            if y is not None:
+                assert mat_mul(mat_mul(a, y), a) == a
+                continue
+            absent += 1
+            for combo in itertools.product(range(n), repeat=4):
+                cand = matrix(ring, [combo[:2], combo[2:]])
+                assert mat_mul(mat_mul(a, cand), a) != a
+    assert absent >= 4
+
+
+def test_prime_power_elimination_agrees_with_the_bilinear_solve(monkeypatch):
+    # a block over Z/q, q = p**e, has a generalized inverse iff no row
+    # without a unit pivot is left nonzero; the (mn)^2 bilinear system,
+    # which table rings keep, decides the same on random blocks up to 4x4
+    bilinear = _no_bilinear_solve_over_z_n(monkeypatch)
+    rng = random.Random(17)
+    found = {True: 0, False: 0}
+    for n in (4, 8, 9, 27):
+        ring = ModularRing(n)
+        p = 3 if n % 3 == 0 else 2
+        for _ in range(40):
+            m, k = rng.randint(1, 4), rng.randint(1, 4)
+            rows = tuple(tuple(rng.choice([0, p, p * rng.randrange(n), rng.randrange(n)]) % n
+                               for _ in range(k)) for _ in range(m))
+            y = matrix_vnr_witness(MatrixOverRing(ring, rows))
+            assert (y is None) == (bilinear(ring, rows) is None), (n, rows)
+            found[y is None] += 1
+    assert min(found.values()) >= 20
 
 
 # -- scalars over Z/q in closed form ------------------------------------------

@@ -704,13 +704,13 @@ def test_solve_epsilon_units_checked_over_noncommutative_ring():
 
 def test_nearly_cohn_by_transport(z2):
     verdict, _ = check_nearly_epsilon(
-        PathAlgebraOracle(AlgebraSpec.cohn(graph_vw(), z2, [])), 2, 2)
+        PathAlgebraOracle(AlgebraSpec(graph_vw(), z2, [])), 2, 2)
     assert verdict.holds
 
 
 def test_nearly_cohn_cyclic(z4):
     verdict, _ = check_nearly_epsilon(
-        PathAlgebraOracle(AlgebraSpec.cohn(graph_loop(), z4, [])), 2, 2)
+        PathAlgebraOracle(AlgebraSpec(graph_loop(), z4, [])), 2, 2)
     assert verdict.holds
 
 
@@ -724,7 +724,7 @@ def test_cohn_classify_builds_no_phi(z2, monkeypatch):
             if hasattr(owner, name):
                 monkeypatch.setattr(owner, name, lambda *args, name=name: calls.append(name))
     for make in (graph_vw, graph_span, graph_toeplitz):
-        report = classify(AlgebraSpec.cohn(make(), z2, []), 2, 2)
+        report = classify(AlgebraSpec(make(), z2, []), 2, 2)
         assert report.verdict("nearly-epsilon").holds
         assert report.verdict("symmetric").holds
     assert calls == []
@@ -735,11 +735,11 @@ def test_path_oracle_local_units(z2, z3):
     # relative Cohn alike; ff* is a spanning monomial of the Cohn algebra only
     def witness(spec, word):
         return format_element(PathAlgebraOracle(spec).graded_witness(word_element(spec, word)))
-    leavitt_vw, cohn_vw = AlgebraSpec.leavitt(graph_vw(), z2), AlgebraSpec.cohn(graph_vw(), z2, [])
+    leavitt_vw, cohn_vw = AlgebraSpec.leavitt(graph_vw(), z2), AlgebraSpec(graph_vw(), z2, [])
     assert [witness(leavitt_vw, word) for word in (["f"], ["f*"], ["v"])] == ["f*", "f", "v"]
     assert [witness(cohn_vw, word) for word in (["f"], ["f", "f*"], ["w"])] == ["f*", "ff*", "w"]
     assert MatrixGradingOracle(z2).graded_witness(MatrixGradingOracle(z2).unit(0, 1)) is None
-    spec = AlgebraSpec.cohn(graph_vw(), z3, [])
+    spec = AlgebraSpec(graph_vw(), z3, [])
     for x in (identity_element(spec), word_element(spec, ["f"], 2), AlgebraElement.zero(spec)):
         with pytest.raises(GralError, match=" is no monomial with coefficient one$"):
             PathAlgebraOracle(spec).graded_witness(x)
@@ -748,7 +748,7 @@ def test_path_oracle_local_units(z2, z3):
 def test_nearly_products_formed_once_per_degree(monkeypatch):
     # without a graded witness each element is decided by the bounded search,
     # which shares one S_d S_-d and one S_-d S_d list per degree
-    spec = AlgebraSpec.cohn(graph_vw(), ModularRing(2), [])
+    spec = AlgebraSpec(graph_vw(), ModularRing(2), [])
     calls = []
     real = GradedRingOracle.products
     monkeypatch.setattr(GradedRingOracle, "products",
@@ -838,7 +838,7 @@ def _eps_one_not_one(real):
 
 @pytest.mark.parametrize("owner, name, plant, spec, message", [
     (gradedstruct, "_path_into", _short_epsilon_companion,
-     AlgebraSpec.cohn(graph_rose2(), ModularRing(2), []),
+     AlgebraSpec(graph_rose2(), ModularRing(2), []),
      "epsilon_-1 factor pair has the wrong degree"),
     (gradedstruct, "epsilon_element", _eps_one_not_one,
      AlgebraSpec.leavitt(graph_rose2(), ModularRing(2)),
@@ -856,10 +856,10 @@ def _eps_one_not_one(real):
     (Monomial, "involute", _self_adjoint_involute,
      AlgebraSpec.leavitt(graph_rose2(), ModularRing(2)), "^x x\\* x = x fails on ef\\*$"),
     (Monomial, "involute", _self_adjoint_involute,
-     AlgebraSpec.cohn(graph_rose2(), ModularRing(3), []),
+     AlgebraSpec(graph_rose2(), ModularRing(3), []),
      "^x x\\* x = x fails on ef\\*$"),
     (gradedstruct, "_epsilon_paths", _first_out_edge_only,
-     AlgebraSpec.cohn(SOURCE_TWO_LOOPS, ModularRing(2), []),
+     AlgebraSpec(SOURCE_TWO_LOOPS, ModularRing(2), []),
      "^epsilon_-1 misses the branch b$"),
 ], ids=["epsilon_companion_short",
         "hazrat_cross_check",

@@ -24,9 +24,8 @@ from gral.pathalg import (AlgebraElement, AlgebraSpec, BlockStructure,
                           matricial_lift, monomial_element, reduced_monomials,
                           vertex_element, word_element)
 from gral.regularity import (graded_vnr_verdict, graded_witness_constructive,
-                             graded_witness_oracle, idempotent_generator,
-                             local_unit_left, sample_homogeneous)
-from reference import longest_path_length
+                             idempotent_generator, local_unit_left, sample_homogeneous)
+from reference import graded_witness_oracle, is_homogeneous, longest_path_length
 
 
 # -- local units ---------------------------------------------------------------
@@ -83,7 +82,7 @@ def test_local_unit_zero_rejected(z2):
 
 def test_local_unit_left_refuses_relative_cohn_specs(z2):
     # a relative Cohn witness is transported whole, so no unit goes through psi
-    spec = AlgebraSpec.cohn(graph_vw(), z2, [])
+    spec = AlgebraSpec(graph_vw(), z2, [])
     with pytest.raises(GralError, match="^local_unit_left needs a Leavitt spec$"):
         local_unit_left(word_element(spec, ["f"]))
 
@@ -382,9 +381,17 @@ def test_constructive_inhomogeneous_rejected(z2):
 
 
 def test_constructive_refuses_non_vnr():
+    # over Z/4 the block groups answer instead of a refusal: e has the
+    # witness e*, and 2e has the one group [2], which has no generalized
+    # inverse, an exact absence
     spec = AlgebraSpec.leavitt(graph_loop(), ModularRing(4))
-    with pytest.raises(CoefficientRingNotVNR):
-        graded_witness_constructive(word_element(spec, ["e"]))
+    cert = graded_witness_constructive(word_element(spec, ["e"]))
+    assert (cert.method, cert.witness, cert.verified) == \
+        ("blocks", word_element(spec, ["e*"]), True)
+    cert = graded_witness_constructive(word_element(spec, ["e"], coeff=2))
+    assert cert.to_text(format_element) == (
+        "element=2*e degree=1 method=blocks absence=exact searched=group (0,v) "
+        "rows [e] columns [v] matrix [2] has no generalized inverse bounds=- verified=true")
 
 
 @pytest.mark.parametrize("make, x", [(graph_rose2, []), (graph_toeplitz, []),
@@ -393,9 +400,9 @@ def test_constructive_refuses_non_vnr():
 def test_cohn_constructive_witnesses(z6, make, x):
     # psi of the Leavitt witness of phi(x): degree -d and x.b.x = x in the
     # Cohn algebra, for every monomial times every nonzero scalar and for
-    # random homogeneous sums; inhomogeneous elements and non-vnr rings
-    # are refused as on Leavitt specs
-    spec = AlgebraSpec.cohn(make(), z6, x)
+    # random homogeneous sums; inhomogeneous elements are refused as on
+    # Leavitt specs, and over Z/4 an absence for phi(x) is one for x
+    spec = AlgebraSpec(make(), z6, x)
     elements = [monomial_element(spec, m, c)
                 for m in reduced_monomials(spec, max_len=2) for c in range(1, 6)]
     rng = random.Random(53)
@@ -410,9 +417,12 @@ def test_cohn_constructive_witnesses(z6, make, x):
     v, e = spec.graph.vertices[0], spec.graph.edges[0].name
     with pytest.raises(GralError, match="not homogeneous"):
         graded_witness_constructive(vertex_element(spec, v) + word_element(spec, [e]))
-    z4_spec = AlgebraSpec.cohn(make(), ModularRing(4), x)
-    with pytest.raises(CoefficientRingNotVNR):
-        graded_witness_constructive(vertex_element(z4_spec, v))
+    z4_spec = AlgebraSpec(make(), ModularRing(4), x)
+    cert = graded_witness_constructive(vertex_element(z4_spec, v))
+    assert (cert.method, cert.witness) == ("blocks", vertex_element(z4_spec, v))
+    cert = graded_witness_constructive(vertex_element(z4_spec, v).scale(2))
+    assert cert.absent and cert.absence_exact and cert.bounds == ()
+    assert cert.searched.startswith("phi(x) group (") and "matrix [" in cert.searched
 
 
 def test_broken_transported_witness_is_a_bug(monkeypatch, z2):
@@ -422,7 +432,7 @@ def test_broken_transported_witness_is_a_bug(monkeypatch, z2):
     def broken(h, y):
         return real(h, y) if h.target.is_leavitt else AlgebraElement.zero(h.target)
     monkeypatch.setattr(regularity, "hom_apply", broken)
-    spec = AlgebraSpec.cohn(graph_vw(), z2, [])
+    spec = AlgebraSpec(graph_vw(), z2, [])
     with pytest.raises(InternalVerificationFailure,
                        match="transported witness failed verification"):
         graded_witness_constructive(word_element(spec, ["f"]))
@@ -467,7 +477,7 @@ def test_constructive_random_hammer(z6):
     rng = random.Random(47)
     for _ in range(60):
         x = random_element(spec, rng, max_len=2)
-        if x.is_zero or not x.is_homogeneous():
+        if x.is_zero or not is_homogeneous(x):
             continue
         cert = graded_witness_constructive(x)
         assert x * cert.witness * x == x
@@ -550,11 +560,14 @@ def test_constructive_random_graphs_stress(z6):
 
 
 def test_verdict_inconclusive_on_cyclic_non_vnr():
-    # bounded absences on cyclic graphs are honestly non-exact
+    # the block groups decide every element on a cyclic graph too: the
+    # first absence, 2e*, is an exact counterexample
     spec = AlgebraSpec.leavitt(graph_loop(), ModularRing(4))
     report = graded_vnr_verdict(spec, 1, 1, samples=0, seed=0)
-    assert report.overall == "inconclusive-at-bounds"
-    assert any(c.absent and not c.absence_exact for c in report.certificates)
+    assert (report.method, report.overall) == ("blocks", "counterexample-found")
+    assert format_element(report.counterexample.element) == "2*e*"
+    absent = [c for c in report.certificates if c.absent]
+    assert len(absent) == 3 and all(c.absence_exact for c in absent)  # 2e*, 2v, 2e
 
 
 # -- oracle --------------------------------------------------------------------
@@ -633,6 +646,91 @@ def test_constructive_and_oracle_witnesses_on_random_acyclic_graphs(graph, ring,
         assert x * cert.witness * x == x
 
 
+GROUP_RINGS = {"Z4": ModularRing(4), "Z8": ModularRing(8), "Z12": ModularRing(12),
+               "Z2xZ4": ProductRing([ModularRing(2), ModularRing(4)]),
+               "z2xz2": table_z2xz2(), "upper_z2": table_upper_z2(), "m2_z2": table_m2_z2()}
+
+
+def draw_element(spec, bound, data):
+    """A homogeneous sum of one to three reduced monomials with lengths at
+    most bound, each with a nonzero coefficient."""
+    pools = {}
+    for m in reduced_monomials(spec, max_len=bound):
+        pools.setdefault(m.degree, []).append(m)
+    d = data.draw(st.sampled_from(sorted(pools)))
+    monos = data.draw(st.lists(st.sampled_from(pools[d]), min_size=1, max_size=3, unique=True))
+    nonzero = [c for c in spec.ring.elements() if c != spec.ring.zero]
+    return AlgebraElement.make(spec, {m: data.draw(st.sampled_from(nonzero)) for m in monos})
+
+
+@given(acyclic_graphs(), st.sampled_from(sorted(GROUP_RINGS)), st.data())
+def test_block_groups_agree_with_the_oracle_on_random_acyclic_graphs(graph, ring, data):
+    # the oracle's search up to the longest path is exact on an acyclic
+    # graph, and the block groups must give the same answer both ways: a
+    # verified witness of degree -d exactly when the oracle finds one
+    spec = AlgebraSpec.leavitt(graph, GROUP_RINGS[ring])
+    bound = longest_path_length(graph)
+    x = draw_element(spec, bound, data)
+    d = x.degree()
+    oracle = graded_witness_oracle(x, bound)
+    cert = regularity._group_witness(x, d)
+    assert oracle.absence_exact or not oracle.absent
+    assert cert.absent == oracle.absent, format_element(x)
+    if cert.absent:
+        assert cert.absence_exact and cert.searched.startswith("group (")
+    else:
+        assert cert.verified and cert.witness.degree() == -d
+        assert x * cert.witness * x == x
+
+
+@pytest.mark.parametrize("x", [None, []], ids=["leavitt", "cohn"])
+@pytest.mark.parametrize("make", [graph_loop, graph_2cycle, graph_rose2, graph_toeplitz],
+                         ids=["loop", "2cycle", "rose2", "toeplitz"])
+def test_block_groups_find_every_witness_the_oracle_finds(make, x):
+    # on a cyclic graph the oracle's absences are only at its bound, but
+    # each witness it finds must be matched by the block groups, through
+    # phi and psi on a relative Cohn spec
+    rng = random.Random(make.__name__)
+    checked = 0
+    for ring in (ModularRing(4), ModularRing(12), GROUP_RINGS["Z2xZ4"], table_upper_z2()):
+        spec = AlgebraSpec(make(), ring, x)
+        oracle = PathAlgebraOracle(spec)
+        nonzero = [c for c in ring.elements() if c != ring.zero]
+        elements = [monomial_element(spec, m, c) for m in reduced_monomials(spec, max_len=2)
+                    for c in rng.sample(nonzero, 3)]
+        elements += [random_element(spec, rng, degree=rng.randint(-2, 2), max_len=2)
+                     for _ in range(10)]
+        for el in elements:
+            if el.is_zero:
+                continue
+            cert = graded_witness_constructive(el)
+            assert cert.method == "blocks" and cert.verified and cert.absence_exact == cert.absent
+            if not graded_witness_oracle(el, 2, oracle).absent:
+                assert not cert.absent, (ring.describe(), format_element(el))
+            if not cert.absent:
+                assert cert.witness.degree() == -el.degree() and el * cert.witness * el == el
+            checked += 1
+    assert checked > 60
+
+
+@pytest.mark.parametrize("ring", [ModularRing(6), table_m2_z2()], ids=["Z6", "m2_z2"])
+def test_block_groups_witness_every_element_over_vnr_rings(ring):
+    # over a vnr ring every group has a generalized inverse: the block
+    # witness passes the checks of the constructive one on the six graphs
+    rng = random.Random(59)
+    nonzero = [c for c in ring.elements() if c != ring.zero]
+    for make in SIX_GRAPHS.values():
+        spec = AlgebraSpec.leavitt(make(), ring)
+        xs = [monomial_element(spec, m, c) for m in reduced_monomials(spec, max_len=2)
+              if abs(m.degree) <= 2 for c in rng.sample(nonzero, 2)]
+        xs += sample_homogeneous(spec, 2, 2, 10, rng)
+        for el in xs:
+            cert = regularity._group_witness(el, el.degree())
+            assert cert.verified and not cert.absent, format_element(el)
+            assert cert.witness.degree() == -el.degree()
+            assert el * cert.witness * el == el
+
+
 def combinations(spec, elements):
     """Every R-combination sum r_i . elements[i], the r_i on the left."""
     return [functools.reduce(lambda a, b: a + b,
@@ -696,10 +794,14 @@ def test_oracle_over_product_ring(z2xz2):
 
 
 def test_verdict_method_forced_oracle(z2):
+    # the verdict has no method to force: the ring picks the route
     spec = AlgebraSpec.leavitt(graph_vw(), z2)
-    report = graded_vnr_verdict(spec, 1, 1, samples=5, seed=0, method="oracle")
-    assert report.method == "oracle"
-    assert report.overall == "verified-at-bounds"
+    with pytest.raises(TypeError):
+        graded_vnr_verdict(spec, 1, 1, samples=5, seed=0, method="oracle")
+    report = graded_vnr_verdict(spec, 1, 1, samples=5, seed=0)
+    assert (report.method, report.overall) == ("constructive", "verified-at-bounds")
+    z4 = AlgebraSpec.leavitt(graph_vw(), ModularRing(4))
+    assert graded_vnr_verdict(z4, 1, 1, samples=5, seed=0).method == "blocks"
 
 
 def test_sample_homogeneous_deterministic(z6):

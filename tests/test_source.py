@@ -186,6 +186,23 @@ def test_gradedstruct_transports_no_unit_through_psi():
                                  if isinstance(node, ast.FunctionDef)}
 
 
+def test_path_algebra_witnesses_search_no_span():
+    # a path-algebra witness or its absence comes from the block groups or
+    # the constructive route, each exact: the bounded span search lives in
+    # tests/reference.py, regularity imports nothing from gradedstruct, and
+    # solve_combination serves only the classify rows over other oracles
+    tree = _parse(SRC / "regularity.py")
+    imports = [ast.unparse(node) for node in ast.walk(tree)
+               if isinstance(node, (ast.Import, ast.ImportFrom))]
+    assert [line for line in imports if "gradedstruct" in line] == []
+    assert "solve_combination" not in _names(tree)
+    found = sorted(f"{path.name}:{scope}" for path in sorted(SRC.glob("*.py"))
+                   for scope in _calls(_parse(path), "solve_combination"))
+    assert found == ["gradedstruct.py:_missing_unit", "gradedstruct.py:check_epsilon_strong"]
+    assert "graded_witness_oracle" not in {name.split(".")[-1] for path in SRC.glob("*.py")
+                                           for name in _definitions(_parse(path))}
+
+
 def test_gradedstruct_imports_nothing_from_regularity():
     # classify's units come from the oracle's graded witness, not from unit
     # records: gradedstruct needs no import from regularity, and the unit
@@ -312,19 +329,14 @@ def test_records_are_immutable_values():
 # Every top-level function and class of src/gral, and every method of a
 # top-level class, that no name or attribute in src/gral refers to outside
 # its own definition; each stays for the reason given.  Code that only
-# tests use lives in tests/reference.py or in the test that uses it,
-# except the entries marked TESTS: ROADMAP item 23 lists them to move.
+# tests use lives in tests/reference.py or in the test that uses it.
 WRITER = "writes a certificate part that a check command will read back"
-TESTS = "used only by tests (ROADMAP item 23)"
 UNREFERENCED = {
     "cli.py:_Parser._print_message": "argparse's hook: the base class calls it",
     "coeffring.py:Ring.is_field": "perfbench/run.py's set-up calls it",
     "coeffring.py:kernel_generators": "perfbench/tracer.py wraps it by name",
     "cornerlaurent.py:corner_to_dict": WRITER,
     "cornerlaurent.py:csl_element_to_dict": WRITER,
-    "pathalg.py:AlgebraSpec.cohn": TESTS,
-    "pathalg.py:AlgebraElement.homogeneous_components": TESTS,
-    "pathalg.py:AlgebraElement.is_homogeneous": TESTS,
     "pathalg.py:normal_form": "public API in gral.__all__",
     "pathalg.py:element_to_terms": WRITER,
 }
