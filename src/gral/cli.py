@@ -17,11 +17,11 @@ import os
 import sys
 
 from .coeffring import (is_semiprime_ring, is_vnr, jacobson_radical,
-                        ring_make)
+                        ring_make, vnr_witness)
 from .cornerlaurent import (CslAlgebra, corner_from_dict,
                             csl_element_from_dict, csl_graded_witness,
                             format_csl)
-from .errors import GralError
+from .errors import GralError, InternalVerificationFailure
 from .gradedstruct import (MatrixGradingOracle, PathAlgebraOracle, classify,
                            check_strong_Z, check_epsilon_strong,
                            is_semiprime_graded, zero_multiplication_ring,
@@ -81,29 +81,38 @@ def _spec_from_args(args) -> AlgebraSpec:
 
 def cmd_check_ring(args) -> int:
     ring = ring_make(_load(args.ring))
-    verdict = is_vnr(ring)
+    regular = is_vnr(ring)
+    witnesses, counterexample = [], None
+    for a in ring.elements():
+        y = vnr_witness(ring, a)
+        if y is None:
+            counterexample = a
+            break
+        witnesses.append((a, y))
+    if regular != (counterexample is None):
+        raise InternalVerificationFailure(
+            f"is_vnr and the witnesses of {ring.describe()} disagree")
     radical = jacobson_radical(ring)
     semi = is_semiprime_ring(ring)
     lines = [f"ring={ring.describe()} order={ring.order}"]
-    if verdict.regular:
+    if regular:
         lines.append("vnr=true")
         lines.append("witnesses=" + ",".join(
-            f"{ring.format_element(a)}:{ring.format_element(y)}"
-            for a, y in verdict.witnesses))
+            f"{ring.format_element(a)}:{ring.format_element(y)}" for a, y in witnesses))
     else:
-        lines.append(f"vnr=false counterexample={ring.format_element(verdict.counterexample)}")
+        lines.append(f"vnr=false counterexample={ring.format_element(counterexample)}")
     lines.append("radical={" + ",".join(ring.format_element(x) for x in radical) + "}")
     lines.append(f"semiprime={'true' if semi.semiprime else 'false'}" +
                  ("" if semi.semiprime else f" witness={ring.format_element(semi.witness)}"))
     payload = {
         "ring": ring.describe(),
-        "vnr": verdict.regular,
-        "counterexample": None if verdict.regular else ring.encode(verdict.counterexample),
+        "vnr": regular,
+        "counterexample": None if regular else ring.encode(counterexample),
         "radical": [ring.encode(x) for x in radical],
         "semiprime": semi.semiprime,
     }
     _emit(args, lines, payload)
-    return 0 if verdict.regular else 1
+    return 0 if regular else 1
 
 
 def cmd_lpa_witness(args) -> int:
@@ -209,7 +218,7 @@ def cmd_corner_witness(args) -> int:
         for d in range(-args.degree_bound, args.degree_bound + 1):
             xs.extend(x for x in alg.component_elements(d) if not x.is_zero)
     for x in xs:
-        certs.append(csl_graded_witness(x, args.size_bound))
+        certs.append(csl_graded_witness(x))
     lines = [f"corner={alg.describe()}"]
     lines += [c.to_text(format_csl) for c in certs]
     _emit(args, lines, {"corner": alg.describe(),
@@ -397,7 +406,7 @@ def build_parser() -> argparse.ArgumentParser:
     q = c_sub.add_parser("witness")
     q.add_argument("--corner", required=True)
     q.add_argument("--element", default=None)
-    _add_options(q, "degree-bound", "size-bound")
+    _add_options(q, "degree-bound")
     q.set_defaults(func=cmd_corner_witness)
 
     e = sub.add_parser("examples", help="run the built-in reference fixtures")

@@ -354,9 +354,9 @@ def ring_make(spec) -> Ring:
 def within_cap(states: int, what: str) -> int:
     """states, checked before a search over that many states: past the
     search cap, SearchCapExceeded naming what.  The one up-front cap check;
-    only is_vnr counts its states as it goes.  A matricial level asks with
-    its dense rank, the path listings with their path counts; the linear
-    solvers never ask."""
+    only is_vnr's table search counts its states as it goes.  A matricial
+    level asks with its dense rank, the path listings with their path
+    counts; the linear solvers never ask."""
     cap = search_cap()
     if states > cap:
         raise SearchCapExceeded(states, cap, what)
@@ -378,12 +378,15 @@ def ring_spec(ring: Ring):
 
 # ---------------------------------------------------------------------------
 # von Neumann regularity
-
-
-class VnrVerdict(NamedTuple):
-    regular: bool
-    witnesses: Optional[tuple] = None       # ((a, y), ...) when regular
-    counterexample: Optional[object] = None  # least a without a witness
+#
+# Every question about the ring itself (is_vnr, vnr_witness,
+# jacobson_radical, is_semiprime_ring) has the shape of
+# _matrix_witness_dispatch: a ring that ring_parts splits is answered from
+# its parts, a Z/q that it leaves whole (q a prime power) in closed form
+# and re-checked, and a table ring by search under the cap.  A set answer
+# is listed in enumeration order, which for all three kinds is the order
+# of the element values themselves (ints, and tuples of a product's
+# factors compared left to right).
 
 
 def _unit_witness(q: int, a: int):
@@ -395,78 +398,56 @@ def _unit_witness(q: int, a: int):
     return pow(a, -1, q) if math.gcd(a, q) == 1 else None
 
 
-def _whole_modulus(ring: Ring) -> bool:
-    """Whether ring is a Z/q that ring_parts leaves whole, q a prime power."""
-    return isinstance(ring, ModularRing) and ring_parts(ring) is None
-
-
 def vnr_witness(ring: Ring, a):
-    """First y in enumeration order with a = a.y.a, or None: over a Z/q
-    that ring_parts leaves whole in closed form and re-checked, over any
-    other ring by search."""
-    if _whole_modulus(ring):
+    """A y with a = a.y.a, or None, re-checked.  Over a split ring it is
+    the join of the parts' witnesses: the CRT join over a composite Z/n,
+    and over a product the tuple of its factors' witnesses, the first in
+    enumeration order when each factor's is.  Over a Z/q it is the first
+    witness, _unit_witness, and over a table ring the first by search."""
+    split = ring_parts(ring)
+    if split is not None:
+        parts, project, join = split
+        ys = tuple(map(vnr_witness, parts, project(a)))
+        y = None if None in ys else join(ys)
+    elif isinstance(ring, ModularRing):
         y = _unit_witness(ring.n, a)
-        if y is not None and ring.mul(ring.mul(a, y), a) != a:
-            raise InternalVerificationFailure("vnr witness failed re-verification")
-        return y
-    for y in ring.elements():
-        if ring.mul(ring.mul(a, y), a) == a:
-            return y
-    return None
+    else:
+        y = next((y for y in ring.elements() if ring.mul(ring.mul(a, y), a) == a), None)
+    if y is not None and ring.mul(ring.mul(a, y), a) != a:
+        raise InternalVerificationFailure("vnr witness failed re-verification")
+    return y
 
 
-def is_vnr(ring: Ring) -> VnrVerdict:
-    """Each a with its first witness y, or the first a without one.  Over a
-    Z/q that ring_parts leaves whole the witnesses are read in closed form,
-    O(q) steps in all; any other ring is searched, where every product
-    a.y.a tried is one step and more steps than the search cap raise
-    SearchCapExceeded.  Every witness is re-checked."""
+def is_vnr(ring: Ring) -> bool:
+    """Whether every a has a witness y, a = a.y.a; cached on the handle.  A
+    split ring is vnr iff each part is.  A Z/q, q = p**e, is vnr iff e = 1,
+    read from vnr_witness on each element in O(q) steps, each witness
+    re-checked.  A table ring is searched: every product a.y.a tried is
+    one step, and more steps than the search cap raise SearchCapExceeded."""
     cached = getattr(ring, "_vnr_cache", None)
     if cached is not None:
         return cached
-    closed = _whole_modulus(ring)
-    cap = search_cap()
-    steps = 0
-    table = []
-    for a in ring.elements():
-        if closed:
-            y = _unit_witness(ring.n, a)
-        else:
-            y = None
-            for b in ring.elements():
+    split = ring_parts(ring)
+    if split is not None:
+        regular = all(map(is_vnr, split[0]))
+    elif isinstance(ring, ModularRing):
+        regular = all(vnr_witness(ring, a) is not None for a in range(ring.n))
+    else:
+        cap = search_cap()
+        steps = 0
+        regular = True
+        for a in ring.elements():
+            for y in ring.elements():
                 steps += 1
                 if steps > cap:
                     raise SearchCapExceeded(steps, cap, "vnr search")
-                if ring.mul(ring.mul(a, b), a) == a:
-                    y = b
+                if ring.mul(ring.mul(a, y), a) == a:
                     break
-        if y is None:
-            verdict = VnrVerdict(False, None, a)
-            break
-        if ring.mul(ring.mul(a, y), a) != a:
-            raise InternalVerificationFailure("vnr witness failed re-verification")
-        table.append((a, y))
-    else:
-        verdict = VnrVerdict(True, tuple(table), None)
-    ring._vnr_cache = verdict
-    return verdict
-
-
-def is_regular(ring: Ring) -> bool:
-    """is_vnr(ring).regular, with no Z/n enumerated: a split ring is regular
-    iff each part is, and a whole Z/q, q = p**e, iff e = 1 (_unit_witness).
-    A table ring is searched by is_vnr.  Cached on the handle."""
-    cached = getattr(ring, "_regular_cache", None)
-    if cached is None:
-        split = ring_parts(ring)
-        if split is not None:
-            cached = all(map(is_regular, split[0]))
-        elif isinstance(ring, ModularRing):
-            cached = _prime_powers(ring.n)[0][1] == 1
-        else:
-            cached = is_vnr(ring).regular
-        ring._regular_cache = cached
-    return cached
+            else:
+                regular = False
+                break
+    ring._vnr_cache = regular
+    return regular
 
 
 # ---------------------------------------------------------------------------
@@ -1210,12 +1191,18 @@ def _prime_power_generalized_inverse(rows, p, e):
 def jacobson_radical(ring: Ring):
     """{x : 1 - yx has a left inverse for all y}, in enumeration order.
 
-    Over a Z/q that ring_parts leaves whole, q = p**e, it is p.R, the
-    multiples of p, re-checked in O(q) steps: p**e = 0, so p.R is a nil
-    ideal of a commutative ring and lies in the radical, and every other x
-    is a unit, so 1 - x**-1 . x = 0 has no left inverse.  Any other ring
-    is enumerated, |R|**2 states under the search cap."""
-    if _whole_modulus(ring):
+    Over a split ring x lies in it iff each part of x lies in its part's
+    radical, as J(R x S) = J(R) x J(S).  Over a Z/q that ring_parts leaves
+    whole, q = p**e, it is p.R, the multiples of p, re-checked in O(q)
+    steps: p**e = 0, so p.R is a nil ideal of a commutative ring and lies
+    in the radical, and every other x is a unit, so 1 - x**-1 . x = 0 has
+    no left inverse.  A table ring is enumerated, |R|**2 states under the
+    search cap, and its radical is checked to be a two-sided ideal."""
+    split = ring_parts(ring)
+    if split is not None:
+        parts, _, join = split
+        return sorted(map(join, itertools.product(*map(jacobson_radical, parts))))
+    if isinstance(ring, ModularRing):
         n = ring.n
         (p, e), = _prime_powers(n)
         if pow(p, e, n) != ring.zero or any(math.gcd(x, n) != 1 for x in range(n) if x % p):
@@ -1249,28 +1236,32 @@ class SemiprimeVerdict(NamedTuple):
 
 
 def is_semiprime_ring(ring: Ring) -> SemiprimeVerdict:
-    """Semiprime, or the first a != 0 with a.R.a = 0.
+    """Semiprime, or the first a != 0 with a.R.a = 0 (_square_zero)."""
+    witness = next((a for a in _square_zero(ring) if a != ring.zero), None)
+    return SemiprimeVerdict(witness is None, witness)
 
-    Over a Z/q that ring_parts leaves whole, q = p**e, it is semiprime iff
-    e = 1, and otherwise the witness is p**ceil(e/2), the least a != 0 with
-    a.a = 0.  That is re-checked in O(q) ring operations: a.a != 0 for each
-    a != 0 before the witness (for each a != 0 when there is none), and
-    witness.r.witness = 0 for every r.  Any other ring is enumerated,
-    |R|**2 states under the search cap."""
-    if _whole_modulus(ring):
-        (p, e), = _prime_powers(ring.n)
-        witness = None if e == 1 else p**((e + 1) // 2)
-        zero = ring.zero
-        if any(ring.mul(a, a) == zero for a in range(1, witness or ring.n)) or (
-                witness is not None and any(ring.mul(ring.mul(witness, r), witness) != zero
-                                            for r in ring.elements())):
+
+def _square_zero(ring: Ring):
+    """The a with a.R.a = 0, in enumeration order.
+
+    Over a split ring a.R.a = 0 iff it holds on every part.  Over a Z/q
+    that ring_parts leaves whole, q = p**e, R is commutative, so a.r.a =
+    a.a.r and a.R.a = 0 iff a.a = 0: the multiples of p**ceil(e/2).  That
+    is re-checked in O(q) steps, a.a = 0 exactly on those multiples.  A
+    table ring is enumerated, |R|**2 states under the search cap."""
+    split = ring_parts(ring)
+    if split is not None:
+        parts, _, join = split
+        return sorted(map(join, itertools.product(*map(_square_zero, parts))))
+    if isinstance(ring, ModularRing):
+        n = ring.n
+        (p, e), = _prime_powers(n)
+        m = p**((e + 1) // 2)
+        if any((a * a % n == 0) != (a % m == 0) for a in range(n)):
             raise InternalVerificationFailure(
                 f"semiprimeness of {ring.describe()} failed re-verification")
-        return SemiprimeVerdict(witness is None, witness)
+        return list(range(0, n, m))
     within_cap(ring.order**2, "semiprime enumeration")
-    for a in ring.elements():
-        if a == ring.zero:
-            continue
-        if all(ring.mul(ring.mul(a, r), a) == ring.zero for r in ring.elements()):
-            return SemiprimeVerdict(False, a)
-    return SemiprimeVerdict(True, None)
+    zero = ring.zero
+    return [a for a in ring.elements()
+            if all(ring.mul(ring.mul(a, r), a) == zero for r in ring.elements())]

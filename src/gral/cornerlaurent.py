@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from .coeffring import Ring, vnr_witness, within_cap
+from .coeffring import Ring, vnr_witness
 from .errors import (GralError, InternalVerificationFailure, NotCornerIso,
                      NotIdempotent, json_field)
 from .regularity import WitnessCertificate
@@ -203,26 +203,24 @@ def format_csl(x: CSLElement) -> str:
 # Operations
 
 
-def csl_graded_witness(x: CSLElement, bound: int = 3) -> WitnessCertificate:
+def csl_graded_witness(x: CSLElement) -> WitnessCertificate:
     """Exact witness or exact absence, in closed form: x.b.x for x and b
-    with coefficients a and c is x with a.c.a for a (t+^k t-^k = 1), so the
-    first witness of S_{-d} in enumeration order has c = vnr_witness(a)."""
+    with coefficients a and c is x with a.c.a for a (t+^k t-^k = 1), so
+    S_{-d} holds a witness iff a has one, and b takes c = vnr_witness(a)."""
     alg = x.algebra
     ring = alg.ring
     if x.is_zero:
         return WitnessCertificate(x, 0, "oracle", witness=x, verified=True)
     d = x.degree()
-    within_cap(ring.order, "corner witness search")
-    bounds = (("size", bound),)
     c = vnr_witness(ring, x.coeff(d))
     if c is None:
-        return WitnessCertificate(x, d, "oracle", absent=True, absence_exact=True, bounds=bounds,
+        return WitnessCertificate(x, d, "oracle", absent=True, absence_exact=True,
                                   searched=f"full degree {-d} component ({ring.order} coefficients)",
                                   verified=True)
     b = alg.element({-d: c})
     if x * b * x != x:
         raise InternalVerificationFailure("corner witness failed verification")
-    return WitnessCertificate(x, d, "oracle", witness=b, bounds=bounds, verified=True)
+    return WitnessCertificate(x, d, "oracle", witness=b, verified=True)
 
 
 # ---------------------------------------------------------------------------

@@ -18,8 +18,7 @@ from __future__ import annotations
 import random
 from typing import NamedTuple, Optional
 
-from .coeffring import (MatrixOverRing, is_regular, is_vnr, matrix_vnr_witness,
-                        mul_entries)
+from .coeffring import MatrixOverRing, is_vnr, matrix_vnr_witness, mul_entries
 # not called here, but perfbench/tracer.py rebinds solve_linear_system in
 # every gral module that holds it
 from .coeffring import solve_linear_system  # noqa: F401
@@ -90,7 +89,7 @@ def idempotent_generator(structure: BlockStructure, generators):
     u_i.  Refuses non-vnr coefficient rings.
     """
     ring = structure.spec.ring
-    if not is_vnr(ring).regular:
+    if not is_vnr(ring):
         raise CoefficientRingNotVNR(
             f"{ring.describe()} is not von Neumann regular")
     for c in generators:
@@ -186,7 +185,7 @@ def graded_witness_constructive(x: AlgebraElement) -> WitnessCertificate:
     InternalVerificationFailure therefore signals a bug, not a negative.
     """
     spec = x.spec
-    regular = is_regular(spec.ring)
+    regular = is_vnr(spec.ring)
     method = "constructive" if regular else "blocks"
     if x.is_zero:
         return WitnessCertificate(x, 0, method, witness=x, verified=True)
@@ -317,7 +316,7 @@ def graded_vnr_verdict(spec: AlgebraSpec, degree_bound: int = 3,
     combinations; the first absence is the counterexample."""
     bounds = (("degree", degree_bound), ("length", filtration_bound),
               ("samples", samples), ("seed", seed))
-    method = "constructive" if is_regular(spec.ring) else "blocks"
+    method = "constructive" if is_vnr(spec.ring) else "blocks"
     if spec.graph.is_null():
         return RegularityReport(spec, method, bounds, (), "verified-at-bounds")
     ring = spec.ring

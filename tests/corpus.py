@@ -44,6 +44,8 @@ RINGS = {
     "m2z2": (ring_spec(table_m2_z2()), 6, 8),  # the swap, and the unit e11
 }
 TABLE_RINGS = {"z2xz2": ring_spec(table_z2xz2()), "upperz2": ring_spec(table_upper_z2())}
+# composite moduli past 1,000, answered part by part
+LARGE_RINGS = {"z1001": {"kind": "mod", "n": 1001}, "z30030": {"kind": "mod", "n": 30030}}
 
 
 def _graph(vertices, edges, x=None):
@@ -87,6 +89,7 @@ ELEMENTS = {
     "rose2c": {"estar": [(0, "v", ["e"])]},
     "a1": {"v": [(1, "v", "v")]},
 }
+TWO_E = [{"coeff": 2, "alpha": ["e"], "beta": {"vertex": "v"}}]  # 2.e on rose2
 
 CORNERS = {
     "corner-z6": {"ring": {"kind": "mod", "n": 6}, "e": 1,
@@ -133,7 +136,9 @@ def _element(graph, name, ring):
 def fixtures() -> dict:
     """{file stem: JSON value} of every file the commands name."""
     files = {name: spec for name, (spec, *_) in RINGS.items()}
-    files.update(TABLE_RINGS, **GRAPHS, **CORNERS, **CORNER_ELEMENTS, **MAPS, **BROKEN)
+    files.update(TABLE_RINGS, **LARGE_RINGS, **GRAPHS, **CORNERS, **CORNER_ELEMENTS, **MAPS,
+                 **BROKEN)
+    files["rose2-2e"] = TWO_E
     for graph, elements in ELEMENTS.items():
         for name in elements:
             for ring in RINGS:
@@ -145,6 +150,7 @@ def _commands():
     """(command, whether it also runs with --json)"""
     for ring in [*RINGS, *TABLE_RINGS]:
         yield f"check-ring @{ring}", True
+    yield "check-ring @z1001", False
     for ring in RINGS:
         both = ring in ("z6", "m2z2")
         for graph, elements in ELEMENTS.items():
@@ -159,6 +165,7 @@ def _commands():
         for graph in ("toeplitz", "2cyclec"):
             yield (f"lpa classify --graph @{graph} --ring @{ring}"
                    " --degree-bound 2 --size-bound 2"), both
+    yield "lpa witness --graph @rose2 --ring @z30030 --element @rose2-2e", False
     yield "lpa verdict --graph @rose2 --ring @z6 --degree-bound 2 --size-bound 2 --samples 4", False
     yield "lpa verdict --graph @rose2 --ring @z4 --degree-bound 2 --size-bound 2", False
     yield "lpa classify --graph @vwc --ring @z2 --degree-bound 3 --size-bound 2", False
@@ -166,7 +173,7 @@ def _commands():
     for corner in CORNERS:
         yield f"corner witness --corner @{corner} --degree-bound 2", True
     yield "corner witness --corner @corner-z4 --element @csl-2t", True
-    yield "corner witness --corner @corner-z6 --element @csl-neg --size-bound 2", True
+    yield "corner witness --corner @corner-z6 --element @csl-neg", True
     yield "corner witness --corner @corner-swap --element @csl-swap", True
     for graph in ("rose2c", "toeplitzc", "2cyclec"):
         yield f"graph cover --graph @{graph}", True
@@ -182,6 +189,7 @@ def _commands():
     for element in ("bad-term", "bad-range", "bad-coeff"):
         yield f"lpa witness --graph @vw --ring @z4 --element @{element}", False
     yield "corner witness --corner @bad-corner", False
+    yield "corner witness --corner @corner-z6 --element @csl-neg --size-bound 2", False
     yield "lpa verdict --graph @rose2 --ring @z2 --samples -1", False
     yield "lpa decompose --graph @rose2 --ring @z2 --element @rose2-estar-z2", False
     yield "lpa witness --graph @rose2 --ring @z4 --element @rose2-neg2-z4 --method oracle", False

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import corpus
 from conftest import table_m2_z2, table_mod, table_upper_z2, table_z2xz2
 from gral import cli, coeffring, gradedstruct, morphisms, regularity
 from gral.cli import main
@@ -216,6 +217,49 @@ def test_check_ring_over_a_large_prime_exit0(files, capsys):
     assert lines[:2] == ["ring=Z/1009 order=1009", "vnr=true"]
     assert lines[2].startswith("witnesses=0:0,1:1,2:505,3:673,") and lines[2].count(":") == 1009
     assert lines[3:] == ["radical={0}", "semiprime=true"]
+
+
+def test_lpa_witness_over_a_vnr_composite_modulus_exit0(files, capsys):
+    # Z/30030 = 2.3.5.7.11.13 is vnr because each of its parts is, with no
+    # search of its 30030^2 a.y.a pairs; 2.7508.2 = 30032 = 2
+    graph = write(files["tmp"] / "rose2.json", GOLDEN_GRAPHS["rose2"])
+    ring = write(files["tmp"] / "z30030.json", {"kind": "mod", "n": 30030})
+    element = write(files["tmp"] / "2e.json", [
+        {"coeff": 2, "alpha": ["e"], "beta": {"vertex": "v"}}])
+    assert main(["lpa", "witness", "--graph", graph, "--ring", ring,
+                 "--element", element]) == 0
+    assert capsys.readouterr().out == \
+        "element=2*e degree=1 method=constructive witness=7508*e* bounds=- verified=true\n"
+
+
+def test_check_ring_composite_modulus_by_parts_exit1(files, capsys, monkeypatch):
+    # Z/999999 = 27.7.11.13.37 is answered from its parts: 3 has no witness
+    # over Z/27, the radical is rad(n).R = 111111.R, and 333333 = 3^2.37037
+    # squares to 0.  Every scan of a ring's pairs first asks for the search
+    # cap, so any cap check but the one at load fails the run
+    def scan(*args):
+        raise AssertionError(f"a ring's pairs were scanned: {args}")
+    monkeypatch.setattr(coeffring, "search_cap", scan)
+    monkeypatch.setattr(coeffring, "within_cap",
+                        lambda states, what: states if what == "ring enumeration"
+                        else scan(states, what))
+    ring = write(files["tmp"] / "z999999.json", {"kind": "mod", "n": 999999})
+    assert main(["check-ring", ring]) == 1
+    assert capsys.readouterr().out == (
+        "ring=Z/999999 order=999999\nvnr=false counterexample=3\n"
+        "radical={" + ",".join(str(111111 * k) for k in range(9)) + "}\n"
+        "semiprime=false witness=333333\n")
+
+
+def test_check_ring_crosschecks_the_witnesses_exit3(files, capsys, monkeypatch):
+    # every element of Z/6 has a witness, so an is_vnr that says otherwise
+    # is a bug, not a verdict
+    monkeypatch.setattr(cli, "is_vnr", lambda ring: False)
+    assert main(["check-ring", files["z6"]]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("internal error: InternalVerificationFailure: "
+                            "is_vnr and the witnesses of Z/6 disagree\n")
 
 
 def test_oracle_absence_over_a_large_modulus_exit1(files, capsys, monkeypatch):
@@ -613,6 +657,50 @@ def test_any_single_field_exits_0_1_or_2(fuzz_files, name, data, value):
     assert code in (0, 1, 2), err.getvalue()
     assert code != 2 or (err.getvalue().startswith("error: ")
                          and err.getvalue().count("\n") == 1)
+
+
+def _mutations(doc):
+    """doc with one field dropped, one value replaced by a value of the
+    wrong JSON type, or one n or size set out of range, each in turn."""
+    for place in _places(doc):
+        for value in (True, "x", [1], None, {"a": {"b": 1}}):
+            yield _replace(doc, place, value)
+        target = doc
+        for key in place:
+            target = target[key]
+        if isinstance(target, dict):
+            for key in target:
+                yield _replace(doc, place, {k: v for k, v in target.items() if k != key})
+        if place and place[-1] in ("n", "size"):
+            for value in (-1, 0, 10**30):
+                yield _replace(doc, place, value)
+
+
+MUTATED = {**{f"ring {name}": spec for name, (spec, *_) in corpus.RINGS.items()},
+           **{f"ring {name}": spec for name, spec in {**corpus.TABLE_RINGS,
+                                                     **corpus.LARGE_RINGS}.items()},
+           "corner swap": corpus.CORNERS["corner-swap"]}
+
+
+@pytest.mark.parametrize("name", sorted(MUTATED))
+def test_every_ring_and_corner_mutation_exit2(tmp_path, name):
+    # each ring spec of the corpus, and its swap corner, loads; each mutation
+    # of it is refused at load with one error line, never read as a verdict
+    path = tmp_path / "mutated.json"
+    command = (["check-ring", str(path)] if name.startswith("ring")
+               else ["corner", "witness", "--corner", str(path)])
+    breaches = []
+    for mutated in [MUTATED[name], *_mutations(MUTATED[name])]:
+        write(path, mutated)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(command)
+        if mutated is MUTATED[name]:
+            assert code in (0, 1), err.getvalue()
+        elif code != 2 or out.getvalue() or not err.getvalue().startswith("error: ") \
+                or err.getvalue().count("\n") != 1:
+            breaches.append((mutated, code, err.getvalue()))
+    assert breaches == []
 
 
 def test_internal_failure_exits_3(files, capsys, monkeypatch):

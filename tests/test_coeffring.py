@@ -13,7 +13,7 @@ from conftest import (brute_solutions, table_m2_z2, table_mod, table_upper_z2,
 from gral import coeffring
 from gral.cli import main
 from gral.coeffring import (MatrixOverRing, ModularRing, ProductRing, Ring,
-                            SpanSolver, TableRing, is_regular, is_semiprime_ring,
+                            SpanSolver, TableRing, is_semiprime_ring,
                             is_vnr, jacobson_radical, kernel_generators,
                             matrix_vnr_witness, mul_entries,
                             ring_make, ring_spec, search_cap,
@@ -126,10 +126,16 @@ def test_vnr_witness_identity(z2):
 
 
 def test_vnr_witness_z6_matches_brute_force(z6):
-    # derived: exhaustive search over Z/6 gives y = 2 for a = 2
-    assert brute_vnr_witness(z6, 2) == 2
+    # Z/6 is answered from Z/2 and Z/3: each witness is the CRT join of the
+    # parts' first witnesses, which exhaustive search over each part finds;
+    # the first witness of 3 and of 4 over Z/6 itself is 1
+    assert [vnr_witness(z6, a) for a in z6.elements()] == [0, 1, 2, 3, 4, 5]
+    assert brute_vnr_witness(z6, 3) == brute_vnr_witness(z6, 4) == 1
+    parts = {q: ModularRing(q) for q in (2, 3)}
     for a in z6.elements():
-        assert vnr_witness(z6, a) == brute_vnr_witness(z6, a)
+        y = vnr_witness(z6, a)
+        assert z6.mul(z6.mul(a, y), a) == a
+        assert all(y % q == brute_vnr_witness(part, a % q) for q, part in parts.items())
 
 
 def test_vnr_witness_absent_z4(z4):
@@ -138,10 +144,12 @@ def test_vnr_witness_absent_z4(z4):
 
 
 def test_is_vnr_verdicts(z4, z6):
-    assert is_vnr(ModularRing(5)).regular  # field
-    assert is_vnr(z6).regular
-    verdict = is_vnr(z4)
-    assert not verdict.regular and verdict.counterexample == 2
+    assert is_vnr(ModularRing(5)) is True  # field
+    assert is_vnr(z6) is True
+    assert is_vnr(z4) is False
+    # the first element without a witness, found by vnr_witness and by search
+    assert [a for a in z4.elements() if vnr_witness(z4, a) is None] == [2]
+    assert [a for a in z4.elements() if brute_vnr_witness(z4, a) is None] == [2]
 
 
 def test_is_vnr_search_is_capped(monkeypatch):
@@ -150,7 +158,7 @@ def test_is_vnr_search_is_capped(monkeypatch):
     # itself is read in closed form); each call gets a fresh handle, as the
     # verdict is cached on it
     monkeypatch.setenv("GRAL_SEARCH_CAP", "28")
-    assert is_vnr(table_mod(7)).regular
+    assert is_vnr(table_mod(7)) is True
     monkeypatch.setenv("GRAL_SEARCH_CAP", "27")
     with pytest.raises(SearchCapExceeded, match="vnr search needs 28 states, cap is 27"):
         is_vnr(table_mod(7))
@@ -158,18 +166,22 @@ def test_is_vnr_search_is_capped(monkeypatch):
 
 def test_is_vnr_product_is_and_of_factors(z2, z4):
     prod = ProductRing([z2, z4])
-    assert not is_vnr(prod).regular
-    assert is_vnr(ProductRing([z2, ModularRing(3)])).regular
+    assert is_vnr(prod) is False
+    assert is_vnr(ProductRing([z2, ModularRing(3)])) is True
+    # a handle caches its answer, and so does each factor
+    assert prod._vnr_cache is False and z2._vnr_cache is True and z4._vnr_cache is False
 
 
 def test_is_regular_agrees_with_the_vnr_search():
-    # the witness route is chosen from a Z/n's prime powers, a product's
-    # parts and a table ring's search; each answer is the search's verdict
+    # is_vnr, the one answer, decides a Z/n from its prime powers, a
+    # product from its parts and a table ring by its search; each answer
+    # is that of exhaustive search over every a, y of the whole ring
     rings = [ModularRing(n) for n in range(2, 41)] + [
         ProductRing([ModularRing(2), ModularRing(4)]), ProductRing([ModularRing(3), ModularRing(5)]),
         table_mod(7), table_z2xz2(), table_upper_z2(), table_m2_z2()]
     for ring in rings:
-        assert is_regular(ring) == is_vnr(ring).regular, ring.describe()
+        searched = all(brute_vnr_witness(ring, a) is not None for a in ring.elements())
+        assert is_vnr(ring) is searched, ring.describe()
 
 
 def test_witness_recheck_property(z6):
@@ -1140,10 +1152,7 @@ def test_prime_power_closed_forms_agree_with_enumeration():
         ring = ModularRing(q)
         witnesses, radical, nil = brute_scalar_facts(q)
         assert [vnr_witness(ring, a) for a in range(q)] == witnesses, q
-        if None in witnesses:
-            assert is_vnr(ring) == (False, None, witnesses.index(None)), q
-        else:
-            assert is_vnr(ring) == (True, tuple(enumerate(witnesses)), None), q
+        assert is_vnr(ring) is (None not in witnesses), q
         assert jacobson_radical(ring) == radical, q
         assert is_semiprime_ring(ring) == (nil is None, nil), q
 
@@ -1152,9 +1161,10 @@ def test_prime_power_answers_need_no_search(monkeypatch):
     # Z/q is answered in O(q) steps, far below a cap that its |R|^2
     # enumeration would pass; table rings still search under the cap
     monkeypatch.setenv("GRAL_SEARCH_CAP", "2")
-    assert is_vnr(ModularRing(20011)).regular
+    assert is_vnr(ModularRing(20011)) is True
     assert vnr_witness(ModularRing(20011), 2) == 10006
-    assert is_vnr(ModularRing(1024)) == (False, None, 2)
+    assert is_vnr(ModularRing(1024)) is False
+    assert [a for a in range(3) if vnr_witness(ModularRing(1024), a) is None] == [2]
     assert jacobson_radical(ModularRing(1009)) == [0]
     assert jacobson_radical(ModularRing(27)) == [0, 3, 6, 9, 12, 15, 18, 21, 24]
     assert is_semiprime_ring(ModularRing(1009)) == (True, None)
@@ -1170,12 +1180,90 @@ def test_prime_power_answers_are_rechecked(monkeypatch):
         is_vnr(ModularRing(7))
     with pytest.raises(InternalVerificationFailure):
         vnr_witness(ModularRing(7), 3)
-    # read as Z/4, Z/8 has 4 != 0 in the radical's p**e and in 2.1.2
+    # read as Z/4, Z/8 has 4 != 0 in the radical's p**e and in 2.2
     monkeypatch.setattr(coeffring, "_prime_powers", lambda n: [(2, 2)])
     with pytest.raises(InternalVerificationFailure):
         jacobson_radical(ModularRing(8))
     with pytest.raises(InternalVerificationFailure):
         is_semiprime_ring(ModularRing(8))
+
+
+# -- composite moduli and products, answered by parts ---------------------------
+
+
+COMPOSITE = [n for n in range(2, 300) if not is_prime_power(n)]
+
+
+def prime_power_parts(n):
+    """The prime powers q of n, by trial division."""
+    out = []
+    for p in range(2, n + 1):
+        q = 1
+        while n % p == 0:
+            n //= p
+            q *= p
+        if q > 1:
+            out.append(q)
+    return out
+
+
+def first_witness_mod(q, a):
+    """The first y in [0, q) with a.y.a = a mod q, or None."""
+    return next((y for y in range(q) if a * y * a % q == a % q), None)
+
+
+def test_composite_moduli_are_answered_by_parts():
+    # each question over Z/n equals exhaustive search over Z/n; a witness is
+    # the CRT join of the parts' first witnesses, each part searched alone
+    assert len(COMPOSITE) == 219
+    for n in COMPOSITE:
+        ring = ModularRing(n)
+        witnesses, radical, nil = brute_scalar_facts(n)
+        qs = prime_power_parts(n)
+        assert is_vnr(ring) is (None not in witnesses), n
+        for a in range(n):
+            y = vnr_witness(ring, a)
+            assert (y is None) == (witnesses[a] is None), (n, a)
+            if y is not None:
+                assert a * y * a % n == a
+                assert [y % q for q in qs] == [first_witness_mod(q, a) for q in qs], (n, a)
+        assert jacobson_radical(ring) == radical, n
+        assert is_semiprime_ring(ring) == (nil is None, nil), n
+
+
+PRODUCTS = {
+    "Z2xZ4": lambda: ProductRing([ModularRing(2), ModularRing(4)]),
+    "Z3xZ5": lambda: ProductRing([ModularRing(3), ModularRing(5)]),
+    "upper_Z2xZ3": lambda: ProductRing([table_upper_z2(), ModularRing(3)]),
+    "Z6xZ4": lambda: ProductRing([ModularRing(6), ModularRing(4)]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PRODUCTS))
+def test_products_are_answered_by_parts(name):
+    # each question over a product equals exhaustive search over the whole
+    # ring; a witness is the first in enumeration order when every factor
+    # is a prime-power modulus or a table ring, and a Z/6 factor gives its
+    # CRT join
+    ring = PRODUCTS[name]()
+    elems, zero = ring.elements(), ring.zero
+    first = [brute_vnr_witness(ring, a) for a in elems]
+    nil = next((a for a in elems if a != zero and
+                all(ring.mul(ring.mul(a, r), a) == zero for r in elems)), None)
+    assert is_vnr(ring) is (None not in first)
+    assert jacobson_radical(ring) == brute_radical(ring)
+    assert is_semiprime_ring(ring) == (nil is None, nil)
+    for a, expected in zip(elems, first):
+        y = vnr_witness(ring, a)
+        assert (y is None) == (expected is None), a
+        if y is None:
+            continue
+        assert ring.mul(ring.mul(a, y), a) == a
+        if name == "Z6xZ4":
+            assert y[1] == expected[1], a
+            assert [y[0] % q for q in (2, 3)] == [first_witness_mod(q, a[0]) for q in (2, 3)], a
+        else:
+            assert y == expected, a
 
 
 # -- radical and semiprimeness ------------------------------------------------

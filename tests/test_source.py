@@ -123,13 +123,29 @@ def test_rings_are_split_only_by_ring_parts():
 
 def test_scalar_witnesses_have_one_closed_form():
     # _unit_witness is the one closed form of a scalar's witness over a Z/q
-    # that ring_parts leaves whole: the 1x1 blocks, is_vnr and vnr_witness
-    # read it, and a fourth reader would be a route that no differential
-    # test compares with the solver or with enumeration
+    # that ring_parts leaves whole: the 1x1 blocks and vnr_witness read it,
+    # and is_vnr reads vnr_witness; a third reader would be a route that no
+    # differential test compares with the solver or with enumeration
     found = sorted(f"{path.name}:{scope}" for path in sorted(SRC.glob("*.py"))
                    for scope in _calls(_parse(path), "_unit_witness"))
-    assert found == ["coeffring.py:_matrix_witness_dispatch", "coeffring.py:is_vnr",
-                     "coeffring.py:vnr_witness"]
+    assert found == ["coeffring.py:_matrix_witness_dispatch", "coeffring.py:vnr_witness"]
+
+
+def test_ring_questions_are_answered_by_parts():
+    # each question about the coefficient ring reaches ring_parts, itself or
+    # through a coeffring function it calls, so a split ring is answered
+    # from its parts and never enumerated as a whole
+    tree = _parse(SRC / "coeffring.py")
+    calls = {node.name: {_called_name(call) for call in ast.walk(node)
+                         if isinstance(call, ast.Call)}
+             for node in tree.body if isinstance(node, ast.FunctionDef)}
+
+    def reaches(name, seen=()):
+        return "ring_parts" in calls[name] or any(
+            reaches(callee, seen + (name,)) for callee in calls[name]
+            if callee in calls and callee not in seen + (name,))
+    questions = ("is_vnr", "vnr_witness", "jacobson_radical", "is_semiprime_ring")
+    assert [name for name in questions if not reaches(name)] == []
 
 
 def test_spans_in_gradedstruct_are_built_only_by_combination_solver():
@@ -313,7 +329,7 @@ def test_records_are_immutable_values():
     # each record has no instance dict, refuses assignment to a field or a
     # new attribute, and compares and hashes by value
     records = {cls.__name__: cls for cls in _records()}
-    assert len([name for name in records if not name.startswith("_")]) == 17
+    assert len([name for name in records if not name.startswith("_")]) == 16
     for cls in records.values():
         record = cls._make(range(len(cls._fields)))  # values, unchecked
         assert not hasattr(record, "__dict__"), cls.__name__
