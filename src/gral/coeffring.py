@@ -127,12 +127,9 @@ class ModularRing(Ring):
             raise ValueError("modulus must be at least 2")
         self.n = n
         self.order = n
-        self._elems = None  # built on the first elements() call
 
     def elements(self):
-        if self._elems is None:
-            self._elems = tuple(range(self.n))
-        return self._elems
+        return range(self.n)
 
     def _has(self, a) -> bool:
         return 0 <= a < self.n
@@ -149,9 +146,6 @@ class ModularRing(Ring):
     # plain attributes, not properties: the product kernel reads them per call
     zero = 0
     one = 1
-
-    def index(self, a):
-        return a
 
     def is_commutative(self) -> bool:
         return True

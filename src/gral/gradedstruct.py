@@ -20,6 +20,7 @@ criterion (no sinks).
 
 from __future__ import annotations
 
+import collections
 import functools
 from typing import NamedTuple, Optional
 
@@ -566,17 +567,17 @@ def epsilon_element(spec: AlgebraSpec, n: int) -> AlgebraElement:
     unit on S_n and a right unit on S_-n.
 
     It is the sum of q q* = (q c*)(c q*) over the pairs (q, c) of
-    _epsilon_paths, with q c* in S_n and c q* in S_-n.  For n >= 0 that is
-    eps_n = sum_{|p|=n} p p*.  Only (CK1), p* q = delta_{p,q} r(p) for
-    paths of one length, is used, so it holds in every C^X(E).  Every
-    monomial a b* of S_n has a = q a' for one of the paths q, and so has
-    every b of S_-n (for n < 0, _check_cover confirms it on the graph).  So
-    eps q = q and q* eps = q* prove both unit relations on all of S_n and
-    S_-n, at every bound; they are checked exactly, with the factor pairs'
-    degrees and sum.  They hold for every finite graph and X, so a failure
-    is a bug.
+    _epsilon_paths, with q c* in S_n and c q* in S_-n: eps_n =
+    sum_{|p|=n} p p* for n >= 0, and the sum over M_-n for n < 0.  Only
+    (CK1), p* q = delta_{p,q} r(p) for paths of one length, is used, so it
+    holds in every C^X(E).  Every monomial a b* of S_n has a = q a' for one
+    of the paths q, and so has every b of S_-n, as _check_cover confirms.
+    So eps q = q and q* eps = q* prove both unit relations on all of S_n
+    and S_-n at every bound.  They and the factor pairs' degrees and sum
+    are checked exactly and hold for every finite graph and X: a failure is a bug.
     """
-    paths = _epsilon_paths(spec.graph, n)
+    table = _epsilon_table(spec.graph, n)
+    paths = _epsilon_paths(spec.graph, n, table)
     eps = sum((monomial_element(spec, Monomial(q, q)) for q, _ in paths),
               AlgebraElement.zero(spec))
     for q, _ in paths:
@@ -590,68 +591,72 @@ def epsilon_element(spec: AlgebraSpec, n: int) -> AlgebraElement:
         total = total + a * b
     if total != eps:
         raise InternalVerificationFailure(f"epsilon_{n} is not the sum of its factor pairs")
-    if n < 0:
-        _check_cover(spec, {q for q, _ in paths}, n)
+    _check_cover(spec, n, table, [q for q, _ in paths])
     return eps
 
 
-def _check_cover(spec, kept, n):
-    """Every path a whose range receives a path of length |a| - n extends a
-    kept q of M_-n: walked on the graph along every out-edge, independently
-    of _epsilon_paths, so a branch that the construction missed is caught."""
-    graph = spec.graph
-    counts = graph.path_counts(len(graph.vertices) - 1 - n)
-    level = [graph.vertex_path(v) for v in graph.vertices]
-    while level:
-        level = [p for p in level if p not in kept]
-        missed = [p for p in level if counts[len(p) - n][p.dst]]
-        if missed:
-            raise InternalVerificationFailure(
-                f"epsilon_{n} misses the branch {spec.path_str(missed[0])}")
-        level = [graph.extend(p, e) for p in level for e in graph.out_edges(p.dst)]
+def _epsilon_table(graph, n: int):
+    """(counts, kept, live, free) over pairs (length L, range v), L = 0..top,
+    top = n for n >= 0 and |V| - 1 for n < 0.  A path is kept at its first
+    L with range in kept[L], the v receiving a path of length L - n >= 0.
+    live[L] is kept[L] and the sources of edges into live[L + 1]; free[L][v],
+    up to L = top + 1, counts the paths of length L into v with no kept
+    proper prefix (for n < 0 a vertex on a cycle receives every length, so
+    such a path repeats no vertex).  The walk visits the free paths at live
+    pairs, counted against the search cap before any is listed."""
+    top = n if n >= 0 else len(graph.vertices) - 1
+    counts = graph.path_counts(top - n)
+    kept = [{v for v in graph.vertices if L >= n and counts[L - n][v]} for L in range(top + 1)]
+    live = [set() for _ in range(top + 2)]
+    for L in reversed(range(top + 1)):
+        live[L] = kept[L] | {e.src for e in graph.edges if e.dst in live[L + 1]}
+    free = [dict.fromkeys(graph.vertices, 1)]
+    for L in range(top + 1):
+        free.append(dict.fromkeys(graph.vertices, 0))
+        for e in graph.edges:
+            if e.src not in kept[L]:
+                free[-1][e.dst] += free[L][e.src]
+    within_cap(sum(free[L][v] for L, level in enumerate(live) for v in level), "epsilon walk")
+    return counts, kept, live, free
 
 
-def _epsilon_paths(graph, n: int):
-    """Pairs (q, c) of paths with r(c) = r(q) and |q| - |c| = n: for n >= 0
-    the paths q of length n, with c = r(q); for n < 0 the set M_-n.
-
-    M_-n: each vertex, in sorted order, is expanded along its out-edges,
-    and a path q is kept, with no further expansion, once r(q) receives a
-    path c of length |q| - n (found from the path counts); a branch that
-    ends at a sink is dropped.  A path into a vertex on a cycle is always
-    kept, so each branch stops within |V| - 1 edges.  A path a whose range
-    receives a path of length |a| - n extends exactly one kept q.
-    """
-    if n >= 0:
-        return [(p, graph.vertex_path(p.dst)) for p in graph.paths(n)]
-    counts = graph.path_counts(len(graph.vertices) - 1 - n)
-    within_cap(_walk_size(graph, counts, n), "epsilon walk")
-    pairs = []
-    level = [graph.vertex_path(v) for v in sorted(graph.vertices)]
+def _epsilon_paths(graph, n: int, table):
+    """Pairs (q, c) of paths with r(c) = r(q) and |q| - |c| = n, q the kept
+    paths of the _epsilon_table, grown from each live vertex, in sorted
+    order, into live pairs only: the walk visits prefixes of kept paths."""
+    counts, kept, live, _ = table
+    pairs, level = [], [graph.vertex_path(v) for v in sorted(graph.vertices) if v in live[0]]
     while level:
         grown = []
         for q in level:
-            if counts[len(q) - n][q.dst]:
-                pairs.append((q, _path_into(graph, counts, q.dst, len(q) - n)))
+            if q.dst in kept[len(q)]:
+                pairs.append((q, graph.vertex_path(q.dst) if len(q) == n
+                              else _path_into(graph, counts, q.dst, len(q) - n)))
             else:
-                grown.extend(graph.extend(q, e) for e in graph.out_edges(q.dst))
+                grown.extend(graph.extend(q, e) for e in graph.out_edges(q.dst)
+                             if e.dst in live[len(q) + 1])
         level = grown
     return pairs
 
 
-def _walk_size(graph, counts, n):
-    """The number of paths the M_-n walk visits, counted on (length, range)
-    pairs, which alone decide whether a path is kept; no branch is longer
-    than |V| - 1 edges."""
-    level, total = dict.fromkeys(graph.vertices, 1), 0
-    for length in range(len(graph.vertices)):
-        total += sum(level.values())
-        grown = dict.fromkeys(graph.vertices, 0)
-        for e in graph.edges:
-            if not counts[length - n][e.src]:
-                grown[e.dst] += level[e.src]
-        level = grown
-    return total
+def _check_cover(spec, n, table, kept_paths):
+    """Every path a whose range receives a path of length |a| - n extends a
+    kept path, checked on the _epsilon_table apart from the walk: each kept
+    path is first kept at its end, and there are free[L][v] of them at each
+    kept (L, v) and none past top, so the shortest kept prefix of a is one."""
+    graph, (_, kept, _, free) = spec.graph, table
+    found = collections.Counter()
+    for q in set(kept_paths):
+        stops = [graph.edge(e).src for e in q.edges] + [q.dst]
+        if [L for L, v in enumerate(stops[:len(kept)]) if v in kept[L]] != [len(q)]:
+            raise InternalVerificationFailure(
+                f"epsilon_{n} keeps {spec.path_str(q)} at the wrong length")
+        found[len(q), q.dst] += 1
+    for L, level in enumerate(free):
+        for v, count in level.items():
+            if (L == len(kept) or v in kept[L]) and found[L, v] != count:
+                raise InternalVerificationFailure(
+                    f"epsilon_{n} lists {found[L, v]} of the {count} paths of length {L} into {v}")
 
 
 def _path_into(graph, counts, v, length):
@@ -710,8 +715,8 @@ def _epsilon_path_algebra(oracle: PathAlgebraOracle, degree_bound, size_bound):
     one row and one table entry per degree.  A Leavitt spec has one row +-n
     per pair of degrees and eps_n in the table; eps_-n is formed and
     checked too, but not printed.  The paths of lengths 0..degree_bound
-    are capped, counted before the first epsilon is formed; each walk for
-    M_-n is capped by its own size in _epsilon_paths."""
+    are capped, counted before the first epsilon is formed; each epsilon's
+    walk is capped by the paths it visits, counted in _epsilon_table."""
     spec = oracle.spec
     within_cap(sum(sum(c.values()) for c in spec.graph.path_counts(degree_bound)),
                "epsilon paths")

@@ -126,6 +126,14 @@ def graph_null():
     return Graph([], [])
 
 
+def diamond_chain(k):
+    """v0 => v1 => ... => vk, two parallel edges per link, as a graph file:
+    2^k paths from v0 to vk and no cycle."""
+    return {"vertices": [f"v{i}" for i in range(k + 1)],
+            "edges": [{"name": f"{n}{i}", "src": f"v{i}", "dst": f"v{i + 1}"}
+                      for i in range(k) for n in "ab"]}
+
+
 @st.composite
 def small_graphs(draw):
     """A graph on at most three vertices and four edges; each vertex draws

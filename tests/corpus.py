@@ -27,7 +27,7 @@ import pathlib
 import sys
 import tempfile
 
-from conftest import table_m2_z2, table_upper_z2, table_z2xz2
+from conftest import diamond_chain, table_m2_z2, table_upper_z2, table_z2xz2
 from gral import cli
 from gral.coeffring import ring_spec
 
@@ -68,6 +68,8 @@ GRAPHS = {
     "rose2c": _graph(["v"], [("e", "v", "v"), ("f", "v", "v")], []),
     "toeplitzc": _graph(["u", "w"], [("e", "u", "u"), ("f", "u", "w")], []),
     "2cyclec": _graph(["v", "w"], [("e", "v", "w"), ("f", "w", "v")], ["v"]),
+    # 2^20 paths from v0 to v20, none of them in M_1
+    "chain20": diamond_chain(20),
 }
 
 
@@ -170,6 +172,7 @@ def _commands():
     yield "lpa verdict --graph @rose2 --ring @z4 --degree-bound 2 --size-bound 2", False
     yield "lpa classify --graph @vwc --ring @z2 --degree-bound 3 --size-bound 2", False
     yield "lpa classify --graph @toeplitz --ring @z2xz2 --degree-bound 2 --size-bound 2", False
+    yield "lpa classify --graph @chain20 --ring @z2 --degree-bound 1 --size-bound 1", True
     for corner in CORNERS:
         yield f"corner witness --corner @{corner} --degree-bound 2", True
     yield "corner witness --corner @corner-z4 --element @csl-2t", True

@@ -4,8 +4,8 @@ Tests compare the package against these: a span system written out row
 by row, R[x] as a fifth graded-ring oracle, the vertex idempotents as
 local units, the bounded witness search over a path algebra's spanning
 monomials, the Jacobson radical of a finite algebra by enumeration (both
-differential oracles on acyclic graphs) and functoriality along finite
-chains of graph morphisms.
+differential oracles on acyclic graphs), the epsilon paths by a walk along
+every out-edge, and functoriality along finite chains of graph morphisms.
 """
 
 from __future__ import annotations
@@ -15,8 +15,8 @@ from typing import NamedTuple, Optional
 
 from gral.coeffring import Ring, _span_rows, within_cap
 from gral.errors import GralError, InternalVerificationFailure
-from gral.gradedstruct import (GradedRingOracle, PathAlgebraOracle, _identity, _require_one,
-                               combination_solver, solve_combination)
+from gral.gradedstruct import (GradedRingOracle, PathAlgebraOracle, _identity, _path_into,
+                               _require_one, combination_solver, solve_combination)
 from gral.graphs import Graph, GraphMorphism, morphism_validate
 from gral.morphisms import _homs_agree, compose_homs, induced_hom
 from gral.pathalg import (AlgebraElement, AlgebraSpec, format_element, identity_element,
@@ -31,6 +31,32 @@ def longest_path_length(graph: Graph) -> Optional[int]:
     if any(counts[-1].values()):
         return None
     return max((i for i, c in enumerate(counts) if any(c.values())), default=0)
+
+
+def epsilon_paths(graph: Graph, n: int):
+    """Pairs (q, c) of paths with r(c) = r(q) and |q| - |c| = n: for n >= 0
+    the paths q of length n, with c = r(q); for n < 0 the set M_-n.
+
+    M_-n: each vertex, in sorted order, is expanded along every out-edge,
+    dead branches included, and a path q is kept, with no further
+    expansion, once r(q) receives a path c of length |q| - n (found from
+    the path counts).  A path into a vertex on a cycle is always kept, so
+    each branch stops within |V| - 1 edges.
+    """
+    if n >= 0:
+        return [(p, graph.vertex_path(p.dst)) for p in graph.paths(n)]
+    counts = graph.path_counts(len(graph.vertices) - 1 - n)
+    pairs = []
+    level = [graph.vertex_path(v) for v in sorted(graph.vertices)]
+    while level:
+        grown = []
+        for q in level:
+            if counts[len(q) - n][q.dst]:
+                pairs.append((q, _path_into(graph, counts, q.dst, len(q) - n)))
+            else:
+                grown.extend(graph.extend(q, e) for e in graph.out_edges(q.dst))
+        level = grown
+    return pairs
 
 
 def span_constraints(ring: Ring, columns, target=None):

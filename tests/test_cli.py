@@ -13,7 +13,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import corpus
-from conftest import table_m2_z2, table_mod, table_upper_z2, table_z2xz2
+from conftest import diamond_chain, table_m2_z2, table_mod, table_upper_z2, table_z2xz2
 from gral import cli, coeffring, gradedstruct, morphisms, regularity
 from gral.cli import main
 from gral.coeffring import ModularRing, ring_make, ring_spec
@@ -738,27 +738,27 @@ def test_block_structure_beyond_the_cap_exit2(files, capsys, monkeypatch, comman
     assert capsys.readouterr().err == ""
 
 
-def diamond_chain(k):
-    """v0 => v1 => ... => vk, two parallel edges per link: 2^k paths from v0
-    to vk and no cycle."""
-    return {"vertices": [f"v{i}" for i in range(k + 1)],
-            "edges": [{"name": f"{n}{i}", "src": f"v{i}", "dst": f"v{i + 1}"}
-                      for i in range(k) for n in "ab"]}
+def looped_chain(k):
+    """diamond_chain(k) with a loop at vk, which so receives paths of every
+    length: M_1 holds v1..vk and the 2^k paths from v0 to vk."""
+    graph = diamond_chain(k)
+    graph["edges"].append({"name": "c", "src": f"v{k}", "dst": f"v{k}"})
+    return graph
 
 
 @pytest.mark.parametrize("graph, bounds, what, states", [
     (GOLDEN_GRAPHS["rose2"], ["--degree-bound", "1", "--size-bound", "3"],
      "reduced monomials", 225),
     (GOLDEN_GRAPHS["rose2"], ["--degree-bound", "3", "--size-bound", "1"], "epsilon paths", 15),
-    (diamond_chain(5), ["--degree-bound", "1", "--size-bound", "1"], "epsilon walk", 68),
+    (looped_chain(5), ["--degree-bound", "1", "--size-bound", "1"], "epsilon walk", 68),
 ], ids=["reduced_monomials", "epsilon_paths", "epsilon_walk"])
 def test_classify_listings_beyond_the_cap_exit2(files, capsys, monkeypatch,
                                                 graph, bounds, what, states):
     # rose2 has 1 + 2 + 4 + 8 = 15 paths of length at most 3: 15^2 monomial
-    # pairs at size bound 3 and 15 epsilon paths at degree bound 3; the walk
-    # for eps_-1 on the 5-link chain keeps no path from v0, so it visits
-    # 1 + 2 + ... + 32 = 63 paths from v0 and each other vertex once; all
-    # are counted before any path is listed
+    # pairs at size bound 3 and 15 epsilon paths at degree bound 3; M_1 on
+    # the looped 5-link chain holds 37 paths, and the walk for eps_-1
+    # visits their prefixes: 1 + 2 + ... + 32 = 63 paths from v0 and each
+    # other vertex once; all are counted before any path is listed
     args = ["lpa", "classify", "--graph", write(files["tmp"] / "graph.json", graph),
             "--ring", files["z2"]] + bounds
     monkeypatch.setenv("GRAL_SEARCH_CAP", str(states - 1))

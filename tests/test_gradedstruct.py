@@ -2,22 +2,23 @@
 
 import itertools
 import json
+from unittest import mock
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import (SIX_GRAPHS, graph_a1, graph_loop, graph_null,
+from conftest import (SIX_GRAPHS, diamond_chain, graph_a1, graph_loop, graph_null,
                       graph_rose2, graph_span, graph_toeplitz, graph_vw,
                       graph_vwu, small_graphs, swap_algebra, table_upper_z2,
                       table_z2xz2)
 from gral import gradedstruct, morphisms, regularity
 from gral.cli import main
-from gral.coeffring import ModularRing, is_vnr, ring_spec
+from gral.coeffring import ModularRing, is_vnr, ring_spec, within_cap
 from gral.cornerlaurent import CslAlgebra, format_csl
 from gral.errors import (GralError, InternalVerificationFailure,
                          NotDegreeOneGenerated)
-from gral.graphs import CohnPair, Graph, graph_to_dict
+from gral.graphs import CohnPair, Graph, graph_from_dict, graph_to_dict
 from gral.gradedstruct import (CslOracle, GradedRingOracle,
                                MatrixGradingOracle, PathAlgebraOracle,
                                ReportRow, TrivialGradingOracle,
@@ -30,8 +31,8 @@ from gral.pathalg import (AlgebraElement, AlgebraSpec, Monomial, format_element,
                           identity_element, monomial_element, reduced_monomials,
                           word_element)
 from gral.regularity import UnitFactorization, graded_vnr_verdict
-from reference import (PolynomialOracle, homogeneous_local_units, jacobson_radical_algebra,
-                       longest_path_length)
+from reference import (PolynomialOracle, epsilon_paths, homogeneous_local_units,
+                       jacobson_radical_algebra, longest_path_length)
 
 
 def leavitt(graph, n):
@@ -165,14 +166,33 @@ class _CountingGraph(Graph):
         return super().extend(p, e)
 
 
-@given(small_graphs(), st.integers(-3, -1))
+@given(small_graphs(), st.integers(-3, 3))
+def test_epsilon_walk_lists_the_reference_paths(graph, n):
+    # the walk pruned to live pairs keeps what a walk along every out-edge
+    # keeps: the paths of length n for n >= 0, and M_-n for n < 0
+    table = gradedstruct._epsilon_table(graph, n)
+    assert set(gradedstruct._epsilon_paths(graph, n, table)) == set(epsilon_paths(graph, n))
+
+
+@given(small_graphs(), st.integers(-3, 3))
 def test_epsilon_walk_is_counted_before_it_is_listed(graph, n):
-    # the cap's count is the number of paths the M_-n walk visits: one per
-    # vertex and one per extension
+    # the cap's count is the number of paths the walk visits: one per live
+    # vertex and one per extension; each visit is a prefix of a kept path
     graph = _CountingGraph(graph)
-    size = gradedstruct._walk_size(graph, graph.path_counts(len(graph.vertices) - 1 - n), n)
-    gradedstruct._epsilon_paths(graph, n)
-    assert size == len(graph.vertices) + graph.extended
+    with mock.patch.object(gradedstruct, "within_cap", wraps=within_cap) as cap:
+        table = gradedstruct._epsilon_table(graph, n)
+    paths = gradedstruct._epsilon_paths(graph, n, table)
+    cap.assert_called_once_with(len(table[2][0]) + graph.extended, "epsilon walk")
+    assert graph.extended <= len(paths) * max(n, len(graph.vertices) - 1)
+
+
+def test_epsilon_walk_is_output_sized():
+    # M_1 on the 20-link chain of parallel edges is v1..v20, while a walk
+    # along every out-edge visits the 2^21 - 1 paths from v0
+    graph = _CountingGraph(graph_from_dict(diamond_chain(20)).graph)
+    paths = gradedstruct._epsilon_paths(graph, -1, gradedstruct._epsilon_table(graph, -1))
+    assert {q for q, _ in paths} == {graph.vertex_path(v) for v in graph.vertices[1:]}
+    assert graph.extended <= len(paths) * len(graph.vertices)
 
 
 # -- strong ---------------------------------------------------------------------
@@ -803,9 +823,10 @@ class _FirstOutEdge:
 
 
 def _first_out_edge_only(real):
-    # M_-n expanded along the first out-edge of each path: the branches
-    # under the others go missing, yet eps q = q holds on every kept q
-    return lambda graph, n: real(_FirstOutEdge(graph), n)
+    # the epsilon walk along the first out-edge of each path: the branches
+    # under the others go missing, yet eps q = q holds on every kept q;
+    # eps_1, formed first, keeps d but not b, both edges into w
+    return lambda graph, n, table: real(_FirstOutEdge(graph), n, table)
 
 
 # a source s with two out-edges into loops: M_1 expands s into a and b
@@ -860,7 +881,7 @@ def _eps_one_not_one(real):
      "^x x\\* x = x fails on ef\\*$"),
     (gradedstruct, "_epsilon_paths", _first_out_edge_only,
      AlgebraSpec(SOURCE_TWO_LOOPS, ModularRing(2), []),
-     "^epsilon_-1 misses the branch b$"),
+     "^epsilon_1 lists 1 of the 2 paths of length 1 into w$"),
 ], ids=["epsilon_companion_short",
         "hazrat_cross_check",
         "check_strong_Z", "witness_wrong_degree",
