@@ -170,6 +170,9 @@ def _commands():
     yield "lpa witness --graph @rose2 --ring @z30030 --element @rose2-2e", False
     yield "lpa verdict --graph @rose2 --ring @z6 --degree-bound 2 --size-bound 2 --samples 4", False
     yield "lpa verdict --graph @rose2 --ring @z4 --degree-bound 2 --size-bound 2", False
+    # a1 has only degree 0; on vw, degrees +-2 and +-3 have no spanning monomial
+    for graph in ("a1", "vw"):
+        yield f"lpa classify --graph @{graph} --ring @z2 --degree-bound 3 --size-bound 3", False
     yield "lpa classify --graph @vwc --ring @z2 --degree-bound 3 --size-bound 2", False
     yield "lpa classify --graph @toeplitz --ring @z2xz2 --degree-bound 2 --size-bound 2", False
     yield "lpa classify --graph @chain20 --ring @z2 --degree-bound 1 --size-bound 1", True
