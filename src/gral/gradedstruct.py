@@ -5,17 +5,18 @@ spanned at the bound) from bounded ones.  Built-in oracles cover path
 algebras, the epsilon-but-not-strong matrix grading, trivial gradings
 and corner skew Laurent rings.
 
-Every row of a path algebra (Leavitt or relative Cohn) comes from a
-certificate, checked exactly; the bounded span search decides the rows of
-the other oracles.  The epsilon rows come from closed forms
-(epsilon_element).  The oracle's graded witness decides the nearly
-epsilon-strong and symmetric rows: x x* x = x by (CK1) alone for a
-spanning monomial x in every C^X(E), and any y in S_-d with x y x = x
-makes x y a left unit in S_d S_-d, y x a right unit in S_-d S_d, and puts
-x = (x y) x in S_d S_-d S_d.
-The strong row reads eps_1 and eps_-1: 1 is in S_1 S_-1 and in S_-1 S_1
-iff both are 1, and for a Leavitt spec that must agree with Hazrat's
-criterion (no sinks).
+Every oracle has one epsilon per degree (GradedRingOracle.epsilon): a
+path algebra (Leavitt or relative Cohn) its closed form, epsilon_element,
+checked exactly; any other oracle the bounded span search's.  The rows
+follow the chain epsilon-strong => nearly epsilon-strong => symmetric
+(Nystedt, Oinert and Pinedo, J. Algebra 514, 2018).  eps_d is a left unit
+on S_d in S_d S_-d and eps_-d a right unit on S_d in S_-d S_d, so a degree
+with both is nearly epsilon-strong; s = eps_d s puts each s of S_d in
+S_d S_-d S_d, so a degree with eps_d is symmetric.  Only a degree without
+its epsilons asks the bounded search element by element.
+The strong row of a path algebra reads eps_1 and eps_-1: 1 is in S_1 S_-1
+and in S_-1 S_1 iff both are 1, and for a Leavitt spec that must agree
+with Hazrat's criterion (no sinks).
 """
 
 from __future__ import annotations
@@ -100,11 +101,23 @@ class GradedRingOracle:
         """A combination sum r_i.elements_i equal to target, or None."""
         return combination_solver(self, elements, [_identity])([target])
 
-    def graded_witness(self, x):
-        """A y of degree -deg x with x y x = x from the ring's own
-        construction, already checked, or None when the ring has none and
-        the bounded search must decide."""
-        return None
+    def epsilon(self, degree: int, size_bound: int):
+        """A single element of the bounded S_d S_-d span that is a left unit
+        on the bounded S_d and a right unit on the bounded S_-d, or None
+        (always, when both are empty): the bounded search, run once per
+        degree and bound and kept as long as the oracle."""
+        key = degree, size_bound
+        if key not in self._epsilons:
+            span_d, span_md = self.spanning(degree, size_bound), self.spanning(-degree, size_bound)
+            self._epsilons[key] = solve_combination(
+                self, self.products(span_d, span_md),
+                [(s, lambda u, s=s: self.mul(u, s)) for s in span_d] +
+                [(t, lambda u, t=t: self.mul(t, u)) for t in span_md])
+        return self._epsilons[key]
+
+    @functools.cached_property
+    def _epsilons(self):
+        return {}
 
 
 class PathAlgebraOracle(GradedRingOracle):
@@ -115,8 +128,6 @@ class PathAlgebraOracle(GradedRingOracle):
         self.name = repr(spec)
         # built on first use and kept as long as the oracle (one classify)
         self._spans = {}        # size bound -> degree -> spanning elements
-        self._witnesses = {}    # spanning monomial x -> x*
-        self._epsilons = {}     # degree n -> epsilon_element(spec, n)
 
     @property
     def ring(self):
@@ -143,29 +154,12 @@ class PathAlgebraOracle(GradedRingOracle):
     def identity(self):
         return identity_element(self.spec)
 
-    def graded_witness(self, x):
-        """x* for a spanning monomial x of degree d, Leavitt and relative
-        Cohn specs alike: (CK1) alone gives x x* x = x in every C^X(E).
-        deg x* = -d and (x x*) x = x, the bracket of every witness
-        certificate, are checked once per monomial, and a failure is a bug.
-        Anything but a monomial with coefficient one is refused."""
-        y = self._witnesses.get(x)
-        if y is None:
-            if len(x.terms) != 1 or self.ring.one not in x.terms.values():
-                raise GralError(f"{format_element(x)} is no monomial with coefficient one")
-            (m,) = x.terms
-            y = monomial_element(self.spec, m.involute())
-            if y.degree() != -m.degree or x * y * x != x:
-                raise InternalVerificationFailure(f"x x* x = x fails on {format_element(x)}")
-            self._witnesses[x] = y
-        return y
-
-    def epsilon(self, n):
-        """epsilon_element(spec, n), formed and checked once per degree;
-        the strong row and the epsilon rows both read it."""
-        eps = self._epsilons.get(n)
+    def epsilon(self, degree, size_bound):
+        """epsilon_element(spec, degree), exact at every size bound, formed
+        and checked once per degree; every classify row reads it."""
+        eps = self._epsilons.get(degree)
         if eps is None:
-            eps = self._epsilons[n] = epsilon_element(self.spec, n)
+            eps = self._epsilons[degree] = epsilon_element(self.spec, degree)
         return eps
 
     def coords(self, x):
@@ -338,7 +332,7 @@ def combination_solver(oracle, elements, maps):
     """A function from targets [y_f], one per additive map f, to a
     combination b of the elements with f(b) = y_f for every f, or None
     (always, when there are no elements): the one bounded search behind
-    the units, the epsilons, span membership and the oracle witness.
+    the units, the epsilons and span membership.
 
     The elements' images are factored once into a linear system, read
     through coordinates, map by map, and each answer is checked on the
@@ -407,7 +401,6 @@ FAILS = "fails"
 class Verdict(NamedTuple):
     status: str
     witness: str = ""
-    bound: int = 0
 
     @property
     def holds(self) -> bool:
@@ -452,12 +445,12 @@ class ClassificationReport(NamedTuple):
         return "\n".join(lines)
 
 
-def _verdict(exact, failure=None, bound=0) -> Verdict:
+def _verdict(exact, failure=None) -> Verdict:
     """Holds exactly or at the bound, or fails with the failure, marked
     at-bound when the check was not exact."""
     if failure is None:
         return Verdict(HOLDS_EXACT if exact else HOLDS_AT_BOUND)
-    return Verdict(FAILS, failure + ("" if exact else " at-bound"), bound)
+    return Verdict(FAILS, failure + ("" if exact else " at-bound"))
 
 
 def _combine(rows) -> Verdict:
@@ -478,30 +471,23 @@ def check_symmetric(oracle: GradedRingOracle, degree_bound: int = 3,
     """S_d = S_d S_{-d} S_d per degree, for every bounded spanning element
     s of S_d.
 
-    An element with the oracle's graded witness y is certified by
-    s = (s y) s, with s in S_d and y in S_-d.  The other elements are
-    decided by bounded span membership in the triple products, formed once
-    per degree when first needed.
+    A degree with the oracle's epsilon holds: eps_d = sum a_i b_i with a_i
+    in S_d and b_i in S_-d, so s = eps_d s = sum a_i b_i s.  In a degree
+    without one, each element is decided by bounded span membership in the
+    triple products, formed once per degree.
     """
     rows = []
     for d in range(-degree_bound, degree_bound + 1):
         span_d = oracle.spanning(d, size_bound)
         exact = oracle.exact_at(d, size_bound) and oracle.exact_at(-d, size_bound)
-        solve = None
         bad = None
-        for s in span_d:
-            if oracle.graded_witness(s) is not None:
-                continue
-            if solve is None:
-                span_md = oracle.spanning(-d, size_bound)
-                solve = combination_solver(
-                    oracle, oracle.products(oracle.products(span_d, span_md), span_d),
-                    [_identity])
-            if solve([s]) is None:
-                bad = s
-                break
+        if span_d and oracle.epsilon(d, size_bound) is None:
+            span_md = oracle.spanning(-d, size_bound)
+            solve = combination_solver(
+                oracle, oracle.products(oracle.products(span_d, span_md), span_d), [_identity])
+            bad = next((s for s in span_d if solve([s]) is None), None)
         failure = None if bad is None else f"{oracle.format(bad)} not in S_d S_-d S_d"
-        rows.append(ReportRow("symmetric", str(d), _verdict(exact, failure, size_bound)))
+        rows.append(ReportRow("symmetric", str(d), _verdict(exact, failure)))
     return _combine(rows), rows
 
 
@@ -540,8 +526,8 @@ def check_strong_Z(oracle: GradedRingOracle, size_bound: int = 3) -> StrongVerdi
     exact = oracle.exact_at(1, size_bound) and oracle.exact_at(-1, size_bound)
     if isinstance(oracle, PathAlgebraOracle):
         spec = oracle.spec
-        ok_pos = oracle.epsilon(1) == one
-        ok_neg = ok_pos and oracle.epsilon(-1) == one
+        ok_pos = oracle.epsilon(1, size_bound) == one
+        ok_neg = ok_pos and oracle.epsilon(-1, size_bound) == one
         if spec.is_leavitt and (ok_pos and ok_neg) != no_sinks:
             raise InternalVerificationFailure("the strong row disagrees with Hazrat's criterion")
     else:
@@ -553,7 +539,7 @@ def check_strong_Z(oracle: GradedRingOracle, size_bound: int = 3) -> StrongVerdi
         verdict = Verdict(HOLDS_EXACT)  # positive findings are witnessed
     else:
         side = "S_1 S_-1" if not ok_pos else "S_-1 S_1"
-        verdict = _verdict(exact, f"1 not reached in {side}", size_bound)
+        verdict = _verdict(exact, f"1 not reached in {side}")
     return StrongVerdict(verdict, no_sinks)
 
 
@@ -679,27 +665,31 @@ def _factor_pairs(spec, paths):
 
 def check_epsilon_strong(oracle: GradedRingOracle, degree_bound: int = 3,
                          size_bound: int = 3):
-    """Per degree, a single element of the bounded S_d S_-d span acting as a
-    left unit on S_d and a right unit on S_{-d}; records the epsilon found.
-    A path algebra's epsilons come from epsilon_element instead."""
+    """Per degree, the oracle's epsilon, a single element of S_d S_-d acting
+    as a left unit on S_d and a right unit on S_{-d}; records each epsilon
+    found.  A path algebra's come from epsilon_element, after its paths of
+    lengths 0..degree_bound are capped, counted before the first epsilon
+    is formed; each epsilon's walk is capped by the paths it visits,
+    counted in _epsilon_table.  A Leavitt spec has one row +-n per pair of
+    degrees and eps_n in the table; eps_-n is formed and checked too, but
+    not printed."""
+    leavitt = False
     if isinstance(oracle, PathAlgebraOracle):
-        return _epsilon_path_algebra(oracle, degree_bound, size_bound)
+        within_cap(sum(sum(c.values()) for c in oracle.spec.graph.path_counts(degree_bound)),
+                   "epsilon paths")
+        leavitt = oracle.spec.is_leavitt
     rows, table = [], []
     for d in range(-degree_bound, degree_bound + 1):
-        span_d = oracle.spanning(d, size_bound)
-        span_md = oracle.spanning(-d, size_bound)
+        eps = oracle.epsilon(d, size_bound)
         exact = oracle.exact_at(d, size_bound) and oracle.exact_at(-d, size_bound)
-        products = oracle.products(span_d, span_md)
-        eps = solve_combination(oracle, products,
-                                [(s, lambda u, s=s: oracle.mul(u, s)) for s in span_d] +
-                                [(t, lambda u, t=t: oracle.mul(t, u)) for t in span_md])
-        if eps is None and (span_d or span_md):
+        if eps is None and (oracle.spanning(d, size_bound) or oracle.spanning(-d, size_bound)):
             rows.append(ReportRow("epsilon-strong", str(d),
-                                  _verdict(exact, f"no epsilon at degree {d}", size_bound)))
-            continue
-        rows.append(ReportRow("epsilon-strong", str(d), _verdict(exact)))
-        # both components zero: epsilon 0 works vacuously
-        table.append((d, "0" if eps is None else oracle.format(eps)))
+                                  _verdict(exact, f"no epsilon at degree {d}")))
+        elif not leavitt or d >= 0:
+            label = f"+-{d}" if leavitt and d else str(d)
+            rows.append(ReportRow("epsilon-strong", label, _verdict(exact)))
+            # both components zero: epsilon 0 works vacuously
+            table.append((d, "0" if eps is None else oracle.format(eps)))
     return _combine(rows), rows, tuple(table)
 
 
@@ -710,27 +700,6 @@ def solve_combination(oracle, elements, equations):
         [y for y, _ in equations])
 
 
-def _epsilon_path_algebra(oracle: PathAlgebraOracle, degree_bound, size_bound):
-    """The rows of epsilon_element's closed forms.  A relative Cohn spec has
-    one row and one table entry per degree.  A Leavitt spec has one row +-n
-    per pair of degrees and eps_n in the table; eps_-n is formed and
-    checked too, but not printed.  The paths of lengths 0..degree_bound
-    are capped, counted before the first epsilon is formed; each epsilon's
-    walk is capped by the paths it visits, counted in _epsilon_table."""
-    spec = oracle.spec
-    within_cap(sum(sum(c.values()) for c in spec.graph.path_counts(degree_bound)),
-               "epsilon paths")
-    verdict = _verdict(oracle.exact_at(0, size_bound))
-    rows, table = [], []
-    for d in range(-degree_bound, degree_bound + 1):
-        eps = oracle.epsilon(d)
-        if not spec.is_leavitt or d >= 0:
-            label = str(d) if not spec.is_leavitt else f"+-{d}" if d else "0"
-            rows.append(ReportRow("epsilon-strong", label, verdict))
-            table.append((d, format_element(eps)))
-    return _combine(rows), rows, tuple(table)
-
-
 # ---------------------------------------------------------------------------
 # Nearly epsilon-strong gradings
 
@@ -739,10 +708,11 @@ def check_nearly_epsilon(target, degree_bound: int = 3, size_bound: int = 3):
     """Per degree d, a left unit in S_d S_-d and a right unit in S_-d S_d
     for every bounded spanning element of S_d.
 
-    An element with the oracle's graded witness y has them: s y and y s,
-    since (s y) s = s = s (y s).  When the oracle has none, the bounded
-    search solve_combination decides, over product lists formed once per
-    degree, when first needed.
+    A degree with the oracle's eps_d and eps_-d holds: eps_d is a left unit
+    on S_d in S_d S_-d, and eps_-d a right unit on S_d in S_-d S_d.  In a
+    degree without both, the bounded search solve_combination decides
+    element by element, over product lists formed once per degree, when
+    first needed.
     """
     oracle = _as_oracle(target)
     rows = []
@@ -751,17 +721,15 @@ def check_nearly_epsilon(target, degree_bound: int = 3, size_bound: int = 3):
         if not span_d:
             continue
         exact = oracle.exact_at(d, size_bound) and oracle.exact_at(-d, size_bound)
-        products = {}  # side -> S_d S_-d ("left") or S_-d S_d ("right")
-        for s in span_d:
-            if oracle.graded_witness(s) is not None:
-                continue
-            side = _missing_unit(oracle, s, d, size_bound, products)
-            if side is not None:
-                rows.append(ReportRow("nearly-epsilon", str(d), _verdict(
-                    exact, f"no {side} unit for {oracle.format(s)}", size_bound)))
-                break
-        else:
-            rows.append(ReportRow("nearly-epsilon", str(d), _verdict(exact)))
+        failure = None
+        if oracle.epsilon(d, size_bound) is None or oracle.epsilon(-d, size_bound) is None:
+            products = {}  # side -> S_d S_-d ("left") or S_-d S_d ("right")
+            for s in span_d:
+                side = _missing_unit(oracle, s, d, size_bound, products)
+                if side is not None:
+                    failure = f"no {side} unit for {oracle.format(s)}"
+                    break
+        rows.append(ReportRow("nearly-epsilon", str(d), _verdict(exact, failure)))
     if not rows:
         rows.append(ReportRow("nearly-epsilon", "*", Verdict(HOLDS_EXACT)))
     return _combine(rows), rows
@@ -799,7 +767,7 @@ def is_semiprime_graded(target, degree_bound: int = 3, size_bound: int = 3):
                     continue
                 if all(oracle.is_zero(oracle.mul(oracle.mul(x, t), x))
                        for t in span_all):
-                    return _verdict(exact, f"{oracle.format(x)} squashes the span", size_bound)
+                    return _verdict(exact, f"{oracle.format(x)} squashes the span")
     return _verdict(exact)
 
 
@@ -819,8 +787,7 @@ def classify(target, degree_bound: int = 3, size_bound: int = 3) -> Classificati
         if strong.no_sinks is not None:
             extra = f"no-sinks={'yes' if strong.no_sinks else 'no'}"
         v = strong.verdict if not extra else Verdict(strong.verdict.status,
-                                                     (strong.verdict.witness + " " + extra).strip(),
-                                                     strong.verdict.bound)
+                                                     (strong.verdict.witness + " " + extra).strip())
         rows.append(ReportRow("strong", "*", v))
         summary.append(("strong", strong.verdict))
     except GralError as exc:

@@ -15,10 +15,11 @@ for x.
 
 from __future__ import annotations
 
+import collections
 import random
 from typing import NamedTuple, Optional
 
-from .coeffring import MatrixOverRing, is_vnr, matrix_vnr_witness, mul_entries
+from .coeffring import MatrixOverRing, is_vnr, matrix_vnr_witness, mul_entries, within_cap
 # not called here, but perfbench/tracer.py rebinds solve_linear_system in
 # every gral module that holds it
 from .coeffring import solve_linear_system  # noqa: F401
@@ -238,10 +239,12 @@ def _group_witness(x: AlgebraElement, d: int) -> WitnessCertificate:
     of matrix rings over R with R on the diagonal, and a diagonal entry of
     Z is a generalized inverse of X_k over R (Hazrat, Israel J. Math. 195,
     2013; Abrams, Ara and Siles Molina, LNM 2191).  The absence names that
-    group: its key, rows, columns and matrix."""
+    group: its key, rows, columns and matrix.  The groups' entries are
+    capped, counted by _group_entries before any term is expanded."""
     spec = x.spec
     ring = spec.ring
     n = max(len(m.beta.edges) for m in x.terms)
+    within_cap(_group_entries(spec.graph, x.terms, n, d), "group expansion")
     groups = {}
     for m, c in _expand_to_level(spec, x.terms, n + d).items():
         groups.setdefault((len(m.beta.edges), m.beta.dst), {})[m] = c
@@ -267,6 +270,30 @@ def _group_witness(x: AlgebraElement, d: int) -> WitnessCertificate:
     return WitnessCertificate(x, d, "blocks", witness=b, verified=True)
 
 
+def _group_entries(graph, terms, n: int, d: int) -> int:
+    """An upper bound on the entries of the (|beta|, r(beta)) groups of the
+    degree-d terms expanded to ghost length n, from path counts alone.  A
+    term with range r and ghost length b gives group (b + j, w) one
+    monomial per path of length j from r to w that the expansion keeps
+    (j = n - b, or a shorter path into a sink).  A group (L, w) with k such
+    monomials has at most min(k, |P(L + d, w)|) rows and min(k, |P(L, w)|)
+    columns."""
+    kept = collections.Counter()
+    for (r, b), count in collections.Counter((m.beta.dst, len(m.beta.edges))
+                                             for m in terms).items():
+        level = {r: count}
+        for j in range(n - b + 1):
+            grown = collections.Counter()
+            for w, c in level.items():
+                if j == n - b or not graph.out_edges(w):
+                    kept[b + j, w] += c
+                for e in graph.out_edges(w):
+                    grown[e.dst] += c
+            level = grown
+    counts = graph.path_counts(n + max(d, 0))
+    return sum(min(k, counts[L + d][w]) * min(k, counts[L][w]) for (L, w), k in kept.items())
+
+
 # ---------------------------------------------------------------------------
 # Whole-algebra verdicts
 
@@ -274,7 +301,6 @@ def _group_witness(x: AlgebraElement, d: int) -> WitnessCertificate:
 class RegularityReport(NamedTuple):
     spec: AlgebraSpec
     method: str
-    bounds: tuple
     certificates: tuple
     overall: str                      # verified-at-bounds | counterexample-found
     counterexample: Optional[WitnessCertificate] = None
@@ -314,11 +340,9 @@ def graded_vnr_verdict(spec: AlgebraSpec, degree_bound: int = 3,
     """A witness, or an exact absence, for every bounded reduced monomial
     times every nonzero scalar and for seeded random homogeneous
     combinations; the first absence is the counterexample."""
-    bounds = (("degree", degree_bound), ("length", filtration_bound),
-              ("samples", samples), ("seed", seed))
     method = "constructive" if is_vnr(spec.ring) else "blocks"
     if spec.graph.is_null():
-        return RegularityReport(spec, method, bounds, (), "verified-at-bounds")
+        return RegularityReport(spec, method, (), "verified-at-bounds")
     ring = spec.ring
     nonzero = [c for c in ring.elements() if c != ring.zero]
     elements = []
@@ -332,5 +356,4 @@ def graded_vnr_verdict(spec: AlgebraSpec, degree_bound: int = 3,
     certificates = [graded_witness_constructive(x) for x in elements if not x.is_zero]
     counterexample = next((c for c in certificates if c.absent), None)
     overall = "verified-at-bounds" if counterexample is None else "counterexample-found"
-    return RegularityReport(spec, method, bounds, tuple(certificates),
-                            overall, counterexample)
+    return RegularityReport(spec, method, tuple(certificates), overall, counterexample)

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 import corpus
 from conftest import diamond_chain, table_m2_z2, table_mod, table_upper_z2, table_z2xz2
-from gral import cli, coeffring, gradedstruct, morphisms, regularity
+from gral import cli, coeffring, cornerlaurent, gradedstruct, morphisms, regularity
 from gral.cli import main
 from gral.coeffring import ModularRing, ring_make, ring_spec
 from gral.cornerlaurent import corner_from_dict, csl_element_from_dict
@@ -360,7 +360,7 @@ GOLDEN_GRAPHS = {
 @pytest.mark.parametrize("graph, ring, size_bound", [
     ("span", "z2", 4), ("toeplitz", "z6", 3), ("rose2", "z4", 3)])
 def test_lpa_classify_golden(files, capsys, graph, ring, size_bound):
-    # the symmetric rows from graded witnesses and the strong row from the
+    # the symmetric rows from the epsilons and the strong row from the
     # factorization (span, rose2) or the sink (toeplitz) print what the
     # bounded search printed, byte for byte
     code = main(["lpa", "classify", "--graph", write(files["tmp"] / f"{graph}.json",
@@ -716,6 +716,37 @@ def test_internal_failure_exits_3(files, capsys, monkeypatch):
     assert captured.err == "internal error: InternalVerificationFailure: planted\n"
 
 
+class _MakeDropsATerm:
+    """regularity's AlgebraElement.make, with the first of its terms lost."""
+
+    @staticmethod
+    def make(spec, terms):
+        return AlgebraElement.make(spec, dict(list(terms.items())[1:]))
+
+
+@pytest.mark.parametrize("owner, name, fake, command, message", [
+    (regularity, "AlgebraElement", _MakeDropsATerm,
+     ["lpa", "witness", "--graph", "{vw}", "--ring", "{z4}", "--element", "{elt}"],
+     "block witness failed verification"),
+    (cornerlaurent, "vnr_witness", lambda ring, a: ring.zero,
+     ["corner", "witness", "--corner", "{corner_z4}", "--element", "{csl_2t}"],
+     "corner witness failed verification"),
+], ids=["block", "corner"])
+def test_final_recheck_of_a_solved_witness_exits_3(files, capsys, monkeypatch,
+                                                   owner, name, fake, command, message):
+    # a witness spoiled after it is solved is caught by the final x.b.x = x
+    # re-check: exit 3 with one line.  Over Z/4 the block witness of v + w
+    # is v + w, which loses v or w; the corner witness of 2t gets 0
+    files["elt"] = write(files["tmp"] / "elt_v_w.json", [
+        {"coeff": 1, "alpha": {"vertex": v}, "beta": {"vertex": v}} for v in "vw"])
+    monkeypatch.setattr(owner, name, fake)
+    code = main([arg.format(**files) for arg in command])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err == f"internal error: InternalVerificationFailure: {message}\n"
+
+
 @pytest.mark.parametrize("command", [
     ["lpa", "decompose", "--level", "2"],
     ["lpa", "witness"],
@@ -736,6 +767,26 @@ def test_block_structure_beyond_the_cap_exit2(files, capsys, monkeypatch, comman
     monkeypatch.setenv("GRAL_SEARCH_CAP", "81")
     assert main(args) == 0
     assert capsys.readouterr().err == ""
+
+
+def test_block_groups_beyond_the_cap_exit2(files, capsys, monkeypatch):
+    # over Z/4, v + 2 aaa(aaa)* on rose3 expands v to the 27 paths of length
+    # 3: one 27 x 27 group, counted from path counts before any term is listed
+    graph = write(files["tmp"] / "rose3.json", {
+        "vertices": ["v"],
+        "edges": [{"name": n, "src": "v", "dst": "v"} for n in "abc"]})
+    element = write(files["tmp"] / "elt_v_aaa.json", [
+        {"coeff": 1, "alpha": {"vertex": "v"}, "beta": {"vertex": "v"}},
+        {"coeff": 2, "alpha": ["a"] * 3, "beta": ["a"] * 3}])
+    args = ["lpa", "witness", "--graph", graph, "--ring", files["z4"], "--element", element]
+    monkeypatch.setenv("GRAL_SEARCH_CAP", "728")
+    assert main(args) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: group expansion needs 729 states, cap is 728\n"
+    monkeypatch.setenv("GRAL_SEARCH_CAP", "729")
+    assert main(args) == 0
+    assert "method=blocks" in capsys.readouterr().out
 
 
 def looped_chain(k):

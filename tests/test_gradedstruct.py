@@ -27,10 +27,9 @@ from gral.gradedstruct import (CslOracle, GradedRingOracle,
                                check_symmetric, classify, epsilon_element,
                                is_semiprime_graded,
                                zero_multiplication_ring)
-from gral.pathalg import (AlgebraElement, AlgebraSpec, Monomial, format_element,
-                          identity_element, monomial_element, reduced_monomials,
-                          word_element)
-from gral.regularity import UnitFactorization, graded_vnr_verdict
+from gral.pathalg import (AlgebraElement, AlgebraSpec, format_element, identity_element,
+                          monomial_element, reduced_monomials, word_element)
+from gral.regularity import graded_vnr_verdict
 from reference import (PolynomialOracle, epsilon_paths, homogeneous_local_units,
                        jacobson_radical_algebra, longest_path_length)
 
@@ -231,18 +230,26 @@ CERTIFIED_GRAPHS = {**SIX_GRAPHS, "vwu": graph_vwu, "span": graph_span}
 class _GenericView:
     """A path algebra read through the bounded span search alone: a
     duck-typed view of the oracle, with its name, that is no
-    PathAlgebraOracle (so no closed-form epsilon or strong route) and has
-    no graded witness."""
+    PathAlgebraOracle (so no closed-form strong route) and whose epsilons
+    come from the base class's bounded search, not from epsilon_element."""
+
+    epsilon = GradedRingOracle.epsilon
 
     def __init__(self, inner):
         self.inner = inner
         self.name = inner.name
         self.degree_one_generated = inner.degree_one_generated
+        self._epsilons = {}  # the search's own, not the inner closed forms
 
     def __getattr__(self, name):
         return getattr(self.inner, name)
 
-    def graded_witness(self, x):
+
+class _NoEpsilonView(_GenericView):
+    """A _GenericView without epsilons: every nearly and symmetric row is
+    decided element by element."""
+
+    def epsilon(self, degree, size_bound):
         return None
 
 
@@ -276,12 +283,13 @@ def _rows(report, *props):
 @pytest.mark.parametrize("n", [2, 4, 6])
 @pytest.mark.parametrize("name", sorted(CERTIFIED_GRAPHS))
 def test_certified_rows_match_the_span_search(name, n, bound):
-    # the symmetric rows from graded witnesses and the strong row from the
-    # factorization are the rows the bounded span search gives
+    # the symmetric rows from the epsilons and the strong row from the
+    # factorization are the rows the bounded span search gives, element by
+    # element in the triple products
     spec = leavitt(CERTIFIED_GRAPHS[name](), n)
     certified = classify(spec, bound, bound)
-    assert _rows(certified, "strong", "symmetric") == \
-        _rows(classify(_search_only(spec), bound, bound), "strong", "symmetric")
+    searched = classify(_NoEpsilonView(PathAlgebraOracle(spec)), bound, bound)
+    assert _rows(certified, "strong", "symmetric") == _rows(searched, "strong", "symmetric")
 
 
 @given(small_graphs(), st.data(), st.sampled_from([2, 4, 6]))
@@ -357,23 +365,6 @@ def test_closed_form_epsilons_pass_the_bounded_unit_checks(spec):
         assert all(t * eps == t for t in oracle.spanning(-d, 2)), d
 
 
-@given(path_algebra_specs(acyclic=False))
-def test_graded_witness_of_every_spanning_monomial(spec):
-    # x y x = x in both brackets, so x y in S_d S_-d and y x in S_-d S_d are
-    # idempotent units of x; on a Leavitt spec x y, with the pair (x, y), is
-    # the unit local_unit_left builds for x
-    oracle = PathAlgebraOracle(spec)
-    for d in range(-2, 3):
-        for x in oracle.spanning(d, 2):
-            y = oracle.graded_witness(x)
-            assert y.degree() == -d
-            assert (x * y) * x == x == x * (y * x)
-            for unit in (x * y, y * x):
-                assert unit.degree() == 0 and unit * unit == unit
-            if spec.is_leavitt:
-                assert regularity.local_unit_left(x) == UnitFactorization(x * y, ((x, y),))
-
-
 @pytest.mark.parametrize("ring", [table_z2xz2(), table_upper_z2()],
                          ids=["table_z2xz2", "table_upper_z2"])
 def test_table_ring_classify_completes_from_certificates(ring):
@@ -415,8 +406,8 @@ def test_upper_triangular_corner_classify_holds_exactly(alpha):
 
 def test_leavitt_classify_reads_certificates(monkeypatch):
     # no product list is formed and no unit is built by local_unit_left,
-    # with or without a sink; the nearly-epsilon and symmetric rows of every
-    # spanning monomial x cost the two products of its witness check (x x*) x
+    # with or without a sink; once the epsilons are formed, the
+    # nearly-epsilon and symmetric rows read them and multiply nothing
     lefts, products, muls = [], [], []
     real_left, real_products = regularity.local_unit_left, GradedRingOracle.products
     real_mul = AlgebraElement.__mul__
@@ -427,15 +418,12 @@ def test_leavitt_classify_reads_certificates(monkeypatch):
     monkeypatch.setattr(AlgebraElement, "__mul__",
                         lambda x, y: muls.append(1) or real_mul(x, y))
     for make in (graph_span, graph_toeplitz):
-        spec = leavitt(make(), 2)
-        assert classify(spec, 3, 3).verdict("symmetric").holds
-        oracle = PathAlgebraOracle(spec)
-        spanning = [s for d in range(-3, 4) for s in oracle.spanning(d, 3)]
+        oracle = PathAlgebraOracle(leavitt(make(), 2))
+        assert classify(oracle, 3, 3).verdict("symmetric").holds
         muls.clear()
         assert check_nearly_epsilon(oracle, 3, 3)[0].holds
         assert check_symmetric(oracle, 3, 3)[0].holds
-        assert len(muls) == 2 * len(spanning)
-        assert lefts == products == []
+        assert muls == lefts == products == []
 
 
 # -- epsilon strong -----------------------------------------------------------------
@@ -750,30 +738,15 @@ def test_cohn_classify_builds_no_phi(z2, monkeypatch):
     assert calls == []
 
 
-def test_path_oracle_local_units(z2, z3):
-    # the graded witness of a spanning monomial x is x*, Leavitt and
-    # relative Cohn alike; ff* is a spanning monomial of the Cohn algebra only
-    def witness(spec, word):
-        return format_element(PathAlgebraOracle(spec).graded_witness(word_element(spec, word)))
-    leavitt_vw, cohn_vw = AlgebraSpec.leavitt(graph_vw(), z2), AlgebraSpec(graph_vw(), z2, [])
-    assert [witness(leavitt_vw, word) for word in (["f"], ["f*"], ["v"])] == ["f*", "f", "v"]
-    assert [witness(cohn_vw, word) for word in (["f"], ["f", "f*"], ["w"])] == ["f*", "ff*", "w"]
-    assert MatrixGradingOracle(z2).graded_witness(MatrixGradingOracle(z2).unit(0, 1)) is None
-    spec = AlgebraSpec(graph_vw(), z3, [])
-    for x in (identity_element(spec), word_element(spec, ["f"], 2), AlgebraElement.zero(spec)):
-        with pytest.raises(GralError, match=" is no monomial with coefficient one$"):
-            PathAlgebraOracle(spec).graded_witness(x)
-
-
 def test_nearly_products_formed_once_per_degree(monkeypatch):
-    # without a graded witness each element is decided by the bounded search,
-    # which shares one S_d S_-d and one S_-d S_d list per degree
+    # without epsilons each element is decided by the bounded search, which
+    # shares one S_d S_-d and one S_-d S_d list per degree
     spec = AlgebraSpec(graph_vw(), ModularRing(2), [])
     calls = []
     real = GradedRingOracle.products
     monkeypatch.setattr(GradedRingOracle, "products",
                         lambda oracle, xs, ys: calls.append(1) or real(oracle, xs, ys))
-    verdict, rows = check_nearly_epsilon(_search_only(spec), 2, 2)
+    verdict, rows = check_nearly_epsilon(_NoEpsilonView(PathAlgebraOracle(spec)), 2, 2)
     assert verdict.holds
     assert len(rows) == 3 and len(calls) == 2 * len(rows)
 
@@ -791,22 +764,6 @@ def _short_epsilon_companion(real):
         p = real(graph, counts, v, length)
         return graph.make_path(p.edges[1:]) if length > 1 else graph.vertex_path(v)
     return path_into
-
-
-def _ghost_involute_to_degree_zero(real):
-    # (r(b) b*)* = b b* instead of b: a witness of degree 0 for a ghost path
-    # of degree -|b|; the epsilons involute no ghost path
-    def involute(m):
-        return Monomial(m.beta, m.beta) if m.beta.edges and not m.alpha.edges else real(m)
-    return involute
-
-
-def _self_adjoint_involute(real):
-    # a wrong (alpha beta*)* = alpha beta* whenever alpha and beta both have
-    # edges; the epsilons' checks involve no such monomial
-    def involute(m):
-        return m if m.alpha.edges and m.beta.edges else real(m)
-    return involute
 
 
 class _FirstOutEdge:
@@ -866,27 +823,19 @@ def _eps_one_not_one(real):
      "^the strong row disagrees with Hazrat's criterion$"),
     (gradedstruct, "check_strong_Z", _raise_internal,
      AlgebraSpec.leavitt(graph_vw(), ModularRing(2)), "planted"),
-    (Monomial, "involute", _ghost_involute_to_degree_zero,
-     AlgebraSpec.leavitt(graph_vw(), ModularRing(2)), "^x x\\* x = x fails on f\\*$"),
     (gradedstruct, "_factor_pairs", _dropped_strong_pair,
      AlgebraSpec.leavitt(graph_rose2(), ModularRing(2)),
      "^epsilon_-1 is not the sum of its factor pairs$"),
     (gradedstruct, "_factor_pairs", _swapped_strong_pair,
      AlgebraSpec.leavitt(graph_rose2(), ModularRing(2)),
      "^epsilon_1 factor pair has the wrong degree$"),
-    (Monomial, "involute", _self_adjoint_involute,
-     AlgebraSpec.leavitt(graph_rose2(), ModularRing(2)), "^x x\\* x = x fails on ef\\*$"),
-    (Monomial, "involute", _self_adjoint_involute,
-     AlgebraSpec(graph_rose2(), ModularRing(3), []),
-     "^x x\\* x = x fails on ef\\*$"),
     (gradedstruct, "_epsilon_paths", _first_out_edge_only,
      AlgebraSpec(SOURCE_TWO_LOOPS, ModularRing(2), []),
      "^epsilon_1 lists 1 of the 2 paths of length 1 into w$"),
 ], ids=["epsilon_companion_short",
         "hazrat_cross_check",
-        "check_strong_Z", "witness_wrong_degree",
-        "strong_pair_dropped", "strong_pair_wrong_degree",
-        "involute_leavitt", "involute_cohn", "epsilon_first_out_edge_only"])
+        "check_strong_Z", "strong_pair_dropped", "strong_pair_wrong_degree",
+        "epsilon_first_out_edge_only"])
 def test_classify_reraises_internal_failures(monkeypatch, tmp_path, capsys,
                                              owner, name, plant, spec, message):
     # a failed self-check is a bug, not a refusal or a fallback: classify

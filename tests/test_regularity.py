@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 
 from conftest import (SIX_GRAPHS, graph_2cycle, graph_a1, graph_loop,
                       graph_null, graph_rose2, graph_toeplitz, graph_vw,
-                      graph_vwu, random_element, table_m2_z2, table_upper_z2,
-                      table_z2xz2)
+                      graph_vwu, random_element, small_graphs, table_m2_z2,
+                      table_upper_z2, table_z2xz2)
 import gral.regularity as regularity
 from gral.coeffring import ModularRing, ProductRing
 from gral.gradedstruct import PathAlgebraOracle
@@ -681,6 +681,24 @@ def test_block_groups_agree_with_the_oracle_on_random_acyclic_graphs(graph, ring
     else:
         assert cert.verified and cert.witness.degree() == -d
         assert x * cert.witness * x == x
+
+
+@given(small_graphs(), st.integers(-2, 2), st.integers(0, 2 ** 16))
+def test_group_expansion_count_bounds_every_group(graph, d, seed):
+    # the block route's cap is counted from path counts before any term is
+    # listed: the groups it then builds, rows times columns, must fit in it
+    spec = AlgebraSpec.leavitt(graph, ModularRing(4))
+    x = random_element(spec, random.Random(seed), degree=d, max_len=3)
+    if x.is_zero:
+        return
+    n = max(len(m.beta.edges) for m in x.terms)
+    groups = {}
+    for m in _expand_to_level(spec, x.terms, n + d):
+        rows, cols = groups.setdefault((len(m.beta.edges), m.beta.dst), (set(), set()))
+        rows.add(m.alpha)
+        cols.add(m.beta)
+    entries = sum(len(rows) * len(cols) for rows, cols in groups.values())
+    assert entries <= regularity._group_entries(graph, x.terms, n, d)
 
 
 @pytest.mark.parametrize("x", [None, []], ids=["leavitt", "cohn"])

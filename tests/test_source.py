@@ -214,13 +214,13 @@ def test_path_algebra_witnesses_search_no_span():
     assert "solve_combination" not in _names(tree)
     found = sorted(f"{path.name}:{scope}" for path in sorted(SRC.glob("*.py"))
                    for scope in _calls(_parse(path), "solve_combination"))
-    assert found == ["gradedstruct.py:_missing_unit", "gradedstruct.py:check_epsilon_strong"]
+    assert found == ["gradedstruct.py:GradedRingOracle.epsilon", "gradedstruct.py:_missing_unit"]
     assert "graded_witness_oracle" not in {name.split(".")[-1] for path in SRC.glob("*.py")
                                            for name in _definitions(_parse(path))}
 
 
 def test_gradedstruct_imports_nothing_from_regularity():
-    # classify's units come from the oracle's graded witness, not from unit
+    # classify's units come from the oracle's epsilons, not from unit
     # records: gradedstruct needs no import from regularity, and the unit
     # pair record is gone from the package
     imports = [ast.unparse(node) for node in ast.walk(_parse(SRC / "gradedstruct.py"))
