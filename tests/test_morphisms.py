@@ -12,7 +12,7 @@ from gral import coeffring
 from gral.coeffring import ModularRing, SpanSolver
 from gral.errors import GralError, RelationViolation
 from gral.graphs import CohnPair, Graph, GraphMorphism
-from gral.morphisms import (AlgebraHom, IsoRow, _homs_agree,
+from gral.morphisms import (AlgebraHom, IsoRow, IsoVerdict, _homs_agree,
                             cohn_isomorphism,
                             cohn_to_leavitt, compose_homs, hom_apply,
                             hom_apply_all, identity_hom, induced_hom,
@@ -204,6 +204,63 @@ def test_iso_span_graph_over_composite_moduli(n):
     verdict = verify_graded_iso(phi, 3, 3)
     assert (verdict.status, verdict.witness) == ("holds-at-bound", "")
     assert (verdict.total_source_rank(), verdict.total_target_rank()) == (1288, 288)
+
+
+# (source rank, target rank) at degrees -2..2 of phi : C^X(E) -> L(E(X))
+# at bounds 2/2; every graph has a cycle, so every row holds at the bound
+COHN_ISO_RANKS = {
+    ("span", ()): ((52, 10), (87, 19), (143, 33), (87, 19), (52, 10)),
+    ("span", ("v",)): ((39, 7), (64, 11), (104, 19), (64, 11), (39, 7)),
+    ("toeplitz", ()): ((6, 3), (8, 5), (10, 7), (8, 5), (6, 3)),
+    ("toeplitz", ("u",)): ((4, 2), (5, 3), (6, 4), (5, 3), (4, 2)),
+    ("rose2", ()): ((84, 8), (170, 18), (341, 37), (170, 18), (84, 8)),
+    ("rose2", ("v",)): ((64, 4), (128, 8), (256, 16), (128, 8), (64, 4)),
+}
+ISO_GRAPHS = {"span": graph_span, "toeplitz": graph_toeplitz, "rose2": graph_rose2}
+
+
+@pytest.mark.parametrize("n", [2, 4, 6])
+@pytest.mark.parametrize("name, x", list(COHN_ISO_RANKS))
+def test_cohn_to_leavitt_iso_verdicts_pinned(name, x, n):
+    phi = cohn_to_leavitt(CohnPair(ISO_GRAPHS[name](), frozenset(x)), ModularRing(n))
+    assert verify_graded_iso(phi, 2, 2) == IsoVerdict(
+        tuple(IsoRow(d, s, t, "holds-at-bound")
+              for d, (s, t) in zip(range(-2, 3), COHN_ISO_RANKS[name, x])),
+        "holds-at-bound")
+
+
+def _unhit_hom(ring):
+    # A1 -> {f: v->w}, X = {v}: w, f and f* have no preimage
+    return induced_hom(inclusion_a1_vw(ring), ring)
+
+
+def _killing_hom(ring):
+    # {v, w} -> {v} with w |-> 0: onto, but w is in the kernel
+    source = AlgebraSpec.leavitt(Graph(["v", "w"], []), ring)
+    target = AlgebraSpec.leavitt(Graph(["v"], []), ring)
+    return AlgebraHom.make(source, target, {"v": vertex_element(target, "v"),
+                                            "w": AlgebraElement.zero(target)}, {})
+
+
+def _failing_verdict(fails, witness):
+    """The verdict at bounds 2/2 whose rows fail at the degrees of fails,
+    {degree: (source rank, target rank, witness)}, every other row holding
+    exactly on empty sets, and whose first failing row is its witness."""
+    rows = tuple(IsoRow(d, *fails[d][:2], "fails", fails[d][2]) if d in fails
+                 else IsoRow(d, 0, 0, "holds-exactly") for d in range(-2, 3))
+    return IsoVerdict(rows, "fails", witness)
+
+
+@pytest.mark.parametrize("n", [2, 4, 6])
+def test_failing_iso_verdicts_pinned(n):
+    ring = ModularRing(n)
+    assert verify_graded_iso(_unhit_hom(ring), 2, 2) == _failing_verdict(
+        {-1: (0, 1, "unhit target element f*"), 0: (1, 2, "unhit target element w"),
+         1: (0, 1, "unhit target element f")}, "degree -1: unhit target element f*")
+    # over Z/6 the CRT join of the kernel generators w (mod 2) and 0 (mod 3)
+    killed = "3*w" if n == 6 else "w"
+    assert verify_graded_iso(_killing_hom(ring), 2, 2) == _failing_verdict(
+        {0: (2, 1, f"kernel element {killed}")}, f"degree 0: kernel element {killed}")
 
 
 def test_verify_graded_iso_factors_once_per_degree(monkeypatch):
