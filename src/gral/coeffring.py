@@ -580,10 +580,17 @@ def _factor(ring: Ring, constraints, varlist):
     None, and kernel() the generators of the homogeneous solutions, each
     {var: element} over its nonzero unknowns and none of them empty."""
     split = ring_parts(ring)
-    if split is not None:
-        return _SplitSystem(split, constraints, varlist)
     if isinstance(ring, ModularRing):
-        return _ModularSystem(ring, constraints, varlist)
+        # a composite Z/n folds once over the integers, then mod each q
+        rows = _fold_modular(ring.n, constraints, varlist)
+        if split is None:
+            return _ModularSystem(ring.n, rows, varlist)
+        return _SplitSystem(split, [
+            _ModularSystem(part.n, [{j: c % part.n for j, c in row.items() if c % part.n}
+                                    for row in rows], varlist) for part in split[0]])
+    if split is not None:
+        return _SplitSystem(split, [_factor(part, system, varlist) for part, system
+                                    in zip(split[0], _split_constraints(split, constraints))])
     return _AdditiveSystem(ring, constraints, varlist)
 
 
@@ -627,12 +634,10 @@ def _joined(split, answers, what):
 
 
 class _SplitSystem:
-    """A system over a ring that ring_parts splits, factored part by part."""
+    """A system over a ring that ring_parts splits, one factored system per part."""
 
-    def __init__(self, split, constraints, varlist):
-        self.split = split
-        self.parts = [_factor(part, system, varlist)
-                      for part, system in zip(split[0], _split_constraints(split, constraints))]
+    def __init__(self, split, parts):
+        self.split, self.parts = split, parts
 
     def solve(self, rhs):
         rhs = {r: self.split[1](b) for r, b in rhs.items()}
@@ -740,9 +745,8 @@ class AdditiveSpan:
         return [g for g in map(self._elements, self._solver.kernel()) if g]
 
 
-def _fold_modular(ring, constraints, varlist):
+def _fold_modular(n, constraints, varlist):
     """The left-hand sides as sparse rows {column: entry}, reduced mod n."""
-    n = ring.n
     pos = {v: i for i, v in enumerate(varlist)}
     rows = []
     for terms, _ in constraints:
@@ -807,19 +811,18 @@ def ring_parts(ring: Ring):
 
 
 class _ModularSystem:
-    """The left-hand sides over Z/q, q a prime power, as sparse rows,
-    factored once."""
+    """Sparse rows {column: entry} over Z/q, q a prime power, factored
+    once; the rows are handed over to the factor."""
 
-    def __init__(self, ring, constraints, varlist):
-        self.n, self.varlist = ring.n, varlist
-        self.rows = _fold_modular(ring, constraints, varlist)
+    def __init__(self, q, rows, varlist):
+        self.n, self.varlist = q, varlist
         # column j as (row, entry) pairs, for re-checks from a solution's support
         self.columns = [[] for _ in varlist]
-        for r, row in enumerate(self.rows):
+        for r, row in enumerate(rows):
             for j, c in row.items():
                 self.columns[j].append((r, c))
-        (p, e), = _prime_powers(self.n)
-        self.factor = _PrimePowerFactor([dict(row) for row in self.rows], len(varlist), p, e)
+        (p, e), = _prime_powers(q)
+        self.factor = _PrimePowerFactor(rows, len(varlist), p, e)
 
     def solve(self, rhs):
         n = self.n

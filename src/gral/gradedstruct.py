@@ -13,7 +13,9 @@ follow the chain epsilon-strong => nearly epsilon-strong => symmetric
 on S_d in S_d S_-d and eps_-d a right unit on S_d in S_-d S_d, so a degree
 with both is nearly epsilon-strong; s = eps_d s puts each s of S_d in
 S_d S_-d S_d, so a degree with eps_d is symmetric.  Only a degree without
-its epsilons asks the bounded search element by element.
+its epsilons asks the bounded search element by element.  Whether S_d has
+a spanning element at all is its own question (has_spanning), which a
+path algebra answers from path counts: its classify lists no monomial.
 The strong row of a path algebra reads eps_1 and eps_-1: 1 is in S_1 S_-1
 and in S_-1 S_1 iff both are 1, and for a Leavitt spec that must agree
 with Hazrat's criterion (no sinks).
@@ -32,7 +34,8 @@ from .coeffring import solve_linear_system  # noqa: F401
 from .cornerlaurent import CslAlgebra, format_csl
 from .errors import GralError, InternalVerificationFailure, NotDegreeOneGenerated
 from .pathalg import (AlgebraElement, AlgebraSpec, Monomial, format_element,
-                      identity_element, monomial_element, reduced_monomials)
+                      identity_element, monomial_element, monomial_path_counts,
+                      reduced_monomials)
 
 # ---------------------------------------------------------------------------
 # Oracle interface
@@ -56,6 +59,10 @@ class GradedRingOracle:
 
     def spanning(self, degree: int, size_bound: int):
         raise NotImplementedError
+
+    def has_spanning(self, degree: int, size_bound: int) -> bool:
+        """Whether the bounded spanning set of the degree is nonempty."""
+        return bool(self.spanning(degree, size_bound))
 
     def exact_at(self, degree: int, size_bound: int) -> bool:
         """Whether the bounded spanning set spans the whole component, i.e.
@@ -143,6 +150,14 @@ class PathAlgebraOracle(GradedRingOracle):
                     monomial_element(self.spec, m))
             self._spans[size_bound] = by_degree
         return self._spans[size_bound].get(degree, [])
+
+    def has_spanning(self, degree, size_bound):
+        """Read from path counts, no monomial listed: a path p of length |d|
+        <= size_bound gives the reduced p r(p)* (d >= 0) or r(p) p*, and the
+        longer path of every a b* of degree d has a prefix of length |d|.
+        Capped as listing the monomials is, so a refusal stays where it is."""
+        counts = monomial_path_counts(self.spec.graph, size_bound)
+        return abs(degree) <= size_bound and any(counts[abs(degree)].values())
 
     def exact_at(self, degree, size_bound):
         return self.spec.graph.all_paths_within(size_bound)
@@ -478,11 +493,10 @@ def check_symmetric(oracle: GradedRingOracle, degree_bound: int = 3,
     """
     rows = []
     for d in range(-degree_bound, degree_bound + 1):
-        span_d = oracle.spanning(d, size_bound)
         exact = oracle.exact_at(d, size_bound) and oracle.exact_at(-d, size_bound)
         bad = None
-        if span_d and oracle.epsilon(d, size_bound) is None:
-            span_md = oracle.spanning(-d, size_bound)
+        if oracle.has_spanning(d, size_bound) and oracle.epsilon(d, size_bound) is None:
+            span_d, span_md = oracle.spanning(d, size_bound), oracle.spanning(-d, size_bound)
             solve = combination_solver(
                 oracle, oracle.products(oracle.products(span_d, span_md), span_d), [_identity])
             bad = next((s for s in span_d if solve([s]) is None), None)
@@ -682,7 +696,7 @@ def check_epsilon_strong(oracle: GradedRingOracle, degree_bound: int = 3,
     for d in range(-degree_bound, degree_bound + 1):
         eps = oracle.epsilon(d, size_bound)
         exact = oracle.exact_at(d, size_bound) and oracle.exact_at(-d, size_bound)
-        if eps is None and (oracle.spanning(d, size_bound) or oracle.spanning(-d, size_bound)):
+        if eps is None and any(oracle.has_spanning(e, size_bound) for e in (d, -d)):
             rows.append(ReportRow("epsilon-strong", str(d),
                                   _verdict(exact, f"no epsilon at degree {d}")))
         elif not leavitt or d >= 0:
@@ -717,14 +731,13 @@ def check_nearly_epsilon(target, degree_bound: int = 3, size_bound: int = 3):
     oracle = _as_oracle(target)
     rows = []
     for d in range(-degree_bound, degree_bound + 1):
-        span_d = oracle.spanning(d, size_bound)
-        if not span_d:
+        if not oracle.has_spanning(d, size_bound):
             continue
         exact = oracle.exact_at(d, size_bound) and oracle.exact_at(-d, size_bound)
         failure = None
         if oracle.epsilon(d, size_bound) is None or oracle.epsilon(-d, size_bound) is None:
             products = {}  # side -> S_d S_-d ("left") or S_-d S_d ("right")
-            for s in span_d:
+            for s in oracle.spanning(d, size_bound):
                 side = _missing_unit(oracle, s, d, size_bound, products)
                 if side is not None:
                     failure = f"no {side} unit for {oracle.format(s)}"

@@ -6,6 +6,7 @@ algebras by substitution alone.
 
 from __future__ import annotations
 
+import functools
 from typing import NamedTuple, Optional
 
 from .coeffring import Ring, SpanSolver
@@ -101,44 +102,18 @@ def hom_apply(h: AlgebraHom, x: AlgebraElement) -> AlgebraElement:
 
 
 def hom_apply_all(h: AlgebraHom, xs) -> list:
-    """hom_apply of each element of xs.  The image of each path and of each
-    monomial is formed once per call, from the images of its shorter paths:
-    real(alpha e) = real(alpha) . h(e) and ghost(e beta) = ghost(beta) . h(e*),
-    so each is the left-to-right product of its generators' images.  The
-    images are summed into one dict per element, in the order that adding
-    each c . image in turn gives."""
-    vmap, emap, gmap = dict(h.vmap), dict(h.emap), dict(h.gmap)
+    """hom_apply of each element of xs: each term c m adds c . image(m) in
+    turn into one dict per element, image = _monomial_images(h)."""
     ring = h.target.ring
     zero, add, mul = ring.zero, ring.add, ring.mul
-    real, ghost, images = {}, {}, {}   # edges -> image; monomial -> image
-
-    def real_image(edges):
-        img = real.get(edges)
-        if img is None:
-            img = real[edges] = (emap[edges[0]] if len(edges) == 1 else
-                                 real_image(edges[:-1]) * emap[edges[-1]])
-        return img
-
-    def ghost_image(edges):
-        img = ghost.get(edges)
-        if img is None:
-            img = ghost[edges] = (gmap[edges[0]] if len(edges) == 1 else
-                                  ghost_image(edges[1:]) * gmap[edges[0]])
-        return img
-
+    image = _monomial_images(h)
     out = []
     for x in xs:
         if x.spec != h.source:
             raise GralError("element does not live in the hom's source algebra")
         acc = {}
         for m, c in x.terms.items():
-            img = images.get(m)
-            if img is None:
-                a, b = m.alpha, m.beta
-                img = images[m] = (
-                    (real_image(a.edges) if a.edges else vmap[a.src]) *
-                    (ghost_image(b.edges) if b.edges else vmap[b.src]))
-            for m2, c2 in img.terms.items():
+            for m2, c2 in image(m).items():
                 c2 = mul(c, c2)
                 if c2 == zero:
                     continue
@@ -151,6 +126,30 @@ def hom_apply_all(h: AlgebraHom, xs) -> list:
                     acc[m2] = c2
         out.append(AlgebraElement(h.target, acc))
     return out
+
+
+def _monomial_images(h: AlgebraHom):
+    """m = alpha beta* -> the terms of h(m) = real(alpha) . ghost(beta), the
+    product's own (not to be changed).  Each path's and monomial's image is
+    formed once per function from its shorter paths': real(alpha e) =
+    real(alpha) . h(e) and ghost(e beta) = ghost(beta) . h(e*), the
+    left-to-right product of its generators' images."""
+    vmap, emap, gmap = dict(h.vmap), dict(h.emap), dict(h.gmap)
+
+    @functools.cache
+    def real(edges):
+        return emap[edges[0]] if len(edges) == 1 else real(edges[:-1]) * emap[edges[-1]]
+
+    @functools.cache
+    def ghost(edges):
+        return gmap[edges[0]] if len(edges) == 1 else ghost(edges[1:]) * gmap[edges[0]]
+
+    @functools.cache
+    def image(m):
+        a, b = m.alpha, m.beta
+        return ((real(a.edges) if a.edges else vmap[a.src]) *
+                (ghost(b.edges) if b.edges else vmap[b.src])).terms
+    return image
 
 
 def identity_hom(spec: AlgebraSpec) -> AlgebraHom:
@@ -309,22 +308,20 @@ def verify_graded_iso(h: AlgebraHom, degree_bound: int = 3,
     degrees = range(-degree_bound, degree_bound + 1)
     src_by_degree = _by_degree(reduced_monomials(h.source, max_len=src_bound), degrees)
     tgt_by_degree = _by_degree(reduced_monomials(h.target, max_len=size_bound), degrees)
-    sources = [m for d in degrees for m in src_by_degree[d]]
-    images = dict(zip(sources, hom_apply_all(
-        h, [monomial_element(h.source, m) for m in sources])))
+    image, one = _monomial_images(h), h.target.ring.one
     for d in degrees:
-        src = src_by_degree[d]
-        image = SpanSolver(h.source.ring, [images[m].terms for m in src])
-        tgt = [monomial_element(h.target, m) for m in tgt_by_degree[d]]
+        src, tgt = src_by_degree[d], tgt_by_degree[d]
+        solver = SpanSolver(h.source.ring, [image(m) for m in src])
         status = "holds-exactly" if exact else "holds-at-bound"
         row_witness = ""
         for t in tgt:
-            if image.solve(t.terms) is None:
+            if solver.solve({t: one}) is None:
                 status = "fails"
-                row_witness = f"unhit target element {format_element(t)}"
+                row_witness = "unhit target element " + format_element(
+                    monomial_element(h.target, t))
                 break
         if status != "fails":
-            for gen in image.kernel():
+            for gen in solver.kernel():
                 combo = AlgebraElement.make(h.source, {src[i]: c for i, c in gen.items()})
                 if not combo.is_zero:
                     status = "fails"

@@ -439,12 +439,9 @@ def reduced_monomials(spec: AlgebraSpec, degree: Optional[int] = None,
                       max_len: int = 3):
     """Reduced monomials with real and ghost lengths at most max_len,
     optionally restricted to one degree; sorted.  One degree d pairs only
-    the paths whose lengths differ by d.  The cap counts every pair of
-    every degree, sum over v of (sum_{i <= max_len} |P(i, v)|)^2, before
-    any path is listed, so a degree is refused exactly when all are."""
+    the paths whose lengths differ by d, once monomial_path_counts admits them."""
     g = spec.graph
-    counts = g.path_counts(max_len)
-    within_cap(sum(sum(c[v] for c in counts) ** 2 for v in g.vertices), "reduced monomials")
+    monomial_path_counts(g, max_len)
     by_range = {v: [[] for _ in range(max_len + 1)] for v in g.vertices}
     for n in range(max_len + 1):
         for p in g.paths(n):
@@ -459,6 +456,15 @@ def reduced_monomials(spec: AlgebraSpec, degree: Optional[int] = None,
                 if not _reducible(spec, m):
                     out.append(m)
     return sorted(out, key=Monomial.sort_key)
+
+
+def monomial_path_counts(graph: Graph, max_len: int):
+    """Graph.path_counts(max_len), once the cap admits the monomial pairs
+    of every degree, sum over v of (sum_{i <= max_len} |P(i, v)|)^2, so a
+    degree is refused exactly when all are."""
+    counts = graph.path_counts(max_len)
+    within_cap(sum(sum(c[v] for c in counts) ** 2 for v in graph.vertices), "reduced monomials")
+    return counts
 
 
 def monomial_element(spec: AlgebraSpec, m: Monomial, coeff=None) -> AlgebraElement:

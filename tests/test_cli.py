@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 import corpus
 from conftest import diamond_chain, table_m2_z2, table_mod, table_upper_z2, table_z2xz2
-from gral import cli, coeffring, cornerlaurent, gradedstruct, morphisms, regularity
+from gral import cli, coeffring, cornerlaurent, gradedstruct, morphisms, pathalg, regularity
 from gral.cli import main
 from gral.coeffring import ModularRing, ring_make, ring_spec
 from gral.cornerlaurent import corner_from_dict, csl_element_from_dict
@@ -401,6 +401,30 @@ def test_path_algebra_classify_runs_no_search(files, capsys, monkeypatch,
     expected = COHN_EFVW_Z4_CLASSIFY if graph == "efvwcohn" else \
         (GOLDEN / f"classify_{graph}_{ring}_{degree_bound}_{size_bound}.txt").read_text()
     assert capsys.readouterr().out == expected
+
+
+def _no_listing(*args, **kwargs):
+    raise AssertionError("a path-algebra classify listed the bounded monomials")
+
+
+@pytest.mark.parametrize("graph, ring, degree_bound, size_bound", [
+    ("span", "z2", 3, 4), ("spancohn", "z6", 2, 2)])
+def test_path_algebra_classify_lists_no_monomial(files, capsys, monkeypatch,
+                                                 graph, ring, degree_bound, size_bound):
+    # which degrees have a spanning monomial is read from path counts: with
+    # the listing refused, a Leavitt and a relative Cohn classify print the
+    # pinned report
+    monkeypatch.setattr(pathalg, "reduced_monomials", _no_listing)
+    monkeypatch.setattr(gradedstruct, "reduced_monomials", _no_listing)
+    monkeypatch.setattr(gradedstruct.PathAlgebraOracle, "spanning", _no_listing)
+    graphs = {"spancohn": dict(GOLDEN_GRAPHS["span"], x=[]), **GOLDEN_GRAPHS}
+    code = main(["lpa", "classify", "--graph", write(files["tmp"] / f"{graph}.json",
+                                                     graphs[graph]),
+                 "--ring", files[ring], "--degree-bound", str(degree_bound),
+                 "--size-bound", str(size_bound)])
+    assert code == 0
+    assert capsys.readouterr().out == \
+        (GOLDEN / f"classify_{graph}_{ring}_{degree_bound}_{size_bound}.txt").read_text()
 
 
 @pytest.mark.parametrize("name, graph, ring, degree_bound", [

@@ -711,22 +711,23 @@ def test_wrong_join_is_caught():
     # join that answers wrongly is caught in solve and in kernel alike
     parts, project, join = coeffring.ring_parts(ModularRing(6))
     constraints = [([(None, 0, None), (2, 1, None)], 0)]  # x0 + 2 x1
-    system = coeffring._SplitSystem((parts, project, join), constraints, [0, 1])
+    system = coeffring._factor(ModularRing(6), constraints, [0, 1])
     assert system.solve({0: 1}) == {0: 1}
     assert system.kernel() == [{1: 3}, {0: 4, 1: 4}]
     wrong = coeffring._SplitSystem((parts, project, lambda xs: (join(xs) + 1) % 6),
-                                   constraints, [0, 1])
+                                   system.parts)
     with pytest.raises(InternalVerificationFailure, match="linear solution"):
         wrong.solve({0: 1})
     with pytest.raises(InternalVerificationFailure, match="kernel generator"):
         wrong.kernel()
 
 
-def _prime_power_factors(system):
+def _prime_power_factors(system, nrows):
     """(factor, number of rows) of every _PrimePowerFactor in a factored
-    modular system: each part's, and each factor's p-divisible sub."""
+    modular system of nrows rows: each part's, and each factor's
+    p-divisible sub."""
     parts = system.parts if isinstance(system, coeffring._SplitSystem) else [system]
-    todo = [(part.factor, len(part.rows)) for part in parts]
+    todo = [(part.factor, nrows) for part in parts]
     while todo:
         factor, nrows = todo.pop()
         yield factor, nrows
@@ -765,7 +766,8 @@ def test_sparse_replay_agrees_with_replay(system, data):
     # the sparse replay of a target dict runs only the ops its rows reach,
     # and reads the same entries as the dense replay of the same list
     ring, constraints, variables = system
-    for factor, nrows in _prime_power_factors(coeffring._factor(ring, constraints, variables)):
+    for factor, nrows in _prime_power_factors(coeffring._factor(ring, constraints, variables),
+                                              len(constraints)):
         target = data.draw(st.dictionaries(st.integers(0, nrows - 1),
                                            st.integers(0, factor.q - 1)))
         dense = _dense_replay(factor, [target.get(r, 0) for r in range(nrows)])

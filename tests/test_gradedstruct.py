@@ -365,6 +365,17 @@ def test_closed_form_epsilons_pass_the_bounded_unit_checks(spec):
         assert all(t * eps == t for t in oracle.spanning(-d, 2)), d
 
 
+@given(path_algebra_specs(acyclic=False), st.integers(0, 3))
+def test_has_spanning_answers_as_listing_does(spec, bound):
+    # read from path counts, on graphs with sinks, sources and cycles and
+    # any X: the bounded S_d has a reduced monomial iff a path of length
+    # |d| <= bound exists, which listing the monomials confirms
+    oracle = PathAlgebraOracle(spec)
+    for d in range(-bound - 1, bound + 2):
+        assert oracle.has_spanning(d, bound) == \
+            bool(reduced_monomials(spec, degree=d, max_len=bound)), d
+
+
 @pytest.mark.parametrize("ring", [table_z2xz2(), table_upper_z2()],
                          ids=["table_z2xz2", "table_upper_z2"])
 def test_table_ring_classify_completes_from_certificates(ring):
